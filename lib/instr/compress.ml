@@ -106,44 +106,48 @@ let fold_constants (plan : Item.plan) : int =
     plan.entry_items;
   !removed
 
+(* Reference-counted sweep: count each register's readers once (with
+   multiplicity), kill every [Set_var] target nobody reads, and let each
+   kill release the registers its definitions read. Linear in the plan,
+   with the fixpoint of rescanning until stable: self-reading phis and
+   dead cycles survive. *)
 let run (plan : Item.plan) : int =
+  let readers : (var, int) Hashtbl.t = Hashtbl.create 256 in
+  let sets : (var, Item.action) Hashtbl.t = Hashtbl.create 256 in
+  let count d v =
+    let n = d + Option.value ~default:0 (Hashtbl.find_opt readers v) in
+    Hashtbl.replace readers v n;
+    n
+  in
+  let scan (a : Item.action) =
+    List.iter (fun v -> ignore (count 1 v)) (shadow_reads a);
+    match a with Item.Set_var (x, _) -> Hashtbl.add sets x a | _ -> ()
+  in
+  Array.iter (List.iter (fun (it : Item.item) -> scan it.act)) plan.items;
+  Hashtbl.iter (fun _ acts -> List.iter scan acts) plan.entry_items;
+  let dead : (var, unit) Hashtbl.t = Hashtbl.create 64 in
+  let rec kill x =
+    if not (Hashtbl.mem dead x) then begin
+      Hashtbl.replace dead x ();
+      List.iter
+        (fun a -> List.iter release (shadow_reads a))
+        (Hashtbl.find_all sets x)
+    end
+  and release v = if count (-1) v = 0 && Hashtbl.mem sets v then kill v in
+  Hashtbl.iter (fun x _ -> if not (Hashtbl.mem readers x) then kill x) sets;
   let removed = ref 0 in
-  let continue_ = ref true in
-  while !continue_ do
-    continue_ := false;
-    let read : (var, unit) Hashtbl.t = Hashtbl.create 256 in
-    let scan a = List.iter (fun v -> Hashtbl.replace read v ()) (shadow_reads a) in
-    Array.iter (fun items -> List.iter (fun (it : Item.item) -> scan it.act) items) plan.items;
-    Hashtbl.iter (fun _ acts -> List.iter scan acts) plan.entry_items;
-    let keep (it : Item.item) =
-      match it.act with
-      | Item.Set_var (x, _) -> Hashtbl.mem read x
-      | _ -> true
-    in
-    Array.iteri
-      (fun i items ->
-        let kept = List.filter keep items in
-        if List.length kept <> List.length items then begin
-          removed := !removed + (List.length items - List.length kept);
-          continue_ := true;
-          plan.items.(i) <- kept
-        end)
-      plan.items;
-    Hashtbl.iter
-      (fun fn acts ->
-        let kept =
-          List.filter
-            (fun a ->
-              match a with
-              | Item.Set_var (x, _) -> Hashtbl.mem read x
-              | _ -> true)
-            acts
-        in
-        if List.length kept <> List.length acts then begin
-          removed := !removed + (List.length acts - List.length kept);
-          continue_ := true;
-          Hashtbl.replace plan.entry_items fn kept
-        end)
-      plan.entry_items
-  done;
+  let live (a : Item.action) =
+    match a with
+    | Item.Set_var (x, _) when Hashtbl.mem dead x ->
+      incr removed;
+      false
+    | _ -> true
+  in
+  Array.iteri
+    (fun i items ->
+      plan.items.(i) <- List.filter (fun (it : Item.item) -> live it.act) items)
+    plan.items;
+  Hashtbl.filter_map_inplace
+    (fun _ acts -> Some (List.filter live acts))
+    plan.entry_items;
   !removed

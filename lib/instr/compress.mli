@@ -9,5 +9,6 @@
 val fold_constants : Item.plan -> int
 
 (** Shadow dead-code elimination: [Set_var]s whose register is never read
-    are removed, to a fixpoint. Returns the number removed. *)
+    are removed, to a fixpoint, by one reference-counted sweep. Returns
+    the number removed. *)
 val run : Item.plan -> int

@@ -125,8 +125,9 @@ let add_edge t ~(src : int) ~(dst : int) (k : edge_kind) =
     t.version <- t.version + 1
   end
 
-(** Remove one specific edge, if present; used by fault injection
-    (drop-vfg-edge) to seed a structural bug the verifier must catch. *)
+(** Remove one specific edge, if present; used by Opt II's rewiring and
+    by fault injection (drop-vfg-edge) to seed a structural bug the
+    verifier must catch. *)
 let remove_edge t ~(src : int) ~(dst : int) (k : edge_kind) =
   if Hashtbl.mem t.edge_seen (src, dst, k) then begin
     Hashtbl.remove t.edge_seen (src, dst, k);
@@ -137,17 +138,6 @@ let remove_edge t ~(src : int) ~(dst : int) (k : edge_kind) =
     t.nedges <- t.nedges - 1;
     t.version <- t.version + 1
   end
-
-(** Remove every edge out of [src]; used by Opt II's rewiring. *)
-let clear_succs t (src : int) =
-  List.iter
-    (fun (dst, k) ->
-      Hashtbl.remove t.edge_seen (src, dst, k);
-      t.preds.(dst) <- List.filter (fun (s, k') -> not (s = src && k' = k)) t.preds.(dst);
-      t.nedges <- t.nedges - 1)
-    t.succs.(src);
-  t.succs.(src) <- [];
-  t.version <- t.version + 1
 
 let succs t id = t.succs.(id)
 let preds t id = t.preds.(id)

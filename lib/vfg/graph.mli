@@ -46,12 +46,10 @@ val def_of : t -> int -> def_site
 (** Idempotent per (src, dst, kind). *)
 val add_edge : t -> src:int -> dst:int -> edge_kind -> unit
 
-(** Remove one specific edge, if present; used by fault injection
-    (drop-vfg-edge) to seed a structural bug the verifier must catch. *)
+(** Remove one specific edge, if present; used by Opt II's rewiring and
+    by fault injection (drop-vfg-edge) to seed a structural bug the
+    verifier must catch. *)
 val remove_edge : t -> src:int -> dst:int -> edge_kind -> unit
-
-(** Remove every edge out of [src]; used by Opt II's rewiring. *)
-val clear_succs : t -> int -> unit
 
 (** Dependencies of a node. *)
 val succs : t -> int -> (int * edge_kind) list

@@ -188,14 +188,16 @@ let run ?(context_sensitive = true) ?budget (bld : Build.t) : result =
                   | Some l
                     when Analysis.Dominance.label_dominates dom pos c.clbl l
                          && cannot_re_reach l ->
-                    (* Replace r's edges into the closure by r -> T. *)
-                    let old = Graph.succs g r in
-                    let into, keep =
-                      List.partition (fun (d, _) -> Hashtbl.mem in_closure d) old
+                    (* Replace r's edges into the closure by r -> T,
+                       touching only those edges: T's dependents list
+                       grows with every rewiring and is never walked. *)
+                    let into =
+                      List.filter
+                        (fun (d, _) -> Hashtbl.mem in_closure d)
+                        (Graph.succs g r)
                     in
                     if into <> [] then begin
-                      Graph.clear_succs g r;
-                      List.iter (fun (d, k) -> Graph.add_edge g ~src:r ~dst:d k) keep;
+                      List.iter (fun (d, k) -> Graph.remove_edge g ~src:r ~dst:d k) into;
                       Graph.add_edge g ~src:r ~dst:troot Eintra;
                       Hashtbl.replace redirected r ()
                     end

@@ -89,3 +89,26 @@ let check_bool = Alcotest.(check bool)
 let check_str = Alcotest.(check string)
 
 let tc name f = Alcotest.test_case name `Quick f
+
+(** One SPEC2000 analog, analyzed at [level] and input [scale]. *)
+let analog ?(scale = 5) ~level (p : Workloads.Profile.t) =
+  let prog = front ~level (Workloads.Spec2000.source ~scale p) in
+  (prog, Usher.Pipeline.analyze prog)
+
+(** Every variant's plan, in [Usher.Config.all_variants] order. Above
+    O0+IM the shadow constants are folded first, as [Usher.Experiment.run]
+    does before [Instr.Compress.run]. *)
+let folded_plans ~level (a : Usher.Pipeline.analysis) =
+  List.map
+    (fun v ->
+      let plan, _ = Usher.Pipeline.plan_for a v in
+      if level <> Optim.Pipeline.O0_IM then
+        ignore (Instr.Compress.fold_constants plan);
+      plan)
+    Usher.Config.all_variants
+
+(** Minor-heap words allocated by [f ()], in millions. *)
+let minor_mwords f =
+  let w0 = Gc.minor_words () in
+  f ();
+  (Gc.minor_words () -. w0) /. 1e6

@@ -196,6 +196,92 @@ let scalar_tests =
         check_bool "check kept" true ((Instr.Item.stats_of plan).checks >= 1));
   ]
 
+(* The round-based shadow dead-code elimination [Instr.Compress.run] once
+   was, kept as a reference: every round rescans the plan for read shadow
+   registers and drops the [Set_var]s nobody reads, until a round drops
+   nothing. *)
+let reference_compress (plan : Instr.Item.plan) : int =
+  let reads (a : Instr.Item.action) =
+    let op = function Ir.Types.Var v -> [ v ] | Cst _ | Undef -> [] in
+    match a with
+    | Set_var (_, (Rconst _ | Rglobal _)) -> []
+    | Set_var (_, (Rvar y | Rmem y)) -> [ y ]
+    | Set_var (_, Rconj ys) -> ys
+    | Set_var (_, Rphi arms) -> List.concat_map (fun (_, o) -> op o) arms
+    | Set_mem (_, Mop o) | Set_global (_, o) | Check o -> op o
+    | Set_mem (_, Mconst _) | Set_mem_object _ -> []
+  in
+  let removed = ref 0 in
+  let continue_ = ref true in
+  while !continue_ do
+    continue_ := false;
+    let read = Hashtbl.create 256 in
+    let scan a = List.iter (fun v -> Hashtbl.replace read v ()) (reads a) in
+    Array.iter (List.iter (fun (it : Instr.Item.item) -> scan it.act)) plan.items;
+    Hashtbl.iter (fun _ acts -> List.iter scan acts) plan.entry_items;
+    let keep (a : Instr.Item.action) =
+      match a with Set_var (x, _) -> Hashtbl.mem read x | _ -> true
+    in
+    let sweep keep xs =
+      let kept = List.filter keep xs in
+      let n = List.length xs - List.length kept in
+      if n > 0 then begin
+        removed := !removed + n;
+        continue_ := true
+      end;
+      kept
+    in
+    Array.iteri
+      (fun i items ->
+        plan.items.(i) <- sweep (fun (it : Instr.Item.item) -> keep it.act) items)
+      plan.items;
+    Hashtbl.filter_map_inplace (fun _ acts -> Some (sweep keep acts)) plan.entry_items
+  done;
+  !removed
+
+let copy_plan (plan : Instr.Item.plan) =
+  { plan with items = Array.copy plan.items;
+              entry_items = Hashtbl.copy plan.entry_items }
+
+let entry_bindings (plan : Instr.Item.plan) =
+  Hashtbl.fold (fun fn acts acc -> (fn, acts) :: acc) plan.entry_items []
+  |> List.sort compare
+
+(* [Instr.Compress.run] must agree with the reference on the count and on
+   every surviving item, in order. *)
+let compress_agrees (plan : Instr.Item.plan) =
+  let ref_plan = copy_plan plan in
+  let expected = reference_compress ref_plan in
+  let got = Instr.Compress.run plan in
+  got = expected
+  && plan.items = ref_plan.items
+  && entry_bindings plan = entry_bindings ref_plan
+
+let o2_plans src =
+  let level = Optim.Pipeline.O2 in
+  folded_plans ~level (Usher.Pipeline.analyze (front ~level src))
+
+let compress_tests =
+  [
+    QCheck_alcotest.to_alcotest
+      (QCheck.Test.make ~count:100
+         ~name:"Compress.run matches the round-based reference (fuzz, O2)"
+         QCheck.(make ~print:string_of_int Gen.(0 -- 100000))
+         (fun seed ->
+           List.for_all compress_agrees (o2_plans (Audit.Gen.source ~seed ()))));
+    (* Slow: the reference is quadratic, about 40 s over the analogs. *)
+    Alcotest.test_case
+      "Compress.run matches the round-based reference (15 analogs, O2)" `Slow
+      (fun () ->
+        List.iter
+          (fun (p : Workloads.Profile.t) ->
+            let level = Optim.Pipeline.O2 in
+            let _, a = analog ~level p in
+            check_bool p.pname true
+              (List.for_all compress_agrees (folded_plans ~level a)))
+          Workloads.Spec2000.all);
+  ]
+
 let suites =
   [ ("mem2reg", mem2reg_tests); ("inline", inline_tests);
-    ("scalar-opts", scalar_tests) ]
+    ("scalar-opts", scalar_tests); ("compress", compress_tests) ]

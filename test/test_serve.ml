@@ -592,10 +592,21 @@ let prop_shed_within_deadline =
          Serve.Server.handle_line t ~out
            (req_json ~id:"hold" ~cmd:"run" ~source:src_clean
               ~extra:{|,"sleep_ms":300|} ());
+         (* q0 must find "hold" already taken by the worker: sent while
+            "hold" still sits in the queue, q0 is shed, and the worker
+            may then take "hold" mid-burst, so a burst request queues *)
+         let pool = t.Serve.Server.pool in
+         while
+           Usher.Pool.queued pool > 0 && Obs.Clock.now_s () -. t_hold < 1.0
+         do
+           Unix.sleepf 0.001
+         done;
          Serve.Server.handle_line t ~out
            (req_json ~id:"q0" ~cmd:"run" ~source:src_clean
               ~extra:{|,"sleep_ms":50|} ());
-         let ok = ref true in
+         let ok =
+           ref (not (List.exists (fun l -> reply_id l = "q0") (collected ())))
+         in
          for i = 1 to burst do
            (* only assert while the 300ms hold provably still occupies the
               worker (so the queue slot is provably still full) — on a
