@@ -43,8 +43,9 @@ let build ?(options = { opt1 = true }) ?distrusted (bld : Vfg.Build.t)
   let rs = plan.ret_slot in
   let simplified = ref 0 in
   (* Side tables. *)
-  let instr_of : (label, fname * instr) Hashtbl.t = Hashtbl.create 256 in
-  P.iter_instrs (fun f _ i -> Hashtbl.replace instr_of i.lbl (f.fname, i)) p;
+  let instr_of = Array.make (P.nlabels p) None in
+  P.iter_instrs (fun _ _ i -> instr_of.(i.lbl) <- Some i) p;
+  let instr_at lbl = Option.get instr_of.(lbl) in
   let callsites_of : (fname, (label * operand list) list) Hashtbl.t =
     Hashtbl.create 16
   in
@@ -146,7 +147,7 @@ let build ?(options = { opt1 = true }) ?distrusted (bld : Vfg.Build.t)
           (* [⊤-Assign]: every top-level definition admits a strong update. *)
           Item.add plan lbl After (Item.Set_var (x, Item.Rconst true))
         else
-          let _, i = Hashtbl.find instr_of lbl in
+          let i = instr_at lbl in
           let mfc_simplify () =
             if not options.opt1 then false
             else begin
@@ -233,7 +234,7 @@ let build ?(options = { opt1 = true }) ?distrusted (bld : Vfg.Build.t)
     | Vfg.Graph.Mem (_, _, _) -> (
       match Vfg.Graph.def_of g id with
       | Vfg.Graph.Dchi (_, lbl) -> (
-        let _, i = Hashtbl.find instr_of lbl in
+        let i = instr_at lbl in
         match i.kind with
         | Alloc a ->
           if not (undef id) then

@@ -3,7 +3,11 @@
 
    A builder keeps a current block; [add] appends an instruction to it;
    [terminate] seals it. Blocks are created with forward references so
-   structured control flow lowers naturally. *)
+   structured control flow lowers naturally.
+
+   Appends are O(1): while building, each block's [instrs] holds its
+   instructions newest first, and [finish] reverses every block once.
+   Blocks sit in a vector indexed by block id, so [switch_to] is O(1). *)
 
 open Types
 
@@ -11,12 +15,16 @@ type t = {
   prog : Prog.t;
   fname : fname;
   mutable params : var list;
-  mutable blocks : block list; (* reverse order of creation *)
-  mutable nblocks : int;
+  blocks : block Vec.t; (* indexed by block id; [instrs] newest first *)
   mutable cur : block option;
 }
 
-let create prog ~fname = { prog; fname; params = []; blocks = []; nblocks = 0; cur = None }
+(* New blocks copy this; [tlbl = -1] marks the term a placeholder until
+   [terminate] seals the block. *)
+let dummy_block = { bid = -1; instrs = []; term = { tlbl = -1; tkind = Ret None } }
+
+let create prog ~fname =
+  { prog; fname; params = []; blocks = Vec.create ~dummy:dummy_block; cur = None }
 
 let prog b = b.prog
 
@@ -38,22 +46,13 @@ let fresh_temp b =
 
 (** Create a new, empty block and return its id. It is not current yet. *)
 let new_block b : blockid =
-  let bid = b.nblocks in
-  b.nblocks <- bid + 1;
-  let blk =
-    {
-      bid;
-      instrs = [];
-      term = { tlbl = -1; tkind = Ret None } (* placeholder until sealed *);
-    }
-  in
-  b.blocks <- blk :: b.blocks;
-  bid
-
-let find_block b bid = List.find (fun blk -> blk.bid = bid) b.blocks
+  Vec.push b.blocks { dummy_block with bid = Vec.length b.blocks }
 
 (** Make [bid] the block instructions are appended to. *)
-let switch_to b bid = b.cur <- Some (find_block b bid)
+let switch_to b bid =
+  if bid < 0 || bid >= Vec.length b.blocks then
+    Diag.error Diag.Ir "Builder.switch_to: unknown block b%d in %s" bid b.fname;
+  b.cur <- Some (Vec.get b.blocks bid)
 
 let current b =
   match b.cur with
@@ -67,7 +66,7 @@ let add b kind =
   let blk = current b in
   assert (blk.term.tlbl < 0);
   let lbl = Prog.fresh_label b.prog in
-  blk.instrs <- blk.instrs @ [ { lbl; kind } ];
+  blk.instrs <- { lbl; kind } :: blk.instrs;
   lbl
 
 let terminate b tkind =
@@ -139,14 +138,14 @@ let call_val b ~callee ~args =
 (** Seal the function and register it in the program. All blocks must be
     terminated. *)
 let finish b : func =
-  let blocks = Array.of_list (List.rev b.blocks) in
-  Array.iteri
-    (fun i blk ->
-      assert (blk.bid = i);
+  let blocks = Vec.to_array b.blocks in
+  Array.iter
+    (fun blk ->
       if blk.term.tlbl < 0 then
         Diag.error Diag.Ir "Builder.finish: block b%d of %s not terminated"
           blk.bid b.fname)
     blocks;
+  Array.iter (fun blk -> blk.instrs <- List.rev blk.instrs) blocks;
   let f = { fname = b.fname; params = b.params; blocks } in
   Prog.add_func b.prog f;
   f

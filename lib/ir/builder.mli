@@ -1,10 +1,11 @@
 (** Imperative construction of IR functions, used by the TinyC lowering, the
     workload generator and tests.
 
-    A builder keeps a current block; {!add} appends an instruction to it and
-    {!terminate} seals it. Blocks are created ahead of time with
+    A builder keeps a current block; {!add} appends an instruction to it in
+    O(1) and {!terminate} seals it. Blocks are created ahead of time with
     {!new_block}, so structured control flow lowers naturally. {!finish}
-    checks every block is terminated and registers the function. *)
+    checks every block is terminated, puts each block's instructions in
+    order (one reversal per block) and registers the function. *)
 
 open Types
 
@@ -20,7 +21,8 @@ val fresh_temp : t -> var
 (** Create a new, empty block and return its id (not yet current). *)
 val new_block : t -> blockid
 
-(** Make a block current. *)
+(** Make a block current.
+    @raise Diag.Error (phase [Ir]) if no block has that id. *)
 val switch_to : t -> blockid -> unit
 
 (** Has the current block been sealed by {!terminate}? *)
@@ -52,5 +54,5 @@ val call : t -> dst:var option -> callee:callee -> args:operand list -> unit
 val call_val : t -> callee:callee -> args:operand list -> var
 
 (** Seal the function and register it in the program.
-    @raise Invalid_argument if a block is unterminated. *)
+    @raise Diag.Error (phase [Ir]) if a block is unterminated. *)
 val finish : t -> func

@@ -148,18 +148,24 @@ let compile (p : P.t) (plan : Item.plan) : cprog =
   let global_objid = Hashtbl.create 16 in
   List.iteri (fun i (g : global) -> Hashtbl.replace global_objid g.gname i) p.globals;
   let funcs = Hashtbl.create 16 in
+  (* Frame slot of each variable in the function being compiled, -1 when it
+     has none yet; slots are numbered in first-use order. One array serves
+     every function: the variables a function touched are reset after it. *)
+  let slot = Array.make (P.nvars p) (-1) in
   P.iter_funcs
     (fun f ->
-      let slot : (var, int) Hashtbl.t = Hashtbl.create 64 in
       let nslots = ref 0 in
+      let touched = ref [] in
       let slot_of v =
-        match Hashtbl.find_opt slot v with
-        | Some s -> s
-        | None ->
+        let s = slot.(v) in
+        if s >= 0 then s
+        else begin
           let s = !nslots in
           incr nslots;
-          Hashtbl.replace slot v s;
+          slot.(v) <- s;
+          touched := v :: !touched;
           s
+        end
       in
       let rop = function
         | Cst n -> Rc n
@@ -275,7 +281,7 @@ let compile (p : P.t) (plan : Item.plan) : cprog =
                          Array.of_list
                            (List.filter
                               (function
-                                | CSet_var (s, CRphi _) when Hashtbl.find_opt slot x = Some s -> false
+                                | CSet_var (s, CRphi _) when slot.(x) = s -> false
                                 | _ -> true)
                               (Array.to_list acts))
                        | _ -> acts
@@ -308,6 +314,7 @@ let compile (p : P.t) (plan : Item.plan) : cprog =
       let entry_acts =
         Array.of_list (List.map caction (Item.entry_items plan f.fname))
       in
+      List.iter (fun v -> slot.(v) <- -1) !touched;
       Hashtbl.replace funcs f.fname
         {
           cfname = f.fname;

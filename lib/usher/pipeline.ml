@@ -57,10 +57,20 @@ type analysis = {
    every analysis in the process — the bench harness snapshots it. *)
 let m_phase_us = Obs.Metrics.histogram "pipeline.phase_us"
 
+(* The frontend's passes, each a child span of [phase.frontend]. *)
+let frontend_span name f = Obs.Trace.with_span ~cat:"pipeline" ("frontend." ^ name) f
+
+let parse_and_lower src =
+  let ast = frontend_span "parse" (fun () -> Tinyc.Parser.parse_program src) in
+  frontend_span "lower" (fun () -> Tinyc.Lower.lower_program ast)
+
+let optimize level prog =
+  frontend_span "optimize" (fun () -> Optim.Pipeline.run level prog)
+
 let front ?(level = Optim.Pipeline.O0_IM) (src : string) : Ir.Prog.t =
   Obs.Trace.with_span ~cat:"pipeline" "phase.frontend" @@ fun () ->
-  let prog = Tinyc.Lower.compile src in
-  Optim.Pipeline.run level prog;
+  let prog = parse_and_lower src in
+  optimize level prog;
   prog
 
 (* Guarded front end. Frontend diagnostics (lex/parse/lower) propagate —
@@ -72,10 +82,10 @@ let front_guarded ?(level = Optim.Pipeline.O0_IM)
     ?(knobs = Config.default_knobs) (src : string) :
     Ir.Prog.t * Degrade.event list =
   Obs.Trace.with_span ~cat:"pipeline" "phase.frontend" @@ fun () ->
-  let prog = Tinyc.Lower.compile src in
+  let prog = parse_and_lower src in
   try
     Fault.check knobs Diag.Optim None;
-    Optim.Pipeline.run level prog;
+    optimize level prog;
     (prog, [])
   with e ->
     let d = Diag.of_exn Diag.Optim e in
@@ -89,7 +99,7 @@ let front_guarded ?(level = Optim.Pipeline.O0_IM)
       }
     in
     Degrade.observe ev;
-    (Tinyc.Lower.compile src, [ ev ])
+    (parse_and_lower src, [ ev ])
 
 let analyze ?(knobs = Config.default_knobs) (prog : Ir.Prog.t) : analysis =
   Obs.Trace.with_span ~cat:"pipeline" "pipeline.analyze" @@ fun () ->

@@ -41,7 +41,9 @@ type analysis = {
           or skipped checkers are simply absent) *)
 }
 
-(** Parse, lower and optimize a TinyC source (default level O0+IM). *)
+(** Parse, lower and optimize a TinyC source (default level O0+IM). Traced
+    as a [phase.frontend] span with one child span per pass:
+    [frontend.parse], [frontend.lower] and [frontend.optimize]. *)
 val front : ?level:Optim.Pipeline.level -> string -> Ir.Prog.t
 
 (** Like {!front}, but an optimizer fault degrades to a fresh unoptimized

@@ -122,6 +122,102 @@ let printer_tests =
         check_bool "global decl" true (contains s "global g"));
   ]
 
+module Bld = Ir.Builder
+
+let raises_ir_error f =
+  try
+    f ();
+    false
+  with Diag.Error { phase = Diag.Ir; _ } -> true
+
+let output n = Ir.Types.Output (Ir.Types.Cst n)
+
+let builder_tests =
+  [
+    tc "interleaved appends keep each block's order" (fun () ->
+        let b = Bld.create (Ir.Prog.create ()) ~fname:"f" in
+        let ba = Bld.new_block b and bb = Bld.new_block b in
+        Bld.switch_to b ba;
+        let x = Bld.add b (output 1) in
+        Bld.switch_to b bb;
+        let y = Bld.add b (output 2) in
+        Bld.terminate b (Ir.Types.Ret None);
+        Bld.switch_to b ba;
+        let z = Bld.add b (output 3) in
+        Bld.terminate b (Ir.Types.Jmp bb);
+        let f = Bld.finish b in
+        let labels bid =
+          List.map (fun (i : Ir.Types.instr) -> i.lbl) f.blocks.(bid).instrs
+        in
+        check_ints "a" [ x; z ] (labels ba);
+        check_ints "b" [ y ] (labels bb));
+    tc "finish rejects an unterminated block" (fun () ->
+        let b = Bld.create (Ir.Prog.create ()) ~fname:"f" in
+        Bld.switch_to b (Bld.new_block b);
+        ignore (Bld.add b (output 1));
+        check_bool "Diag.Error Ir" true
+          (raises_ir_error (fun () -> ignore (Bld.finish b))));
+    tc "switch_to rejects an unknown block" (fun () ->
+        let b = Bld.create (Ir.Prog.create ()) ~fname:"f" in
+        ignore (Bld.new_block b);
+        check_bool "Diag.Error Ir" true
+          (raises_ir_error (fun () -> Bld.switch_to b 1)));
+  ]
+
+(* A digest of the lowered IR's structure: per function its name, params,
+   and each block's id, instructions (label and kind) and terminator.
+   Printer text would not do: temp names come from a process-global
+   counter, so they depend on what the process compiled before. *)
+let lowered_digest (p : Ir.Prog.t) =
+  let open Ir.Types in
+  let funcs =
+    Ir.Prog.fold_funcs
+      (fun acc f ->
+        ( f.fname,
+          f.params,
+          Array.map
+            (fun b -> (b.bid, List.map (fun i -> (i.lbl, i.kind)) b.instrs, b.term))
+            f.blocks )
+        :: acc)
+      [] p
+  in
+  Digest.to_hex
+    (Digest.string (Marshal.to_string (List.rev funcs) [ Marshal.No_sharing ]))
+
+(* Recorded before [Ir.Builder] kept blocks newest-first and in a vector. *)
+let lowered_golden =
+  [
+    "164.gzip f7ce2ebaf62072e201cdf6b629cd5573";
+    "175.vpr c9fbfaf1326d143d1a8283f5645acf8e";
+    "176.gcc 5e4380257dce1ac1d908bb265df69685";
+    "177.mesa 228810848a6bfddbeef08453af7fec42";
+    "179.art 54dd0bab6ae7f0bbf82ba8fe956c685c";
+    "181.mcf d6a7cc2fd49394932acf58c5faecf04b";
+    "183.equake 19add5b2e2447d6fae7b90f4b98b1637";
+    "186.crafty 7f607d8f76f5e25bdb08eaea4056f372";
+    "188.ammp 5bcbcc112e146768826a80b6f0f37242";
+    "197.parser b347f72824f19fd7a0bfe66c84dcb29f";
+    "253.perlbmk a9394f75e41888057eadb4245eecab06";
+    "254.gap 8d43855fd4d1946871b10e48f41aebf2";
+    "255.vortex 1362fa06ff275ecfaef5b3e9e605a8d8";
+    "256.bzip2 9f33c075d2e9eeed0b809e7eeef18f3c";
+    "300.twolf 9137e5e1acfb963f91deee81f5368160";
+  ]
+
+let lowered_golden_tests =
+  [
+    tc "15 analogs at scale 5: lowered IR digests" (fun () ->
+        let rows =
+          List.map
+            (fun (p : Workloads.Profile.t) ->
+              p.pname ^ " "
+              ^ lowered_digest (compile (Workloads.Spec2000.source ~scale:5 p)))
+            Workloads.Spec2000.all
+        in
+        Alcotest.(check (list string)) "rows" lowered_golden rows);
+  ]
+
 let suites =
   [ ("ir.vec", vec_tests); ("ir.bitset", bitset_tests);
-    ("ir.verify", verify_tests); ("ir.printer", printer_tests) ]
+    ("ir.verify", verify_tests); ("ir.printer", printer_tests);
+    ("ir.builder", builder_tests); ("ir.lowered-golden", lowered_golden_tests) ]

@@ -466,6 +466,32 @@ let regression_tests =
               e.analysis.phase_times_s;
             check_bool "trace serializes" true
               (json_valid (Obs.Trace.to_json_string ()))));
+    tc "frontend passes are disjoint child spans of phase.frontend" (fun () ->
+        traced (fun () ->
+            ignore (Usher.Pipeline.front ~level:Optim.Pipeline.O2 regression_src);
+            let evs = Obs.Trace.events () in
+            let ts ph name =
+              match
+                List.find_opt
+                  (fun (ev : Obs.Trace.event) -> ev.ph = ph && ev.name = name)
+                  evs
+              with
+              | Some ev -> ev.ts_ns
+              | None -> Alcotest.failf "no '%c' event for %s" ph name
+            in
+            let span name = (ts 'B' name, ts 'E' name) in
+            let f0, f1 = span "phase.frontend" in
+            let children =
+              List.map span [ "frontend.parse"; "frontend.lower"; "frontend.optimize" ]
+            in
+            List.iter
+              (fun (b, e) -> check_bool "inside phase.frontend" true (f0 <= b && e <= f1))
+              children;
+            let rec disjoint = function
+              | (_, e) :: ((b, _) :: _ as rest) -> e <= b && disjoint rest
+              | _ -> true
+            in
+            check_bool "in order, not overlapping" true (disjoint children)));
     tc "phase times are non-negative" (fun () ->
         let e =
           Usher.Experiment.run ~name:"reg" ~check_soundness:false regression_src

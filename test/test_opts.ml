@@ -265,6 +265,15 @@ let alloc_tests =
               List.iter (fun plan -> ignore (Instr.Compress.run plan)) plans)
         in
         check_bool (Printf.sprintf "%.1f Mwords < 40" mw) true (mw < 40.0));
+    (* Appending to a block once copied the whole block, and lowering puts
+       every local's Alloc in the entry block: 137 Mwords here. *)
+    tc "lowering 176.gcc allocates under 20 Mwords" (fun () ->
+        let ast =
+          Tinyc.Parser.parse_program
+            (Workloads.Spec2000.source ~scale:5 Workloads.Spec2000.gcc)
+        in
+        let mw = minor_mwords (fun () -> ignore (Tinyc.Lower.lower_program ast)) in
+        check_bool (Printf.sprintf "%.1f Mwords < 20" mw) true (mw < 20.0));
   ]
 
 let suites =
