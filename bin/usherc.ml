@@ -78,10 +78,27 @@ let engine_conv =
   in
   Arg.conv (parse, fun ppf e -> Fmt.string ppf (Vm.Engine.name e))
 
+let engine_doc =
+  "Execution engine: interp (the reference interpreter) or vm (the \
+   bytecode VM). Both give identical outcomes. The VM dispatches faster \
+   but pays to lower each plan to bytecode first, so it wins only on \
+   programs that run many steps per instruction."
+
+(* audit and fuzz: the interpreter is the default oracle. *)
 let engine_arg =
   Arg.(value & opt engine_conv Vm.Engine.Interp
+       & info [ "engine" ] ~doc:engine_doc)
+
+(* run and bench: absent means the native run goes to the interpreter and
+   the instrumented runs to the engine Vm.Engine.choose picks from its
+   step count. *)
+let engine_opt_arg =
+  Arg.(value & opt (some engine_conv) None
        & info [ "engine" ]
-           ~doc:"Execution engine: interp (the reference interpreter) or vm                  (the threaded-dispatch bytecode VM; identical outcomes,                  faster).")
+           ~doc:(engine_doc ^ " Default: the interpreter for the native \
+                 run, then the VM for the instrumented runs if the native \
+                 run executed at least 64 steps per IR instruction, else \
+                 the interpreter."))
 
 let file_arg = Arg.(required & pos 0 (some file) None & info [] ~docv:"FILE")
 
@@ -322,7 +339,7 @@ let run_cmd =
     observed trace metrics @@ fun () ->
     let b = Buffer.create 1024 in
     let code =
-      Serve.Handlers.run ~knobs ~level ~variant ~engine b (read_file file)
+      Serve.Handlers.run ~knobs ~level ~variant ?engine b (read_file file)
     in
     print_string (Buffer.contents b);
     code
@@ -332,7 +349,7 @@ let run_cmd =
        ~doc:"Execute a TinyC program under instrumentation. Exits 0 when \
              clean, 3 when a use of an undefined value is detected, 4 when \
              a ground-truth undefined use escapes the instrumentation.")
-    Term.(const run $ file_arg $ level_arg $ variant_arg $ engine_arg
+    Term.(const run $ file_arg $ level_arg $ variant_arg $ engine_opt_arg
           $ knobs_term $ trace_arg $ metrics_arg)
 
 (* ---- check ---- *)
@@ -388,7 +405,7 @@ let bench_cmd =
   let run name scale level engine knobs trace metrics =
     observed trace metrics @@ fun () ->
     let b = Buffer.create 1024 in
-    let code = Serve.Handlers.bench ~knobs ~level ~scale ~engine b name in
+    let code = Serve.Handlers.bench ~knobs ~level ~scale ?engine b name in
     print_string (Buffer.contents b);
     code
   in
@@ -402,7 +419,7 @@ let bench_cmd =
     (Cmd.info "bench"
        ~doc:"Run one SPEC2000 analog end to end. Exits 0 when clean, 3 when \
              undefined uses are detected, 4 on a soundness divergence.")
-    Term.(const run $ name_arg $ scale_arg $ level_arg $ engine_arg
+    Term.(const run $ name_arg $ scale_arg $ level_arg $ engine_opt_arg
           $ knobs_term $ trace_arg $ metrics_arg)
 
 (* ---- audit ---- *)

@@ -77,13 +77,13 @@ let analyze ?(on_analysis = fun _ _ _ -> ())
 (* ---- run ---- *)
 
 let run ~(knobs : Usher.Config.knobs) ~(level : Optim.Pipeline.level)
-    ~(variant : Usher.Config.variant) ~(engine : Vm.Engine.t) (b : Buffer.t)
-    (src : string) : int =
+    ~(variant : Usher.Config.variant) ?engine (b : Buffer.t) (src : string) :
+    int =
   let prog, front_events = Usher.Pipeline.front_guarded ~level ~knobs src in
   let a = Usher.Pipeline.analyze ~knobs prog in
   let plan, _ = Usher.Pipeline.plan_for a variant in
   print_degradation b a front_events;
-  let native = Vm.Engine.run_native engine prog in
+  let native, engine = Vm.Engine.run_native_for_plans ?engine prog in
   let o = Vm.Engine.run_plan engine prog plan in
   List.iter (fun v -> bpf b "output: %d\n" v) o.outputs;
   bpf b "exit: %d\n" o.exit_value;
@@ -206,14 +206,13 @@ let check ~(knobs : Usher.Config.knobs) ~(level : Optim.Pipeline.level)
 exception Unknown_bench of string
 
 let bench ~(knobs : Usher.Config.knobs) ~(level : Optim.Pipeline.level)
-    ~(scale : int) ~(engine : Vm.Engine.t) (b : Buffer.t) (name : string) :
-    int =
+    ~(scale : int) ?engine (b : Buffer.t) (name : string) : int =
   let p =
     try Workloads.Spec2000.find name
     with Not_found -> raise (Unknown_bench name)
   in
   let src = Workloads.Spec2000.source ~scale p in
-  match Usher.Experiment.run ~name ~level ~knobs ~engine src with
+  match Usher.Experiment.run ~name ~level ~knobs ?engine src with
   | exception Usher.Experiment.Unsound msg ->
     bpf b "SOUNDNESS: %s\n" msg;
     4

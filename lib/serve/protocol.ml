@@ -12,7 +12,11 @@
        "bench": "164.gzip", "scale": 10,    -- bench
        "level": "O0+IM" | "O1" | "O2",
        "variant": "msan" | "tl" | "tl+at" | "opt1" | "usher",
-       "engine": "interp" | "vm",           -- run/bench execution engine
+       "engine": "interp" | "vm",           -- run/bench: force the engine;
+                                            -- absent = interpreter for the
+                                            -- native run, Vm.Engine.choose
+                                            -- for the plan runs (cache
+                                            -- key "auto")
        "budget_ms": 1000, "solver_fuel": N, "vfg_cap": N,
        "resolve_fuel": N, "verify": true,
        "summaries": true,      -- compositional Γ resolution
@@ -51,7 +55,7 @@ type request = {
   scale : int;
   level : Optim.Pipeline.level;
   variant : Usher.Config.variant;
-  engine : Vm.Engine.t;    (* run / bench *)
+  engine : Vm.Engine.t option;  (* run / bench; None = chosen per program *)
   budget_ms : int option;
   solver_fuel : int option;
   vfg_cap : int option;
@@ -180,10 +184,10 @@ let request_of_json (j : Json.t) : (request, string) result =
   in
   let* engine =
     match str_field "engine" with
-    | None -> Ok Vm.Engine.Interp
+    | None -> Ok None
     | Some s -> (
       match Vm.Engine.of_string s with
-      | Some e -> Ok e
+      | Some e -> Ok (Some e)
       | None -> Error ("unknown engine " ^ s))
   in
   let* inject =

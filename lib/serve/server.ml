@@ -166,14 +166,14 @@ let run_handler (t : t) (req : Protocol.request)
         (Option.get req.source)
     | Protocol.Run ->
       Handlers.run ~knobs ~level:req.level ~variant:req.variant
-        ~engine:req.engine b
+        ?engine:req.engine b
         (Option.get req.source)
     | Protocol.Check ->
       Handlers.check ~knobs ~level:req.level ~incident_dir:t.cfg.incident_dir
         b (Option.get req.source)
     | Protocol.Bench ->
       Handlers.bench ~knobs ~level:req.level ~scale:req.scale
-        ~engine:req.engine b
+        ?engine:req.engine b
         (Option.get req.bench)
     | Protocol.Stats | Protocol.Ping -> assert false (* handled inline *)
   in
@@ -272,7 +272,9 @@ let execute (t : t) ~(sink : sink) (req : Protocol.request)
                        ~cmd:(Protocol.cmd_name req.cmd)
                        ~level:(Optim.Pipeline.level_to_string req.level)
                        ~variant:(Usher.Config.variant_name req.variant)
-                       ~engine:(Vm.Engine.name req.engine)
+                       ~engine:
+                         (Option.fold ~none:"auto" ~some:Vm.Engine.name
+                            req.engine)
                        ~knobs_fp:(knobs_fp knobs)
                        ~src:
                          (match req.cmd with

@@ -59,8 +59,7 @@ let covered (prog : Ir.Prog.t) (detections : (Ir.Types.label, unit) Hashtbl.t)
     with them, and folded branches change the undef-use set). *)
 let run ?(name = "program") ?(level = Optim.Pipeline.O0_IM)
     ?(knobs = Config.default_knobs) ?(variants = Config.all_variants)
-    ?(check_soundness = true) ?limits ?(engine = Vm.Engine.Interp)
-    (src : string) : t =
+    ?(check_soundness = true) ?limits ?engine (src : string) : t =
   Obs.Trace.with_span ~cat:"experiment"
     ~args:[ ("level", Obs.Trace.Str (Optim.Pipeline.level_to_string level)) ]
     ("experiment." ^ name)
@@ -69,7 +68,7 @@ let run ?(name = "program") ?(level = Optim.Pipeline.O0_IM)
   let analysis = Pipeline.analyze ~knobs prog in
   analysis.events := front_events @ !(analysis.events);
   let table1 = Analysis_stats.compute ~src analysis in
-  let native = Vm.Engine.run_native ?limits engine prog in
+  let native, engine = Vm.Engine.run_native_for_plans ?limits ?engine prog in
   let compress = level <> Optim.Pipeline.O0_IM in
   let results =
     List.map

@@ -35,9 +35,10 @@ val covered :
 
 (** Run every variant. With [check_soundness] (default, O0+IM only) raises
     {!Unsound} if an instrumented run diverges from the native outputs or a
-    ground-truth undefined use is not covered. [engine] selects the
-    execution engine for both the native and the instrumented runs
-    (default: the interpreter). *)
+    ground-truth undefined use is not covered. [engine] forces the
+    execution engine for both the native and the instrumented runs. By
+    default the native run uses the interpreter and the instrumented runs
+    use {!Vm.Engine.choose} on its step count. *)
 val run :
   ?name:string ->
   ?level:Optim.Pipeline.level ->

@@ -79,7 +79,9 @@ let protocol_parse () =
     Alcotest.(check bool) "cmd" true (r.cmd = Analyze);
     Alcotest.(check int) "scale default" 10 r.scale;
     Alcotest.(check bool) "variant default" true
-      (r.variant = Usher.Config.Usher_full));
+      (r.variant = Usher.Config.Usher_full);
+    Alcotest.(check bool) "engine default: chosen per program" true
+      (r.engine = None));
   (match parse_request {|{"id":"x","cmd":"analyze"}|} with
   | Ok _ -> Alcotest.fail "analyze without source accepted"
   | Error _ -> ());
@@ -431,6 +433,44 @@ let server_cache_hit () =
       (reply_field l1 "output") (Some (Option.value ~default:"?" (reply_field l2 "output")))
   | ls -> Alcotest.failf "expected 2 replies, got %d" (List.length ls)
 
+(* A bench request without "engine" leaves the choice to the server: the
+   reply is byte-identical to a forced-interpreter one, but the two are
+   cached under separate keys — an interp request after it is a miss, and
+   repeating the engine-less request is a hit. 164.gzip at scale 100 runs
+   its plans on the VM under the default choice. *)
+let server_bench_default_engine () =
+  with_tmpdir @@ fun dir ->
+  let t, out, collected = mk_server ~jobs:1 dir in
+  let bench ?(extra = "") id =
+    Printf.sprintf {|{"id":%S,"cmd":"bench","bench":"164.gzip","scale":100%s}|}
+      id extra
+  in
+  Serve.Server.handle_line t ~out (bench "auto");
+  Serve.Server.handle_line t ~out (bench ~extra:{|,"engine":"interp"|} "interp");
+  Serve.Server.handle_line t ~out (bench "auto-again");
+  Serve.Server.drain t;
+  let replies = collected () in
+  let by_id id = List.find (fun l -> reply_id l = id) replies in
+  let field_of conv k l =
+    match Serve.Json.parse l with
+    | Ok j -> Option.bind (Serve.Json.member k j) conv
+    | Error e -> Alcotest.failf "bad reply: %s" e
+  in
+  let cached = field_of Serve.Json.bool_ "cached"
+  and code = field_of Serve.Json.int_ "code" in
+  let auto = by_id "auto" and interp = by_id "interp" in
+  Alcotest.(check bool) "has output" true (reply_field auto "output" <> None);
+  Alcotest.(check (option string)) "output byte-identical to engine interp"
+    (reply_field interp "output") (reply_field auto "output");
+  Alcotest.(check (option int)) "same code" (code interp) (code auto);
+  Alcotest.(check (option bool)) "engine-less request is a miss" (Some false)
+    (cached auto);
+  Alcotest.(check (option bool)) "interp request is not served from it"
+    (Some false) (cached interp);
+  Alcotest.(check (option bool)) "repeated engine-less request is a hit"
+    (Some true)
+    (cached (by_id "auto-again"))
+
 (* An unknown benchmark is a deterministic client error: no retries
    burned, no incident filed — and only [bench] maps to it (a stray
    [Not_found] elsewhere takes the crash/retry path instead). *)
@@ -747,6 +787,8 @@ let suites =
           server_error_no_retry;
         Alcotest.test_case "reply cache hit is byte-identical" `Quick
           server_cache_hit;
+        Alcotest.test_case "engine-less bench has its own cache key" `Quick
+          server_bench_default_engine;
         Alcotest.test_case "unknown bench is a client error" `Quick
           server_unknown_bench;
         Alcotest.test_case "EOF completes an unterminated line" `Quick

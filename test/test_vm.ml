@@ -192,6 +192,82 @@ let disasm_tests =
           (Vm.Engine.of_string "threaded" = None));
   ]
 
+(* ---- engine choice --------------------------------------------------- *)
+
+let chosen ~steps ~instrs = Vm.Engine.name (Vm.Engine.choose ~steps ~instrs)
+
+let choose_tests =
+  [
+    tc "choose switches to the VM at 64 steps per instruction" (fun () ->
+        List.iter
+          (fun n ->
+            check_str (Printf.sprintf "64*%d - 1 steps" n) "interp"
+              (chosen ~steps:((64 * n) - 1) ~instrs:n);
+            check_str (Printf.sprintf "64*%d steps" n) "vm"
+              (chosen ~steps:(64 * n) ~instrs:n))
+          [ 1; 2; 7; 4763; 55834 ]);
+    tc "choose never picks the VM for an empty program" (fun () ->
+        List.iter
+          (fun steps ->
+            check_str (Printf.sprintf "%d steps, 0 instrs" steps) "interp"
+              (chosen ~steps ~instrs:0))
+          [ 0; 1; 1_000_000 ]);
+  ]
+
+(* Everything deterministic about an experiment: the Table 1 row with its
+   clock and memory fields zeroed, every variant_result field, the native
+   counters and outputs, and the ground-truth uses. *)
+let experiment_view (e : Usher.Experiment.t) =
+  ( { e.table1 with analysis_time_s = 0.; analysis_mem_mb = 0. },
+    List.map
+      (fun (r : Usher.Experiment.variant_result) ->
+        { r with detections = List.sort compare r.detections })
+      e.results,
+    e.native_counters,
+    e.native_outputs,
+    List.sort compare e.gt_uses )
+
+let m_interp_runs = Obs.Metrics.counter "interp.runs"
+let m_vm_steps = Obs.Metrics.counter "vm.dispatch_steps"
+
+(* The default engine choice against both forced engines on one analog.
+   Returns the default run's (interp.runs, vm.dispatch_steps) deltas. *)
+let default_matches_forced name scale =
+  let src =
+    Workloads.Spec2000.source ~scale (Workloads.Spec2000.find name)
+  in
+  let runs0 = Obs.Metrics.counter_value m_interp_runs
+  and steps0 = Obs.Metrics.counter_value m_vm_steps in
+  let auto = Usher.Experiment.run ~name src in
+  let deltas =
+    ( Obs.Metrics.counter_value m_interp_runs - runs0,
+      Obs.Metrics.counter_value m_vm_steps - steps0 )
+  in
+  List.iter
+    (fun engine ->
+      let forced = Usher.Experiment.run ~name ~engine src in
+      check_bool
+        (Printf.sprintf "%s: default = --engine %s" name
+           (Vm.Engine.name engine))
+        true
+        (experiment_view auto = experiment_view forced))
+    [ Vm.Engine.Interp; Vm.Engine.Vm ];
+  deltas
+
+let experiment_engine_tests =
+  [
+    tc "164.gzip at scale 100: plan runs go to the VM" (fun () ->
+        (* about 85 native steps per IR instruction *)
+        let runs, vm_steps = default_matches_forced "164.gzip" 100 in
+        check_int "interp.runs: the native run only" 1 runs;
+        check_bool "vm.dispatch_steps > 0" true (vm_steps > 0));
+    tc "176.gcc at scale 5: plan runs stay on the interpreter" (fun () ->
+        (* about 2.6 native steps per IR instruction *)
+        let runs, vm_steps = default_matches_forced "176.gcc" 5 in
+        check_int "interp.runs: native + five plans" 6 runs;
+        check_int "vm.dispatch_steps" 0 vm_steps);
+  ]
+
 (* ---- properties ------------------------------------------------------ *)
 
 let arbitrary_seed = QCheck.make ~print:string_of_int QCheck.Gen.(0 -- 100000)
@@ -246,5 +322,7 @@ let suites =
     ("vm.equiv", unit_tests);
     ("vm.failures", failure_tests);
     ("vm.bytecode", disasm_tests);
+    ("vm.choose", choose_tests);
+    ("vm.experiment", experiment_engine_tests);
     ("vm.properties", property_tests);
   ]
