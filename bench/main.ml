@@ -20,11 +20,6 @@
                                               for both engines and the
                                               per-variant dynamic overhead,
                                               differentially checked
-     dune exec bench/main.exe -- summary   -- the compositional engine's
-                                              incremental-reanalysis claim:
-                                              cold vs warm summary cache,
-                                              then a one-function edit,
-                                              byte-equivalence enforced
      dune exec bench/main.exe -- scale=60 fig10   -- override the input scale
    dune exec bench/main.exe -- --jobs 4 table1  -- run experiments on 4 domains
                                                    (also: jobs=4, or BENCH_JOBS)
@@ -47,11 +42,8 @@
    programs/s through the generator, oracle audits/s, and the distilled
    corpus yield — and (under vm) engine comparison: steps/s for the
    interpreter and the bytecode VM on the scale-10 gzip micro, the
-   speedup ratio, and the per-variant dynamic overhead at scale 50 —
-   and (under summary) the incremental-reanalysis measurement: cold /
-   warm / edited-warm resolution phase times, the cold-to-warm speedup,
-   and the summary reuse counters for each configuration — for whatever
-   artifacts ran; see EXPERIMENTS.md.
+   speedup ratio, and the per-variant dynamic overhead at scale 50 — for
+   whatever artifacts ran; see EXPERIMENTS.md.
    [--baseline FILE] fails the run if solve_iterations or
    states_explored regressed >20%% against the checked-in counters;
    [--update-baseline FILE] rewrites them. [--trace FILE] additionally
@@ -68,7 +60,7 @@ module Exp = Usher.Experiment
 (* The single source of truth for the BENCH_usher.json schema tag; the CI
    validator greps the emitted file for exactly this string. Bump it
    whenever a field is added, removed, or changes meaning. *)
-let schema_version = "usher-bench/7"
+let schema_version = "usher-bench/8"
 
 let scale = ref 30
 
@@ -804,159 +796,6 @@ let vmbench () =
              Jobj (List.map (fun (n, pct) -> (n, jfloat pct)) overhead) );
          ])
 
-(* ------------------------------------------------------------------ *)
-(* summary: the compositional engine's incremental-reanalysis claim
-   (DESIGN.md §12) on the scale-10 gzip micro. Four configurations of
-   the same program — monolithic, cold cache (fresh directory), warm
-   cache, and a one-function source edit against the warmed cache — with
-   byte-equivalence of every Γ enforced between each cached
-   configuration and its monolithic reference: any divergence fails the
-   bench outright, it is never a tolerance. Phase times are min-of-N
-   (the edit rep rebuilds a fresh warm cache each round so it always
-   measures a first encounter with the edit); the reuse counters are
-   deterministic and feed the baseline gate. *)
-
-let summary_json : json option ref = ref None
-let summary_counters : (string * string * int * int) list ref = ref []
-
-let replace_once (hay : string) (needle : string) (repl : string) :
-    string option =
-  let hn = String.length hay and nn = String.length needle in
-  let rec find i =
-    if i + nn > hn then None
-    else if String.sub hay i nn = needle then Some i
-    else find (i + 1)
-  in
-  match find 0 with
-  | None -> None
-  | Some i ->
-    Some
-      (String.sub hay 0 i ^ repl
-      ^ String.sub hay (i + nn) (hn - i - nn))
-
-let summarybench () =
-  Printf.printf
-    "\n== summary: compositional cache, cold vs warm vs edited (164.gzip) ==\n";
-  let p = Workloads.Spec2000.find "164.gzip" in
-  let sc = 10 in
-  let src = Workloads.Spec2000.source ~scale:sc p in
-  let dir =
-    Filename.concat (Filename.get_temp_dir_name ())
-      (Printf.sprintf "usher-sumbench-%d" (Unix.getpid ()))
-  in
-  let knobs =
-    { (bench_knobs ()) with Cfg.summaries = true; summary_cache = Some dir }
-  in
-  let res_time (a : Usher.Pipeline.analysis) =
-    let t n = try List.assoc n a.phase_times_s with Not_found -> 0. in
-    t "resolve" +. t "resolve-tl"
-  in
-  let equivalent what (a : Usher.Pipeline.analysis)
-      (mono : Usher.Pipeline.analysis) =
-    let ok =
-      Bytes.equal a.gamma.undef mono.gamma.undef
-      && Bytes.equal a.gamma_tl.undef mono.gamma_tl.undef
-      && Bytes.equal a.opt2.gamma.undef mono.opt2.gamma.undef
-    in
-    if not ok then begin
-      Printf.printf "summary FAILED: %s diverges from the monolithic Γ\n" what;
-      exit 1
-    end
-  in
-  let stats_of (a : Usher.Pipeline.analysis) =
-    match a.summary_stats with
-    | Some s ->
-      Summary.Engine.
-        [
-          ("computed", s.computed); ("reused", s.reused);
-          ("recomputed", s.recomputed); ("pruned", s.pruned);
-          ("fallback_sccs", s.fallback_sccs);
-          ("cache_corrupt", s.cache_corrupt);
-        ]
-    | None -> []
-  in
-  let field st n = try List.assoc n st with Not_found -> 0 in
-  let prog = Usher.Pipeline.front src in
-  let mono = Usher.Pipeline.analyze ~knobs:(bench_knobs ()) prog in
-  (* One-function edit: perturb a literal inside hotd_4 (called only from
-     main), so a correct cache re-resolves exactly that chain. The anchor
-     is deterministic for (seed 164, scale 10); a generator change that
-     breaks it must fail loudly, not silently measure nothing. *)
-  let edited =
-    match replace_once src "int t_5 = a + b;" "int t_5 = a + b + 1;" with
-    | Some s -> s
-    | None ->
-      Printf.printf "summary FAILED: edit anchor not found in generated source\n";
-      exit 1
-  in
-  let prog_e = Usher.Pipeline.front edited in
-  let mono_e = Usher.Pipeline.analyze ~knobs:(bench_knobs ()) prog_e in
-  let reps = 3 in
-  let cold_t = ref infinity and cold_st = ref [] in
-  let warm_t = ref infinity and warm_st = ref [] in
-  let edit_t = ref infinity and edit_st = ref [] in
-  for _ = 1 to reps do
-    rm_rf dir;
-    let c = Usher.Pipeline.analyze ~knobs prog in
-    equivalent "cold" c mono;
-    cold_t := Float.min !cold_t (res_time c);
-    cold_st := stats_of c;
-    let w = Usher.Pipeline.analyze ~knobs prog in
-    equivalent "warm" w mono;
-    warm_t := Float.min !warm_t (res_time w);
-    warm_st := stats_of w;
-    let e = Usher.Pipeline.analyze ~knobs prog_e in
-    equivalent "edited-warm" e mono_e;
-    edit_t := Float.min !edit_t (res_time e);
-    edit_st := stats_of e
-  done;
-  rm_rf dir;
-  let speedup = !cold_t /. Float.max 1e-9 !warm_t in
-  let edit_speedup = !cold_t /. Float.max 1e-9 !edit_t in
-  let show tag t st =
-    Printf.printf
-      "  %-11s resolve %6.2f ms   computed %3d  reused %3d  recomputed %3d\n"
-      tag (1e3 *. t) (field st "computed") (field st "reused")
-      (field st "recomputed")
-  in
-  show "cold" !cold_t !cold_st;
-  show "warm" !warm_t !warm_st;
-  show "edited-warm" !edit_t !edit_st;
-  Printf.printf
-    "  cold->warm speedup %.2fx, cold->edited %.2fx (expected shape: warm \
-     ≥2x, edit recomputes only hotd_4's SCC and its callers)\n"
-    speedup edit_speedup;
-  if speedup < 2.0 then
-    Printf.printf
-      "summary WARNING: cold->warm resolution speedup %.2fx below the 2x \
-       claim (wall-clock noise or a warm-path regression — counters above \
-       are the deterministic gate)\n"
-      speedup;
-  Printf.printf "  (all cached configurations byte-identical to monolithic Γ)\n";
-  let jstats st = Jobj (List.map (fun (n, v) -> (n, jint v)) st) in
-  summary_json :=
-    Some
-      (Jobj
-         [
-           ("scale", jint sc);
-           ("reps", jint reps);
-           ("cold_resolve_s", jfloat !cold_t);
-           ("warm_resolve_s", jfloat !warm_t);
-           ("edit_resolve_s", jfloat !edit_t);
-           ("speedup", jfloat speedup);
-           ("edit_speedup", jfloat edit_speedup);
-           ("cold", jstats !cold_st);
-           ("warm", jstats !warm_st);
-           ("edit", jstats !edit_st);
-         ]);
-  summary_counters :=
-    [
-      ( "summary/164.gzip", "warm", field !warm_st "reused",
-        field !warm_st "recomputed" );
-      ( "summary/164.gzip", "edit", field !edit_st "reused",
-        field !edit_st "recomputed" );
-    ]
-
 (* Every experiment actually run this invocation (forced lazies only, in
    deterministic profile order); the ablation's private runs are not
    experiment records and are deliberately excluded. *)
@@ -1072,11 +911,6 @@ let write_bench_json ~wall ~cpu () =
           match !vm_json with
           | None -> J "null" (* the vm artifact did not run this invocation *)
           | Some j -> j );
-        ( "summary",
-          match !summary_json with
-          | None ->
-            J "null" (* the summary artifact did not run this invocation *)
-          | Some j -> j );
       ]
   in
   let b = Buffer.create 8192 in
@@ -1096,11 +930,7 @@ let write_bench_json ~wall ~cpu () =
    experiment: name level solve_iterations states_explored. The vm
    artifact contributes rows of the same shape — vm/<analog> <plan>
    steps code_words, both deterministic at the artifact's fixed scale —
-   so a bytecode-size or step-count blowup is caught the same way, as
-   does the summary artifact — summary/<analog> <config> reused
-   recomputed — so a cache-invalidation blowup (warm runs recomputing
-   what they should reuse) is a counter regression, not a wall-clock
-   judgement call. *)
+   so a bytecode-size or step-count blowup is caught the same way. *)
 
 let counter_rows () =
   List.map
@@ -1108,14 +938,13 @@ let counter_rows () =
       (p.pname, lvl, e.analysis.pa.solve_iterations,
        e.analysis.gamma.states_explored))
     (collected_experiments ())
-  @ !vm_counters @ !summary_counters
+  @ !vm_counters
 
 let write_baseline file =
   let oc = open_out file in
   output_string oc
     "# usher bench work counters: name level solve_iterations states_explored\n\
-     # (vm rows: vm/<analog> <plan> steps code_words)\n\
-     # (summary rows: summary/<analog> <config> reused recomputed)\n";
+     # (vm rows: vm/<analog> <plan> steps code_words)\n";
   Printf.fprintf oc "# generated at scale %d\n" !scale;
   List.iter
     (fun (name, lvl, a, b) -> Printf.fprintf oc "%s %s %d %d\n" name lvl a b)
@@ -1156,22 +985,9 @@ let check_baseline file =
               what was now
           end
         in
-        let has_prefix pre =
-          String.length name > String.length pre
-          && String.sub name 0 (String.length pre) = pre
-        in
-        let vm_row = has_prefix "vm/" in
-        let sum_row = has_prefix "summary/" in
-        chk
-          (if vm_row then "steps"
-           else if sum_row then "reused"
-           else "solve_iterations")
-          a si;
-        chk
-          (if vm_row then "code_words"
-           else if sum_row then "recomputed"
-           else "states_explored")
-          b se)
+        let vm_row = String.length name > 3 && String.sub name 0 3 = "vm/" in
+        chk (if vm_row then "steps" else "solve_iterations") a si;
+        chk (if vm_row then "code_words" else "states_explored") b se)
     (counter_rows ());
   if !failures > 0 then begin
     Printf.printf "(baseline check FAILED: %d counter regression(s))\n" !failures;
@@ -1246,7 +1062,6 @@ let () =
         ("vm", vmbench); ("table1", table1); ("fig10", fig10);
         ("fig11", fig11); ("sec46", sec46); ("detect", detect);
         ("ablation", ablation); ("serveload", serveload); ("fuzz", fuzzload);
-        ("summary", summarybench);
       ]
   | names ->
     List.iter
@@ -1262,7 +1077,6 @@ let () =
         | "serveload" -> artifact n serveload
         | "fuzz" -> artifact n fuzzload
         | "vm" -> artifact n vmbench
-        | "summary" -> artifact n summarybench
         | other -> Printf.eprintf "unknown artifact %s\n" other)
       names);
   Printf.printf "\n(total bench time: %.1fs wall / %.1fs cpu at scale %d, jobs %d)\n"

@@ -504,10 +504,10 @@ let shape_scalar_mix ctx name =
 (* Deep call chain with mutual recursion: a pair of functions that call
    each other down a literal depth, threading an address-taken local
    through an [int*] out-parameter at every level. The pair is one
-   callgraph SCC, so compositional resolution must compose their
-   summaries across the SCC boundary: whether the threaded cell is still
-   ⊥ at the read depends on which leg of the descent (if any) wrote it
-   — both the Ecall and Eret edges have to be instantiated right. *)
+   callgraph SCC, so the context-sensitive resolver must match calls and
+   returns inside a cycle: whether the threaded cell is still ⊥ at the
+   read depends on which leg of the descent (if any) wrote it — both the
+   Ecall and Eret edges have to be followed right. *)
 let shape_mutual_chain ctx name =
   let fa = fresh ctx "fzma" and fb = fresh ctx "fzmb" in
   let feab = { def_ints = [ "d" ]; undef_ints = [] } in

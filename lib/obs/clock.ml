@@ -9,6 +9,10 @@
 
 external now_ns : unit -> int = "obs_monotonic_now_ns" [@@noalloc]
 
+(* CPU nanoseconds of the calling thread, i.e. of the calling domain:
+   what an analysis costs, whatever other domains do meanwhile. *)
+external thread_cpu_ns : unit -> int = "obs_thread_cpu_ns" [@@noalloc]
+
 let now_s () = float_of_int (now_ns ()) *. 1e-9
 
 (* Durations are clamped at >= 0 as a belt-and-braces guard: the source

@@ -6,6 +6,11 @@
 val now_ns : unit -> int
 (** Nanoseconds on the monotonic timebase (origin unspecified). *)
 
+val thread_cpu_ns : unit -> int
+(** CPU nanoseconds consumed by the calling thread (CLOCK_THREAD_CPUTIME_ID;
+    allocation-free). Each domain is its own thread, so work done by other
+    domains in the meantime is not counted, unlike [Sys.time]. *)
+
 val now_s : unit -> float
 (** Seconds on the monotonic timebase (origin unspecified). *)
 

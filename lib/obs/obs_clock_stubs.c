@@ -26,3 +26,17 @@ CAMLprim value obs_monotonic_now_ns(value unit)
   }
   return Val_long((intnat)ts.tv_sec * 1000000000 + (intnat)ts.tv_nsec);
 }
+
+/* CPU time consumed by the calling thread (Obs.Clock.thread_cpu_ns).
+
+   Each OCaml 5 domain runs on its own system thread, so this charges a
+   measurement with the CPU its own domain spent and nothing another
+   domain burned meanwhile — unlike the process-wide [Sys.time]. Same
+   tagged-int encoding as [obs_monotonic_now_ns]. */
+CAMLprim value obs_thread_cpu_ns(value unit)
+{
+  struct timespec ts;
+  (void)unit;
+  clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
+  return Val_long((intnat)ts.tv_sec * 1000000000 + (intnat)ts.tv_nsec);
+}

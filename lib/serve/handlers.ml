@@ -131,14 +131,10 @@ let check ~(knobs : Usher.Config.knobs) ~(level : Optim.Pipeline.level)
     let skip fn = Hashtbl.mem a.distrusted fn in
     let forced = Hashtbl.length a.distrusted > 0 in
     (* A Γ that fell back to all-⊥ certifies nothing; checking it against
-       F-reachability would flag its (sound) over-approximation.
-       Info-severity resolve events are exempt: the summary engine's soft
-       degradations (per-SCC fallback, corrupt cache entry) re-resolve
-       exactly, so that Γ still certifies. *)
+       F-reachability would flag its (sound) over-approximation. *)
     let resolve_degraded =
       List.exists
-        (fun (e : Usher.Degrade.event) ->
-          e.phase = Diag.Resolve && e.diag.Diag.severity <> Diag.Info)
+        (fun (e : Usher.Degrade.event) -> e.phase = Diag.Resolve)
         !(a.events)
     in
     let gi suffix bld gamma =

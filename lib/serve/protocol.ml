@@ -19,8 +19,6 @@
                                             -- key "auto")
        "budget_ms": 1000, "solver_fuel": N, "vfg_cap": N,
        "resolve_fuel": N, "verify": true,
-       "summaries": true,      -- compositional Γ resolution
-       "cache": "DIR",         -- summary cache dir (implies summaries)
        "inject": ["andersen=crash", ...],
        -- test/load hooks:
        "sleep_ms": 100,        -- hold the worker before running
@@ -60,10 +58,6 @@ type request = {
   solver_fuel : int option;
   vfg_cap : int option;
   resolve_fuel : int option;
-  summaries : bool;        (* compositional Γ resolution (lib/summary) *)
-  cache : string option;   (* summary artifact directory, shared by all
-                              workers via first-writer-wins installs;
-                              implies summaries *)
   verify : bool;
   inject : Usher.Config.fault list;
   sleep_ms : int;      (* test/load hook: hold the worker this long *)
@@ -229,9 +223,6 @@ let request_of_json (j : Json.t) : (request, string) result =
       solver_fuel = int_field "solver_fuel";
       vfg_cap = int_field "vfg_cap";
       resolve_fuel = int_field "resolve_fuel";
-      summaries =
-        bool_field "summaries" false || str_field "cache" <> None;
-      cache = str_field "cache";
       verify = bool_field "verify" false;
       inject;
       sleep_ms = Option.value ~default:0 (int_field "sleep_ms");

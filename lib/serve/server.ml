@@ -129,13 +129,10 @@ let send (t : t) ~(sink : sink) (r : Protocol.reply) : unit =
 let knobs_fp (k : Usher.Config.knobs) : string =
   let opt = function Some v -> string_of_int v | None -> "-" in
   Printf.sprintf
-    "%s budget=%s fuel=%s cap=%s rfuel=%s sum=%b scache=%s verify=%b \
-     inject=[%s]"
+    "%s budget=%s fuel=%s cap=%s rfuel=%s verify=%b inject=[%s]"
     (Audit.Loop.knobs_summary k)
     (opt k.Usher.Config.budget_ms)
-    (opt k.solver_fuel) (opt k.vfg_node_cap) (opt k.resolve_fuel) k.summaries
-    (Option.value ~default:"-" k.summary_cache)
-    k.verify
+    (opt k.solver_fuel) (opt k.vfg_node_cap) (opt k.resolve_fuel) k.verify
     (String.concat ";" (List.map Usher.Fault.to_string k.inject))
 
 let knobs_for (cfg : config) (req : Protocol.request) ~(granted_ms : int) :
@@ -148,8 +145,6 @@ let knobs_for (cfg : config) (req : Protocol.request) ~(granted_ms : int) :
       Usher.Config.solver_fuel = pick req.Protocol.solver_fuel k.solver_fuel;
       vfg_node_cap = pick req.vfg_cap k.vfg_node_cap;
       resolve_fuel = pick req.resolve_fuel k.resolve_fuel;
-      summaries = k.summaries || req.summaries;
-      summary_cache = pick req.cache k.summary_cache;
       verify = k.verify || req.verify;
       inject = req.inject;
     }

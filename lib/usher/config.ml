@@ -56,13 +56,6 @@ type knobs = {
   solver_fuel : int option;    (** Andersen worklist iterations *)
   vfg_node_cap : int option;   (** VFG size cap *)
   resolve_fuel : int option;   (** Γ resolution states *)
-  summaries : bool;
-      (** resolve Γ compositionally from per-function value-flow
-          summaries (lib/summary) instead of the monolithic search;
-          byte-identical Γ, plans and certificates by contract *)
-  summary_cache : string option;
-      (** directory for the content-hashed summary artifact cache;
-          implies nothing unless [summaries] is on *)
   verify : bool;
       (** run the certificate checkers (lib/verify) after each pipeline
           phase; violations feed the degradation ladder *)
@@ -85,8 +78,6 @@ let default_knobs =
     solver_fuel = None;
     vfg_node_cap = None;
     resolve_fuel = None;
-    summaries = false;
-    summary_cache = None;
     verify = false;
     inject = [];
     quarantine = [];

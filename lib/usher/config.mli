@@ -49,13 +49,6 @@ type knobs = {
   solver_fuel : int option;    (** Andersen worklist iterations *)
   vfg_node_cap : int option;   (** VFG size cap *)
   resolve_fuel : int option;   (** Γ resolution states *)
-  summaries : bool;
-      (** resolve Γ compositionally from per-function value-flow
-          summaries (lib/summary) instead of the monolithic search;
-          byte-identical Γ, plans and certificates by contract *)
-  summary_cache : string option;
-      (** directory for the content-hashed summary artifact cache;
-          ignored unless [summaries] is on *)
   verify : bool;
       (** run the certificate checkers (lib/verify) after each pipeline
           phase; violations feed the degradation ladder *)

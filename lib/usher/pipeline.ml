@@ -36,10 +36,12 @@ type analysis = {
   vfg_tl : Vfg.Build.t;               (* top-level-only graph *)
   gamma_tl : Vfg.Resolve.gamma;
   opt2 : Vfg.Opt2.result;             (* Γ after redundant check elimination *)
-  summary_stats : Summary.Engine.stats option;
-      (* compositional-resolution counters; [Some] iff [knobs.summaries],
-         shared by the TL+AT and TL resolutions *)
-  analysis_time_s : float;            (* pointer analysis through Opt II *)
+  summary_stats : unit option;
+      (* always [None]; kept only for the benchmark's record literal of
+         this type, and goes with the next change to the benchmark *)
+  analysis_time_s : float;
+      (* CPU seconds of the analyzing domain, pointer analysis through
+         Opt II *)
   analysis_mem_mb : float;
   phase_times_s : (string * float) list;
       (* wall-clock seconds per phase, in pipeline order *)
@@ -103,18 +105,18 @@ let front_guarded ?(level = Optim.Pipeline.O0_IM)
 
 let analyze ?(knobs = Config.default_knobs) (prog : Ir.Prog.t) : analysis =
   Obs.Trace.with_span ~cat:"pipeline" "pipeline.analyze" @@ fun () ->
-  let t0 = Sys.time () in
+  let t0 = Obs.Clock.thread_cpu_ns () in
   let heap0 = (Gc.quick_stat ()).Gc.heap_words in
   let budget = Budget.of_knobs knobs in
   let events : Degrade.event list ref = ref [] in
   let distrusted : (Ir.Types.fname, Diag.t) Hashtbl.t = Hashtbl.create 4 in
   let degraded_all = ref false in
-  (* Wall-clock per-phase timing (Sys.time above stays the CPU-time total
-     Table 1 reports). Monotonic clock, clamped at >= 0: a wall-clock step
-     must never flow negative phase times into BENCH_usher.json or budget
-     checks. Wrapping outside the fault guard charges fallback work to the
-     phase that degraded; each phase is also a trace span and a sample in
-     the pipeline.phase_us histogram. *)
+  (* Wall-clock per-phase timing (the thread CPU clock above stays the
+     CPU-time total Table 1 reports). Monotonic clock, clamped at >= 0: a
+     wall-clock step must never flow negative phase times into
+     BENCH_usher.json or budget checks. Wrapping outside the fault guard
+     charges fallback work to the phase that degraded; each phase is also
+     a trace span and a sample in the pipeline.phase_us histogram. *)
   let phase_times : (string * float) list ref = ref [] in
   let timed name f =
     let w0 = Obs.Clock.now_ns () in
@@ -356,65 +358,15 @@ let analyze ?(knobs = Config.default_knobs) (prog : Ir.Prog.t) : analysis =
     Vfg.Build.force_distrusted vfg_tl distrusted
   end;
   (* Rung 2: a resolution fault degrades Γ to all-undefined — guided
-     instrumentation is monotone in the ⊥ set, so this only adds items.
-     With [knobs.summaries] the compositional engine (lib/summary)
-     replaces the monolithic search; its own softer failures — a faulting
-     SCC, a corrupt cache entry — degrade inside the engine (fall back to
-     direct, exact resolution of the affected summaries) and surface here
-     as Info-severity events: Γ stays exact, so they must not read as a
-     rung-2 degradation downstream. *)
-  let sum_stats =
-    if knobs.summaries then Some (Summary.Engine.fresh_stats ()) else None
-  in
-  (* One prep serves both resolutions: the canonical naming and IR
-     serializations behind the content keys are graph-independent. *)
-  let sum_prep = lazy (Summary.Engine.prep ~prog) in
+     instrumentation is monotone in the ⊥ set, so this only adds items. *)
   let resolve_guard what (bld : Vfg.Build.t) : Vfg.Resolve.gamma * bool =
     if !degraded_all then (Vfg.Resolve.all_bot bld.graph, false)
     else
       try
         Fault.check knobs Diag.Resolve None;
-        let gm =
-          match sum_stats with
-          | Some stats ->
-            Summary.Engine.resolve
-              ~context_sensitive:knobs.context_sensitive ?budget
-              ?cache:knobs.summary_cache ~prep:(Lazy.force sum_prep)
-              ~hook:(fun fn -> Fault.check knobs Diag.Resolve (Some fn))
-              ~on_fallback:(fun fns d ->
-                push
-                  {
-                    Degrade.phase = Diag.Resolve;
-                    func = (match fns with [ f ] -> Some f | _ -> None);
-                    action =
-                      Printf.sprintf
-                        "summary SCC {%s} fell back to direct resolution"
-                        (String.concat "," fns);
-                    diag = { d with Diag.severity = Diag.Info };
-                    kind = Degrade.Fault;
-                  })
-              ~on_corrupt:(fun path ->
-                push
-                  {
-                    Degrade.phase = Diag.Resolve;
-                    func = None;
-                    action = "corrupt summary cache entry removed; recomputed";
-                    diag =
-                      {
-                        Diag.severity = Diag.Info;
-                        phase = Diag.Resolve;
-                        loc = None;
-                        message = "checksum mismatch: " ^ path;
-                      };
-                    kind = Degrade.Fault;
-                  })
-              ~stats ~prog:bld.prog ~objects:bld.pa.Analysis.Andersen.objects
-              ~cg:bld.cg bld.graph
-          | None ->
-            Vfg.Resolve.resolve ~context_sensitive:knobs.context_sensitive
-              ?budget bld.graph
-        in
-        (gm, true)
+        ( Vfg.Resolve.resolve ~context_sensitive:knobs.context_sensitive
+            ?budget bld.graph,
+          true )
       with e ->
         push
           {
@@ -495,7 +447,7 @@ let analyze ?(knobs = Config.default_knobs) (prog : Ir.Prog.t) : analysis =
         keep_checks (Some "Opt II skipped; redundant checks kept")
           (Some (Diag.of_exn Diag.Opt2 e))
   in
-  let dt = Sys.time () -. t0 in
+  let dt = float_of_int (Obs.Clock.thread_cpu_ns () - t0) *. 1e-9 in
   let heap1 = (Gc.quick_stat ()).Gc.heap_words in
   let words = max 0 (heap1 - heap0) in
   {
@@ -509,7 +461,7 @@ let analyze ?(knobs = Config.default_knobs) (prog : Ir.Prog.t) : analysis =
     vfg_tl;
     gamma_tl;
     opt2;
-    summary_stats = sum_stats;
+    summary_stats = None;
     analysis_time_s = dt;
     analysis_mem_mb = float_of_int (words * 8) /. 1048576.0;
     phase_times_s = List.rev !phase_times;

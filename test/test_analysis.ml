@@ -175,6 +175,106 @@ let with_cg src k =
   let cg = Analysis.Callgraph.build prog pa in
   k prog pa cg
 
+(* Bottom-up SCC order over random and handwritten call graphs:
+   Analysis.Modref relies on callees preceding callers. *)
+let scc_index_of (sccs : Ir.Types.fname list array) :
+    (Ir.Types.fname, int) Hashtbl.t =
+  let idx = Hashtbl.create 16 in
+  Array.iteri (fun i fns -> List.iter (fun f -> Hashtbl.replace idx f i) fns) sccs;
+  idx
+
+let funcs_of (prog : Ir.Prog.t) : Ir.Types.func list =
+  List.rev (Ir.Prog.fold_funcs (fun acc f -> f :: acc) [] prog)
+
+let check_bottom_up ~what (prog : Ir.Prog.t) (cg : Analysis.Callgraph.t) =
+  let sccs = Analysis.Callgraph.bottom_up_sccs cg in
+  let idx = scc_index_of sccs in
+  (* every function appears in exactly one SCC *)
+  let total = Array.fold_left (fun n l -> n + List.length l) 0 sccs in
+  check_int (what ^ ": SCCs partition the functions")
+    (List.length (funcs_of prog))
+    total;
+  check_int (what ^ ": no function in two SCCs")
+    total (Hashtbl.length idx);
+  List.iter
+    (fun (f : Ir.Types.func) ->
+      let fn = f.Ir.Types.fname in
+      let fi = Hashtbl.find idx fn in
+      List.iter
+        (fun callee ->
+          match Hashtbl.find_opt idx callee with
+          | None -> ()  (* unresolved external *)
+          | Some ci ->
+            if ci > fi then
+              Alcotest.failf
+                "%s: callee %s (scc %d) does not precede caller %s (scc %d)"
+                what callee ci fn fi
+            else if ci = fi then
+              (* same SCC: both on a cycle, so both must be recursive *)
+              check_bool
+                (Printf.sprintf "%s: %s and %s share an SCC => recursive" what
+                   fn callee)
+                true
+                (fn = callee
+                || Analysis.Callgraph.is_recursive cg fn
+                   && Analysis.Callgraph.is_recursive cg callee))
+        (Analysis.Callgraph.callees_of cg fn))
+    (funcs_of prog);
+  (* is_recursive agrees with the condensation: true iff the function's
+     SCC is nontrivial or it calls itself directly *)
+  List.iter
+    (fun (f : Ir.Types.func) ->
+      let fn = f.Ir.Types.fname in
+      let member_count =
+        Array.fold_left
+          (fun n l -> if List.mem fn l then n + List.length l else n)
+          0 sccs
+      in
+      let self_loop = List.mem fn (Analysis.Callgraph.callees_of cg fn) in
+      check_bool
+        (Printf.sprintf "%s: is_recursive(%s) matches SCC membership" what fn)
+        (member_count > 1 || self_loop)
+        (Analysis.Callgraph.is_recursive cg fn))
+    (funcs_of prog)
+
+let test_bottom_up_handwritten () =
+  (* self-recursion, a mutually recursive pair, and an acyclic tail *)
+  let src =
+    "int self(int n) { if (n <= 0) { return 1; } return self(n - 1) + 1; }\n\
+     int mb(int n) { if (n <= 0) { return 0; } return ma(n - 1); }\n\
+     int ma(int n) { if (n <= 0) { return 0; } return mb(n - 1); }\n\
+     int leafy(int n) { return n + 2; }\n\
+     int main() { print(self(3) + ma(4) + leafy(5)); return 0; }\n"
+  in
+  let prog, a = analyze src in
+  check_bottom_up ~what:"handwritten" prog a.cg;
+  let cg = a.cg in
+  check_bool "self is recursive" true (Analysis.Callgraph.is_recursive cg "self");
+  check_bool "ma is recursive" true (Analysis.Callgraph.is_recursive cg "ma");
+  check_bool "mb is recursive" true (Analysis.Callgraph.is_recursive cg "mb");
+  check_bool "leafy is not recursive" false
+    (Analysis.Callgraph.is_recursive cg "leafy");
+  check_bool "main is not recursive" false
+    (Analysis.Callgraph.is_recursive cg "main");
+  (* ma and mb share an SCC; self and leafy have their own *)
+  let sccs = Analysis.Callgraph.bottom_up_sccs cg in
+  let idx = scc_index_of sccs in
+  check_int "ma and mb share an SCC" (Hashtbl.find idx "ma")
+    (Hashtbl.find idx "mb");
+  check_bool "self is alone in its SCC" true
+    (Hashtbl.find idx "self" <> Hashtbl.find idx "ma")
+
+let bottom_up_prop =
+  QCheck.Test.make ~count:60
+    ~name:"bottom_up_sccs: callees precede callers (random call graphs)"
+    QCheck.(int_bound 1_000_000)
+    (fun seed ->
+      (* the fuzz generator's call graphs mix direct calls,
+         function-pointer dispatch and the mutually recursive shape *)
+      let prog, a = analyze (Audit.Gen.source ~seed ()) in
+      check_bottom_up ~what:(Printf.sprintf "seed %d" seed) prog a.cg;
+      true)
+
 let callgraph_tests =
   [
     tc "direct recursion detected" (fun () ->
@@ -208,6 +308,8 @@ let callgraph_tests =
             in
             check_bool "leaf before mid" true (idx "leaf" < idx "mid");
             check_bool "mid before main" true (idx "mid" < idx "main")));
+    tc "handwritten recursion shapes" test_bottom_up_handwritten;
+    QCheck_alcotest.to_alcotest bottom_up_prop;
   ]
 
 let modref_tests =

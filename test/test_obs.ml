@@ -33,6 +33,48 @@ let clock_tests =
         let s = Obs.Clock.now_s () in
         let dt = s -. (float_of_int ns *. 1e-9) in
         check_bool "within 1s" true (dt >= 0. && dt < 1.0));
+    tc "thread_cpu_ns is monotonic" (fun () ->
+        let prev = ref (Obs.Clock.thread_cpu_ns ()) in
+        for _ = 1 to 1000 do
+          let t = Obs.Clock.thread_cpu_ns () in
+          check_bool "non-decreasing" true (t >= !prev);
+          prev := t
+        done);
+    (* Table 1's analysis time must be the analyzing domain's own CPU: a
+       second domain burning CPU alongside it (as under bench --jobs) must
+       not be charged to it. One thread's CPU never exceeds the wall time
+       it ran for, whereas the process-wide CPU clock would read about
+       twice the wall time here on any machine with two or more cores. *)
+    tc "analysis_time_s excludes other domains' CPU" (fun () ->
+        let src =
+          Workloads.Spec2000.source ~scale:5 (Workloads.Spec2000.find "176.gcc")
+        in
+        let prog = front src in
+        let started = Atomic.make false and stop = Atomic.make false in
+        let spinner =
+          Domain.spawn (fun () ->
+              Atomic.set started true;
+              while not (Atomic.get stop) do
+                Domain.cpu_relax ()
+              done)
+        in
+        while not (Atomic.get started) do
+          Domain.cpu_relax ()
+        done;
+        let w0 = Obs.Clock.now_ns () in
+        let a =
+          Fun.protect
+            ~finally:(fun () ->
+              Atomic.set stop true;
+              Domain.join spinner)
+            (fun () -> Usher.Pipeline.analyze prog)
+        in
+        let wall_s = float_of_int (Obs.Clock.elapsed_ns w0) *. 1e-9 in
+        check_bool
+          (Printf.sprintf "analysis_time_s %.3f <= wall %.3f + 0.010"
+             a.analysis_time_s wall_s)
+          true
+          (a.analysis_time_s <= wall_s +. 0.010));
   ]
 
 (* ---------------------------------------------------------------- *)

@@ -471,6 +471,57 @@ let server_bench_default_engine () =
     (Some true)
     (cached (by_id "auto-again"))
 
+(* Clients written against the removed compositional resolver may still
+   send "summaries" and "cache". Unknown fields are ignored, so each such
+   request gets exactly the reply it would get without them, and the
+   named cache directory is never created. The reply cache is off, so
+   every request is computed rather than served from a neighbour. *)
+let server_ignores_summary_fields () =
+  with_tmpdir @@ fun dir ->
+  let t, out, collected = mk_server ~jobs:1 ~cache_cap:0 dir in
+  let cache_dir = Filename.concat dir "sumcache" in
+  let extra =
+    Printf.sprintf {|,"summaries":true,"cache":%s|}
+      (Serve.Json.to_line (Serve.Json.Str cache_dir))
+  in
+  let source =
+    "int main() {\n  int x;\n  if (x > 0) { print(1); }\n  return 0;\n}\n"
+  in
+  let cmds = [ "analyze"; "run"; "check" ] in
+  List.iter
+    (fun cmd ->
+      Serve.Server.handle_line t ~out
+        (req_json ~id:(cmd ^ "-plain") ~cmd ~source ());
+      Serve.Server.handle_line t ~out
+        (req_json ~id:(cmd ^ "-old") ~cmd ~source ~extra ()))
+    cmds;
+  Serve.Server.drain t;
+  let replies = collected () in
+  let by_id id = List.find (fun l -> reply_id l = id) replies in
+  let code l =
+    match Serve.Json.parse l with
+    | Ok j -> Option.bind (Serve.Json.member "code" j) Serve.Json.int_
+    | Error e -> Alcotest.failf "bad reply: %s" e
+  in
+  List.iter
+    (fun cmd ->
+      let plain = by_id (cmd ^ "-plain") and old = by_id (cmd ^ "-old") in
+      Alcotest.(check bool) (cmd ^ " has output") true
+        (reply_field plain "output" <> None);
+      Alcotest.(check string) (cmd ^ " same status") (reply_status plain)
+        (reply_status old);
+      Alcotest.(check (option int)) (cmd ^ " same code") (code plain) (code old);
+      (* check's per-checker lines carry wall times; its verdict is the
+         status and code above *)
+      if cmd <> "check" then
+        Alcotest.(check (option string)) (cmd ^ " output byte-identical")
+          (reply_field plain "output") (reply_field old "output"))
+    cmds;
+  Alcotest.(check string) "run detects the undefined use" "detected"
+    (reply_status (by_id "run-plain"));
+  Alcotest.(check bool) "cache directory not created" false
+    (Sys.file_exists cache_dir)
+
 (* An unknown benchmark is a deterministic client error: no retries
    burned, no incident filed — and only [bench] maps to it (a stray
    [Not_found] elsewhere takes the crash/retry path instead). *)
@@ -789,6 +840,8 @@ let suites =
           server_cache_hit;
         Alcotest.test_case "engine-less bench has its own cache key" `Quick
           server_bench_default_engine;
+        Alcotest.test_case "old clients' summary fields are ignored" `Quick
+          server_ignores_summary_fields;
         Alcotest.test_case "unknown bench is a client error" `Quick
           server_unknown_bench;
         Alcotest.test_case "EOF completes an unterminated line" `Quick
