@@ -8,13 +8,6 @@
      dune exec bench/main.exe -- sec46     -- the §4.6 O1/O2 study
      dune exec bench/main.exe -- detect    -- §4.5 detection result
      dune exec bench/main.exe -- ablation  -- DESIGN.md §5 ablations
-     dune exec bench/main.exe -- micro     -- Bechamel microbenchmarks of the
-                                              analysis phases feeding each table
-     dune exec bench/main.exe -- serveload -- load-generate against an
-                                              in-process `usherc serve` daemon
-     dune exec bench/main.exe -- fuzz      -- a short deterministic fuzzing
-                                              campaign: generator + oracle
-                                              throughput, distillation yield
      dune exec bench/main.exe -- vm        -- the bytecode VM against the
                                               reference interpreter: steps/s
                                               for both engines and the
@@ -36,11 +29,7 @@
    per-phase wall times, peak heap, deterministic work counters, the
    process-wide Obs.Metrics snapshot, per-variant instrumentation
    statistics, (under --verify) per-checker certificate times and
-   violation counts, (under serveload) server health — per-request
-   latency percentiles plus shed/retry/quarantine/cache counts from the
-   load-generator run — (under fuzz) fuzzing-campaign throughput:
-   programs/s through the generator, oracle audits/s, and the distilled
-   corpus yield — and (under vm) engine comparison: steps/s for the
+   violation counts, and (under vm) engine comparison: steps/s for the
    interpreter and the bytecode VM on the scale-10 gzip micro, the
    speedup ratio, and the per-variant dynamic overhead at scale 50 — for
    whatever artifacts ran; see EXPERIMENTS.md.
@@ -60,7 +49,7 @@ module Exp = Usher.Experiment
 (* The single source of truth for the BENCH_usher.json schema tag; the CI
    validator greps the emitted file for exactly this string. Bump it
    whenever a field is added, removed, or changes meaning. *)
-let schema_version = "usher-bench/8"
+let schema_version = "usher-bench/9"
 
 let scale = ref 30
 
@@ -79,7 +68,7 @@ let bench_knobs () = { Cfg.default_knobs with verify = !verify }
 
 let profiles = Workloads.Spec2000.all
 
-(* The 15 analogs are independent: fan them out over a bounded domain pool.
+(* The 15 analogs are independent: fan them out over up to --jobs domains.
    [parallel_map] keeps results in input order and fails fast on the first
    failure, so output and exit status match the sequential run.
 
@@ -291,319 +280,6 @@ let ablation () =
     \ field-insensitivity and no-cloning merge abstract objects, so their raw\n\
     \ ratios can shift by noise at this scale; the small-array extension\n\
     \ never increases the ratio)\n"
-
-(* ------------------------------------------------------------------ *)
-
-(* One Bechamel Test.make per evaluation artifact: each microbenchmark
-   measures the analysis phase that produces the corresponding table or
-   figure, on the 164.gzip analog. The two [-naive] lines rerun pointer
-   analysis without cycle elimination and resolution without SCC
-   condensation, so one run shows the optimized/naive ratio on the same
-   machine under the same load. *)
-let micro_ns : (string * float) list ref = ref []
-
-let micro () =
-  Printf.printf "\n== Bechamel microbenchmarks of the analysis phases ==\n";
-  let p = Workloads.Spec2000.find "164.gzip" in
-  let src = Workloads.Spec2000.source ~scale:10 p in
-  let prepared = Usher.Pipeline.front src in
-  let pa = Analysis.Andersen.run prepared in
-  let cg = Analysis.Callgraph.build prepared pa in
-  let mr = Analysis.Modref.compute prepared pa cg in
-  let mssa = Memssa.build prepared pa cg mr in
-  let vfg = Vfg.Build.build prepared pa cg mr mssa in
-  let gamma = Vfg.Resolve.resolve vfg.graph in
-  let open Bechamel in
-  let test =
-    Test.make_grouped ~name:"usher"
-      [
-        Test.make ~name:"table1/front-end"
-          (Staged.stage (fun () -> Usher.Pipeline.front src));
-        Test.make ~name:"table1/pointer-analysis"
-          (Staged.stage (fun () -> Analysis.Andersen.run prepared));
-        Test.make ~name:"table1/pointer-analysis-naive"
-          (Staged.stage (fun () ->
-               Analysis.Andersen.run ~cycle_elim:false prepared));
-        Test.make ~name:"table1/memory-ssa"
-          (Staged.stage (fun () -> Memssa.build prepared pa cg mr));
-        Test.make ~name:"table1/vfg-build"
-          (Staged.stage (fun () -> Vfg.Build.build prepared pa cg mr mssa));
-        Test.make ~name:"fig10-11/resolution"
-          (Staged.stage (fun () -> Vfg.Resolve.resolve vfg.graph));
-        Test.make ~name:"fig10-11/resolution-naive"
-          (Staged.stage (fun () ->
-               Vfg.Resolve.resolve ~condense:false vfg.graph));
-        Test.make ~name:"fig10-11/guided-instrumentation"
-          (Staged.stage (fun () -> Instr.Guided.build vfg gamma));
-        Test.make ~name:"fig10-11/opt2"
-          (Staged.stage (fun () -> Vfg.Opt2.run vfg));
-        Test.make ~name:"fig10-11/msan-baseline"
-          (Staged.stage (fun () -> Instr.Full.build prepared));
-      ]
-  in
-  let instances = Toolkit.Instance.[ monotonic_clock ] in
-  let cfg =
-    Benchmark.cfg ~limit:100 ~quota:(Time.second 0.25) ~kde:(Some 10) ()
-  in
-  let raw = Benchmark.all cfg instances test in
-  let ols =
-    Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| Measure.run |]
-  in
-  let results = Analyze.all ols Toolkit.Instance.monotonic_clock raw in
-  let rows =
-    Hashtbl.fold
-      (fun name est acc ->
-        let ns =
-          match Analyze.OLS.estimates est with Some [ v ] -> v | _ -> nan
-        in
-        (name, ns) :: acc)
-      results []
-    |> List.sort compare
-  in
-  micro_ns := !micro_ns @ rows;
-  List.iter
-    (fun (name, ns) -> Printf.printf "  %-42s %12.0f ns/run\n" name ns)
-    rows;
-  let ratio opt naive =
-    match
-      ( List.assoc_opt ("usher/" ^ opt) rows,
-        List.assoc_opt ("usher/" ^ naive) rows )
-    with
-    | Some o, Some n when o > 0.0 -> Printf.sprintf "%.2fx" (n /. o)
-    | _ -> "n/a"
-  in
-  Printf.printf
-    "  (speedup vs naive: pointer-analysis %s cycle-elim, resolution %s \
-     SCC-condensed)\n"
-    (ratio "table1/pointer-analysis" "table1/pointer-analysis-naive")
-    (ratio "fig10-11/resolution" "fig10-11/resolution-naive")
-
-(* ------------------------------------------------------------------ *)
-(* serveload: a client-mode load generator against an in-process
-   `usherc serve` daemon. Mixed traffic — analyze/run over three analogs
-   twice (the second pass is all cache hits), one seeded worker crash
-   past the retry cap, one over-budget request — then a deliberate
-   saturation phase against a 1-worker/1-slot server to measure
-   shedding. Per-request latency percentiles and the shed/retry/
-   quarantine/cache counters land in the BENCH_usher.json "serve"
-   block. *)
-
-let serve_stats : (string * float) list ref = ref []
-let serve_status_counts : (string * int) list ref = ref []
-
-let percentile (sorted : float array) (p : float) : float =
-  let n = Array.length sorted in
-  if n = 0 then 0.0
-  else
-    sorted.(max 0 (min (n - 1) (int_of_float (ceil (p /. 100. *. float_of_int n)) - 1)))
-
-let serveload () =
-  Printf.printf "\n== serveload: the daemon under generated load ==\n";
-  let dir =
-    Filename.concat (Filename.get_temp_dir_name ())
-      (Printf.sprintf "usher-serveload-%d" (Unix.getpid ()))
-  in
-  let mu = Mutex.create () in
-  let replies = ref [] in
-  let out line = Mutex.protect mu (fun () -> replies := line :: !replies) in
-  let nreq = ref 0 in
-  let submit t fields =
-    incr nreq;
-    Serve.Server.handle_line t ~out
-      (Serve.Json.to_line
-         (Serve.Json.Obj
-            (("id", Serve.Json.Str (Printf.sprintf "L%d" !nreq)) :: fields)))
-  in
-  let str s = Serve.Json.Str s and num n = Serve.Json.Num (float_of_int n) in
-  let sources =
-    List.map
-      (fun name ->
-        (name, Workloads.Spec2000.source ~scale:5 (Workloads.Spec2000.find name)))
-      [ "164.gzip"; "181.mcf"; "197.parser" ]
-  in
-  (* phase 1: mixed traffic on a normally-provisioned server *)
-  let t =
-    Serve.Server.create
-      {
-        Serve.Server.default_config with
-        jobs = max 2 !jobs;
-        incident_dir = dir;
-        (* the burst is submitted faster than grants release: widen the
-           in-flight watermark so phase 1 measures quarantine/cache
-           behaviour, not shedding (phase 2 measures shedding) *)
-        admission =
-          {
-            Serve.Admission.default_config with
-            max_queue = 64;
-            max_inflight_ms = 1_000_000;
-          };
-      }
-  in
-  for _pass = 1 to 2 do
-    List.iter
-      (fun (_, src) ->
-        List.iter
-          (fun cmd -> submit t [ ("cmd", str cmd); ("source", str src) ])
-          [ "analyze"; "run" ])
-      sources
-  done;
-  submit t
-    [ ("cmd", str "run"); ("source", str (List.assoc "164.gzip" sources));
-      ("crash_worker", num 99) ];
-  submit t
-    [ ("cmd", str "analyze"); ("source", str (List.assoc "181.mcf" sources));
-      ("budget_ms", num 1) ];
-  Serve.Server.drain t;
-  (* phase 2: deliberate saturation — one worker, one queue slot *)
-  let t2 =
-    Serve.Server.create
-      {
-        Serve.Server.default_config with
-        jobs = 1;
-        incident_dir = dir;
-        admission =
-          { Serve.Admission.default_config with max_queue = 1 };
-      }
-  in
-  submit t2
-    [ ("cmd", str "run"); ("source", str (List.assoc "164.gzip" sources));
-      ("sleep_ms", num 150) ];
-  for _ = 1 to 6 do
-    submit t2
-      [ ("cmd", str "run"); ("source", str (List.assoc "164.gzip" sources)) ]
-  done;
-  Serve.Server.drain t2;
-  (* harvest *)
-  let parsed =
-    List.filter_map
-      (fun l -> match Serve.Json.parse l with Ok j -> Some j | Error _ -> None)
-      !replies
-  in
-  let field_str j k = Option.bind (Serve.Json.member k j) Serve.Json.str in
-  let statuses =
-    List.fold_left
-      (fun acc j ->
-        let s = Option.value ~default:"?" (field_str j "status") in
-        (s, 1 + Option.value ~default:0 (List.assoc_opt s acc))
-        :: List.remove_assoc s acc)
-      [] parsed
-    |> List.sort compare
-  in
-  let lat =
-    List.filter_map
-      (fun j -> Option.bind (Serve.Json.member "elapsed_ms" j) Serve.Json.num)
-      parsed
-    |> Array.of_list
-  in
-  Array.sort compare lat;
-  let c name = Obs.Metrics.counter_value (Obs.Metrics.counter name) in
-  Printf.printf "  %d request(s), %d reply(ies):" !nreq (List.length parsed);
-  List.iter (fun (s, n) -> Printf.printf "  %s %d" s n) statuses;
-  Printf.printf
-    "\n  latency p50 %.1fms  p90 %.1fms  p99 %.1fms  max %.1fms\n"
-    (percentile lat 50.) (percentile lat 90.) (percentile lat 99.)
-    (percentile lat 100.);
-  Printf.printf
-    "  shed %d  retries %d  quarantined %d  cache hits/misses %d/%d\n"
-    (c "serve.shed") (c "serve.retries") (c "serve.quarantined")
-    (c "serve.cache_hits") (c "serve.cache_misses");
-  if List.length parsed <> !nreq then begin
-    Printf.printf "serveload FAILED: %d request(s) lost their reply\n"
-      (!nreq - List.length parsed);
-    exit 1
-  end;
-  serve_stats :=
-    [
-      ("requests", float_of_int !nreq);
-      ("replies", float_of_int (List.length parsed));
-      ("latency_p50_ms", percentile lat 50.);
-      ("latency_p90_ms", percentile lat 90.);
-      ("latency_p99_ms", percentile lat 99.);
-      ("latency_max_ms", percentile lat 100.);
-      ("shed", float_of_int (c "serve.shed"));
-      ("retries", float_of_int (c "serve.retries"));
-      ("quarantined", float_of_int (c "serve.quarantined"));
-      ("cache_hits", float_of_int (c "serve.cache_hits"));
-      ("cache_misses", float_of_int (c "serve.cache_misses"));
-    ];
-  serve_status_counts := statuses;
-  (* sweep the incident dir *)
-  (match Sys.readdir dir with
-  | entries ->
-    Array.iter
-      (fun e -> try Sys.remove (Filename.concat dir e) with Sys_error _ -> ())
-      entries;
-    (try Unix.rmdir dir with Unix.Unix_error _ -> ())
-  | exception Sys_error _ -> ())
-
-(* ------------------------------------------------------------------ *)
-(* fuzz: a short stock fuzzing campaign through the full differential
-   oracle, measuring end-to-end throughput — programs generated per
-   second of campaign wall time, oracle audits per second of summed
-   oracle time — and the corpus-distillation yield. The campaign is the
-   same code path as `usherc fuzz`, so this doubles as a regression
-   gate: a stock campaign finding a soundness incident fails the
-   bench run outright (the fuzzer found a sanitizer hole). *)
-
-let fuzz_stats : (string * float) list ref = ref []
-
-let rec rm_rf path =
-  match Sys.is_directory path with
-  | true ->
-    Array.iter (fun e -> rm_rf (Filename.concat path e)) (Sys.readdir path);
-    (try Unix.rmdir path with Unix.Unix_error _ -> ())
-  | false -> ( try Sys.remove path with Sys_error _ -> ())
-  | exception Sys_error _ -> ()
-
-let fuzzload () =
-  Printf.printf "\n== fuzz: generative differential campaign throughput ==\n";
-  let tmp =
-    Filename.concat (Filename.get_temp_dir_name ())
-      (Printf.sprintf "usher-fuzzbench-%d" (Unix.getpid ()))
-  in
-  let cfg =
-    {
-      Audit.Fuzz.default_config with
-      count = 60;
-      seed = 1;
-      jobs = !jobs;
-      dir = Filename.concat tmp "incidents";
-      corpus = Some (Filename.concat tmp "corpus");
-      distill = true;
-    }
-  in
-  let s = Audit.Fuzz.run cfg in
-  let programs_per_s =
-    float_of_int s.generated /. Float.max 1e-9 s.elapsed_s
-  in
-  let oracle_per_s = float_of_int s.audited /. Float.max 1e-9 s.oracle_s in
-  Printf.printf
-    "  %d generated, %d audited, %d skipped in %.2fs (%.0f programs/s)\n"
-    s.generated s.audited s.skipped s.elapsed_s programs_per_s;
-  Printf.printf
-    "  oracle: %.2fs summed (%.0f audits/s)  distilled %d (corpus %d)\n"
-    s.oracle_s oracle_per_s s.distilled s.corpus_total;
-  rm_rf tmp;
-  if s.soundness_incidents > 0 then begin
-    Printf.printf
-      "fuzz FAILED: stock campaign found %d soundness incident(s)\n"
-      s.soundness_incidents;
-    exit 1
-  end;
-  fuzz_stats :=
-    [
-      ("seed", float_of_int cfg.seed);
-      ("programs", float_of_int s.generated);
-      ("audited", float_of_int s.audited);
-      ("skipped", float_of_int s.skipped);
-      ("incidents", float_of_int (List.length s.incidents));
-      ("distilled", float_of_int s.distilled);
-      ("corpus_total", float_of_int s.corpus_total);
-      ("programs_per_s", programs_per_s);
-      ("oracle_audits_per_s", oracle_per_s);
-      ("oracle_s", s.oracle_s);
-      ("elapsed_s", s.elapsed_s);
-    ]
 
 (* ------------------------------------------------------------------ *)
 (* BENCH_usher.json: a hand-rolled emitter — the container has no JSON
@@ -889,24 +565,6 @@ let write_bench_json ~wall ~cpu () =
         ("top_heap_words", jint (Gc.quick_stat ()).Gc.top_heap_words);
         ("experiments", Jarr (List.map experiment_json (collected_experiments ())));
         ("metrics", metrics_json ());
-        ("micro_ns", Jobj (List.map (fun (n, ns) -> (n, jfloat ns)) !micro_ns));
-        ( "serve",
-          match !serve_stats with
-          | [] -> J "null" (* serveload did not run this invocation *)
-          | fs ->
-            Jobj
-              (List.map (fun (k, v) -> (k, jfloat v)) fs
-              @ [
-                  ( "by_status",
-                    Jobj
-                      (List.map
-                         (fun (s, n) -> (s, jint n))
-                         !serve_status_counts) );
-                ]) );
-        ( "fuzz",
-          match !fuzz_stats with
-          | [] -> J "null" (* the fuzz artifact did not run this invocation *)
-          | fs -> Jobj (List.map (fun (k, v) -> (k, jfloat v)) fs) );
         ( "vm",
           match !vm_json with
           | None -> J "null" (* the vm artifact did not run this invocation *)
@@ -919,9 +577,8 @@ let write_bench_json ~wall ~cpu () =
   let oc = open_out "BENCH_usher.json" in
   output_string oc (Buffer.contents b);
   close_out oc;
-  Printf.printf "(wrote BENCH_usher.json: %d experiment(s), %d micro row(s))\n"
+  Printf.printf "(wrote BENCH_usher.json: %d experiment(s))\n"
     (List.length (collected_experiments ()))
-    (List.length !micro_ns)
 
 (* ------------------------------------------------------------------ *)
 (* Work-counter baseline: solve_iterations and states_explored are
@@ -1061,7 +718,7 @@ let () =
       [
         ("vm", vmbench); ("table1", table1); ("fig10", fig10);
         ("fig11", fig11); ("sec46", sec46); ("detect", detect);
-        ("ablation", ablation); ("serveload", serveload); ("fuzz", fuzzload);
+        ("ablation", ablation);
       ]
   | names ->
     List.iter
@@ -1073,9 +730,6 @@ let () =
         | "sec46" -> artifact n sec46
         | "detect" -> artifact n detect
         | "ablation" -> artifact n ablation
-        | "micro" -> artifact n micro
-        | "serveload" -> artifact n serveload
-        | "fuzz" -> artifact n fuzzload
         | "vm" -> artifact n vmbench
         | other -> Printf.eprintf "unknown artifact %s\n" other)
       names);

@@ -7,25 +7,17 @@
      usherc gen NAME       print a SPEC2000-analog TinyC source
      usherc bench NAME     one benchmark end to end (all variants)
      usherc audit          differential soundness audit over the corpus
-     usherc fuzz           generative differential fuzzing (or daemon soak)
-     usherc serve          analysis-as-a-service daemon (NDJSON protocol)
+     usherc fuzz           generative differential fuzzing
 
    Programs are TinyC sources (see README).
 
-   The analyze/run/check/bench bodies live in [Serve.Handlers], shared
-   verbatim with the daemon — a served reply is byte-identical to the
-   one-shot run by construction.
-
-   Exit codes (run, bench, audit, check; serve mirrors them as reply
-   codes):
+   Exit codes (run, bench, audit, fuzz, check):
      0  clean
      3  a use of an undefined value was detected
      4  soundness divergence: a ground-truth undefined use escaped the
-        instrumentation (or, for audit, any captured soundness incident)
-     5  a certificate checker rejected a static-analysis result
-     6  (serve replies) overloaded: shed by admission control or drain
-     7  (serve replies) quarantined: the request crashed its worker past
-        the retry cap; an incident artifact was filed *)
+        instrumentation (or, for audit and fuzz, any captured soundness
+        incident)
+     5  a certificate checker rejected a static-analysis result *)
 
 open Cmdliner
 
@@ -246,59 +238,109 @@ let dump_arg =
            ~doc:"Dump an artifact: ir, memssa, vfg, plan, cfg-dot or vfg-dot \
                  (the -dot forms are Graphviz).")
 
+(* ---- reports shared by analyze, run, check and bench ---- *)
+
+(* Per-checker certificate summaries (--verify). *)
+let print_verify_reports (reports : Verify.Report.t list) =
+  List.iter
+    (fun r -> Printf.printf "verify: %s\n" (Verify.Report.summary_line r))
+    reports
+
+(* Report what the resilience ladder did, if anything. *)
+let print_degradation (a : Usher.Pipeline.analysis)
+    (front_events : Usher.Degrade.event list) =
+  print_verify_reports a.verify_reports;
+  List.iter
+    (fun e -> Printf.printf "%s\n" (Usher.Degrade.to_string e))
+    (front_events @ !(a.events));
+  if a.degraded_all then
+    Printf.printf
+      "analysis degraded: every variant uses full (MSan) instrumentation\n"
+  else begin
+    match Usher.Pipeline.distrusted_functions a with
+    | [] -> ()
+    | fns ->
+      Printf.printf "degraded functions (full instrumentation): %s\n"
+        (String.concat ", " fns)
+  end
+
 (* ---- analyze ---- *)
+
+let print_dump prog (a : Usher.Pipeline.analysis) (plan : Instr.Item.plan) =
+  function
+  | `Ir -> print_string (Ir.Printer.prog_to_string prog)
+  | `Memssa -> print_string (Memssa.to_string a.mssa)
+  | `Vfg ->
+    Vfg.Graph.iter_nodes
+      (fun id n ->
+        let mark = if Vfg.Resolve.is_undef a.gamma id then "BOT" else "TOP" in
+        Printf.printf "%4d %s %s\n" id mark
+          (Vfg.Graph.node_to_string prog a.pa.objects n);
+        List.iter
+          (fun (d, k) ->
+            let kind =
+              match k with
+              | Vfg.Graph.Eintra -> ""
+              | Vfg.Graph.Ecall l -> Printf.sprintf " [call l%d]" l
+              | Vfg.Graph.Eret l -> Printf.sprintf " [ret l%d]" l
+            in
+            Printf.printf "       -> %s%s\n"
+              (Vfg.Graph.node_to_string prog a.pa.objects
+                 (Vfg.Graph.node_of a.vfg.graph d))
+              kind)
+          (Vfg.Graph.succs a.vfg.graph id))
+      a.vfg.graph
+  | `Cfg_dot -> print_string (Ir.Dot.prog_to_string prog)
+  | `Vfg_dot -> print_string (Vfg.Dot.to_string ~gamma:a.gamma a.vfg)
+  | `Plan ->
+    Array.iteri
+      (fun lbl items ->
+        List.iter
+          (fun (it : Instr.Item.item) ->
+            Printf.printf "l%d %s: %s\n" lbl
+              (match it.pos with Instr.Item.Before -> "pre " | After -> "post")
+              (Instr.Item.action_to_string prog it.act))
+          (List.rev items))
+      plan.items
 
 let analyze_cmd =
   let run file level variant dumps knobs trace metrics =
     observed trace metrics @@ fun () ->
     let src = read_file file in
-    (* dumps print between planning and the stats report, straight to
-       stdout — the handler's buffer is printed after, preserving the
-       dumps-then-stats order. *)
-    let on_analysis prog (a : Usher.Pipeline.analysis)
-        (plan : Instr.Item.plan) =
-      List.iter
-        (function
-          | `Ir -> print_string (Ir.Printer.prog_to_string prog)
-          | `Memssa -> print_string (Memssa.to_string a.mssa)
-          | `Vfg ->
-            Vfg.Graph.iter_nodes
-              (fun id n ->
-                let mark = if Vfg.Resolve.is_undef a.gamma id then "BOT" else "TOP" in
-                Printf.printf "%4d %s %s\n" id mark
-                  (Vfg.Graph.node_to_string prog a.pa.objects n);
-                List.iter
-                  (fun (d, k) ->
-                    let kind =
-                      match k with
-                      | Vfg.Graph.Eintra -> ""
-                      | Vfg.Graph.Ecall l -> Printf.sprintf " [call l%d]" l
-                      | Vfg.Graph.Eret l -> Printf.sprintf " [ret l%d]" l
-                    in
-                    Printf.printf "       -> %s%s\n"
-                      (Vfg.Graph.node_to_string prog a.pa.objects
-                         (Vfg.Graph.node_of a.vfg.graph d))
-                      kind)
-                  (Vfg.Graph.succs a.vfg.graph id))
-              a.vfg.graph
-          | `Cfg_dot -> print_string (Ir.Dot.prog_to_string prog)
-          | `Vfg_dot -> print_string (Vfg.Dot.to_string ~gamma:a.gamma a.vfg)
-          | `Plan ->
-            Array.iteri
-              (fun lbl items ->
-                List.iter
-                  (fun (it : Instr.Item.item) ->
-                    Printf.printf "l%d %s: %s\n" lbl
-                      (match it.pos with Instr.Item.Before -> "pre " | After -> "post")
-                      (Instr.Item.action_to_string prog it.act))
-                  (List.rev items))
-              plan.items)
-        dumps
-    in
-    let b = Buffer.create 1024 in
-    let code = Serve.Handlers.analyze ~on_analysis ~knobs ~level ~variant b src in
-    print_string (Buffer.contents b);
-    code
+    let prog, front_events = Usher.Pipeline.front_guarded ~level ~knobs src in
+    let a = Usher.Pipeline.analyze ~knobs prog in
+    let plan, guided = Usher.Pipeline.plan_for a variant in
+    let stats = Instr.Item.stats_of plan in
+    let t1 = Usher.Analysis_stats.compute ~src a in
+    (* dumps precede the stats lines *)
+    List.iter (print_dump prog a plan) dumps;
+    Printf.printf "variant: %s\n" (Usher.Config.variant_name variant);
+    Printf.printf
+      "statements: %d   Var_TL: %d   Var_AT: %d stack / %d heap / %d global\n"
+      (Ir.Prog.size prog) t1.var_tl t1.var_at_stack t1.var_at_heap
+      t1.var_at_global;
+    Printf.printf
+      "VFG nodes: %d (%.0f%% need tracking)   stores: %.0f%% strong, %.0f%% \
+       weak-singleton\n"
+      t1.vfg_nodes t1.pct_reaching t1.pct_strong t1.pct_weak_singleton;
+    Printf.printf "static shadow propagations: %d   checks: %d   items: %d\n"
+      stats.propagations stats.checks stats.total_items;
+    Printf.printf
+      "pointer solver: %d iterations, %d cycles collapsed, %d copy edges \
+       deduped\n"
+      t1.pa_solve_iterations t1.pa_sccs_collapsed t1.pa_edges_deduped;
+    Printf.printf
+      "resolution: %d states, %d VFG SCCs collapsed (condensation ratio %.3f)\n"
+      t1.resolve_states t1.resolve_condensed_sccs t1.condensation_ratio;
+    (match guided with
+    | Some g ->
+      Printf.printf
+        "guided traversal reached %d nodes; Opt I simplified %d closures\n"
+        g.needed_nodes g.opt1_simplified
+    | None -> ());
+    Printf.printf "Opt II redirected %d nodes\n" a.opt2.redirected;
+    print_degradation a front_events;
+    0
   in
   Cmd.v (Cmd.info "analyze" ~doc:"Statically analyze a TinyC program")
     Term.(const run $ file_arg $ level_arg $ variant_arg $ dump_arg $ knobs_term
@@ -309,12 +351,40 @@ let analyze_cmd =
 let run_cmd =
   let run file level variant engine knobs trace metrics =
     observed trace metrics @@ fun () ->
-    let b = Buffer.create 1024 in
-    let code =
-      Serve.Handlers.run ~knobs ~level ~variant ?engine b (read_file file)
+    let prog, front_events =
+      Usher.Pipeline.front_guarded ~level ~knobs (read_file file)
     in
-    print_string (Buffer.contents b);
-    code
+    let a = Usher.Pipeline.analyze ~knobs prog in
+    let plan, _ = Usher.Pipeline.plan_for a variant in
+    print_degradation a front_events;
+    let native, engine = Vm.Engine.run_native_for_plans ?engine prog in
+    let o = Vm.Engine.run_plan engine prog plan in
+    List.iter (fun v -> Printf.printf "output: %d\n" v) o.outputs;
+    Printf.printf "exit: %d\n" o.exit_value;
+    List.iter
+      (fun l -> Printf.printf "WARNING: use of undefined value at statement l%d\n" l)
+      (Runtime.Interp.detection_labels o);
+    Printf.printf "slowdown vs native: %.1f%%  (%d shadow ops over %d base ops)\n"
+      (Runtime.Costmodel.slowdown_pct ~native:native.counters
+         ~instrumented:o.counters ())
+      (Runtime.Counters.shadow_ops o.counters)
+      (Runtime.Counters.base_ops o.counters);
+    (* Exit code: any ground-truth undefined use (from the native run) the
+       instrumented run fails to cover is a soundness divergence. *)
+    let escaped =
+      List.filter
+        (fun l -> not (Usher.Experiment.covered prog o.detections l))
+        (Runtime.Interp.gt_use_labels native)
+    in
+    List.iter
+      (fun l ->
+        Printf.printf
+          "SOUNDNESS: undefined use at statement l%d escaped %s instrumentation\n"
+          l (Usher.Config.variant_name variant))
+      escaped;
+    if escaped <> [] then 4
+    else if Hashtbl.length o.detections > 0 then 3
+    else 0
   in
   Cmd.v
     (Cmd.info "run"
@@ -329,12 +399,87 @@ let run_cmd =
 let check_cmd =
   let run file level knobs incident_dir trace metrics =
     observed trace metrics @@ fun () ->
-    let b = Buffer.create 1024 in
-    let code =
-      Serve.Handlers.check ~knobs ~level ~incident_dir b (read_file file)
-    in
-    print_string (Buffer.contents b);
-    code
+    let src = read_file file in
+    let prog, front_events = Usher.Pipeline.front_guarded ~level ~knobs src in
+    let a = Usher.Pipeline.analyze ~knobs prog in
+    print_degradation a front_events;
+    if a.degraded_all then begin
+      (* Rung 4 left no static results in use — there is nothing to
+         certify, and full instrumentation is sound by construction. *)
+      Printf.printf
+        "check: analysis degraded to full instrumentation; no static \
+         certificates in use\n";
+      0
+    end
+    else begin
+      let skip fn = Hashtbl.mem a.distrusted fn in
+      let forced = Hashtbl.length a.distrusted > 0 in
+      (* A Γ that fell back to all-⊥ certifies nothing; checking it against
+         F-reachability would flag its (sound) over-approximation. *)
+      let resolve_degraded =
+        List.exists
+          (fun (e : Usher.Degrade.event) -> e.phase = Diag.Resolve)
+          !(a.events)
+      in
+      let gi suffix bld gamma =
+        {
+          Verify.Run.gi_suffix = suffix;
+          gi_build = bld;
+          gi_gamma = (if resolve_degraded then None else Some gamma);
+          gi_allow_f_pins = forced;
+        }
+      in
+      let budget = Usher.Budget.of_knobs knobs in
+      let reports =
+        Verify.Run.check_all ?budget ~skip
+          ~context_sensitive:knobs.Usher.Config.context_sensitive prog a.pa
+          a.cg a.mr a.mssa
+          [ gi "" a.vfg a.gamma; gi "-tl" a.vfg_tl a.gamma_tl ]
+      in
+      print_verify_reports reports;
+      let print_violation (v : Verify.Report.violation) =
+        Printf.printf "violation%s: %s\n"
+          (match v.Verify.Report.vfunc with
+          | Some fn -> " in " ^ fn
+          | None -> "")
+          (Diag.to_string v.Verify.Report.vdiag)
+      in
+      List.iter
+        (fun r -> List.iter print_violation (Verify.Report.errors r))
+        reports;
+      if Verify.Run.all_ok reports then begin
+        Printf.printf "check: all certificates verified\n";
+        0
+      end
+      else begin
+        let functions =
+          List.concat_map
+            (fun r ->
+              List.filter_map
+                (fun (v : Verify.Report.violation) -> v.Verify.Report.vfunc)
+                (Verify.Report.errors r))
+            reports
+          |> List.sort_uniq compare
+        in
+        let rejected =
+          List.filter (fun r -> not (Verify.Report.ok r)) reports
+        in
+        let inc =
+          Audit.Incident.make ~kind:Audit.Incident.Static_violation
+            ~variant:
+              (String.concat "+"
+                 (List.map (fun (r : Verify.Report.t) -> r.checker) rejected))
+            ~seed:0 ~mutation:"" ~functions ~labels:[]
+            ~knobs:(Audit.Loop.knobs_summary knobs) ~source:src ()
+        in
+        let path = Audit.Incident.save ~dir:incident_dir inc in
+        Printf.printf
+          "check: %d certificate violation(s); incident recorded at %s\n"
+          (Verify.Run.total_violations reports)
+          path;
+        5
+      end
+    end
   in
   let incident_dir_arg =
     Arg.(value & opt string ".usher-audit"
@@ -373,13 +518,39 @@ let gen_cmd =
 
 (* ---- bench ---- *)
 
+exception Unknown_bench of string
+
 let bench_cmd =
   let run name scale level engine knobs trace metrics =
     observed trace metrics @@ fun () ->
-    let b = Buffer.create 1024 in
-    let code = Serve.Handlers.bench ~knobs ~level ~scale ?engine b name in
-    print_string (Buffer.contents b);
-    code
+    let p =
+      try Workloads.Spec2000.find name
+      with Not_found -> raise (Unknown_bench name)
+    in
+    let src = Workloads.Spec2000.source ~scale p in
+    match Usher.Experiment.run ~name ~level ~knobs ?engine src with
+    | exception Usher.Experiment.Unsound msg ->
+      Printf.printf "SOUNDNESS: %s\n" msg;
+      4
+    | e ->
+      Printf.printf "%s at %s (scale %d):\n" name
+        (Optim.Pipeline.level_to_string level)
+        scale;
+      List.iter
+        (fun (r : Usher.Experiment.variant_result) ->
+          Printf.printf
+            "  %-12s slowdown %6.1f%%  props %6d  checks %5d  detections %d\n"
+            (Usher.Config.variant_name r.variant)
+            r.slowdown_pct r.static_stats.propagations r.static_stats.checks
+            (List.length r.detections))
+        e.results;
+      print_degradation e.analysis [];
+      if
+        List.exists
+          (fun (r : Usher.Experiment.variant_result) -> r.detections <> [])
+          e.results
+      then 3
+      else 0
   in
   let name_arg =
     Arg.(required & pos 0 (some string) None & info [] ~docv:"BENCHMARK")
@@ -495,63 +666,37 @@ let audit_cmd =
 (* ---- fuzz ---- *)
 
 let fuzz_cmd =
-  let run count seed size jobs budget_ms dir corpus distill promote hole
-      no_reduce quiet via_serve window no_faults level engine trace metrics =
+  let run count seed size budget_ms dir corpus distill promote hole no_reduce
+      quiet level engine trace metrics =
     observed trace metrics @@ fun () ->
     let log = if quiet then ignore else fun s -> Printf.printf "%s\n%!" s in
-    match via_serve with
-    | Some socket ->
-      (* soak mode: stream the same generated campaign at a running
-         daemon and audit the reply stream instead of running the
-         oracle locally *)
-      let s =
-        Serve.Soak.run
-          {
-            Serve.Soak.socket;
-            count;
-            seed;
-            size;
-            window;
-            budget_ms;
-            faults = not no_faults;
-            log;
-          }
-      in
-      Printf.printf "%s\n" (Serve.Soak.summary_to_string s);
-      List.iter
-        (fun (k, v) -> Printf.printf "  server %s: %d\n" k v)
-        s.server_totals;
-      Serve.Soak.exit_code s
-    | None -> (
-      let cfg =
-        {
-          Audit.Fuzz.default_config with
-          count;
-          seed;
-          size;
-          jobs;
-          budget_ms;
-          dir;
-          corpus;
-          distill;
-          hole;
-          minimize = not no_reduce;
-          level;
-          engine;
-          log;
-        }
-      in
-      match promote with
-      | Some src_dir ->
-        let dst_dir = Option.value corpus ~default:"examples/corpus" in
-        let p = Audit.Fuzz.promote cfg ~src_dir ~dst_dir in
-        Printf.printf
-          "promote: %d examined, %d promoted, %d redundant, %d rejected -> \
-           %s (%d member(s))\n"
-          p.p_examined p.p_promoted p.p_redundant p.p_rejected dst_dir
-          p.p_total;
-        0
-      | None ->
+    let cfg =
+      {
+        Audit.Fuzz.default_config with
+        count;
+        seed;
+        size;
+        budget_ms;
+        dir;
+        corpus;
+        distill;
+        hole;
+        minimize = not no_reduce;
+        level;
+        engine;
+        log;
+      }
+    in
+    match promote with
+    | Some src_dir ->
+      let dst_dir = Option.value corpus ~default:"examples/corpus" in
+      let p = Audit.Fuzz.promote cfg ~src_dir ~dst_dir in
+      Printf.printf
+        "promote: %d examined, %d promoted, %d redundant, %d rejected -> %s \
+         (%d member(s))\n"
+        p.p_examined p.p_promoted p.p_redundant p.p_rejected dst_dir p.p_total;
+      0
+    | None ->
       let s = Audit.Fuzz.run cfg in
       Printf.printf
         "fuzz: %d generated, %d audited, %d skipped%s in %.2fs (oracle %.2fs)\n"
@@ -571,7 +716,7 @@ let fuzz_cmd =
           Printf.printf "  %s %s (%s) hits %d\n"
             (Audit.Incident.kind_name i.kind) i.id i.variant i.hits)
         s.incidents;
-      if s.soundness_incidents > 0 then 4 else 0)
+      if s.soundness_incidents > 0 then 4 else 0
   in
   let count_arg =
     Arg.(value & opt int 100
@@ -582,15 +727,11 @@ let fuzz_cmd =
          & info [ "seed" ]
              ~doc:"Campaign root seed. Per-program seeds are a pure \
                    function of (seed, index), so a campaign replays \
-                   identically whatever $(b,--jobs) is.")
+                   identically.")
   in
   let size_arg =
     Arg.(value & opt int 3
          & info [ "size" ] ~doc:"Generator size (helper functions per program).")
-  in
-  let jobs_arg =
-    Arg.(value & opt int 1
-         & info [ "j"; "jobs" ] ~doc:"Parallel oracle runs (domains).")
   in
   let dir_arg =
     Arg.(value & opt string ".usher-audit"
@@ -637,29 +778,6 @@ let fuzz_cmd =
   let quiet_arg =
     Arg.(value & flag & info [ "quiet" ] ~doc:"Only print the final summary.")
   in
-  let via_serve_arg =
-    Arg.(value & opt (some string) None
-         & info [ "via-serve" ] ~docv:"SOCKET"
-             ~doc:"Soak mode: instead of auditing locally, stream the \
-                   generated campaign as concurrent analyze/run/check \
-                   requests at the usherc serve daemon listening on \
-                   $(docv), with fault injection woven in, and audit the \
-                   reply stream (no lost or duplicated replies; shed \
-                   only by admission control or drain). Exits 0 when the \
-                   contract held and everything was answered, 2 when the \
-                   server drained mid-burst (EOF tolerated), 1 on a \
-                   protocol violation.")
-  in
-  let window_arg =
-    Arg.(value & opt int 32
-         & info [ "window" ]
-             ~doc:"Soak mode: maximum requests in flight at once.")
-  in
-  let no_faults_arg =
-    Arg.(value & flag
-         & info [ "no-faults" ]
-             ~doc:"Soak mode: disable the fault-injected request slice.")
-  in
   Cmd.v
     (Cmd.info "fuzz"
        ~doc:"Generative differential fuzzing: generate seeded, \
@@ -671,133 +789,18 @@ let fuzz_cmd =
              divergence into incident artifacts; quarantine implicated \
              functions; optionally distill novel-coverage programs into a \
              persisted corpus. Exits 4 if any soundness incident was \
-             captured, 0 otherwise. With --via-serve, soak-test a \
-             running daemon with the same traffic instead.")
-    Term.(const run $ count_arg $ seed_arg $ size_arg $ jobs_arg
-          $ budget_ms_arg $ dir_arg $ corpus_arg $ distill_arg $ promote_arg
-          $ hole_arg $ no_reduce_arg $ quiet_arg $ via_serve_arg $ window_arg
-          $ no_faults_arg $ level_arg $ engine_arg $ trace_arg $ metrics_arg)
-
-(* ---- serve ---- *)
-
-let serve_cmd =
-  let run jobs socket max_queue max_inflight_ms default_budget_ms retries
-      cache_cap incident_dir drain_ms knobs trace metrics =
-    observed trace metrics @@ fun () ->
-    let cfg =
-      {
-        Serve.Server.default_config with
-        jobs;
-        retries;
-        cache_cap;
-        incident_dir;
-        drain_ms;
-        knobs;
-        admission =
-          { Serve.Admission.max_queue; max_inflight_ms; default_budget_ms };
-      }
-    in
-    let t = Serve.Server.create cfg in
-    (* SIGTERM/SIGINT flip the drain flag; the intake loop's select
-       timeout notices it within 50ms. Everything else (finish or shed
-       in-flight, join workers) happens in [drain] below. *)
-    let on_term _ = Serve.Server.begin_drain t in
-    List.iter
-      (fun s ->
-        try Sys.set_signal s (Sys.Signal_handle on_term)
-        with Invalid_argument _ | Sys_error _ -> ())
-      [ Sys.sigterm; Sys.sigint ];
-    (* stdout carries only NDJSON replies; operator chatter goes to
-       stderr. *)
-    Printf.eprintf "usherc serve: %d worker domain(s) on %s\n%!" jobs
-      (match socket with Some p -> "socket " ^ p | None -> "stdin/stdout");
-    (match socket with
-    | Some path -> Serve.Server.serve_socket t path
-    | None ->
-      Serve.Server.serve_fd t
-        ~out:(Serve.Server.writer_of_fd Unix.stdout)
-        Unix.stdin);
-    Serve.Server.drain t;
-    let c name = Obs.Metrics.counter_value (Obs.Metrics.counter name) in
-    Printf.eprintf
-      "usherc serve: drained clean (%d request(s), %d shed, %d retried, %d \
-       quarantined)\n%!"
-      (c "serve.requests") (c "serve.shed") (c "serve.retries")
-      (c "serve.quarantined");
-    0
-  in
-  let jobs_arg =
-    Arg.(value & opt int 4
-         & info [ "j"; "jobs" ] ~doc:"Worker domains in the analysis pool.")
-  in
-  let socket_arg =
-    Arg.(value & opt (some string) None
-         & info [ "socket" ] ~docv:"PATH"
-             ~doc:"Listen on a Unix socket at $(docv) instead of \
-                   stdin/stdout.")
-  in
-  let max_queue_arg =
-    Arg.(value & opt int Serve.Admission.default_config.max_queue
-         & info [ "max-queue" ]
-             ~doc:"Queued-request watermark: requests arriving with this \
-                   many already waiting are shed with an overloaded reply.")
-  in
-  let max_inflight_ms_arg =
-    Arg.(value & opt int Serve.Admission.default_config.max_inflight_ms
-         & info [ "max-inflight-ms" ]
-             ~doc:"Watermark on the sum of granted wall-clock budgets; \
-                   admissions that would exceed it are shed.")
-  in
-  let default_budget_ms_arg =
-    Arg.(value & opt int Serve.Admission.default_config.default_budget_ms
-         & info [ "default-budget-ms" ]
-             ~doc:"Wall-clock budget granted to requests that do not ask \
-                   for one (and the cap on those that do).")
-  in
-  let retries_arg =
-    Arg.(value & opt int Serve.Server.default_config.retries
-         & info [ "retries" ]
-             ~doc:"Transient worker-crash retries before a request is \
-                   quarantined.")
-  in
-  let cache_cap_arg =
-    Arg.(value & opt int Serve.Server.default_config.cache_cap
-         & info [ "cache-cap" ]
-             ~doc:"Content-hashed reply cache capacity (entries); 0 \
-                   disables caching.")
-  in
-  let incident_dir_arg =
-    Arg.(value & opt string Serve.Server.default_config.incident_dir
-         & info [ "incident-dir" ] ~docv:"DIR"
-             ~doc:"Directory for worker-crash quarantine incidents (and \
-                   check violations).")
-  in
-  let drain_ms_arg =
-    Arg.(value & opt int Serve.Server.default_config.drain_ms
-         & info [ "drain-ms" ]
-             ~doc:"Grace period on SIGTERM/EOF for in-flight requests \
-                   before the queue is shed.")
-  in
-  Cmd.v
-    (Cmd.info "serve"
-       ~doc:"Run the analysis daemon: newline-delimited JSON requests \
-             (analyze/run/check/bench/stats/ping) on stdin or a Unix \
-             socket, one reply object per line, each request crash-isolated \
-             on a work-stealing pool of worker domains with admission \
-             control, retry + quarantine, and a content-hashed reply \
-             cache. Reply codes extend the CLI exit codes with 6 \
-             (overloaded) and 7 (quarantined).")
-    Term.(const run $ jobs_arg $ socket_arg $ max_queue_arg
-          $ max_inflight_ms_arg $ default_budget_ms_arg $ retries_arg
-          $ cache_cap_arg $ incident_dir_arg $ drain_ms_arg $ knobs_term
-          $ trace_arg $ metrics_arg)
+             captured, 0 otherwise.")
+    Term.(const run $ count_arg $ seed_arg $ size_arg $ budget_ms_arg
+          $ dir_arg $ corpus_arg $ distill_arg $ promote_arg $ hole_arg
+          $ no_reduce_arg $ quiet_arg $ level_arg $ engine_arg $ trace_arg
+          $ metrics_arg)
 
 let main =
   Cmd.group
     (Cmd.info "usherc" ~version:"1.0.0"
        ~doc:"Usher: static value-flow analysis accelerating undefined-value detection")
     [ analyze_cmd; run_cmd; check_cmd; gen_cmd; bench_cmd; audit_cmd;
-      fuzz_cmd; serve_cmd ]
+      fuzz_cmd ]
 
 (* Structured diagnostics (bad source, interpreter traps) exit cleanly
    with the located message instead of a backtrace. *)
@@ -807,7 +810,7 @@ let () =
   | exception Diag.Error d ->
     prerr_endline ("usherc: " ^ Diag.to_string d);
     exit 1
-  | exception Serve.Handlers.Unknown_bench name ->
+  | exception Unknown_bench name ->
     prerr_endline ("usherc: unknown benchmark " ^ name);
     exit 1
   | exception Runtime.Interp.Runtime_error msg ->

@@ -1,30 +1,26 @@
 (* The generative fuzzing campaign driver.
 
    Generate [count] TinyC programs from per-index seeds (Gen.campaign_seed:
-   a pure function of (root seed, index), so the campaign is identical
-   whatever [--jobs] is), run each through the differential oracle once,
-   and from that single report both
+   a pure function of (root seed, index)), run each through the
+   differential oracle once, and from that single report both
 
    - audit it (Loop.audit_report: capture + dedup-save incidents, ddmin
      misses, propose quarantine entries), and
    - fingerprint it (Fingerprint.of_report) for corpus distillation.
 
-   The oracle runs fan out on domains; everything order-sensitive
-   (quarantine registration, distillation, the summary) happens in a
-   sequential post-pass over the results in index order, so two runs with
-   different [--jobs] settings produce byte-identical incident artifacts,
-   quarantine lists, and corpus directories.
+   Everything order-sensitive (quarantine registration, distillation, the
+   summary) happens in a post-pass over the results in index order, so
+   two runs of the same campaign produce byte-identical incident
+   artifacts, quarantine lists, and corpus directories.
 
    Unlike the corpus audit loop, fresh quarantine entries do NOT feed
    back into later subjects mid-run: every program is judged under the
-   same knobs (those in force when the campaign started), which is what
-   keeps the campaign embarrassingly parallel and jobs-deterministic. *)
+   same knobs (those in force when the campaign started). *)
 
 type config = {
   count : int;                 (* programs to generate *)
   seed : int;                  (* campaign root seed *)
   size : int;                  (* generator size knob (helpers per program) *)
-  jobs : int;                  (* oracle-run fan-out *)
   budget_ms : int option;      (* wall-clock box for the whole campaign *)
   dir : string;                (* incident + quarantine directory *)
   corpus : string option;      (* distilled-corpus directory *)
@@ -43,7 +39,6 @@ let default_config =
     count = 100;
     seed = 1;
     size = 3;
-    jobs = 1;
     budget_ms = None;
     dir = ".usher-audit";
     corpus = None;
@@ -218,7 +213,7 @@ let run (cfg : config) : summary =
     match deadline with Some d -> Obs.Clock.now_s () > d | None -> false
   in
   (* Existing quarantine applies from the start; entries found mid-run do
-     not (jobs determinism — see the header comment). *)
+     not (see the header comment). *)
   let knobs = Quarantine.apply_dir cfg.dir cfg.knobs in
   let loop_cfg =
     {
@@ -249,9 +244,9 @@ let run (cfg : config) : summary =
       in
       Audited { src; fingerprint; incidents; entries; healed; oracle_s }
   in
-  (* Fan out in chunks so the wall-clock budget is honored between chunks
-     without making the membership of a chunk depend on timing. *)
-  let chunk = max 1 (cfg.jobs * 4) in
+  (* Run in chunks of four; the wall-clock budget is checked between
+     chunks. *)
+  let chunk = 4 in
   let results = ref [] (* (idx, outcome) chunks, newest first *) in
   let next = ref 0 in
   let stopped = ref false in
@@ -263,15 +258,15 @@ let run (cfg : config) : summary =
       let outs =
         Obs.Trace.with_span ~cat:"fuzz"
           (Printf.sprintf "fuzz.chunk.%d" !next)
-          (fun () -> Usher.Experiment.parallel_map ~jobs:cfg.jobs one idxs)
+          (fun () -> List.map one idxs)
       in
       results := List.combine idxs outs :: !results;
       next := !next + n
     end
   done;
   let results = List.concat (List.rev !results) in
-  (* Sequential, index-ordered post-pass: everything whose outcome could
-     depend on order happens here. *)
+  (* Index-ordered post-pass: everything whose outcome could depend on
+     order happens here. *)
   let audited = ref 0 and skipped = ref 0 and healed = ref 0 in
   let incidents = ref [] and quarantined = ref [] in
   let oracle_s = ref 0.0 in

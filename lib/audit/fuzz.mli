@@ -3,17 +3,15 @@
     quarantine) and fingerprinted for corpus distillation.
 
     Campaigns are deterministic in [seed]: per-program seeds are a pure
-    function of (seed, index), oracle fan-out order never influences any
-    outcome (order-sensitive steps run in a sequential index-ordered
-    post-pass, incident artifacts merge commutatively), so two runs with
-    different [jobs] settings produce identical incidents, quarantine
-    lists and corpus directories. *)
+    function of (seed, index), order-sensitive steps run in an
+    index-ordered post-pass and incident artifacts merge commutatively,
+    so two runs of the same campaign produce identical incidents,
+    quarantine lists and corpus directories. *)
 
 type config = {
   count : int;                 (** programs to generate *)
   seed : int;                  (** campaign root seed *)
   size : int;                  (** generator size knob *)
-  jobs : int;                  (** oracle-run fan-out *)
   budget_ms : int option;      (** wall-clock box for the whole campaign *)
   dir : string;                (** incident + quarantine directory *)
   corpus : string option;      (** distilled-corpus directory *)

@@ -690,7 +690,6 @@ let source ?size ~seed () : string =
   Tinyc.Pretty.program_to_string (program ?size ~seed ())
 
 (* Per-index derived seeds for a fuzzing campaign: mixing the root seed
-   and the index keeps every program independent of generation order, so
-   `--jobs 1` and `--jobs 4` generate identical campaigns. *)
+   and the index keeps every program independent of generation order. *)
 let campaign_seed ~(seed : int) (index : int) : int =
   (seed * 0x100003) lxor (index * 0x9E3779B9) lxor (index lsl 17)

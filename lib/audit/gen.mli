@@ -32,6 +32,5 @@ val source : ?size:int -> seed:int -> unit -> string
 
 val campaign_seed : seed:int -> int -> int
 (** [campaign_seed ~seed i] derives the per-program seed for index [i]
-    of a fuzzing campaign rooted at [seed]. Depends only on [(seed, i)]
-    — never on generation order — so campaigns are identical across
-    [--jobs] settings. *)
+    of a fuzzing campaign rooted at [seed]. Depends only on [(seed, i)],
+    never on generation order. *)

@@ -15,21 +15,18 @@ type kind =
   | Precision_regression
   | Behavior_divergence
   | Static_violation
-  | Worker_crash
 
 let kind_name = function
   | Soundness_miss -> "soundness-miss"
   | Precision_regression -> "precision-regression"
   | Behavior_divergence -> "behavior-divergence"
   | Static_violation -> "static-violation"
-  | Worker_crash -> "worker-crash"
 
 let kind_of_name = function
   | "soundness-miss" -> Some Soundness_miss
   | "precision-regression" -> Some Precision_regression
   | "behavior-divergence" -> Some Behavior_divergence
   | "static-violation" -> Some Static_violation
-  | "worker-crash" -> Some Worker_crash
   | _ -> None
 
 type t = {
@@ -243,8 +240,8 @@ let rec ensure_dir (dir : string) : unit =
   end
 
 (* Atomic write: the artifact appears fully written or not at all. The
-   temp name must be unique per writer — the daemon makes concurrent
-   writers to the same path a reality, and two writers sharing one fixed
+   temp name must be unique per writer — campaigns sharing a directory
+   write the same paths concurrently, and two writers sharing one fixed
    ".tmp" can interleave (A opens, B opens and truncates, A renames B's
    half-written bytes into place). PID + a process-wide ticket keeps
    domains and processes apart; rename stays the only visible step. *)

@@ -10,9 +10,6 @@ type kind =
   | Static_violation
       (** a certificate checker ([usherc check] / lib/verify) rejected a
           static-analysis result *)
-  | Worker_crash
-      (** a service-daemon worker died repeatedly on this request; the
-          request is quarantined after the retry cap (lib/serve) *)
 
 val kind_name : kind -> string
 val kind_of_name : string -> kind option

@@ -8,9 +8,8 @@
    incident artifacts in the quarantine directory and is written
    atomically, like them.
 
-   Concurrency: the service daemon makes concurrent writers a reality —
-   several worker domains (and a simultaneous `usherc audit` process) can
-   quarantine at once. [add] is a read-modify-write, so atomic file
+   Concurrency: several domains, and several `usherc audit` or `fuzz`
+   processes sharing a directory, can quarantine at once. [add] is a read-modify-write, so atomic file
    replacement alone is not enough: two racing adders would each load the
    old list and the second rename would silently drop the first's entry.
    Every mutation therefore runs under a two-level lock: a process-local

@@ -10,18 +10,9 @@
    `bench --jobs N` merge into the same totals without locks; only
    *registration* (first use of a name) takes the registry mutex. Metric
    handles are meant to be created once at module initialization and then
-   updated lock-free.
+   updated lock-free. *)
 
-   Two tracks: every counter and histogram carries a [Total] cell that
-   accumulates for the life of the process and a [Window] cell that
-   [reset_window] zeroes. The service daemon uses the window track for
-   "stats since the last stats request" without disturbing the lifetime
-   totals the bench harness and CI gates read. Gauges are instantaneous,
-   so both tracks report the same value. *)
-
-type track = Total | Window
-
-type counter = { cname : string; ccell : int Atomic.t; cwin : int Atomic.t }
+type counter = { cname : string; ccell : int Atomic.t }
 type gauge = { gname : string; gcell : float Atomic.t }
 
 let nbuckets = 64
@@ -32,9 +23,6 @@ type histogram = {
                                    i, i.e. [2^(i-1), 2^i); bucket 0: v <= 0 *)
   hcount : int Atomic.t;
   hsum : int Atomic.t;
-  wbuckets : int Atomic.t array; (* the same, window track *)
-  wcount : int Atomic.t;
-  wsum : int Atomic.t;
 }
 
 type metric = C of counter | G of gauge | H of histogram
@@ -56,8 +44,7 @@ let kind_error name =
 
 let counter (name : string) : counter =
   match
-    register name (fun () ->
-        C { cname = name; ccell = Atomic.make 0; cwin = Atomic.make 0 })
+    register name (fun () -> C { cname = name; ccell = Atomic.make 0 })
   with
   | C c -> c
   | _ -> kind_error name
@@ -76,22 +63,15 @@ let histogram (name : string) : histogram =
             buckets = Array.init nbuckets (fun _ -> Atomic.make 0);
             hcount = Atomic.make 0;
             hsum = Atomic.make 0;
-            wbuckets = Array.init nbuckets (fun _ -> Atomic.make 0);
-            wcount = Atomic.make 0;
-            wsum = Atomic.make 0;
           })
   with
   | H h -> h
   | _ -> kind_error name
 
-let add (c : counter) (n : int) =
-  ignore (Atomic.fetch_and_add c.ccell n);
-  ignore (Atomic.fetch_and_add c.cwin n)
+let add (c : counter) (n : int) = ignore (Atomic.fetch_and_add c.ccell n)
 
 let incr (c : counter) = add c 1
 let counter_value (c : counter) = Atomic.get c.ccell
-let counter_window (c : counter) = Atomic.get c.cwin
-let counter_take_window (c : counter) = Atomic.exchange c.cwin 0
 
 let set (g : gauge) (v : float) = Atomic.set g.gcell v
 
@@ -126,10 +106,7 @@ let observe (h : histogram) (v : int) =
   let b = bucket_of v in
   ignore (Atomic.fetch_and_add h.buckets.(b) 1);
   ignore (Atomic.fetch_and_add h.hcount 1);
-  ignore (Atomic.fetch_and_add h.hsum (max 0 v));
-  ignore (Atomic.fetch_and_add h.wbuckets.(b) 1);
-  ignore (Atomic.fetch_and_add h.wcount 1);
-  ignore (Atomic.fetch_and_add h.wsum (max 0 v))
+  ignore (Atomic.fetch_and_add h.hsum (max 0 v))
 
 type snapshot_value =
   | Counter of int
@@ -140,7 +117,7 @@ type snapshot_value =
       buckets : (int * int) list; (* (inclusive lower bound, count), nonzero only *)
     }
 
-let snapshot ?(track = Total) () : (string * snapshot_value) list =
+let snapshot () : (string * snapshot_value) list =
   let items =
     Mutex.protect mu (fun () -> Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl [])
   in
@@ -148,47 +125,25 @@ let snapshot ?(track = Total) () : (string * snapshot_value) list =
   |> List.map (fun (name, m) ->
          let v =
            match m with
-           | C c ->
-             Counter
-               (Atomic.get (match track with Total -> c.ccell | Window -> c.cwin))
+           | C c -> Counter (Atomic.get c.ccell)
            | G g -> Gauge (Atomic.get g.gcell)
            | H h ->
-             let bks, cnt, sm =
-               match track with
-               | Total -> (h.buckets, h.hcount, h.hsum)
-               | Window -> (h.wbuckets, h.wcount, h.wsum)
-             in
              let buckets = ref [] in
              for i = nbuckets - 1 downto 0 do
-               let n = Atomic.get bks.(i) in
+               let n = Atomic.get h.buckets.(i) in
                if n > 0 then buckets := (bucket_lower i, n) :: !buckets
              done;
              Histogram
                {
-                 count = Atomic.get cnt;
-                 sum = Atomic.get sm;
+                 count = Atomic.get h.hcount;
+                 sum = Atomic.get h.hsum;
                  buckets = !buckets;
                }
          in
          (name, v))
   |> List.sort (fun (a, _) (b, _) -> compare a b)
 
-(** Zero the window track only; lifetime totals and handles are
-    untouched. The daemon calls this when a stats window is consumed. *)
-let reset_window () =
-  Mutex.protect mu (fun () ->
-      Hashtbl.iter
-        (fun _ m ->
-          match m with
-          | C c -> Atomic.set c.cwin 0
-          | G _ -> ()
-          | H h ->
-            Array.iter (fun b -> Atomic.set b 0) h.wbuckets;
-            Atomic.set h.wcount 0;
-            Atomic.set h.wsum 0)
-        tbl)
-
-(** Zero every value on both tracks; registrations (and handles already
+(** Zero every value; registrations (and handles already
     held by callers) stay valid. Tests and the bench harness use this to
     scope totals. *)
 let reset () =
@@ -196,15 +151,10 @@ let reset () =
       Hashtbl.iter
         (fun _ m ->
           match m with
-          | C c ->
-            Atomic.set c.ccell 0;
-            Atomic.set c.cwin 0
+          | C c -> Atomic.set c.ccell 0
           | G g -> Atomic.set g.gcell 0.0
           | H h ->
             Array.iter (fun b -> Atomic.set b 0) h.buckets;
             Atomic.set h.hcount 0;
-            Atomic.set h.hsum 0;
-            Array.iter (fun b -> Atomic.set b 0) h.wbuckets;
-            Atomic.set h.wcount 0;
-            Atomic.set h.wsum 0)
+            Atomic.set h.hsum 0)
         tbl)

@@ -1,16 +1,7 @@
 (** Process-wide metrics registry: counters, gauges, log2-bucket
     histograms. All update operations are lock-free atomics, safe to call
     from any domain; totals merge across domains by construction. Create
-    handles once (module initialization), update cheaply thereafter.
-
-    Counters and histograms accumulate on two tracks at once: [Total]
-    lives for the whole process (what the bench harness and CI gates
-    read), while [Window] can be zeroed with {!reset_window} — the
-    service daemon snapshots and resets it per stats request so
-    server-side interval stats do not accumulate forever. Gauges are
-    instantaneous and identical on both tracks. *)
-
-type track = Total | Window
+    handles once (module initialization), update cheaply thereafter. *)
 
 type counter
 type gauge
@@ -24,16 +15,6 @@ val incr : counter -> unit
 val add : counter -> int -> unit
 
 val counter_value : counter -> int
-(** Lifetime ([Total]) value. *)
-
-val counter_window : counter -> int
-(** Value accumulated since the last {!reset_window} (or
-    {!counter_take_window}). *)
-
-val counter_take_window : counter -> int
-(** Atomically read and zero the window value. Increments racing the
-    snapshot land in the next window instead of vanishing, so every
-    event is reported in exactly one window. *)
 
 val gauge : string -> gauge
 val set : gauge -> float -> unit
@@ -58,13 +39,10 @@ type snapshot_value =
   | Gauge of float
   | Histogram of { count : int; sum : int; buckets : (int * int) list }
 
-val snapshot : ?track:track -> unit -> (string * snapshot_value) list
-(** Consistent-enough view of every registered metric, sorted by name
-    (default track [Total]). Histogram buckets are
+val snapshot : unit -> (string * snapshot_value) list
+(** Consistent-enough view of every registered metric, sorted by name.
+    Histogram buckets are
     [(inclusive lower bound, count)], nonzero only. *)
 
-val reset_window : unit -> unit
-(** Zero the [Window] track only; lifetime totals are untouched. *)
-
 val reset : unit -> unit
-(** Zero all values on both tracks; handles stay valid. *)
+(** Zero all values; handles stay valid. *)

@@ -1,10 +1,9 @@
 (* A minimal JSON value type, parser and one-line emitter.
 
-   The container has no JSON library (the bench harness already
-   hand-rolls its emitter), and the serve protocol needs both directions:
-   parse newline-delimited request objects, emit newline-delimited reply
-   objects. The subset is full JSON minus surrogate-pair pedantry:
-   \uXXXX escapes decode to UTF-8, numbers parse as OCaml floats. *)
+   The project depends on no JSON library; the perf benchmark uses this
+   module to write and read back its result and trace files. The subset
+   is full JSON minus surrogate-pair pedantry: \uXXXX escapes decode to
+   UTF-8, numbers parse as OCaml floats. *)
 
 type t =
   | Null

@@ -14,35 +14,3 @@ let of_knobs (k : Config.knobs) : Diag.Budget.t option =
     Some
       (Diag.Budget.make ?budget_ms:k.budget_ms ?solver_fuel:k.solver_fuel
          ?resolve_fuel:k.resolve_fuel ?vfg_node_cap:k.vfg_node_cap ())
-
-(* ---- admission hooks (lib/serve) ----
-   The daemon's admission controller accounts each request's wall-clock
-   cost before running it: the request's own budget when it set one,
-   otherwise the server default. Granting a budget means writing it back
-   into the knobs, so the whole pipeline runs under the admitted
-   deadline and an over-budget request degrades inside its own fault
-   domain instead of occupying a worker forever. *)
-
-(** Wall-clock cost, in ms, the admission controller should account for
-    a request running under [k]. *)
-let cost_ms (k : Config.knobs) ~(default_ms : int) : int =
-  match k.budget_ms with Some ms -> ms | None -> default_ms
-
-(** Knobs with the admitted wall-clock budget in force. *)
-let admit_ms (k : Config.knobs) (ms : int) : Config.knobs =
-  { k with budget_ms = Some ms }
-
-(* Human-readable summary of the limits in force. *)
-let describe (k : Config.knobs) : string option =
-  let parts =
-    List.filter_map
-      (fun (name, v) ->
-        match v with Some n -> Some (Printf.sprintf "%s=%d" name n) | None -> None)
-      [
-        ("budget-ms", k.budget_ms);
-        ("solver-fuel", k.solver_fuel);
-        ("vfg-cap", k.vfg_node_cap);
-        ("resolve-fuel", k.resolve_fuel);
-      ]
-  in
-  match parts with [] -> None | _ -> Some (String.concat " " parts)

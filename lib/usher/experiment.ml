@@ -126,19 +126,19 @@ let run ?(name = "program") ?(level = Optim.Pipeline.O0_IM)
 let result_for (t : t) (v : Config.variant) : variant_result =
   List.find (fun r -> r.variant = v) t.results
 
-(* Bounded parallel map over a work-stealing {!Pool} of OCaml 5 domains.
-   One task per item; each slot of [results] is written by exactly one
-   worker, so the only synchronization needed is the pool shutdown join.
-   Results keep input order.
+(* Bounded parallel map: fork [min jobs n] domains that claim input
+   indices from one atomic counter, then join them all. Each slot of
+   [results] is written by exactly one domain, and [Domain.join] orders
+   those writes before the reads below. Results keep input order.
 
    Failure handling: fail-fast — the first recorded failure makes every
-   not-yet-started task a no-op (in-flight items still finish; the pool
-   never kills a domain mid-write). After the join, the failure at the
-   lowest input index that actually ran is re-raised *with the worker's
-   backtrace* ([Printexc.raise_with_backtrace]; a bare [raise] here would
-   replace the worker's trace with the caller's). Which trailing items
-   were skipped depends on scheduling, but the success outcome and the
-   raised exception's provenance do not. *)
+   domain stop claiming indices (items already running still finish).
+   After the join, the failure at the lowest input index that actually
+   ran is re-raised *with the worker's backtrace*
+   ([Printexc.raise_with_backtrace]; a bare [raise] here would replace
+   the worker's trace with the caller's). Which trailing items were
+   skipped depends on scheduling, but the success outcome and the raised
+   exception's provenance do not. *)
 let parallel_map ?(jobs = 1) (f : 'a -> 'b) (xs : 'a list) : 'b list =
   let input = Array.of_list xs in
   let n = Array.length input in
@@ -147,22 +147,22 @@ let parallel_map ?(jobs = 1) (f : 'a -> 'b) (xs : 'a list) : 'b list =
     let results : ('b, exn * Printexc.raw_backtrace) result option array =
       Array.make n None
     in
+    let next = Atomic.make 0 in
     let failed = Atomic.make false in
-    let pool = Pool.create ~name:"experiment" ~jobs:(min jobs n) () in
-    Array.iteri
-      (fun i x ->
-        ignore
-          (Pool.submit pool (fun () ->
-               if not (Atomic.get failed) then begin
-                 match f x with
-                 | r -> results.(i) <- Some (Ok r)
-                 | exception e ->
-                   let bt = Printexc.get_raw_backtrace () in
-                   results.(i) <- Some (Error (e, bt));
-                   Atomic.set failed true
-               end)))
-      input;
-    Pool.shutdown pool;
+    let rec work () =
+      let i = Atomic.fetch_and_add next 1 in
+      if i < n && not (Atomic.get failed) then begin
+        (match f input.(i) with
+        | r -> results.(i) <- Some (Ok r)
+        | exception e ->
+          let bt = Printexc.get_raw_backtrace () in
+          results.(i) <- Some (Error (e, bt));
+          Atomic.set failed true);
+        work ()
+      end
+    in
+    List.init (min jobs n) (fun _ -> Domain.spawn work)
+    |> List.iter Domain.join;
     Array.iter
       (function
         | Some (Error (e, bt)) -> Printexc.raise_with_backtrace e bt

@@ -43,6 +43,7 @@ type analysis = {
       (* CPU seconds of the analyzing domain, pointer analysis through
          Opt II *)
   analysis_mem_mb : float;
+      (* MB allocated by the analyzing domain over the same span *)
   phase_times_s : (string * float) list;
       (* wall-clock seconds per phase, in pipeline order *)
   knobs : Config.knobs;
@@ -106,7 +107,7 @@ let front_guarded ?(level = Optim.Pipeline.O0_IM)
 let analyze ?(knobs = Config.default_knobs) (prog : Ir.Prog.t) : analysis =
   Obs.Trace.with_span ~cat:"pipeline" "pipeline.analyze" @@ fun () ->
   let t0 = Obs.Clock.thread_cpu_ns () in
-  let heap0 = (Gc.quick_stat ()).Gc.heap_words in
+  let words0 = Gc.minor_words () in
   let budget = Budget.of_knobs knobs in
   let events : Degrade.event list ref = ref [] in
   let distrusted : (Ir.Types.fname, Diag.t) Hashtbl.t = Hashtbl.create 4 in
@@ -448,8 +449,7 @@ let analyze ?(knobs = Config.default_knobs) (prog : Ir.Prog.t) : analysis =
           (Some (Diag.of_exn Diag.Opt2 e))
   in
   let dt = float_of_int (Obs.Clock.thread_cpu_ns () - t0) *. 1e-9 in
-  let heap1 = (Gc.quick_stat ()).Gc.heap_words in
-  let words = max 0 (heap1 - heap0) in
+  let words = Gc.minor_words () -. words0 in
   {
     prog;
     pa;
@@ -463,7 +463,7 @@ let analyze ?(knobs = Config.default_knobs) (prog : Ir.Prog.t) : analysis =
     opt2;
     summary_stats = None;
     analysis_time_s = dt;
-    analysis_mem_mb = float_of_int (words * 8) /. 1048576.0;
+    analysis_mem_mb = words *. 8.0 /. 1048576.0;
     phase_times_s = List.rev !phase_times;
     knobs;
     distrusted;

@@ -30,6 +30,10 @@ type analysis = {
           ({!Obs.Clock.thread_cpu_ns}), pointer analysis through Opt II;
           other domains' work in the meantime is not counted *)
   analysis_mem_mb : float;
+      (** MB allocated by the analyzing domain over the same span: its
+          [Gc.minor_words] delta, 8 bytes a word. Other domains'
+          allocation is not counted, and allocation freed in the
+          meantime still counts. *)
   phase_times_s : (string * float) list;
       (** wall-clock seconds per analysis phase, in pipeline order:
           andersen, callgraph, modref, memssa, vfg, vfg-tl, resolve,

@@ -189,6 +189,62 @@ let undef_src =
    return s; }\n\
    int main() { int r = vuln_f(7); print(r); return 0; }"
 
+(* Fresh scratch directory, removed afterwards. *)
+let with_tmpdir (f : string -> 'a) : 'a =
+  let dir =
+    Filename.concat
+      (Filename.get_temp_dir_name ())
+      (Printf.sprintf "usher-quarantine-%d-%d" (Unix.getpid ()) (Random.int 1_000_000))
+  in
+  Audit.Incident.ensure_dir dir;
+  Fun.protect
+    ~finally:(fun () ->
+      match Sys.readdir dir with
+      | entries ->
+        Array.iter
+          (fun e -> try Sys.remove (Filename.concat dir e) with Sys_error _ -> ())
+          entries;
+        (try Unix.rmdir dir with Unix.Unix_error _ -> ())
+      | exception Sys_error _ -> ())
+    (fun () -> f dir)
+
+(* quarantine.list under concurrent writers *)
+
+let quarantine_hammer () =
+  with_tmpdir @@ fun dir ->
+  let domains = 4 and per = 25 in
+  let workers =
+    List.init domains (fun d ->
+        Domain.spawn (fun () ->
+            for i = 0 to per - 1 do
+              ignore
+                (Audit.Quarantine.add dir
+                   [
+                     {
+                       Audit.Quarantine.qfunc = Printf.sprintf "fn_%d_%d" d i;
+                       incident = Printf.sprintf "inc-%d-%d" d i;
+                     };
+                   ])
+            done))
+  in
+  List.iter Domain.join workers;
+  let entries = Audit.Quarantine.load dir in
+  Alcotest.(check int) "no entry lost under 4 concurrent writers"
+    (domains * per) (List.length entries);
+  let uniq =
+    List.sort_uniq compare
+      (List.map (fun e -> e.Audit.Quarantine.qfunc) entries)
+  in
+  Alcotest.(check int) "no duplicates" (domains * per) (List.length uniq);
+  (* no stray temp files left behind *)
+  let strays =
+    Array.to_list (Sys.readdir dir)
+    |> List.filter (fun f ->
+           not
+             (List.mem f [ "quarantine.list"; "quarantine.lock" ]))
+  in
+  Alcotest.(check (list string)) "only the list and its lock remain" [] strays
+
 let quarantine_tests =
   [
     tc "missing quarantine list loads as empty" (fun () ->
@@ -246,6 +302,7 @@ let quarantine_tests =
                   (Usher.Experiment.covered prog o.detections l))
               native.gt_uses)
           Usher.Config.all_variants);
+    tc "4-domain writer hammer" quarantine_hammer;
   ]
 
 (* ---- the differential oracle ------------------------------------------- *)

@@ -169,64 +169,6 @@ let test_incident_pre_hits_format () =
     check_str "source survives" "abcdefghij" t.Audit.Incident.source
   | Error e -> Alcotest.failf "pre-hits artifact rejected: %s" e
 
-(* ---- campaign determinism across fan-out ---- *)
-
-let test_fuzz_jobs_deterministic () =
-  (* same seed, different --jobs: identical incidents (ids, hits,
-     evidence), quarantine lists, corpus members and summary counts *)
-  let run jobs tag =
-    let dir = scratch ("fuzzdet-" ^ tag) in
-    let corpus = scratch ("fuzzdet-c" ^ tag) in
-    let cfg =
-      {
-        Audit.Fuzz.default_config with
-        count = 12;
-        seed = 9;
-        jobs;
-        dir;
-        corpus = Some corpus;
-        distill = true;
-        hole = Some "fz";
-        log = ignore;
-      }
-    in
-    let s = Audit.Fuzz.run cfg in
-    let incidents =
-      List.map
-        (fun (i : Audit.Incident.t) ->
-          (i.id, i.variant, i.hits, i.seed, i.reduced))
-        s.incidents
-    in
-    let corpus_files =
-      List.map
-        (fun f -> (f, Digest.file (Filename.concat corpus f)))
-        (Audit.Fuzz.corpus_members corpus)
-    in
-    let artifact_names =
-      Sys.readdir dir |> Array.to_list
-      |> List.filter (fun f -> f <> "quarantine.lock")
-      |> List.sort compare
-    in
-    let outcome =
-      ( (s.generated, s.audited, s.skipped, s.soundness_incidents, s.distilled),
-        incidents,
-        s.quarantined,
-        corpus_files,
-        artifact_names )
-    in
-    rm_rf dir;
-    rm_rf corpus;
-    outcome
-  in
-  let seq = run 1 "j1" in
-  let par = run 4 "j4" in
-  check_bool "jobs 1 and jobs 4 produce identical campaigns" true (seq = par);
-  let (_, _, _, soundness, _), incidents, quarantined, _, _ = seq in
-  check_bool "the seeded hole was found" true (soundness > 0);
-  check_bool "misses were ddmin-reduced" true
-    (List.exists (fun (_, _, _, _, reduced) -> reduced <> None) incidents);
-  check_bool "offending functions were quarantined" true (quarantined <> [])
-
 let suites =
   [
     ( "fuzz-gen",
@@ -243,6 +185,5 @@ let suites =
         tc "coverage fingerprints" test_fingerprint;
         tc "incidents dedup by checksum" test_incident_dedup;
         tc "pre-hits artifacts still load" test_incident_pre_hits_format;
-        tc "campaigns are jobs-independent" test_fuzz_jobs_deterministic;
       ] );
   ]

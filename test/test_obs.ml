@@ -75,6 +75,25 @@ let clock_tests =
              a.analysis_time_s wall_s)
           true
           (a.analysis_time_s <= wall_s +. 0.010));
+    (* Table 1's memory column counts the words the analyzing domain
+       allocates, so it is never 0 and does not depend on what other
+       domains do meanwhile. *)
+    tc "analysis_mem_mb is nonzero and the same at jobs 1 and 2" (fun () ->
+        let mem jobs =
+          Usher.Experiment.parallel_map ~jobs
+            (fun (p : Workloads.Profile.t) ->
+              let prog = front (Workloads.Spec2000.source ~scale:5 p) in
+              (p.pname, (Usher.Pipeline.analyze prog).analysis_mem_mb))
+            Workloads.Spec2000.all
+        in
+        let seq = mem 1 in
+        List.iter
+          (fun (name, mb) ->
+            check_bool (Printf.sprintf "%s memMB %.3f > 0" name mb) true
+              (mb > 0.0))
+          seq;
+        Alcotest.(check (list (pair string (float 0.0))))
+          "jobs 1 and jobs 2 agree" seq (mem 2));
   ]
 
 (* ---------------------------------------------------------------- *)
