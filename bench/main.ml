@@ -253,15 +253,16 @@ let ablation () =
       let p = Workloads.Spec2000.find name in
       let src = Workloads.Spec2000.source ~scale:!scale p in
       let usher knobs =
-        let e =
-          Exp.run ~name ~knobs ~variants:[ Cfg.Msan; Cfg.Usher_full ]
-            ~check_soundness:false src
-        in
+        let prog, _ = Usher.Pipeline.front_guarded ~knobs src in
+        let a = Usher.Pipeline.analyze ~knobs prog in
         (* checks are structure-independent: knobs that merge or split
            abstract objects change raw item counts, but a surviving check is
            a surviving check *)
-        let m = (Exp.result_for e Cfg.Msan).static_stats.checks in
-        let u = (Exp.result_for e Cfg.Usher_full).static_stats.checks in
+        let checks v =
+          (Instr.Item.stats_of (fst (Usher.Pipeline.plan_for a v))).checks
+        in
+        let m = checks Cfg.Msan in
+        let u = checks Cfg.Usher_full in
         100.0 *. float_of_int u /. float_of_int (max 1 m)
       in
       let d = bench_knobs () in

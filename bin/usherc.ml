@@ -357,8 +357,9 @@ let run_cmd =
     let a = Usher.Pipeline.analyze ~knobs prog in
     let plan, _ = Usher.Pipeline.plan_for a variant in
     print_degradation a front_events;
-    let native, engine = Vm.Engine.run_native_for_plans ?engine prog in
-    let o = Vm.Engine.run_plan engine prog plan in
+    let base = Runtime.Interp.compile_base prog in
+    let native, engine = Vm.Engine.run_native_for_plans ?engine base in
+    let o = Vm.Engine.run_plan engine base plan in
     List.iter (fun v -> Printf.printf "output: %d\n" v) o.outputs;
     Printf.printf "exit: %d\n" o.exit_value;
     List.iter

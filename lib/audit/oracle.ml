@@ -135,7 +135,9 @@ let check ?(level = Optim.Pipeline.O0_IM) ?(knobs = Usher.Config.default_knobs)
   let analysis = Usher.Pipeline.analyze ~knobs prog in
   analysis.events := front_events @ !(analysis.events);
   let owners = label_owners prog in
-  let native = Runtime.Interp.run_native ?limits prog in
+  (* One base serves the native run and every plan run. *)
+  let base = I.compile_base prog in
+  let native = I.run ?limits (I.attach base (Instr.Item.empty_plan prog)) in
   let divergences = ref [] in
   let push d = divergences := d :: !divergences in
   (* Run every variant; collect outcomes and static stats. *)
@@ -148,7 +150,7 @@ let check ?(level = Optim.Pipeline.O0_IM) ?(knobs = Usher.Config.default_knobs)
         | _ -> ());
         let stats = Instr.Item.stats_of plan in
         let outcome =
-          try Ok (Vm.Engine.run_plan ?limits engine prog plan)
+          try Ok (Vm.Engine.run_plan ?limits engine base plan)
           with
           | Runtime.Interp.Runtime_error msg -> Error msg
           | Runtime.Interp.Resource_exhausted { what; limit } ->

@@ -19,7 +19,8 @@
    The compiled form is exposed (see interp.mli) so lib/vm can lower the
    exact same slot-resolved program to bytecode: both engines share one
    compilation front, which is what makes outcome-for-outcome equivalence
-   a meaningful differential oracle. *)
+   a meaningful differential oracle. That front runs in two steps: a
+   plan-free base once per program, then one plan attached per run. *)
 
 open Ir.Types
 module P = Ir.Prog
@@ -144,14 +145,30 @@ type cprog = {
 (* Compilation                                                         *)
 (* ------------------------------------------------------------------ *)
 
-let compile (p : P.t) (plan : Item.plan) : cprog =
+(* Compilation runs in two steps. [compile_base] does the plan-independent
+   work once per program: slot assignment, instruction kinds, terminators
+   and parameters. [attach] adds one plan's actions to a base, so a native
+   run and every plan run of one program share a single base. *)
+
+(* One function of a base: its compiled form with no actions attached, and
+   the variable held in each of its slots. *)
+type bfunc = { bare : cfunc; slot_vars : var array }
+
+type base = {
+  prog : P.t;
+  bfuncs : bfunc array;                          (* program order *)
+  bglobal_objid : (string, int) Hashtbl.t;
+}
+
+let compile_base (p : P.t) : base =
+  Obs.Trace.with_span ~cat:"runtime" "runtime.compile_base" @@ fun () ->
   let global_objid = Hashtbl.create 16 in
   List.iteri (fun i (g : global) -> Hashtbl.replace global_objid g.gname i) p.globals;
-  let funcs = Hashtbl.create 16 in
   (* Frame slot of each variable in the function being compiled, -1 when it
      has none yet; slots are numbered in first-use order. One array serves
      every function: the variables a function touched are reset after it. *)
   let slot = Array.make (P.nvars p) (-1) in
+  let bfuncs = ref [] in
   P.iter_funcs
     (fun f ->
       let nslots = ref 0 in
@@ -172,12 +189,125 @@ let compile (p : P.t) (plan : Item.plan) : cprog =
         | Var v -> Rs (slot_of v)
         | Undef -> Ru
       in
+      let cinstr (i : instr) =
+        let ckind =
+          match i.kind with
+          | Const (x, n) -> CConst (slot_of x, n)
+          | Copy (x, o) -> CCopy (slot_of x, rop o)
+          | Unop (x, u, o) -> CUnop (slot_of x, u, rop o)
+          | Binop (x, bop, o1, o2) -> CBinop (slot_of x, bop, rop o1, rop o2)
+          | Alloc a ->
+            CAlloc
+              {
+                dst = slot_of a.adst;
+                init = a.initialized;
+                size =
+                  (match a.asize with
+                  | Fields n -> CFields n
+                  | Array_of o -> CArray (rop o));
+                name = a.aname;
+              }
+          | Load (x, y) -> CLoad (slot_of x, slot_of y)
+          | Store (x, o) -> CStore (slot_of x, rop o)
+          | Field_addr (x, y, k) -> CField (slot_of x, slot_of y, k)
+          | Index_addr (x, y, o) -> CIndex (slot_of x, slot_of y, rop o)
+          | Global_addr (x, gname) ->
+            CGlobaladdr (slot_of x, Hashtbl.find global_objid gname)
+          | Func_addr (x, fn) -> CFuncaddr (slot_of x, fn)
+          | Call { cdst; callee; cargs } ->
+            CCall
+              {
+                dst = Option.map slot_of cdst;
+                callee =
+                  (match callee with
+                  | Direct fn -> CDirect fn
+                  | Indirect v -> CIndirect (slot_of v));
+                args = Array.of_list (List.map rop cargs);
+              }
+          | Phi (x, arms) ->
+            CPhi
+              {
+                dst = slot_of x;
+                arms = Array.of_list (List.map (fun (pb, o) -> (pb, rop o)) arms);
+                sh = None;
+              }
+          | Output o -> COutput (rop o)
+          | Input x -> CInput (slot_of x)
+        in
+        { clbl = i.lbl; ckind; pre = [||]; post = [||] }
+      in
+      let cblocks =
+        Array.map
+          (fun (b : block) ->
+            let body = Array.of_list (List.map cinstr b.instrs) in
+            let cterm =
+              match b.term.tkind with
+              | Br (o, b1, b2) -> CTBr (rop o, b1, b2)
+              | Jmp b1 -> CTJmp b1
+              | Ret o -> CTRet (Option.map rop o)
+            in
+            { body; cterm; term_lbl = b.term.tlbl; term_pre = [||] })
+          f.blocks
+      in
+      let cparams = Array.of_list (List.map slot_of f.params) in
+      let slot_vars = Array.make !nslots 0 in
+      List.iter
+        (fun v ->
+          slot_vars.(slot.(v)) <- v;
+          slot.(v) <- -1)
+        !touched;
+      let bare =
+        { cfname = f.fname; nslots = !nslots; cparams; entry_acts = [||]; cblocks }
+      in
+      bfuncs := { bare; slot_vars } :: !bfuncs)
+    p;
+  if not (List.exists (fun bf -> bf.bare.cfname = "main") !bfuncs) then
+    error "program has no main";
+  {
+    prog = p;
+    bfuncs = Array.of_list (List.rev !bfuncs);
+    bglobal_objid = global_objid;
+  }
+
+let program (b : base) = b.prog
+
+let attach (b : base) (plan : Item.plan) : cprog =
+  Obs.Trace.with_span ~cat:"runtime" "runtime.attach" @@ fun () ->
+  let slot = Array.make (P.nvars b.prog) (-1) in
+  let funcs = Hashtbl.create 16 in
+  (* Whether the plan instruments anything at all: an un-instrumented run
+     can share a single dummy shadow register file across all frames. *)
+  let has_shadow = ref false in
+  let max_slots = ref 1 in
+  let noted acts =
+    if Array.length acts > 0 then has_shadow := true;
+    acts
+  in
+  Array.iter
+    (fun { bare = f; slot_vars } ->
+      Array.iteri (fun s v -> slot.(v) <- s) slot_vars;
+      (* A variable that only the plan mentions gets a slot past the
+         base's. *)
+      let nslots = ref f.nslots in
+      let fresh = ref [] in
+      let slot_of v =
+        let s = slot.(v) in
+        if s >= 0 then s
+        else begin
+          let s = !nslots in
+          incr nslots;
+          slot.(v) <- s;
+          fresh := v :: !fresh;
+          s
+        end
+      in
       let sop = function
         | Cst _ -> Sc true
         | Undef -> Sc false
         | Var v -> Ss (slot_of v)
       in
-      let caction (a : Item.action) : caction =
+      (* [lbl] is the statement a check reports; entry checks carry -1. *)
+      let caction lbl (a : Item.action) : caction =
         match a with
         | Item.Set_var (x, rhs) ->
           let crhs =
@@ -197,168 +327,71 @@ let compile (p : P.t) (plan : Item.plan) : cprog =
         | Item.Set_global (i, o) -> CSet_global (i, sop o)
         | Item.Check o -> (
           match o with
-          | Var v -> CCheck (Some (slot_of v), -1)
-          | Undef -> CCheck (None, -1)
+          | Var v -> CCheck (Some (slot_of v), lbl)
+          | Undef -> CCheck (None, lbl)
           | Cst _ -> CCheck (None, -2) (* never emitted; treated as pass *))
       in
-      let actions_at lbl pos =
-        Array.of_list (List.map caction (Item.items_at plan lbl ~pos))
+      let actions lbl pos =
+        match plan.items.(lbl) with
+        | [] -> [||]
+        | _ ->
+          noted
+            (Array.of_list (List.map (caction lbl) (Item.items_at plan lbl ~pos)))
       in
-      (* Patch check labels (CCheck carries its statement label). *)
-      let patch lbl (a : caction) =
-        match a with
-        | CCheck (s, -1) -> CCheck (s, lbl)
-        | other -> other
+      let cinstr (ci : cinstr) =
+        let pre = actions ci.clbl Item.Before in
+        let post = actions ci.clbl Item.After in
+        match ci.ckind with
+        | CPhi phi when Array.length post > 0 ->
+          (* The phi's shadow item, if any, is folded into the phi itself
+             for atomic parallel evaluation. *)
+          let sh =
+            List.find_map
+              (function
+                | Item.Set_var (x, Item.Rphi arms) when slot.(x) = phi.dst ->
+                  Some (Array.of_list (List.map (fun (pb, o) -> (pb, sop o)) arms))
+                | _ -> None)
+              (Item.items_at plan ci.clbl ~pos:Item.After)
+          in
+          let post =
+            Array.of_list
+              (List.filter
+                 (function CSet_var (s, CRphi _) -> s <> phi.dst | _ -> true)
+                 (Array.to_list post))
+          in
+          { ci with ckind = CPhi { phi with sh }; pre; post }
+        | _ ->
+          if Array.length pre = 0 && Array.length post = 0 then ci
+          else { ci with pre; post }
       in
       let cblocks =
         Array.map
-          (fun (b : block) ->
-            let body =
-              Array.of_list
-                (List.map
-                   (fun i ->
-                     let ckind =
-                       match i.kind with
-                       | Const (x, n) -> CConst (slot_of x, n)
-                       | Copy (x, o) -> CCopy (slot_of x, rop o)
-                       | Unop (x, u, o) -> CUnop (slot_of x, u, rop o)
-                       | Binop (x, bop, o1, o2) ->
-                         CBinop (slot_of x, bop, rop o1, rop o2)
-                       | Alloc a ->
-                         CAlloc
-                           {
-                             dst = slot_of a.adst;
-                             init = a.initialized;
-                             size =
-                               (match a.asize with
-                               | Fields n -> CFields n
-                               | Array_of o -> CArray (rop o));
-                             name = a.aname;
-                           }
-                       | Load (x, y) -> CLoad (slot_of x, slot_of y)
-                       | Store (x, o) -> CStore (slot_of x, rop o)
-                       | Field_addr (x, y, k) -> CField (slot_of x, slot_of y, k)
-                       | Index_addr (x, y, o) -> CIndex (slot_of x, slot_of y, rop o)
-                       | Global_addr (x, gname) ->
-                         CGlobaladdr (slot_of x, Hashtbl.find global_objid gname)
-                       | Func_addr (x, fn) -> CFuncaddr (slot_of x, fn)
-                       | Call { cdst; callee; cargs } ->
-                         CCall
-                           {
-                             dst = Option.map slot_of cdst;
-                             callee =
-                               (match callee with
-                               | Direct fn -> CDirect fn
-                               | Indirect v -> CIndirect (slot_of v));
-                             args = Array.of_list (List.map rop cargs);
-                           }
-                       | Phi (x, arms) ->
-                         (* The phi's shadow item, if any, is folded into the
-                            phi itself for atomic parallel evaluation. *)
-                         let sh =
-                           List.find_map
-                             (function
-                               | Item.Set_var (x', Item.Rphi sharms) when x' = x ->
-                                 Some
-                                   (Array.of_list
-                                      (List.map (fun (pb, o) -> (pb, sop o)) sharms))
-                               | _ -> None)
-                             (Item.items_at plan i.lbl ~pos:Item.After)
-                         in
-                         CPhi
-                           {
-                             dst = slot_of x;
-                             arms =
-                               Array.of_list (List.map (fun (pb, o) -> (pb, rop o)) arms);
-                             sh;
-                           }
-                       | Output o -> COutput (rop o)
-                       | Input x -> CInput (slot_of x)
-                     in
-                     let strip_phi_shadow acts =
-                       match i.kind with
-                       | Phi (x, _) ->
-                         Array.of_list
-                           (List.filter
-                              (function
-                                | CSet_var (s, CRphi _) when slot.(x) = s -> false
-                                | _ -> true)
-                              (Array.to_list acts))
-                       | _ -> acts
-                     in
-                     {
-                       clbl = i.lbl;
-                       ckind;
-                       pre = Array.map (patch i.lbl) (actions_at i.lbl Item.Before);
-                       post =
-                         strip_phi_shadow
-                           (Array.map (patch i.lbl) (actions_at i.lbl Item.After));
-                     })
-                   b.instrs)
-            in
-            let cterm =
-              match b.term.tkind with
-              | Br (o, b1, b2) -> CTBr (rop o, b1, b2)
-              | Jmp b1 -> CTJmp b1
-              | Ret o -> CTRet (Option.map rop o)
-            in
-            {
-              body;
-              cterm;
-              term_lbl = b.term.tlbl;
-              term_pre = Array.map (patch b.term.tlbl) (actions_at b.term.tlbl Item.Before);
-            })
-          f.blocks
+          (fun (cb : cblock) ->
+            let body = Array.map cinstr cb.body in
+            { cb with body; term_pre = actions cb.term_lbl Item.Before })
+          f.cblocks
       in
-      let cparams = Array.of_list (List.map slot_of f.params) in
       let entry_acts =
-        Array.of_list (List.map caction (Item.entry_items plan f.fname))
+        noted
+          (Array.of_list (List.map (caction (-1)) (Item.entry_items plan f.cfname)))
       in
-      List.iter (fun v -> slot.(v) <- -1) !touched;
-      Hashtbl.replace funcs f.fname
-        {
-          cfname = f.fname;
-          nslots = !nslots;
-          cparams;
-          entry_acts;
-          cblocks;
-        })
-    p;
-  let main =
-    match Hashtbl.find_opt funcs "main" with
-    | Some m -> m
-    | None -> error "program has no main"
-  in
-  (* Whether the plan instruments anything at all: an un-instrumented run
-     can share a single dummy shadow register file across all frames. *)
-  let has_shadow = ref false in
-  let max_slots = ref 1 in
-  Hashtbl.iter
-    (fun _ (cf : cfunc) ->
-      if cf.nslots > !max_slots then max_slots := cf.nslots;
-      if Array.length cf.entry_acts > 0 then has_shadow := true;
-      Array.iter
-        (fun (cb : cblock) ->
-          if Array.length cb.term_pre > 0 then has_shadow := true;
-          Array.iter
-            (fun (ci : cinstr) ->
-              if Array.length ci.pre > 0 || Array.length ci.post > 0 then
-                has_shadow := true;
-              match ci.ckind with
-              | CPhi { sh = Some _; _ } -> has_shadow := true
-              | _ -> ())
-            cb.body)
-        cf.cblocks)
-    funcs;
+      Array.iter (fun v -> slot.(v) <- -1) slot_vars;
+      List.iter (fun v -> slot.(v) <- -1) !fresh;
+      if !nslots > !max_slots then max_slots := !nslots;
+      Hashtbl.replace funcs f.cfname
+        { f with nslots = !nslots; entry_acts; cblocks })
+    b.bfuncs;
   {
     funcs;
-    global_objid;
-    globals = p.globals;
-    main;
+    global_objid = b.bglobal_objid;
+    globals = b.prog.globals;
+    main = Hashtbl.find funcs "main";
     nglobal_slots = plan.ret_slot + 1;
     has_shadow = !has_shadow;
     max_slots = !max_slots;
   }
+
+let compile (p : P.t) (plan : Item.plan) : cprog = attach (compile_base p) plan
 
 (* ------------------------------------------------------------------ *)
 (* Execution                                                           *)

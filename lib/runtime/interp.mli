@@ -28,9 +28,9 @@ exception Resource_exhausted of { what : string; limit : int }
     instruction as pre/post action arrays, and a phi's own shadow item is
     folded into the phi for atomic parallel evaluation. The representation
     is public so [lib/vm] can lower the same compiled program to bytecode
-    — both engines share this single compilation front, which is what
-    makes their outcome-for-outcome equivalence a meaningful differential
-    oracle. *)
+    — both engines share this compilation front ({!compile_base} then
+    {!attach}), which is what makes their outcome-for-outcome equivalence
+    a meaningful differential oracle. *)
 
 type rop = Rc of int | Rs of int | Ru  (** constant / slot / undef operand *)
 
@@ -111,6 +111,29 @@ type cprog = {
   max_slots : int;                      (** max [nslots] over functions, >= 1 *)
 }
 
+(** {1 Compilation}
+
+    Compilation runs in two steps. {!compile_base} does the
+    plan-independent work once per program: slots, instruction kinds,
+    terminators and parameters. {!attach} adds one plan to a base: its
+    actions, the phi shadow folds and [has_shadow]. A native run and every
+    plan run of one program can share one base. *)
+
+(** A program compiled with no plan attached. Immutable, so one base may
+    serve any number of [attach] calls, from any domain. *)
+type base
+
+(** @raise Runtime_error when the program has no [main]. *)
+val compile_base : Ir.Prog.t -> base
+
+(** The program a base was compiled from. *)
+val program : base -> Ir.Prog.t
+
+(** The base with one plan attached. A variable that only the plan
+    mentions gets a fresh slot past the base's. *)
+val attach : base -> Instr.Item.plan -> cprog
+
+(** [compile p plan = attach (compile_base p) plan]: the one-shot form. *)
 val compile : Ir.Prog.t -> Instr.Item.plan -> cprog
 
 type outcome = {

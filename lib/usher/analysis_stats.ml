@@ -39,7 +39,20 @@ let kloc_of_source (src : string) : float =
   in
   float_of_int (List.length code) /. 1000.0
 
-let compute ~(src : string) (a : Pipeline.analysis) : t =
+(* The Usher_TL+AT and Usher_OptI plans' traversals, built the way
+   [Pipeline.plan_for] builds them. Planning may record degradation
+   events; they go to a scratch list, because Table 1 reports only the
+   events raised before planning. *)
+let plan_traversals (a : Pipeline.analysis) =
+  let a = { a with events = ref !(a.events) } in
+  ( snd (Pipeline.plan_for a Config.Usher_tl_at),
+    snd (Pipeline.plan_for a Config.Usher_opt1) )
+
+let compute ?traversals ~(src : string) (a : Pipeline.analysis) : t =
+  Obs.Trace.with_span ~cat:"usher" "usher.stats" @@ fun () ->
+  let guided, opt1 =
+    match traversals with Some t -> t | None -> plan_traversals a
+  in
   let objects = a.pa.objects in
   let stack = ref 0 and heap = ref 0 and glob = ref 0 and uninit = ref 0 in
   let nonarray_heap_sites = Hashtbl.create 16 in
@@ -64,14 +77,6 @@ let compute ~(src : string) (a : Pipeline.analysis) : t =
     (fun f -> var_tl := !var_tl + List.length (Ir.Func.defined_vars f))
     a.prog;
   let ss = Vfg.Build.store_stats a.vfg in
-  (* Statistics must survive a degraded analysis: if the guided traversal
-     itself faults on the degraded artifacts, report full coverage. *)
-  let try_guided ~opt1 =
-    try Some (Instr.Guided.build ~options:{ Instr.Guided.opt1 } a.vfg a.gamma)
-    with _ -> None
-  in
-  let guided = try_guided ~opt1:false in
-  let opt1 = try_guided ~opt1:true in
   let pct a b = if b = 0 then 0.0 else 100.0 *. float_of_int a /. float_of_int b in
   {
     kloc = kloc_of_source src;
@@ -91,10 +96,13 @@ let compute ~(src : string) (a : Pipeline.analysis) : t =
     vfg_nodes = Vfg.Graph.nnodes a.vfg.graph;
     pct_reaching =
       (match guided with
-      | Some g -> pct g.needed_nodes (Vfg.Graph.nnodes a.vfg.graph)
+      | Some (g : Instr.Guided.result) ->
+        pct g.needed_nodes (Vfg.Graph.nnodes a.vfg.graph)
       | None -> 100.0);
     opt1_simplified =
-      (match opt1 with Some o -> o.opt1_simplified | None -> 0);
+      (match opt1 with
+      | Some (o : Instr.Guided.result) -> o.opt1_simplified
+      | None -> 0);
     opt2_redirected = a.opt2.redirected;
     pa_solve_iterations = a.pa.solve_iterations;
     pa_sccs_collapsed = a.pa.sccs_collapsed;

@@ -13,8 +13,12 @@ type t = {
   pct_strong : float;            (** %SU *)
   pct_weak_singleton : float;    (** %WU *)
   vfg_nodes : int;
-  pct_reaching : float;          (** %B: nodes needing tracking *)
-  opt1_simplified : int;         (** closures simplified by Opt I *)
+  pct_reaching : float;
+      (** %B: nodes the Usher_TL+AT plan's traversal reached; 100 when
+          that plan fell back to full instrumentation *)
+  opt1_simplified : int;
+      (** S: closures the Usher_OptI plan's traversal simplified; 0 when
+          that plan fell back to full instrumentation *)
   opt2_redirected : int;         (** R: nodes redirected by Opt II *)
   pa_solve_iterations : int;     (** Andersen worklist pops *)
   pa_sccs_collapsed : int;       (** pointer-equivalence cycles unified *)
@@ -23,7 +27,9 @@ type t = {
   resolve_condensed_sccs : int;  (** nontrivial VFG SCCs the search collapsed *)
   condensation_ratio : float;    (** VFG components / nodes; 1.0 = no cycles *)
   degraded_functions : string list;   (** distrusted: MSan instrumentation *)
-  degradation_events : string list;   (** the ladder's audit trail *)
+  degradation_events : string list;
+      (** the ladder's audit trail up to planning: events the plans
+          themselves raise are not listed *)
   verify_checkers : (string * float * int) list;
       (** (checker, wall seconds, violations) per certificate checker, in
           pipeline order, when the analysis ran with [verify]; [[]]
@@ -31,4 +37,14 @@ type t = {
 }
 
 val kloc_of_source : string -> float
-val compute : src:string -> Pipeline.analysis -> t
+
+(** [traversals] are the guided traversals of the Usher_TL+AT and
+    Usher_OptI plans, as {!Pipeline.plan_for} returned them. Without them,
+    [compute] plans those two variants itself, the same way, and drops
+    whatever degradation events that planning raises. Traced as a
+    [usher.stats] span. *)
+val compute :
+  ?traversals:Instr.Guided.result option * Instr.Guided.result option ->
+  src:string ->
+  Pipeline.analysis ->
+  t

@@ -58,8 +58,8 @@ let covered (prog : Ir.Prog.t) (detections : (Ir.Types.label, unit) Hashtbl.t)
     legitimately hides uses (§4.3/§4.6: deleted dead loads take their checks
     with them, and folded branches change the undef-use set). *)
 let run ?(name = "program") ?(level = Optim.Pipeline.O0_IM)
-    ?(knobs = Config.default_knobs) ?(variants = Config.all_variants)
-    ?(check_soundness = true) ?limits ?engine (src : string) : t =
+    ?(knobs = Config.default_knobs) ?(check_soundness = true) ?limits ?engine
+    (src : string) : t =
   Obs.Trace.with_span ~cat:"experiment"
     ~args:[ ("level", Obs.Trace.Str (Optim.Pipeline.level_to_string level)) ]
     ("experiment." ^ name)
@@ -67,13 +67,27 @@ let run ?(name = "program") ?(level = Optim.Pipeline.O0_IM)
   let prog, front_events = Pipeline.front_guarded ~level ~knobs src in
   let analysis = Pipeline.analyze ~knobs prog in
   analysis.events := front_events @ !(analysis.events);
-  let table1 = Analysis_stats.compute ~src analysis in
-  let native, engine = Vm.Engine.run_native_for_plans ?limits ?engine prog in
+  let unplanned = !(analysis.events) in
+  let plans =
+    List.map (fun v -> (v, Pipeline.plan_for analysis v)) Config.all_variants
+  in
+  (* Table 1's %B and S come from the Usher_TL+AT and Usher_OptI plans'
+     own traversals; its degradation events stop where planning starts. *)
+  let table1 =
+    Analysis_stats.compute
+      ~traversals:
+        ( snd (List.assoc Config.Usher_tl_at plans),
+          snd (List.assoc Config.Usher_opt1 plans) )
+      ~src
+      { analysis with events = ref unplanned }
+  in
+  (* One base serves the native run and every plan run. *)
+  let base = Runtime.Interp.compile_base prog in
+  let native, engine = Vm.Engine.run_native_for_plans ?limits ?engine base in
   let compress = level <> Optim.Pipeline.O0_IM in
   let results =
     List.map
-      (fun v ->
-        let plan, _ = Pipeline.plan_for analysis v in
+      (fun (v, (plan, _)) ->
         (* Step (3) of the paper's O1/O2 methodology: rerun the optimizer
            over the inserted instrumentation (shadow constant folding +
            shadow dead-code elimination). *)
@@ -82,7 +96,7 @@ let run ?(name = "program") ?(level = Optim.Pipeline.O0_IM)
             Instr.Compress.fold_constants plan + Instr.Compress.run plan
           else 0
         in
-        let outcome = Vm.Engine.run_plan ?limits engine prog plan in
+        let outcome = Vm.Engine.run_plan ?limits engine base plan in
         (* The instrumented run must preserve program behaviour... *)
         if outcome.outputs <> native.outputs then
           raise
@@ -110,7 +124,7 @@ let run ?(name = "program") ?(level = Optim.Pipeline.O0_IM)
           detections = Hashtbl.fold (fun l () acc -> l :: acc) outcome.detections [];
           compressed_away;
         })
-      variants
+      plans
   in
   {
     name;

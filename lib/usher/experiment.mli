@@ -33,9 +33,12 @@ exception Unsound of string
 val covered :
   Ir.Prog.t -> (Ir.Types.label, unit) Hashtbl.t -> Ir.Types.label -> bool
 
-(** Run every variant. With [check_soundness] (default, O0+IM only) raises
-    {!Unsound} if an instrumented run diverges from the native outputs or a
-    ground-truth undefined use is not covered. [engine] forces the
+(** Run every variant: plan all five first, then run the native program
+    and each plan on one {!Runtime.Interp.base}. Table 1's %B and S are
+    the Usher_TL+AT and Usher_OptI plans' traversals. With
+    [check_soundness] (default, O0+IM only) raises {!Unsound} if an
+    instrumented run diverges from the native outputs or a ground-truth
+    undefined use is not covered. [engine] forces the
     execution engine for both the native and the instrumented runs. By
     default the native run uses the interpreter and the instrumented runs
     use {!Vm.Engine.choose} on its step count. *)
@@ -43,7 +46,6 @@ val run :
   ?name:string ->
   ?level:Optim.Pipeline.level ->
   ?knobs:Config.knobs ->
-  ?variants:Config.variant list ->
   ?check_soundness:bool ->
   ?limits:Runtime.Interp.limits ->
   ?engine:Vm.Engine.t ->

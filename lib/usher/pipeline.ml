@@ -497,6 +497,7 @@ let plan_for (a : analysis) (v : Config.variant) :
     try
       Fault.check a.knobs Diag.Instrument None;
       let r =
+        Obs.Trace.with_span ~cat:"instr" "instr.guided" @@ fun () ->
         Instr.Guided.build ~options:{ Instr.Guided.opt1 } ?distrusted:distrust_set
           bld gamma
       in

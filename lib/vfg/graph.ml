@@ -56,7 +56,6 @@ type t = {
   mutable succs : (int * edge_kind) list array; (* dependencies of each node *)
   mutable preds : (int * edge_kind) list array; (* dependents of each node *)
   mutable defs : def_site array;
-  edge_seen : (int * int * edge_kind, unit) Hashtbl.t;
   mutable nedges : int;
   mutable version : int;    (* bumped on any node/edge mutation *)
   mutable cond : (int * condensation) option;   (* cache, keyed by version *)
@@ -73,7 +72,6 @@ let create () =
       succs = Array.make 1024 [];
       preds = Array.make 1024 [];
       defs = Array.make 1024 Droot;
-      edge_seen = Hashtbl.create 4096;
       nedges = 0;
       version = 0;
       cond = None;
@@ -116,9 +114,20 @@ let find t n = Hashtbl.find_opt t.ids n
 let set_def t id d = t.defs.(id) <- d
 let def_of t id = t.defs.(id)
 
+let same_kind (a : edge_kind) (b : edge_kind) =
+  match (a, b) with
+  | Eintra, Eintra -> true
+  | Ecall l, Ecall l' | Eret l, Eret l' -> l = l'
+  | (Eintra | Ecall _ | Eret _), _ -> false
+
+(* Edge sets are the successor lists themselves: out-degree is tiny (at
+   most 2 on every benchmark analog), so a scan of the source's list
+   decides membership faster than hashing the (src, dst, kind) triple. *)
+let has_edge t ~src ~dst k =
+  List.exists (fun (d, k') -> d = dst && same_kind k k') t.succs.(src)
+
 let add_edge t ~(src : int) ~(dst : int) (k : edge_kind) =
-  if not (Hashtbl.mem t.edge_seen (src, dst, k)) then begin
-    Hashtbl.replace t.edge_seen (src, dst, k) ();
+  if not (has_edge t ~src ~dst k) then begin
     t.succs.(src) <- (dst, k) :: t.succs.(src);
     t.preds.(dst) <- (src, k) :: t.preds.(dst);
     t.nedges <- t.nedges + 1;
@@ -129,12 +138,11 @@ let add_edge t ~(src : int) ~(dst : int) (k : edge_kind) =
     by fault injection (drop-vfg-edge) to seed a structural bug the
     verifier must catch. *)
 let remove_edge t ~(src : int) ~(dst : int) (k : edge_kind) =
-  if Hashtbl.mem t.edge_seen (src, dst, k) then begin
-    Hashtbl.remove t.edge_seen (src, dst, k);
+  if has_edge t ~src ~dst k then begin
     t.succs.(src) <-
-      List.filter (fun (d, k') -> not (d = dst && k' = k)) t.succs.(src);
+      List.filter (fun (d, k') -> not (d = dst && same_kind k k')) t.succs.(src);
     t.preds.(dst) <-
-      List.filter (fun (s, k') -> not (s = src && k' = k)) t.preds.(dst);
+      List.filter (fun (s, k') -> not (s = src && same_kind k k')) t.preds.(dst);
     t.nedges <- t.nedges - 1;
     t.version <- t.version + 1
   end
@@ -166,7 +174,6 @@ let copy t =
     succs = Array.copy t.succs;
     preds = Array.copy t.preds;
     defs = Array.copy t.defs;
-    edge_seen = Hashtbl.copy t.edge_seen;
     nedges = t.nedges;
     version = t.version;
     (* The cached condensation is immutable; sharing it is safe — any

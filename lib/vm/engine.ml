@@ -1,5 +1,6 @@
 (* Engine selection: the tree-walking interpreter (the semantic oracle)
-   or the bytecode VM. Both consume the same [Interp.compile] output, so a
+   or the bytecode VM. Both consume the same compiled form — the program's
+   [Interp.compile_base], with the plan put on by [Interp.attach] — so a
    program-plan pair has exactly one compiled form and two executors —
    outcome equivalence between them is the differential guarantee
    [test_vm] and the vm-smoke CI job enforce. *)
@@ -17,9 +18,14 @@ let name = function Interp -> "interp" | Vm -> "vm"
 
 (* Lowering to bytecode costs time in proportion to the program's size;
    the VM's cheaper dispatch repays it only once the program runs enough
-   steps per instruction. The measured break-even on the benchmark
-   programs is 45-50 steps per IR instruction; 64 sits above it, so a
-   program near the line stays on the interpreter. *)
+   steps per instruction. Both engines attach each plan to one shared
+   base, so the lowering is the only compile cost that differs between
+   them. Measured that way (the five plan runs, best of 3, on a 2-core
+   x86-64 VM), the break-even on 164.gzip lies between 35 and 50 steps
+   per IR instruction: the VM takes 1.35x the interpreter's time at 18.5,
+   breaks even at 35 and takes 0.85x at 85. 254.gap (47) runs 5% faster
+   on the VM, and 176.gcc (9.4) takes 1.8x as long. 64 sits above the
+   break-even, so a program near the line stays on the interpreter. *)
 let vm_steps_per_instr = 64
 
 let choose ~steps ~instrs =
@@ -47,19 +53,18 @@ let run ?limits engine (cp : I.cprog) : I.outcome =
   | Interp -> I.run ?limits cp
   | Vm -> exec ?limits (lower cp)
 
-let run_plan ?limits engine (prog : Ir.Prog.t) (plan : Instr.Item.plan) :
+let run_plan ?limits engine (base : I.base) (plan : Instr.Item.plan) :
     I.outcome =
-  match engine with
-  | Interp -> I.run_plan ?limits prog plan
-  | Vm -> run ?limits Vm (I.compile prog plan)
+  run ?limits engine (I.attach base plan)
 
 (* The native run, and the engine for the plan runs. With no [engine]
    named, the native run goes to the interpreter and the plan runs to
    [choose] on its step count. That count is every plan run's count too:
    instrumentation only adds shadow work, never changes which concrete
    statements execute. *)
-let run_native_for_plans ?limits ?engine (prog : Ir.Prog.t) : I.outcome * t =
-  let native e = run_plan ?limits e prog (Instr.Item.empty_plan prog) in
+let run_native_for_plans ?limits ?engine (base : I.base) : I.outcome * t =
+  let prog = I.program base in
+  let native e = run_plan ?limits e base (Instr.Item.empty_plan prog) in
   match engine with
   | Some e -> (native e, e)
   | None ->

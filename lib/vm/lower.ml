@@ -1,11 +1,12 @@
 (* Lowering: the interpreter's slot-resolved compiled form
    ([Runtime.Interp.cprog]) down to the flat bytecode of [Bytecode].
 
-   Reusing [Interp.compile] as the single compilation front means every
-   subtle lowering decision — slot assignment, folding a phi's shadow item
-   into the phi, check-label patching — is shared with the interpreter, so
-   engine equivalence tests compare execution strategies, not two
-   compilers.
+   The input is what the interpreter runs: a program's
+   [Interp.compile_base] with one plan put on by [Interp.attach]. Sharing
+   that front means every subtle lowering decision — slot assignment,
+   folding a phi's shadow item into the phi, check-label patching — is
+   shared with the interpreter, so engine equivalence tests compare
+   execution strategies, not two compilers.
 
    Shapes handled here:
 

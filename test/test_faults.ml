@@ -240,9 +240,62 @@ let degradation_monotone_prop seed =
 
 let prop = Test_properties.prop
 
+(* Table 1's %B and S are the Usher_TL+AT and Usher_OptI plans' own
+   traversals, whether [Experiment.run] hands them over or [compute]
+   plans them itself. *)
+let parser_src = Workloads.Spec2000.source ~scale:4 (Workloads.Spec2000.find "197.parser")
+
+let pct n (a : Usher.Pipeline.analysis) =
+  100.0 *. float_of_int n /. float_of_int (Vfg.Graph.nnodes a.vfg.graph)
+
+let untimed (t : Usher.Analysis_stats.t) =
+  { t with analysis_time_s = 0.0; analysis_mem_mb = 0.0 }
+
+let stats_tests =
+  [
+    tc "%B and S equal a fresh traversal on an undegraded analysis" (fun () ->
+        let e = Usher.Experiment.run ~name:"parser" parser_src in
+        let a = e.analysis in
+        let fresh opt1 = Instr.Guided.build ~options:{ Instr.Guided.opt1 } a.vfg a.gamma in
+        check_bool "undegraded" true (!(a.events) = []);
+        check_bool "%B" true (e.table1.pct_reaching = pct (fresh false).needed_nodes a);
+        check_int "S" (fresh true).opt1_simplified e.table1.opt1_simplified;
+        check_bool "compute alone agrees" true
+          (untimed (Usher.Analysis_stats.compute ~src:parser_src a) = untimed e.table1));
+    tc "under vfg:FUNC=crash %B and S describe the degraded plans" (fun () ->
+        let fn =
+          Ir.Prog.fold_funcs
+            (fun acc (f : Ir.Types.func) ->
+              if acc = "" && f.fname <> "main" then f.fname else acc)
+            "" (front parser_src)
+        in
+        let knobs = inject [ crash ~func:fn Diag.Vfg_build ] in
+        let e = Usher.Experiment.run ~name:"parser" ~knobs parser_src in
+        let a = e.analysis in
+        check_bool "distrusted" true (Usher.Pipeline.distrusted_functions a = [ fn ]);
+        let traversal v = Option.get (snd (Usher.Pipeline.plan_for a v)) in
+        check_bool "%B" true
+          (e.table1.pct_reaching
+          = pct (traversal Usher.Config.Usher_tl_at).needed_nodes a);
+        check_int "S" (traversal Usher.Config.Usher_opt1).opt1_simplified
+          e.table1.opt1_simplified;
+        check_bool "compute alone agrees" true
+          (untimed (Usher.Analysis_stats.compute ~src:parser_src a) = untimed e.table1));
+    tc "Table 1 lists only the events raised before planning" (fun () ->
+        let e =
+          Usher.Experiment.run ~name:"parser" ~knobs:(inject [ crash Diag.Instrument ])
+            parser_src
+        in
+        check_bool "the plans degraded" true (!(e.analysis.events) <> []);
+        check_bool "no events listed" true (e.table1.degradation_events = []);
+        check_bool "%B of a full plan" true (e.table1.pct_reaching = 100.0);
+        check_int "S of a full plan" 0 e.table1.opt1_simplified);
+  ]
+
 let suites =
   [
     ( "faults.ladder", ladder_tests @ spec_tests @ fault_spec_tests );
+    ("faults.table1", stats_tests);
     ( "faults.properties",
       [
         prop "any injected fault: plan exists, behaviour kept, nothing missed"

@@ -265,6 +265,17 @@ let alloc_tests =
               List.iter (fun plan -> ignore (Instr.Compress.run plan)) plans)
         in
         check_bool (Printf.sprintf "%.1f Mwords < 40" mw) true (mw < 40.0));
+    (* Every edge insert once hashed its (src, dst, kind) triple into a
+       global table: 4.2 Mwords here. Scanning the source's successor
+       list allocates nothing. *)
+    tc "VFG build on 176.gcc allocates under 4 Mwords" (fun () ->
+        let prog, a = analog ~level:Optim.Pipeline.O0_IM Workloads.Spec2000.gcc in
+        let config = { Vfg.Build.track_memory = true; semi_strong = true } in
+        let mw =
+          minor_mwords (fun () ->
+              ignore (Vfg.Build.build ~config prog a.pa a.cg a.mr a.mssa))
+        in
+        check_bool (Printf.sprintf "%.1f Mwords < 4" mw) true (mw < 4.0));
     (* Appending to a block once copied the whole block, and lowering puts
        every local's Alloc in the entry block: 137 Mwords here. *)
     tc "lowering 176.gcc allocates under 20 Mwords" (fun () ->

@@ -217,9 +217,142 @@ let graph_tests =
         check_int "original unchanged" (Vfg.Graph.nnodes g) n);
   ]
 
+(* [Graph]'s edge sets against a reference model: a hash set of
+   (src, dst, kind) triples beside newest-first successor and predecessor
+   lists. Random sequences of [add_edge], [remove_edge] and [copy] hit
+   duplicates often (few nodes, few kinds); [Fan] gives node 0 up to
+   2,000 successors, far beyond the out-degree the analogs produce. *)
+module G = Vfg.Graph
+
+type op =
+  | Add of int * int * G.edge_kind
+  | Remove of int * int * G.edge_kind
+  | Copy
+  | Fan of G.edge_kind
+
+let fan_width = 2000
+
+type model = {
+  set : (int * int * G.edge_kind, unit) Hashtbl.t;
+  msuccs : (int * G.edge_kind) list array;
+  mpreds : (int * G.edge_kind) list array;
+}
+
+let model_create () =
+  {
+    set = Hashtbl.create 64;
+    msuccs = Array.make fan_width [];
+    mpreds = Array.make fan_width [];
+  }
+
+let model_copy m =
+  { set = Hashtbl.copy m.set; msuccs = Array.copy m.msuccs; mpreds = Array.copy m.mpreds }
+
+let model_add m s d k =
+  if not (Hashtbl.mem m.set (s, d, k)) then begin
+    Hashtbl.replace m.set (s, d, k) ();
+    m.msuccs.(s) <- (d, k) :: m.msuccs.(s);
+    m.mpreds.(d) <- (s, k) :: m.mpreds.(d)
+  end
+
+let model_remove m s d k =
+  if Hashtbl.mem m.set (s, d, k) then begin
+    Hashtbl.remove m.set (s, d, k);
+    m.msuccs.(s) <- List.filter (( <> ) (d, k)) m.msuccs.(s);
+    m.mpreds.(d) <- List.filter (( <> ) (s, k)) m.mpreds.(d)
+  end
+
+let fresh_graph () =
+  let g = G.create () in
+  for v = 0 to fan_width - 1 do
+    check_int "dense ids" v (G.intern g (G.Top v))
+  done;
+  g
+
+(* Successor and predecessor lists, order included, and the edge count. *)
+let agrees g m =
+  G.nedges g = Hashtbl.length m.set
+  && List.for_all
+       (fun v -> G.succs g v = m.msuccs.(v) && G.preds g v = m.mpreds.(v))
+       (List.init fan_width Fun.id)
+
+let gen_kind =
+  QCheck.Gen.(
+    oneof
+      [
+        return G.Eintra;
+        map (fun l -> G.Ecall l) (0 -- 2);
+        map (fun l -> G.Eret l) (0 -- 2);
+      ])
+
+let gen_op =
+  QCheck.Gen.(
+    let dst = oneof [ 0 -- 7; 0 -- (fan_width - 1) ] in
+    frequency
+      [
+        (8, map3 (fun s d k -> Add (s, d, k)) (0 -- 7) (0 -- 7) gen_kind);
+        (5, map3 (fun s d k -> Remove (s, d, k)) (0 -- 7) dst gen_kind);
+        (1, return Copy);
+        (1, map (fun k -> Fan k) gen_kind);
+      ])
+
+let show_op = function
+  | Add (s, d, _) -> Printf.sprintf "add %d->%d" s d
+  | Remove (s, d, _) -> Printf.sprintf "remove %d->%d" s d
+  | Copy -> "copy"
+  | Fan _ -> "fan"
+
+let arbitrary_ops =
+  QCheck.make
+    ~print:(fun ops -> String.concat "; " (List.map show_op ops))
+    QCheck.Gen.(list_size (1 -- 40) gen_op)
+
+(* Applies [ops], checking idempotence at every step; a [Copy] continues
+   on the copy and sets the original aside, with a snapshot of its model,
+   to check at the end that the copy's later edits never reach it. *)
+let edge_set_agrees ops =
+  let g = ref (fresh_graph ()) and m = ref (model_create ()) in
+  let originals = ref [] in
+  let step = function
+    | Add (s, d, k) ->
+      G.add_edge !g ~src:s ~dst:d k;
+      model_add !m s d k;
+      let n = G.nedges !g in
+      G.add_edge !g ~src:s ~dst:d k;
+      G.nedges !g = n
+    | Remove (s, d, k) ->
+      G.remove_edge !g ~src:s ~dst:d k;
+      model_remove !m s d k;
+      let n = G.nedges !g in
+      G.remove_edge !g ~src:s ~dst:d k;
+      G.nedges !g = n
+    | Copy ->
+      originals := (!g, model_copy !m) :: !originals;
+      g := G.copy !g;
+      true
+    | Fan k ->
+      for d = 0 to fan_width - 1 do
+        G.add_edge !g ~src:0 ~dst:d k;
+        model_add !m 0 d k
+      done;
+      true
+  in
+  List.for_all (fun op -> step op && G.nedges !g = Hashtbl.length !m.set) ops
+  && agrees !g !m
+  && List.for_all (fun (g, m) -> agrees g m) !originals
+
+let edge_set_tests =
+  [
+    QCheck_alcotest.to_alcotest
+      (QCheck.Test.make ~count:60
+         ~name:"add/remove/copy agree with a reference edge set" arbitrary_ops
+         edge_set_agrees);
+  ]
+
 let suites =
   [ ("vfg.resolution", resolution_tests); ("vfg.updates", update_tests);
-    ("vfg.context", context_tests); ("vfg.graph", graph_tests) ]
+    ("vfg.context", context_tests); ("vfg.graph", graph_tests);
+    ("vfg.edge-set", edge_set_tests) ]
 
 (* ---- the taint client: a second consumer of the same graph ---- *)
 

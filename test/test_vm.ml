@@ -268,6 +268,62 @@ let experiment_engine_tests =
         check_int "vm.dispatch_steps" 0 vm_steps);
   ]
 
+(* ---- one base, many plans ------------------------------------------- *)
+
+let read_file path = In_channel.with_open_bin path In_channel.input_all
+
+let example_sources () =
+  let files dir ext =
+    Sys.readdir dir |> Array.to_list
+    |> List.filter (fun f -> Filename.check_suffix f ext)
+    |> List.sort compare
+    |> List.map (fun f -> (f, read_file (Filename.concat dir f)))
+  in
+  files "../examples" ".tc" @ files "../examples/corpus" ".c"
+
+(* One base reused for the native plan and all five plans, attached in
+   forward and then reverse order, runs every plan exactly as a fresh
+   [compile] of it does, on both engines. *)
+let base_reuse_agrees what src =
+  let prog, a = analyze src in
+  let plans =
+    ("native", Instr.Item.empty_plan prog)
+    :: List.map
+         (fun v -> (Usher.Config.variant_name v, fst (Usher.Pipeline.plan_for a v)))
+         Usher.Config.all_variants
+  in
+  let engines cp = [ ("interp", RI.run cp); ("vm", Vm.Exec.run (Vm.Lower.lower cp)) ] in
+  let fresh = List.map (fun (n, plan) -> (n, engines (RI.compile prog plan))) plans in
+  let base = RI.compile_base prog in
+  List.iter
+    (fun order ->
+      List.iter
+        (fun (n, plan) ->
+          List.iter2
+            (fun (e, o) (_, o') ->
+              match outcome_diff o o' with
+              | [] -> ()
+              | ds ->
+                Alcotest.failf "%s/%s on %s: reused base differs on %s" what n e
+                  (String.concat ", " ds))
+            (engines (RI.attach base plan))
+            (List.assoc n fresh))
+        order)
+    [ plans; List.rev plans ]
+
+let base_tests =
+  [
+    tc "a reused base runs every plan like a fresh compile: examples" (fun () ->
+        List.iter (fun (f, src) -> base_reuse_agrees f src) (example_sources ()));
+    tc "a reused base runs every plan like a fresh compile: 200 generated"
+      (fun () ->
+        for seed = 0 to 199 do
+          base_reuse_agrees
+            (Printf.sprintf "gen-%d" seed)
+            (Audit.Gen.source ~seed ())
+        done);
+  ]
+
 (* ---- properties ------------------------------------------------------ *)
 
 let arbitrary_seed = QCheck.make ~print:string_of_int QCheck.Gen.(0 -- 100000)
@@ -324,5 +380,6 @@ let suites =
     ("vm.bytecode", disasm_tests);
     ("vm.choose", choose_tests);
     ("vm.experiment", experiment_engine_tests);
+    ("vm.base", base_tests);
     ("vm.properties", property_tests);
   ]

@@ -90,13 +90,7 @@ let experiment_tests =
     tc "ablation knobs never improve precision" (fun () ->
         let p = Workloads.Spec2000.find "164.gzip" in
         let src = tiny p in
-        let usher knobs =
-          let e =
-            Usher.Experiment.run ~name:"gzip" ~knobs
-              ~variants:[ Usher.Config.Usher_full ] ~check_soundness:false src
-          in
-          (Usher.Experiment.result_for e Usher.Config.Usher_full).static_stats
-        in
+        let usher knobs = static_stats ~knobs src Usher.Config.Usher_full in
         let d = Usher.Config.default_knobs in
         let base = usher d in
         check_bool "no semi-strong costs props" true
