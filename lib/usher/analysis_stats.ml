@@ -42,7 +42,8 @@ let kloc_of_source (src : string) : float =
 (* The Usher_TL+AT and Usher_OptI plans' traversals, built the way
    [Pipeline.plan_for] builds them. Planning may record degradation
    events; they go to a scratch list, because Table 1 reports only the
-   events raised before planning. *)
+   events raised before planning. [plan_for] still observes them, so the
+   [pipeline.degrade_events] counter and the trace include them. *)
 let plan_traversals (a : Pipeline.analysis) =
   let a = { a with events = ref !(a.events) } in
   ( snd (Pipeline.plan_for a Config.Usher_tl_at),

@@ -40,8 +40,11 @@ val kloc_of_source : string -> float
 
 (** [traversals] are the guided traversals of the Usher_TL+AT and
     Usher_OptI plans, as {!Pipeline.plan_for} returned them. Without them,
-    [compute] plans those two variants itself, the same way, and drops
-    whatever degradation events that planning raises. Traced as a
+    [compute] plans those two variants itself, the same way, and keeps
+    whatever degradation events that planning raises out of the
+    analysis's event list (the metrics and the trace still observe them).
+    A caller that also plans one of those variants should pass its
+    traversal, so no planning fault is observed twice. Traced as a
     [usher.stats] span. *)
 val compute :
   ?traversals:Instr.Guided.result option * Instr.Guided.result option ->

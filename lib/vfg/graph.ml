@@ -56,6 +56,9 @@ type t = {
   mutable succs : (int * edge_kind) list array; (* dependencies of each node *)
   mutable preds : (int * edge_kind) list array; (* dependents of each node *)
   mutable defs : def_site array;
+  mutable outdeg : int array;
+  hubs : (int, (int * edge_kind, unit) Hashtbl.t) Hashtbl.t;
+      (* edge sets of the sources whose out-degree exceeds [scan_limit] *)
   mutable nedges : int;
   mutable version : int;    (* bumped on any node/edge mutation *)
   mutable cond : (int * condensation) option;   (* cache, keyed by version *)
@@ -72,6 +75,8 @@ let create () =
       succs = Array.make 1024 [];
       preds = Array.make 1024 [];
       defs = Array.make 1024 Droot;
+      outdeg = Array.make 1024 0;
+      hubs = Hashtbl.create 8;
       nedges = 0;
       version = 0;
       cond = None;
@@ -93,7 +98,10 @@ let grow t n =
     t.preds <- preds;
     let defs = Array.make cap Droot in
     Array.blit t.defs 0 defs 0 t.nnodes;
-    t.defs <- defs
+    t.defs <- defs;
+    let outdeg = Array.make cap 0 in
+    Array.blit t.outdeg 0 outdeg 0 t.nnodes;
+    t.outdeg <- outdeg
   end
 
 let intern t (n : node) : int =
@@ -120,16 +128,35 @@ let same_kind (a : edge_kind) (b : edge_kind) =
   | Ecall l, Ecall l' | Eret l, Eret l' -> l = l'
   | (Eintra | Ecall _ | Eret _), _ -> false
 
-(* Edge sets are the successor lists themselves: out-degree is tiny (at
-   most 2 on every benchmark analog), so a scan of the source's list
-   decides membership faster than hashing the (src, dst, kind) triple. *)
+(* Edge sets are the successor lists themselves. A node's out-degree is
+   the number of call sites of its function for a formal parameter or a
+   function-entry memory version (one [Ecall] edge per site), and the
+   chi set's size for a store/call memory definition; on the benchmark
+   analogs it stays at most 2, because each generated function has one
+   call site. Up to [scan_limit] successors, a scan of the list decides
+   membership faster than hashing the (src, dst, kind) triple; a source
+   with more (a helper called from thousands of sites) keeps its edges
+   in a hash set in [hubs] as well, so building its edges stays linear. *)
+let scan_limit = 8
+
 let has_edge t ~src ~dst k =
-  List.exists (fun (d, k') -> d = dst && same_kind k k') t.succs.(src)
+  if t.outdeg.(src) <= scan_limit then
+    List.exists (fun (d, k') -> d = dst && same_kind k k') t.succs.(src)
+  else Hashtbl.mem (Hashtbl.find t.hubs src) (dst, k)
 
 let add_edge t ~(src : int) ~(dst : int) (k : edge_kind) =
   if not (has_edge t ~src ~dst k) then begin
     t.succs.(src) <- (dst, k) :: t.succs.(src);
     t.preds.(dst) <- (src, k) :: t.preds.(dst);
+    let deg = t.outdeg.(src) + 1 in
+    t.outdeg.(src) <- deg;
+    if deg = scan_limit + 1 then begin
+      let set = Hashtbl.create (2 * deg) in
+      List.iter (fun e -> Hashtbl.replace set e ()) t.succs.(src);
+      Hashtbl.replace t.hubs src set
+    end
+    else if deg > scan_limit then
+      Hashtbl.replace (Hashtbl.find t.hubs src) (dst, k) ();
     t.nedges <- t.nedges + 1;
     t.version <- t.version + 1
   end
@@ -143,6 +170,10 @@ let remove_edge t ~(src : int) ~(dst : int) (k : edge_kind) =
       List.filter (fun (d, k') -> not (d = dst && same_kind k k')) t.succs.(src);
     t.preds.(dst) <-
       List.filter (fun (s, k') -> not (s = src && same_kind k k')) t.preds.(dst);
+    let deg = t.outdeg.(src) - 1 in
+    t.outdeg.(src) <- deg;
+    if deg = scan_limit then Hashtbl.remove t.hubs src
+    else if deg > scan_limit then Hashtbl.remove (Hashtbl.find t.hubs src) (dst, k);
     t.nedges <- t.nedges - 1;
     t.version <- t.version + 1
   end
@@ -174,6 +205,11 @@ let copy t =
     succs = Array.copy t.succs;
     preds = Array.copy t.preds;
     defs = Array.copy t.defs;
+    outdeg = Array.copy t.outdeg;
+    hubs =
+      (let hubs = Hashtbl.create (Hashtbl.length t.hubs) in
+       Hashtbl.iter (fun src set -> Hashtbl.replace hubs src (Hashtbl.copy set)) t.hubs;
+       hubs);
     nedges = t.nedges;
     version = t.version;
     (* The cached condensation is immutable; sharing it is safe — any

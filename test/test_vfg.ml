@@ -221,14 +221,17 @@ let graph_tests =
    (src, dst, kind) triples beside newest-first successor and predecessor
    lists. Random sequences of [add_edge], [remove_edge] and [copy] hit
    duplicates often (few nodes, few kinds); [Fan] gives node 0 up to
-   2,000 successors, far beyond the out-degree the analogs produce. *)
+   2,000 successors, far beyond the out-degree the analogs produce, and
+   [Unfan] takes them away again, so node 0's out-degree crosses the
+   graph's switch from list scans to a hash set in both directions. *)
 module G = Vfg.Graph
 
 type op =
   | Add of int * int * G.edge_kind
   | Remove of int * int * G.edge_kind
   | Copy
-  | Fan of G.edge_kind
+  | Fan of int * G.edge_kind
+  | Unfan of int * G.edge_kind
 
 let fan_width = 2000
 
@@ -285,6 +288,8 @@ let gen_kind =
         map (fun l -> G.Eret l) (0 -- 2);
       ])
 
+let gen_width = QCheck.Gen.oneofl [ 4; 12; fan_width ]
+
 let gen_op =
   QCheck.Gen.(
     let dst = oneof [ 0 -- 7; 0 -- (fan_width - 1) ] in
@@ -293,14 +298,16 @@ let gen_op =
         (8, map3 (fun s d k -> Add (s, d, k)) (0 -- 7) (0 -- 7) gen_kind);
         (5, map3 (fun s d k -> Remove (s, d, k)) (0 -- 7) dst gen_kind);
         (1, return Copy);
-        (1, map (fun k -> Fan k) gen_kind);
+        (1, map2 (fun w k -> Fan (w, k)) gen_width gen_kind);
+        (1, map2 (fun w k -> Unfan (w, k)) gen_width gen_kind);
       ])
 
 let show_op = function
   | Add (s, d, _) -> Printf.sprintf "add %d->%d" s d
   | Remove (s, d, _) -> Printf.sprintf "remove %d->%d" s d
   | Copy -> "copy"
-  | Fan _ -> "fan"
+  | Fan (w, _) -> Printf.sprintf "fan %d" w
+  | Unfan (w, _) -> Printf.sprintf "unfan %d" w
 
 let arbitrary_ops =
   QCheck.make
@@ -330,16 +337,37 @@ let edge_set_agrees ops =
       originals := (!g, model_copy !m) :: !originals;
       g := G.copy !g;
       true
-    | Fan k ->
-      for d = 0 to fan_width - 1 do
+    | Fan (w, k) ->
+      for d = 0 to w - 1 do
         G.add_edge !g ~src:0 ~dst:d k;
         model_add !m 0 d k
       done;
       true
+    | Unfan (w, k) ->
+      for d = 0 to w - 1 do
+        G.remove_edge !g ~src:0 ~dst:d k;
+        model_remove !m 0 d k
+      done;
+      true
+  in
+  (* An original set aside must still decide membership on its own:
+     fanning node 0 out with every kind adds exactly what its model lacks. *)
+  let probe =
+    List.map
+      (fun k -> Fan (fan_width, k))
+      [ G.Eintra; Ecall 0; Ecall 1; Ecall 2; Eret 0; Eret 1; Eret 2 ]
   in
   List.for_all (fun op -> step op && G.nedges !g = Hashtbl.length !m.set) ops
   && agrees !g !m
-  && List.for_all (fun (g, m) -> agrees g m) !originals
+  && List.for_all
+       (fun (g0, m0) ->
+         agrees g0 m0
+         && begin
+              g := g0;
+              m := m0;
+              List.for_all step probe && agrees g0 m0
+            end)
+       !originals
 
 let edge_set_tests =
   [
