@@ -71,26 +71,16 @@ let engine_conv =
   Arg.conv (parse, fun ppf e -> Fmt.string ppf (Vm.Engine.name e))
 
 let engine_doc =
-  "Execution engine: interp (the reference interpreter) or vm (the \
-   bytecode VM). Both give identical outcomes. The VM dispatches faster \
-   but pays to lower each plan to bytecode first, so it wins only on \
-   programs that run many steps per instruction."
+  "Execution engine: interp (default) or vm. Both give identical outcomes. \
+   run and bench on interp execute the program once, with every \
+   instrumented variant as a lane of that one execution and the native \
+   outcome taken from it too; vm is the reference: the bytecode VM runs \
+   the native program and then each variant in its own execution. audit \
+   and fuzz run each variant separately on either engine."
 
-(* audit and fuzz: the interpreter is the default oracle. *)
 let engine_arg =
   Arg.(value & opt engine_conv Vm.Engine.Interp
        & info [ "engine" ] ~doc:engine_doc)
-
-(* run and bench: absent means the native run goes to the interpreter and
-   the instrumented runs to the engine Vm.Engine.choose picks from its
-   step count. *)
-let engine_opt_arg =
-  Arg.(value & opt (some engine_conv) None
-       & info [ "engine" ]
-           ~doc:(engine_doc ^ " Default: the interpreter for the native \
-                 run, then the VM for the instrumented runs if the native \
-                 run executed at least 64 steps per IR instruction, else \
-                 the interpreter."))
 
 let file_arg = Arg.(required & pos 0 (some file) None & info [] ~docv:"FILE")
 
@@ -365,9 +355,13 @@ let run_cmd =
     let a = Usher.Pipeline.analyze ~knobs prog in
     let plan, _ = Usher.Pipeline.plan_for a variant in
     print_degradation a front_events;
-    let base = Runtime.Interp.compile_base prog in
-    let native, engine = Vm.Engine.run_native_for_plans ?engine base in
-    let o = Vm.Engine.run_plan engine base plan in
+    let native, o =
+      match
+        Vm.Engine.run_plans engine (Runtime.Interp.compile_base prog) [ plan ]
+      with
+      | native, [ o ] -> (native, o)
+      | _ -> assert false
+    in
     List.iter (fun v -> Printf.printf "output: %d\n" v) o.outputs;
     Printf.printf "exit: %d\n" o.exit_value;
     List.iter
@@ -400,7 +394,7 @@ let run_cmd =
        ~doc:"Execute a TinyC program under instrumentation. Exits 0 when \
              clean, 3 when a use of an undefined value is detected, 4 when \
              a ground-truth undefined use escapes the instrumentation.")
-    Term.(const run $ file_arg $ level_arg $ variant_arg $ engine_opt_arg
+    Term.(const run $ file_arg $ level_arg $ variant_arg $ engine_arg
           $ knobs_term $ trace_arg $ metrics_arg)
 
 (* ---- check ---- *)
@@ -537,7 +531,7 @@ let bench_cmd =
       with Not_found -> raise (Unknown_bench name)
     in
     let src = Workloads.Spec2000.source ~scale p in
-    match Usher.Experiment.run ~name ~level ~knobs ?engine src with
+    match Usher.Experiment.run ~name ~level ~knobs ~engine src with
     | exception Usher.Experiment.Unsound msg ->
       Printf.printf "SOUNDNESS: %s\n" msg;
       4
@@ -571,7 +565,7 @@ let bench_cmd =
     (Cmd.info "bench"
        ~doc:"Run one SPEC2000 analog end to end. Exits 0 when clean, 3 when \
              undefined uses are detected, 4 on a soundness divergence.")
-    Term.(const run $ name_arg $ scale_arg $ level_arg $ engine_opt_arg
+    Term.(const run $ name_arg $ scale_arg $ level_arg $ engine_arg
           $ knobs_term $ trace_arg $ metrics_arg)
 
 (* ---- audit ---- *)

@@ -28,3 +28,13 @@ let create () =
 
 let base_ops t = t.alu + t.mem + t.branch + t.call + t.alloc + t.io
 let shadow_ops t = t.sh_reg + t.sh_mem + t.sh_obj + t.sh_check
+
+let copy t = { t with alu = t.alu }
+
+let add_shadow into s =
+  into.sh_reg <- into.sh_reg + s.sh_reg;
+  into.sh_reg_reads <- into.sh_reg_reads + s.sh_reg_reads;
+  into.sh_mem <- into.sh_mem + s.sh_mem;
+  into.sh_obj <- into.sh_obj + s.sh_obj;
+  into.sh_obj_cells <- into.sh_obj_cells + s.sh_obj_cells;
+  into.sh_check <- into.sh_check + s.sh_check

@@ -19,3 +19,7 @@ type t = {
 val create : unit -> t
 val base_ops : t -> int
 val shadow_ops : t -> int
+val copy : t -> t
+
+(** [add_shadow into s] adds [s]'s shadow-program counts to [into]'s. *)
+val add_shadow : t -> t -> unit

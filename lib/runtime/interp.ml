@@ -4,23 +4,32 @@
    - executes the concrete program, with *ground-truth* definedness carried
      on every value (the interpreter always knows whether a value is
      garbage; that is the oracle the instrumented runs are judged against);
-   - executes an instrumentation plan (full = the MSan baseline, or any of
-     Usher's guided plans): shadow registers per frame, shadow memory per
-     object, the sigma_g relay array, and E(l) check records;
+   - executes one or more instrumentation plans (full = the MSan baseline,
+     or any of Usher's guided plans), one per *lane*: shadow registers per
+     frame, shadow memory per object, the sigma_g relay array, and E(l)
+     check records;
    - counts dynamic operations for the cost model.
+
+   Lanes. A shadow is one defined/undefined bit, so shadow state is an int
+   mask: bit k is lane k's shadow. Every action carries the mask of the
+   lanes whose plan contains it and writes only those bits, so one
+   concrete execution runs every plan at once, each lane exactly as a run
+   of its plan alone would. Instrumentation never changes which concrete
+   statements execute, so the same execution also yields the native
+   outcome. A one-plan compile is the one-lane case of the same loop.
 
    Programs are compiled to a slot-resolved form first, so the hot loop
    performs no hash lookups. Shadow state defaults to "defined": shadow
-   memory cells are created true and shadow registers start true; only
-   instrumented statements ever write them. Garbage cell contents are a
-   deterministic function of the object id and offset, so runs are
+   memory cells are created all-ones and shadow registers start all-ones;
+   only instrumented statements ever write them. Garbage cell contents are
+   a deterministic function of the object id and offset, so runs are
    reproducible.
 
    The compiled form is exposed (see interp.mli) so lib/vm can lower the
    exact same slot-resolved program to bytecode: both engines share one
    compilation front, which is what makes outcome-for-outcome equivalence
    a meaningful differential oracle. That front runs in two steps: a
-   plan-free base once per program, then one plan attached per run. *)
+   plan-free base once per program, then the plans attached per run. *)
 
 open Ir.Types
 module P = Ir.Prog
@@ -55,7 +64,7 @@ let garbage ~objid ~off =
 
 type mobj = {
   cells : value array;
-  shadow : bool array;
+  shadow : int array;                            (* lane mask per cell *)
   obj_name : string;
 }
 
@@ -75,13 +84,20 @@ type crhs =
   | CRglobal of int
   | CRphi of (int * sop) array                   (* by predecessor block *)
 
-type caction =
+type cact =
   | CSet_var of int * crhs
   | CSet_mem of int * sop                        (* pointer slot, shadow rhs *)
   | CSet_mem_const of int * bool
   | CSet_mem_object of int * bool
   | CSet_global of int * sop
   | CCheck of int option * label                 (* slot (None = undef op) *)
+
+(* A shadow statement and the mask of the lanes that execute it. [cls]
+   names the counter set it charges: one per distinct lane mask. *)
+type caction = { act : cact; lanes : int; cls : int }
+
+(* A phi's folded shadow item, for the lanes whose plans share its arms. *)
+type cphi_shadow = { sharms : (int * sop) array; sh_lanes : int; sh_cls : int }
 
 type csize = CFields of int | CArray of rop
 
@@ -98,7 +114,7 @@ type ckind =
   | CGlobaladdr of int * int                     (* dst slot, global objid *)
   | CFuncaddr of int * string
   | CCall of { dst : int option; callee : ccallee; args : rop array }
-  | CPhi of { dst : int; arms : (int * rop) array; sh : (int * sop) array option }
+  | CPhi of { dst : int; arms : (int * rop) array; sh : cphi_shadow array }
   | COutput of rop
   | CInput of int
 
@@ -137,8 +153,10 @@ type cprog = {
   globals : global list;
   main : cfunc;
   nglobal_slots : int;   (* sigma_g size *)
-  has_shadow : bool;     (* any instrumentation at all in the plan *)
+  has_shadow : bool;     (* any instrumentation at all in any plan *)
   max_slots : int;       (* max nslots over all functions, >= 1 *)
+  nlanes : int;          (* plans attached, one lane each *)
+  class_lanes : int array; (* counter class -> its lane mask *)
 }
 
 (* ------------------------------------------------------------------ *)
@@ -147,8 +165,8 @@ type cprog = {
 
 (* Compilation runs in two steps. [compile_base] does the plan-independent
    work once per program: slot assignment, instruction kinds, terminators
-   and parameters. [attach] adds one plan's actions to a base, so a native
-   run and every plan run of one program share a single base. *)
+   and parameters. [attach_lanes] adds the plans' actions to a base, so a
+   native run and every plan run of one program share a single base. *)
 
 (* One function of a base: its compiled form with no actions attached, and
    the variable held in each of its slots. *)
@@ -229,7 +247,7 @@ let compile_base (p : P.t) : base =
               {
                 dst = slot_of x;
                 arms = Array.of_list (List.map (fun (pb, o) -> (pb, rop o)) arms);
-                sh = None;
+                sh = [||];
               }
           | Output o -> COutput (rop o)
           | Input x -> CInput (slot_of x)
@@ -271,23 +289,60 @@ let compile_base (p : P.t) : base =
 
 let program (b : base) = b.prog
 
-let attach (b : base) (plan : Item.plan) : cprog =
+(* Lanes live in the bits of an int; the sign bit stays unused. *)
+let max_lanes = Sys.int_size - 1
+
+(* Merge the lanes' action lists into one sequence of (action, lane mask)
+   whose restriction to lane k is exactly lists.(k), in order. An action
+   joins an equal entry further on when one exists, so actions that lanes
+   share run once; otherwise it is inserted where lane k has reached. *)
+let weave (lists : 'a list array) : ('a * int) list =
+  let rec put merged xs bit =
+    match xs with
+    | [] -> merged
+    | x :: rest ->
+      let rec find skipped = function
+        | [] -> (x, bit) :: put merged rest bit
+        | (y, m) :: after when y = x ->
+          List.rev_append skipped ((y, m lor bit) :: put after rest bit)
+        | e :: after -> find (e :: skipped) after
+      in
+      find [] merged
+  in
+  let merged = ref [] in
+  Array.iteri (fun k xs -> merged := put !merged xs (1 lsl k)) lists;
+  !merged
+
+let attach_lanes (b : base) (plans : Item.plan list) : cprog =
+  let plans = Array.of_list plans in
+  let nlanes = Array.length plans in
+  if nlanes > max_lanes then
+    invalid_arg
+      (Printf.sprintf "Interp.attach_lanes: %d plans, at most %d lanes" nlanes
+         max_lanes);
   Obs.Trace.with_span ~cat:"runtime" "runtime.attach" @@ fun () ->
   let slot = Array.make (P.nvars b.prog) (-1) in
   let funcs = Hashtbl.create 16 in
-  (* Whether the plan instruments anything at all: an un-instrumented run
-     can share a single dummy shadow register file across all frames. *)
-  let has_shadow = ref false in
   let max_slots = ref 1 in
-  let noted acts =
-    if Array.length acts > 0 then has_shadow := true;
-    acts
+  (* One counter class per distinct lane mask, numbered in first-use
+     order. Every action and phi shadow has one, so a program without
+     classes instruments nothing. *)
+  let classes = Hashtbl.create 8 in
+  let class_lanes = ref [] in
+  let cls_of m =
+    match Hashtbl.find_opt classes m with
+    | Some c -> c
+    | None ->
+      let c = Hashtbl.length classes in
+      Hashtbl.add classes m c;
+      class_lanes := m :: !class_lanes;
+      c
   in
   Array.iter
     (fun { bare = f; slot_vars } ->
       Array.iteri (fun s v -> slot.(v) <- s) slot_vars;
-      (* A variable that only the plan mentions gets a slot past the
-         base's. *)
+      (* A variable that only a plan mentions gets a slot past the base's,
+         shared by every lane. *)
       let nslots = ref f.nslots in
       let fresh = ref [] in
       let slot_of v =
@@ -307,7 +362,7 @@ let attach (b : base) (plan : Item.plan) : cprog =
         | Var v -> Ss (slot_of v)
       in
       (* [lbl] is the statement a check reports; entry checks carry -1. *)
-      let caction lbl (a : Item.action) : caction =
+      let cact lbl (a : Item.action) : cact =
         match a with
         | Item.Set_var (x, rhs) ->
           let crhs =
@@ -331,49 +386,68 @@ let attach (b : base) (plan : Item.plan) : cprog =
           | Undef -> CCheck (None, lbl)
           | Cst _ -> CCheck (None, -2) (* never emitted; treated as pass *))
       in
-      let actions lbl pos =
-        match plan.items.(lbl) with
-        | [] -> [||]
-        | _ ->
-          noted
-            (Array.of_list (List.map (caction lbl) (Item.items_at plan lbl ~pos)))
+      let actions lbl (per_lane : Item.action list array) =
+        Array.of_list
+          (List.map
+             (fun (a, m) -> { act = cact lbl a; lanes = m; cls = cls_of m })
+             (weave per_lane))
+      in
+      let items_at lbl pos =
+        Array.map
+          (fun (p : Item.plan) ->
+            match p.items.(lbl) with [] -> [] | _ -> Item.items_at p lbl ~pos)
+          plans
       in
       let cinstr (ci : cinstr) =
-        let pre = actions ci.clbl Item.Before in
-        let post = actions ci.clbl Item.After in
-        match ci.ckind with
-        | CPhi phi when Array.length post > 0 ->
-          (* The phi's shadow item, if any, is folded into the phi itself
-             for atomic parallel evaluation. *)
-          let sh =
-            List.find_map
-              (function
-                | Item.Set_var (x, Item.Rphi arms) when slot.(x) = phi.dst ->
-                  Some (Array.of_list (List.map (fun (pb, o) -> (pb, sop o)) arms))
-                | _ -> None)
-              (Item.items_at plan ci.clbl ~pos:Item.After)
-          in
-          let post =
-            Array.of_list
-              (List.filter
-                 (function CSet_var (s, CRphi _) -> s <> phi.dst | _ -> true)
-                 (Array.to_list post))
-          in
-          { ci with ckind = CPhi { phi with sh }; pre; post }
-        | _ ->
-          if Array.length pre = 0 && Array.length post = 0 then ci
-          else { ci with pre; post }
+        let post = items_at ci.clbl Item.After in
+        let ckind, post =
+          match ci.ckind with
+          | CPhi phi ->
+            (* Each lane's first shadow item for the phi itself is folded
+               into the phi for atomic parallel evaluation. *)
+            let own = function
+              | Item.Set_var (x, Item.Rphi _) -> slot.(x) = phi.dst
+              | _ -> false
+            in
+            let folded =
+              Array.map
+                (fun acts ->
+                  match List.find_opt own acts with
+                  | Some (Item.Set_var (_, Item.Rphi arms)) -> [ arms ]
+                  | _ -> [])
+                post
+            in
+            let sh =
+              List.map
+                (fun (arms, m) ->
+                  {
+                    sharms =
+                      Array.of_list (List.map (fun (pb, o) -> (pb, sop o)) arms);
+                    sh_lanes = m;
+                    sh_cls = cls_of m;
+                  })
+                (weave folded)
+            in
+            ( (if sh = [] then ci.ckind else CPhi { phi with sh = Array.of_list sh }),
+              Array.map (List.filter (fun a -> not (own a))) post )
+          | k -> (k, post)
+        in
+        let pre = actions ci.clbl (items_at ci.clbl Item.Before) in
+        let post = actions ci.clbl post in
+        if ckind == ci.ckind && Array.length pre = 0 && Array.length post = 0
+        then ci
+        else { ci with ckind; pre; post }
       in
       let cblocks =
         Array.map
           (fun (cb : cblock) ->
             let body = Array.map cinstr cb.body in
-            { cb with body; term_pre = actions cb.term_lbl Item.Before })
+            let term_pre = actions cb.term_lbl (items_at cb.term_lbl Item.Before) in
+            { cb with body; term_pre })
           f.cblocks
       in
       let entry_acts =
-        noted
-          (Array.of_list (List.map (caction (-1)) (Item.entry_items plan f.cfname)))
+        actions (-1) (Array.map (fun p -> Item.entry_items p f.cfname) plans)
       in
       Array.iter (fun v -> slot.(v) <- -1) slot_vars;
       List.iter (fun v -> slot.(v) <- -1) !fresh;
@@ -386,10 +460,17 @@ let attach (b : base) (plan : Item.plan) : cprog =
     global_objid = b.bglobal_objid;
     globals = b.prog.globals;
     main = Hashtbl.find funcs "main";
-    nglobal_slots = plan.ret_slot + 1;
-    has_shadow = !has_shadow;
+    nglobal_slots =
+      Array.fold_left (fun n (p : Item.plan) -> max n (p.ret_slot + 1)) 1 plans;
+    (* An un-instrumented run shares one dummy shadow register file across
+       all frames. *)
+    has_shadow = Hashtbl.length classes > 0;
     max_slots = !max_slots;
+    nlanes;
+    class_lanes = Array.of_list (List.rev !class_lanes);
   }
+
+let attach (b : base) (plan : Item.plan) : cprog = attach_lanes b [ plan ]
 
 let compile (p : P.t) (plan : Item.plan) : cprog = attach (compile_base p) plan
 
@@ -406,6 +487,10 @@ type outcome = {
   steps : int;
 }
 
+(* One execution of a multi-lane program: each lane's outcome, and the
+   native outcome of the same concrete execution. *)
+type lane_outcomes = { native : outcome; per_lane : outcome array }
+
 type limits = { max_steps : int; max_objects : int; max_depth : int }
 
 let default_limits = { max_steps = 50_000_000; max_objects = 4_000_000; max_depth = 10_000 }
@@ -417,7 +502,7 @@ let default_limits = { max_steps = 50_000_000; max_objects = 4_000_000; max_dept
    frame semantics demand. *)
 type frame = {
   regs : value array;
-  sregs : bool array;
+  sregs : int array;              (* lane masks *)
   mutable prev_bid : int;
 }
 
@@ -425,18 +510,19 @@ type state = {
   prog : cprog;
   mutable objs : mobj array;
   mutable nobjs : int;
-  sigma_g : bool array;
-  cnt : Counters.t;
-  det : (label, unit) Hashtbl.t;
+  sigma_g : int array;
+  cnt : Counters.t;               (* base program counters, shared by lanes *)
+  ccnt : Counters.t array;        (* shadow counters per counter class *)
+  det : (label, unit) Hashtbl.t array;  (* per lane *)
   gt : (label, unit) Hashtbl.t;
   mutable outputs_rev : int list;
   mutable steps : int;
   mutable input_state : int;
   limits : limits;
-  dummy_sregs : bool array;       (* shared shadow file: un-instrumented runs *)
+  dummy_sregs : int array;        (* shared shadow file: un-instrumented runs *)
   mutable phi_vals : value array; (* parallel-phi scratch, grown on demand *)
-  mutable phi_shs : bool array;
-  mutable phi_has : bool array;
+  mutable phi_shs : int array;
+  mutable phi_has : int array;    (* lanes whose shadow the phi writes *)
 }
 
 let new_obj st ~cells ~init ~name : int =
@@ -447,7 +533,7 @@ let new_obj st ~cells ~init ~name : int =
     Array.init (max cells 1) (fun off ->
         if init then vint 0 else garbage ~objid:id ~off)
   in
-  let o = { cells = cells_arr; shadow = Array.make (max cells 1) true; obj_name = name } in
+  let o = { cells = cells_arr; shadow = Array.make (max cells 1) (-1); obj_name = name } in
   if st.nobjs >= Array.length st.objs then begin
     let objs = Array.make (max 64 (2 * Array.length st.objs)) o in
     Array.blit st.objs 0 objs 0 st.nobjs;
@@ -483,7 +569,9 @@ let as_int (v : value) : int =
   | Vfun _ -> 1
 
 (* Process-wide dynamic-work totals (Obs.Metrics), published once per run;
-   the per-outcome [Counters.t] stays the cost model's input. *)
+   the per-outcome [Counters.t] stays the cost model's input. [interp.runs]
+   and [interp.base_ops] count executions; [interp.shadow_ops] and
+   [interp.detections] sum over lanes. *)
 let m_runs = Obs.Metrics.counter "interp.runs"
 let m_base_ops = Obs.Metrics.counter "interp.base_ops"
 let m_shadow_ops = Obs.Metrics.counter "interp.shadow_ops"
@@ -498,8 +586,14 @@ let rvalue (regs : value array) (o : rop) : value =
   | Rs s -> regs.(s)
   | Ru -> undef_value
 
-let svalue (sregs : bool array) (s : sop) : bool =
-  match s with Sc b -> b | Ss s -> sregs.(s)
+(* A shadow for every lane at once: all ones is "defined" in every lane. *)
+let lanes_of_bool b = if b then -1 else 0
+
+let svalue (sregs : int array) (s : sop) : int =
+  match s with Sc b -> lanes_of_bool b | Ss s -> sregs.(s)
+
+(* [old] with the bits in mask [m] taken from [v]. *)
+let masked old v m = old lxor ((old lxor v) land m)
 
 let deref st ~what (v : value) : int * int =
   match v.v with
@@ -517,23 +611,33 @@ let rec arm_index (arms : (int * 'a) array) (pb : int) (i : int) : int =
   else if fst (Array.unsafe_get arms i) = pb then i
   else arm_index arms pb (i + 1)
 
-let rec all_set (sregs : bool array) (ys : int array) (i : int) : bool =
-  i >= Array.length ys || (sregs.(ys.(i)) && all_set sregs ys (i + 1))
+let rec all_set (sregs : int array) (ys : int array) (i : int) (acc : int) : int =
+  if i >= Array.length ys then acc
+  else all_set sregs ys (i + 1) (acc land sregs.(ys.(i)))
+
+(* Every lane in [bad] records a detection at [lbl]. *)
+let detect st bad lbl =
+  let bad = ref bad and k = ref 0 in
+  while !bad <> 0 do
+    if !bad land 1 <> 0 then Hashtbl.replace st.det.(!k) lbl ();
+    bad := !bad lsr 1;
+    incr k
+  done
 
 let exec_action st (fr : frame) (a : caction) =
-  let cnt = st.cnt in
-  match a with
+  let cnt = Array.unsafe_get st.ccnt a.cls and m = a.lanes in
+  match a.act with
   | CSet_var (x, rhs) ->
     cnt.sh_reg <- cnt.sh_reg + 1;
-    fr.sregs.(x) <-
-      (match rhs with
-      | CRconst b -> b
+    let v =
+      match rhs with
+      | CRconst b -> lanes_of_bool b
       | CRvar y ->
         cnt.sh_reg_reads <- cnt.sh_reg_reads + 1;
         fr.sregs.(y)
       | CRconj ys ->
         cnt.sh_reg_reads <- cnt.sh_reg_reads + Array.length ys;
-        all_set fr.sregs ys 0
+        all_set fr.sregs ys 0 (-1)
       | CRmem y ->
         cnt.sh_mem <- cnt.sh_mem + 1;
         let o, off = deref st ~what:"shadow load" fr.regs.(y) in
@@ -544,29 +648,37 @@ let exec_action st (fr : frame) (a : caction) =
       | CRphi arms ->
         cnt.sh_reg_reads <- cnt.sh_reg_reads + 1;
         let i = arm_index arms fr.prev_bid 0 in
-        if i >= 0 then svalue fr.sregs (snd arms.(i)) else true)
+        if i >= 0 then svalue fr.sregs (snd arms.(i)) else -1
+    in
+    fr.sregs.(x) <- masked fr.sregs.(x) v m
   | CSet_mem (x, s) ->
     cnt.sh_mem <- cnt.sh_mem + 1;
     let o, off = deref st ~what:"shadow store" fr.regs.(x) in
-    st.objs.(o).shadow.(off) <- svalue fr.sregs s
+    let sh = st.objs.(o).shadow in
+    sh.(off) <- masked sh.(off) (svalue fr.sregs s) m
   | CSet_mem_const (x, b) ->
     cnt.sh_mem <- cnt.sh_mem + 1;
     let o, off = deref st ~what:"shadow store" fr.regs.(x) in
-    st.objs.(o).shadow.(off) <- b
+    let sh = st.objs.(o).shadow in
+    sh.(off) <- masked sh.(off) (lanes_of_bool b) m
   | CSet_mem_object (x, b) ->
     cnt.sh_obj <- cnt.sh_obj + 1;
     let o, _ = deref st ~what:"shadow object init" fr.regs.(x) in
     let sh = st.objs.(o).shadow in
     cnt.sh_obj_cells <- cnt.sh_obj_cells + Array.length sh;
-    Array.fill sh 0 (Array.length sh) b
+    let v = lanes_of_bool b in
+    for i = 0 to Array.length sh - 1 do
+      sh.(i) <- masked sh.(i) v m
+    done
   | CSet_global (i, s) ->
     cnt.sh_reg <- cnt.sh_reg + 1;
     cnt.sh_reg_reads <- cnt.sh_reg_reads + (match s with Ss _ -> 1 | Sc _ -> 0);
-    st.sigma_g.(i) <- svalue fr.sregs s
+    st.sigma_g.(i) <- masked st.sigma_g.(i) (svalue fr.sregs s) m
   | CCheck (slot, lbl) ->
     cnt.sh_check <- cnt.sh_check + 1;
-    let ok = match slot with Some s -> fr.sregs.(s) | None -> false in
-    if not ok then Hashtbl.replace st.det lbl ()
+    let ok = match slot with Some s -> fr.sregs.(s) | None -> 0 in
+    let bad = m land lnot ok in
+    if bad <> 0 then detect st bad lbl
 
 let exec_actions st fr (acts : caction array) =
   for i = 0 to Array.length acts - 1 do
@@ -576,8 +688,8 @@ let exec_actions st fr (acts : caction array) =
 let ensure_phi_scratch st n =
   if Array.length st.phi_vals < n then begin
     st.phi_vals <- Array.make n phi_default;
-    st.phi_shs <- Array.make n true;
-    st.phi_has <- Array.make n false
+    st.phi_shs <- Array.make n 0;
+    st.phi_has <- Array.make n 0
   end
 
 let rec exec_call st (f : cfunc) (args : value array) ~depth : value =
@@ -585,7 +697,7 @@ let rec exec_call st (f : cfunc) (args : value array) ~depth : value =
     exhausted "call depth" st.limits.max_depth;
   let regs = Array.make (max 1 f.nslots) (vint 0) in
   let sregs =
-    if st.prog.has_shadow then Array.make (max 1 f.nslots) true
+    if st.prog.has_shadow then Array.make (max 1 f.nslots) (-1)
     else st.dummy_sregs
   in
   let fr = { regs; sregs; prev_bid = 0 } in
@@ -619,22 +731,28 @@ and exec_block st (f : cfunc) (fr : frame) (bid : int) ~depth : value =
         (let k = arm_index arms fr.prev_bid 0 in
          if k >= 0 then vals.(i) <- rvalue regs (snd arms.(k))
          else vals.(i) <- phi_default);
-        (match sh with
-        | Some sharms ->
-          cnt.sh_reg <- cnt.sh_reg + 1;
-          cnt.sh_reg_reads <- cnt.sh_reg_reads + 1;
-          has.(i) <- true;
+        (* Each entry's lanes are disjoint from the others'. *)
+        let w = ref 0 and v = ref 0 in
+        for j = 0 to Array.length sh - 1 do
+          let { sharms; sh_lanes; sh_cls } = sh.(j) in
+          let c = Array.unsafe_get st.ccnt sh_cls in
+          c.sh_reg <- c.sh_reg + 1;
+          c.sh_reg_reads <- c.sh_reg_reads + 1;
           let k = arm_index sharms fr.prev_bid 0 in
-          if k >= 0 then shs.(i) <- svalue fr.sregs (snd sharms.(k))
-          else shs.(i) <- true
-        | None -> has.(i) <- false)
+          let s = if k >= 0 then svalue fr.sregs (snd sharms.(k)) else -1 in
+          v := !v lor (s land sh_lanes);
+          w := !w lor sh_lanes
+        done;
+        has.(i) <- !w;
+        shs.(i) <- !v
       | _ -> assert false
     done;
     for i = 0 to !nphis - 1 do
       match b.body.(i).ckind with
       | CPhi { dst; _ } ->
         regs.(dst) <- vals.(i);
-        if has.(i) then fr.sregs.(dst) <- shs.(i);
+        if has.(i) <> 0 then
+          fr.sregs.(dst) <- masked fr.sregs.(dst) shs.(i) has.(i);
         (* Non-phi shadow items attached to the phi still run. *)
         exec_actions st fr b.body.(i).pre;
         exec_actions st fr b.body.(i).post
@@ -773,21 +891,22 @@ and exec_block st (f : cfunc) (fr : frame) (bid : int) ~depth : value =
     cnt.call <- cnt.call + 1;
     match o with Some o -> rvalue regs o | None -> phi_default)
 
-let run ?(limits = default_limits) (cp : cprog) : outcome =
+let run_lanes ?(limits = default_limits) (cp : cprog) : lane_outcomes =
   let st =
     {
       prog = cp;
       objs = Array.make 64 { cells = [||]; shadow = [||]; obj_name = "!" };
       nobjs = 0;
-      sigma_g = Array.make (max 1 cp.nglobal_slots) true;
+      sigma_g = Array.make (max 1 cp.nglobal_slots) (-1);
       cnt = Counters.create ();
-      det = Hashtbl.create 16;
+      ccnt = Array.map (fun _ -> Counters.create ()) cp.class_lanes;
+      det = Array.init cp.nlanes (fun _ -> Hashtbl.create 16);
       gt = Hashtbl.create 16;
       outputs_rev = [];
       steps = 0;
       input_state = 0x9e3779b9;
       limits;
-      dummy_sregs = Array.make cp.max_slots true;
+      dummy_sregs = Array.make cp.max_slots (-1);
       phi_vals = [||];
       phi_shs = [||];
       phi_has = [||];
@@ -810,22 +929,47 @@ let run ?(limits = default_limits) (cp : cprog) : outcome =
     cp.globals;
   let r =
     if Obs.Trace.enabled () then
-      Obs.Trace.with_span ~cat:"interp" "interp.run" (fun () ->
-          exec_call st cp.main [||] ~depth:0)
+      Obs.Trace.with_span ~cat:"interp"
+        ~args:[ ("lanes", Obs.Trace.Int cp.nlanes) ]
+        "interp.run"
+        (fun () -> exec_call st cp.main [||] ~depth:0)
     else exec_call st cp.main [||] ~depth:0
   in
+  let native =
+    {
+      outputs = List.rev st.outputs_rev;
+      exit_value = as_int r;
+      counters = st.cnt;
+      detections = Hashtbl.create 1;
+      gt_uses = st.gt;
+      steps = st.steps;
+    }
+  in
+  (* Lane k's counters: the shared base counts plus the shadow counts of
+     every class that includes lane k. *)
+  let lane k =
+    let c = Counters.copy st.cnt in
+    Array.iteri
+      (fun cls m ->
+        if m land (1 lsl k) <> 0 then Counters.add_shadow c st.ccnt.(cls))
+      cp.class_lanes;
+    { native with counters = c; detections = st.det.(k); gt_uses = Hashtbl.copy st.gt }
+  in
+  let per_lane = Array.init cp.nlanes lane in
   Obs.Metrics.incr m_runs;
   Obs.Metrics.add m_base_ops (Counters.base_ops st.cnt);
-  Obs.Metrics.add m_shadow_ops (Counters.shadow_ops st.cnt);
-  Obs.Metrics.add m_detections (Hashtbl.length st.det);
-  {
-    outputs = List.rev st.outputs_rev;
-    exit_value = as_int r;
-    counters = st.cnt;
-    detections = st.det;
-    gt_uses = st.gt;
-    steps = st.steps;
-  }
+  Array.iter
+    (fun o ->
+      Obs.Metrics.add m_shadow_ops (Counters.shadow_ops o.counters);
+      Obs.Metrics.add m_detections (Hashtbl.length o.detections))
+    per_lane;
+  { native; per_lane }
+
+let run ?limits (cp : cprog) : outcome =
+  if cp.nlanes <> 1 then
+    invalid_arg
+      (Printf.sprintf "Interp.run: %d lanes; use run_lanes" cp.nlanes);
+  (run_lanes ?limits cp).per_lane.(0)
 
 (* ------------------------------------------------------------------ *)
 

@@ -3,10 +3,16 @@
 
     - executes the concrete program, carrying {e ground-truth} definedness
       on every value (the oracle instrumented runs are judged against);
-    - executes an instrumentation plan (full = the MSan baseline, or any of
-      Usher's guided plans): shadow registers per frame, shadow memory per
-      object, the sigma_g relay array, and E(l) check records;
+    - executes one or more instrumentation plans (full = the MSan
+      baseline, or any of Usher's guided plans), one per {e lane}: shadow
+      registers per frame, shadow memory per object, the sigma_g relay
+      array, and E(l) check records;
     - counts dynamic operations for the cost model.
+
+    Shadow state is an int mask, bit k being lane k's defined bit, so one
+    concrete execution runs every attached plan at once and also yields
+    the native outcome ({!run_lanes}). A one-plan program is the one-lane
+    case of the same loop.
 
     Programs are compiled to a slot-resolved form first, so the hot loop
     performs no hash lookups. Shadow state defaults to "defined"; only
@@ -26,7 +32,8 @@ exception Resource_exhausted of { what : string; limit : int }
     The slot-resolved program the interpreter executes: variables become
     dense integer slots per function, plan items are attached to each
     instruction as pre/post action arrays, and a phi's own shadow item is
-    folded into the phi for atomic parallel evaluation. The representation
+    folded into the phi for atomic parallel evaluation. Every action
+    carries the mask of the lanes that execute it. The representation
     is public so [lib/vm] can lower the same compiled program to bytecode
     — both engines share this compilation front ({!compile_base} then
     {!attach}), which is what makes their outcome-for-outcome equivalence
@@ -44,13 +51,21 @@ type crhs =
   | CRglobal of int
   | CRphi of (int * sop) array          (** by predecessor block *)
 
-type caction =
+type cact =
   | CSet_var of int * crhs
   | CSet_mem of int * sop               (** pointer slot, shadow rhs *)
   | CSet_mem_const of int * bool
   | CSet_mem_object of int * bool
   | CSet_global of int * sop
   | CCheck of int option * Ir.Types.label  (** slot (None = undef operand) *)
+
+(** A shadow statement, run by the lanes in the mask [lanes]. [cls] is its
+    counter class: one per distinct lane mask, see [class_lanes]. *)
+type caction = { act : cact; lanes : int; cls : int }
+
+(** A phi's folded shadow item, for the lanes whose plans share its arms;
+    the entries of one phi have disjoint masks. *)
+type cphi_shadow = { sharms : (int * sop) array; sh_lanes : int; sh_cls : int }
 
 type csize = CFields of int | CArray of rop
 
@@ -70,7 +85,7 @@ type ckind =
   | CPhi of {
       dst : int;
       arms : (int * rop) array;
-      sh : (int * sop) array option;    (** folded shadow phi, if planned *)
+      sh : cphi_shadow array;           (** folded shadow phis, if planned *)
     }
   | COutput of rop
   | CInput of int
@@ -107,15 +122,17 @@ type cprog = {
   globals : Ir.Types.global list;
   main : cfunc;
   nglobal_slots : int;                  (** sigma_g size *)
-  has_shadow : bool;                    (** plan instruments anything at all *)
+  has_shadow : bool;                    (** a plan instruments anything at all *)
   max_slots : int;                      (** max [nslots] over functions, >= 1 *)
+  nlanes : int;                         (** plans attached, one lane each *)
+  class_lanes : int array;              (** counter class -> lane mask *)
 }
 
 (** {1 Compilation}
 
     Compilation runs in two steps. {!compile_base} does the
     plan-independent work once per program: slots, instruction kinds,
-    terminators and parameters. {!attach} adds one plan to a base: its
+    terminators and parameters. {!attach_lanes} adds plans to a base: their
     actions, the phi shadow folds and [has_shadow]. A native run and every
     plan run of one program can share one base. *)
 
@@ -129,8 +146,19 @@ val compile_base : Ir.Prog.t -> base
 (** The program a base was compiled from. *)
 val program : base -> Ir.Prog.t
 
-(** The base with one plan attached. A variable that only the plan
-    mentions gets a fresh slot past the base's. *)
+(** Most plans one program can carry: one lane per bit of an int, less
+    the sign bit. *)
+val max_lanes : int
+
+(** The base with every plan attached, plan k as lane k. At each label,
+    entry and phi, the actions restricted to lane k are exactly plan k's,
+    in plan k's order; equal actions of several lanes run once where that
+    order allows. A variable that only plans mention gets a fresh slot
+    past the base's.
+    @raise Invalid_argument with more than {!max_lanes} plans. *)
+val attach_lanes : base -> Instr.Item.plan list -> cprog
+
+(** [attach b plan = attach_lanes b [plan]]: the one-lane case. *)
 val attach : base -> Instr.Item.plan -> cprog
 
 (** [compile p plan = attach (compile_base p) plan]: the one-shot form. *)
@@ -146,11 +174,22 @@ type outcome = {
   steps : int;
 }
 
+(** One execution: lane k's outcome is what a run of plan k alone gives.
+    [native] is the same execution without instrumentation: the base
+    counters with zero shadow counters, no detections. *)
+type lane_outcomes = { native : outcome; per_lane : outcome array }
+
 type limits = { max_steps : int; max_objects : int; max_depth : int }
 
 val default_limits : limits
 
-(** @raise Runtime_error on wild memory accesses or exceeded limits. *)
+(** Run every lane in one execution.
+    @raise Runtime_error on wild memory accesses.
+    @raise Resource_exhausted on exceeded limits. *)
+val run_lanes : ?limits:limits -> cprog -> lane_outcomes
+
+(** The outcome of a one-lane program.
+    @raise Invalid_argument when [cprog] has another number of lanes. *)
 val run : ?limits:limits -> cprog -> outcome
 
 (** Run without instrumentation. *)

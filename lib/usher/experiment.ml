@@ -58,7 +58,8 @@ let covered (prog : Ir.Prog.t) (detections : (Ir.Types.label, unit) Hashtbl.t)
     legitimately hides uses (§4.3/§4.6: deleted dead loads take their checks
     with them, and folded branches change the undef-use set). *)
 let run ?(name = "program") ?(level = Optim.Pipeline.O0_IM)
-    ?(knobs = Config.default_knobs) ?(check_soundness = true) ?limits ?engine
+    ?(knobs = Config.default_knobs) ?(check_soundness = true) ?limits
+    ?(engine = Vm.Engine.Interp)
     (src : string) : t =
   Obs.Trace.with_span ~cat:"experiment"
     ~args:[ ("level", Obs.Trace.Str (Optim.Pipeline.level_to_string level)) ]
@@ -81,23 +82,27 @@ let run ?(name = "program") ?(level = Optim.Pipeline.O0_IM)
       ~src
       { analysis with events = ref unplanned }
   in
-  (* One base serves the native run and every plan run. *)
-  let base = Runtime.Interp.compile_base prog in
-  let native, engine = Vm.Engine.run_native_for_plans ?limits ?engine base in
-  let compress = level <> Optim.Pipeline.O0_IM in
-  let results =
+  (* Step (3) of the paper's O1/O2 methodology: rerun the optimizer over
+     the inserted instrumentation (shadow constant folding + shadow
+     dead-code elimination). *)
+  let plans =
     List.map
       (fun (v, (plan, _)) ->
-        (* Step (3) of the paper's O1/O2 methodology: rerun the optimizer
-           over the inserted instrumentation (shadow constant folding +
-           shadow dead-code elimination). *)
-        let compressed_away =
-          if compress then
-            Instr.Compress.fold_constants plan + Instr.Compress.run plan
-          else 0
-        in
-        let outcome = Vm.Engine.run_plan ?limits engine base plan in
-        (* The instrumented run must preserve program behaviour... *)
+        if level <> Optim.Pipeline.O0_IM then
+          (v, plan, Instr.Compress.fold_constants plan + Instr.Compress.run plan)
+        else (v, plan, 0))
+      plans
+  in
+  (* One base and, on the interpreter, one execution for every plan. *)
+  let native, outcomes =
+    Vm.Engine.run_plans ?limits engine (Runtime.Interp.compile_base prog)
+      (List.map (fun (_, plan, _) -> plan) plans)
+  in
+  let results =
+    List.map2
+      (fun (v, plan, compressed_away) (outcome : Runtime.Interp.outcome) ->
+        (* The instrumented run must preserve program behaviour (only the
+           VM runs each plan in its own execution)... *)
         if outcome.outputs <> native.outputs then
           raise
             (Unsound
@@ -124,7 +129,7 @@ let run ?(name = "program") ?(level = Optim.Pipeline.O0_IM)
           detections = Hashtbl.fold (fun l () acc -> l :: acc) outcome.detections [];
           compressed_away;
         })
-      plans
+      plans outcomes
   in
   {
     name;

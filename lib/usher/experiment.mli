@@ -33,15 +33,17 @@ exception Unsound of string
 val covered :
   Ir.Prog.t -> (Ir.Types.label, unit) Hashtbl.t -> Ir.Types.label -> bool
 
-(** Run every variant: plan all five first, then run the native program
-    and each plan on one {!Runtime.Interp.base}. Table 1's %B and S are
-    the Usher_TL+AT and Usher_OptI plans' traversals. With
-    [check_soundness] (default, O0+IM only) raises {!Unsound} if an
-    instrumented run diverges from the native outputs or a ground-truth
-    undefined use is not covered. [engine] forces the
-    execution engine for both the native and the instrumented runs. By
-    default the native run uses the interpreter and the instrumented runs
-    use {!Vm.Engine.choose} on its step count. *)
+(** Run every variant: plan all five first, then execute them on one
+    {!Runtime.Interp.base}. Table 1's %B and S are the Usher_TL+AT and
+    Usher_OptI plans' traversals. On the default [engine] ([Interp]) one
+    execution runs the five plans as lanes and yields the native outcome
+    too; [~engine:Vm] is the reference: a native VM run, then each plan in
+    its own VM run. With [check_soundness] (default, O0+IM only) the lanes
+    are checked in {!Config.all_variants} order, raising {!Unsound} at the
+    first ground-truth undefined use a plan does not cover. On the VM
+    path, a plan run whose outputs differ from the native run's also
+    raises {!Unsound}; the lane path has one concrete execution, so there
+    it cannot happen. *)
 val run :
   ?name:string ->
   ?level:Optim.Pipeline.level ->

@@ -2,7 +2,8 @@
    ([Runtime.Interp.cprog]) down to the flat bytecode of [Bytecode].
 
    The input is what the interpreter runs: a program's
-   [Interp.compile_base] with one plan put on by [Interp.attach]. Sharing
+   [Interp.compile_base] with one plan put on by [Interp.attach]. The VM
+   runs one lane only; a multi-lane program is rejected. Sharing
    that front means every subtle lowering decision — slot assignment,
    folding a phi's shadow item into the phi, check-label patching — is
    shared with the interpreter, so engine equivalence tests compare
@@ -63,13 +64,17 @@ let binop_enc : Ir.Types.binop -> int = function
   | Or -> 6 | Xor -> 7 | Shl -> 8 | Shr -> 9 | Lt -> 10 | Le -> 11
   | Gt -> 12 | Ge -> 13 | Eq -> 14 | Ne -> 15
 
+(* The folded shadow phi of a one-lane program, if planned. *)
+let phi_shadow (sh : I.cphi_shadow array) =
+  if Array.length sh = 0 then None else Some sh.(0).I.sharms
+
 (* ------------------------------------------------------------------ *)
 (* Static counter deltas                                               *)
 (* ------------------------------------------------------------------ *)
 
 let acc_action (d : int array) (a : I.caction) =
   let bump f n = d.(f) <- d.(f) + n in
-  match a with
+  match a.act with
   | I.CSet_var (_, rhs) ->
     bump B.d_sh_reg 1;
     (match rhs with
@@ -107,7 +112,7 @@ let block_delta (cb : I.cblock) : int array =
       acc_actions d ci.pre;
       acc_kind d ci.ckind;
       (match ci.ckind with
-      | I.CPhi { sh = Some _; _ } ->
+      | I.CPhi { sh = [| _ |]; _ } ->
         d.(B.d_sh_reg) <- d.(B.d_sh_reg) + 1;
         d.(B.d_sh_reg_reads) <- d.(B.d_sh_reg_reads) + 1
       | _ -> ());
@@ -155,7 +160,7 @@ let lower_func (ctx : ctx) ~(block0 : int) (f : I.cfunc) : B.func =
   (* [step] puts the interpreter-step bit on this action's opcode. *)
   let emit_action ?(step = false) (a : I.caction) =
     let eop op = emit b (if step then op lor B.step_bit else op) in
-    match a with
+    match a.act with
     | I.CSet_var (x, rhs) -> (
       match rhs with
       | I.CRconst c -> eop B.o_sh_mov; emit b x; emit b 0; emit b (if c then 1 else 0)
@@ -299,10 +304,13 @@ let lower_func (ctx : ctx) ~(block0 : int) (f : I.cfunc) : B.func =
       match cb.body.(i).ckind with
       | I.CPhi { dst = d; sh; _ } ->
         Hashtbl.replace vdst d ();
-        if sh <> None then Hashtbl.replace shwr d ();
+        if Array.length sh > 0 then Hashtbl.replace shwr d ();
         let acts a =
           Array.iter
-            (function I.CSet_var (x, _) -> Hashtbl.replace shwr x () | _ -> ())
+            (fun (a : I.caction) ->
+              match a.act with
+              | I.CSet_var (x, _) -> Hashtbl.replace shwr x ()
+              | _ -> ())
             a
         in
         acts cb.body.(i).pre;
@@ -319,7 +327,7 @@ let lower_func (ctx : ctx) ~(block0 : int) (f : I.cfunc) : B.func =
              match snd arms.(k) with
              | I.Rs s -> if Hashtbl.mem vdst s then hazard := true
              | _ -> ());
-          (match sh with
+          (match phi_shadow sh with
           | Some sharms ->
             let k = arm_of sharms in
             if k >= 0 then (
@@ -335,7 +343,7 @@ let lower_func (ctx : ctx) ~(block0 : int) (f : I.cfunc) : B.func =
         let k = arm_of arms in
         let ok, ov = if k >= 0 then rop_enc (snd arms.(k)) else (3, 0) in
         emit b B.o_copy; emit b vslot; emit b ok; emit b ov;
-        (match sh with
+        (match phi_shadow sh with
         | Some sharms ->
           let k = arm_of sharms in
           let sk, sv = if k >= 0 then sop_enc (snd sharms.(k)) else (0, 1) in
@@ -362,9 +370,9 @@ let lower_func (ctx : ctx) ~(block0 : int) (f : I.cfunc) : B.func =
         | I.CPhi { dst = d; sh; _ } ->
           let scr = f.nslots + i in
           emit b B.o_copy_s; emit b d; emit b scr;
-          (match sh with
-          | Some _ -> emit b B.o_sh_mov; emit b d; emit b 1; emit b scr
-          | None -> ())
+          if Array.length sh > 0 then begin
+            emit b B.o_sh_mov; emit b d; emit b 1; emit b scr
+          end
         | _ -> assert false);
         emit_actions ci.pre;
         emit_actions ci.post
@@ -501,9 +509,8 @@ let lower_func (ctx : ctx) ~(block0 : int) (f : I.cfunc) : B.func =
    but CCheck can carry the synthetic -2); sizes the exec label bitmaps. *)
 let max_label (cp : I.cprog) : int =
   let m = ref 0 in
-  let act = function
-    | I.CCheck (_, l) -> if l > !m then m := l
-    | _ -> ()
+  let act (a : I.caction) =
+    match a.act with I.CCheck (_, l) -> if l > !m then m := l | _ -> ()
   in
   Hashtbl.iter
     (fun _ (cf : I.cfunc) ->
@@ -523,6 +530,10 @@ let max_label (cp : I.cprog) : int =
   !m
 
 let lower (cp : I.cprog) : B.prog =
+  if cp.nlanes <> 1 then
+    invalid_arg
+      (Printf.sprintf "Vm.Lower.lower: %d lanes; the VM runs one plan"
+         cp.nlanes);
   let names = ref [] in
   let nnames = ref 0 in
   let name_tbl : (string, int) Hashtbl.t = Hashtbl.create 64 in

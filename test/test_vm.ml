@@ -1,4 +1,5 @@
-(* The bytecode VM against the reference interpreter.
+(* The bytecode VM against the reference interpreter, and the
+   interpreter's lanes against one-plan runs on both engines.
 
    The contract under test is total outcome equivalence: for any program
    and any instrumentation plan, [Vm.Exec.run (Vm.Lower.lower cp)] must
@@ -192,28 +193,6 @@ let disasm_tests =
           (Vm.Engine.of_string "threaded" = None));
   ]
 
-(* ---- engine choice --------------------------------------------------- *)
-
-let chosen ~steps ~instrs = Vm.Engine.name (Vm.Engine.choose ~steps ~instrs)
-
-let choose_tests =
-  [
-    tc "choose switches to the VM at 64 steps per instruction" (fun () ->
-        List.iter
-          (fun n ->
-            check_str (Printf.sprintf "64*%d - 1 steps" n) "interp"
-              (chosen ~steps:((64 * n) - 1) ~instrs:n);
-            check_str (Printf.sprintf "64*%d steps" n) "vm"
-              (chosen ~steps:(64 * n) ~instrs:n))
-          [ 1; 2; 7; 4763; 55834 ]);
-    tc "choose never picks the VM for an empty program" (fun () ->
-        List.iter
-          (fun steps ->
-            check_str (Printf.sprintf "%d steps, 0 instrs" steps) "interp"
-              (chosen ~steps ~instrs:0))
-          [ 0; 1; 1_000_000 ]);
-  ]
-
 (* Everything deterministic about an experiment: the Table 1 row with its
    clock and memory fields zeroed, every variant_result field, the native
    counters and outputs, and the ground-truth uses. *)
@@ -230,42 +209,138 @@ let experiment_view (e : Usher.Experiment.t) =
 let m_interp_runs = Obs.Metrics.counter "interp.runs"
 let m_vm_steps = Obs.Metrics.counter "vm.dispatch_steps"
 
-(* The default engine choice against both forced engines on one analog.
-   Returns the default run's (interp.runs, vm.dispatch_steps) deltas. *)
-let default_matches_forced name scale =
+(* The default engine (every plan a lane of one interpreter execution)
+   against the VM reference (a native run plus one run per plan) on one
+   analog. Returns the default run's (interp.runs, vm.dispatch_steps)
+   deltas. *)
+let default_matches_vm name scale =
   let src =
     Workloads.Spec2000.source ~scale (Workloads.Spec2000.find name)
   in
   let runs0 = Obs.Metrics.counter_value m_interp_runs
   and steps0 = Obs.Metrics.counter_value m_vm_steps in
-  let auto = Usher.Experiment.run ~name src in
+  let lanes = Usher.Experiment.run ~name src in
   let deltas =
     ( Obs.Metrics.counter_value m_interp_runs - runs0,
       Obs.Metrics.counter_value m_vm_steps - steps0 )
   in
-  List.iter
-    (fun engine ->
-      let forced = Usher.Experiment.run ~name ~engine src in
-      check_bool
-        (Printf.sprintf "%s: default = --engine %s" name
-           (Vm.Engine.name engine))
-        true
-        (experiment_view auto = experiment_view forced))
-    [ Vm.Engine.Interp; Vm.Engine.Vm ];
+  let vm = Usher.Experiment.run ~name ~engine:Vm.Engine.Vm src in
+  check_bool (name ^ ": default = --engine vm") true
+    (experiment_view lanes = experiment_view vm);
   deltas
 
 let experiment_engine_tests =
   [
-    tc "164.gzip at scale 100: plan runs go to the VM" (fun () ->
-        (* about 85 native steps per IR instruction *)
-        let runs, vm_steps = default_matches_forced "164.gzip" 100 in
-        check_int "interp.runs: the native run only" 1 runs;
-        check_bool "vm.dispatch_steps > 0" true (vm_steps > 0));
-    tc "176.gcc at scale 5: plan runs stay on the interpreter" (fun () ->
-        (* about 2.6 native steps per IR instruction *)
-        let runs, vm_steps = default_matches_forced "176.gcc" 5 in
-        check_int "interp.runs: native + five plans" 6 runs;
+    tc "164.gzip at scale 100: plans run as lanes of one execution" (fun () ->
+        let runs, vm_steps = default_matches_vm "164.gzip" 100 in
+        check_int "interp.runs" 1 runs;
         check_int "vm.dispatch_steps" 0 vm_steps);
+    tc "176.gcc at scale 5: plan runs are lanes of one execution" (fun () ->
+        let runs, vm_steps = default_matches_vm "176.gcc" 5 in
+        check_int "interp.runs" 1 runs;
+        check_int "vm.dispatch_steps" 0 vm_steps);
+  ]
+
+(* ---- lanes ----------------------------------------------------------- *)
+
+let diff_or_fail what (a : RI.outcome) (b : RI.outcome) =
+  match outcome_diff a b with
+  | [] -> ()
+  | ds -> Alcotest.failf "%s: differs on %s" what (String.concat ", " ds)
+
+(* Every plan as a lane of one execution, against each plan run alone on
+   both engines, and the derived native outcome against a native run. *)
+let lanes_agree what prog plans =
+  let base = RI.compile_base prog in
+  let r = RI.run_lanes (RI.attach_lanes base plans) in
+  check_int (what ^ ": one outcome per lane") (List.length plans)
+    (Array.length r.per_lane);
+  diff_or_fail (what ^ "/native") r.native
+    (RI.run (RI.attach base (Instr.Item.empty_plan prog)));
+  List.iteri
+    (fun k plan ->
+      let lane = r.per_lane.(k) in
+      diff_or_fail (Printf.sprintf "%s/lane %d vs one-lane interp" what k) lane
+        (RI.run (RI.attach base plan));
+      diff_or_fail (Printf.sprintf "%s/lane %d vs vm" what k) lane
+        (Vm.Engine.run_plan Vm.Engine.Vm base plan))
+    plans
+
+let isolation_src =
+  "int main() { int *p = (int*)malloc(1); *p = 5; int y = *p;\n\
+  \  print(y); print(y + 1); print(y + 2); print(y + 3); return 0; }"
+
+(* Lane [w] writes shadow [w] to one register, sigma_g[0] and one cell,
+   then checks each; at the last output it sets the register to [not w]
+   and then to [w] -- the same two actions, in opposite orders in the two
+   writers -- and checks it again. *)
+let isolation_plan prog ~p ~y ~outs w =
+  let module It = Instr.Item in
+  let plan = It.empty_plan prog in
+  let at lbl acts = List.iter (It.add plan lbl It.Before) acts in
+  let o1, o2, o3, o4 =
+    match outs with [ a; b; c; d ] -> (a, b, c, d) | _ -> assert false
+  in
+  let check = It.Check (Ir.Types.Var y) in
+  at o1
+    [ It.Set_var (y, It.Rconst w); It.Set_global (0, Ir.Types.Var y);
+      It.Set_mem (p, It.Mconst w); check ];
+  at o2 [ It.Set_var (y, It.Rglobal 0); check ];
+  at o3 [ It.Set_var (y, It.Rmem p); check ];
+  at o4 [ It.Set_var (y, It.Rconst (not w)); It.Set_var (y, It.Rconst w); check ];
+  plan
+
+let lane_tests =
+  [
+    tc "lanes writing opposite shadows stay isolated" (fun () ->
+        let prog = front isolation_src in
+        let dst pred =
+          match find_instr pred prog with
+          | Some (_, { Ir.Types.kind = Ir.Types.Alloc a; _ }) -> a.adst
+          | Some (_, { Ir.Types.kind = Ir.Types.Load (x, _); _ }) -> x
+          | _ -> Alcotest.fail "instruction not found"
+        in
+        let p = dst (function Ir.Types.Alloc _ -> true | _ -> false) in
+        let y = dst (function Ir.Types.Load _ -> true | _ -> false) in
+        let outs = ref [] in
+        Ir.Prog.iter_instrs
+          (fun _ _ i ->
+            match i.Ir.Types.kind with
+            | Ir.Types.Output _ -> outs := i.lbl :: !outs
+            | _ -> ())
+          prog;
+        let outs = List.rev !outs in
+        let plan = isolation_plan prog ~p ~y ~outs in
+        (* lane 0 writes F, lane 1 writes T, lane 2 runs no plan *)
+        let plans = [ plan false; plan true; Instr.Item.empty_plan prog ] in
+        lanes_agree "isolation" prog plans;
+        let r = RI.run_lanes (RI.attach_lanes (RI.compile_base prog) plans) in
+        check_bool "F lane: every check fires" true
+          (labels r.per_lane.(0).detections = outs);
+        check_int "T lane: no check fires" 0
+          (Hashtbl.length r.per_lane.(1).detections);
+        check_int "plan-less lane: no detections" 0
+          (Hashtbl.length r.per_lane.(2).detections);
+        check_int "plan-less lane: no shadow ops" 0
+          (Runtime.Counters.shadow_ops r.per_lane.(2).counters);
+        check_int "native: no detections" 0 (Hashtbl.length r.native.detections));
+    tc "too many lanes are rejected, and the VM takes one lane only"
+      (fun () ->
+        let prog = front isolation_src in
+        let base = RI.compile_base prog in
+        let plans n = List.init n (fun _ -> Instr.Item.empty_plan prog) in
+        ignore (RI.attach_lanes base (plans RI.max_lanes));
+        let raises what f =
+          match f () with
+          | _ -> Alcotest.failf "%s: no Invalid_argument" what
+          | exception Invalid_argument _ -> ()
+        in
+        raises "attach_lanes past max_lanes" (fun () ->
+            RI.attach_lanes base (plans (RI.max_lanes + 1)));
+        raises "Vm.Lower.lower of two lanes" (fun () ->
+            Vm.Lower.lower (RI.attach_lanes base (plans 2)));
+        raises "Interp.run of two lanes" (fun () ->
+            RI.run (RI.attach_lanes base (plans 2))));
   ]
 
 (* ---- one base, many plans ------------------------------------------- *)
@@ -344,6 +419,33 @@ let property_tests =
           (Printf.sprintf "gen-%d/%s" seed name)
           (Audit.Gen.source ~seed ());
         true);
+    prop "lanes ≡ one-plan runs ≡ vm under seeded degradation" 40 (fun seed ->
+        (* all five plans, at O0+IM or compressed at O2; some seeds add the
+           five again in reverse, ten lanes sharing most actions; the knobs,
+           level and doubling vary independently with the seed *)
+        let name, knobs =
+          List.nth
+            (("none", Usher.Config.default_knobs) :: rungs)
+            (seed mod (List.length rungs + 1))
+        in
+        let level =
+          if seed / 12 mod 2 = 0 then Optim.Pipeline.O0_IM
+          else Optim.Pipeline.O2
+        in
+        let prog, a = analyze ~knobs ~level (Audit.Gen.source ~seed ()) in
+        let plans =
+          List.map
+            (fun v ->
+              let plan, _ = Usher.Pipeline.plan_for a v in
+              if level <> Optim.Pipeline.O0_IM then
+                ignore
+                  (Instr.Compress.fold_constants plan + Instr.Compress.run plan);
+              plan)
+            Usher.Config.all_variants
+        in
+        let plans = if seed / 6 mod 2 = 1 then plans @ List.rev plans else plans in
+        lanes_agree (Printf.sprintf "gen-%d/%s" seed name) prog plans;
+        true);
     prop "vm ≡ interp under tight step limits" 15 (fun seed ->
         (* run both engines into (or just past) the limit wall: whichever
            side of it the program lands on, the outcome or the exception
@@ -378,7 +480,7 @@ let suites =
     ("vm.equiv", unit_tests);
     ("vm.failures", failure_tests);
     ("vm.bytecode", disasm_tests);
-    ("vm.choose", choose_tests);
+    ("vm.lanes", lane_tests);
     ("vm.experiment", experiment_engine_tests);
     ("vm.base", base_tests);
     ("vm.properties", property_tests);
