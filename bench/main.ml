@@ -79,7 +79,7 @@ let profiles = Workloads.Spec2000.all
    printed here, in input order, after the join. *)
 let run_level level =
   let ran =
-    Exp.parallel_map ~jobs:!jobs
+    Usher.Fork.parallel_map ~jobs:!jobs
       (fun (p : Workloads.Profile.t) ->
         let src = Workloads.Spec2000.source ~scale:!scale p in
         let e = Exp.run ~name:p.pname ~level ~knobs:(bench_knobs ()) src in

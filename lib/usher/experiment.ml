@@ -66,12 +66,11 @@ let run ?(name = "program") ?(level = Optim.Pipeline.O0_IM)
     ("experiment." ^ name)
   @@ fun () ->
   let prog, front_events = Pipeline.front_guarded ~level ~knobs src in
-  let analysis = Pipeline.analyze ~knobs prog in
-  analysis.events := front_events @ !(analysis.events);
-  let unplanned = !(analysis.events) in
-  let plans =
-    List.map (fun v -> (v, Pipeline.plan_for analysis v)) Config.all_variants
+  let { Pipeline.analysis; plans; plan_events; base } =
+    Pipeline.prepare ~knobs prog
   in
+  let unplanned = front_events @ !(analysis.events) in
+  analysis.events := unplanned @ plan_events;
   (* Table 1's %B and S come from the Usher_TL+AT and Usher_OptI plans'
      own traversals; its degradation events stop where planning starts. *)
   let table1 =
@@ -95,7 +94,7 @@ let run ?(name = "program") ?(level = Optim.Pipeline.O0_IM)
   in
   (* One base and, on the interpreter, one execution for every plan. *)
   let native, outcomes =
-    Vm.Engine.run_plans ?limits engine (Runtime.Interp.compile_base prog)
+    Vm.Engine.run_plans ?limits engine base
       (List.map (fun (_, plan, _) -> plan) plans)
   in
   let results =
@@ -144,51 +143,3 @@ let run ?(name = "program") ?(level = Optim.Pipeline.O0_IM)
 
 let result_for (t : t) (v : Config.variant) : variant_result =
   List.find (fun r -> r.variant = v) t.results
-
-(* Bounded parallel map: fork [min jobs n] domains that claim input
-   indices from one atomic counter, then join them all. Each slot of
-   [results] is written by exactly one domain, and [Domain.join] orders
-   those writes before the reads below. Results keep input order.
-
-   Failure handling: fail-fast — the first recorded failure makes every
-   domain stop claiming indices (items already running still finish).
-   After the join, the failure at the lowest input index that actually
-   ran is re-raised *with the worker's backtrace*
-   ([Printexc.raise_with_backtrace]; a bare [raise] here would replace
-   the worker's trace with the caller's). Which trailing items were
-   skipped depends on scheduling, but the success outcome and the raised
-   exception's provenance do not. *)
-let parallel_map ?(jobs = 1) (f : 'a -> 'b) (xs : 'a list) : 'b list =
-  let input = Array.of_list xs in
-  let n = Array.length input in
-  if jobs <= 1 || n <= 1 then List.map f xs
-  else begin
-    let results : ('b, exn * Printexc.raw_backtrace) result option array =
-      Array.make n None
-    in
-    let next = Atomic.make 0 in
-    let failed = Atomic.make false in
-    let rec work () =
-      let i = Atomic.fetch_and_add next 1 in
-      if i < n && not (Atomic.get failed) then begin
-        (match f input.(i) with
-        | r -> results.(i) <- Some (Ok r)
-        | exception e ->
-          let bt = Printexc.get_raw_backtrace () in
-          results.(i) <- Some (Error (e, bt));
-          Atomic.set failed true);
-        work ()
-      end
-    in
-    List.init (min jobs n) (fun _ -> Domain.spawn work)
-    |> List.iter Domain.join;
-    Array.iter
-      (function
-        | Some (Error (e, bt)) -> Printexc.raise_with_backtrace e bt
-        | Some (Ok _) | None -> ())
-      results;
-    Array.to_list results
-    |> List.map (function
-         | Some (Ok r) -> r
-         | Some (Error _) | None -> assert false)
-  end

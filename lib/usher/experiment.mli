@@ -33,9 +33,13 @@ exception Unsound of string
 val covered :
   Ir.Prog.t -> (Ir.Types.label, unit) Hashtbl.t -> Ir.Types.label -> bool
 
-(** Run every variant: plan all five first, then execute them on one
-    {!Runtime.Interp.base}. Table 1's %B and S are the Usher_TL+AT and
-    Usher_OptI plans' traversals. On the default [engine] ([Interp]) one
+(** Run every variant: {!Pipeline.prepare} analyzes the program, plans
+    all five variants and compiles one {!Runtime.Interp.base}, running the
+    Usher_TL half of the work on a helper domain for a large program (the
+    results are the sequential ones); then the plans execute on that
+    base. Table 1's %B and S are the Usher_TL+AT and Usher_OptI plans'
+    traversals, and its time and memory sum what the analysis's thunks
+    measured on their own domains. On the default [engine] ([Interp]) one
     execution runs the five plans as lanes and yields the native outcome
     too; [~engine:Vm] is the reference: a native VM run, then each plan in
     its own VM run. With [check_soundness] (default, O0+IM only) the lanes
@@ -55,14 +59,3 @@ val run :
   t
 
 val result_for : t -> Config.variant -> variant_result
-
-(** [parallel_map ~jobs f xs] maps [f] over [xs] on up to [jobs] domains
-    (default 1 = plain [List.map]). Work items are claimed from an atomic
-    counter; results come back in input order regardless of completion
-    order. Failure is fail-fast: once any application raises, no new items
-    are handed out (in-flight items finish); after all domains joined, the
-    failure at the lowest input index that ran is re-raised with the
-    worker's own backtrace. [f] must be safe to run concurrently with
-    itself — experiment runs are: every mutable artifact hangs off the
-    per-run program. *)
-val parallel_map : ?jobs:int -> ('a -> 'b) -> 'a list -> 'b list

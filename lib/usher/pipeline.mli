@@ -26,14 +26,15 @@ type analysis = {
           (perf/layers.ml) builds this record as a literal naming it, and
           it goes with the next change to the benchmark. *)
   analysis_time_s : float;
-      (** CPU seconds spent by the analyzing domain alone
-          ({!Obs.Clock.thread_cpu_ns}), pointer analysis through Opt II;
-          other domains' work in the meantime is not counted *)
+      (** CPU seconds of the analysis, pointer analysis through Opt II:
+          the sum of the thread CPU ({!Obs.Clock.thread_cpu_ns}) each of
+          its thunks measured inside itself, on whichever domain it ran.
+          Other work in the meantime is not counted. *)
   analysis_mem_mb : float;
-      (** MB allocated by the analyzing domain over the same span: its
-          [Gc.minor_words] delta, 8 bytes a word. Other domains'
-          allocation is not counted, and allocation freed in the
-          meantime still counts. *)
+      (** MB allocated by the same thunks: the sum of their
+          [Gc.minor_words] deltas, 8 bytes a word. Other work's
+          allocation is not counted, and allocation freed in the meantime
+          still counts. *)
   phase_times_s : (string * float) list;
       (** wall-clock seconds per analysis phase, in pipeline order:
           andersen, callgraph, modref, memssa, vfg, vfg-tl, resolve,
@@ -64,13 +65,44 @@ val front_guarded :
   Ir.Prog.t * Degrade.event list
 
 (** Every analysis artifact shared by the variants. Never raises for
-    budget exhaustion or injected faults — it degrades instead. *)
+    budget exhaustion or injected faults — it degrades instead.
+
+    After memory SSA the work splits in two halves that share nothing:
+    the full graph ([vfg], its check, [resolve], Γ certification, Opt II)
+    and the top-level graph ([vfg-tl], its check, [resolve-tl], Γ_TL
+    certification). On a large program (at least 40,000 IR labels) with
+    no budget knob set, the halves are handed to {!Fork.both}, which runs
+    the TL half on a helper domain when a core is free. Each half then
+    logs its events and distrusts into a log of its own; when neither
+    logged anything both are adopted, otherwise both are thrown away and
+    the phases rerun in sequence on the calling domain. The result is the
+    sequential result in every case. *)
 val analyze : ?knobs:Config.knobs -> Ir.Prog.t -> analysis
 
 (** Distrusted functions, sorted. *)
 val distrusted_functions : analysis -> string list
 
 (** Instrumentation plan of one variant, plus the guided-traversal result
-    when applicable (None for MSan and for degraded-to-full plans). *)
+    when applicable (None for MSan and for degraded-to-full plans).
+    A planning fault degrades the plan to full instrumentation and is
+    observed and appended to the analysis's [events]. *)
 val plan_for :
   analysis -> Config.variant -> Instr.Item.plan * Instr.Guided.result option
+
+(** What {!Experiment.run} needs before it executes anything. *)
+type prepared = {
+  analysis : analysis;  (** its [events] hold the analysis's events only *)
+  plans : (Config.variant * (Instr.Item.plan * Instr.Guided.result option)) list;
+      (** every variant, in {!Config.all_variants} order *)
+  plan_events : Degrade.event list;
+      (** planning faults, in {!Config.all_variants} order; already
+          observed, not yet in [analysis.events] *)
+  base : Runtime.Interp.base;  (** [Runtime.Interp.compile_base] of the program *)
+}
+
+(** {!analyze}, {!plan_for} of every variant and the program's base
+    compile, overlapped on a large program: the helper domain that runs
+    the TL half of {!analyze} goes on to plan Usher_TL and MSan and to
+    compile the base, and a second fork plans Usher_TL+AT and Usher_OptI
+    beside the Usher plan. The result is the sequential one. *)
+val prepare : ?knobs:Config.knobs -> Ir.Prog.t -> prepared

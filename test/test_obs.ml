@@ -40,47 +40,53 @@ let clock_tests =
           check_bool "non-decreasing" true (t >= !prev);
           prev := t
         done);
-    (* Table 1's analysis time must be the analyzing domain's own CPU: a
-       second domain burning CPU alongside it (as under bench --jobs) must
-       not be charged to it. One thread's CPU never exceeds the wall time
-       it ran for, whereas the process-wide CPU clock would read about
-       twice the wall time here on any machine with two or more cores. *)
+    (* Table 1's analysis time sums the thread CPU that the analysis's
+       own thunks measure, on the caller and, for a large program like
+       this one, on its helper domain. A bystander domain burning CPU
+       alongside (as under bench --jobs) is never charged: the process's
+       CPU over the whole run covers the analysis, the bystander and the
+       rest, so the analysis time fits in what is left once the
+       bystander's own CPU is taken out. A process-wide clock would read
+       the bystander's share too and overshoot by about the call's wall
+       time. *)
     tc "analysis_time_s excludes other domains' CPU" (fun () ->
         let src =
           Workloads.Spec2000.source ~scale:5 (Workloads.Spec2000.find "176.gcc")
         in
         let prog = front src in
         let started = Atomic.make false and stop = Atomic.make false in
+        let process0 = Sys.time () in
         let spinner =
           Domain.spawn (fun () ->
+              let t0 = Obs.Clock.thread_cpu_ns () in
               Atomic.set started true;
               while not (Atomic.get stop) do
                 Domain.cpu_relax ()
-              done)
+              done;
+              Obs.Clock.thread_cpu_ns () - t0)
         in
         while not (Atomic.get started) do
           Domain.cpu_relax ()
         done;
-        let w0 = Obs.Clock.now_ns () in
         let a =
           Fun.protect
-            ~finally:(fun () ->
-              Atomic.set stop true;
-              Domain.join spinner)
+            ~finally:(fun () -> Atomic.set stop true)
             (fun () -> Usher.Pipeline.analyze prog)
         in
-        let wall_s = float_of_int (Obs.Clock.elapsed_ns w0) *. 1e-9 in
+        let spinner_s = float_of_int (Domain.join spinner) *. 1e-9 in
+        let left_s = Sys.time () -. process0 -. spinner_s in
         check_bool
-          (Printf.sprintf "analysis_time_s %.3f <= wall %.3f + 0.010"
-             a.analysis_time_s wall_s)
+          (Printf.sprintf
+             "analysis_time_s %.3f <= process CPU less the bystander's %.3f + 0.010"
+             a.analysis_time_s left_s)
           true
-          (a.analysis_time_s <= wall_s +. 0.010));
+          (a.analysis_time_s <= left_s +. 0.010));
     (* Table 1's memory column counts the words the analyzing domain
        allocates, so it is never 0 and does not depend on what other
        domains do meanwhile. *)
     tc "analysis_mem_mb is nonzero and the same at jobs 1 and 2" (fun () ->
         let mem jobs =
-          Usher.Experiment.parallel_map ~jobs
+          Usher.Fork.parallel_map ~jobs
             (fun (p : Workloads.Profile.t) ->
               let prog = front (Workloads.Spec2000.source ~scale:5 p) in
               (p.pname, (Usher.Pipeline.analyze prog).analysis_mem_mb))
@@ -575,15 +581,15 @@ let parallel_tests =
         let xs = List.init 100 Fun.id in
         check_ints "squares in order"
           (List.map (fun x -> x * x) xs)
-          (Usher.Experiment.parallel_map ~jobs:4 (fun x -> x * x) xs));
+          (Usher.Fork.parallel_map ~jobs:4 (fun x -> x * x) xs));
     tc "jobs=1 degenerates to List.map" (fun () ->
         check_ints "identity" [ 2; 4; 6 ]
-          (Usher.Experiment.parallel_map ~jobs:1 (fun x -> 2 * x) [ 1; 2; 3 ]));
+          (Usher.Fork.parallel_map ~jobs:1 (fun x -> 2 * x) [ 1; 2; 3 ]));
     tc "worker exception propagates to the caller" (fun () ->
         check_bool "original exception" true
           (try
              ignore
-               (Usher.Experiment.parallel_map ~jobs:4
+               (Usher.Fork.parallel_map ~jobs:4
                   (fun x -> if x = 17 then raise (Worker_boom x) else x)
                   (List.init 64 Fun.id));
              false
@@ -593,7 +599,7 @@ let parallel_tests =
         let n = 50_000 in
         (try
            ignore
-             (Usher.Experiment.parallel_map ~jobs:2
+             (Usher.Fork.parallel_map ~jobs:2
                 (fun x ->
                   if x = 0 then failwith "early"
                   else begin
@@ -608,7 +614,7 @@ let parallel_tests =
         let deep () = failwith "deep worker failure" in
         (try
            ignore
-             (Usher.Experiment.parallel_map ~jobs:2
+             (Usher.Fork.parallel_map ~jobs:2
                 (fun x -> if x = 1 then deep () else x)
                 [ 0; 1; 2; 3 ])
          with Failure _ ->

@@ -17,4 +17,4 @@ let () =
     @ Test_opts.suites @ Test_misc.suites @ Test_properties.suites
     @ Test_faults.suites @ Test_audit.suites @ Test_equiv.suites
     @ Test_obs.suites @ Test_verify.suites @ Test_serve.suites
-    @ Test_fuzz.suites @ Test_vm.suites)
+    @ Test_fuzz.suites @ Test_vm.suites @ Test_fork.suites)
