@@ -8,11 +8,6 @@
      dune exec bench/main.exe -- sec46     -- the §4.6 O1/O2 study
      dune exec bench/main.exe -- detect    -- §4.5 detection result
      dune exec bench/main.exe -- ablation  -- DESIGN.md §5 ablations
-     dune exec bench/main.exe -- vm        -- the bytecode VM against the
-                                              reference interpreter: steps/s
-                                              for both engines and the
-                                              per-variant dynamic overhead,
-                                              differentially checked
      dune exec bench/main.exe -- scale=60 fig10   -- override the input scale
    dune exec bench/main.exe -- --jobs 4 table1  -- run experiments on 4 domains
                                                    (also: jobs=4, or BENCH_JOBS)
@@ -28,11 +23,8 @@
    below — single source of truth, mirrored by the CI validator):
    per-phase wall times, peak heap, deterministic work counters, the
    process-wide Obs.Metrics snapshot, per-variant instrumentation
-   statistics, (under --verify) per-checker certificate times and
-   violation counts, and (under vm) engine comparison: steps/s for the
-   interpreter and the bytecode VM on the scale-10 gzip micro, the
-   speedup ratio, and the per-variant dynamic overhead at scale 50 — for
-   whatever artifacts ran; see EXPERIMENTS.md.
+   statistics and (under --verify) per-checker certificate times and
+   violation counts, for whatever artifacts ran; see EXPERIMENTS.md.
    [--baseline FILE] fails the run if solve_iterations or
    states_explored regressed >20%% against the checked-in counters;
    [--update-baseline FILE] rewrites them. [--trace FILE] additionally
@@ -45,11 +37,12 @@
 
 module Cfg = Usher.Config
 module Exp = Usher.Experiment
+module J = Serve.Json
 
 (* The single source of truth for the BENCH_usher.json schema tag; the CI
-   validator greps the emitted file for exactly this string. Bump it
-   whenever a field is added, removed, or changes meaning. *)
-let schema_version = "usher-bench/9"
+   validator compares the file's "schema" field with exactly this string.
+   Bump it whenever a field is added, removed, or changes meaning. *)
+let schema_version = "usher-bench/10"
 
 let scale = ref 30
 
@@ -283,195 +276,13 @@ let ablation () =
     \ never increases the ratio)\n"
 
 (* ------------------------------------------------------------------ *)
-(* BENCH_usher.json: a hand-rolled emitter — the container has no JSON
-   library and the schema ([schema_version], documented in
-   EXPERIMENTS.md) is small enough not to need one. *)
+(* BENCH_usher.json, written through Serve.Json. *)
 
-type json =
-  | J of string (* raw literal: numbers, booleans *)
-  | Jstr of string
-  | Jobj of (string * json) list
-  | Jarr of json list
+let jint n = J.Num (float_of_int n)
 
-let jint n = J (string_of_int n)
-let jfloat f = J (if Float.is_finite f then Printf.sprintf "%.6g" f else "0")
-
-let rec emit b ind = function
-  | J s -> Buffer.add_string b s
-  | Jstr s ->
-    Buffer.add_char b '"';
-    String.iter
-      (fun c ->
-        match c with
-        | '"' -> Buffer.add_string b "\\\""
-        | '\\' -> Buffer.add_string b "\\\\"
-        | '\n' -> Buffer.add_string b "\\n"
-        | '\t' -> Buffer.add_string b "\\t"
-        | '\r' -> Buffer.add_string b "\\r"
-        | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-        | c -> Buffer.add_char b c)
-      s;
-    Buffer.add_char b '"'
-  | Jobj [] -> Buffer.add_string b "{}"
-  | Jobj fields ->
-    let pad = String.make (ind + 2) ' ' in
-    Buffer.add_string b "{\n";
-    List.iteri
-      (fun i (k, v) ->
-        if i > 0 then Buffer.add_string b ",\n";
-        Buffer.add_string b pad;
-        emit b (ind + 2) (Jstr k);
-        Buffer.add_string b ": ";
-        emit b (ind + 2) v)
-      fields;
-    Buffer.add_char b '\n';
-    Buffer.add_string b (String.make ind ' ');
-    Buffer.add_char b '}'
-  | Jarr [] -> Buffer.add_string b "[]"
-  | Jarr items ->
-    let pad = String.make (ind + 2) ' ' in
-    Buffer.add_string b "[\n";
-    List.iteri
-      (fun i v ->
-        if i > 0 then Buffer.add_string b ",\n";
-        Buffer.add_string b pad;
-        emit b (ind + 2) v)
-      items;
-    Buffer.add_char b '\n';
-    Buffer.add_string b (String.make ind ' ');
-    Buffer.add_char b ']'
-
-(* ------------------------------------------------------------------ *)
-(* vm: the bytecode VM against the reference interpreter on the 164.gzip
-   analog. Both engines execute the same Interp.compile output, so every
-   comparison below is also a differential test: any outcome field that
-   differs (outputs, exit value, steps, the full counter record, the
-   detection/ground-truth label sets) fails the bench run outright.
-   Steps/s is steady-state — best-of-N over precompiled artifacts, the
-   same fairness rule the fig10 harness uses — at scale 10 (the micro
-   workload); the per-variant dynamic overhead table reruns Figure 10's
-   cost-model metric on VM-produced counters at scale 50. *)
-
-let vm_json : json option ref = ref None
-let vm_counters : (string * string * int * int) list ref = ref []
-
-let labels_of tbl =
-  List.sort compare (Hashtbl.fold (fun k () acc -> k :: acc) tbl [])
-
-let outcome_diff (a : Runtime.Interp.outcome) (b : Runtime.Interp.outcome) :
-    string list =
-  let d = ref [] in
-  let chk name same = if not same then d := name :: !d in
-  chk "outputs" (a.outputs = b.outputs);
-  chk "exit_value" (a.exit_value = b.exit_value);
-  chk "steps" (a.steps = b.steps);
-  chk "counters" (a.counters = b.counters);
-  chk "detections" (labels_of a.detections = labels_of b.detections);
-  chk "gt_uses" (labels_of a.gt_uses = labels_of b.gt_uses);
-  !d
-
-let vmbench () =
-  Printf.printf "\n== vm: bytecode VM vs reference interpreter (164.gzip) ==\n";
-  let module RI = Runtime.Interp in
-  let p = Workloads.Spec2000.find "164.gzip" in
-  let prepare sc =
-    let src = Workloads.Spec2000.source ~scale:sc p in
-    let prog = Usher.Pipeline.front src in
-    (prog, Usher.Pipeline.analyze prog)
-  in
-  let plan_of prog an = function
-    | None -> Instr.Item.empty_plan prog
-    | Some v -> fst (Usher.Pipeline.plan_for an v)
-  in
-  let differential what (oi : RI.outcome) (ov : RI.outcome) =
-    match outcome_diff oi ov with
-    | [] -> ()
-    | ds ->
-      Printf.printf "vm FAILED: %s: engines disagree on %s\n" what
-        (String.concat ", " ds);
-      exit 1
-  in
-  (* steady-state steps/s at scale 10, best-of-N on precompiled artifacts *)
-  let prog10, an10 = prepare 10 in
-  let best_of n f =
-    f ();
-    let best = ref infinity in
-    for _ = 1 to n do
-      let t0 = Obs.Clock.now_s () in
-      f ();
-      let dt = Obs.Clock.elapsed_s t0 in
-      if dt < !best then best := dt
-    done;
-    !best
-  in
-  let micro_row name variant =
-    let cp = RI.compile prog10 (plan_of prog10 an10 variant) in
-    let bp = Vm.Engine.lower cp in
-    let oi = RI.run cp and ov = Vm.Engine.exec bp in
-    differential (name ^ "@10") oi ov;
-    let ti = best_of 60 (fun () -> ignore (RI.run cp)) in
-    let tv = best_of 60 (fun () -> ignore (Vm.Engine.exec bp)) in
-    let si = float_of_int oi.steps /. ti and sv = float_of_int ov.steps /. tv in
-    Printf.printf
-      "  %-8s %8d steps   interp %6.1fM steps/s   vm %6.1fM steps/s   %4.2fx\n"
-      name oi.steps (si /. 1e6) (sv /. 1e6) (sv /. si);
-    vm_counters :=
-      !vm_counters
-      @ [ ("vm/164.gzip", name, ov.steps, Vm.Bytecode.code_words bp) ];
-    ( name,
-      Jobj
-        [
-          ("steps", jint oi.steps);
-          ("code_words", jint (Vm.Bytecode.code_words bp));
-          ("interp_steps_per_s", jfloat si);
-          ("vm_steps_per_s", jfloat sv);
-          ("speedup", jfloat (sv /. si));
-        ] )
-  in
-  (* sequenced lets: list literals evaluate right-to-left *)
-  let r_native = micro_row "native" None in
-  let r_msan = micro_row "msan" (Some Cfg.Msan) in
-  let r_usher = micro_row "usher" (Some Cfg.Usher_full) in
-  let micro_rows = [ r_native; r_msan; r_usher ] in
-  (* per-variant dynamic overhead at scale 50, cost model over VM counters *)
-  let prog50, an50 = prepare 50 in
-  let run_both what plan =
-    let cp = RI.compile prog50 plan in
-    let oi = RI.run cp and ov = Vm.Engine.exec (Vm.Engine.lower cp) in
-    differential (what ^ "@50") oi ov;
-    ov
-  in
-  let native50 = run_both "native" (plan_of prog50 an50 None) in
-  Printf.printf "  dynamic overhead at scale 50 (%d native steps):\n"
-    native50.steps;
-  let overhead =
-    List.map
-      (fun v ->
-        let name = Cfg.variant_name v in
-        let o = run_both name (plan_of prog50 an50 (Some v)) in
-        let pct =
-          Runtime.Costmodel.slowdown_pct ~native:native50.counters
-            ~instrumented:o.counters ()
-        in
-        Printf.printf "    %-12s %6.0f%%\n" name pct;
-        (name, pct))
-      Cfg.all_variants
-  in
-  Printf.printf
-    "  (all engine pairs byte-identical: outputs, exit, steps, counters, \
-     detections)\n";
-  vm_json :=
-    Some
-      (Jobj
-         [
-           ("micro_scale", jint 10);
-           ("micro", Jobj micro_rows);
-           ("overhead_scale", jint 50);
-           ("native_steps", jint native50.steps);
-           ( "overhead_pct",
-             Jobj (List.map (fun (n, pct) -> (n, jfloat pct)) overhead) );
-         ])
+(* Serve.Json would print a non-finite float as nan or inf, which is not
+   JSON; such a measurement is written as 0. *)
+let jfloat f = J.Num (if Float.is_finite f then f else 0.)
 
 (* Every experiment actually run this invocation (forced lazies only, in
    deterministic profile order); the ablation's private runs are not
@@ -488,14 +299,14 @@ let collected_experiments () =
 
 let experiment_json (lvl, (p : Workloads.Profile.t), (e : Exp.t)) =
   let a = e.analysis in
-  Jobj
+  J.Obj
     [
-      ("name", Jstr p.pname);
-      ("level", Jstr lvl);
+      ("name", J.Str p.pname);
+      ("level", J.Str lvl);
       ("analysis_cpu_s", jfloat a.analysis_time_s);
       ("analysis_mem_mb", jfloat a.analysis_mem_mb);
       ( "phase_wall_s",
-        Jobj (List.map (fun (n, t) -> (n, jfloat t)) a.phase_times_s) );
+        J.Obj (List.map (fun (n, t) -> (n, jfloat t)) a.phase_times_s) );
       ("solve_iterations", jint a.pa.solve_iterations);
       ("pa_sccs_collapsed", jint a.pa.sccs_collapsed);
       ("pa_edges_deduped", jint a.pa.edges_deduped);
@@ -504,24 +315,24 @@ let experiment_json (lvl, (p : Workloads.Profile.t), (e : Exp.t)) =
       ("vfg_nodes", jint (Vfg.Graph.nnodes a.vfg.graph));
       ("vfg_edges", jint (Vfg.Graph.nedges a.vfg.graph));
       ( "verify",
-        Jarr
+        J.Arr
           (List.map
              (fun (r : Verify.Report.t) ->
-               Jobj
+               J.Obj
                  [
-                   ("checker", Jstr r.checker);
+                   ("checker", J.Str r.checker);
                    ("wall_s", jfloat r.wall_s);
                    ("facts", jint r.checked);
                    ("violations", jint (Verify.Report.nviolations r));
                  ])
              a.verify_reports) );
       ( "variants",
-        Jarr
+        J.Arr
           (List.map
              (fun (r : Exp.variant_result) ->
-               Jobj
+               J.Obj
                  [
-                   ("name", Jstr (Cfg.variant_name r.variant));
+                   ("name", J.Str (Cfg.variant_name r.variant));
                    ("propagations", jint r.static_stats.propagations);
                    ("checks", jint r.static_stats.checks);
                    ("slowdown_pct", jfloat r.slowdown_pct);
@@ -532,7 +343,7 @@ let experiment_json (lvl, (p : Workloads.Profile.t), (e : Exp.t)) =
 (* The Obs.Metrics registry snapshot: process-wide counters/gauges and
    log2-bucket histograms accumulated by every phase that ran. *)
 let metrics_json () =
-  Jobj
+  J.Obj
     (List.map
        (fun (name, v) ->
          ( name,
@@ -540,43 +351,37 @@ let metrics_json () =
            | Obs.Metrics.Counter n -> jint n
            | Obs.Metrics.Gauge f -> jfloat f
            | Obs.Metrics.Histogram { count; sum; buckets } ->
-             Jobj
+             J.Obj
                [
                  ("count", jint count);
                  ("sum", jint sum);
                  ( "buckets",
-                   Jarr
+                   J.Arr
                      (List.map
-                        (fun (lo, n) -> Jarr [ jint lo; jint n ])
+                        (fun (lo, n) -> J.Arr [ jint lo; jint n ])
                         buckets) );
                ] ))
        (Obs.Metrics.snapshot ()))
 
 let write_bench_json ~wall ~cpu () =
   let j =
-    Jobj
+    J.Obj
       [
-        ("schema", Jstr schema_version);
+        ("schema", J.Str schema_version);
         ("scale", jint !scale);
         ("jobs", jint !jobs);
-        ("traced", J (if !trace_file <> None then "true" else "false"));
-        ("verified", J (if !verify then "true" else "false"));
+        ("traced", J.Bool (!trace_file <> None));
+        ("verified", J.Bool !verify);
         ("total_wall_s", jfloat wall);
         ("total_cpu_s", jfloat cpu);
         ("top_heap_words", jint (Gc.quick_stat ()).Gc.top_heap_words);
-        ("experiments", Jarr (List.map experiment_json (collected_experiments ())));
+        ("experiments", J.Arr (List.map experiment_json (collected_experiments ())));
         ("metrics", metrics_json ());
-        ( "vm",
-          match !vm_json with
-          | None -> J "null" (* the vm artifact did not run this invocation *)
-          | Some j -> j );
       ]
   in
-  let b = Buffer.create 8192 in
-  emit b 0 j;
-  Buffer.add_char b '\n';
   let oc = open_out "BENCH_usher.json" in
-  output_string oc (Buffer.contents b);
+  output_string oc (J.to_line j);
+  output_char oc '\n';
   close_out oc;
   Printf.printf "(wrote BENCH_usher.json: %d experiment(s))\n"
     (List.length (collected_experiments ()))
@@ -585,10 +390,7 @@ let write_bench_json ~wall ~cpu () =
 (* Work-counter baseline: solve_iterations and states_explored are
    deterministic for a given (profile, level, scale), so CI can catch an
    algorithmic regression without trusting wall clocks. One line per
-   experiment: name level solve_iterations states_explored. The vm
-   artifact contributes rows of the same shape — vm/<analog> <plan>
-   steps code_words, both deterministic at the artifact's fixed scale —
-   so a bytecode-size or step-count blowup is caught the same way. *)
+   experiment: name level solve_iterations states_explored. *)
 
 let counter_rows () =
   List.map
@@ -596,13 +398,11 @@ let counter_rows () =
       (p.pname, lvl, e.analysis.pa.solve_iterations,
        e.analysis.gamma.states_explored))
     (collected_experiments ())
-  @ !vm_counters
 
 let write_baseline file =
   let oc = open_out file in
   output_string oc
-    "# usher bench work counters: name level solve_iterations states_explored\n\
-     # (vm rows: vm/<analog> <plan> steps code_words)\n";
+    "# usher bench work counters: name level solve_iterations states_explored\n";
   Printf.fprintf oc "# generated at scale %d\n" !scale;
   List.iter
     (fun (name, lvl, a, b) -> Printf.fprintf oc "%s %s %d %d\n" name lvl a b)
@@ -643,9 +443,8 @@ let check_baseline file =
               what was now
           end
         in
-        let vm_row = String.length name > 3 && String.sub name 0 3 = "vm/" in
-        chk (if vm_row then "steps" else "solve_iterations") a si;
-        chk (if vm_row then "code_words" else "states_explored") b se)
+        chk "solve_iterations" a si;
+        chk "states_explored" b se)
     (counter_rows ());
   if !failures > 0 then begin
     Printf.printf "(baseline check FAILED: %d counter regression(s))\n" !failures;
@@ -712,14 +511,9 @@ let () =
   | [] ->
     List.iter
       (fun (n, f) -> artifact n f)
-      (* vm first: its steps/s timing loops are the only artifact that is
-         sensitive to heap state left behind by the parallel artifacts
-         (table1 under --jobs orphans its worker domains' major-heap
-         pools, and OCaml 5.1 has no compactor to reclaim them). *)
       [
-        ("vm", vmbench); ("table1", table1); ("fig10", fig10);
-        ("fig11", fig11); ("sec46", sec46); ("detect", detect);
-        ("ablation", ablation);
+        ("table1", table1); ("fig10", fig10); ("fig11", fig11);
+        ("sec46", sec46); ("detect", detect); ("ablation", ablation);
       ]
   | names ->
     List.iter
@@ -731,7 +525,6 @@ let () =
         | "sec46" -> artifact n sec46
         | "detect" -> artifact n detect
         | "ablation" -> artifact n ablation
-        | "vm" -> artifact n vmbench
         | other -> Printf.eprintf "unknown artifact %s\n" other)
       names);
   Printf.printf "\n(total bench time: %.1fs wall / %.1fs cpu at scale %d, jobs %d)\n"

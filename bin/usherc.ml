@@ -92,20 +92,6 @@ let budget_ms_arg =
            ~doc:"Wall-clock budget for the whole analysis, in milliseconds. \
                  Phases that outlive it degrade soundly instead of crashing.")
 
-let solver_fuel_arg =
-  Arg.(value & opt (some int) None
-       & info [ "solver-fuel" ]
-           ~doc:"Maximum Andersen worklist iterations before degradation.")
-
-let vfg_cap_arg =
-  Arg.(value & opt (some int) None
-       & info [ "vfg-cap" ] ~doc:"Maximum VFG nodes before degradation.")
-
-let resolve_fuel_arg =
-  Arg.(value & opt (some int) None
-       & info [ "resolve-fuel" ]
-           ~doc:"Maximum Γ-resolution states before degradation.")
-
 let fault_conv =
   let parse s =
     match Usher.Fault.of_spec s with Ok f -> Ok f | Error e -> Error (`Msg e)
@@ -141,26 +127,15 @@ let verify_arg =
                  (function distrust or full instrumentation) instead of \
                  trusting the result.")
 
-let knobs_of budget_ms solver_fuel vfg_cap resolve_fuel verify inject
-    quarantine =
-  let knobs =
-    {
-      Usher.Config.default_knobs with
-      budget_ms;
-      solver_fuel;
-      vfg_node_cap = vfg_cap;
-      resolve_fuel;
-      verify;
-      inject;
-    }
-  in
+let knobs_of budget_ms verify inject quarantine =
+  let knobs = { Usher.Config.default_knobs with budget_ms; verify; inject } in
   match quarantine with
   | None -> knobs
   | Some dir -> Audit.Quarantine.apply_dir dir knobs
 
 let knobs_term =
-  Term.(const knobs_of $ budget_ms_arg $ solver_fuel_arg $ vfg_cap_arg
-        $ resolve_fuel_arg $ verify_arg $ inject_arg $ quarantine_arg)
+  Term.(const knobs_of $ budget_ms_arg $ verify_arg $ inject_arg
+        $ quarantine_arg)
 
 (* ---- observability (lib/obs) ---- *)
 

@@ -607,7 +607,7 @@ let run ?(config = default_config) ?(cycle_elim = true) ?budget (p : P.t) : t =
           ("queued", Obs.Trace.Int (!wtail - !whead));
         ];
     (match budget with
-    | Some b -> Diag.Budget.burn_solver b Diag.Andersen
+    | Some b -> Diag.Budget.tick b Diag.Andersen
     | None -> ());
     let m = Array.unsafe_get !wbuf !whead in
     incr whead;

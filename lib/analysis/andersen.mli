@@ -43,11 +43,11 @@ type t = {
     every return value)? Exposed for tests. *)
 val detect_wrapper : func -> label option
 
-(** Run the analysis. [budget] burns one unit of solver fuel (and ticks the
-    deadline) per worklist iteration. [cycle_elim] (default true) collapses
-    copy cycles online via union-find — same points-to sets and call graph,
-    fewer iterations; [false] keeps the textbook worklist as the reference
-    path for the equivalence properties. *)
+(** Run the analysis. [budget] ticks the deadline once per worklist
+    iteration. [cycle_elim] (default true) collapses copy cycles online via
+    union-find — same points-to sets and call graph, fewer iterations;
+    [false] keeps the textbook worklist as the reference path for the
+    equivalence properties. *)
 val run :
   ?config:config -> ?cycle_elim:bool -> ?budget:Diag.Budget.t -> Ir.Prog.t -> t
 

@@ -8,11 +8,10 @@
    response to an analysis failure is to fall back toward MORE
    instrumentation (see DESIGN.md, "Graceful degradation").
 
-   [Budget] provides the cooperative resource limits threaded through the
-   analysis phases: a wall-clock deadline plus fuel counters for the Andersen
-   solver, VFG size, and definedness resolution. Exhaustion raises
-   [Budget.Exhausted], which the pipeline treats exactly like any other
-   phase fault. *)
+   [Budget] is the cooperative resource limit threaded through the analysis
+   phases: a wall-clock deadline, polled every few dozen ticks. Exhaustion
+   raises [Budget.Exhausted], which the pipeline treats exactly like any
+   other phase fault. *)
 
 type severity = Info | Warning | Err
 
@@ -87,92 +86,35 @@ let error ?loc (phase : phase) fmt =
 (* ------------------------------------------------------------------ *)
 
 module Budget = struct
-  type resource = Wall_clock | Solver_fuel | Vfg_nodes | Resolve_fuel
+  exception Exhausted of { phase : phase; limit : int }
 
-  let resource_name = function
-    | Wall_clock -> "wall-clock deadline (ms)"
-    | Solver_fuel -> "pointer-solver iterations"
-    | Vfg_nodes -> "VFG node cap"
-    | Resolve_fuel -> "resolution states"
-
-  exception Exhausted of { phase : phase; resource : resource; limit : int }
-
-  type b = {
-    clock : unit -> float;
-    deadline : float option;     (* absolute, in [clock]'s timebase *)
+  type t = {
+    deadline : float;            (* absolute, on [Obs.Clock.now_s] *)
     budget_ms : int;
-    mutable solver_fuel : int;   (* remaining; negative = unlimited *)
-    solver_fuel0 : int;
-    mutable resolve_fuel : int;
-    resolve_fuel0 : int;
-    vfg_node_cap : int;          (* negative = unlimited *)
     mutable polls : int;         (* amortizes clock reads *)
   }
-
-  type t = b
 
   (* How many cooperative ticks between clock reads. Small enough that a
      1 ms deadline still fires promptly inside hot solver loops. *)
   let poll_mask = 63
 
-  let make ?clock ?budget_ms ?solver_fuel ?resolve_fuel ?vfg_node_cap () : t =
-    (* Deadlines are measured on the monotonic clock: a wall-clock step
-       (NTP, operator) must never spuriously blow — or extend — a budget. *)
-    let clock = match clock with Some c -> c | None -> Obs.Clock.now_s in
-    let deadline =
-      match budget_ms with
-      | Some ms -> Some (clock () +. (float_of_int ms /. 1000.0))
-      | None -> None
-    in
+  (* Deadlines are measured on the monotonic clock: a wall-clock step
+     (NTP, operator) must never spuriously blow — or extend — a budget. *)
+  let make ~budget_ms : t =
     {
-      clock;
-      deadline;
-      budget_ms = Option.value ~default:(-1) budget_ms;
-      solver_fuel = Option.value ~default:(-1) solver_fuel;
-      solver_fuel0 = Option.value ~default:(-1) solver_fuel;
-      resolve_fuel = Option.value ~default:(-1) resolve_fuel;
-      resolve_fuel0 = Option.value ~default:(-1) resolve_fuel;
-      vfg_node_cap = Option.value ~default:(-1) vfg_node_cap;
+      deadline = Obs.Clock.now_s () +. (float_of_int budget_ms /. 1000.0);
+      budget_ms;
       polls = 0;
     }
 
-  let unlimited () = make ()
-
-  let limited (t : t) =
-    t.deadline <> None || t.solver_fuel >= 0 || t.resolve_fuel >= 0
-    || t.vfg_node_cap >= 0
-
   let check_deadline (t : t) (phase : phase) =
-    match t.deadline with
-    | Some d when t.clock () > d ->
-      raise (Exhausted { phase; resource = Wall_clock; limit = t.budget_ms })
-    | _ -> ()
+    if Obs.Clock.now_s () > t.deadline then
+      raise (Exhausted { phase; limit = t.budget_ms })
 
   (** Cooperative cancellation point: cheap unless the poll counter wraps. *)
   let tick (t : t) (phase : phase) =
     t.polls <- t.polls + 1;
     if t.polls land poll_mask = 0 then check_deadline t phase
-
-  let burn_solver (t : t) (phase : phase) =
-    if t.solver_fuel >= 0 then begin
-      if t.solver_fuel = 0 then
-        raise (Exhausted { phase; resource = Solver_fuel; limit = t.solver_fuel0 });
-      t.solver_fuel <- t.solver_fuel - 1
-    end;
-    tick t phase
-
-  let burn_resolve (t : t) (phase : phase) =
-    if t.resolve_fuel >= 0 then begin
-      if t.resolve_fuel = 0 then
-        raise
-          (Exhausted { phase; resource = Resolve_fuel; limit = t.resolve_fuel0 });
-      t.resolve_fuel <- t.resolve_fuel - 1
-    end;
-    tick t phase
-
-  let check_nodes (t : t) (phase : phase) (nnodes : int) =
-    if t.vfg_node_cap >= 0 && nnodes > t.vfg_node_cap then
-      raise (Exhausted { phase; resource = Vfg_nodes; limit = t.vfg_node_cap })
 end
 
 (** Convert any exception escaping a phase into a diagnostic. [phase] is the
@@ -180,14 +122,14 @@ end
 let of_exn (phase : phase) (e : exn) : t =
   match e with
   | Error d -> d
-  | Budget.Exhausted { phase = p; resource; limit } ->
+  | Budget.Exhausted { phase = p; limit } ->
     {
       severity = Err;
       phase = p;
       loc = None;
       message =
-        Printf.sprintf "resource budget exhausted: %s (limit %d)"
-          (Budget.resource_name resource) limit;
+        Printf.sprintf
+          "resource budget exhausted: wall-clock deadline (ms) (limit %d)" limit;
     }
   | e ->
     { severity = Err; phase; loc = None; message = Printexc.to_string e }

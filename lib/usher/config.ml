@@ -53,9 +53,6 @@ type knobs = {
       (** extension beyond the paper (see Analysis.Andersen.config);
           0 = the paper's arrays-as-a-whole treatment *)
   budget_ms : int option;      (** wall-clock budget for the whole analysis *)
-  solver_fuel : int option;    (** Andersen worklist iterations *)
-  vfg_node_cap : int option;   (** VFG size cap *)
-  resolve_fuel : int option;   (** Γ resolution states *)
   verify : bool;
       (** run the certificate checkers (lib/verify) after each pipeline
           phase; violations feed the degradation ladder *)
@@ -75,9 +72,6 @@ let default_knobs =
     heap_cloning = true;
     small_array_fields = 0;
     budget_ms = None;
-    solver_fuel = None;
-    vfg_node_cap = None;
-    resolve_fuel = None;
     verify = false;
     inject = [];
     quarantine = [];

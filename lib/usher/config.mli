@@ -46,9 +46,6 @@ type knobs = {
       (** extension beyond the paper (see {!Analysis.Andersen.config});
           0 = the paper's arrays-as-a-whole treatment *)
   budget_ms : int option;      (** wall-clock budget for the whole analysis *)
-  solver_fuel : int option;    (** Andersen worklist iterations *)
-  vfg_node_cap : int option;   (** VFG size cap *)
-  resolve_fuel : int option;   (** Γ resolution states *)
   verify : bool;
       (** run the certificate checkers (lib/verify) after each pipeline
           phase; violations feed the degradation ladder *)

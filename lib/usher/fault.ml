@@ -36,8 +36,7 @@ let check (knobs : Config.knobs) (phase : Diag.phase) (func : string option) :
         | Config.Crash -> Diag.error phase "injected fault"
         | Config.Exhaust ->
           raise
-            (Diag.Budget.Exhausted
-               { phase; resource = Diag.Budget.Wall_clock; limit = 0 })
+            (Diag.Budget.Exhausted { phase; limit = 0 })
         | Config.Corrupt _ -> ()
         (* corruptions fire after the phase, via [apply_corruptions] *))
     knobs.inject

@@ -165,8 +165,8 @@ let in_sequence phase_of main tl =
    tenth of their own footprint (DESIGN.md §11 has the measurements). *)
 let overlap_min_labels = 40_000
 
-(* Overlap needs a large program and no budget: the fuel counters and the
-   deadline are one sequential account. *)
+(* Overlap needs a large program and no budget: the deadline's poll
+   counter is one sequential account. *)
 let overlaps (knobs : Config.knobs) prog =
   Option.is_none (Budget.of_knobs knobs)
   && Ir.Prog.nlabels prog >= overlap_min_labels

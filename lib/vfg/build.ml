@@ -83,7 +83,7 @@ let derives_only_from_alloc (defs : (var, instr_kind) Hashtbl.t) (x : var)
   go x
 
 (** [hook] runs before each function (fault injection from the driver);
-    [budget] adds a deadline tick and the VFG node-cap check per function;
+    [budget] adds a deadline tick per function;
     [on_fault] — when given — catches any exception raised while processing
     one function and reports it, leaving that function's value-flow fragment
     partial. A partial fragment is only sound if the caller then distrusts
@@ -384,9 +384,7 @@ let build ?(config = default_config) ?budget ?hook ?on_fault (p : P.t)
       let pre () =
         (match hook with Some h -> h f.fname | None -> ());
         match budget with
-        | Some b ->
-          Diag.Budget.tick b Diag.Vfg_build;
-          Diag.Budget.check_nodes b Diag.Vfg_build (Graph.nnodes g)
+        | Some b -> Diag.Budget.tick b Diag.Vfg_build
         | None -> ()
       in
       let compute () =

@@ -45,9 +45,9 @@ let reach ?(context_sensitive = true) ?(condense = true) ?budget
   let undef = Bytes.make n '\000' in
   let states = ref 0 in
   let condensed = ref 0 in
-  let burn () =
+  let tick () =
     match budget with
-    | Some b -> Diag.Budget.burn_resolve b Diag.Resolve
+    | Some b -> Diag.Budget.tick b Diag.Resolve
     | None -> ()
   in
   (* Sampled search-progress counter for the trace timeline; the enabled
@@ -96,7 +96,7 @@ let reach ?(context_sensitive = true) ?(condense = true) ?budget
            incr head;
            incr states;
            sample ();
-           burn ();
+           tick ();
            for i = Array.unsafe_get c.cpred_off v
                 to Array.unsafe_get c.cpred_off (v + 1) - 1 do
              push (Array.unsafe_get c.cpred i lsr c.ckind_bits)
@@ -176,7 +176,7 @@ let reach ?(context_sensitive = true) ?(condense = true) ?budget
            incr head;
            incr states;
            sample ();
-           burn ();
+           tick ();
            let v = st lsr shift in
            let ctx = st land mask in
            (* If Any arrived after this At state was queued, skip: Any will
@@ -215,7 +215,7 @@ let reach ?(context_sensitive = true) ?(condense = true) ?budget
          let v = Queue.pop work in
          incr states;
          sample ();
-         burn ();
+         tick ();
          List.iter
            (fun (u, _) ->
              if Bytes.get undef u = '\000' then begin
@@ -252,7 +252,7 @@ let reach ?(context_sensitive = true) ?(condense = true) ?budget
          let v, ctx = Queue.pop work in
          incr states;
          sample ();
-         burn ();
+         tick ();
          (* If Cany arrived after this Cat state was queued, skip: Cany will
             (or did) explore strictly more. *)
          let stale = match ctx with Cat _ -> any_seen.(v) | Cany -> false in

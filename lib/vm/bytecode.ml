@@ -1,15 +1,18 @@
 (* The bytecode container: a flat int-array code stream per function, an
    interned name table, and per-block counter deltas.
 
+   The VM is the reference engine that the interpreter's lanes are checked
+   against, so the format stays plain: every compiled instruction,
+   terminator and instrumentation action lowers to exactly one general
+   opcode, with no fused or operand-specialised forms.
+
    Encoding. Every operation is an opcode word followed by a fixed (or
    length-prefixed) run of operand words. Bit 8 ([step_bit]) of the opcode
    word marks operations that count as an interpreter step (body
    instructions and terminators; phi resolution and shadow actions do
    not). An instruction with pre actions puts its step bit on the first
    pre-action opcode, so the step is still counted before any of the
-   instruction's work, like the interpreter. The fused pair opcodes
-   (CMPBR_*, IDXLOAD, IDXSTORE) cover two interpreter steps and do their
-   own accounting instead of carrying the bit. General value operands are
+   instruction's work, like the interpreter. General value operands are
    (kind, payload) pairs:
 
      kind 0  constant            payload = the integer
@@ -21,15 +24,15 @@
    Shadow operands are (kind, payload) with kind 0 = constant (payload
    0/1) and kind 1 = shadow slot.
 
-   Instrumentation actions are fused into dedicated opcodes at lowering
-   time (SH_*, CHECK), so the dispatch loop never consults the plan.
+   Instrumentation actions become dedicated opcodes at lowering time
+   (SH_*, CHECK), so the dispatch loop never consults the plan.
 
-   Block accounting rides on control transfer: JMP/BR/CMPBR operands name
-   the target's global block index and the dispatch loop bumps its
-   execution count while branching; only the function prologue needs a
-   standalone BLOCK (the entry fallthrough). GOTO — the tail of a phi
-   trampoline — transfers without counting, since the branch into the
-   trampoline already counted the target.
+   Block accounting rides on control transfer: JMP/BR operands name the
+   target's global block index and the dispatch loop bumps its execution
+   count while branching; only the function prologue needs a standalone
+   BLOCK (the entry fallthrough). GOTO — the tail of a phi trampoline —
+   transfers without counting, since the branch into the trampoline
+   already counted the target.
 
    Cost-model counters are not updated per opcode: each block carries a
    static 11-field delta ([deltas], [d_*]) and the VM multiplies by the
@@ -40,57 +43,44 @@
 
 let step_bit = 256
 
-(* Base instructions (may carry step_bit). *)
+(* Opcode 0 (HALT) is never emitted; executing it is an invalid-opcode error. *)
+
+(* Instructions and terminators (may carry step_bit). *)
 let o_const = 1          (* dst n *)
 let o_copy = 2           (* dst ok ov          also the phi move *)
-let o_copy_s = 3         (* dst src *)
-let o_unop = 4           (* dst u ok ov        u: 0 Neg, 1 Not, 2 Lnot *)
-let o_binop = 5          (* dst bop ok1 ov1 ok2 ov2 *)
-let o_binop_ss = 6       (* dst bop s1 s2 *)
-let o_binop_sc = 7       (* dst bop s1 c2 *)
-let o_cmpbr_ss = 8       (* dst bop s1 s2 lbl srcbid gt pt ge pe   2 steps *)
-let o_cmpbr_sc = 9       (* dst bop s1 c2 lbl srcbid gt pt ge pe   2 steps *)
-let o_allocf = 10        (* dst ncells init nameidx *)
-let o_alloca = 11        (* dst ok ov init nameidx *)
-let o_load = 12          (* dst psrc lbl *)
-let o_store = 13         (* pdst ok ov lbl *)
-let o_field = 14         (* dst src k *)
-let o_index = 15         (* dst src ok ov *)
-let o_idxload = 16       (* idst src iok iov dst lbl               2 steps *)
-let o_idxstore = 17      (* idst src iok iov vok vov lbl           2 steps *)
-let o_globaladdr = 18    (* dst objid *)
-let o_funcaddr = 19      (* dst nameidx *)
-let o_call = 20          (* dst fref nargs (ok ov)*   fref<0: unknown -1-fref *)
-let o_callind = 21       (* dst fslot nargs (ok ov)* *)
-let o_output = 22        (* ok ov *)
-let o_input = 23         (* dst *)
-let o_br = 24            (* ok ov lbl srcbid gthen pcthen gelse pcelse *)
-let o_br_s = 25          (* s lbl srcbid gthen pcthen gelse pcelse *)
-let o_jmp = 26           (* srcbid gidx pc *)
-let o_ret = 27           (* ok ov *)
-let o_step = 28          (* standalone step (unused; kept for the format) *)
-let o_bad_phi = 29       (* phi outside the block head: runtime error *)
-let o_goto = 30          (* pc: trampoline -> shared block body, no count *)
-let o_block = 31         (* gidx: count one execution (prologue fallthrough) *)
+let o_unop = 3           (* dst u ok ov        u: 0 Neg, 1 Not, 2 Lnot *)
+let o_binop = 4          (* dst bop ok1 ov1 ok2 ov2 *)
+let o_allocf = 5         (* dst ncells init nameidx *)
+let o_alloca = 6         (* dst ok ov init nameidx *)
+let o_load = 7           (* dst psrc lbl *)
+let o_store = 8          (* pdst ok ov lbl *)
+let o_field = 9          (* dst src k *)
+let o_index = 10         (* dst src ok ov *)
+let o_globaladdr = 11    (* dst objid *)
+let o_funcaddr = 12      (* dst nameidx *)
+let o_call = 13          (* dst fref nargs (ok ov)*   fref<0: unknown -1-fref *)
+let o_callind = 14       (* dst fslot nargs (ok ov)* *)
+let o_output = 15        (* ok ov *)
+let o_input = 16         (* dst *)
+let o_br = 17            (* ok ov lbl srcbid gthen pcthen gelse pcelse *)
+let o_jmp = 18           (* srcbid gidx pc *)
+let o_ret = 19           (* ok ov *)
+let o_bad_phi = 20       (* phi outside the block head: runtime error *)
+let o_goto = 21          (* pc: trampoline -> shared block body, no count *)
+let o_block = 22         (* gidx: count one execution (prologue fallthrough) *)
 
-(* Fused instrumentation actions (never step). *)
-let o_sh_mov = 32        (* dst sk sv *)
-let o_sh_conj2 = 33      (* dst s1 s2 *)
-let o_sh_conj = 34       (* dst n s1..sn *)
-let o_sh_mem_rd = 35     (* dst pslot *)
-let o_sh_global_rd = 36  (* dst gidx *)
-let o_sh_phi = 37        (* dst narms (pb sk sv)* *)
-let o_sh_mem_wr = 38     (* pslot sk sv *)
-let o_sh_obj = 39        (* pslot b *)
-let o_sh_global_wr = 40  (* gidx sk sv *)
-let o_check = 41         (* slot lbl              slot -1: undef operand *)
+(* Instrumentation actions (never step). *)
+let o_sh_mov = 23        (* dst sk sv *)
+let o_sh_conj = 24       (* dst n s1..sn *)
+let o_sh_mem_rd = 25     (* dst pslot *)
+let o_sh_global_rd = 26  (* dst gidx *)
+let o_sh_phi = 27        (* dst narms (pb sk sv)* *)
+let o_sh_mem_wr = 28     (* pslot sk sv *)
+let o_sh_obj = 29        (* pslot b *)
+let o_sh_global_wr = 30  (* gidx sk sv *)
+let o_check = 31         (* slot lbl              slot -1: undef operand *)
 
-(* Specialized arithmetic (Add dominates dynamically; a dedicated opcode
-   removes the inner operator dispatch on the hottest path). *)
-let o_add_ss = 42        (* dst s1 s2 *)
-let o_add_sc = 43        (* dst s1 c2 *)
-
-let n_opcodes = 44
+let n_opcodes = 32
 
 (* Counter-delta field order (see Runtime.Counters.t); alloc_cells and
    sh_obj_cells are dynamic and excluded. *)
@@ -133,29 +123,24 @@ type prog = {
   deltas : int array;              (* ndelta * nblocks *)
 }
 
-let code_words (p : prog) : int =
-  Array.fold_left (fun acc f -> acc + Array.length f.code) 0 p.funcs
-
 (* ------------------------------------------------------------------ *)
 (* Disassembly — raw and reversible                                    *)
 (* ------------------------------------------------------------------ *)
 
 let mnemonics =
   [|
-    "HALT"; "CONST"; "COPY"; "COPY_S"; "UNOP"; "BINOP"; "BINOP_SS";
-    "BINOP_SC"; "CMPBR_SS"; "CMPBR_SC"; "ALLOCF"; "ALLOCA"; "LOAD"; "STORE";
-    "FIELD"; "INDEX"; "IDXLOAD"; "IDXSTORE"; "GLOBALADDR"; "FUNCADDR";
-    "CALL"; "CALLIND"; "OUTPUT"; "INPUT"; "BR"; "BR_S"; "JMP"; "RET";
-    "STEP"; "BAD_PHI"; "GOTO"; "BLOCK"; "SH_MOV"; "SH_CONJ2"; "SH_CONJ";
-    "SH_MEM_RD"; "SH_GLOBAL_RD"; "SH_PHI"; "SH_MEM_WR"; "SH_OBJ";
-    "SH_GLOBAL_WR"; "CHECK"; "ADD_SS"; "ADD_SC";
+    "HALT"; "CONST"; "COPY"; "UNOP"; "BINOP"; "ALLOCF"; "ALLOCA"; "LOAD";
+    "STORE"; "FIELD"; "INDEX"; "GLOBALADDR"; "FUNCADDR"; "CALL"; "CALLIND";
+    "OUTPUT"; "INPUT"; "BR"; "JMP"; "RET"; "BAD_PHI"; "GOTO"; "BLOCK";
+    "SH_MOV"; "SH_CONJ"; "SH_MEM_RD"; "SH_GLOBAL_RD"; "SH_PHI"; "SH_MEM_WR";
+    "SH_OBJ"; "SH_GLOBAL_WR"; "CHECK";
   |]
 
 (* Fixed operand counts; -1 means length-prefixed (see [op_len]). *)
 let operand_counts =
   [|
-    0; 2; 3; 2; 4; 6; 4; 4; 10; 10; 4; 5; 3; 4; 3; 4; 6; 7; 2; 2; -1; -1;
-    2; 1; 8; 7; 3; 2; 0; 0; 1; 1; 3; 3; -1; 2; 2; -1; 3; 2; 3; 2; 3; 3;
+    0; 2; 3; 4; 6; 4; 5; 3; 4; 3; 4; 2; 2; -1; -1; 2; 1; 8; 3; 2; 0; 1; 1;
+    3; -1; 2; 2; -1; 3; 2; 3; 2;
   |]
 
 (* Total length in words of the operation at [pc], opcode included. *)

@@ -9,7 +9,7 @@
    concrete statements execute. The VM is the reference: it runs the
    native program and then each plan in its own execution, one lane each.
    Outcome equivalence between the two — lane by lane — is the
-   differential guarantee [test_vm] and the vm-smoke CI job enforce. *)
+   differential guarantee [test_vm] and the fuzz-smoke CI job enforce. *)
 
 module I = Runtime.Interp
 
@@ -22,16 +22,10 @@ let of_string = function
 
 let name = function Interp -> "interp" | Vm -> "vm"
 
-let m_compile_us = Obs.Metrics.counter "vm.compile_us"
 let m_dispatch_steps = Obs.Metrics.counter "vm.dispatch_steps"
 
-(* Lower a compiled program, attributing compile time to vm.compile_us. *)
 let lower (cp : I.cprog) : Bytecode.prog =
-  Obs.Trace.with_span ~cat:"vm" "vm.compile" (fun () ->
-      let t0 = Obs.Clock.now_ns () in
-      let bp = Lower.lower cp in
-      Obs.Metrics.add m_compile_us ((Obs.Clock.now_ns () - t0) / 1000);
-      bp)
+  Obs.Trace.with_span ~cat:"vm" "vm.compile" (fun () -> Lower.lower cp)
 
 let exec ?limits (bp : Bytecode.prog) : I.outcome =
   Obs.Trace.with_span ~cat:"vm" "vm.dispatch" (fun () ->

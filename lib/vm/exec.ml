@@ -18,10 +18,7 @@
    Parity with Runtime.Interp is exact by construction:
    - [steps] is incremented and bounds-checked per step-bit opcode, i.e.
      exactly where the interpreter increments, so Resource_exhausted /
-     Runtime_error ordering matches. The fused two-step opcodes add 2 and
-     check once, which is indistinguishable: their first half can neither
-     fault, allocate, nor produce output, and a run that raises discards
-     its outcome;
+     Runtime_error ordering matches;
    - cost-model counters are reconstructed from per-block execution counts
      times the static deltas computed at lowering (plus the two dynamic
      cell accumulators), which equals the interpreter's per-instruction
@@ -234,22 +231,6 @@ let exec_binop bop a b =
   | 14 -> if a = b then 1 else 0
   | _ -> if a <> b then 1 else 0
 
-(* Binop on two slots, with the interpreter's pointer-aware Eq/Ne. *)
-let binop_slots rtag ra rb bop i1 i2 =
-  let t1 = Char.code (Bytes.unsafe_get rtag i1) land 3 in
-  let t2 = Char.code (Bytes.unsafe_get rtag i2) land 3 in
-  if t1 = 0 && t2 = 0 then
-    exec_binop bop (Array.unsafe_get ra i1) (Array.unsafe_get ra i2)
-  else if bop >= 14 && t1 = 1 && t2 = 1 then begin
-    let same =
-      Array.unsafe_get ra i1 = Array.unsafe_get ra i2
-      && Array.unsafe_get rb i1 = Array.unsafe_get rb i2
-    in
-    if bop = 14 then (if same then 1 else 0) else if same then 0 else 1
-  end
-  else
-    exec_binop bop (op_int rtag ra rb 0 1 i1) (op_int rtag ra rb 0 1 i2)
-
 let sval rsh base sk sv =
   if sk = 1 then Bytes.unsafe_get rsh (base + sv) <> '\000' else sv <> 0
 
@@ -338,12 +319,7 @@ let run ?(limits = I.default_limits) (bp : B.prog) : I.outcome =
         (Array.unsafe_get c (pc + 3))
         (base + Array.unsafe_get c (pc + 1));
       loop c rtag ra rb rsh (pc + 4) base prev steps fp
-    | 3 (* COPY_S dst src *) ->
-      copy_slot rtag ra rb
-        (base + Array.unsafe_get c (pc + 2))
-        (base + Array.unsafe_get c (pc + 1));
-      loop c rtag ra rb rsh (pc + 3) base prev steps fp
-    | 4 (* UNOP dst u ok ov *) ->
+    | 3 (* UNOP dst u ok ov *) ->
       let ok = Array.unsafe_get c (pc + 3) and ov = Array.unsafe_get c (pc + 4) in
       let n = op_int rtag ra rb base ok ov in
       let r =
@@ -355,13 +331,25 @@ let run ?(limits = I.default_limits) (bp : B.prog) : I.outcome =
       set_int rtag ra (base + Array.unsafe_get c (pc + 1)) r
         (op_def rtag base ok ov);
       loop c rtag ra rb rsh (pc + 5) base prev steps fp
-    | 5 (* BINOP dst bop ok1 ov1 ok2 ov2 *) ->
+    | 4 (* BINOP dst bop ok1 ov1 ok2 ov2 *) ->
       let bop = Array.unsafe_get c (pc + 2) in
       let ok1 = Array.unsafe_get c (pc + 3) and ov1 = Array.unsafe_get c (pc + 4) in
       let ok2 = Array.unsafe_get c (pc + 5) and ov2 = Array.unsafe_get c (pc + 6) in
+      let i1 = base + ov1 and i2 = base + ov2 in
       let r =
-        if ok1 = 1 && ok2 = 1 then
-          binop_slots rtag ra rb bop (base + ov1) (base + ov2)
+        (* Eq/Ne on two pointers compare object and offset, like the
+           interpreter; everything else works on [as_int] values *)
+        if
+          bop >= 14 && ok1 = 1 && ok2 = 1
+          && Char.code (Bytes.unsafe_get rtag i1) land 3 = 1
+          && Char.code (Bytes.unsafe_get rtag i2) land 3 = 1
+        then begin
+          let same =
+            Array.unsafe_get ra i1 = Array.unsafe_get ra i2
+            && Array.unsafe_get rb i1 = Array.unsafe_get rb i2
+          in
+          if same = (bop = 14) then 1 else 0
+        end
         else
           exec_binop bop
             (op_int rtag ra rb base ok1 ov1)
@@ -370,75 +358,7 @@ let run ?(limits = I.default_limits) (bp : B.prog) : I.outcome =
       set_int rtag ra (base + Array.unsafe_get c (pc + 1)) r
         (op_def rtag base ok1 ov1 && op_def rtag base ok2 ov2);
       loop c rtag ra rb rsh (pc + 7) base prev steps fp
-    | 6 (* BINOP_SS dst bop s1 s2 *) ->
-      let i1 = base + Array.unsafe_get c (pc + 3) in
-      let i2 = base + Array.unsafe_get c (pc + 4) in
-      let r = binop_slots rtag ra rb (Array.unsafe_get c (pc + 2)) i1 i2 in
-      let def =
-        Char.code (Bytes.unsafe_get rtag i1)
-        land Char.code (Bytes.unsafe_get rtag i2)
-        land 4 <> 0
-      in
-      set_int rtag ra (base + Array.unsafe_get c (pc + 1)) r def;
-      loop c rtag ra rb rsh (pc + 5) base prev steps fp
-    | 7 (* BINOP_SC dst bop s1 c2 *) ->
-      let i1 = base + Array.unsafe_get c (pc + 3) in
-      let t1 = Char.code (Bytes.unsafe_get rtag i1) in
-      let a =
-        if t1 land 3 = 0 then Array.unsafe_get ra i1
-        else op_int rtag ra rb 0 1 i1
-      in
-      set_int rtag ra (base + Array.unsafe_get c (pc + 1))
-        (exec_binop (Array.unsafe_get c (pc + 2)) a (Array.unsafe_get c (pc + 4)))
-        (t1 land 4 <> 0);
-      loop c rtag ra rb rsh (pc + 5) base prev steps fp
-    | 8 (* CMPBR_SS dst bop s1 s2 lbl srcbid gt pt ge pe *) ->
-      let steps = steps + 2 in
-      if steps > max_steps then exhausted "steps" max_steps;
-      let i1 = base + Array.unsafe_get c (pc + 3) in
-      let i2 = base + Array.unsafe_get c (pc + 4) in
-      let r = binop_slots rtag ra rb (Array.unsafe_get c (pc + 2)) i1 i2 in
-      let def =
-        Char.code (Bytes.unsafe_get rtag i1)
-        land Char.code (Bytes.unsafe_get rtag i2)
-        land 4 <> 0
-      in
-      set_int rtag ra (base + Array.unsafe_get c (pc + 1)) r def;
-      if not def then
-        Bytes.unsafe_set rt.gt (Array.unsafe_get c (pc + 5) + 2) '\001';
-      let o = if r <> 0 then pc + 7 else pc + 9 in
-      let g = Array.unsafe_get c o in
-      Array.unsafe_set bexecs g (Array.unsafe_get bexecs g + 1);
-      loop c rtag ra rb rsh
-        (Array.unsafe_get c (o + 1))
-        base
-        (Array.unsafe_get c (pc + 6))
-        steps fp
-    | 9 (* CMPBR_SC dst bop s1 c2 lbl srcbid gt pt ge pe *) ->
-      let steps = steps + 2 in
-      if steps > max_steps then exhausted "steps" max_steps;
-      let i1 = base + Array.unsafe_get c (pc + 3) in
-      let t1 = Char.code (Bytes.unsafe_get rtag i1) in
-      let a =
-        if t1 land 3 = 0 then Array.unsafe_get ra i1
-        else op_int rtag ra rb 0 1 i1
-      in
-      let r =
-        exec_binop (Array.unsafe_get c (pc + 2)) a (Array.unsafe_get c (pc + 4))
-      in
-      let def = t1 land 4 <> 0 in
-      set_int rtag ra (base + Array.unsafe_get c (pc + 1)) r def;
-      if not def then
-        Bytes.unsafe_set rt.gt (Array.unsafe_get c (pc + 5) + 2) '\001';
-      let o = if r <> 0 then pc + 7 else pc + 9 in
-      let g = Array.unsafe_get c o in
-      Array.unsafe_set bexecs g (Array.unsafe_get bexecs g + 1);
-      loop c rtag ra rb rsh
-        (Array.unsafe_get c (o + 1))
-        base
-        (Array.unsafe_get c (pc + 6))
-        steps fp
-    | 10 (* ALLOCF dst ncells init nameidx *) ->
+    | 5 (* ALLOCF dst ncells init nameidx *) ->
       let cells = Array.unsafe_get c (pc + 2) in
       rt.cnt.alloc_cells <- rt.cnt.alloc_cells + cells;
       let id =
@@ -448,7 +368,7 @@ let run ?(limits = I.default_limits) (bp : B.prog) : I.outcome =
       in
       set_ptr rtag ra rb (base + Array.unsafe_get c (pc + 1)) id 0 true;
       loop c rtag ra rb rsh (pc + 5) base prev steps fp
-    | 11 (* ALLOCA dst ok ov init nameidx *) ->
+    | 6 (* ALLOCA dst ok ov init nameidx *) ->
       let ok = Array.unsafe_get c (pc + 2) and ov = Array.unsafe_get c (pc + 3) in
       if not (op_def rtag base ok ov) then
         error "allocation with undefined size";
@@ -461,7 +381,7 @@ let run ?(limits = I.default_limits) (bp : B.prog) : I.outcome =
       in
       set_ptr rtag ra rb (base + Array.unsafe_get c (pc + 1)) id 0 true;
       loop c rtag ra rb rsh (pc + 6) base prev steps fp
-    | 12 (* LOAD dst psrc lbl *) ->
+    | 7 (* LOAD dst psrc lbl *) ->
       let i = base + Array.unsafe_get c (pc + 2) in
       if Char.code (Bytes.unsafe_get rtag i) land 4 = 0 then
         Bytes.unsafe_set rt.gt (Array.unsafe_get c (pc + 3) + 2) '\001';
@@ -472,7 +392,7 @@ let run ?(limits = I.default_limits) (bp : B.prog) : I.outcome =
       Array.unsafe_set ra dst (Array.unsafe_get ob.ova off);
       Array.unsafe_set rb dst (Array.unsafe_get ob.ovb off);
       loop c rtag ra rb rsh (pc + 4) base prev steps fp
-    | 13 (* STORE pdst ok ov lbl *) ->
+    | 8 (* STORE pdst ok ov lbl *) ->
       let i = base + Array.unsafe_get c (pc + 1) in
       if Char.code (Bytes.unsafe_get rtag i) land 4 = 0 then
         Bytes.unsafe_set rt.gt (Array.unsafe_get c (pc + 4) + 2) '\001';
@@ -490,7 +410,7 @@ let run ?(limits = I.default_limits) (bp : B.prog) : I.outcome =
         Array.unsafe_set ob.ova off (if ok = 0 then ov else 0xDEAD)
       end;
       loop c rtag ra rb rsh (pc + 5) base prev steps fp
-    | 14 (* FIELD dst src k *) ->
+    | 9 (* FIELD dst src k *) ->
       let i = base + Array.unsafe_get c (pc + 2) in
       let dst = base + Array.unsafe_get c (pc + 1) in
       let t = Char.code (Bytes.unsafe_get rtag i) in
@@ -503,7 +423,7 @@ let run ?(limits = I.default_limits) (bp : B.prog) : I.outcome =
         Bytes.unsafe_set rtag dst (Char.unsafe_chr (t land 3))
       end;
       loop c rtag ra rb rsh (pc + 4) base prev steps fp
-    | 15 (* INDEX dst src ok ov *) ->
+    | 10 (* INDEX dst src ok ov *) ->
       let i = base + Array.unsafe_get c (pc + 2) in
       let dst = base + Array.unsafe_get c (pc + 1) in
       let ok = Array.unsafe_get c (pc + 3) and ov = Array.unsafe_get c (pc + 4) in
@@ -517,76 +437,21 @@ let run ?(limits = I.default_limits) (bp : B.prog) : I.outcome =
         Bytes.unsafe_set rtag dst (Char.unsafe_chr (t land 3))
       end;
       loop c rtag ra rb rsh (pc + 5) base prev steps fp
-    | 16 (* IDXLOAD idst src iok iov dst lbl *) ->
-      let steps = steps + 2 in
-      if steps > max_steps then exhausted "steps" max_steps;
-      let i = base + Array.unsafe_get c (pc + 2) in
-      let idst = base + Array.unsafe_get c (pc + 1) in
-      let ok = Array.unsafe_get c (pc + 3) and ov = Array.unsafe_get c (pc + 4) in
-      let t = Char.code (Bytes.unsafe_get rtag i) in
-      if t land 3 = 1 then
-        set_ptr rtag ra rb idst (Array.unsafe_get ra i)
-          (Array.unsafe_get rb i + op_int rtag ra rb base ok ov)
-          (t land 4 <> 0 && op_def rtag base ok ov)
-      else begin
-        copy_slot rtag ra rb i idst;
-        Bytes.unsafe_set rtag idst (Char.unsafe_chr (t land 3))
-      end;
-      if Char.code (Bytes.unsafe_get rtag idst) land 4 = 0 then
-        Bytes.unsafe_set rt.gt (Array.unsafe_get c (pc + 6) + 2) '\001';
-      let ob = deref_obj rt rtag ra rb "load" idst in
-      let off = Array.unsafe_get rb idst in
-      let dst = base + Array.unsafe_get c (pc + 5) in
-      Bytes.unsafe_set rtag dst (Bytes.unsafe_get ob.otag off);
-      Array.unsafe_set ra dst (Array.unsafe_get ob.ova off);
-      Array.unsafe_set rb dst (Array.unsafe_get ob.ovb off);
-      loop c rtag ra rb rsh (pc + 7) base prev steps fp
-    | 17 (* IDXSTORE idst src iok iov vok vov lbl *) ->
-      let steps = steps + 2 in
-      if steps > max_steps then exhausted "steps" max_steps;
-      let i = base + Array.unsafe_get c (pc + 2) in
-      let idst = base + Array.unsafe_get c (pc + 1) in
-      let ok = Array.unsafe_get c (pc + 3) and ov = Array.unsafe_get c (pc + 4) in
-      let t = Char.code (Bytes.unsafe_get rtag i) in
-      if t land 3 = 1 then
-        set_ptr rtag ra rb idst (Array.unsafe_get ra i)
-          (Array.unsafe_get rb i + op_int rtag ra rb base ok ov)
-          (t land 4 <> 0 && op_def rtag base ok ov)
-      else begin
-        copy_slot rtag ra rb i idst;
-        Bytes.unsafe_set rtag idst (Char.unsafe_chr (t land 3))
-      end;
-      if Char.code (Bytes.unsafe_get rtag idst) land 4 = 0 then
-        Bytes.unsafe_set rt.gt (Array.unsafe_get c (pc + 7) + 2) '\001';
-      let ob = deref_obj rt rtag ra rb "store" idst in
-      let off = Array.unsafe_get rb idst in
-      let vok = Array.unsafe_get c (pc + 5) and vov = Array.unsafe_get c (pc + 6) in
-      if vok = 1 then begin
-        let s = base + vov in
-        Bytes.unsafe_set ob.otag off (Bytes.unsafe_get rtag s);
-        Array.unsafe_set ob.ova off (Array.unsafe_get ra s);
-        Array.unsafe_set ob.ovb off (Array.unsafe_get rb s)
-      end
-      else begin
-        Bytes.unsafe_set ob.otag off (if vok = 0 then t_int_d else t_int_u);
-        Array.unsafe_set ob.ova off (if vok = 0 then vov else 0xDEAD)
-      end;
-      loop c rtag ra rb rsh (pc + 8) base prev steps fp
-    | 18 (* GLOBALADDR dst objid *) ->
+    | 11 (* GLOBALADDR dst objid *) ->
       set_ptr rtag ra rb (base + Array.unsafe_get c (pc + 1))
         (Array.unsafe_get c (pc + 2)) 0 true;
       loop c rtag ra rb rsh (pc + 3) base prev steps fp
-    | 19 (* FUNCADDR dst nameidx *) ->
+    | 12 (* FUNCADDR dst nameidx *) ->
       let dst = base + Array.unsafe_get c (pc + 1) in
       Bytes.unsafe_set rtag dst t_fun_d;
       Array.unsafe_set ra dst (Array.unsafe_get c (pc + 2));
       loop c rtag ra rb rsh (pc + 3) base prev steps fp
-    | 20 | 21 (* CALL / CALLIND dst target nargs (ok ov)* *) ->
+    | 13 | 14 (* CALL / CALLIND dst target nargs (ok ov)* *) ->
       let dst = Array.unsafe_get c (pc + 1) in
       let target = Array.unsafe_get c (pc + 2) in
       let nargs = Array.unsafe_get c (pc + 3) in
       let fi =
-        if op land 0xff = 20 then begin
+        if op land 0xff = 13 then begin
           if target >= 0 then target
           else error "call to unknown function %s" names.(-1 - target)
         end
@@ -627,19 +492,19 @@ let run ?(limits = I.default_limits) (bp : B.prog) : I.outcome =
       rt.cur <- fi;
       rt.sp <- nb + callee.nslots;
       loop callee.code rtag' ra' rb' rsh' 0 nb 0 steps (fp + 1)
-    | 22 (* OUTPUT ok ov *) ->
+    | 15 (* OUTPUT ok ov *) ->
       rt.outputs_rev <-
         op_int rtag ra rb base (Array.unsafe_get c (pc + 1))
           (Array.unsafe_get c (pc + 2))
         :: rt.outputs_rev;
       loop c rtag ra rb rsh (pc + 3) base prev steps fp
-    | 23 (* INPUT dst *) ->
+    | 16 (* INPUT dst *) ->
       rt.input_state <- (rt.input_state * 1103515245) + 12345;
       set_int rtag ra (base + Array.unsafe_get c (pc + 1))
         ((rt.input_state lsr 16) land 0x7fff)
         true;
       loop c rtag ra rb rsh (pc + 2) base prev steps fp
-    | 24 (* BR ok ov lbl srcbid gt pt ge pe *) ->
+    | 17 (* BR ok ov lbl srcbid gt pt ge pe *) ->
       let ok = Array.unsafe_get c (pc + 1) and ov = Array.unsafe_get c (pc + 2) in
       if not (op_def rtag base ok ov) then
         Bytes.unsafe_set rt.gt (Array.unsafe_get c (pc + 3) + 2) '\001';
@@ -651,24 +516,7 @@ let run ?(limits = I.default_limits) (bp : B.prog) : I.outcome =
         base
         (Array.unsafe_get c (pc + 4))
         steps fp
-    | 25 (* BR_S s lbl srcbid gt pt ge pe *) ->
-      let i = base + Array.unsafe_get c (pc + 1) in
-      let t = Char.code (Bytes.unsafe_get rtag i) in
-      if t land 4 = 0 then
-        Bytes.unsafe_set rt.gt (Array.unsafe_get c (pc + 2) + 2) '\001';
-      let v =
-        if t land 3 = 0 then Array.unsafe_get ra i
-        else op_int rtag ra rb 0 1 i
-      in
-      let o = if v <> 0 then pc + 4 else pc + 6 in
-      let g = Array.unsafe_get c o in
-      Array.unsafe_set bexecs g (Array.unsafe_get bexecs g + 1);
-      loop c rtag ra rb rsh
-        (Array.unsafe_get c (o + 1))
-        base
-        (Array.unsafe_get c (pc + 3))
-        steps fp
-    | 26 (* JMP srcbid gidx pc *) ->
+    | 18 (* JMP srcbid gidx pc *) ->
       let g = Array.unsafe_get c (pc + 2) in
       Array.unsafe_set bexecs g (Array.unsafe_get bexecs g + 1);
       loop c rtag ra rb rsh
@@ -676,7 +524,7 @@ let run ?(limits = I.default_limits) (bp : B.prog) : I.outcome =
         base
         (Array.unsafe_get c (pc + 1))
         steps fp
-    | 27 (* RET ok ov *) ->
+    | 19 (* RET ok ov *) ->
       let ok = Array.unsafe_get c (pc + 1) and ov = Array.unsafe_get c (pc + 2) in
       if fp = 0 then (op_int rtag ra rb base ok ov, steps)
       else begin
@@ -690,30 +538,21 @@ let run ?(limits = I.default_limits) (bp : B.prog) : I.outcome =
         loop funcs.(cur).code rtag ra rb rsh
           rt.fs_pc.(f) cbase rt.fs_prev.(f) steps f
       end
-    | 28 (* STEP *) -> loop c rtag ra rb rsh (pc + 1) base prev steps fp
-    | 29 (* BAD_PHI *) -> error "phi in block body (not at head)"
-    | 30 (* GOTO pc *) ->
+    | 20 (* BAD_PHI *) -> error "phi in block body (not at head)"
+    | 21 (* GOTO pc *) ->
       loop c rtag ra rb rsh (Array.unsafe_get c (pc + 1)) base prev steps fp
-    | 31 (* BLOCK gidx *) ->
+    | 22 (* BLOCK gidx *) ->
       let g = Array.unsafe_get c (pc + 1) in
       Array.unsafe_set bexecs g (Array.unsafe_get bexecs g + 1);
       loop c rtag ra rb rsh (pc + 2) base prev steps fp
-    | 32 (* SH_MOV dst sk sv *) ->
+    | 23 (* SH_MOV dst sk sv *) ->
       let sk = Array.unsafe_get c (pc + 2) and sv = Array.unsafe_get c (pc + 3) in
       Bytes.unsafe_set rsh (base + Array.unsafe_get c (pc + 1))
         (if sk = 1 then Bytes.unsafe_get rsh (base + sv)
          else if sv <> 0 then '\001'
          else '\000');
       loop c rtag ra rb rsh (pc + 4) base prev steps fp
-    | 33 (* SH_CONJ2 dst s1 s2 *) ->
-      let v =
-        Char.code (Bytes.unsafe_get rsh (base + Array.unsafe_get c (pc + 2)))
-        land Char.code (Bytes.unsafe_get rsh (base + Array.unsafe_get c (pc + 3)))
-      in
-      Bytes.unsafe_set rsh (base + Array.unsafe_get c (pc + 1))
-        (Char.unsafe_chr v);
-      loop c rtag ra rb rsh (pc + 4) base prev steps fp
-    | 34 (* SH_CONJ dst n s1..sn *) ->
+    | 24 (* SH_CONJ dst n s1..sn *) ->
       let n = Array.unsafe_get c (pc + 2) in
       let all = ref true in
       for i = 0 to n - 1 do
@@ -723,17 +562,17 @@ let run ?(limits = I.default_limits) (bp : B.prog) : I.outcome =
       Bytes.unsafe_set rsh (base + Array.unsafe_get c (pc + 1))
         (if !all then '\001' else '\000');
       loop c rtag ra rb rsh (pc + 3 + n) base prev steps fp
-    | 35 (* SH_MEM_RD dst pslot *) ->
+    | 25 (* SH_MEM_RD dst pslot *) ->
       let i = base + Array.unsafe_get c (pc + 2) in
       let ob = deref_obj rt rtag ra rb "shadow load" i in
       Bytes.unsafe_set rsh (base + Array.unsafe_get c (pc + 1))
         (Bytes.unsafe_get ob.osh (Array.unsafe_get rb i));
       loop c rtag ra rb rsh (pc + 3) base prev steps fp
-    | 36 (* SH_GLOBAL_RD dst gidx *) ->
+    | 26 (* SH_GLOBAL_RD dst gidx *) ->
       Bytes.unsafe_set rsh (base + Array.unsafe_get c (pc + 1))
         (Bytes.unsafe_get rt.sigma_g (Array.unsafe_get c (pc + 2)));
       loop c rtag ra rb rsh (pc + 3) base prev steps fp
-    | 37 (* SH_PHI dst narms (pb sk sv)* *) ->
+    | 27 (* SH_PHI dst narms (pb sk sv)* *) ->
       let narms = Array.unsafe_get c (pc + 2) in
       let v = ref true in
       let found = ref false in
@@ -751,54 +590,30 @@ let run ?(limits = I.default_limits) (bp : B.prog) : I.outcome =
       Bytes.unsafe_set rsh (base + Array.unsafe_get c (pc + 1))
         (if !v then '\001' else '\000');
       loop c rtag ra rb rsh (pc + 3 + (3 * narms)) base prev steps fp
-    | 38 (* SH_MEM_WR pslot sk sv *) ->
+    | 28 (* SH_MEM_WR pslot sk sv *) ->
       let i = base + Array.unsafe_get c (pc + 1) in
       let ob = deref_obj rt rtag ra rb "shadow store" i in
       Bytes.unsafe_set ob.osh (Array.unsafe_get rb i)
         (if sval rsh base (Array.unsafe_get c (pc + 2)) (Array.unsafe_get c (pc + 3))
          then '\001' else '\000');
       loop c rtag ra rb rsh (pc + 4) base prev steps fp
-    | 39 (* SH_OBJ pslot b *) ->
+    | 29 (* SH_OBJ pslot b *) ->
       let i = base + Array.unsafe_get c (pc + 1) in
       let ob = deref_obj rt rtag ra rb "shadow object init" i in
       rt.cnt.sh_obj_cells <- rt.cnt.sh_obj_cells + ob.ocells;
       Bytes.fill ob.osh 0 ob.ocells
         (if Array.unsafe_get c (pc + 2) <> 0 then '\001' else '\000');
       loop c rtag ra rb rsh (pc + 3) base prev steps fp
-    | 40 (* SH_GLOBAL_WR gidx sk sv *) ->
+    | 30 (* SH_GLOBAL_WR gidx sk sv *) ->
       Bytes.unsafe_set rt.sigma_g (Array.unsafe_get c (pc + 1))
         (if sval rsh base (Array.unsafe_get c (pc + 2)) (Array.unsafe_get c (pc + 3))
          then '\001' else '\000');
       loop c rtag ra rb rsh (pc + 4) base prev steps fp
-    | 41 (* CHECK slot lbl *) ->
+    | 31 (* CHECK slot lbl *) ->
       let slot = Array.unsafe_get c (pc + 1) in
       if slot < 0 || Bytes.unsafe_get rsh (base + slot) = '\000' then
         Bytes.unsafe_set rt.det (Array.unsafe_get c (pc + 2) + 2) '\001';
       loop c rtag ra rb rsh (pc + 3) base prev steps fp
-    | 42 (* ADD_SS dst s1 s2 *) ->
-      let i1 = base + Array.unsafe_get c (pc + 2) in
-      let i2 = base + Array.unsafe_get c (pc + 3) in
-      let t1 = Char.code (Bytes.unsafe_get rtag i1) in
-      let t2 = Char.code (Bytes.unsafe_get rtag i2) in
-      let r =
-        if (t1 lor t2) land 3 = 0 then
-          Array.unsafe_get ra i1 + Array.unsafe_get ra i2
-        else binop_slots rtag ra rb 0 i1 i2
-      in
-      set_int rtag ra (base + Array.unsafe_get c (pc + 1)) r
-        (t1 land t2 land 4 <> 0);
-      loop c rtag ra rb rsh (pc + 4) base prev steps fp
-    | 43 (* ADD_SC dst s1 c2 *) ->
-      let i1 = base + Array.unsafe_get c (pc + 2) in
-      let t1 = Char.code (Bytes.unsafe_get rtag i1) in
-      let a =
-        if t1 land 3 = 0 then Array.unsafe_get ra i1
-        else op_int rtag ra rb 0 1 i1
-      in
-      set_int rtag ra (base + Array.unsafe_get c (pc + 1))
-        (a + Array.unsafe_get c (pc + 3))
-        (t1 land 4 <> 0);
-      loop c rtag ra rb rsh (pc + 4) base prev steps fp
     | bad -> error "vm: invalid opcode %d in %s at %d" bad funcs.(rt.cur).fname pc
   in
   let exit_value, steps =

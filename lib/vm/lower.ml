@@ -11,21 +11,16 @@
 
    Shapes handled here:
 
+   - Every instruction, terminator and plan action lowers to one opcode.
    - Parallel phis become per-edge move sequences: for each CFG edge into
      a block with leading phis, a trampoline copies each phi's statically
-     selected arm and runs its residual actions, then jumps to the shared
-     block body. When a destination could be read as a later source (the
-     actual parallel-copy hazard), reads go through scratch slots first;
-     the common hazard-free edge is lowered to direct moves. Edges into
-     phi-less blocks branch straight to the body.
-   - Plan actions are fused in place as SH_* / CHECK opcodes; an
-     instruction with pre actions hands its step bit to the first one.
-   - Adjacent hot pairs fuse into two-step superinstructions: a
-     compare/arith feeding the block's conditional branch (CMPBR_SS/SC), and
-     pointer arithmetic feeding the load/store that consumes it
-     (IDXLOAD/IDXSTORE). Fusion applies only when no plan actions sit
-     between the two halves, and the first half can neither fault nor
-     allocate, so the pair is observationally one unit.
+     selected arm into a scratch slot, then moves every scratch slot into
+     its phi and runs that phi's residual actions, then jumps to the
+     shared block body. Reading every arm before any write is the
+     interpreter's order, so no phi can observe another's new value. Edges
+     into phi-less blocks branch straight to the body.
+   - Plan actions become SH_* / CHECK opcodes in place; an instruction
+     with pre actions hands its step bit to the first one.
    - Cost-model counters become per-block static deltas plus a per-call
      entry delta (see bytecode.ml); opcodes carry none of them. *)
 
@@ -157,16 +152,15 @@ let lower_func (ctx : ctx) ~(block0 : int) (f : I.cfunc) : B.func =
     patches := (b.n, src, dst) :: !patches;
     emit b 0
   in
+  let stepped op ~step = if step then op lor B.step_bit else op in
   (* [step] puts the interpreter-step bit on this action's opcode. *)
   let emit_action ?(step = false) (a : I.caction) =
-    let eop op = emit b (if step then op lor B.step_bit else op) in
+    let eop op = emit b (stepped op ~step) in
     match a.act with
     | I.CSet_var (x, rhs) -> (
       match rhs with
       | I.CRconst c -> eop B.o_sh_mov; emit b x; emit b 0; emit b (if c then 1 else 0)
       | I.CRvar y -> eop B.o_sh_mov; emit b x; emit b 1; emit b y
-      | I.CRconj [| y |] -> eop B.o_sh_mov; emit b x; emit b 1; emit b y
-      | I.CRconj [| y1; y2 |] -> eop B.o_sh_conj2; emit b x; emit b y1; emit b y2
       | I.CRconj ys ->
         eop B.o_sh_conj; emit b x; emit b (Array.length ys);
         Array.iter (emit b) ys
@@ -199,34 +193,20 @@ let lower_func (ctx : ctx) ~(block0 : int) (f : I.cfunc) : B.func =
   let emit_actions_stepped acts =
     Array.iteri (fun i a -> emit_action ~step:(i = 0) a) acts
   in
-  let stepped op ~step = if step then op lor B.step_bit else op in
   let emit_kind ~step (ci : I.cinstr) =
     let eop op = emit b (stepped op ~step) in
     match ci.ckind with
     | I.CConst (x, n) -> eop B.o_const; emit b x; emit b n
-    | I.CCopy (x, o) -> (
-      match o with
-      | I.Rs s -> eop B.o_copy_s; emit b x; emit b s
-      | _ ->
-        let ok, ov = rop_enc o in
-        eop B.o_copy; emit b x; emit b ok; emit b ov)
+    | I.CCopy (x, o) ->
+      let ok, ov = rop_enc o in
+      eop B.o_copy; emit b x; emit b ok; emit b ov
     | I.CUnop (x, u, o) ->
       let ok, ov = rop_enc o in
       eop B.o_unop; emit b x; emit b (unop_enc u); emit b ok; emit b ov
-    | I.CBinop (x, bop, o1, o2) -> (
-      match (o1, o2) with
-      | I.Rs s1, I.Rs s2 when bop = Ir.Types.Add ->
-        eop B.o_add_ss; emit b x; emit b s1; emit b s2
-      | I.Rs s1, I.Rc c2 when bop = Ir.Types.Add ->
-        eop B.o_add_sc; emit b x; emit b s1; emit b c2
-      | I.Rs s1, I.Rs s2 ->
-        eop B.o_binop_ss; emit b x; emit b (binop_enc bop); emit b s1; emit b s2
-      | I.Rs s1, I.Rc c2 ->
-        eop B.o_binop_sc; emit b x; emit b (binop_enc bop); emit b s1; emit b c2
-      | _ ->
-        let ok1, ov1 = rop_enc o1 and ok2, ov2 = rop_enc o2 in
-        eop B.o_binop; emit b x; emit b (binop_enc bop);
-        emit b ok1; emit b ov1; emit b ok2; emit b ov2)
+    | I.CBinop (x, bop, o1, o2) ->
+      let ok1, ov1 = rop_enc o1 and ok2, ov2 = rop_enc o2 in
+      eop B.o_binop; emit b x; emit b (binop_enc bop);
+      emit b ok1; emit b ov1; emit b ok2; emit b ov2
     | I.CAlloc { dst; init; size; name } -> (
       match size with
       | I.CFields n ->
@@ -278,19 +258,11 @@ let lower_func (ctx : ctx) ~(block0 : int) (f : I.cfunc) : B.func =
     else emit_kind ~step:true ci;
     emit_actions ci.post
   in
-  let no_acts (ci : I.cinstr) =
-    Array.length ci.pre = 0 && Array.length ci.post = 0
-  in
   (* Phi resolution for edge src -> dst. The selected arm of each phi is
-     known statically, so the edge lowers to a move list. Reads must
-     logically all precede writes and residual actions (the interpreter's
-     two loops); direct per-phi moves reorder a later phi's read after an
-     earlier phi's write/actions, which is only observable when that read
-     touches a slot one of those writes — value-phi destinations for the
-     value plane; shadow destinations or action-written shadow slots for
-     the shadow plane. Hazard-free edges (the overwhelmingly common case,
-     and every single-phi edge) get direct moves; the rest keep the
-     scratch-slot protocol. *)
+     known statically. Every arm is read into the phi's scratch slot
+     first, then each phi takes its scratch value and runs its residual
+     actions: all reads precede all writes, as in the interpreter's two
+     loops. *)
   let emit_phi_edge ~src ~(dst : int) =
     let cb = f.cblocks.(dst) in
     let np = nphis.(dst) in
@@ -299,111 +271,53 @@ let lower_func (ctx : ctx) ~(block0 : int) (f : I.cfunc) : B.func =
       Array.iteri (fun j (pb, _) -> if !k < 0 && pb = src then k := j) arms;
       !k
     in
-    let vdst = Hashtbl.create 8 and shwr = Hashtbl.create 8 in
-    for i = 0 to np - 1 do
+    let phi i =
       match cb.body.(i).ckind with
-      | I.CPhi { dst = d; sh; _ } ->
-        Hashtbl.replace vdst d ();
-        if Array.length sh > 0 then Hashtbl.replace shwr d ();
-        let acts a =
-          Array.iter
-            (fun (a : I.caction) ->
-              match a.act with
-              | I.CSet_var (x, _) -> Hashtbl.replace shwr x ()
-              | _ -> ())
-            a
-        in
-        acts cb.body.(i).pre;
-        acts cb.body.(i).post
-      | _ -> assert false
-    done;
-    let hazard = ref false in
-    if np > 1 then
-      for i = 0 to np - 1 do
-        match cb.body.(i).ckind with
-        | I.CPhi { arms; sh; _ } ->
-          let k = arm_of arms in
-          (if k >= 0 then
-             match snd arms.(k) with
-             | I.Rs s -> if Hashtbl.mem vdst s then hazard := true
-             | _ -> ());
-          (match phi_shadow sh with
-          | Some sharms ->
-            let k = arm_of sharms in
-            if k >= 0 then (
-              match snd sharms.(k) with
-              | I.Ss s -> if Hashtbl.mem shwr s then hazard := true
-              | I.Sc _ -> ())
-          | None -> ())
-        | _ -> assert false
-      done;
-    let emit_move ~vslot ~shslot (ci : I.cinstr) =
-      match ci.ckind with
-      | I.CPhi { arms; sh; _ } ->
-        let k = arm_of arms in
-        let ok, ov = if k >= 0 then rop_enc (snd arms.(k)) else (3, 0) in
-        emit b B.o_copy; emit b vslot; emit b ok; emit b ov;
-        (match phi_shadow sh with
-        | Some sharms ->
-          let k = arm_of sharms in
-          let sk, sv = if k >= 0 then sop_enc (snd sharms.(k)) else (0, 1) in
-          emit b B.o_sh_mov; emit b shslot; emit b sk; emit b sv
-        | None -> ())
+      | I.CPhi { dst = d; arms; sh } -> (d, arms, phi_shadow sh)
       | _ -> assert false
     in
-    if not !hazard then
-      for i = 0 to np - 1 do
-        let ci = cb.body.(i) in
-        (match ci.ckind with
-        | I.CPhi { dst = d; _ } -> emit_move ~vslot:d ~shslot:d ci
-        | _ -> assert false);
-        emit_actions ci.pre;
-        emit_actions ci.post
-      done
-    else begin
-      for i = 0 to np - 1 do
-        emit_move ~vslot:(f.nslots + i) ~shslot:(f.nslots + i) cb.body.(i)
-      done;
-      for i = 0 to np - 1 do
-        let ci = cb.body.(i) in
-        (match ci.ckind with
-        | I.CPhi { dst = d; sh; _ } ->
-          let scr = f.nslots + i in
-          emit b B.o_copy_s; emit b d; emit b scr;
-          if Array.length sh > 0 then begin
-            emit b B.o_sh_mov; emit b d; emit b 1; emit b scr
-          end
-        | _ -> assert false);
-        emit_actions ci.pre;
-        emit_actions ci.post
-      done
-    end
+    for i = 0 to np - 1 do
+      let _, arms, sharms = phi i in
+      let scr = f.nslots + i in
+      let k = arm_of arms in
+      let ok, ov = if k >= 0 then rop_enc (snd arms.(k)) else (3, 0) in
+      emit b B.o_copy; emit b scr; emit b ok; emit b ov;
+      match sharms with
+      | Some sharms ->
+        let k = arm_of sharms in
+        let sk, sv = if k >= 0 then sop_enc (snd sharms.(k)) else (0, 1) in
+        emit b B.o_sh_mov; emit b scr; emit b sk; emit b sv
+      | None -> ()
+    done;
+    for i = 0 to np - 1 do
+      let d, _, sharms = phi i in
+      let scr = f.nslots + i in
+      emit b B.o_copy; emit b d; emit b 1; emit b scr;
+      if sharms <> None then begin
+        emit b B.o_sh_mov; emit b d; emit b 1; emit b scr
+      end;
+      emit_actions cb.body.(i).pre;
+      emit_actions cb.body.(i).post
+    done
   in
-  let emit_term (cb : I.cblock) bid ~fused =
-    if not fused then begin
-      if Array.length cb.term_pre > 0 then emit_actions_stepped cb.term_pre;
-      let step = Array.length cb.term_pre = 0 in
-      match cb.cterm with
-      | I.CTBr (o, b1, b2) ->
-        (match o with
-        | I.Rs s ->
-          emit b (stepped B.o_br_s ~step);
-          emit b s; emit b cb.term_lbl; emit b bid
-        | _ ->
-          let ok, ov = rop_enc o in
-          emit b (stepped B.o_br ~step);
-          emit b ok; emit b ov; emit b cb.term_lbl; emit b bid);
-        emit_target ~src:bid ~dst:b1;
-        emit_target ~src:bid ~dst:b2
-      | I.CTJmp b1 ->
-        emit b (stepped B.o_jmp ~step);
-        emit b bid;
-        emit_target ~src:bid ~dst:b1
-      | I.CTRet o ->
-        let ok, ov = match o with Some o -> rop_enc o | None -> (3, 0) in
-        emit b (stepped B.o_ret ~step);
-        emit b ok; emit b ov
-    end
+  let emit_term (cb : I.cblock) bid =
+    if Array.length cb.term_pre > 0 then emit_actions_stepped cb.term_pre;
+    let step = Array.length cb.term_pre = 0 in
+    match cb.cterm with
+    | I.CTBr (o, b1, b2) ->
+      let ok, ov = rop_enc o in
+      emit b (stepped B.o_br ~step);
+      emit b ok; emit b ov; emit b cb.term_lbl; emit b bid;
+      emit_target ~src:bid ~dst:b1;
+      emit_target ~src:bid ~dst:b2
+    | I.CTJmp b1 ->
+      emit b (stepped B.o_jmp ~step);
+      emit b bid;
+      emit_target ~src:bid ~dst:b1
+    | I.CTRet o ->
+      let ok, ov = match o with Some o -> rop_enc o | None -> (3, 0) in
+      emit b (stepped B.o_ret ~step);
+      emit b ok; emit b ov
   in
   (* Prologue: entry actions, then the virtual entry edge (prev = 0) into
      block 0, one execution of block 0 counted, falling through. *)
@@ -413,65 +327,13 @@ let lower_func (ctx : ctx) ~(block0 : int) (f : I.cfunc) : B.func =
     emit b B.o_block;
     emit b block0
   end;
-  (* Block bodies, with pair fusion. *)
   Array.iteri
     (fun bid (cb : I.cblock) ->
       body_pc.(bid) <- b.n;
-      let n = Array.length cb.body in
-      let i = ref nphis.(bid) in
-      let fused_term = ref false in
-      while !i < n do
-        let ci = cb.body.(!i) in
-        let next = if !i + 1 < n then Some cb.body.(!i + 1) else None in
-        (match (ci.ckind, next) with
-        (* INDEX ; LOAD through its result — one dispatch, two steps. *)
-        | I.CIndex (d, src, iop), Some ({ ckind = I.CLoad (d2, p); _ } as nx)
-          when p = d && no_acts ci && Array.length nx.pre = 0 ->
-          let iok, iov = rop_enc iop in
-          emit b B.o_idxload;
-          emit b d; emit b src; emit b iok; emit b iov;
-          emit b d2; emit b nx.clbl;
-          emit_actions nx.post;
-          i := !i + 2
-        (* INDEX ; STORE through its result. *)
-        | I.CIndex (d, src, iop), Some ({ ckind = I.CStore (p, v); _ } as nx)
-          when p = d && no_acts ci && Array.length nx.pre = 0 ->
-          let iok, iov = rop_enc iop in
-          let vok, vov = rop_enc v in
-          emit b B.o_idxstore;
-          emit b d; emit b src; emit b iok; emit b iov;
-          emit b vok; emit b vov; emit b nx.clbl;
-          emit_actions nx.post;
-          i := !i + 2
-        (* Last compare/arith feeding the conditional branch. *)
-        | I.CBinop (d, bop, I.Rs s1, o2), None
-          when no_acts ci
-               && Array.length cb.term_pre = 0
-               && (match cb.cterm with
-                  | I.CTBr (I.Rs c, _, _) -> c = d
-                  | _ -> false)
-               && (match o2 with I.Rs _ | I.Rc _ -> true | _ -> false) ->
-          let b1, b2 =
-            match cb.cterm with I.CTBr (_, x, y) -> (x, y) | _ -> assert false
-          in
-          (match o2 with
-          | I.Rs s2 ->
-            emit b B.o_cmpbr_ss;
-            emit b d; emit b (binop_enc bop); emit b s1; emit b s2
-          | I.Rc c2 ->
-            emit b B.o_cmpbr_sc;
-            emit b d; emit b (binop_enc bop); emit b s1; emit b c2
-          | _ -> assert false);
-          emit b cb.term_lbl; emit b bid;
-          emit_target ~src:bid ~dst:b1;
-          emit_target ~src:bid ~dst:b2;
-          fused_term := true;
-          incr i
-        | _ ->
-          emit_instr ci;
-          incr i)
+      for i = nphis.(bid) to Array.length cb.body - 1 do
+        emit_instr cb.body.(i)
       done;
-      emit_term cb bid ~fused:!fused_term)
+      emit_term cb bid)
     f.cblocks;
   (* Edge trampolines for phi-receiving targets, then patch all targets. *)
   let tramp = Hashtbl.create 16 in

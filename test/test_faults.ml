@@ -45,13 +45,12 @@ let ladder_tests =
         let a = check_sound { knobs with Usher.Config.budget_ms = Some 0 } in
         check_bool "degraded_all" true a.Usher.Pipeline.degraded_all;
         check_bool "events recorded" true (!(a.Usher.Pipeline.events) <> []));
-    tc "rung 4: zero Andersen fuel degrades everything" (fun () ->
-        (* needs at least one points-to constraint for the solver to burn *)
+    tc "rung 4: Andersen exhaustion degrades everything" (fun () ->
         let src =
           "int main() { int u; int a = 1; int *p = &a; *p = 2;\n\
            if (u + *p > 0) { print(1); } return 0; }"
         in
-        let a = check_sound ~src { knobs with Usher.Config.solver_fuel = Some 0 } in
+        let a = check_sound ~src (inject [ exhaust Diag.Andersen ]) in
         check_bool "degraded_all" true a.Usher.Pipeline.degraded_all);
     tc "rung 4: callgraph crash degrades everything" (fun () ->
         let a = check_sound (inject [ crash Diag.Callgraph ]) in
@@ -69,10 +68,6 @@ let ladder_tests =
         check_bool "not degraded_all" false a.Usher.Pipeline.degraded_all;
         check_bool "main distrusted" true
           (Usher.Pipeline.distrusted_functions a = [ "main" ]));
-    tc "rung 3: tiny VFG node cap distrusts functions, stays sound" (fun () ->
-        let a = check_sound { knobs with Usher.Config.vfg_node_cap = Some 1 } in
-        check_bool "something distrusted" true
-          (Usher.Pipeline.distrusted_functions a <> []));
     tc "rung 2: resolution fault degrades Γ to all-undefined" (fun () ->
         let a = check_sound (inject [ crash Diag.Resolve ]) in
         check_bool "not degraded_all" false a.Usher.Pipeline.degraded_all;
@@ -85,8 +80,8 @@ let ladder_tests =
           if Vfg.Resolve.is_undef a.Usher.Pipeline.gamma id then incr bot
         done;
         check_int "all bottom" n !bot);
-    tc "rung 2: resolve fuel of one state degrades Γ, stays sound" (fun () ->
-        let a = check_sound { knobs with Usher.Config.resolve_fuel = Some 1 } in
+    tc "rung 2: resolve exhaustion degrades Γ, stays sound" (fun () ->
+        let a = check_sound (inject [ exhaust Diag.Resolve ]) in
         check_bool "events recorded" true (!(a.Usher.Pipeline.events) <> []));
     tc "rung 1: Opt II fault keeps the redundant checks" (fun () ->
         let a = check_sound (inject [ crash Diag.Opt2 ]) in

@@ -78,20 +78,26 @@ let heap_src =
    + *q + p->px; }\n\
   \  print(s); return 0; }"
 
+(* Eq/Ne on two pointers compare object and offset; other operators and
+   mixed operands compare packed integers. *)
+let ptr_cmp_src =
+  "int main() { int *p = (int*)malloc(2); int *q = p + 1; int *r = p;\n\
+  \  int *s = q - 1; if (p == r) { print(1); } if (p != q) { print(2); }\n\
+  \  if (p == q) { print(3); } if (s == p) { print(4); }\n\
+  \  if (s != r) { print(5); } if (p < q) { print(6); } return 0; }"
+
 (* The degradation ladder: each rung reshapes every variant's plan, and
    the VM must track the interpreter through all of them. *)
 let rungs =
-  let crash phase =
-    { Usher.Config.fphase = phase; ffunc = None; fkind = Usher.Config.Crash }
-  in
+  let fault fkind phase = { Usher.Config.fphase = phase; ffunc = None; fkind } in
   let k = Usher.Config.default_knobs in
+  let inject fkind phase = { k with Usher.Config.inject = [ fault fkind phase ] } in
   [
     ("budget-0", { k with Usher.Config.budget_ms = Some 0 });
-    ("fuel-0", { k with Usher.Config.solver_fuel = Some 0 });
-    ("resolve-crash", { k with Usher.Config.inject = [ crash Diag.Resolve ] });
-    ( "callgraph-crash",
-      { k with Usher.Config.inject = [ crash Diag.Callgraph ] } );
-    ("vfg-cap-0", { k with Usher.Config.vfg_node_cap = Some 0 });
+    ("andersen=exhaust", inject Usher.Config.Exhaust Diag.Andersen);
+    ("resolve-crash", inject Usher.Config.Crash Diag.Resolve);
+    ("callgraph-crash", inject Usher.Config.Crash Diag.Callgraph);
+    ("vfg=exhaust", inject Usher.Config.Exhaust Diag.Vfg_build);
   ]
 
 let unit_tests =
@@ -100,10 +106,19 @@ let unit_tests =
         equiv_all_variants "undef" undef_src);
     tc "all variants agree on heap allocation in a loop" (fun () ->
         equiv_all_variants "heap" heap_src);
+    tc "all variants agree on pointer comparisons" (fun () ->
+        equiv_all_variants "ptr-cmp" ptr_cmp_src;
+        let prog = front ptr_cmp_src in
+        check_ints "outputs" [ 1; 2; 4; 6 ]
+          (Runtime.Interp.run_native prog).outputs);
     tc "all variants agree on the 164.gzip analog" (fun () ->
-        equiv_all_variants "gzip"
-          (Workloads.Spec2000.source ~scale:2
-             (Workloads.Spec2000.find "164.gzip")));
+        List.iter
+          (fun scale ->
+            equiv_all_variants
+              (Printf.sprintf "gzip@%d" scale)
+              (Workloads.Spec2000.source ~scale
+                 (Workloads.Spec2000.find "164.gzip")))
+          [ 2; 10; 50 ]);
     tc "every degradation rung agrees" (fun () ->
         List.iter
           (fun (name, knobs) -> equiv_all_variants ~knobs name undef_src)
