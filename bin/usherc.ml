@@ -350,9 +350,7 @@ let run_cmd =
     (* Exit code: any ground-truth undefined use (from the native run) the
        instrumented run fails to cover is a soundness divergence. *)
     let escaped =
-      List.filter
-        (fun l -> not (Usher.Experiment.covered prog o.detections l))
-        (Runtime.Interp.gt_use_labels native)
+      List.sort compare (Usher.Experiment.escaped prog ~native o)
     in
     List.iter
       (fun l ->

@@ -74,8 +74,6 @@ let of_report (r : Oracle.report) : string list =
   addf "gamma:states:%d" (bucket gamma.states_explored);
   List.sort_uniq compare !feats
 
-let to_string (t : string list) : string = String.concat " " t
-
 (** Features of [t] absent from [seen]. *)
 let novel ~(seen : (string, unit) Hashtbl.t) (t : string list) : string list =
   List.filter (fun f -> not (Hashtbl.mem seen f)) t

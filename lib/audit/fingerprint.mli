@@ -14,8 +14,6 @@ val bucket : int -> int
 val of_report : Oracle.report -> string list
 (** Sorted, duplicate-free feature set of one differential-oracle run. *)
 
-val to_string : string list -> string
-
 val novel : seen:(string, unit) Hashtbl.t -> string list -> string list
 (** Features not yet in [seen]. *)
 

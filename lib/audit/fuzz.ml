@@ -8,10 +8,10 @@
      misses, propose quarantine entries), and
    - fingerprint it (Fingerprint.of_report) for corpus distillation.
 
-   Everything order-sensitive (quarantine registration, distillation, the
-   summary) happens in a post-pass over the results in index order, so
-   two runs of the same campaign produce byte-identical incident
-   artifacts, quarantine lists, and corpus directories.
+   Programs run one at a time in index order, and the wall-clock budget
+   is checked before each one, so two runs of the same campaign that
+   finish produce byte-identical incident artifacts, quarantine lists,
+   and corpus directories.
 
    Unlike the corpus audit loop, fresh quarantine entries do NOT feed
    back into later subjects mid-run: every program is judged under the
@@ -188,17 +188,6 @@ let promote (cfg : config) ~(src_dir : string) ~(dst_dir : string) : promotion
 
 (* ---- the campaign ---- *)
 
-type outcome =
-  | Skipped of string
-  | Audited of {
-      src : string;
-      fingerprint : string list;
-      incidents : Incident.t list;
-      entries : Quarantine.entry list;
-      healed : int;
-      oracle_s : float;
-    }
-
 let m_generated = Obs.Metrics.counter "fuzz.generated"
 let m_skipped = Obs.Metrics.counter "fuzz.skipped"
 let m_incidents = Obs.Metrics.counter "fuzz.incidents"
@@ -229,46 +218,8 @@ let run (cfg : config) : summary =
       log = cfg.log;
     }
   in
-  let one (idx : int) : outcome =
-    Obs.Metrics.incr m_generated;
-    let pseed = Gen.campaign_seed ~seed:cfg.seed idx in
-    let src = Gen.source ~size:cfg.size ~seed:pseed () in
-    let t = Obs.Clock.now_s () in
-    match Loop.oracle_check loop_cfg ~knobs src with
-    | Error e -> Skipped e
-    | Ok report ->
-      let oracle_s = Obs.Clock.now_s () -. t in
-      let fingerprint = Fingerprint.of_report report in
-      let incidents, entries, healed =
-        Loop.audit_report loop_cfg ~knobs ~seed:pseed ~mutation:"" ~src report
-      in
-      Audited { src; fingerprint; incidents; entries; healed; oracle_s }
-  in
-  (* Run in chunks of four; the wall-clock budget is checked between
-     chunks. *)
-  let chunk = 4 in
-  let results = ref [] (* (idx, outcome) chunks, newest first *) in
-  let next = ref 0 in
-  let stopped = ref false in
-  while !next < cfg.count && not !stopped do
-    if out_of_time () then stopped := true
-    else begin
-      let n = min chunk (cfg.count - !next) in
-      let idxs = List.init n (fun k -> !next + k) in
-      let outs =
-        Obs.Trace.with_span ~cat:"fuzz"
-          (Printf.sprintf "fuzz.chunk.%d" !next)
-          (fun () -> List.map one idxs)
-      in
-      results := List.combine idxs outs :: !results;
-      next := !next + n
-    end
-  done;
-  let results = List.concat (List.rev !results) in
-  (* Index-ordered post-pass: everything whose outcome could depend on
-     order happens here. *)
-  let audited = ref 0 and skipped = ref 0 and healed = ref 0 in
-  let incidents = ref [] and quarantined = ref [] in
+  let generated = ref 0 and audited = ref 0 and skipped = ref 0 in
+  let healed = ref 0 and incidents = ref [] and quarantined = ref [] in
   let oracle_s = ref 0.0 in
   let distilled = ref 0 in
   let seen =
@@ -278,45 +229,58 @@ let run (cfg : config) : summary =
       Some (cdir, load_features cdir)
     | _ -> None
   in
-  List.iter
-    (fun (idx, out) ->
-      match out with
-      | Skipped e ->
+  let distill idx src fingerprint =
+    match seen with
+    | None -> ()
+    | Some (cdir, seen) ->
+      let novel = Fingerprint.novel ~seen fingerprint in
+      if novel <> [] then begin
+        Fingerprint.remember ~seen fingerprint;
+        let id = String.sub (Digest.to_hex (Digest.string src)) 0 12 in
+        let path = Filename.concat cdir (Printf.sprintf "fuzz-%s.c" id) in
+        if not (Sys.file_exists path) then begin
+          Incident.write_atomic ~path src;
+          incr distilled;
+          Obs.Metrics.incr m_distilled;
+          cfg.log
+            (Printf.sprintf "program %d distilled into %s (novel: %s)" idx path
+               (String.concat " " novel))
+        end
+      end
+  in
+  let stopped = ref false in
+  while !generated < cfg.count && not !stopped do
+    if out_of_time () then stopped := true
+    else begin
+      let idx = !generated in
+      incr generated;
+      Obs.Metrics.incr m_generated;
+      let pseed = Gen.campaign_seed ~seed:cfg.seed idx in
+      let src = Gen.source ~size:cfg.size ~seed:pseed () in
+      let t = Obs.Clock.now_s () in
+      match Loop.oracle_check loop_cfg ~knobs src with
+      | Error e ->
         incr skipped;
         Obs.Metrics.incr m_skipped;
         cfg.log (Printf.sprintf "program %d skipped (%s)" idx e)
-      | Audited a ->
+      | Ok report ->
         incr audited;
-        oracle_s := !oracle_s +. a.oracle_s;
-        Obs.Metrics.add m_incidents (List.length a.incidents);
-        incidents := !incidents @ a.incidents;
-        healed := !healed + a.healed;
-        let fresh = Quarantine.add cfg.dir a.entries in
+        oracle_s := !oracle_s +. (Obs.Clock.now_s () -. t);
+        let fingerprint = Fingerprint.of_report report in
+        let incs, entries, h =
+          Loop.audit_report loop_cfg ~knobs ~seed:pseed ~mutation:"" ~src report
+        in
+        Obs.Metrics.add m_incidents (List.length incs);
+        incidents := !incidents @ incs;
+        healed := !healed + h;
+        let fresh = Quarantine.add cfg.dir entries in
         List.iter
           (fun (e : Quarantine.entry) ->
             quarantined := !quarantined @ [ e.qfunc ])
           fresh;
-        (match seen with
-        | None -> ()
-        | Some (cdir, seen) ->
-          let novel = Fingerprint.novel ~seen a.fingerprint in
-          if novel <> [] then begin
-            Fingerprint.remember ~seen a.fingerprint;
-            let id =
-              String.sub (Digest.to_hex (Digest.string a.src)) 0 12
-            in
-            let path = Filename.concat cdir (Printf.sprintf "fuzz-%s.c" id) in
-            if not (Sys.file_exists path) then begin
-              Incident.write_atomic ~path a.src;
-              incr distilled;
-              Obs.Metrics.incr m_distilled;
-              cfg.log
-                (Printf.sprintf "program %d distilled into %s (novel: %s)" idx
-                   path
-                   (String.concat " " novel))
-            end
-          end))
-    results;
+        distill idx src fingerprint
+    end
+  done;
   (match seen with
   | Some (cdir, seen) -> save_features cdir seen
   | None -> ());
@@ -327,7 +291,7 @@ let run (cfg : config) : summary =
          !incidents)
   in
   {
-    generated = List.length results;
+    generated = !generated;
     audited = !audited;
     skipped = !skipped;
     incidents = !incidents;

@@ -3,10 +3,10 @@
     quarantine) and fingerprinted for corpus distillation.
 
     Campaigns are deterministic in [seed]: per-program seeds are a pure
-    function of (seed, index), order-sensitive steps run in an
-    index-ordered post-pass and incident artifacts merge commutatively,
-    so two runs of the same campaign produce identical incidents,
-    quarantine lists and corpus directories. *)
+    function of (seed, index) and programs run one at a time in index
+    order, the budget checked before each, so two runs of the same
+    campaign produce identical incidents, quarantine lists and corpus
+    directories. *)
 
 type config = {
   count : int;                 (** programs to generate *)

@@ -66,11 +66,10 @@ let knobs_summary (k : Usher.Config.knobs) : string =
 
 (* Compile errors and native-run traps disqualify a subject (mutants
    routinely produce wild pointers); anything else propagates. *)
-let oracle_check cfg ~knobs ?variants (src : string) :
-    (Oracle.report, string) result =
+let oracle_check cfg ~knobs (src : string) : (Oracle.report, string) result =
   match
-    Oracle.check ~level:cfg.level ~knobs ~limits:cfg.limits ?variants
-      ?hole:cfg.hole ~engine:cfg.engine src
+    Oracle.check ~level:cfg.level ~knobs ~limits:cfg.limits ?hole:cfg.hole
+      ~engine:cfg.engine src
   with
   | r -> Ok r
   | exception Diag.Error d -> Error (Diag.to_string d)
@@ -82,7 +81,7 @@ let oracle_check cfg ~knobs ?variants (src : string) :
    when known)? The reduction predicate. *)
 let still_misses cfg ~knobs ~(variant : Usher.Config.variant)
     ~(func : string option) (src : string) : bool =
-  match oracle_check cfg ~knobs ~variants:[ variant ] src with
+  match oracle_check cfg ~knobs src with
   | Error _ -> false
   | Ok r ->
     List.exists
@@ -136,7 +135,7 @@ let audit_report cfg ~knobs ~(seed : int) ~(mutation : string) ~(src : string)
       misses;
     (* Several variants usually share one buggy plan — cache the reduced
        repro per implicated function and revalidate it per variant (one
-       single-variant oracle run) instead of re-reducing from scratch. *)
+       oracle run) instead of re-reducing from scratch. *)
     let reduction_cache : (string option, string) Hashtbl.t =
       Hashtbl.create 4
     in
@@ -216,13 +215,6 @@ let audit_report cfg ~knobs ~(seed : int) ~(mutation : string) ~(src : string)
       report.divergences;
     (List.rev !incidents, List.rev !entries, !healed)
 
-(* Audit one subject; returns (incidents, quarantine entries, healed). *)
-let audit_subject cfg ~knobs ~(seed : int) ~(mutation : string) (src : string) :
-    (Incident.t list * Quarantine.entry list * int, string) result =
-  match oracle_check cfg ~knobs src with
-  | Error e -> Error e
-  | Ok report -> Ok (audit_report cfg ~knobs ~seed ~mutation ~src report)
-
 (* Observability: audited-subject / incident totals, plus instant trace
    events per captured incident (category "audit"). *)
 let m_subjects = Obs.Metrics.counter "audit.subjects"
@@ -247,12 +239,15 @@ let run (cfg : config) : summary =
   let knobs = ref (Quarantine.apply_dir cfg.dir cfg.knobs) in
   let audit ~seed ~mutation src counter =
     Obs.Metrics.incr m_subjects;
-    match audit_subject cfg ~knobs:!knobs ~seed ~mutation src with
+    match oracle_check cfg ~knobs:!knobs src with
     | Error e ->
       incr skipped;
       Obs.Metrics.incr m_skipped;
       cfg.log (Printf.sprintf "skipped (%s)" e)
-    | Ok (incs, entries, h) ->
+    | Ok report ->
+      let incs, entries, h =
+        audit_report cfg ~knobs:!knobs ~seed ~mutation ~src report
+      in
       incr counter;
       Obs.Metrics.add m_incidents (List.length incs);
       Obs.Metrics.add m_healed h;

@@ -42,7 +42,6 @@ val knobs_summary : Usher.Config.knobs -> string
 val oracle_check :
   config ->
   knobs:Usher.Config.knobs ->
-  ?variants:Usher.Config.variant list ->
   string ->
   (Oracle.report, string) result
 
@@ -58,16 +57,5 @@ val audit_report :
   src:string ->
   Oracle.report ->
   Incident.t list * Quarantine.entry list * int
-
-(** Audit one program source. Returns captured incidents, quarantine
-    entries and the healed count, or [Error] when the subject is invalid
-    (compile error or native-run trap). *)
-val audit_subject :
-  config ->
-  knobs:Usher.Config.knobs ->
-  seed:int ->
-  mutation:string ->
-  string ->
-  (Incident.t list * Quarantine.entry list * int, string) result
 
 val run : config -> summary

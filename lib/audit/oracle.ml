@@ -1,13 +1,15 @@
 (* Differential soundness oracle.
 
-   For one TinyC program, run every instrumentation variant and compare
-   three sources of truth against each other:
+   For one TinyC program, run the experiment's own lanes
+   ([Usher.Experiment.prepare], then one lane execution) and compare three
+   sources of truth against each other:
 
    - the interpreter's ground-truth definedness ([Interp.outcome.gt_uses]:
      undefined values actually consumed at critical operations);
-   - each variant's detections (E(l) checks that fired), with the paper's
-     dominance rule: a use is covered if its own check fired or a check at
-     a dominating statement in the same function fired (§3.5.2);
+   - each variant's detections (E(l) checks that fired), under the
+     experiment's own coverage rule ([Usher.Experiment.escaped]): a use is
+     covered if its own check fired or a check at a dominating statement
+     in the same function fired (§3.5.2);
    - the MSan baseline (full instrumentation) and the paper's Opt I/II
      expectations on the *static* plans.
 
@@ -16,11 +18,15 @@
    - [Miss]: a ground-truth undefined use a variant's plan does not cover
      — a soundness bug in guided instrumentation (or, if the variant is
      MSan itself, in the instrumentation runtime);
-   - [Behavior]: the instrumented run changed the program's observable
-     outputs — instrumentation must be a pure observer;
+   - [Behavior]: the instrumented run trapped or changed the program's
+     observable outputs — instrumentation must be a pure observer;
    - [Precision]: a static plan has more checks than the paper's
      monotonicity chain allows (guided > MSan, or Opt II > Opt I) — not a
      correctness bug, but a regression of the entire point of the system.
+
+   The lane execution yields the native ground truth too. A run per plan
+   replaces it on the VM engine (native on the interpreter) and when the
+   lane execution raises, so a trap is pinned on the variant that hit it.
 
    The [hole] hook deliberately deletes every check a *guided* plan placed
    in functions matching a name prefix — a seeded soundness bug used by
@@ -48,32 +54,12 @@ type divergence =
     }
 
 type report = {
-  src : string;
   prog : Ir.Prog.t;
   analysis : Usher.Pipeline.analysis;
   native : Runtime.Interp.outcome;
   per_variant : (Usher.Config.variant * Runtime.Interp.outcome) list;
   divergences : divergence list;
 }
-
-let divergence_to_string (d : divergence) : string =
-  match d with
-  | Miss m ->
-    Printf.sprintf "soundness miss: %s does not cover gt use at l%d%s%s"
-      (Usher.Config.variant_name m.mvariant)
-      m.mlabel
-      (match m.mfunc with Some f -> " in " ^ f | None -> "")
-      (if m.baseline_covers then " (MSan covers it)" else " (MSan misses it too)")
-  | Behavior b ->
-    Printf.sprintf "behavior divergence: %s changed outputs (%d vs %d values)"
-      (Usher.Config.variant_name b.bvariant)
-      (List.length b.got) (List.length b.expected)
-  | Precision p ->
-    Printf.sprintf "precision regression: %s has %d checks > %s's %d"
-      (Usher.Config.variant_name p.pvariant)
-      p.checks
-      (Usher.Config.variant_name p.against)
-      p.against_checks
 
 let soundness_misses (r : report) : miss list =
   List.filter_map (function Miss m -> Some m | _ -> None) r.divergences
@@ -94,13 +80,6 @@ let label_owners (prog : Ir.Prog.t) : string option array =
     prog;
   owners
 
-let func_of_label (prog : Ir.Prog.t) (l : Ir.Types.label) : string option =
-  if l < 0 || l >= Ir.Prog.nlabels prog then None else (label_owners prog).(l)
-
-let prefixed ~prefix s =
-  String.length s >= String.length prefix
-  && String.sub s 0 (String.length prefix) = prefix
-
 (* The seeded plan hole: delete every Check item a guided plan placed in a
    function whose name starts with [hole] — unless the function is
    distrusted, in which case its items came from the full overlay and a
@@ -108,7 +87,7 @@ let prefixed ~prefix s =
 let apply_hole (a : Usher.Pipeline.analysis) (owners : string option array)
     (hole : string) (plan : Instr.Item.plan) : unit =
   let holed fn =
-    prefixed ~prefix:hole fn && not (Hashtbl.mem a.distrusted fn)
+    String.starts_with ~prefix:hole fn && not (Hashtbl.mem a.distrusted fn)
   in
   Array.iteri
     (fun l items ->
@@ -122,54 +101,54 @@ let apply_hole (a : Usher.Pipeline.analysis) (owners : string option array)
       | _ -> ())
     plan.Instr.Item.items
 
-(** Run the oracle on one program. Raises the front end's [Diag.Error] on
-    uncompilable source and the interpreter's [Runtime_error] /
-    [Resource_exhausted] when the *native* run traps (the caller treats
-    both as "not a valid audit subject"). Instrumented-run traps that the
-    native run does not exhibit are reported as [Behavior] divergences. *)
-let check ?(level = Optim.Pipeline.O0_IM) ?(knobs = Usher.Config.default_knobs)
-    ?limits ?(variants = Usher.Config.all_variants) ?hole
-    ?(engine = Vm.Engine.Interp) (src : string) : report =
+(* Each lane on its own execution: the native run on the interpreter
+   (its traps propagate: not a valid audit subject), then every plan on
+   [engine], a trap becoming that plan's [Error]. *)
+let run_per_plan ?limits engine (p : Usher.Experiment.prepared) =
   let module I = Runtime.Interp in
-  let prog, front_events = Usher.Pipeline.front_guarded ~level ~knobs src in
-  let analysis = Usher.Pipeline.analyze ~knobs prog in
-  analysis.events := front_events @ !(analysis.events);
+  let native =
+    I.run ?limits (I.attach p.base (Instr.Item.empty_plan p.analysis.prog))
+  in
+  ( native,
+    List.map
+      (fun (l : Usher.Experiment.lane) ->
+        try Ok (Vm.Engine.run_plan ?limits engine p.base l.lplan) with
+        | I.Runtime_error msg -> Error msg
+        | I.Resource_exhausted { what; limit } ->
+          Error (Printf.sprintf "%s limit %d exhausted" what limit))
+      p.lanes )
+
+let judge ?limits ?(engine = Vm.Engine.Interp) (p : Usher.Experiment.prepared)
+    : report =
+  let module I = Runtime.Interp in
+  let prog = p.analysis.prog in
   let owners = label_owners prog in
-  (* One base serves the native run and every plan run. *)
-  let base = I.compile_base prog in
-  let native = I.run ?limits (I.attach base (Instr.Item.empty_plan prog)) in
+  let native, outcomes =
+    match engine with
+    | Vm.Engine.Vm -> run_per_plan ?limits Vm.Engine.Vm p
+    | Vm.Engine.Interp -> (
+      match
+        Vm.Engine.run_plans ?limits Vm.Engine.Interp p.base
+          (List.map (fun (l : Usher.Experiment.lane) -> l.lplan) p.lanes)
+      with
+      | native, outcomes -> (native, List.map Result.ok outcomes)
+      | exception (I.Runtime_error _ | I.Resource_exhausted _) ->
+        run_per_plan ?limits Vm.Engine.Interp p)
+  in
+  let runs =
+    List.map2
+      (fun (l : Usher.Experiment.lane) o ->
+        (l.lvariant, (Instr.Item.stats_of l.lplan).Instr.Item.checks, o))
+      p.lanes outcomes
+  in
+  let find v = List.find (fun (v', _, _) -> v' = v) runs in
+  let msan_covers lbl =
+    match find Usher.Config.Msan with
+    | _, _, Ok o -> Usher.Experiment.covered prog o.I.detections lbl
+    | _, _, Error _ -> false
+  in
   let divergences = ref [] in
   let push d = divergences := d :: !divergences in
-  (* Run every variant; collect outcomes and static stats. *)
-  let runs =
-    List.map
-      (fun v ->
-        let plan, guided = Usher.Pipeline.plan_for analysis v in
-        (match (hole, guided) with
-        | Some h, Some _ -> apply_hole analysis owners h plan
-        | _ -> ());
-        let stats = Instr.Item.stats_of plan in
-        let outcome =
-          try Ok (Vm.Engine.run_plan ?limits engine base plan)
-          with
-          | Runtime.Interp.Runtime_error msg -> Error msg
-          | Runtime.Interp.Resource_exhausted { what; limit } ->
-            Error (Printf.sprintf "%s limit %d exhausted" what limit)
-        in
-        (v, stats, outcome))
-      variants
-  in
-  let ran v = List.exists (fun (v', _, _) -> v' = v) runs in
-  let outcome_of v =
-    match List.find (fun (v', _, _) -> v' = v) runs with _, _, o -> o
-  in
-  let msan_covers lbl =
-    ran Usher.Config.Msan
-    &&
-    match outcome_of Usher.Config.Msan with
-    | Ok o -> Usher.Experiment.covered prog o.I.detections lbl
-    | Error _ -> false
-  in
   (* Behavior + soundness comparison, per variant. *)
   List.iter
     (fun (v, _, outcome) ->
@@ -181,43 +160,35 @@ let check ?(level = Optim.Pipeline.O0_IM) ?(knobs = Usher.Config.default_knobs)
       | Ok o ->
         if o.I.outputs <> native.I.outputs then
           push (Behavior { bvariant = v; expected = native.I.outputs; got = o.I.outputs });
-        Hashtbl.iter
-          (fun lbl () ->
-            if not (Usher.Experiment.covered prog o.I.detections lbl) then
-              push
-                (Miss
-                   {
-                     mvariant = v;
-                     mlabel = lbl;
-                     mfunc = owners.(lbl);
-                     baseline_covers = msan_covers lbl;
-                   }))
-          native.I.gt_uses)
+        List.iter
+          (fun lbl ->
+            push
+              (Miss
+                 {
+                   mvariant = v;
+                   mlabel = lbl;
+                   mfunc = owners.(lbl);
+                   baseline_covers = msan_covers lbl;
+                 }))
+          (Usher.Experiment.escaped prog ~native o))
     runs;
   (* Static-plan precision: checks must respect the paper's monotonicity
      chain — every guided plan prunes relative to MSan, and Opt II only
      ever removes checks relative to Opt I. *)
-  let checks_of v =
-    match List.find (fun (v', _, _) -> v' = v) runs with _, s, _ ->
-      s.Instr.Item.checks
-  in
   let expect_le v1 v2 =
-    if ran v1 && ran v2 then begin
-      let c1 = checks_of v1 and c2 = checks_of v2 in
-      if c1 > c2 then
-        push
-          (Precision
-             { pvariant = v1; checks = c1; against = v2; against_checks = c2 })
-    end
+    let (_, c1, _), (_, c2, _) = (find v1, find v2) in
+    if c1 > c2 then
+      push
+        (Precision
+           { pvariant = v1; checks = c1; against = v2; against_checks = c2 })
   in
   List.iter
     (fun v -> if v <> Usher.Config.Msan then expect_le v Usher.Config.Msan)
-    variants;
+    Usher.Config.all_variants;
   expect_le Usher.Config.Usher_full Usher.Config.Usher_opt1;
   {
-    src;
     prog;
-    analysis;
+    analysis = p.analysis;
     native;
     per_variant =
       List.filter_map
@@ -225,3 +196,15 @@ let check ?(level = Optim.Pipeline.O0_IM) ?(knobs = Usher.Config.default_knobs)
         runs;
     divergences = List.rev !divergences;
   }
+
+let check ?level ?knobs ?limits ?hole ?engine (src : string) : report =
+  let p = Usher.Experiment.prepare ?level ?knobs src in
+  Option.iter
+    (fun h ->
+      let owners = label_owners p.analysis.prog in
+      List.iter
+        (fun (l : Usher.Experiment.lane) ->
+          if Option.is_some l.ltraversal then apply_hole p.analysis owners h l.lplan)
+        p.lanes)
+    hole;
+  judge ?limits ?engine p

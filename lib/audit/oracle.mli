@@ -1,7 +1,9 @@
-(** Differential soundness oracle: run every instrumentation variant on
-    one program and cross-check the interpreter's ground-truth undefined
-    uses against each variant's detections (with the paper's dominance
-    rule), the MSan baseline, and the Opt I/II static expectations. *)
+(** Differential soundness oracle: run the experiment's own lanes
+    ({!Usher.Experiment.prepare}, then one lane execution) on one program
+    and cross-check the interpreter's ground-truth undefined uses against
+    each variant's detections (with the experiment's coverage rule,
+    {!Usher.Experiment.escaped}), the MSan baseline, and the Opt I/II
+    static expectations. *)
 
 type miss = {
   mvariant : Usher.Config.variant;
@@ -17,7 +19,9 @@ type divergence =
       bvariant : Usher.Config.variant;
       expected : int list;
       got : int list;
-    }  (** instrumentation changed the program's observable outputs *)
+    }
+      (** the instrumented run trapped ([got = []]) or changed the
+          program's observable outputs *)
   | Precision of {
       pvariant : Usher.Config.variant;
       checks : int;
@@ -26,7 +30,6 @@ type divergence =
     }  (** static check count violates the paper's monotonicity chain *)
 
 type report = {
-  src : string;
   prog : Ir.Prog.t;
   analysis : Usher.Pipeline.analysis;
   native : Runtime.Interp.outcome;
@@ -34,31 +37,31 @@ type report = {
   divergences : divergence list;
 }
 
-val divergence_to_string : divergence -> string
 val soundness_misses : report -> miss list
 
 (** Any [Miss] or [Behavior] divergence (the kinds that gate CI). *)
 val has_soundness_divergence : report -> bool
 
-(** Owner function of a statement label. *)
-val func_of_label : Ir.Prog.t -> Ir.Types.label -> string option
+(** Judge prepared lanes. On the interpreter (default [engine]) they run
+    as one lane execution, which also yields the native ground truth. A
+    run per plan replaces it on [~engine:Vm] (the native run stays on the
+    interpreter: a cross-engine check) and when the lane execution
+    raises (a trap only one plan hits is that variant's [Behavior]).
 
-(** Run the oracle on one program.
+    @raise Runtime.Interp.Runtime_error
+    @raise Runtime.Interp.Resource_exhausted when the native run traps. *)
+val judge :
+  ?limits:Runtime.Interp.limits ->
+  ?engine:Vm.Engine.t ->
+  Usher.Experiment.prepared ->
+  report
 
-    [variants] restricts which variants are run and compared (default:
-    all). Reduction predicates use this to re-check only the diverging
-    variant; the precision chain only compares pairs that are both
-    present, and [baseline_covers] is [false] when MSan is not run.
+(** {!Usher.Experiment.prepare}, then {!judge}.
 
     [hole] is the seeded-bug test hook: every Check item a {e guided} plan
     placed in functions whose name starts with the prefix is deleted
     before running — except in distrusted (quarantined) functions, whose
     items come from the full overlay, so quarantining heals the hole.
-
-    [engine] selects the execution engine for the instrumented runs
-    (default: interpreter). The native ground-truth run always uses the
-    interpreter, so [~engine:Vm] turns every oracle invocation into a
-    cross-engine differential check on top of the variant comparison.
 
     @raise Diag.Error on uncompilable source.
     @raise Runtime.Interp.Runtime_error
@@ -67,7 +70,6 @@ val check :
   ?level:Optim.Pipeline.level ->
   ?knobs:Usher.Config.knobs ->
   ?limits:Runtime.Interp.limits ->
-  ?variants:Usher.Config.variant list ->
   ?hole:string ->
   ?engine:Vm.Engine.t ->
   string ->

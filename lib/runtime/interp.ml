@@ -982,18 +982,10 @@ let run_plan ?limits (p : P.t) (plan : Item.plan) : outcome =
   run ?limits (compile p plan)
 
 (* ------------------------------------------------------------------ *)
-(* Per-label divergence data, for the differential audit (lib/audit):
-   stable sorted views of the two label sets an oracle compares, and the
-   raw per-label difference between them. *)
+(* Stable sorted views of an outcome's two label sets. *)
 
 let sorted_labels (h : (label, unit) Hashtbl.t) : label list =
   Hashtbl.fold (fun l () acc -> l :: acc) h [] |> List.sort compare
 
 let detection_labels (o : outcome) : label list = sorted_labels o.detections
 let gt_use_labels (o : outcome) : label list = sorted_labels o.gt_uses
-
-(** Ground-truth uses with no detection at the same label. A non-empty
-    result is not yet a soundness miss — a dominating check may cover the
-    use (see [Usher.Experiment.covered]) — but every miss is in here. *)
-let missed_labels (o : outcome) : label list =
-  List.filter (fun l -> not (Hashtbl.mem o.detections l)) (gt_use_labels o)

@@ -198,13 +198,7 @@ val run_native : ?limits:limits -> Ir.Prog.t -> outcome
 (** Compile with a plan and run. *)
 val run_plan : ?limits:limits -> Ir.Prog.t -> Instr.Item.plan -> outcome
 
-(** Per-label divergence data for differential auditing (lib/audit):
-    sorted views of the outcome's label sets. *)
+(** Sorted views of the outcome's label sets. *)
 
 val detection_labels : outcome -> Ir.Types.label list
 val gt_use_labels : outcome -> Ir.Types.label list
-
-(** Ground-truth uses with no detection at the same label. A non-empty
-    result is not yet a soundness miss — a dominating check may cover the
-    use (see [Usher.Experiment.covered]) — but every miss is in here. *)
-val missed_labels : outcome -> Ir.Types.label list

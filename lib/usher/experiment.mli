@@ -1,8 +1,31 @@
 (** One end-to-end experiment: compile a TinyC program at an optimization
     level, analyze it, instrument it under every variant, execute natively
     and under each plan, and report slowdowns plus static instrumentation
-    statistics. The unit both the benchmark harness and the examples build
-    on. *)
+    statistics. The unit the benchmark harness, the examples and the
+    differential oracle (lib/audit) build on. *)
+
+(** One variant's plan, ready to run. *)
+type lane = {
+  lvariant : Config.variant;
+  lplan : Instr.Item.plan;  (** compressed at O1/O2 *)
+  ltraversal : Instr.Guided.result option;
+      (** the guided traversal that built the plan; [None] for full
+          instrumentation (MSan, or a plan degraded to it) *)
+  lcompressed : int;  (** items O1/O2 compression removed; 0 at O0+IM *)
+}
+
+(** Everything an experiment needs before it executes anything. *)
+type prepared = {
+  name : string;
+  level : Optim.Pipeline.level;
+  src : string;
+  analysis : Pipeline.analysis;
+      (** its [events]: the frontend's, the analysis's, then planning's *)
+  unplanned : Degrade.event list;
+      (** the frontend's and the analysis's events: Table 1's *)
+  lanes : lane list;  (** every variant, in {!Config.all_variants} order *)
+  base : Runtime.Interp.base;  (** the program's one compiled base *)
+}
 
 type variant_result = {
   variant : Config.variant;
@@ -33,21 +56,45 @@ exception Unsound of string
 val covered :
   Ir.Prog.t -> (Ir.Types.label, unit) Hashtbl.t -> Ir.Types.label -> bool
 
-(** Run every variant: {!Pipeline.prepare} analyzes the program, plans
-    all five variants and compiles one {!Runtime.Interp.base}, running the
-    Usher_TL half of the work on a helper domain for a large program (the
-    results are the sequential ones); then the plans execute on that
-    base. Table 1's %B and S are the Usher_TL+AT and Usher_OptI plans'
-    traversals, and its time and memory sum what the analysis's thunks
-    measured on their own domains. On the default [engine] ([Interp]) one
-    execution runs the five plans as lanes and yields the native outcome
-    too; [~engine:Vm] is the reference: a native VM run, then each plan in
-    its own VM run. With [check_soundness] (default, O0+IM only) the lanes
-    are checked in {!Config.all_variants} order, raising {!Unsound} at the
-    first ground-truth undefined use a plan does not cover. On the VM
-    path, a plan run whose outputs differ from the native run's also
-    raises {!Unsound}; the lane path has one concrete execution, so there
-    it cannot happen. *)
+(** The ground-truth undefined uses of [native] that an instrumented run's
+    detections do not cover ({!covered}), in [native.gt_uses] order: the
+    one classifier behind {!Unsound}, the oracle's misses and [usherc
+    run]'s [SOUNDNESS] lines. *)
+val escaped :
+  Ir.Prog.t ->
+  native:Runtime.Interp.outcome ->
+  Runtime.Interp.outcome ->
+  Ir.Types.label list
+
+(** The guarded frontend, then {!Pipeline.prepare} (analysis, all five
+    plans, the base compile; on a large program the Usher_TL half runs
+    on a helper domain with the sequential results), the event merge and,
+    at O1/O2, each plan's {!Instr.Compress}. *)
+val prepare :
+  ?name:string ->
+  ?level:Optim.Pipeline.level ->
+  ?knobs:Config.knobs ->
+  string ->
+  prepared
+
+(** Execute prepared plans and report. Table 1's %B and S are the
+    Usher_TL+AT and Usher_OptI plans' traversals, and its time and memory
+    sum what the analysis's thunks measured on their own domains. On the
+    default [engine] ([Interp]) one execution runs the five plans as
+    lanes and yields the native outcome too; [~engine:Vm] is the
+    reference: a native VM run, then each plan in its own VM run. With
+    [check_soundness] (default, O0+IM only) the lanes are checked in
+    {!Config.all_variants} order, raising {!Unsound} at the first
+    {!escaped} use; on the VM path, also at a plan run whose outputs
+    differ from the native run's. *)
+val execute :
+  ?check_soundness:bool ->
+  ?limits:Runtime.Interp.limits ->
+  ?engine:Vm.Engine.t ->
+  prepared ->
+  t
+
+(** {!prepare}, then {!execute}, in one [experiment.NAME] span. *)
 val run :
   ?name:string ->
   ?level:Optim.Pipeline.level ->

@@ -89,7 +89,7 @@ val distrusted_functions : analysis -> string list
 val plan_for :
   analysis -> Config.variant -> Instr.Item.plan * Instr.Guided.result option
 
-(** What {!Experiment.run} needs before it executes anything. *)
+(** What {!Experiment.prepare} builds on. *)
 type prepared = {
   analysis : analysis;  (** its [events] hold the analysis's events only *)
   plans : (Config.variant * (Instr.Item.plan * Instr.Guided.result option)) list;

@@ -1,6 +1,7 @@
 (* Verify.Run — run every certificate checker over a finished analysis.
 
-   The pipeline and `usherc check` both funnel through [check_all]; each
+   `usherc check` funnels through [check_all] (the pipeline's inline
+   [--verify] calls the checkers one by one, between its phases); each
    VFG/Γ pair is described by a [graph_instance] so the top-level-only
    prepass graph and the full memory-tracking graph are both audited under
    distinct checker names ("vfg-tl" / "gamma-tl" vs "vfg" / "gamma"). *)

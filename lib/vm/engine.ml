@@ -6,10 +6,14 @@
    The interpreter is the production engine. It runs every plan of a
    program in one execution, one lane per plan, and derives the native
    outcome from that same execution: instrumentation never changes which
-   concrete statements execute. The VM is the reference: it runs the
-   native program and then each plan in its own execution, one lane each.
-   Outcome equivalence between the two — lane by lane — is the
-   differential guarantee [test_vm] and the fuzz-smoke CI job enforce. *)
+   concrete statements execute. `usherc bench`, `run` and the
+   differential oracle behind `audit` and `fuzz` all take this path. The
+   VM is the reference: it runs the native program and then each plan in
+   its own execution, one lane each. Outcome equivalence between the two
+   — lane by lane — is the differential guarantee [test_vm] and the
+   fuzz-smoke CI job enforce. [run_plan] is also the oracle's fallback
+   when a lane execution raises: one run per plan tells which plan
+   trapped. *)
 
 module I = Runtime.Interp
 
@@ -24,23 +28,19 @@ let name = function Interp -> "interp" | Vm -> "vm"
 
 let m_dispatch_steps = Obs.Metrics.counter "vm.dispatch_steps"
 
-let lower (cp : I.cprog) : Bytecode.prog =
-  Obs.Trace.with_span ~cat:"vm" "vm.compile" (fun () -> Lower.lower cp)
-
-let exec ?limits (bp : Bytecode.prog) : I.outcome =
-  Obs.Trace.with_span ~cat:"vm" "vm.dispatch" (fun () ->
-      let out = Exec.run ?limits bp in
-      Obs.Metrics.add m_dispatch_steps out.I.steps;
-      out)
-
-let run ?limits engine (cp : I.cprog) : I.outcome =
-  match engine with
-  | Interp -> I.run ?limits cp
-  | Vm -> exec ?limits (lower cp)
-
 let run_plan ?limits engine (base : I.base) (plan : Instr.Item.plan) :
     I.outcome =
-  run ?limits engine (I.attach base plan)
+  let cp = I.attach base plan in
+  match engine with
+  | Interp -> I.run ?limits cp
+  | Vm ->
+    let bp =
+      Obs.Trace.with_span ~cat:"vm" "vm.compile" (fun () -> Lower.lower cp)
+    in
+    Obs.Trace.with_span ~cat:"vm" "vm.dispatch" (fun () ->
+        let out = Exec.run ?limits bp in
+        Obs.Metrics.add m_dispatch_steps out.I.steps;
+        out)
 
 (* The native outcome and one outcome per plan, in order. *)
 let run_plans ?limits engine (base : I.base) (plans : Instr.Item.plan list) :

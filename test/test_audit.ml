@@ -312,6 +312,37 @@ let clean_src =
    int main() { int s = 0; int i; for (i = 0; i < 5; i = i + 1) { s = add(s, i); } \
    print(s); return 0; }"
 
+(* A shadow store through [print]'s integer operand in main, put into one
+   lane's plan: the program never dereferences that integer, so only the
+   lane's instrumentation traps. *)
+let trap_in_lane (p : Usher.Experiment.prepared) (v : Usher.Config.variant) =
+  let site = ref None in
+  Ir.Prog.iter_instrs
+    (fun (f : Ir.Types.func) _ (i : Ir.Types.instr) ->
+      match i.kind with
+      | Ir.Types.Output (Ir.Types.Var x) when f.fname = "main" && !site = None ->
+        site := Some (i.lbl, x)
+      | _ -> ())
+    p.analysis.prog;
+  let lbl, x = Option.get !site in
+  let lane = List.find (fun (l : Usher.Experiment.lane) -> l.lvariant = v) p.lanes in
+  Instr.Item.add lane.lplan lbl Instr.Item.Before
+    (Instr.Item.Set_mem (x, Instr.Item.Mconst true))
+
+(* Delete every check of one lane's plan: a hole the oracle must report
+   as misses. *)
+let drop_checks (p : Usher.Experiment.prepared) (v : Usher.Config.variant) =
+  let lane = List.find (fun (l : Usher.Experiment.lane) -> l.lvariant = v) p.lanes in
+  let items = lane.lplan.Instr.Item.items in
+  Array.iteri
+    (fun l its ->
+      items.(l) <-
+        List.filter
+          (fun (it : Instr.Item.item) ->
+            match it.act with Instr.Item.Check _ -> false | _ -> true)
+          its)
+    items
+
 let oracle_tests =
   [
     tc "a clean program has no divergences" (fun () ->
@@ -337,6 +368,50 @@ let oracle_tests =
               (m.mvariant <> Usher.Config.Msan);
             check_bool "MSan covers the use" true m.baseline_covers)
           misses);
+    tc "a trap only one plan hits is that variant's behavior divergence"
+      (fun () ->
+        List.iter
+          (fun engine ->
+            let ename = Vm.Engine.name engine in
+            let p = Usher.Experiment.prepare undef_src in
+            trap_in_lane p Usher.Config.Usher_tl;
+            drop_checks p Usher.Config.Usher_full;
+            (* [judge] returns: the native run does not trap, so the
+               subject is not skipped *)
+            let r = Audit.Oracle.judge ~engine p in
+            check_bool (ename ^ ": native sees the gt use") true
+              (Hashtbl.length r.native.gt_uses > 0);
+            let behaviors, misses =
+              List.partition_map
+                (function
+                  | Audit.Oracle.Behavior b -> Left b.bvariant
+                  | Audit.Oracle.Miss m -> Right m
+                  | Audit.Oracle.Precision _ -> failwith "precision divergence")
+                r.divergences
+            in
+            check_bool (ename ^ ": exactly Usher_TL traps") true
+              (behaviors = [ Usher.Config.Usher_tl ]);
+            check_bool (ename ^ ": the holed Usher lane still misses") true
+              (misses <> []
+              && List.for_all
+                   (fun (m : Audit.Oracle.miss) ->
+                     m.mvariant = Usher.Config.Usher_full && m.baseline_covers)
+                   misses);
+            check_bool (ename ^ ": every other variant ran") true
+              (List.map fst r.per_variant
+              = List.filter
+                  (fun v -> v <> Usher.Config.Usher_tl)
+                  Usher.Config.all_variants);
+            List.iter
+              (fun (v, o) ->
+                if v <> Usher.Config.Usher_full then
+                  check_bool
+                    (Printf.sprintf "%s: %s covers the gt use" ename
+                       (Usher.Config.variant_name v))
+                    true
+                    (Usher.Experiment.escaped r.prog ~native:r.native o = []))
+              r.per_variant)
+          [ Vm.Engine.Interp; Vm.Engine.Vm ]);
     tc "the hole spares quarantined functions (the healing mechanism)"
       (fun () ->
         let knobs =

@@ -119,18 +119,20 @@ let analysis_view (a : Usher.Pipeline.analysis) =
       a.verify_reports,
     List.map fst a.phase_times_s )
 
-(* Everything deterministic that [Pipeline.prepare] and [Experiment.run]
-   produce (Table 1 without its times and memory), and how many forks the
-   two made. *)
+(* Everything deterministic that one [Experiment.prepare] and the
+   [Experiment.execute] on it produce (Table 1 without its times and
+   memory), and how many forks they made. The analysis's events are the
+   frontend's and the analysis's ([unplanned]) followed by the planning
+   events. *)
 let view knobs =
   let f0 = forks () in
-  let src = Lazy.force gcc in
-  let p = Usher.Pipeline.prepare ~knobs (front src) in
-  let e = Usher.Experiment.run ~name:"176.gcc" ~knobs src in
+  let p = Usher.Experiment.prepare ~name:"176.gcc" ~knobs (Lazy.force gcc) in
+  let e = Usher.Experiment.execute p in
   let v =
-    ( analysis_view p.analysis,
-      List.map (fun (v, (plan, _)) -> (v, plan_view plan)) p.plans,
-      events p.plan_events,
+    ( events p.unplanned,
+      List.map
+        (fun (l : Usher.Experiment.lane) -> (l.lvariant, plan_view l.lplan))
+        p.lanes,
       analysis_view e.analysis,
       {
         e.table1 with
@@ -184,9 +186,9 @@ let equiv_tests =
           let sequential, nsequential =
             view { knobs with Usher.Config.budget_ms = Some 3_600_000 }
           in
-          (* prepare and Experiment.run each fork once when a core is free *)
+          (* the one preparation forks once when a core is free *)
           check_int "forks when a core is free"
-            (if Domain.recommended_domain_count () > 1 then 2 else 0)
+            (if Domain.recommended_domain_count () > 1 then 1 else 0)
             nforked;
           check_int "no fork with every core taken" 0 ninline;
           check_int "no fork under a budget" 0 nsequential;
