@@ -23,6 +23,25 @@ let check_if_var (plan : Item.plan) lbl (o : operand) =
   | Var _ | Undef -> Item.add plan lbl Item.Before (Item.Check o)
   | Cst _ -> ()
 
+(* The shadow update of a top-level definition: [⊥-Assign], [⊥-Load] and
+   the destination side of [⊥-Ret], [rs] being the return relay slot;
+   [None] where the statement defines no register. *)
+let def_action rs (k : instr_kind) : Item.action option =
+  let set x rhs = Some (Item.Set_var (x, rhs)) in
+  match k with
+  | Const (x, _) | Global_addr (x, _) | Func_addr (x, _) | Input x ->
+    set x (Item.Rconst true)
+  | Alloc a -> set a.adst (Item.Rconst true)
+  | Copy (x, o) -> set x (op_shadow o)
+  | Unop (x, _, o) -> set x (conj_of [ o ])
+  | Binop (x, _, o1, o2) -> set x (conj_of [ o1; o2 ])
+  | Phi (x, arms) -> set x (Item.Rphi arms)
+  | Field_addr (x, y, _) -> set x (conj_of [ Var y ])
+  | Index_addr (x, y, o) -> set x (conj_of [ Var y; o ])
+  | Load (x, y) -> set x (Item.Rmem y)
+  | Call { cdst = Some x; _ } -> set x (Item.Rglobal rs)
+  | Call { cdst = None; _ } | Store _ | Output _ -> None
+
 let instrument_func (plan : Item.plan) (f : func) : unit =
   let rs = plan.ret_slot in
   (* [⊥-Para] destination side. *)
@@ -32,39 +51,22 @@ let instrument_func (plan : Item.plan) (f : func) : unit =
   Ir.Func.iter_instrs
     (fun _ i ->
       let lbl = i.lbl in
-      match i.kind with
-      | Const (x, _) -> Item.add plan lbl After (Item.Set_var (x, Item.Rconst true))
-      | Copy (x, o) -> Item.add plan lbl After (Item.Set_var (x, op_shadow o))
-      | Unop (x, _, o) -> Item.add plan lbl After (Item.Set_var (x, conj_of [ o ]))
-      | Binop (x, _, o1, o2) ->
-        Item.add plan lbl After (Item.Set_var (x, conj_of [ o1; o2 ]))
-      | Phi (x, arms) -> Item.add plan lbl After (Item.Set_var (x, Item.Rphi arms))
-      | Global_addr (x, _) | Func_addr (x, _) | Input x ->
-        Item.add plan lbl After (Item.Set_var (x, Item.Rconst true))
-      | Field_addr (x, y, _) ->
-        Item.add plan lbl After (Item.Set_var (x, conj_of [ Var y ]))
-      | Index_addr (x, y, o) ->
-        Item.add plan lbl After (Item.Set_var (x, conj_of [ Var y; o ]))
-      | Alloc a ->
-        (* [⊥-Alloc]: pointer defined; object shadow set to T or F. *)
-        Item.add plan lbl After (Item.Set_var (a.adst, Item.Rconst true));
-        Item.add plan lbl After (Item.Set_mem_object (a.adst, a.initialized))
-      | Load (x, y) ->
-        (* [⊥-Check] on the pointer + [⊥-Load]. *)
-        check_if_var plan lbl (Var y);
-        Item.add plan lbl After (Item.Set_var (x, Item.Rmem y))
-      | Store (x, o) ->
-        check_if_var plan lbl (Var x);
-        Item.add plan lbl After (Item.Set_mem (x, Item.Mop o))
-      | Call { cdst; cargs; _ } ->
-        (* [⊥-Para] source side + [⊥-Ret] destination side. *)
+      (match i.kind with
+      | Load (_, y) -> (* [⊥-Check] on the pointer *) check_if_var plan lbl (Var y)
+      | Store (x, _) -> check_if_var plan lbl (Var x)
+      | Call { cargs; _ } ->
+        (* [⊥-Para] source side. *)
         List.iteri
           (fun idx arg -> Item.add plan lbl Before (Item.Set_global (idx, arg)))
-          cargs;
-        (match cdst with
-        | Some x -> Item.add plan lbl After (Item.Set_var (x, Item.Rglobal rs))
-        | None -> ())
-      | Output _ -> ())
+          cargs
+      | _ -> ());
+      Option.iter (Item.add plan lbl After) (def_action rs i.kind);
+      match i.kind with
+      | Alloc a ->
+        (* [⊥-Alloc]: the object's shadow set to T or F. *)
+        Item.add plan lbl After (Item.Set_mem_object (a.adst, a.initialized))
+      | Store (x, o) -> Item.add plan lbl After (Item.Set_mem (x, Item.Mop o))
+      | _ -> ())
     f;
   Array.iter
     (fun b ->

@@ -16,7 +16,11 @@
    Opt I (value-flow simplification, §3.5.1) is folded in here: a needed
    ⊥ top-level node whose must-flow closure has interior structure reads the
    conjunction of its ⊥ sources directly, so the interior nodes only get
-   instrumented if something else needs them. *)
+   instrumented if something else needs them.
+
+   What a traversal reads besides Γ is a [context] of the graph, built
+   once and shared by every variant planned over that graph; [build] is
+   the one-variant case. *)
 
 open Ir.Types
 module P = Ir.Prog
@@ -29,28 +33,32 @@ type result = {
   opt1_simplified : int; (* closures simplified (Table 1's "S" column) *)
 }
 
-let op_shadow = Full.op_shadow
-let conj_of = Full.conj_of
+(* The closure facts Opt I reads for one variable: whether simplifying it
+   pays, whether an undef operand feeds it, and its variable sources with
+   their VFG node ids (-1 when a source has no node). They depend on the
+   program alone, so every variant planned over one context shares them. *)
+type closure = { simplifiable : bool; undef_source : bool; sources : (var * int) list }
 
-let build ?(options = { opt1 = true }) ?distrusted (bld : Vfg.Build.t)
-    (gamma : Vfg.Resolve.gamma) : result =
-  let have_distrust =
-    match distrusted with Some d -> Hashtbl.length d > 0 | None -> false
-  in
+type context = {
+  bld : Vfg.Build.t;
+  instr_of : instr option array;                (* by label *)
+  callsites_of : (fname, (label * operand list) list) Hashtbl.t;
+  param_index : int array;       (* by var: its position among the params *)
+  top_id : int array;            (* by var: the id of its [Top] node, or -1 *)
+  def_tbls : (fname, (var, instr_kind) Hashtbl.t) Hashtbl.t;  (* lazily *)
+  closures : closure option array;              (* by var, lazily *)
+  queue : int array;       (* a traversal's worklist, by node, FIFO *)
+  needed : int array;      (* by node: the last traversal that needed it *)
+  mutable traversals : int;
+}
+
+let context (bld : Vfg.Build.t) : context =
   let p = bld.prog in
-  let g = bld.graph in
-  let plan = Item.empty_plan p in
-  let rs = plan.ret_slot in
-  let simplified = ref 0 in
-  (* Side tables. *)
   let instr_of = Array.make (P.nlabels p) None in
-  P.iter_instrs (fun _ _ i -> instr_of.(i.lbl) <- Some i) p;
-  let instr_at lbl = Option.get instr_of.(lbl) in
-  let callsites_of : (fname, (label * operand list) list) Hashtbl.t =
-    Hashtbl.create 16
-  in
+  let callsites_of = Hashtbl.create 16 in
   P.iter_instrs
     (fun _ _ i ->
+      instr_of.(i.lbl) <- Some i;
       match i.kind with
       | Call { cargs; _ } ->
         List.iter
@@ -62,25 +70,68 @@ let build ?(options = { opt1 = true }) ?distrusted (bld : Vfg.Build.t)
           (Analysis.Callgraph.site_callees bld.cg i.lbl)
       | _ -> ())
     p;
-  let param_index : (var, fname * int) Hashtbl.t = Hashtbl.create 64 in
-  P.iter_funcs
-    (fun f -> List.iteri (fun i prm -> Hashtbl.replace param_index prm (f.fname, i)) f.params)
-    p;
-  let def_tbls : (fname, (var, instr_kind) Hashtbl.t) Hashtbl.t = Hashtbl.create 16 in
-  let defs_of fn =
-    match Hashtbl.find_opt def_tbls fn with
-    | Some d -> d
-    | None ->
-      let tbl = Hashtbl.create 64 in
-      Ir.Func.iter_instrs
-        (fun _ i ->
-          match Ir.Instr.def_of i.kind with
-          | Some d -> Hashtbl.replace tbl d i.kind
-          | None -> ())
-        (P.get_func p fn);
-      Hashtbl.replace def_tbls fn tbl;
-      tbl
+  let nvars = P.nvars p in
+  let param_index = Array.make nvars (-1) in
+  P.iter_funcs (fun f -> List.iteri (fun i prm -> param_index.(prm) <- i) f.params) p;
+  let top_id = Array.make nvars (-1) in
+  Vfg.Graph.iter_nodes
+    (fun id -> function Vfg.Graph.Top x -> top_id.(x) <- id | _ -> ())
+    bld.graph;
+  {
+    bld;
+    instr_of;
+    callsites_of;
+    param_index;
+    top_id;
+    def_tbls = Hashtbl.create 16;
+    closures = Array.make nvars None;
+    queue = Array.make (Vfg.Graph.nnodes bld.graph) 0;
+    needed = Array.make (Vfg.Graph.nnodes bld.graph) (-1);
+    traversals = 0;
+  }
+
+let defs_of ctx fn =
+  match Hashtbl.find_opt ctx.def_tbls fn with
+  | Some d -> d
+  | None ->
+    let tbl = Hashtbl.create 64 in
+    Ir.Func.iter_instrs
+      (fun _ i ->
+        match Ir.Instr.def_of i.kind with
+        | Some d -> Hashtbl.replace tbl d i.kind
+        | None -> ())
+      (P.get_func ctx.bld.prog fn);
+    Hashtbl.replace ctx.def_tbls fn tbl;
+    tbl
+
+let closure ctx fn x =
+  match ctx.closures.(x) with
+  | Some c -> c
+  | None ->
+    let mfc = Vfg.Mfc.compute (defs_of ctx fn) x in
+    let c =
+      {
+        simplifiable = Vfg.Mfc.simplifiable mfc;
+        undef_source = Vfg.Mfc.has_undef_source mfc;
+        sources = List.map (fun s -> (s, ctx.top_id.(s))) (Vfg.Mfc.var_sources mfc);
+      }
+    in
+    ctx.closures.(x) <- Some c;
+    c
+
+let plan ?(options = { opt1 = true }) ?distrusted (ctx : context)
+    (gamma : Vfg.Resolve.gamma) : result =
+  let have_distrust =
+    match distrusted with Some d -> Hashtbl.length d > 0 | None -> false
   in
+  let bld = ctx.bld in
+  let p = bld.prog in
+  let g = bld.graph in
+  let plan = Item.empty_plan p in
+  let rs = plan.ret_slot in
+  let simplified = ref 0 in
+  let instr_at lbl = Option.get ctx.instr_of.(lbl) in
+  let top_of x = ctx.top_id.(x) in
   (* Dedup helpers for shared emission points. *)
   let ret_relay_done : (label, unit) Hashtbl.t = Hashtbl.create 16 in
   let arg_relay_done : (label * int, unit) Hashtbl.t = Hashtbl.create 64 in
@@ -103,16 +154,22 @@ let build ?(options = { opt1 = true }) ?distrusted (bld : Vfg.Build.t)
           | Some arg -> Item.add plan clbl Before (Item.Set_global (idx, arg))
           | None -> ()
         end)
-      (Option.value ~default:[] (Hashtbl.find_opt callsites_of fn))
+      (Option.value ~default:[] (Hashtbl.find_opt ctx.callsites_of fn))
   in
-  (* Worklist propagation. *)
-  let needed = Array.make (Vfg.Graph.nnodes g) false in
-  let work = Queue.create () in
+  (* Worklist propagation: [queue.(head .. tail - 1)] is still to do,
+     and [queue.(0 .. tail - 1)] are the nodes needed so far. *)
+  ctx.traversals <- ctx.traversals + 1;
+  let this = ctx.traversals and head = ref 0 and tail = ref 0 in
   let need id =
-    if not needed.(id) then begin
-      needed.(id) <- true;
-      Queue.push id work
+    if ctx.needed.(id) <> this then begin
+      ctx.needed.(id) <- this;
+      ctx.queue.(!tail) <- id;
+      incr tail
     end
+  in
+  let need_var y =
+    let id = top_of y in
+    if id >= 0 then need id
   in
   let need_succs id =
     List.iter (fun (d, _) -> need d) (Vfg.Graph.succs g id)
@@ -126,13 +183,33 @@ let build ?(options = { opt1 = true }) ?distrusted (bld : Vfg.Build.t)
       (Vfg.Graph.succs g id)
   in
   let undef id = Vfg.Resolve.is_undef gamma id in
+  (* Opt I at the ⊥ definition of [x]: when its must-flow closure has
+     interior structure, [x] reads the conjunction of the closure's ⊥
+     sources directly (or F outright when an undef operand feeds it), and
+     nothing upstream needs tracking for [x]'s sake. *)
+  let simplify fn lbl x =
+    let c = closure ctx fn x in
+    c.simplifiable
+    && begin
+         incr simplified;
+         let bot = List.filter (fun (_, sid) -> sid >= 0 && undef sid) c.sources in
+         let rhs =
+           if c.undef_source then Item.Rconst false
+           else if bot = [] then Item.Rconst true
+           else Item.Rconj (List.map fst bot)
+         in
+         Item.add plan lbl After (Item.Set_var (x, rhs));
+         if not c.undef_source then List.iter (fun (_, sid) -> need sid) bot;
+         true
+       end
+  in
   let process id =
     match Vfg.Graph.node_of g id with
     | Vfg.Graph.Root_t | Vfg.Graph.Root_f -> ()
     | Vfg.Graph.Top x -> (
       match Vfg.Graph.def_of g id with
       | Vfg.Graph.Dparam fn ->
-        let _, idx = Hashtbl.find param_index x in
+        let idx = ctx.param_index.(x) in
         if not (undef id) then
           (* [⊤-Para] *)
           Item.add_entry plan fn (Item.Set_var (x, Item.Rconst true))
@@ -147,87 +224,22 @@ let build ?(options = { opt1 = true }) ?distrusted (bld : Vfg.Build.t)
           (* [⊤-Assign]: every top-level definition admits a strong update. *)
           Item.add plan lbl After (Item.Set_var (x, Item.Rconst true))
         else
-          let i = instr_at lbl in
-          let mfc_simplify () =
-            if not options.opt1 then false
-            else begin
-              let mfc = Vfg.Mfc.compute (defs_of fn) x in
-              if not (Vfg.Mfc.simplifiable mfc) then false
-              else begin
-                incr simplified;
-                if Vfg.Mfc.has_undef_source mfc then begin
-                  Item.add plan lbl After (Item.Set_var (x, Item.Rconst false));
-                  (* The closure's verdict is constant; nothing upstream
-                     needs tracking for x's sake. *)
-                  true
-                end
-                else begin
-                  let bot_sources =
-                    List.filter
-                      (fun s ->
-                        match Vfg.Graph.find g (Vfg.Graph.Top s) with
-                        | Some sid -> undef sid
-                        | None -> false)
-                      (Vfg.Mfc.var_sources mfc)
-                  in
-                  Item.add plan lbl After
-                    (Item.Set_var
-                       ( x,
-                         if bot_sources = [] then Item.Rconst true
-                         else Item.Rconj bot_sources ));
-                  List.iter
-                    (fun s ->
-                      match Vfg.Graph.find g (Vfg.Graph.Top s) with
-                      | Some sid -> need sid
-                      | None -> ())
-                    bot_sources;
-                  true
-                end
-              end
-            end
-          in
-          match i.kind with
-          | Const (_, _) ->
-            Item.add plan lbl After (Item.Set_var (x, Item.Rconst true))
-          | Copy (_, o) ->
-            if not (mfc_simplify ()) then begin
-              Item.add plan lbl After (Item.Set_var (x, op_shadow o));
+          let kind = (instr_at lbl).kind in
+          match kind with
+          | (Copy _ | Unop _ | Binop _) when options.opt1 && simplify fn lbl x -> ()
+          | _ -> (
+            (* The ⊥ rules of full instrumentation. *)
+            Option.iter (Item.add plan lbl After) (Full.def_action rs kind);
+            match kind with
+            | Const _ | Global_addr _ | Func_addr _ | Input _ | Alloc _ | Store _
+            | Output _ ->
+              (* Always defined, or no register: nothing upstream. *)
+              ()
+            | Call _ ->
+              (* [⊥-Ret]'s source side is at each callee's returns. *)
+              List.iter emit_ret_relays (Analysis.Callgraph.site_callees bld.cg lbl);
               need_succs id
-            end
-          | Unop (_, _, o) ->
-            if not (mfc_simplify ()) then begin
-              Item.add plan lbl After (Item.Set_var (x, conj_of [ o ]));
-              need_succs id
-            end
-          | Binop (_, _, o1, o2) ->
-            if not (mfc_simplify ()) then begin
-              Item.add plan lbl After (Item.Set_var (x, conj_of [ o1; o2 ]));
-              need_succs id
-            end
-          | Phi (_, arms) ->
-            Item.add plan lbl After (Item.Set_var (x, Item.Rphi arms));
-            need_succs id
-          | Global_addr _ | Func_addr _ | Input _ ->
-            Item.add plan lbl After (Item.Set_var (x, Item.Rconst true))
-          | Field_addr (_, y, _) ->
-            Item.add plan lbl After (Item.Set_var (x, conj_of [ Var y ]));
-            need_succs id
-          | Index_addr (_, y, o) ->
-            Item.add plan lbl After (Item.Set_var (x, conj_of [ Var y; o ]));
-            need_succs id
-          | Alloc _ ->
-            Item.add plan lbl After (Item.Set_var (x, Item.Rconst true))
-          | Load (_, y) ->
-            (* [⊥-Load] *)
-            Item.add plan lbl After (Item.Set_var (x, Item.Rmem y));
-            need_succs id
-          | Call _ ->
-            (* [⊥-Ret] destination side; source side at each callee ret. *)
-            Item.add plan lbl After (Item.Set_var (x, Item.Rglobal rs));
-            List.iter (fun callee -> emit_ret_relays callee)
-              (Analysis.Callgraph.site_callees bld.cg lbl);
-            need_succs id
-          | Store _ | Output _ -> ())
+            | _ -> need_succs id))
       | Vfg.Graph.Dchi _ | Vfg.Graph.Dmemphi _ | Vfg.Graph.Dentry _
       | Vfg.Graph.Droot ->
         ())
@@ -280,14 +292,12 @@ let build ?(options = { opt1 = true }) ?distrusted (bld : Vfg.Build.t)
   List.iter
     (fun (c : Vfg.Build.critical) ->
       match c.cop with
-      | Var x -> (
-        match Vfg.Graph.find g (Vfg.Graph.Top x) with
-        | Some id ->
-          if undef id then begin
-            Item.add plan c.clbl Before (Item.Check (Var x));
-            need id
-          end
-        | None -> ())
+      | Var x ->
+        let id = top_of x in
+        if id >= 0 && undef id then begin
+          Item.add plan c.clbl Before (Item.Check (Var x));
+          need id
+        end
       | Undef -> Item.add plan c.clbl Before (Item.Check Undef)
       | Cst _ -> ())
     bld.criticals;
@@ -307,12 +317,7 @@ let build ?(options = { opt1 = true }) ?distrusted (bld : Vfg.Build.t)
         match i.kind with
         | Store (x, o) ->
           Item.add plan i.lbl After (Item.Set_mem (x, Item.Mop o));
-          (match o with
-          | Var y -> (
-            match Vfg.Graph.find g (Vfg.Graph.Top y) with
-            | Some id -> need id
-            | None -> ())
-          | Cst _ | Undef -> ())
+          (match o with Var y -> need_var y | Cst _ | Undef -> ())
         | Alloc a ->
           Item.add plan i.lbl After (Item.Set_mem_object (a.adst, a.initialized))
         | _ -> ())
@@ -328,11 +333,6 @@ let build ?(options = { opt1 = true }) ?distrusted (bld : Vfg.Build.t)
   | Some dset when Hashtbl.length dset = 0 -> ()
   | Some dset ->
     let is_distrusted fn = Hashtbl.mem dset fn in
-    let need_var y =
-      match Vfg.Graph.find g (Vfg.Graph.Top y) with
-      | Some id -> need id
-      | None -> ()
-    in
     (* Trusted functions callable from a distrusted caller. *)
     let callees_of_d : (fname, unit) Hashtbl.t = Hashtbl.create 16 in
     P.iter_instrs
@@ -376,8 +376,12 @@ let build ?(options = { opt1 = true }) ?distrusted (bld : Vfg.Build.t)
     Hashtbl.iter
       (fun fn _ -> Full.instrument_func plan (P.get_func p fn))
       dset);
-  while not (Queue.is_empty work) do
-    process (Queue.pop work)
+  while !head < !tail do
+    incr head;
+    process ctx.queue.(!head - 1)
   done;
-  let needed_nodes = Array.fold_left (fun acc b -> if b then acc + 1 else acc) 0 needed in
-  { plan; needed_nodes; opt1_simplified = !simplified }
+  { plan; needed_nodes = !tail; opt1_simplified = !simplified }
+
+let build ?options ?distrusted (bld : Vfg.Build.t) (gamma : Vfg.Resolve.gamma) :
+    result =
+  plan ?options ?distrusted (context bld) gamma

@@ -20,11 +20,32 @@ type result = {
   opt1_simplified : int; (** closures simplified — Table 1's "S" column *)
 }
 
-(** [distrusted] lists functions whose static results are no longer
+(** What planning reads besides Γ, built once per VFG and shared by every
+    variant planned over it: the statement at each label, the call sites
+    of each callee, each variable's parameter position and [Top] node, and
+    a memo of Opt I's must-flow closures (they depend on the program, not
+    on Γ). Planning fills the memo and reuses the context's worklist, so
+    one context serves one domain, one plan at a time. *)
+type context
+
+val context : Vfg.Build.t -> context
+
+(** One variant's plan over a shared context.
+
+    [distrusted] lists functions whose static results are no longer
     trusted (budget blown or a phase faulted on them): they receive the
     full (MSan) item set via {!Full.instrument_func}, every store
     program-wide keeps shadow memory accurate, and the calling protocol is
     relayed across the trust boundary. Degradation only ever adds items. *)
+val plan :
+  ?options:options ->
+  ?distrusted:(Ir.Types.fname, unit) Hashtbl.t ->
+  context ->
+  Vfg.Resolve.gamma ->
+  result
+
+(** [build ?options ?distrusted bld gamma] is
+    [plan ?options ?distrusted (context bld) gamma]: the one-variant case. *)
 val build :
   ?options:options ->
   ?distrusted:(Ir.Types.fname, unit) Hashtbl.t ->

@@ -48,16 +48,53 @@ let empty_plan (p : Ir.Prog.t) : plan =
     ret_slot = max_arity;
   }
 
+let same_op (a : operand) (b : operand) =
+  match (a, b) with
+  | Var x, Var y -> x = y
+  | Cst m, Cst n -> m = n
+  | Undef, Undef -> true
+  | _ -> false
+
+let rec same_list same xs ys =
+  xs == ys
+  ||
+  match (xs, ys) with
+  | x :: xs, y :: ys -> same x y && same_list same xs ys
+  | _ -> false
+
+let same_action (a : action) (b : action) =
+  a == b
+  ||
+  match (a, b) with
+  | Set_var (x, r), Set_var (y, q) -> (
+    x = y
+    &&
+    match (r, q) with
+    | Rconst c, Rconst d -> c = d
+    | Rvar u, Rvar v | Rmem u, Rmem v | Rglobal u, Rglobal v -> u = v
+    | Rconj us, Rconj vs -> same_list Int.equal us vs
+    | Rphi r, Rphi q -> same_list (fun (b, o) (c, p) -> b = c && same_op o p) r q
+    | _ -> false)
+  | Set_mem (x, Mconst c), Set_mem (y, Mconst d) -> x = y && c = d
+  | Set_mem (x, Mop o), Set_mem (y, Mop q) -> x = y && same_op o q
+  | Set_mem_object (x, c), Set_mem_object (y, d) -> x = y && c = d
+  | Set_global (i, o), Set_global (j, q) -> i = j && same_op o q
+  | Check o, Check q -> same_op o q
+  | _ -> false
+
+let rec has pos act = function
+  | [] -> false
+  | it :: rest -> (it.pos = pos && same_action it.act act) || has pos act rest
+
 (* Idempotent: a statement annotated with several chi locations would
    otherwise receive one copy of the same shadow statement per location. *)
 let add (plan : plan) (lbl : label) (pos : pos) (act : action) =
-  let it = { act; pos } in
-  if not (List.mem it plan.items.(lbl)) then
-    plan.items.(lbl) <- it :: plan.items.(lbl)
+  let items = plan.items.(lbl) in
+  if not (has pos act items) then plan.items.(lbl) <- { act; pos } :: items
 
 let add_entry (plan : plan) (fn : fname) (act : action) =
   let prev = Option.value ~default:[] (Hashtbl.find_opt plan.entry_items fn) in
-  if not (List.mem act prev) then
+  if not (List.exists (same_action act) prev) then
     Hashtbl.replace plan.entry_items fn (act :: prev)
 
 let items_at (plan : plan) (lbl : label) ~(pos : pos) : action list =

@@ -40,6 +40,9 @@ type plan = {
 
 val empty_plan : Ir.Prog.t -> plan
 
+(** Structural equality of actions, without the polymorphic [=]. *)
+val same_action : action -> action -> bool
+
 (** Attach an item (idempotent per (label, pos, action)). *)
 val add : plan -> label -> pos -> action -> unit
 

@@ -292,26 +292,52 @@ let program (b : base) = b.prog
 (* Lanes live in the bits of an int; the sign bit stays unused. *)
 let max_lanes = Sys.int_size - 1
 
-(* Merge the lanes' action lists into one sequence of (action, lane mask)
-   whose restriction to lane k is exactly lists.(k), in order. An action
-   joins an equal entry further on when one exists, so actions that lanes
-   share run once; otherwise it is inserted where lane k has reached. *)
-let weave (lists : 'a list array) : ('a * int) list =
-  let rec put merged xs bit =
-    match xs with
-    | [] -> merged
-    | x :: rest ->
-      let rec find skipped = function
-        | [] -> (x, bit) :: put merged rest bit
-        | (y, m) :: after when y = x ->
-          List.rev_append skipped ((y, m lor bit) :: put after rest bit)
-        | e :: after -> find (e :: skipped) after
-      in
-      find [] merged
-  in
-  let merged = ref [] in
-  Array.iteri (fun k xs -> merged := put !merged xs (1 lsl k)) lists;
-  !merged
+(* One statement's actions merged over the lanes, as (action, lane mask)
+   pairs in a buffer reused from statement to statement. Lane by lane,
+   [put] adds the lane's actions in order: an action joins an equal entry
+   at or past [at], the point the lane has reached, so actions that lanes
+   share run once; otherwise it is inserted at [at]. Restricted to lane k,
+   the buffer is then exactly lane k's list. *)
+type woven = {
+  mutable acts : Item.action array;
+  mutable masks : int array;
+  mutable len : int;
+  mutable at : int;
+}
+
+let woven () =
+  { acts = Array.make 8 (Item.Check Undef); masks = Array.make 8 0; len = 0; at = 0 }
+
+let put w bit a =
+  let j = ref w.at in
+  while !j < w.len && not (Item.same_action w.acts.(!j) a) do
+    incr j
+  done;
+  if !j < w.len then w.masks.(!j) <- w.masks.(!j) lor bit
+  else begin
+    if w.len = Array.length w.acts then begin
+      w.acts <- Array.append w.acts w.acts;
+      w.masks <- Array.append w.masks w.masks
+    end;
+    j := w.at;
+    if !j < w.len then begin
+      Array.blit w.acts !j w.acts (!j + 1) (w.len - !j);
+      Array.blit w.masks !j w.masks (!j + 1) (w.len - !j)
+    end;
+    w.acts.(!j) <- a;
+    w.masks.(!j) <- bit;
+    w.len <- w.len + 1
+  end;
+  w.at <- !j + 1
+
+(* The buffer as an array of [f action mask], which empties it. *)
+let take w dummy f =
+  let a = Array.make w.len dummy in
+  for j = 0 to w.len - 1 do
+    a.(j) <- f w.acts.(j) w.masks.(j)
+  done;
+  w.len <- 0;
+  a
 
 let attach_lanes (b : base) (plans : Item.plan list) : cprog =
   let plans = Array.of_list plans in
@@ -327,16 +353,28 @@ let attach_lanes (b : base) (plans : Item.plan list) : cprog =
   (* One counter class per distinct lane mask, numbered in first-use
      order. Every action and phi shadow has one, so a program without
      classes instruments nothing. *)
-  let classes = Hashtbl.create 8 in
-  let class_lanes = ref [] in
+  let class_lanes = ref (Array.make 8 0) and nclasses = ref 0 in
   let cls_of m =
-    match Hashtbl.find_opt classes m with
-    | Some c -> c
-    | None ->
-      let c = Hashtbl.length classes in
-      Hashtbl.add classes m c;
-      class_lanes := m :: !class_lanes;
-      c
+    let c = ref 0 in
+    while !c < !nclasses && !class_lanes.(!c) <> m do
+      incr c
+    done;
+    if !c = !nclasses then begin
+      if !c = Array.length !class_lanes then
+        class_lanes := Array.append !class_lanes !class_lanes;
+      !class_lanes.(!c) <- m;
+      incr nclasses
+    end;
+    !c
+  in
+  (* A phi's own shadow items are woven apart, into [arms]. *)
+  let pre = woven () and post = woven () and arms = woven () in
+  let instrumented lbl =
+    let any = ref false in
+    for k = 0 to nlanes - 1 do
+      if plans.(k).items.(lbl) != [] then any := true
+    done;
+    !any
   in
   Array.iter
     (fun { bare = f; slot_vars } ->
@@ -386,69 +424,88 @@ let attach_lanes (b : base) (plans : Item.plan list) : cprog =
           | Undef -> CCheck (None, lbl)
           | Cst _ -> CCheck (None, -2) (* never emitted; treated as pass *))
       in
-      let actions lbl (per_lane : Item.action list array) =
-        Array.of_list
-          (List.map
-             (fun (a, m) -> { act = cact lbl a; lanes = m; cls = cls_of m })
-             (weave per_lane))
+      let actions w lbl =
+        if w.len = 0 then [||]
+        else
+          take w { act = CSet_global (0, Sc true); lanes = 0; cls = 0 } (fun a m ->
+              { act = cact lbl a; lanes = m; cls = cls_of m })
       in
-      let items_at lbl pos =
-        Array.map
-          (fun (p : Item.plan) ->
-            match p.items.(lbl) with [] -> [] | _ -> Item.items_at p lbl ~pos)
-          plans
+      (* Weave lane [bit]'s items into [pre] and [post], oldest first (a
+         plan holds them newest first). The items of the phi defining slot
+         [phi] go to its folded shadow instead: the lane's first, the rest
+         dropped. The result says whether the lane folded one. *)
+      let rec weave_items bit phi = function
+        | [] -> false
+        | (it : Item.item) :: older -> (
+          let folded = weave_items bit phi older in
+          match (it.pos, it.act) with
+          | Item.Before, act ->
+            put pre bit act;
+            folded
+          | Item.After, (Item.Set_var (x, Item.Rphi _) as act)
+            when phi >= 0 && slot.(x) = phi ->
+            if not folded then put arms bit act;
+            true
+          | Item.After, act ->
+            put post bit act;
+            folded)
+      in
+      let weave ?(phi = -1) lbl =
+        for k = 0 to nlanes - 1 do
+          match plans.(k).items.(lbl) with
+          | [] -> ()
+          | items ->
+            pre.at <- 0;
+            post.at <- 0;
+            arms.at <- 0;
+            ignore (weave_items (1 lsl k) phi items)
+        done
       in
       let cinstr (ci : cinstr) =
-        let post = items_at ci.clbl Item.After in
-        let ckind, post =
-          match ci.ckind with
-          | CPhi phi ->
-            (* Each lane's first shadow item for the phi itself is folded
-               into the phi for atomic parallel evaluation. *)
-            let own = function
-              | Item.Set_var (x, Item.Rphi _) -> slot.(x) = phi.dst
-              | _ -> false
-            in
-            let folded =
-              Array.map
-                (fun acts ->
-                  match List.find_opt own acts with
-                  | Some (Item.Set_var (_, Item.Rphi arms)) -> [ arms ]
-                  | _ -> [])
-                post
-            in
-            let sh =
-              List.map
-                (fun (arms, m) ->
-                  {
-                    sharms =
-                      Array.of_list (List.map (fun (pb, o) -> (pb, sop o)) arms);
-                    sh_lanes = m;
-                    sh_cls = cls_of m;
-                  })
-                (weave folded)
-            in
-            ( (if sh = [] then ci.ckind else CPhi { phi with sh = Array.of_list sh }),
-              Array.map (List.filter (fun a -> not (own a))) post )
-          | k -> (k, post)
-        in
-        let pre = actions ci.clbl (items_at ci.clbl Item.Before) in
-        let post = actions ci.clbl post in
-        if ckind == ci.ckind && Array.length pre = 0 && Array.length post = 0
-        then ci
-        else { ci with ckind; pre; post }
+        if not (instrumented ci.clbl) then ci
+        else begin
+          let ckind =
+            match ci.ckind with
+            | CPhi phi ->
+              (* Each lane's first shadow item for the phi itself is folded
+                 into the phi for atomic parallel evaluation. *)
+              weave ci.clbl ~phi:phi.dst;
+              let sh =
+                take arms { sharms = [||]; sh_lanes = 0; sh_cls = 0 } (fun a m ->
+                    let a = match a with Item.Set_var (_, Item.Rphi a) -> a | _ -> [] in
+                    {
+                      sharms = Array.of_list (List.map (fun (pb, o) -> (pb, sop o)) a);
+                      sh_lanes = m;
+                      sh_cls = cls_of m;
+                    })
+              in
+              if Array.length sh = 0 then ci.ckind else CPhi { phi with sh }
+            | k ->
+              weave ci.clbl;
+              k
+          in
+          let pre = actions pre ci.clbl in
+          { ci with ckind; pre; post = actions post ci.clbl }
+        end
       in
       let cblocks =
         Array.map
           (fun (cb : cblock) ->
             let body = Array.map cinstr cb.body in
-            let term_pre = actions cb.term_lbl (items_at cb.term_lbl Item.Before) in
-            { cb with body; term_pre })
+            if not (instrumented cb.term_lbl) then { cb with body }
+            else begin
+              (* A terminator runs its items before it. *)
+              weave cb.term_lbl;
+              post.len <- 0;
+              { cb with body; term_pre = actions pre cb.term_lbl }
+            end)
           f.cblocks
       in
-      let entry_acts =
-        actions (-1) (Array.map (fun p -> Item.entry_items p f.cfname) plans)
-      in
+      for k = 0 to nlanes - 1 do
+        pre.at <- 0;
+        List.iter (put pre (1 lsl k)) (Item.entry_items plans.(k) f.cfname)
+      done;
+      let entry_acts = actions pre (-1) in
       Array.iter (fun v -> slot.(v) <- -1) slot_vars;
       List.iter (fun v -> slot.(v) <- -1) !fresh;
       if !nslots > !max_slots then max_slots := !nslots;
@@ -464,10 +521,10 @@ let attach_lanes (b : base) (plans : Item.plan list) : cprog =
       Array.fold_left (fun n (p : Item.plan) -> max n (p.ret_slot + 1)) 1 plans;
     (* An un-instrumented run shares one dummy shadow register file across
        all frames. *)
-    has_shadow = Hashtbl.length classes > 0;
+    has_shadow = !nclasses > 0;
     max_slots = !max_slots;
     nlanes;
-    class_lanes = Array.of_list (List.rev !class_lanes);
+    class_lanes = Array.sub !class_lanes 0 !nclasses;
   }
 
 let attach (b : base) (plan : Item.plan) : cprog = attach_lanes b [ plan ]

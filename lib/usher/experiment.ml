@@ -89,6 +89,7 @@ let prepare ?(name = "program") ?(level = Optim.Pipeline.O0_IM)
   (* Step (3) of the paper's O1/O2 methodology: rerun the optimizer over
      the inserted instrumentation (shadow constant folding + shadow
      dead-code elimination). *)
+  let span name f = Obs.Trace.with_span ~cat:"instr" ("instr." ^ name) f in
   let lane (v, (plan, traversal)) =
     {
       lvariant = v;
@@ -96,7 +97,10 @@ let prepare ?(name = "program") ?(level = Optim.Pipeline.O0_IM)
       ltraversal = traversal;
       lcompressed =
         (if level <> Optim.Pipeline.O0_IM then
-           Instr.Compress.fold_constants plan + Instr.Compress.run plan
+           let folded =
+             span "fold_constants" (fun () -> Instr.Compress.fold_constants plan)
+           in
+           folded + span "compress" (fun () -> Instr.Compress.run plan)
          else 0);
     }
   in

@@ -69,7 +69,8 @@ val escaped :
 (** The guarded frontend, then {!Pipeline.prepare} (analysis, all five
     plans, the base compile; on a large program the Usher_TL half runs
     on a helper domain with the sequential results), the event merge and,
-    at O1/O2, each plan's {!Instr.Compress}. *)
+    at O1/O2, each plan's {!Instr.Compress} (traced as
+    [instr.fold_constants] and [instr.compress] spans). *)
 val prepare :
   ?name:string ->
   ?level:Optim.Pipeline.level ->

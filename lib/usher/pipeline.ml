@@ -6,8 +6,9 @@
    [analyze] produces every artifact shared by the variants; [plan_for]
    derives the instrumentation plan of one variant; [prepare] does both
    for every variant and compiles the base, running the Usher_TL half on
-   a helper domain for a large program (DESIGN.md §11). Analysis CPU time
-   and allocation are recorded for Table 1.
+   a helper domain for a large program and planning the three variants
+   over the full graph from one planning context (DESIGN.md §11).
+   Analysis CPU time and allocation are recorded for Table 1.
 
    Resilience: every phase runs under an optional resource budget and a
    fault guard. Failures never escape as crashes and never lose checks —
@@ -637,18 +638,18 @@ let plan_span v f =
 
 let full_plan prog v = plan_span v (fun () -> ((Instr.Full.build prog, None), None))
 
-(* The guided plan of [v] over [bld] and [gamma]. Degradation never
-   removes instrumentation: a fault while building it makes the plan full
-   instrumentation, and the fault comes back as an event for the caller
-   to record. *)
-let guided_plan ~(knobs : Config.knobs) ~prog ~distrust_set v ~opt1 bld gamma =
+(* The guided plan of [v] over [gamma] and the planning context of its
+   graph, built on first use. Degradation never removes instrumentation: a
+   fault while building it makes the plan full instrumentation, and the
+   fault comes back as an event for the caller to record. *)
+let guided_plan ~(knobs : Config.knobs) ~prog ~distrust_set v ~opt1 ctx gamma =
   plan_span v @@ fun () ->
   try
     Fault.check knobs Diag.Instrument None;
     let r =
       Obs.Trace.with_span ~cat:"instr" "instr.guided" @@ fun () ->
-      Instr.Guided.build ~options:{ Instr.Guided.opt1 } ?distrusted:distrust_set
-        bld gamma
+      Instr.Guided.plan ~options:{ Instr.Guided.opt1 } ?distrusted:distrust_set
+        (Lazy.force ctx) gamma
     in
     ((r.plan, Some r), None)
   with e ->
@@ -663,8 +664,12 @@ let guided_plan ~(knobs : Config.knobs) ~prog ~distrust_set v ~opt1 bld gamma =
           kind = Degrade.Fault;
         } )
 
-(* [plan_for] without recording: the planning fault, if any, is returned. *)
-let plan_of (a : analysis) (v : Config.variant) =
+let context bld = lazy (Instr.Guided.context bld)
+
+(* [plan_for] without recording: the planning fault, if any, is returned.
+   [full] is the planning context of [a.vfg]; the three variants over the
+   full graph share one. *)
+let plan_of ~full (a : analysis) (v : Config.variant) =
   let distrust_set =
     if Hashtbl.length a.distrusted = 0 then None
     else begin
@@ -677,10 +682,10 @@ let plan_of (a : analysis) (v : Config.variant) =
   match v with
   | Config.Msan -> full_plan a.prog v
   | _ when a.degraded_all -> full_plan a.prog v
-  | Config.Usher_tl -> guided ~opt1:false a.vfg_tl a.gamma_tl
-  | Config.Usher_tl_at -> guided ~opt1:false a.vfg a.gamma
-  | Config.Usher_opt1 -> guided ~opt1:true a.vfg a.gamma
-  | Config.Usher_full -> guided ~opt1:true a.vfg a.opt2.gamma
+  | Config.Usher_tl -> guided ~opt1:false (context a.vfg_tl) a.gamma_tl
+  | Config.Usher_tl_at -> guided ~opt1:false full a.gamma
+  | Config.Usher_opt1 -> guided ~opt1:true full a.gamma
+  | Config.Usher_full -> guided ~opt1:true full a.opt2.gamma
 
 (** Instrumentation plan of one variant, plus the guided-traversal result
     when applicable. Under rung 4 (or any last-resort fault while building
@@ -688,7 +693,7 @@ let plan_of (a : analysis) (v : Config.variant) =
     fault is observed and appended to [a.events]. *)
 let plan_for (a : analysis) (v : Config.variant) :
     Instr.Item.plan * Instr.Guided.result option =
-  let r, ev = plan_of a v in
+  let r, ev = plan_of ~full:(context a.vfg) a v in
   Option.iter
     (fun ev ->
       Degrade.observe ev;
@@ -703,44 +708,33 @@ type prepared = {
   base : Runtime.Interp.base;
 }
 
-(* Fork 1 (inside [analyze_with]): the helper runs the TL branch, then the
-   Usher_TL and MSan plans and the program's base compile — none of them
-   needs the full graph. Fork 2: the Usher_TL+AT and Usher_OptI plans
-   beside the Usher plan. Without a fork, today's order: the five plans,
-   then the base. *)
+(* The helper domain of [analyze_with]'s fork runs the TL branch, then
+   the Usher_TL and MSan plans and the program's base compile: none of
+   them needs the full graph. Without a fork the caller does the same in
+   order. Then it plans the three variants over the full graph from one
+   planning context. *)
 let prepare ?(knobs = Config.default_knobs) (prog : Ir.Prog.t) : prepared =
   let a, early =
     analyze_with ~knobs prog ~beside:(fun vfg_tl gamma_tl ->
         let tl =
           guided_plan ~knobs ~prog ~distrust_set:None Config.Usher_tl
-            ~opt1:false vfg_tl gamma_tl
+            ~opt1:false (context vfg_tl) gamma_tl
         in
         let msan = full_plan prog Config.Msan in
         (msan, tl, Runtime.Interp.compile_base prog))
   in
-  let msan, tl =
+  let plan = plan_of ~full:(context a.vfg) a in
+  let msan, tl, base =
     match early with
-    | Some (msan, tl, _) -> (msan, tl)
+    | Some early -> early
     | None ->
-      let msan = plan_of a Config.Msan in
-      (msan, plan_of a Config.Usher_tl)
+      let tl = plan Config.Usher_tl in
+      let msan = plan Config.Msan in
+      (msan, tl, Runtime.Interp.compile_base prog)
   in
-  let pair () =
-    let tl_at = plan_of a Config.Usher_tl_at in
-    (tl_at, plan_of a Config.Usher_opt1)
-  in
-  let usher () = plan_of a Config.Usher_full in
-  let (tl_at, opt1), usher =
-    if overlaps knobs prog then Fork.both pair usher
-    else
-      let p = pair () in
-      (p, usher ())
-  in
-  let base =
-    match early with
-    | Some (_, _, base) -> base
-    | None -> Runtime.Interp.compile_base prog
-  in
+  let tl_at = plan Config.Usher_tl_at in
+  let opt1 = plan Config.Usher_opt1 in
+  let usher = plan Config.Usher_full in
   let planned =
     List.combine Config.all_variants [ msan; tl; tl_at; opt1; usher ]
   in

@@ -101,8 +101,9 @@ type prepared = {
 }
 
 (** {!analyze}, {!plan_for} of every variant and the program's base
-    compile, overlapped on a large program: the helper domain that runs
-    the TL half of {!analyze} goes on to plan Usher_TL and MSan and to
-    compile the base, and a second fork plans Usher_TL+AT and Usher_OptI
-    beside the Usher plan. The result is the sequential one. *)
+    compile. On a large program the helper domain that runs the TL half
+    of {!analyze} goes on to plan Usher_TL and MSan and to compile the
+    base. The caller plans Usher_TL+AT, Usher_OptI and Usher from one
+    {!Instr.Guided.context} of the full graph. The result is the
+    sequential one, and each plan equals its {!plan_for}. *)
 val prepare : ?knobs:Config.knobs -> Ir.Prog.t -> prepared

@@ -107,6 +107,15 @@ let folded_plans ~level (a : Usher.Pipeline.analysis) =
       plan)
     Usher.Config.all_variants
 
+let copy_plan (plan : Instr.Item.plan) =
+  { plan with items = Array.copy plan.items;
+              entry_items = Hashtbl.copy plan.entry_items }
+
+(** A plan's entry actions, sorted by function. *)
+let entry_bindings (plan : Instr.Item.plan) =
+  Hashtbl.fold (fun fn acts acc -> (fn, acts) :: acc) plan.entry_items []
+  |> List.sort compare
+
 (** Minor-heap words allocated by [f ()], in millions. *)
 let minor_mwords f =
   let w0 = Gc.minor_words () in

@@ -167,4 +167,65 @@ let guided_tests =
         check_int "no elimination" o1.checks o2.checks);
   ]
 
-let suites = [ ("instr.full", full_tests); ("instr.guided", guided_tests) ]
+(* [Pipeline.prepare] plans Usher_TL+AT, Usher_OptI and Usher from one
+   planning context of the full graph; each must equal a one-variant
+   [Guided.build] over the same analysis: items in order, entry bindings,
+   relay slot and traversal counters. *)
+let shared_matches_single ?knobs ~level src =
+  let prog = front ~level src in
+  let { Usher.Pipeline.analysis = a; plans; _ } = Usher.Pipeline.prepare ?knobs prog in
+  let identity ((plan : Instr.Item.plan), traversal) =
+    ( plan.items, entry_bindings plan, plan.ret_slot,
+      Option.map
+        (fun (r : Instr.Guided.result) -> (r.needed_nodes, r.opt1_simplified))
+        traversal )
+  in
+  (* The distrust set as [Pipeline] builds it: its order is the overlay's. *)
+  let distrusted =
+    if Hashtbl.length a.distrusted = 0 then None
+    else begin
+      let t = Hashtbl.create (Hashtbl.length a.distrusted) in
+      Hashtbl.iter (fun fn _ -> Hashtbl.replace t fn ()) a.distrusted;
+      Some t
+    end
+  in
+  let single opt1 gamma =
+    let r = Instr.Guided.build ~options:{ Instr.Guided.opt1 } ?distrusted a.vfg gamma in
+    identity (r.plan, Some r)
+  in
+  List.map
+    (fun v -> identity (List.assoc v plans))
+    Usher.Config.[ Usher_tl_at; Usher_opt1; Usher_full ]
+  = [ single false a.gamma; single true a.gamma; single true a.opt2.gamma ]
+
+let shared_tests =
+  [
+    QCheck_alcotest.to_alcotest
+      (QCheck.Test.make ~count:100
+         ~name:"one shared context plans like three Guided.build calls (fuzz, O0+IM and O2)"
+         QCheck.(make ~print:string_of_int Gen.(0 -- 100000))
+         (fun seed ->
+           let src = Audit.Gen.source ~seed () in
+           shared_matches_single ~level:Optim.Pipeline.O0_IM src
+           && shared_matches_single ~level:Optim.Pipeline.O2 src));
+    tc "one shared context plans like Guided.build under a distrust set" (fun () ->
+        let src = Audit.Gen.source ~seed:7 () in
+        let helper =
+          Ir.Prog.fold_funcs
+            (fun acc (f : Ir.Types.func) -> if f.fname = "main" then acc else f.fname)
+            "" (front src)
+        in
+        let knobs =
+          { Usher.Config.default_knobs with quarantine = [ (helper, "test") ] }
+        in
+        check_bool "the helper is distrusted" true
+          (Usher.Pipeline.distrusted_functions
+             (Usher.Pipeline.analyze ~knobs (front src))
+          = [ helper ]);
+        check_bool "equal" true
+          (shared_matches_single ~knobs ~level:Optim.Pipeline.O0_IM src));
+  ]
+
+let suites =
+  [ ("instr.full", full_tests); ("instr.guided", guided_tests);
+    ("instr.shared", shared_tests) ]

@@ -177,58 +177,74 @@ let costmodel_tests =
           > Runtime.Costmodel.slowdown_pct ~native ~instrumented:reg ()));
   ]
 
-(* Opt II's R, a digest of its Γ, and the static stats of all five plans
-   (after shadow constant folding and dead-code elimination above O0+IM),
-   for every analog at scale 5. The values were recorded before Opt II's
-   rewiring and [Instr.Compress.run] were made linear; any change to the
-   analysis output shows up here. *)
+(* Opt II's R, a digest of its Γ, the static stats of all five plans and
+   one digest of the plans themselves, for every analog at scale 5. The
+   plans come from [Pipeline.prepare], the path every experiment takes,
+   and above O0+IM are folded and compressed as [Experiment.prepare] does.
+   The digest covers, for each plan, its items in order, its sorted entry
+   bindings, its relay slot, the two Compress counts and its traversal's
+   needed_nodes and opt1_simplified. The stats were recorded before Opt
+   II's rewiring and [Instr.Compress.run] were made linear, the digests
+   before planning shared one context per graph, [Compress] became two
+   worklists and fork 2 went; any change to the analysis or the plans
+   shows up here. *)
 let golden_row level (p : Workloads.Profile.t) =
-  let _, a = analog ~level p in
-  let plans = folded_plans ~level a in
-  if level <> Optim.Pipeline.O0_IM then
-    List.iter (fun plan -> ignore (Instr.Compress.run plan)) plans;
-  let stats plan =
+  let prog = front ~level (Workloads.Spec2000.source ~scale:5 p) in
+  let { Usher.Pipeline.analysis = a; plans; _ } = Usher.Pipeline.prepare prog in
+  let lane (_, ((plan : Instr.Item.plan), traversal)) =
+    let folded, removed =
+      if level = Optim.Pipeline.O0_IM then (0, 0)
+      else
+        let folded = Instr.Compress.fold_constants plan in
+        (folded, Instr.Compress.run plan)
+    in
     let s = Instr.Item.stats_of plan in
-    Printf.sprintf "%d/%d/%d" s.propagations s.checks s.total_items
+    ( Printf.sprintf "%d/%d/%d" s.propagations s.checks s.total_items,
+      ( plan.items, entry_bindings plan, plan.ret_slot, folded, removed,
+        Option.map
+          (fun (r : Instr.Guided.result) -> (r.needed_nodes, r.opt1_simplified))
+          traversal ) )
   in
-  Printf.sprintf "%s %s R=%d %s %s" p.pname
+  let stats, identity = List.split (List.map lane plans) in
+  Printf.sprintf "%s %s R=%d %s %s %s" p.pname
     (Optim.Pipeline.level_to_string level)
     a.opt2.redirected
     (Digest.to_hex (Digest.bytes a.opt2.gamma.undef))
-    (String.concat " " (List.map stats plans))
+    (String.concat " " stats)
+    (Digest.to_hex (Digest.string (Marshal.to_string identity [ Marshal.No_sharing ])))
 
 let golden =
   [
-    "164.gzip O0+IM R=565 59ef4be10737bae4b04b05d18a7e77c6 4255/1020/5065 2954/421/2965 1503/279/1542 1101/279/1209 929/191/1005";
-    "164.gzip O2 R=794 159ec6e821402caef2621a145fc421f1 3088/431/3093 2648/421/2733 1174/279/1334 967/279/1111 823/191/907";
-    "175.vpr O0+IM R=1100 839a1be5ddd02baa9fac3dbde0f52779 8094/1897/9574 5647/776/5591 2773/523/2840 2008/523/2227 1676/353/1833";
-    "175.vpr O2 R=1563 3bce3b8246096021cb2fc5cfc12169c0 6008/791/5904 5102/776/5178 2164/523/2456 1767/523/2048 1489/353/1654";
-    "176.gcc O0+IM R=7665 d976a81fdec137aa82b1e7633ca5e5ff 50211/11890/59197 35974/5013/35223 18652/3567/18988 13248/3567/14817 10904/2387/12069";
-    "176.gcc O2 R=10559 7a240fbf87f96e70096e8f636456a35b 38412/5050/37157 32616/5013/32691 14463/3567/16345 11647/3567/13619 9691/2387/10871";
-    "177.mesa O0+IM R=3917 2a7395b97a3d82447a6815a592b3b994 25815/6052/30302 18516/2566/18085 9406/1803/9585 6638/1803/7433 5442/1201/6031";
-    "177.mesa O2 R=5401 b548a02d4d52036387a8b4b05dc066ce 19748/2582/19045 16774/2566/16762 7279/1803/8214 5836/1803/6832 4838/1201/5430";
-    "179.art O0+IM R=88 e8d499969b2f90eb8254f28bf1ac3361 1118/263/1335 711/110/760 284/51/295 218/51/231 190/35/195";
-    "179.art O2 R=138 d940514e103ffa43d6fe8d7fe276149a 700/117/771 615/110/685 228/51/258 192/51/212 168/35/176";
-    "181.mcf O0+IM R=146 b90404117d2c69952a1a77f53ab931f9 1650/431/2074 1076/157/1142 304/59/309 204/59/233 164/37/183";
-    "181.mcf O2 R=226 f211c962a72400e0de04fc1ba1e24bc4 1090/163/1165 950/157/1041 238/59/267 180/59/215 146/37/165";
-    "183.equake O0+IM R=128 9aab88424e0cdf17ce88092aeb453856 1360/321/1620 879/138/935 367/69/382 279/69/304 239/47/254";
-    "183.equake O2 R=190 09b1eb684007f0c8641419876fba76f8 873/146/955 764/138/847 289/69/334 246/69/280 212/47/230";
-    "186.crafty O0+IM R=1248 34cd786277504c7d199bb0beab7f7151 9464/2257/11295 6584/892/6512 3156/593/3234 2288/593/2527 1914/402/2084";
-    "186.crafty O2 R=1799 49fedb2ce29b75625114d05ac2509823 7021/906/6880 5961/892/6042 2453/593/2783 2010/593/2322 1697/402/1879";
-    "188.ammp O0+IM R=849 51451e73b212a32bf81795e5e9fecfe3 6366/1597/7780 4437/609/4448 2131/398/2182 1551/398/1711 1301/271/1416";
-    "188.ammp O2 R=1206 7315ad984a642b612251b0b20ea93782 4706/625/4691 4015/609/4129 1666/398/1887 1365/398/1573 1156/271/1278";
-    "197.parser O0+IM R=739 045fe6e9642b6b3fbee2fda282018911 5697/1374/6848 3923/546/3934 1961/364/2018 1428/364/1582 1204/248/1314";
-    "197.parser O2 R=1054 561c9e0c0f9b0d9893b0d76b641d902b 4165/566/4176 3537/546/3643 1539/364/1748 1258/364/1454 1070/248/1186";
-    "253.perlbmk O0+IM R=5565 29c226ed53a92bbe7959b2b6945922bd 36628/8632/43072 26284/3662/25747 13974/2641/14248 10017/2641/11134 8311/1784/9137";
-    "253.perlbmk O2 R=7640 a425b9e35b91459d696eb812788a1649 27962/3692/27093 23797/3662/23871 10879/2641/12269 8804/2641/10232 7381/1784/8235";
-    "254.gap O0+IM R=4612 f29eab6cbe9e9a04dcb1bd0794ec6e79 30407/7095/35616 21813/3020/21315 11550/2178/11778 8238/2178/9172 6826/1468/7518";
-    "254.gap O2 R=6353 4f3f4cf2a0b3fd4b5d2e427e56837aee 23239/3048/22453 19754/3020/19756 8984/2178/10133 7244/2178/8432 6066/1468/6778";
-    "255.vortex O0+IM R=4347 bb9670facd388c2d7dda47a0805f1974 28925/6838/34096 20754/2869/20322 10842/2048/11047 7713/2048/8600 6385/1380/7044";
-    "255.vortex O2 R=5990 aa37948a9f909eeb3d811e95122846fa 22092/2896/21394 18808/2869/18851 8419/2048/9506 6777/2048/7904 5669/1380/6348";
-    "256.bzip2 O0+IM R=310 5ddb22046011de139044658458895524 2690/684/3308 1819/262/1869 861/161/895 650/161/714 556/112/601";
-    "256.bzip2 O2 R=451 d11f00c37f5680e0a9a9acbc7b2dada0 1887/272/1948 1624/262/1721 678/161/778 569/161/656 490/112/543";
-    "300.twolf O0+IM R=1322 2a5ba19518423e1854d92b5e596468f6 9304/2209/11028 6544/918/6485 3339/631/3415 2404/631/2671 2000/425/2193";
-    "300.twolf O2 R=1845 f4db9acea801bdedfdfbeba48b2c386d 6946/933/6833 5907/918/6004 2601/631/2948 2115/631/2456 1777/425/1978";
+    "164.gzip O0+IM R=565 59ef4be10737bae4b04b05d18a7e77c6 4255/1020/5065 2954/421/2965 1503/279/1542 1101/279/1209 929/191/1005 5a6e31543e17d60976a49b5fa5eb55bb";
+    "164.gzip O2 R=794 159ec6e821402caef2621a145fc421f1 3088/431/3093 2648/421/2733 1174/279/1334 967/279/1111 823/191/907 bd7063fef5df0e537188028731f669c9";
+    "175.vpr O0+IM R=1100 839a1be5ddd02baa9fac3dbde0f52779 8094/1897/9574 5647/776/5591 2773/523/2840 2008/523/2227 1676/353/1833 a68bd8dd46e585144b9990dfee9b7ba3";
+    "175.vpr O2 R=1563 3bce3b8246096021cb2fc5cfc12169c0 6008/791/5904 5102/776/5178 2164/523/2456 1767/523/2048 1489/353/1654 4aa6e4b9eb2aae2b3ec866f370b66988";
+    "176.gcc O0+IM R=7665 d976a81fdec137aa82b1e7633ca5e5ff 50211/11890/59197 35974/5013/35223 18652/3567/18988 13248/3567/14817 10904/2387/12069 b6e9433a51891630d76b836f995da4fd";
+    "176.gcc O2 R=10559 7a240fbf87f96e70096e8f636456a35b 38412/5050/37157 32616/5013/32691 14463/3567/16345 11647/3567/13619 9691/2387/10871 97e4dcbd7fecb5540ef5cc374d2bf1be";
+    "177.mesa O0+IM R=3917 2a7395b97a3d82447a6815a592b3b994 25815/6052/30302 18516/2566/18085 9406/1803/9585 6638/1803/7433 5442/1201/6031 8d88e0890d1e0310b360fc25bbf7eba6";
+    "177.mesa O2 R=5401 b548a02d4d52036387a8b4b05dc066ce 19748/2582/19045 16774/2566/16762 7279/1803/8214 5836/1803/6832 4838/1201/5430 9e93f5aafb7c63986686132fe20cd3fd";
+    "179.art O0+IM R=88 e8d499969b2f90eb8254f28bf1ac3361 1118/263/1335 711/110/760 284/51/295 218/51/231 190/35/195 70c05eefc1b1fe99e8b18a134aa90cb5";
+    "179.art O2 R=138 d940514e103ffa43d6fe8d7fe276149a 700/117/771 615/110/685 228/51/258 192/51/212 168/35/176 3e196c02714e7b6d9e96551d6a6b5a8f";
+    "181.mcf O0+IM R=146 b90404117d2c69952a1a77f53ab931f9 1650/431/2074 1076/157/1142 304/59/309 204/59/233 164/37/183 44d183bc86dc00173941c0230d32ffa0";
+    "181.mcf O2 R=226 f211c962a72400e0de04fc1ba1e24bc4 1090/163/1165 950/157/1041 238/59/267 180/59/215 146/37/165 df72176799ce9467c2a05cea3c482a34";
+    "183.equake O0+IM R=128 9aab88424e0cdf17ce88092aeb453856 1360/321/1620 879/138/935 367/69/382 279/69/304 239/47/254 691c5f10b22bc3cc31555a72555bb1c5";
+    "183.equake O2 R=190 09b1eb684007f0c8641419876fba76f8 873/146/955 764/138/847 289/69/334 246/69/280 212/47/230 183eada93aed42db36656d18a0acac7d";
+    "186.crafty O0+IM R=1248 34cd786277504c7d199bb0beab7f7151 9464/2257/11295 6584/892/6512 3156/593/3234 2288/593/2527 1914/402/2084 a1f52a06313ac41d308469e12d749f85";
+    "186.crafty O2 R=1799 49fedb2ce29b75625114d05ac2509823 7021/906/6880 5961/892/6042 2453/593/2783 2010/593/2322 1697/402/1879 e834d02078b4b91d1fefbf0cfe4e33cc";
+    "188.ammp O0+IM R=849 51451e73b212a32bf81795e5e9fecfe3 6366/1597/7780 4437/609/4448 2131/398/2182 1551/398/1711 1301/271/1416 8fea893fcc088c4a4d62c34f3ecd7eac";
+    "188.ammp O2 R=1206 7315ad984a642b612251b0b20ea93782 4706/625/4691 4015/609/4129 1666/398/1887 1365/398/1573 1156/271/1278 92971944ae7ead327081966f441d78ef";
+    "197.parser O0+IM R=739 045fe6e9642b6b3fbee2fda282018911 5697/1374/6848 3923/546/3934 1961/364/2018 1428/364/1582 1204/248/1314 89fe1685117a2ab8b2b59bd62aef7e3e";
+    "197.parser O2 R=1054 561c9e0c0f9b0d9893b0d76b641d902b 4165/566/4176 3537/546/3643 1539/364/1748 1258/364/1454 1070/248/1186 8404e480386118504b54f582366f67e9";
+    "253.perlbmk O0+IM R=5565 29c226ed53a92bbe7959b2b6945922bd 36628/8632/43072 26284/3662/25747 13974/2641/14248 10017/2641/11134 8311/1784/9137 8d7d227fda756159ed62f1ea7e4e4c8a";
+    "253.perlbmk O2 R=7640 a425b9e35b91459d696eb812788a1649 27962/3692/27093 23797/3662/23871 10879/2641/12269 8804/2641/10232 7381/1784/8235 e0e00105f0916c228a0092489b93420a";
+    "254.gap O0+IM R=4612 f29eab6cbe9e9a04dcb1bd0794ec6e79 30407/7095/35616 21813/3020/21315 11550/2178/11778 8238/2178/9172 6826/1468/7518 cba8ade3b0fdcdf222e75a4382f68af4";
+    "254.gap O2 R=6353 4f3f4cf2a0b3fd4b5d2e427e56837aee 23239/3048/22453 19754/3020/19756 8984/2178/10133 7244/2178/8432 6066/1468/6778 6f6aeb1f7194d7ae3c22cdde2214ada9";
+    "255.vortex O0+IM R=4347 bb9670facd388c2d7dda47a0805f1974 28925/6838/34096 20754/2869/20322 10842/2048/11047 7713/2048/8600 6385/1380/7044 40753e0f2a74f72bcb8e69df6fe06288";
+    "255.vortex O2 R=5990 aa37948a9f909eeb3d811e95122846fa 22092/2896/21394 18808/2869/18851 8419/2048/9506 6777/2048/7904 5669/1380/6348 a1c24ac770c64f90141f767b49709b45";
+    "256.bzip2 O0+IM R=310 5ddb22046011de139044658458895524 2690/684/3308 1819/262/1869 861/161/895 650/161/714 556/112/601 e4988104f549debb88ced6bbe299fe94";
+    "256.bzip2 O2 R=451 d11f00c37f5680e0a9a9acbc7b2dada0 1887/272/1948 1624/262/1721 678/161/778 569/161/656 490/112/543 1a793e9f68366f19ab2b9b69c791d544";
+    "300.twolf O0+IM R=1322 2a5ba19518423e1854d92b5e596468f6 9304/2209/11028 6544/918/6485 3339/631/3415 2404/631/2671 2000/425/2193 be9197a80166c55423c12d838e2b6ba8";
+    "300.twolf O2 R=1845 f4db9acea801bdedfdfbeba48b2c386d 6946/933/6833 5907/918/6004 2601/631/2948 2115/631/2456 1777/425/1978 c466ebbab44f5cb3f42a821929f1c1d7";
   ]
 
 let golden_tests =
@@ -265,6 +281,31 @@ let alloc_tests =
               List.iter (fun plan -> ignore (Instr.Compress.run plan)) plans)
         in
         check_bool (Printf.sprintf "%.1f Mwords < 40" mw) true (mw < 40.0));
+    (* Folding once rebuilt every item of the plan and kept its defs and
+       demotions in hash tables: 5.09 Mwords here. The worklist keeps
+       them in reused scratch arrays and rebuilds only the lists it
+       changes. *)
+    tc "fold_constants on 253.perlbmk at O2 allocates under 2.5 Mwords" (fun () ->
+        let level = Optim.Pipeline.O2 in
+        let _, a = analog ~level Workloads.Spec2000.perlbmk in
+        let plans =
+          List.map (fun v -> fst (Usher.Pipeline.plan_for a v)) Usher.Config.all_variants
+        in
+        let mw =
+          minor_mwords (fun () ->
+              List.iter (fun plan -> ignore (Instr.Compress.fold_constants plan)) plans)
+        in
+        check_bool (Printf.sprintf "%.2f Mwords < 2.5" mw) true (mw < 2.5));
+    (* Attaching once built every lane's action list at every label, even
+       an empty one, and wove them as lists: 9.45 Mwords here. *)
+    tc "attach_lanes of 176.gcc's five plans allocates under 4.5 Mwords" (fun () ->
+        let prog, a = analog ~level:Optim.Pipeline.O0_IM Workloads.Spec2000.gcc in
+        let plans =
+          List.map (fun v -> fst (Usher.Pipeline.plan_for a v)) Usher.Config.all_variants
+        in
+        let base = Runtime.Interp.compile_base prog in
+        let mw = minor_mwords (fun () -> ignore (Runtime.Interp.attach_lanes base plans)) in
+        check_bool (Printf.sprintf "%.2f Mwords < 4.5" mw) true (mw < 4.5));
     (* Every edge insert once hashed its (src, dst, kind) triple into a
        global table: 4.2 Mwords here. Scanning the source's successor
        list allocates nothing. *)
