@@ -5,9 +5,9 @@
    sizes the register space, one builds the register edges, a worklist
    sweeps them, and a last scan rebuilds only the item lists that change.
 
-   The arrays are scratch, one set per domain, grown on demand and reused:
-   allocating them afresh, several per plan and each the size of the
-   program's variable space, cost more than the sweeps. *)
+   The arrays are scratch, one set per domain, grown on demand and reused
+   from plan to plan: allocating them afresh, several per plan and each
+   the size of the program's variable space, cost more than the sweeps. *)
 
 open Ir.Types
 
@@ -39,11 +39,22 @@ let iter_actions f (plan : Item.plan) =
   Array.iter items plan.items;
   Hashtbl.iter (fun _ acts -> List.iter f acts) plan.entry_items
 
-let scratch = Domain.DLS.new_key (fun () -> Array.make 8 [||])
+(* Held weakly, so a program's scratch goes with the next major
+   collection once no pass is using it: holding it strongly kept about a
+   megabyte live for the rest of the process. *)
+let scratch = Domain.DLS.new_key (fun () -> Weak.create 1)
 
 (* Scratch slot [k], at least [n] long, its first [n] set to [v]. *)
 let ints k n v =
-  let s = Domain.DLS.get scratch in
+  let w = Domain.DLS.get scratch in
+  let s =
+    match Weak.get w 0 with
+    | Some s -> s
+    | None ->
+      let s = Array.make 8 [||] in
+      Weak.set w 0 (Some s);
+      s
+  in
   if Array.length s.(k) < n then s.(k) <- Array.make (max n (2 * Array.length s.(k))) 0;
   Array.fill s.(k) 0 n v;
   s.(k)
