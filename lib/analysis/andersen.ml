@@ -350,7 +350,7 @@ let run ?(config = default_config) ?(cycle_elim = true) ?budget (p : P.t) : t =
   let copy_succs : int list array = Array.make nnodes [] in
   (* Copy-edge dedup, keyed by the single int [src * nnodes + dst] over
      canonical (representative) ids. *)
-  let edge_seen = Iset.create 1024 in
+  let edge_seen = Iset.create (min 1024 nnodes) in
   let edge_key a b = (a * nnodes) + b in
   (* Per-node complex constraints, merged on union. Seeded on variable
      nodes; a representative may accumulate the constraints of every
@@ -358,8 +358,10 @@ let run ?(config = default_config) ?(cycle_elim = true) ?budget (p : P.t) : t =
   let cxs : cx list array = Array.make nnodes [] in
   let callees : (label, fname list) Hashtbl.t = Hashtbl.create 64 in
   let bound : (label * fname, unit) Hashtbl.t = Hashtbl.create 64 in
-  (* Int-array FIFO — no boxed queue cells; [on_list] bounds its size. *)
-  let wbuf = ref (Array.make 1024 0) in
+  (* Int-array FIFO — no boxed queue cells; [on_list] bounds its live
+     entries by [nnodes], so it starts at that size up to 1024 slots and
+     grows past them only on large programs. *)
+  let wbuf = ref (Array.make (max 1 (min 1024 nnodes)) 0) in
   let whead = ref 0 in
   let wtail = ref 0 in
   let on_list = Bytes.make nnodes '\000' in

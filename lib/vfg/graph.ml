@@ -2,7 +2,17 @@
    memory versions) plus the two roots T (defined) and F (undefined); an edge
    [v -> w] records that v's value data-depends on w's. Interprocedural edges
    carry their call-site label so definedness resolution can match calls with
-   returns. Nodes are interned to dense integers. *)
+   returns. Nodes are interned to dense integers.
+
+   Storage is sized to the program: the node arrays start at 16 slots and
+   double, and [copy] takes only the [nnodes] prefix. Opt II's scratch
+   graph ([copy_edges]) duplicates only what rewiring mutates (edge lists,
+   out-degrees, hub sets) and reads the original's node tables.
+
+   The condensation (resolution's search space) is built in time linear in
+   the graph apart from sorting the few large segments: Tarjan over int
+   stacks, members by counting sort, and [cpred] as CSR by counting sort on
+   the target component, each segment then sorted and deduped in place. *)
 
 open Ir.Types
 
@@ -62,52 +72,56 @@ type t = {
   mutable nedges : int;
   mutable version : int;    (* bumped on any node/edge mutation *)
   mutable cond : (int * condensation) option;   (* cache, keyed by version *)
+  shared_nodes : bool;      (* [ids], [rev] and [defs] belong to another
+                               graph (see [copy_edges]) *)
 }
 
 let dummy_node = Root_t
 
+(* Storage starts small and doubles: a generated test program has about a
+   hundred nodes, a large analog tens of thousands. *)
+let initial_capacity = 16
+
 let create () =
-  let t =
-    {
-      nnodes = 0;
-      ids = Hashtbl.create 1024;
-      rev = Array.make 1024 dummy_node;
-      succs = Array.make 1024 [];
-      preds = Array.make 1024 [];
-      defs = Array.make 1024 Droot;
-      outdeg = Array.make 1024 0;
-      hubs = Hashtbl.create 8;
-      nedges = 0;
-      version = 0;
-      cond = None;
-    }
-  in
-  t
+  {
+    nnodes = 0;
+    ids = Hashtbl.create initial_capacity;
+    rev = Array.make initial_capacity dummy_node;
+    succs = Array.make initial_capacity [];
+    preds = Array.make initial_capacity [];
+    defs = Array.make initial_capacity Droot;
+    outdeg = Array.make initial_capacity 0;
+    hubs = Hashtbl.create 8;
+    nedges = 0;
+    version = 0;
+    cond = None;
+    shared_nodes = false;
+  }
 
 let grow t n =
   if n > Array.length t.rev then begin
     let cap = max n (2 * Array.length t.rev) in
-    let rev = Array.make cap dummy_node in
-    Array.blit t.rev 0 rev 0 t.nnodes;
-    t.rev <- rev;
-    let succs = Array.make cap [] in
-    Array.blit t.succs 0 succs 0 t.nnodes;
-    t.succs <- succs;
-    let preds = Array.make cap [] in
-    Array.blit t.preds 0 preds 0 t.nnodes;
-    t.preds <- preds;
-    let defs = Array.make cap Droot in
-    Array.blit t.defs 0 defs 0 t.nnodes;
-    t.defs <- defs;
-    let outdeg = Array.make cap 0 in
-    Array.blit t.outdeg 0 outdeg 0 t.nnodes;
-    t.outdeg <- outdeg
+    let resize a fill =
+      let a' = Array.make cap fill in
+      Array.blit a 0 a' 0 t.nnodes;
+      a'
+    in
+    t.rev <- resize t.rev dummy_node;
+    t.succs <- resize t.succs [];
+    t.preds <- resize t.preds [];
+    t.defs <- resize t.defs Droot;
+    t.outdeg <- resize t.outdeg 0
   end
+
+let no_shared_nodes t what =
+  if t.shared_nodes then
+    invalid_arg ("Graph." ^ what ^ ": the node tables belong to another graph")
 
 let intern t (n : node) : int =
   match Hashtbl.find_opt t.ids n with
   | Some id -> id
   | None ->
+    no_shared_nodes t "intern";
     let id = t.nnodes in
     grow t (id + 1);
     t.nnodes <- id + 1;
@@ -119,7 +133,9 @@ let intern t (n : node) : int =
 let node_of t id = t.rev.(id)
 let find t n = Hashtbl.find_opt t.ids n
 
-let set_def t id d = t.defs.(id) <- d
+let set_def t id d =
+  no_shared_nodes t "set_def";
+  t.defs.(id) <- d
 let def_of t id = t.defs.(id)
 
 let same_kind (a : edge_kind) (b : edge_kind) =
@@ -195,88 +211,136 @@ let iter_nodes f t =
     f id t.rev.(id)
   done
 
-(** Deep copy, so Opt II can rewire a scratch graph while guided
-    instrumentation keeps the original (Algorithm 1, line 9's caveat). *)
+let copy_hubs t =
+  let hubs = Hashtbl.create (Hashtbl.length t.hubs) in
+  Hashtbl.iter (fun src set -> Hashtbl.replace hubs src (Hashtbl.copy set)) t.hubs;
+  hubs
+
+(** Deep copy of the first [nnodes] slots; the copy grows on demand. *)
 let copy t =
+  let n = t.nnodes in
   {
-    nnodes = t.nnodes;
+    nnodes = n;
     ids = Hashtbl.copy t.ids;
-    rev = Array.copy t.rev;
-    succs = Array.copy t.succs;
-    preds = Array.copy t.preds;
-    defs = Array.copy t.defs;
-    outdeg = Array.copy t.outdeg;
-    hubs =
-      (let hubs = Hashtbl.create (Hashtbl.length t.hubs) in
-       Hashtbl.iter (fun src set -> Hashtbl.replace hubs src (Hashtbl.copy set)) t.hubs;
-       hubs);
+    rev = Array.sub t.rev 0 n;
+    succs = Array.sub t.succs 0 n;
+    preds = Array.sub t.preds 0 n;
+    defs = Array.sub t.defs 0 n;
+    outdeg = Array.sub t.outdeg 0 n;
+    hubs = copy_hubs t;
     nedges = t.nedges;
     version = t.version;
     (* The cached condensation is immutable; sharing it is safe — any
        mutation of the copy bumps its version and recomputes. *)
     cond = t.cond;
+    shared_nodes = false;
   }
 
-(* Iterative Tarjan over the Eintra-only subgraph. *)
-let compute_condensation t : condensation =
+(** A copy with its own edges that reads [t]'s node tables, so Opt II can
+    rewire a scratch graph while guided instrumentation keeps the original
+    (Algorithm 1, line 9's caveat). Only the edge arrays and hub sets are
+    duplicated; interning a new node or setting a def on the copy raises. *)
+let copy_edges t =
   let n = t.nnodes in
-  let comp = Array.make n (-1) in
+  {
+    t with
+    succs = Array.sub t.succs 0 n;
+    preds = Array.sub t.preds 0 n;
+    outdeg = Array.sub t.outdeg 0 n;
+    hubs = copy_hubs t;
+    shared_nodes = true;
+  }
+
+(* Iterative Tarjan over the Eintra-only subgraph. The DFS keeps two int
+   stacks: Tarjan's node stack, and the frames, each a node plus the part
+   of its successor list not yet scanned. *)
+let tarjan t comp =
+  let n = t.nnodes in
   let index = Array.make n (-1) in
   let lowlink = Array.make n 0 in
   let on_stack = Bytes.make n '\000' in
-  let stack = ref [] in
+  let stack = Array.make n 0 in
+  let sp = ref 0 in
+  let frame_node = Array.make n 0 in
+  let frame_rest = Array.make n [] in
+  let fp = ref 0 in
   let ncomps = ref 0 in
   let idx = ref 0 in
+  let enter v =
+    index.(v) <- !idx;
+    lowlink.(v) <- !idx;
+    incr idx;
+    stack.(!sp) <- v;
+    incr sp;
+    Bytes.set on_stack v '\001';
+    frame_node.(!fp) <- v;
+    frame_rest.(!fp) <- t.succs.(v);
+    incr fp
+  in
   for root = 0 to n - 1 do
     if index.(root) = -1 then begin
-      index.(root) <- !idx;
-      lowlink.(root) <- !idx;
-      incr idx;
-      stack := root :: !stack;
-      Bytes.set on_stack root '\001';
-      let frames = ref [ (root, ref t.succs.(root)) ] in
-      while !frames <> [] do
-        match !frames with
-        | [] -> ()
-        | (v, rest) :: tl -> (
-          match !rest with
-          | (w, Eintra) :: more when index.(w) = -1 ->
-            rest := more;
-            index.(w) <- !idx;
-            lowlink.(w) <- !idx;
-            incr idx;
-            stack := w :: !stack;
-            Bytes.set on_stack w '\001';
-            frames := (w, ref t.succs.(w)) :: !frames
-          | (w, Eintra) :: more ->
-            rest := more;
-            if Bytes.get on_stack w = '\001' && index.(w) < lowlink.(v) then
-              lowlink.(v) <- index.(w)
-          | (_, (Ecall _ | Eret _)) :: more -> rest := more
-          | [] ->
-            frames := tl;
-            (match tl with
-            | (u, _) :: _ ->
-              if lowlink.(v) < lowlink.(u) then lowlink.(u) <- lowlink.(v)
-            | [] -> ());
-            if lowlink.(v) = index.(v) then begin
-              let c = !ncomps in
-              incr ncomps;
-              let last = ref (-1) in
-              while !last <> v do
-                match !stack with
-                | w :: rest' ->
-                  stack := rest';
-                  Bytes.set on_stack w '\000';
-                  comp.(w) <- c;
-                  last := w
-                | [] -> last := v
-              done
-            end)
+      enter root;
+      while !fp > 0 do
+        let top = !fp - 1 in
+        let v = frame_node.(top) in
+        match frame_rest.(top) with
+        | (w, Eintra) :: more when index.(w) = -1 ->
+          frame_rest.(top) <- more;
+          enter w
+        | (w, Eintra) :: more ->
+          frame_rest.(top) <- more;
+          if Bytes.get on_stack w = '\001' && index.(w) < lowlink.(v) then
+            lowlink.(v) <- index.(w)
+        | (_, (Ecall _ | Eret _)) :: more -> frame_rest.(top) <- more
+        | [] ->
+          fp := top;
+          if top > 0 then begin
+            let u = frame_node.(top - 1) in
+            if lowlink.(v) < lowlink.(u) then lowlink.(u) <- lowlink.(v)
+          end;
+          if lowlink.(v) = index.(v) then begin
+            let c = !ncomps in
+            incr ncomps;
+            let last = ref (-1) in
+            while !last <> v do
+              decr sp;
+              let w = stack.(!sp) in
+              Bytes.set on_stack w '\000';
+              comp.(w) <- c;
+              last := w
+            done
+          end
       done
     end
   done;
-  let ncomps = !ncomps in
+  !ncomps
+
+let kind_code = function Eintra -> 0 | Ecall l -> (2 * l) + 1 | Eret l -> (2 * l) + 2
+
+(* Sorts [a.(lo .. hi-1)] ascending. Almost every segment holds one to
+   three entries; the roots' segments hold thousands and need a real
+   sort. *)
+let sort_segment a lo hi =
+  if hi - lo <= 16 then
+    for i = lo + 1 to hi - 1 do
+      let x = a.(i) in
+      let j = ref (i - 1) in
+      while !j >= lo && a.(!j) > x do
+        a.(!j + 1) <- a.(!j);
+        decr j
+      done;
+      a.(!j + 1) <- x
+    done
+  else begin
+    let s = Array.sub a lo (hi - lo) in
+    Array.stable_sort Int.compare s;
+    Array.blit s 0 a lo (hi - lo)
+  end
+
+let compute_condensation t : condensation =
+  let n = t.nnodes in
+  let comp = Array.make n (-1) in
+  let ncomps = tarjan t comp in
   (* Members, CSR by counting sort. *)
   let members_off = Array.make (ncomps + 1) 0 in
   for v = 0 to n - 1 do
@@ -294,77 +358,72 @@ let compute_condensation t : condensation =
     members.(fill.(c)) <- v;
     fill.(c) <- fill.(c) + 1
   done;
-  (* Component-level reversed edges, deduped per (pred-comp, comp, kind) by
-     sorting packed keys; Eintra edges inside one component vanish, which
-     is the whole point. Kinds pack as 0 / 2l+1 / 2l+2. *)
+  (* Component-level reversed edges, CSR by counting sort on the target
+     component, then each segment sorted and deduped; Eintra edges inside
+     one component vanish, which is the whole point. One packed int per
+     edge, [cu lsl ckind_bits lor kind], keeps the hot search loop to a
+     single random load; kinds pack as 0 / 2l+1 / 2l+2, and the kind field
+     is sized to the label range. *)
   let max_label = ref (-1) in
-  for v = 0 to n - 1 do
-    List.iter
-      (fun (_, k) ->
-        match k with
-        | Eintra -> ()
-        | Ecall l | Eret l -> if l > !max_label then max_label := l)
-      t.preds.(v)
-  done;
-  let kspan = (2 * (!max_label + 1)) + 1 in
-  let keys = Array.make t.nedges 0 in
-  let nkeys = ref 0 in
+  let cpred_off = Array.make (ncomps + 1) 0 in
   for v = 0 to n - 1 do
     let cv = comp.(v) in
     List.iter
       (fun (u, k) ->
-        let cu = comp.(u) in
-        let kc =
-          match k with Eintra -> 0 | Ecall l -> (2 * l) + 1 | Eret l -> (2 * l) + 2
-        in
-        if not (cu = cv && kc = 0) then begin
-          keys.(!nkeys) <- ((((cv * ncomps) + cu) * kspan) + kc);
-          incr nkeys
-        end)
+        match k with
+        | Eintra ->
+          if comp.(u) <> cv then cpred_off.(cv + 1) <- cpred_off.(cv + 1) + 1
+        | Ecall l | Eret l ->
+          if l > !max_label then max_label := l;
+          cpred_off.(cv + 1) <- cpred_off.(cv + 1) + 1)
       t.preds.(v)
   done;
-  let keys = Array.sub keys 0 !nkeys in
-  Array.sort Int.compare keys;
-  let nuniq = ref 0 in
-  Array.iteri
-    (fun i k -> if i = 0 || keys.(i - 1) <> k then incr nuniq)
-    keys;
-  let cpred_off = Array.make (ncomps + 1) 0 in
-  let cpred = Array.make !nuniq 0 in
-  (* One packed int per edge keeps the hot search loop to a single random
-     load; the kind field is sized to the label range. *)
+  for c = 1 to ncomps do
+    cpred_off.(c) <- cpred_off.(c) + cpred_off.(c - 1)
+  done;
+  let kspan = (2 * (!max_label + 1)) + 1 in
   let ckind_bits =
     let b = ref 1 in
     while 1 lsl !b < kspan do incr b done;
     !b
   in
-  let j = ref 0 in
-  Array.iteri
-    (fun i key ->
-      if i = 0 || keys.(i - 1) <> key then begin
-        let cu_kc = key in
-        let kc = cu_kc mod kspan in
-        let rest = cu_kc / kspan in
-        let cu = rest mod ncomps in
-        let cv = rest / ncomps in
-        cpred.(!j) <- (cu lsl ckind_bits) lor kc;
-        cpred_off.(cv + 1) <- !j + 1;
-        incr j
-      end)
-    keys;
-  (* cpred_off.(c+1) currently holds the end index only for components with
-     edges; make it a proper running maximum. *)
-  for c = 1 to ncomps do
-    if cpred_off.(c) < cpred_off.(c - 1) then
-      cpred_off.(c) <- cpred_off.(c - 1)
+  let buf = Array.make cpred_off.(ncomps) 0 in
+  let fill = Array.copy cpred_off in
+  for v = 0 to n - 1 do
+    let cv = comp.(v) in
+    List.iter
+      (fun (u, k) ->
+        let cu = comp.(u) in
+        let kc = kind_code k in
+        if not (cu = cv && kc = 0) then begin
+          buf.(fill.(cv)) <- (cu lsl ckind_bits) lor kc;
+          fill.(cv) <- fill.(cv) + 1
+        end)
+      t.preds.(v)
   done;
+  (* Sort and dedup each segment, compacting in place: the write cursor
+     never passes the read cursor. *)
+  let j = ref 0 in
+  for c = 0 to ncomps - 1 do
+    let lo = cpred_off.(c) and hi = cpred_off.(c + 1) in
+    sort_segment buf lo hi;
+    cpred_off.(c) <- !j;
+    for i = lo to hi - 1 do
+      let e = buf.(i) in
+      if i = lo || e <> buf.(!j - 1) then begin
+        buf.(!j) <- e;
+        incr j
+      end
+    done
+  done;
+  cpred_off.(ncomps) <- !j;
   {
     comp;
     ncomps;
     members_off;
     members;
     cpred_off;
-    cpred;
+    cpred = Array.sub buf 0 !j;
     ckind_bits;
     nontrivial_sccs = !nontrivial;
     max_label = !max_label;

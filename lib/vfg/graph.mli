@@ -63,9 +63,16 @@ val nedges : t -> int
 val node_to_string : Ir.Prog.t -> Analysis.Objects.t -> node -> string
 val iter_nodes : (int -> node -> unit) -> t -> unit
 
-(** Deep copy, so Opt II can rewire a scratch graph while guided
-    instrumentation keeps the original. *)
+(** Deep copy of the graph's [nnodes] slots. *)
 val copy : t -> t
+
+(** A copy with its own edges that reads [t]'s node tables, so Opt II can
+    rewire a scratch graph while guided instrumentation keeps the
+    original: only the edge lists, out-degrees and hub sets are
+    duplicated. [intern] of a new node and [set_def] on the copy raise
+    [Invalid_argument]; [t] must not gain nodes while the copy is in
+    use. *)
+val copy_edges : t -> t
 
 (** The quotient of the graph by its intraprocedural ([Eintra]) strongly-
     connected components. Within such an SCC every node reaches every other
@@ -88,5 +95,8 @@ type condensation = {
   max_label : int;          (** highest call-site label on any edge, or -1 *)
 }
 
-(** Cached: recomputed only after a node or edge mutation. *)
+(** Cached: recomputed only after a node or edge mutation. Built without
+    a global sort: Tarjan's components, then [cpred] by counting sort on
+    the target component with each segment sorted and deduped, so every
+    segment is in ascending packed order. *)
 val condensation : t -> condensation

@@ -10,7 +10,21 @@
    Definedness is then re-resolved on the modified graph. Per the paper,
    guided instrumentation afterwards runs on the *original* graph structure
    with the new Γ, so shadow initialization stays correct while the checks
-   (and propagations) suppressed by the new ⊤ states disappear. *)
+   (and propagations) suppressed by the new ⊤ states disappear.
+
+   The pass does work in proportion to the graph, in three trace spans
+   inside [phase.opt2]:
+   - [opt2.closure] builds dense per-program tables (var -> [Top] node,
+     var -> defining instruction, label -> function, block and index) and
+     then every critical's closure as a run of node ids. A closure reads
+     only IR defs and memory SSA, never edges, so all of them can be taken
+     before any rewiring. Membership is a stamped int array: no per-critical
+     table is allocated.
+   - [opt2.rewire] walks each closure's members on an edge-only copy of the
+     graph ([Graph.copy_edges]), in critical order. Dominance and the
+     per-block CFG reachability rows are computed only for the functions
+     and blocks a candidate r needs.
+   - [opt2.resolve] re-resolves Γ on the rewired copy. *)
 
 open Ir.Types
 
@@ -19,84 +33,81 @@ type result = {
   redirected : int;        (* |union of R_x| — the paper's R column *)
 }
 
-let run ?(context_sensitive = true) ?budget (bld : Build.t) : result =
-  let g = Graph.copy bld.graph in
-  let troot = Graph.intern g Graph.Root_t in
-  let p = bld.prog in
-  (* Per-function dominance caches. *)
-  let doms : (fname, Analysis.Dominance.t * Analysis.Dominance.label_positions) Hashtbl.t =
-    Hashtbl.create 16
-  in
-  let dom_of fn =
-    match Hashtbl.find_opt doms fn with
-    | Some d -> d
-    | None ->
-      let f = Ir.Prog.get_func p fn in
-      let d = (Analysis.Dominance.compute f, Analysis.Dominance.label_positions f) in
-      Hashtbl.replace doms fn d;
-      d
-  in
-  (* Per-function block reachability (via >= 1 CFG edge), lazily computed
-     per source block. Dominance alone is not enough to rewire: s
-     dominating def(r) only orders the FIRST executions. If def(r) can
-     reach s again through a back edge, r's value arrives at a *later*
-     execution of s — and rewiring r to T would re-resolve x at s to
-     defined, deleting the very check the "already reported at s"
-     argument relies on. (Found by fuzzing: a loop accumulating an
-     uninitialized array cell into its own index variable.) *)
-  let reach_tbls :
-      (fname, (blockid, (blockid, unit) Hashtbl.t) Hashtbl.t) Hashtbl.t =
-    Hashtbl.create 16
-  in
-  let block_reaches fn b1 b2 =
-    let tbl =
-      match Hashtbl.find_opt reach_tbls fn with
-      | Some t -> t
-      | None ->
-        let t = Hashtbl.create 8 in
-        Hashtbl.replace reach_tbls fn t;
-        t
-    in
-    let set =
-      match Hashtbl.find_opt tbl b1 with
-      | Some s -> s
-      | None ->
-        let f = Ir.Prog.get_func p fn in
-        let s = Hashtbl.create 16 in
-        let stack = ref (Ir.Func.succs f b1) in
-        while !stack <> [] do
-          match !stack with
-          | [] -> ()
-          | b :: rest ->
-            stack := rest;
-            if not (Hashtbl.mem s b) then begin
-              Hashtbl.replace s b ();
-              stack := Ir.Func.succs f b @ !stack
-            end
-        done;
-        Hashtbl.replace tbl b1 s;
-        s
-    in
-    Hashtbl.mem set b2
-  in
-  (* Per-function def tables for MFC computation. *)
-  let def_tbls : (fname, (var, instr_kind) Hashtbl.t) Hashtbl.t = Hashtbl.create 16 in
-  let defs_of fn =
-    match Hashtbl.find_opt def_tbls fn with
-    | Some d -> d
-    | None ->
-      let tbl = Hashtbl.create 64 in
-      Ir.Func.iter_instrs
-        (fun _ i ->
-          match Ir.Instr.def_of i.kind with
-          | Some d -> Hashtbl.replace tbl d i.kind
-          | None -> ())
-        (Ir.Prog.get_func p fn);
-      Hashtbl.replace def_tbls fn tbl;
-      tbl
-  in
+(* Per-program tables: every lookup of the closure walk and the scan is an
+   array read. Functions are numbered in [Ir.Prog.iter_funcs] order. *)
+type index = {
+  funcs : func array;
+  func_ids : (fname, int) Hashtbl.t;
+  top : int array;             (* var -> node id of [Top v], or -1 *)
+  def_func : int array;        (* var -> function defining it, or -1 *)
+  def_kind : instr_kind array; (* var -> its defining instruction *)
+  lbl_func : int array;        (* label -> function holding it, or -1 *)
+  lbl_block : int array;       (* label -> block *)
+  lbl_pos : int array;         (* label -> index in its block; max_int for
+                                  a terminator *)
+}
+
+let index (p : Ir.Prog.t) (g : Graph.t) : index =
+  let funcs = Array.of_list (List.rev (Ir.Prog.fold_funcs (fun acc f -> f :: acc) [] p)) in
+  let func_ids = Hashtbl.create (Array.length funcs) in
+  Array.iteri (fun fi f -> Hashtbl.replace func_ids f.fname fi) funcs;
+  let nvars = Ir.Prog.nvars p and nlabels = Ir.Prog.nlabels p in
+  let top = Array.make nvars (-1) in
+  Graph.iter_nodes
+    (fun id -> function
+      | Graph.Top v -> top.(v) <- id
+      | Graph.Root_t | Graph.Root_f | Graph.Mem _ -> ())
+    g;
+  let def_func = Array.make nvars (-1) in
+  let def_kind = Array.make nvars (Output Undef) in
+  let lbl_func = Array.make nlabels (-1) in
+  let lbl_block = Array.make nlabels 0 in
+  let lbl_pos = Array.make nlabels 0 in
+  Array.iteri
+    (fun fi (f : func) ->
+      Array.iter
+        (fun (b : block) ->
+          List.iteri
+            (fun k (i : instr) ->
+              (match Ir.Instr.def_of i.kind with
+              | Some d ->
+                def_func.(d) <- fi;
+                def_kind.(d) <- i.kind
+              | None -> ());
+              lbl_func.(i.lbl) <- fi;
+              lbl_block.(i.lbl) <- b.bid;
+              lbl_pos.(i.lbl) <- k)
+            b.instrs;
+          lbl_func.(b.term.tlbl) <- fi;
+          lbl_block.(b.term.tlbl) <- b.bid;
+          lbl_pos.(b.term.tlbl) <- max_int)
+        f.blocks)
+    funcs;
+  { funcs; func_ids; top; def_func; def_kind; lbl_func; lbl_block; lbl_pos }
+
+(* Every critical's closure node ids, as CSR over the criticals in order:
+   members of x's must-flow closure (the walk of [Mfc.compute]) plus the
+   concrete mu location of each member load (Algorithm 1, line 4). A
+   critical whose operand is not a variable has an empty closure. *)
+type closures = {
+  crit : Build.critical array;
+  cfunc : int array;           (* critical -> function index *)
+  off : int array;             (* length ncrit + 1 *)
+  nodes : int array;
+}
+
+let closures ?budget (bld : Build.t) (ix : index) (g : Graph.t) : closures =
+  let crit = Array.of_list bld.criticals in
+  let ncrit = Array.length crit in
+  let cfunc = Array.map (fun (c : Build.critical) -> Hashtbl.find ix.func_ids c.cfunc) crit in
+  let off = Array.make (ncrit + 1) 0 in
+  let nodes = ref (Array.make 64 0) in
+  let nn = ref 0 in
+  let var_mark = Array.make (Array.length ix.top) (-1) in
+  let node_mark = Array.make (Graph.nnodes g) (-1) in
   (* Loads annotated with a single concrete location extend the closure into
-     memory (Algorithm 1, line 4). *)
+     memory. The location node of a load is memoized per variable: -2 not
+     yet looked up, -1 none. *)
   let objects = bld.pa.objects in
   let concrete_loc l =
     let o = Analysis.Objects.loc_obj objects l in
@@ -107,105 +118,199 @@ let run ?(context_sensitive = true) ?budget (bld : Build.t) : result =
          not (Analysis.Callgraph.is_recursive bld.cg o.oowner)
        | Analysis.Objects.Obj_heap | Analysis.Objects.Obj_func _ -> false)
   in
-  let redirected = Hashtbl.create 64 in
-  List.iter
-    (fun (c : Build.critical) ->
-      (match budget with
-      | Some b -> Diag.Budget.tick b Diag.Opt2
-      | None -> ());
-      match c.cop with
-      | Var x ->
-        let defs = defs_of c.cfunc in
-        let closure = Mfc.compute defs x in
-        (* Closure node ids: members plus concrete mu locations of member
-           loads. *)
-        let in_closure = Hashtbl.create 32 in
-        let closure_ids = ref [] in
-        let add_id id =
-          if not (Hashtbl.mem in_closure id) then begin
-            Hashtbl.replace in_closure id ();
-            closure_ids := id :: !closure_ids
-          end
-        in
+  let mem_memo = Array.make (Array.length ix.top) (-2) in
+  let mem_node fname v id =
+    if mem_memo.(v) = -2 then
+      mem_memo.(v) <-
+        (match Graph.def_of g id with
+        | Graph.Dinstr (_, l) -> (
+          match Memssa.mu_at (Memssa.func_ssa bld.mssa fname) l with
+          | [ (loc, ver) ] when concrete_loc loc -> (
+            match Graph.find g (Graph.Mem (fname, loc, ver)) with
+            | Some m -> m
+            | None -> -1)
+          | _ -> -1)
+        | _ -> -1);
+    mem_memo.(v)
+  in
+  let add i id =
+    if node_mark.(id) <> i then begin
+      node_mark.(id) <- i;
+      if !nn = Array.length !nodes then begin
+        let a = Array.make (2 * !nn) 0 in
+        Array.blit !nodes 0 a 0 !nn;
+        nodes := a
+      end;
+      !nodes.(!nn) <- id;
+      incr nn
+    end
+  in
+  let track_memory = bld.config.track_memory in
+  for i = 0 to ncrit - 1 do
+    (match budget with
+    | Some b -> Diag.Budget.tick b Diag.Opt2
+    | None -> ());
+    (match crit.(i).cop with
+    | Var x ->
+      let fi = cfunc.(i) in
+      let rec go v =
+        if var_mark.(v) <> i then begin
+          var_mark.(v) <- i;
+          let id = ix.top.(v) in
+          if id >= 0 then add i id;
+          if ix.def_func.(v) = fi then
+            match ix.def_kind.(v) with
+            | Copy (_, o) | Unop (_, _, o) -> operand o
+            | Binop (_, _, o1, o2) ->
+              operand o1;
+              operand o2
+            | Field_addr (_, y, _) -> go y
+            | Index_addr (_, y, o) ->
+              go y;
+              operand o
+            | Load _ ->
+              if track_memory && id >= 0 then begin
+                let m = mem_node crit.(i).cfunc v id in
+                if m >= 0 then add i m
+              end
+            | Const _ | Alloc _ | Global_addr _ | Func_addr _ | Input _ | Call _
+            | Phi _ | Store _ | Output _ ->
+              ()
+        end
+      and operand = function Var y -> go y | Cst _ | Undef -> () in
+      go x
+    | Cst _ | Undef -> ());
+    off.(i + 1) <- !nn
+  done;
+  { crit; cfunc; off; nodes = !nodes }
+
+(* Block reachability (via >= 1 CFG edge), one byte row per source block
+   of a function, computed on first query. Dominance alone is not enough to
+   rewire: s dominating def(r) only orders the FIRST executions. If def(r)
+   can reach s again through a back edge, r's value arrives at a *later*
+   execution of s — and rewiring r to T would re-resolve x at s to defined,
+   deleting the very check the "already reported at s" argument relies on.
+   (Found by fuzzing: a loop accumulating an uninitialized array cell into
+   its own index variable.) *)
+let block_reaches (rows : Bytes.t array array) (f : func) fi b1 b2 =
+  let nb = Array.length f.blocks in
+  if Array.length rows.(fi) = 0 then rows.(fi) <- Array.make nb Bytes.empty;
+  if Bytes.length rows.(fi).(b1) = 0 then begin
+    let row = Bytes.make nb '\000' in
+    let stack = Array.make nb 0 in
+    let sp = ref 0 in
+    let push b =
+      if Bytes.get row b = '\000' then begin
+        Bytes.set row b '\001';
+        stack.(!sp) <- b;
+        incr sp
+      end
+    in
+    List.iter push (Ir.Func.succs f b1);
+    while !sp > 0 do
+      decr sp;
+      List.iter push (Ir.Func.succs f stack.(!sp))
+    done;
+    rows.(fi).(b1) <- row
+  end;
+  Bytes.get rows.(fi).(b1) b2 = '\001'
+
+(* Rewires [g] in place, critical by critical; returns |R|. *)
+let rewire (ix : index) (cl : closures) (g : Graph.t) : int =
+  let troot = Graph.intern g Graph.Root_t in
+  let n = Graph.nnodes g in
+  let in_closure = Array.make n (-1) in
+  let decided = Array.make n (-1) in
+  let redirected = Bytes.make n '\000' in
+  let count = ref 0 in
+  let nfuncs = Array.length ix.funcs in
+  let doms = Array.make nfuncs None in
+  let dom fi =
+    match doms.(fi) with
+    | Some d -> d
+    | None ->
+      let d = Analysis.Dominance.compute ix.funcs.(fi) in
+      doms.(fi) <- Some d;
+      d
+  in
+  let rows = Array.make nfuncs [||] in
+  for i = 0 to Array.length cl.crit - 1 do
+    let lo = cl.off.(i) and hi = cl.off.(i + 1) in
+    if hi > lo then begin
+      let c = cl.crit.(i) in
+      let fi = cl.cfunc.(i) in
+      for k = lo to hi - 1 do
+        in_closure.(cl.nodes.(k)) <- i
+      done;
+      let s_here = ix.lbl_func.(c.clbl) = fi in
+      let bs = ix.lbl_block.(c.clbl) and is = ix.lbl_pos.(c.clbl) in
+      (* Rewire r only when s dominates def(r) (same function) AND no CFG
+         path leads from def(r)'s block back to s's block: then r's value
+         can never be consumed at s, and (must-flow) never anywhere else
+         either — so suppressing its downstream checks loses nothing. A
+         back path means the value is genuinely used at s's next
+         execution; keep everything. *)
+      let qualifies r =
+        match Graph.def_of g r with
+        | Graph.Dinstr (fn, l) | Graph.Dchi (fn, l) ->
+          String.equal fn c.cfunc && s_here
+          && ix.lbl_func.(l) = fi
+          &&
+          let bl = ix.lbl_block.(l) in
+          (if bl = bs then is <= ix.lbl_pos.(l)
+           else Analysis.Dominance.strictly_dominates (dom fi) bs bl)
+          && not (block_reaches rows ix.funcs.(fi) fi bl bs)
+        | Graph.Dparam _ | Graph.Dmemphi _ | Graph.Dentry _ | Graph.Droot -> false
+      in
+      (* R_x: nodes outside the closure with an edge into it. Whether r
+         qualifies does not depend on the edges, so each r is decided once
+         per critical. *)
+      for k = lo to hi - 1 do
         List.iter
-          (fun v ->
-            (match Graph.find g (Graph.Top v) with
-            | Some id -> add_id id
-            | None -> ());
-            match Hashtbl.find_opt defs v with
-            | Some (Load (_, _)) when bld.config.track_memory ->
-              let fs = Memssa.func_ssa bld.mssa c.cfunc in
-              let lbl =
-                match Graph.find g (Graph.Top v) with
-                | Some id -> (
-                  match Graph.def_of g id with
-                  | Graph.Dinstr (_, l) -> Some l
-                  | _ -> None)
-                | None -> None
-              in
-              (match lbl with
-              | Some l -> (
-                match Memssa.mu_at fs l with
-                | [ (loc, ver) ] when concrete_loc loc -> (
-                  match Graph.find g (Graph.Mem (c.cfunc, loc, ver)) with
-                  | Some id -> add_id id
-                  | None -> ())
-                | _ -> ())
-              | None -> ())
-            | _ -> ())
-          closure.members;
-        (* R_x: nodes outside the closure with an edge into it. *)
-        let dom, pos = dom_of c.cfunc in
-        Hashtbl.iter
-          (fun t () ->
-            List.iter
-              (fun (r, _) ->
-                if not (Hashtbl.mem in_closure r) then begin
-                  (* Does s dominate r's defining statement (same function)? *)
-                  let def_lbl =
-                    match Graph.def_of g r with
-                    | Graph.Dinstr (fn, l) | Graph.Dchi (fn, l) ->
-                      if fn = c.cfunc then Some l else None
-                    | Graph.Dparam _ | Graph.Dmemphi _ | Graph.Dentry _
-                    | Graph.Droot ->
-                      None
-                  in
-                  (* Rewire only when def(r) cannot re-reach s: with s
-                     dominating def(r) AND no CFG path from def(r)'s
-                     block back to s's block, r's value can never be
-                     consumed at s, and (must-flow) never anywhere else
-                     either — so suppressing its downstream checks loses
-                     nothing. A back path means the value is genuinely
-                     used at s's next execution; keep everything. *)
-                  let cannot_re_reach l =
-                    match (Hashtbl.find_opt pos l, Hashtbl.find_opt pos c.clbl)
-                    with
-                    | Some (bl, _), Some (bs, _) ->
-                      not (block_reaches c.cfunc bl bs)
-                    | _ -> false
-                  in
-                  match def_lbl with
-                  | Some l
-                    when Analysis.Dominance.label_dominates dom pos c.clbl l
-                         && cannot_re_reach l ->
-                    (* Replace r's edges into the closure by r -> T,
-                       touching only those edges: T's dependents list
-                       grows with every rewiring and is never walked. *)
-                    let into =
-                      List.filter
-                        (fun (d, _) -> Hashtbl.mem in_closure d)
-                        (Graph.succs g r)
-                    in
-                    if into <> [] then begin
-                      List.iter (fun (d, k) -> Graph.remove_edge g ~src:r ~dst:d k) into;
-                      Graph.add_edge g ~src:r ~dst:troot Eintra;
-                      Hashtbl.replace redirected r ()
-                    end
-                  | _ -> ()
-                end)
-              (Graph.preds g t))
-          in_closure
-      | Cst _ | Undef -> ())
-    bld.criticals;
-  let gamma = Resolve.resolve ~context_sensitive ?budget g in
-  { gamma; redirected = Hashtbl.length redirected }
+          (fun (r, _) ->
+            if in_closure.(r) <> i && decided.(r) <> i then begin
+              decided.(r) <- i;
+              if qualifies r then begin
+                (* Replace r's edges into the closure by r -> T, touching
+                   only those edges: T's dependents list grows with every
+                   rewiring and is never walked. *)
+                let moved = ref false in
+                List.iter
+                  (fun (d, kind) ->
+                    if in_closure.(d) = i then begin
+                      Graph.remove_edge g ~src:r ~dst:d kind;
+                      moved := true
+                    end)
+                  (Graph.succs g r);
+                if !moved then begin
+                  Graph.add_edge g ~src:r ~dst:troot Eintra;
+                  if Bytes.get redirected r = '\000' then begin
+                    Bytes.set redirected r '\001';
+                    incr count
+                  end
+                end
+              end
+            end)
+          (Graph.preds g cl.nodes.(k))
+      done
+    end
+  done;
+  !count
+
+let rewired ?budget (bld : Build.t) : Graph.t * int =
+  let g = Graph.copy_edges bld.graph in
+  let ix, cl =
+    Obs.Trace.with_span ~cat:"vfg" "opt2.closure" @@ fun () ->
+    let ix = index bld.prog g in
+    (ix, closures ?budget bld ix g)
+  in
+  let redirected = Obs.Trace.with_span ~cat:"vfg" "opt2.rewire" (fun () -> rewire ix cl g) in
+  (g, redirected)
+
+let run ?(context_sensitive = true) ?budget (bld : Build.t) : result =
+  let g, redirected = rewired ?budget bld in
+  let gamma =
+    Obs.Trace.with_span ~cat:"vfg" "opt2.resolve" (fun () ->
+        Resolve.resolve ~context_sensitive ?budget g)
+  in
+  { gamma; redirected }

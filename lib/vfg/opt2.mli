@@ -16,4 +16,11 @@ type result = {
   redirected : int;        (** |union of R_x| — Table 1's "R" column *)
 }
 
+(** Algorithm 1's rewiring alone: an edge-only copy of the graph
+    ({!Graph.copy_edges}) with every qualifying node rewired to T, and |R|.
+    The copy reads the build's node tables. *)
+val rewired : ?budget:Diag.Budget.t -> Build.t -> Graph.t * int
+
+(** {!rewired}, then Γ re-resolved on the rewired copy. Traced as three
+    spans: [opt2.closure], [opt2.rewire] and [opt2.resolve]. *)
 val run : ?context_sensitive:bool -> ?budget:Diag.Budget.t -> Build.t -> result

@@ -67,8 +67,11 @@ let reach ?(context_sensitive = true) ?(condense = true) ?budget
            Bytes.unsafe_set undef (Array.unsafe_get c.members i) '\001'
          done
        in
-       (* Int-array FIFO — no boxed queue cells in the hot loop. *)
-       let buf = ref (Array.make 1024 0) in
+       (* Int-array FIFO — no boxed queue cells in the hot loop. It holds
+          every state ever queued; one slot per component bounds the
+          context-insensitive search and the Any states of the sensitive
+          one. *)
+       let buf = ref (Array.make (max 16 c.ncomps) 0) in
        let head = ref 0 in
        let tail = ref 0 in
        let enq x =
@@ -116,9 +119,16 @@ let reach ?(context_sensitive = true) ?(condense = true) ?budget
          in
          let mask = (1 lsl shift) - 1 in
          (* Open-addressing set of flat At states (linear probing, -1 =
-            empty) — far cheaper per probe than a bucketed Hashtbl. *)
-         let at_tbl = ref (Array.make 512 (-1)) in
-         let at_mask = ref 511 in
+            empty) — far cheaper per probe than a bucketed Hashtbl. It
+            starts at a sixteenth of the components, rounded up to a power
+            of two, and doubles at load 1/2. *)
+         let at_cap =
+           let cap = ref 16 in
+           while !cap < c.ncomps / 16 do cap := 2 * !cap done;
+           !cap
+         in
+         let at_tbl = ref (Array.make at_cap (-1)) in
+         let at_mask = ref (at_cap - 1) in
          let at_n = ref 0 in
          let at_add k =
            let tbl = !at_tbl in

@@ -116,6 +116,17 @@ let entry_bindings (plan : Instr.Item.plan) =
   Hashtbl.fold (fun fn acts acc -> (fn, acts) :: acc) plan.entry_items []
   |> List.sort compare
 
+(** Words [f ()] allocates: (minor heap, directly in the major heap). A
+    minor collection on both sides settles promotion, so the direct major
+    words are the major words less the promoted ones. *)
+let heap_words f =
+  Gc.minor ();
+  let mi0, pr0, ma0 = Gc.counters () in
+  f ();
+  Gc.minor ();
+  let mi1, pr1, ma1 = Gc.counters () in
+  (mi1 -. mi0, ma1 -. ma0 -. (pr1 -. pr0))
+
 (** Minor-heap words allocated by [f ()], in millions. *)
 let minor_mwords f =
   let w0 = Gc.minor_words () in

@@ -139,6 +139,31 @@ let opt2_tests =
         check_bool "dominating check fires" true (det <> []));
   ]
 
+(* The dense Opt II against [Opt2_reference] (per-critical hash tables,
+   [Mfc.compute], a deep copy) on generated programs at O0+IM and O2: the
+   same R, the same Γ and the same rewired edges. *)
+let opt2_reference_prop seed =
+  let src = Audit.Gen.source ~seed () in
+  List.for_all
+    (fun level ->
+      let _, a = analyze ~level src in
+      let g, r = Vfg.Opt2.rewired a.vfg in
+      let g', r' = Opt2_reference.rewired a.vfg in
+      let o = Vfg.Opt2.run a.vfg and o' = Opt2_reference.run a.vfg in
+      r = r' && o.redirected = o'.redirected
+      && Bytes.equal o.gamma.undef o'.gamma.undef
+      && Opt2_reference.edge_multiset g = Opt2_reference.edge_multiset g')
+    [ Optim.Pipeline.O0_IM; Optim.Pipeline.O2 ]
+
+let opt2_reference_tests =
+  [
+    QCheck_alcotest.to_alcotest
+      (QCheck.Test.make ~name:"dense Opt II = hash-table reference on 100 generated programs"
+         ~count:100
+         (QCheck.make ~print:string_of_int QCheck.Gen.(0 -- 100000))
+         opt2_reference_prop);
+  ]
+
 let costmodel_tests =
   [
     tc "no shadow ops, no slowdown" (fun () ->
@@ -187,7 +212,8 @@ let costmodel_tests =
    II's rewiring and [Instr.Compress.run] were made linear, the digests
    before planning shared one context per graph, [Compress] became two
    worklists and fork 2 went; any change to the analysis or the plans
-   shows up here. *)
+   shows up here. Each row also checks both graphs' cached condensations
+   against the sort-based [Opt2_reference.condensation]. *)
 let golden_row level (p : Workloads.Profile.t) =
   let prog = front ~level (Workloads.Spec2000.source ~scale:5 p) in
   let { Usher.Pipeline.analysis = a; plans; _ } = Usher.Pipeline.prepare prog in
@@ -205,6 +231,13 @@ let golden_row level (p : Workloads.Profile.t) =
           (fun (r : Instr.Guided.result) -> (r.needed_nodes, r.opt1_simplified))
           traversal ) )
   in
+  (* Both graphs' cached condensations against the sort-based reference. *)
+  List.iter
+    (fun (what, g) ->
+      if Vfg.Graph.condensation g <> Opt2_reference.condensation g then
+        Alcotest.failf "%s %s: the %s condensation differs from the reference"
+          p.pname (Optim.Pipeline.level_to_string level) what)
+    [ ("vfg", a.vfg.graph); ("vfg-tl", a.vfg_tl.graph) ];
   let stats, identity = List.split (List.map lane plans) in
   Printf.sprintf "%s %s R=%d %s %s %s" p.pname
     (Optim.Pipeline.level_to_string level)
@@ -272,6 +305,26 @@ let alloc_tests =
         let _, a = analog ~level:Optim.Pipeline.O0_IM Workloads.Spec2000.gcc in
         let mw = minor_mwords (fun () -> ignore (Vfg.Opt2.run a.vfg)) in
         check_bool (Printf.sprintf "%.1f Mwords < 40" mw) true (mw < 40.0));
+    (* Opt II once deep-copied the graph, including the hash table of its
+       node ids, and built a hash table per critical: 8.8 Mwords here,
+       minor and direct major. The dense version copies only the edges and
+       marks closures in stamped arrays. *)
+    tc "Opt II on 176.gcc allocates under 6.5 Mwords, minor and major" (fun () ->
+        let _, a = analog ~level:Optim.Pipeline.O0_IM Workloads.Spec2000.gcc in
+        let minor, major = heap_words (fun () -> ignore (Vfg.Opt2.run a.vfg)) in
+        let mw = (minor +. major) /. 1e6 in
+        check_bool (Printf.sprintf "%.2f Mwords < 6.5" mw) true (mw < 6.5));
+    (* The graph, resolution's FIFO and At table and Andersen's worklist
+       once started at 512 to 1024 slots whatever the program, and every
+       array above 256 words goes straight to the major heap: 26,138 words
+       for this 100-node program. *)
+    tc "analyzing a small generated program allocates under 1,500 major words"
+      (fun () ->
+        let src = Audit.Gen.source ~size:3 ~seed:(Audit.Gen.campaign_seed ~seed:1 0) () in
+        let prog = front ~level:Optim.Pipeline.O0_IM src in
+        ignore (Usher.Pipeline.analyze prog);
+        let _, major = heap_words (fun () -> ignore (Usher.Pipeline.analyze prog)) in
+        check_bool (Printf.sprintf "%.0f words < 1500" major) true (major < 1500.0));
     tc "Compress on 253.perlbmk at O2 allocates under 40 Mwords" (fun () ->
         let level = Optim.Pipeline.O2 in
         let _, a = analog ~level Workloads.Spec2000.perlbmk in
@@ -329,5 +382,5 @@ let alloc_tests =
   ]
 
 let suites =
-  [ ("mfc", mfc_tests); ("opt2", opt2_tests); ("costmodel", costmodel_tests);
+  [ ("mfc", mfc_tests); ("opt2", opt2_tests); ("opt2.reference", opt2_reference_tests); ("costmodel", costmodel_tests);
     ("golden", golden_tests); ("alloc-guard", alloc_tests) ]

@@ -215,11 +215,47 @@ let graph_tests =
         let n = Vfg.Graph.nnodes c in
         ignore (Vfg.Graph.intern c (Vfg.Graph.Top 0));
         check_int "original unchanged" (Vfg.Graph.nnodes g) n);
+    tc "an edge-only copy reads the node tables and refuses new nodes" (fun () ->
+        let _, a = build "int main() { int x = 1; return x; }" in
+        let g = a.vfg.graph in
+        let c = Vfg.Graph.copy_edges g in
+        check_int "T interned" (Vfg.Graph.intern g Vfg.Graph.Root_t)
+          (Vfg.Graph.intern c Vfg.Graph.Root_t);
+        let fresh = Vfg.Graph.Mem ("main", 0, 1_000_000) in
+        check_bool "new node refused" true
+          (match Vfg.Graph.intern c fresh with
+          | _ -> false
+          | exception Invalid_argument _ -> true);
+        check_bool "original has no such node" true (Vfg.Graph.find g fresh = None));
+    (* A call-site label near 2^55 made the old condensation's sort key,
+       ((cv * ncomps) + cu) * kspan + kind, overflow 63 bits: resolution
+       raised "index out of bounds", which the pipeline turns into an
+       all-⊥ Γ. Eleven nodes chain to F, one link an [Ecall] at that
+       label, and one [Eret] edge at the same label leaves the callee. *)
+    tc "a huge call-site label condenses without overflow" (fun () ->
+        let g = Vfg.Graph.create () in
+        ignore (Vfg.Graph.intern g Vfg.Graph.Root_t);
+        let f = Vfg.Graph.intern g Vfg.Graph.Root_f in
+        let v = Array.init 11 (fun i -> Vfg.Graph.intern g (Vfg.Graph.Top i)) in
+        let l = 1 lsl 55 in
+        for i = 0 to 9 do
+          let k = if i = 5 then Vfg.Graph.Ecall l else Vfg.Graph.Eintra in
+          Vfg.Graph.add_edge g ~src:v.(i) ~dst:v.(i + 1) k
+        done;
+        Vfg.Graph.add_edge g ~src:v.(10) ~dst:f Vfg.Graph.Eintra;
+        Vfg.Graph.add_edge g ~src:v.(2) ~dst:v.(3) (Vfg.Graph.Eret l);
+        check_int "13 nodes" 13 (Vfg.Graph.nnodes g);
+        let condensed = Vfg.Resolve.resolve g in
+        let reference = Vfg.Resolve.resolve ~condense:false g in
+        check_bool "condensed Γ = node-level Γ" true
+          (Bytes.equal condensed.undef reference.undef);
+        check_bool "the chain's head is ⊥" true (Vfg.Resolve.is_undef condensed v.(0)));
   ]
 
 (* [Graph]'s edge sets against a reference model: a hash set of
    (src, dst, kind) triples beside newest-first successor and predecessor
-   lists. Random sequences of [add_edge], [remove_edge] and [copy] hit
+   lists. Random sequences of [add_edge], [remove_edge], [copy] and
+   [copy_edges] hit
    duplicates often (few nodes, few kinds); [Fan] gives node 0 up to
    2,000 successors, far beyond the out-degree the analogs produce, and
    [Unfan] takes them away again, so node 0's out-degree crosses the
@@ -230,6 +266,7 @@ type op =
   | Add of int * int * G.edge_kind
   | Remove of int * int * G.edge_kind
   | Copy
+  | Copy_edges
   | Fan of int * G.edge_kind
   | Unfan of int * G.edge_kind
 
@@ -297,7 +334,7 @@ let gen_op =
       [
         (8, map3 (fun s d k -> Add (s, d, k)) (0 -- 7) (0 -- 7) gen_kind);
         (5, map3 (fun s d k -> Remove (s, d, k)) (0 -- 7) dst gen_kind);
-        (1, return Copy);
+        (1, oneofl [ Copy; Copy_edges ]);
         (1, map2 (fun w k -> Fan (w, k)) gen_width gen_kind);
         (1, map2 (fun w k -> Unfan (w, k)) gen_width gen_kind);
       ])
@@ -306,6 +343,7 @@ let show_op = function
   | Add (s, d, _) -> Printf.sprintf "add %d->%d" s d
   | Remove (s, d, _) -> Printf.sprintf "remove %d->%d" s d
   | Copy -> "copy"
+  | Copy_edges -> "copy_edges"
   | Fan (w, _) -> Printf.sprintf "fan %d" w
   | Unfan (w, _) -> Printf.sprintf "unfan %d" w
 
@@ -336,6 +374,10 @@ let edge_set_agrees ops =
     | Copy ->
       originals := (!g, model_copy !m) :: !originals;
       g := G.copy !g;
+      true
+    | Copy_edges ->
+      originals := (!g, model_copy !m) :: !originals;
+      g := G.copy_edges !g;
       true
     | Fan (w, k) ->
       for d = 0 to w - 1 do
