@@ -9,8 +9,11 @@ type t = {
   rpo : blockid array;            (* reverse postorder *)
   rpo_index : int array;          (* block -> position in rpo; -1 unreachable *)
   idom : int array;               (* immediate dominator; -1 for entry/unreachable *)
+  preds : blockid list array;     (* CFG predecessors *)
   children : blockid list array;  (* dominator-tree children *)
-  frontier : blockid list array;  (* dominance frontier *)
+  mutable frontier : blockid list array option;
+      (* dominance frontiers, built by the first [frontier] call: only
+         phi placement reads them *)
   dfs_pre : int array;            (* dominator-tree DFS intervals for O(1) queries *)
   dfs_post : int array;
 }
@@ -58,23 +61,6 @@ let compute (f : func) : t =
     if b <> 0 && idom.(b) >= 0 then children.(idom.(b)) <- b :: children.(idom.(b))
   done;
   if n > 0 then idom.(0) <- -1;
-  (* Dominance frontiers (CHK): for each join point, walk up from each pred
-     until the idom of the join. *)
-  let frontier = Array.make n [] in
-  for b = 0 to n - 1 do
-    if rpo_index.(b) >= 0 && List.length preds.(b) >= 2 then
-      List.iter
-        (fun p ->
-          if rpo_index.(p) >= 0 then begin
-            let runner = ref p in
-            while !runner <> (if b = 0 then -1 else idom.(b)) && !runner <> -1 do
-              if not (List.mem b frontier.(!runner)) then
-                frontier.(!runner) <- b :: frontier.(!runner);
-              runner := if !runner = 0 then -1 else idom.(!runner)
-            done
-          end)
-        preds.(b)
-  done;
   (* DFS numbering of the dominator tree for constant-time dominance tests. *)
   let dfs_pre = Array.make n (-1) and dfs_post = Array.make n (-1) in
   let clock = ref 0 in
@@ -86,11 +72,48 @@ let compute (f : func) : t =
     incr clock
   in
   if n > 0 then dfs 0;
-  { func = f; rpo; rpo_index; idom; children; frontier; dfs_pre; dfs_post }
+  { func = f; rpo; rpo_index; idom; preds; children; frontier = None; dfs_pre; dfs_post }
+
+(* Dominance frontiers (CHK): for each join point [b], walk up from each
+   reachable pred until the idom of [b], adding [b] to each block passed.
+   [b] only enters frontiers while it is the join being walked, so
+   [last.(r) = b] says it is already in [r]'s. *)
+let frontiers t =
+  let n = Array.length t.idom in
+  let idom = t.idom and rpo_index = t.rpo_index and preds = t.preds in
+  let frontier = Array.make n [] in
+  let last = Array.make n (-1) in
+  for b = 0 to n - 1 do
+    match preds.(b) with
+    | _ :: _ :: _ when rpo_index.(b) >= 0 ->
+      List.iter
+        (fun p ->
+          if rpo_index.(p) >= 0 then begin
+            let runner = ref p in
+            while !runner <> (if b = 0 then -1 else idom.(b)) && !runner <> -1 do
+              if last.(!runner) <> b then begin
+                last.(!runner) <- b;
+                frontier.(!runner) <- b :: frontier.(!runner)
+              end;
+              runner := if !runner = 0 then -1 else idom.(!runner)
+            done
+          end)
+        preds.(b)
+    | _ -> ()
+  done;
+  frontier
 
 let idom t b = if t.idom.(b) < 0 then None else Some t.idom.(b)
 let children t b = t.children.(b)
-let frontier t b = t.frontier.(b)
+let preds t = t.preds
+
+let frontier t b =
+  match t.frontier with
+  | Some fr -> fr.(b)
+  | None ->
+    let fr = frontiers t in
+    t.frontier <- Some fr;
+    fr.(b)
 let reachable t b = t.rpo_index.(b) >= 0
 
 (** [dominates t a b] — does block [a] dominate block [b] (reflexively)? *)

@@ -14,7 +14,12 @@ val idom : t -> blockid -> blockid option
 (** Dominator-tree children. *)
 val children : t -> blockid -> blockid list
 
-(** Dominance frontier. *)
+(** The function's CFG predecessors ([Ir.Func.preds]), as computed for
+    the dominator tree. *)
+val preds : t -> blockid list array
+
+(** Dominance frontier. The frontiers of all blocks are built on the
+    first call, so a caller that never asks pays nothing for them. *)
 val frontier : t -> blockid -> blockid list
 
 val reachable : t -> blockid -> bool

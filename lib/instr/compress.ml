@@ -42,19 +42,11 @@ let iter_actions f (plan : Item.plan) =
 (* Held weakly, so a program's scratch goes with the next major
    collection once no pass is using it: holding it strongly kept about a
    megabyte live for the rest of the process. *)
-let scratch = Domain.DLS.new_key (fun () -> Weak.create 1)
+let scratch = Ir.Scratch.make (fun () -> Array.make 8 [||])
 
 (* Scratch slot [k], at least [n] long, its first [n] set to [v]. *)
 let ints k n v =
-  let w = Domain.DLS.get scratch in
-  let s =
-    match Weak.get w 0 with
-    | Some s -> s
-    | None ->
-      let s = Array.make 8 [||] in
-      Weak.set w 0 (Some s);
-      s
-  in
+  let s = Ir.Scratch.get scratch in
   if Array.length s.(k) < n then s.(k) <- Array.make (max n (2 * Array.length s.(k))) 0;
   Array.fill s.(k) 0 n v;
   s.(k)

@@ -40,9 +40,27 @@ let mk_param b name =
    produce distinct names. *)
 let temp_count = Atomic.make 0
 
-let fresh_temp b =
-  let n = Atomic.fetch_and_add temp_count 1 + 1 in
-  fresh_var b (Printf.sprintf "t%d" n)
+(* ["t"] and the decimal digits of [n], as [Printf.sprintf "t%d" n]
+   writes them, without the format interpreter. *)
+let temp_name n =
+  if n < 0 then "t" ^ string_of_int n
+  else begin
+    let len = ref 2 and m = ref n in
+    while !m >= 10 do
+      incr len;
+      m := !m / 10
+    done;
+    let s = Bytes.create !len in
+    Bytes.set s 0 't';
+    let m = ref n in
+    for i = !len - 1 downto 1 do
+      Bytes.set s i (Char.chr (48 + (!m mod 10)));
+      m := !m / 10
+    done;
+    Bytes.unsafe_to_string s
+  end
+
+let fresh_temp b = fresh_var b (temp_name (Atomic.fetch_and_add temp_count 1 + 1))
 
 (** Create a new, empty block and return its id. It is not current yet. *)
 let new_block b : blockid =

@@ -18,6 +18,9 @@ val fresh_var : t -> string -> var
 val mk_param : t -> string -> var
 val fresh_temp : t -> var
 
+(** The name of temporary number [n]: ["t" ^ string_of_int n]. *)
+val temp_name : int -> string
+
 (** Create a new, empty block and return its id (not yet current). *)
 val new_block : t -> blockid
 

@@ -8,13 +8,21 @@ let block (f : func) (b : blockid) = f.blocks.(b)
 
 let succs (f : func) (b : blockid) = Instr.term_succs f.blocks.(b).term.tkind
 
+(* [g] on each successor of [b], in [succs] order, without the list. *)
+let iter_succs g (f : func) (b : blockid) =
+  match f.blocks.(b).term.tkind with
+  | Br (_, b1, b2) -> g b1; g b2
+  | Jmp b1 -> g b1
+  | Ret _ -> ()
+
+(* Blocks are visited from the last, so each list comes out ascending. *)
 let preds (f : func) : blockid list array =
   let n = nblocks f in
   let preds = Array.make n [] in
-  for b = 0 to n - 1 do
-    List.iter (fun s -> preds.(s) <- b :: preds.(s)) (succs f b)
+  for b = n - 1 downto 0 do
+    iter_succs (fun s -> preds.(s) <- b :: preds.(s)) f b
   done;
-  Array.map List.rev preds
+  preds
 
 (** Blocks in reverse postorder from the entry; unreachable blocks excluded. *)
 let reverse_postorder (f : func) : blockid list =
@@ -24,7 +32,7 @@ let reverse_postorder (f : func) : blockid list =
   let rec dfs b =
     if not visited.(b) then begin
       visited.(b) <- true;
-      List.iter dfs (succs f b);
+      iter_succs dfs f b;
       order := b :: !order
     end
   in
@@ -37,7 +45,7 @@ let reachable (f : func) : bool array =
   let rec dfs b =
     if not visited.(b) then begin
       visited.(b) <- true;
-      List.iter dfs (succs f b)
+      iter_succs dfs f b
     end
   in
   if n > 0 then dfs 0;

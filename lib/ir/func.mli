@@ -9,6 +9,9 @@ val block : func -> blockid -> block
 (** CFG successors of a block. *)
 val succs : func -> blockid -> blockid list
 
+(** [iter_succs g f b] calls [g] on each of [succs f b], in order. *)
+val iter_succs : (blockid -> unit) -> func -> blockid -> unit
+
 (** CFG predecessors, for every block at once. *)
 val preds : func -> blockid list array
 

@@ -34,6 +34,22 @@ let uses_of (k : instr_kind) : var list =
   | Phi (_, ins) -> List.concat_map (fun (_, o) -> operand_vars o) ins
   | Output o -> operand_vars o
 
+(** [uses_of] without building the list: [g] sees the same variables in the
+    same order. *)
+let iter_uses g (k : instr_kind) : unit =
+  let o_ = function Var v -> g v | Cst _ | Undef -> () in
+  match k with
+  | Const (_, _) | Global_addr (_, _) | Func_addr (_, _) | Input _ -> ()
+  | Copy (_, o) | Unop (_, _, o) | Output o -> o_ o
+  | Binop (_, _, o1, o2) -> o_ o1; o_ o2
+  | Alloc a -> (match a.asize with Array_of o -> o_ o | Fields _ -> ())
+  | Load (_, y) | Field_addr (_, y, _) -> g y
+  | Store (x, o) | Index_addr (_, x, o) -> g x; o_ o
+  | Call c ->
+    (match c.callee with Indirect v -> g v | Direct _ -> ());
+    List.iter o_ c.cargs
+  | Phi (_, ins) -> List.iter (fun (_, o) -> o_ o) ins
+
 let term_uses (t : term_kind) : var list =
   match t with
   | Br (o, _, _) -> operand_vars o

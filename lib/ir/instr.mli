@@ -12,6 +12,10 @@ val operand_vars : operand -> var list
     and the pointer operands of loads/stores/address computations. *)
 val uses_of : instr_kind -> var list
 
+(** Calls the function on each variable [uses_of] lists, in the same order,
+    without building the list. *)
+val iter_uses : (var -> unit) -> instr_kind -> unit
+
 (** Variables read by a terminator (branch condition, return operand). *)
 val term_uses : term_kind -> var list
 

@@ -49,6 +49,17 @@ let update_func p f =
   p.funcs <- List.map (fun (n, g) -> if n = f.fname then (n, f) else (n, g)) p.funcs;
   Hashtbl.replace p.func_tbl f.fname f
 
+(** Replace every function [fn] by [g fn], in declaration order and in one
+    pass over the list. [g] must keep the function's name. *)
+let map_funcs g p =
+  p.funcs <-
+    List.map
+      (fun (n, fn) ->
+        let fn' = g fn in
+        Hashtbl.replace p.func_tbl n fn';
+        (n, fn'))
+      p.funcs
+
 let find_func p name = Hashtbl.find_opt p.func_tbl name
 
 let get_func p name =

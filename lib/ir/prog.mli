@@ -34,6 +34,11 @@ val add_func : t -> Types.func -> unit
 (** Replace a function in place after a transforming pass. *)
 val update_func : t -> Types.func -> unit
 
+(** [map_funcs g p] replaces every function [fn] by [g fn], in
+    declaration order, in one pass; {!update_func} per function would be
+    quadratic in the number of functions. [g] must keep the name. *)
+val map_funcs : (Types.func -> Types.func) -> t -> unit
+
 val find_func : t -> Types.fname -> Types.func option
 
 (** @raise Invalid_argument on unknown functions. *)

@@ -23,11 +23,11 @@ let check_func (p : Prog.t) (f : func) =
         (Instr.term_succs b.term.tkind);
       List.iter
         (fun ins ->
-          List.iter
+          Instr.iter_uses
             (fun v ->
               if v < 0 || v >= Prog.nvars p then
                 fail "%s: l%d uses unknown variable %d" f.fname ins.lbl v)
-            (Instr.uses_of ins.kind))
+            ins.kind)
         b.instrs)
     f.blocks;
   (* Calls must target known functions with matching arity. *)
@@ -50,47 +50,72 @@ let check (p : Prog.t) =
   Prog.iter_funcs (check_func p) p
 
 (* SSA checks: unique defs; every phi has one operand per predecessor; every
-   use is dominated by its definition. *)
+   use is dominated by its definition.
 
-let check_ssa_func (p : Prog.t) (f : func) =
+   Definitions are marked in one variable-indexed array: [defined.(v) =
+   stamp] when [v] is defined in the function being checked, whose stamp
+   no other function shares. The array outlives the program
+   ([Scratch]). *)
+
+type scratch = { mutable defined : int array; mutable stamp : int }
+
+let kept = Scratch.make (fun () -> { defined = [||]; stamp = 0 })
+
+let define s v =
+  if v >= Array.length s.defined then begin
+    let a = Array.make (max (v + 1) (2 * Array.length s.defined)) 0 in
+    Array.blit s.defined 0 a 0 (Array.length s.defined);
+    s.defined <- a
+  end;
+  s.defined.(v) <- s.stamp
+
+let is_defined s v = v < Array.length s.defined && s.defined.(v) = s.stamp
+
+let check_ssa_func (p : Prog.t) s (f : func) =
+  s.stamp <- s.stamp + 1;
   let preds = Func.preds f in
-  let def_block : (var, blockid) Hashtbl.t = Hashtbl.create 64 in
-  List.iter (fun v -> Hashtbl.replace def_block v 0) f.params;
+  List.iter (define s) f.params;
   Func.iter_instrs
-    (fun b ins ->
+    (fun _ ins ->
       match Instr.def_of ins.kind with
       | Some v ->
-        if Hashtbl.mem def_block v then
+        if is_defined s v then
           fail "%s: variable %s defined twice" f.fname (Prog.var_name p v);
-        Hashtbl.replace def_block v b.bid
+        define s v
       | None -> ())
     f;
-  Func.iter_instrs
-    (fun b ins ->
-      match ins.kind with
-      | Phi (_, ins_list) ->
-        let expected = List.sort compare preds.(b.bid) in
-        let got = List.sort compare (List.map fst ins_list) in
-        if expected <> got then
-          fail "%s: phi in b%d has arms %s but preds %s" f.fname b.bid
-            (String.concat "," (List.map string_of_int got))
-            (String.concat "," (List.map string_of_int expected))
-      | _ -> ())
-    f;
+  Array.iter
+    (fun b ->
+      let expected = lazy (List.sort compare preds.(b.bid)) in
+      List.iter
+        (fun ins ->
+          match ins.kind with
+          | Phi (_, ins_list) ->
+            let expected = Lazy.force expected in
+            let got = List.sort compare (List.map fst ins_list) in
+            if expected <> got then
+              fail "%s: phi in b%d has arms %s but preds %s" f.fname b.bid
+                (String.concat "," (List.map string_of_int got))
+                (String.concat "," (List.map string_of_int expected))
+          | _ -> ())
+        b.instrs)
+    f.blocks;
   (* Dominance of uses: a lightweight check via reverse-postorder dataflow on
      "definitely assigned" sets would duplicate the Dominance module (which
      lives above this library), so we only verify that every used variable has
      some definition in this function or is a parameter/global-owned var. *)
   Func.iter_instrs
     (fun _ ins ->
-      List.iter
+      Instr.iter_uses
         (fun v ->
-          if not (Hashtbl.mem def_block v) then
+          if not (is_defined s v) then
             fail "%s: l%d uses %s which has no definition here" f.fname ins.lbl
               (Prog.var_name p v))
-        (Instr.uses_of ins.kind))
+        ins.kind)
     f
 
 let check_ssa (p : Prog.t) =
   check p;
-  Prog.iter_funcs (check_ssa_func p) p
+  let s = Scratch.get kept in
+  if Array.length s.defined < Prog.nvars p then s.defined <- Array.make (Prog.nvars p) 0;
+  Prog.iter_funcs (check_ssa_func p s) p

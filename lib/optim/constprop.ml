@@ -126,9 +126,9 @@ let run_func (f : func) : bool =
 
 let run (p : P.t) : bool =
   let changed = ref false in
-  P.iter_funcs
+  P.map_funcs
     (fun f ->
       if run_func f then changed := true;
-      P.update_func p (Simplify_cfg.remove_unreachable f))
+      Simplify_cfg.remove_unreachable f)
     p;
   !changed

@@ -170,10 +170,10 @@ let run_func (p : P.t) (f : func) : bool * func =
 
 let run (p : P.t) : bool =
   let changed = ref false in
-  P.iter_funcs
+  P.map_funcs
     (fun f ->
       let c, f' = run_func p f in
       if c then changed := true;
-      P.update_func p f')
+      f')
     p;
   !changed

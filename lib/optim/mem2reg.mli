@@ -9,5 +9,4 @@
 
 type stats = { promoted : int; phis_inserted : int }
 
-val run_func : Ir.Prog.t -> Ir.Types.func -> Ir.Types.func * stats
 val run : Ir.Prog.t -> stats

@@ -5,7 +5,8 @@
    - O1: O0+IM plus constant propagation, copy propagation, CSE and DCE;
    - O2: O1 plus LICM and a second round of the scalar pass suite.
 
-   All pipelines leave the program in SSA form. *)
+   All pipelines leave the program in SSA form. Each pass runs in a trace
+   span named as perf's layers name it. *)
 
 type level = O0_IM | O1 | O2
 
@@ -18,15 +19,18 @@ let scalar_round (p : Ir.Prog.t) : bool =
   let c4 = Dce.run p in
   c1 || c2 || c3 || c4
 
+let span name f = Obs.Trace.with_span ~cat:"optim" name f
+
 let run (level : level) (p : Ir.Prog.t) : unit =
-  ignore (Inline.run p);
-  Simplify_cfg.run p;
-  ignore (Mem2reg.run p);
+  ignore (span "optim.inline" (fun () -> Inline.run p));
+  span "optim.simplify_cfg" (fun () -> Simplify_cfg.run p);
+  ignore (span "optim.mem2reg" (fun () -> Mem2reg.run p));
+  let scalar () = ignore (span "optim.scalar" (fun () -> scalar_round p)) in
   (match level with
   | O0_IM -> ()
-  | O1 -> ignore (scalar_round p)
+  | O1 -> scalar ()
   | O2 ->
-    ignore (scalar_round p);
-    ignore (Licm.run p);
-    ignore (scalar_round p));
-  Ir.Verify.check_ssa p
+    scalar ();
+    ignore (span "optim.licm" (fun () -> Licm.run p));
+    scalar ());
+  span "ir.verify_ssa" (fun () -> Ir.Verify.check_ssa p)

@@ -47,7 +47,4 @@ let remove_unreachable (f : func) : func =
     { f with blocks = Array.of_list blocks }
   end
 
-let run (p : Ir.Prog.t) : unit =
-  Ir.Prog.iter_funcs
-    (fun f -> Ir.Prog.update_func p (remove_unreachable f))
-    p
+let run (p : Ir.Prog.t) : unit = Ir.Prog.map_funcs remove_unreachable p

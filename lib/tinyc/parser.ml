@@ -1,10 +1,14 @@
-(* Recursive-descent parser for TinyC with precedence climbing. *)
+(* Recursive-descent parser for TinyC with precedence climbing.
+
+   Tokens are tested against constant constructors with [==], which
+   compares immediates and never calls the polymorphic [compare]; the
+   tokens that carry a payload ([INT], [IDENT]) are only ever matched. *)
 
 open Token
 
 type t = { toks : Token.spanned array; mutable cur : int }
 
-let create toks = { toks = Array.of_list toks; cur = 0 }
+let create toks = { toks; cur = 0 }
 
 let peek p = p.toks.(p.cur).tok
 let peek_at p n =
@@ -23,7 +27,7 @@ let fail p fmt =
 let advance p = p.cur <- p.cur + 1
 
 let expect p tok =
-  if peek p = tok then advance p
+  if peek p == tok then advance p
   else fail p "expected %S" (Token.to_string tok)
 
 let eat_ident p =
@@ -48,7 +52,7 @@ let parse_base_type p : Ast.ty =
 
 let parse_type p : Ast.ty =
   let base = parse_base_type p in
-  let rec stars ty = if peek p = STAR then (advance p; stars (Ast.Tptr ty)) else ty in
+  let rec stars ty = if peek p == STAR then (advance p; stars (Ast.Tptr ty)) else ty in
   stars base
 
 (* ---- expressions ---- *)
@@ -79,7 +83,7 @@ let rec parse_expr p : Ast.expr =
   (* conditional expressions sit above the binary operators and associate
      to the right, as in C *)
   let cond = parse_binary p 1 in
-  if peek p = QUESTION then begin
+  if peek p == QUESTION then begin
     advance p;
     let then_ = parse_expr p in
     expect p COLON;
@@ -149,11 +153,11 @@ and parse_postfix p : Ast.expr =
   !e
 
 and parse_args p : Ast.expr list =
-  if peek p = RPAREN then []
+  if peek p == RPAREN then []
   else begin
     let rec loop acc =
       let e = parse_expr p in
-      if peek p = COMMA then (advance p; loop (e :: acc))
+      if peek p == COMMA then (advance p; loop (e :: acc))
       else List.rev (e :: acc)
     in
     loop []
@@ -182,7 +186,7 @@ let rec parse_stmt p : Ast.stmt =
     expect p RPAREN;
     let then_ = parse_stmt_as_block p in
     let else_ =
-      if peek p = KW_ELSE then (advance p; parse_stmt_as_block p) else []
+      if peek p == KW_ELSE then (advance p; parse_stmt_as_block p) else []
     in
     Ast.Sif (cond, then_, else_)
   | KW_WHILE ->
@@ -194,16 +198,16 @@ let rec parse_stmt p : Ast.stmt =
   | KW_FOR ->
     advance p;
     expect p LPAREN;
-    let init = if peek p = SEMI then None else Some (parse_simple p) in
+    let init = if peek p == SEMI then None else Some (parse_simple p) in
     expect p SEMI;
-    let cond = if peek p = SEMI then None else Some (parse_expr p) in
+    let cond = if peek p == SEMI then None else Some (parse_expr p) in
     expect p SEMI;
-    let step = if peek p = RPAREN then None else Some (parse_simple p) in
+    let step = if peek p == RPAREN then None else Some (parse_simple p) in
     expect p RPAREN;
     Ast.Sfor (init, cond, step, parse_stmt_as_block p)
   | KW_RETURN ->
     advance p;
-    let e = if peek p = SEMI then None else Some (parse_expr p) in
+    let e = if peek p == SEMI then None else Some (parse_expr p) in
     expect p SEMI;
     Ast.Sreturn e
   | KW_BREAK -> advance p; expect p SEMI; Ast.Sbreak
@@ -222,7 +226,7 @@ let rec parse_stmt p : Ast.stmt =
 and parse_decl p : Ast.stmt =
   let ty = parse_type p in
   let name = eat_ident p in
-  if peek p = LBRACKET then begin
+  if peek p == LBRACKET then begin
     advance p;
     let n =
       match peek p with
@@ -232,7 +236,7 @@ and parse_decl p : Ast.stmt =
     expect p RBRACKET;
     Ast.Sdecl (Ast.Tarr (n, ty), name, None)
   end
-  else if peek p = ASSIGN then begin
+  else if peek p == ASSIGN then begin
     advance p;
     Ast.Sdecl (ty, name, Some (parse_expr p))
   end
@@ -270,7 +274,7 @@ and parse_stmt_as_block p : Ast.stmt list =
 and parse_block p : Ast.stmt list =
   expect p LBRACE;
   let rec loop acc =
-    if peek p = RBRACE then (advance p; List.rev acc)
+    if peek p == RBRACE then (advance p; List.rev acc)
     else loop (parse_stmt p :: acc)
   in
   loop []
@@ -282,7 +286,7 @@ let parse_struct p : Ast.struct_def =
   let sname = eat_ident p in
   expect p LBRACE;
   let rec fields acc =
-    if peek p = RBRACE then (advance p; List.rev acc)
+    if peek p == RBRACE then (advance p; List.rev acc)
     else begin
       let ty = parse_type p in
       let name = eat_ident p in
@@ -295,7 +299,7 @@ let parse_struct p : Ast.struct_def =
   { Ast.sname; sfields }
 
 let parse_item p : Ast.item =
-  if peek p = KW_STRUCT && peek_at p 2 = LBRACE then Ast.Istruct (parse_struct p)
+  if peek p == KW_STRUCT && peek_at p 2 == LBRACE then Ast.Istruct (parse_struct p)
   else begin
     let ty = parse_type p in
     let name = eat_ident p in
@@ -303,12 +307,12 @@ let parse_item p : Ast.item =
     | LPAREN ->
       advance p;
       let rec params acc =
-        if peek p = RPAREN then (advance p; List.rev acc)
+        if peek p == RPAREN then (advance p; List.rev acc)
         else begin
           let pty = parse_type p in
           let pname = eat_ident p in
           let acc = (pty, pname) :: acc in
-          if peek p = COMMA then (advance p; params acc)
+          if peek p == COMMA then (advance p; params acc)
           else (expect p RPAREN; List.rev acc)
         end
       in
@@ -348,6 +352,6 @@ let parse_item p : Ast.item =
 let parse_program (src : string) : Ast.program =
   let p = create (Lexer.tokenize src) in
   let rec loop acc =
-    if peek p = EOF then List.rev acc else loop (parse_item p :: acc)
+    if peek p == EOF then List.rev acc else loop (parse_item p :: acc)
   in
   loop []

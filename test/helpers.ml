@@ -132,3 +132,38 @@ let minor_mwords f =
   let w0 = Gc.minor_words () in
   f ();
   (Gc.minor_words () -. w0) /. 1e6
+
+(** MD5 of a whole program's IR: every function's name, parameters and
+    blocks (labels, kinds, terminators), the globals, the variable table
+    and the label counter. Temporaries are named from a process-global
+    counter, so the number in their ["tN"] names, and in the ["tN$f"]
+    names of their inlined copies, is masked: the digest depends on the
+    program alone, not on what the process compiled before. *)
+let ir_digest (p : Ir.Prog.t) =
+  let open Ir.Types in
+  let funcs =
+    List.map
+      (fun (_, f) ->
+        ( f.fname,
+          f.params,
+          Array.map
+            (fun b -> (b.bid, List.map (fun i -> (i.lbl, i.kind)) b.instrs, b.term))
+            f.blocks ))
+      p.funcs
+  in
+  let mask s =
+    let n = String.length s in
+    let i = ref 1 in
+    while !i < n && s.[!i] >= '0' && s.[!i] <= '9' do incr i done;
+    if n >= 2 && s.[0] = 't' && !i > 1 && (!i = n || s.[!i] = '$') then
+      "t" ^ String.sub s !i (n - !i)
+    else s
+  in
+  let vars =
+    Array.init (Ir.Prog.nvars p) (fun v ->
+        let vi = Ir.Prog.varinfo p v in
+        { vi with vname = mask vi.vname })
+  in
+  Digest.to_hex
+    (Digest.string
+       (Marshal.to_string (funcs, p.globals, vars, p.next_label) [ Marshal.No_sharing ]))

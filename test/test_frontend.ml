@@ -3,7 +3,8 @@
 open Helpers
 module T = Tinyc.Token
 
-let toks src = List.map (fun (s : T.spanned) -> s.tok) (Tinyc.Lexer.tokenize src)
+let toks src =
+  Array.to_list (Array.map (fun (s : T.spanned) -> s.tok) (Tinyc.Lexer.tokenize src))
 
 let lexer_tests =
   [
@@ -39,7 +40,7 @@ let lexer_tests =
             check_int "col" 10 col
           | None -> Alcotest.fail "diagnostic has no location"));
     tc "positions recorded" (fun () ->
-        let s = List.nth (Tinyc.Lexer.tokenize "a\n  b") 1 in
+        let s = (Tinyc.Lexer.tokenize "a\n  b").(1) in
         check_int "line" 2 s.line;
         check_int "col" 3 s.col);
     tc "unexpected character fails" (fun () ->

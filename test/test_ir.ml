@@ -134,6 +134,29 @@ let output n = Ir.Types.Output (Ir.Types.Cst n)
 
 let builder_tests =
   [
+    tc "temporaries are named t and their number" (fun () ->
+        List.iter
+          (fun n -> check_str (string_of_int n) ("t" ^ string_of_int n) (Bld.temp_name n))
+          [ 0; 1; 9; 10; 11; 99; 100; 101; 999_999; 1_000_000; 1234567890; max_int ];
+        let p = Ir.Prog.create () in
+        let b = Bld.create p ~fname:"f" in
+        let name v = (Ir.Prog.varinfo p v).Ir.Types.vname in
+        let x = name (Bld.fresh_temp b) and y = name (Bld.fresh_temp b) in
+        let num s = int_of_string (String.sub s 1 (String.length s - 1)) in
+        check_str "x" ("t" ^ string_of_int (num x)) x;
+        check_int "consecutive" (num x + 1) (num y));
+    tc "map_funcs replaces every function in order" (fun () ->
+        let p = compile "int f() { return 1; } int g() { return 2; } int main() { return f() + g(); }" in
+        let seen = ref [] in
+        Ir.Prog.map_funcs
+          (fun f ->
+            seen := f.Ir.Types.fname :: !seen;
+            { f with Ir.Types.blocks = Array.copy f.Ir.Types.blocks })
+          p;
+        Alcotest.(check (list string)) "order" [ "f"; "g"; "main" ] (List.rev !seen);
+        List.iter
+          (fun (n, f) -> check_bool n true (Ir.Prog.get_func p n == f))
+          p.Ir.Types.funcs);
     tc "interleaved appends keep each block's order" (fun () ->
         let b = Bld.create (Ir.Prog.create ()) ~fname:"f" in
         let ba = Bld.new_block b and bb = Bld.new_block b in

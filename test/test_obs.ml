@@ -559,6 +559,29 @@ let regression_tests =
               | _ -> true
             in
             check_bool "in order, not overlapping" true (disjoint children)));
+    tc "optimizer passes are child spans of frontend.optimize" (fun () ->
+        traced (fun () ->
+            ignore (Usher.Pipeline.front ~level:Optim.Pipeline.O2 regression_src);
+            let spans = ref [] and stack = ref [] in
+            List.iter
+              (fun (ev : Obs.Trace.event) ->
+                match ev.ph with
+                | 'B' ->
+                  spans := (ev.name, List.map fst !stack) :: !spans;
+                  stack := (ev.name, ()) :: !stack
+                | 'E' -> stack := List.tl !stack
+                | _ -> ())
+              (Obs.Trace.events ());
+            let passes =
+              List.filter_map
+                (fun (name, parents) ->
+                  if List.mem "frontend.optimize" parents then Some name else None)
+                (List.rev !spans)
+            in
+            Alcotest.(check (list string)) "passes, in order"
+              [ "optim.inline"; "optim.simplify_cfg"; "optim.mem2reg"; "optim.scalar";
+                "optim.licm"; "optim.scalar"; "ir.verify_ssa" ]
+              passes));
     tc "phase times are non-negative" (fun () ->
         let e =
           Usher.Experiment.run ~name:"reg" ~check_soundness:false regression_src

@@ -348,6 +348,112 @@ let compress_tests =
           Workloads.Spec2000.all);
   ]
 
+(* The dense frontend against [Frontend_reference], kept as it was before:
+   the token stream (tokens, lines and columns, or the diagnostic) and the
+   IR after mem2reg. Both sides compile the same source from scratch, so
+   they agree on every variable id and label; the digest masks only the
+   temporaries' process-global names. *)
+
+module R = Frontend_reference
+
+let lex_result tokenize src =
+  match tokenize src with
+  | toks -> Ok (List.map (fun (t : Tinyc.Token.spanned) -> (t.tok, t.line, t.col)) toks)
+  | exception Diag.Error d -> Error (d.Diag.phase, d.loc, d.message)
+
+let same_tokens src =
+  lex_result (fun s -> Array.to_list (Tinyc.Lexer.tokenize s)) src
+  = lex_result R.Lexer.tokenize src
+
+let before_mem2reg src =
+  let p = compile src in
+  ignore (Optim.Inline.run p);
+  Optim.Simplify_cfg.run p;
+  p
+
+let same_mem2reg src =
+  let p = before_mem2reg src and p' = before_mem2reg src in
+  let s = Optim.Mem2reg.run p and s' = R.run p' in
+  s.promoted = s'.promoted && s.phis_inserted = s'.phis_inserted
+  && ir_digest p = ir_digest p'
+
+let reference_tests =
+  [
+    QCheck_alcotest.to_alcotest
+      (QCheck.Test.make ~count:100
+         ~name:"tokens and mem2reg match the reference (100 generated programs)"
+         QCheck.(
+           make
+             ~print:(fun (size, seed) -> Printf.sprintf "size %d, seed %d" size seed)
+             Gen.(pair (3 -- 8) (0 -- 100000)))
+         (fun (size, seed) ->
+           let src = Audit.Gen.source ~size ~seed () in
+           same_tokens src && same_mem2reg src));
+    (* An unterminated comment, an unexpected character, and the end of
+       input inside a token or right after one. *)
+    tc "malformed and truncated inputs lex as the reference does" (fun () ->
+        List.iter
+          (fun src -> check_bool (String.escaped src) true (same_tokens src))
+          [ "1 /* oops"; "int main() {\n  return a /* oops\n"; "/* a *"; "/*";
+            "a $ b"; "int x = 1;\n\t@"; "a\000b"; "int main() { return 12";
+            "abc"; "x -"; "x <"; "x >"; "x &"; "x |"; "x !"; "x ="; "x /";
+            "// only a comment"; ""; "  \n\r\t " ]);
+    tc "parse diagnostics at the end of input" (fun () ->
+        List.iter
+          (fun (src, line, col, message) ->
+            match Tinyc.Parser.parse_program src with
+            | _ -> Alcotest.failf "%S parsed" src
+            | exception Diag.Error d ->
+              check_bool "phase" true (d.Diag.phase = Diag.Parse);
+              check_bool "location" true (d.loc = Some { Diag.line; col });
+              check_str "message" message d.message)
+          [ ("int main() { return 1 +", 1, 24, "near \"<eof>\": expected expression");
+            ("int main() { return 12", 1, 23, "near \"<eof>\": expected \";\"");
+            ("int g = -", 1, 10,
+             "near \"<eof>\": global initializer must be an integer literal");
+            ("int main() { return 1; }\n/", 2, 1, "near \"/\": expected a type") ]);
+    (* A branch with both arms to one block lists its source twice among
+       that block's preds, and blocks that jump back to the entry walk up
+       through the entry: both reach a frontier twice, which must keep one
+       copy. *)
+    tc "dominance frontiers with a repeated pred and loops to the entry" (fun () ->
+        let func terms =
+          let b = Ir.Builder.create (Ir.Prog.create ()) ~fname:"f" in
+          List.iter
+            (fun t ->
+              Ir.Builder.switch_to b (Ir.Builder.new_block b);
+              Ir.Builder.terminate b t)
+            terms;
+          Ir.Builder.finish b
+        in
+        let open Ir.Types in
+        List.iter
+          (fun (terms, expected) ->
+            let f = func terms in
+            let d = Analysis.Dominance.compute f in
+            let got = Array.init (Array.length f.blocks) (Analysis.Dominance.frontier d) in
+            check_bool "reference" true (got = R.frontiers f);
+            check_bool "expected" true (got = expected))
+          [ ( [ Br (Cst 1, 1, 2); Br (Cst 1, 3, 3); Jmp 3; Ret None ],
+              [| []; [ 3 ]; [ 3 ]; [] |] );
+            ( [ Br (Cst 1, 1, 2); Jmp 0; Jmp 0 ], [| [ 0 ]; [ 0 ]; [ 0 ] |] ) ]);
+    (* Frontiers are built on demand and deduplicated with a stamp; the
+       lists, whose order decides phi order, must not change. *)
+    tc "dominance frontiers match the reference on the 15 analogs" (fun () ->
+        List.iter
+          (fun (pr : Workloads.Profile.t) ->
+            let p = compile (Workloads.Spec2000.source ~scale:5 pr) in
+            Ir.Prog.iter_funcs
+              (fun f ->
+                let d = Analysis.Dominance.compute f in
+                let got = Array.init (Array.length f.blocks) (Analysis.Dominance.frontier d) in
+                if got <> R.frontiers f then
+                  Alcotest.failf "%s: %s frontiers differ" pr.pname f.fname)
+              p)
+          Workloads.Spec2000.all);
+  ]
+
 let suites =
   [ ("mem2reg", mem2reg_tests); ("inline", inline_tests);
-    ("scalar-opts", scalar_tests); ("compress", compress_tests) ]
+    ("scalar-opts", scalar_tests); ("compress", compress_tests);
+    ("frontend.reference", reference_tests) ]

@@ -280,8 +280,60 @@ let golden =
     "300.twolf O2 R=1845 f4db9acea801bdedfdfbeba48b2c386d 6946/933/6833 5907/918/6004 2601/631/2948 2115/631/2456 1777/425/1978 c466ebbab44f5cb3f42a821929f1c1d7";
   ]
 
+(* An MD5 of each analog's SSA IR at scale 5 after [Pipeline.front]
+   ([Helpers.ir_digest]: functions, globals, the variable table with the
+   temporaries' names masked, and the label counter). Recorded before the
+   lexer, the parser's token stream, temporary naming and mem2reg were
+   made dense. *)
+let frontend_golden =
+  [
+    "164.gzip O0+IM 881462fc177f734906521053ae035d52";
+    "164.gzip O2 976b7c2aee53f24f28f27cf6fe0bf14e";
+    "175.vpr O0+IM 80de3f77fff3f49b2cdfeddf0e69727d";
+    "175.vpr O2 cc99bc3352846c9fcba48ca2a2a413e7";
+    "176.gcc O0+IM d78139c0c0429d63271f418bc460d8b6";
+    "176.gcc O2 c52c82211e2f8110c8a0ba90a79ccb41";
+    "177.mesa O0+IM dd8acab6146289e3a2fa44b539b7c059";
+    "177.mesa O2 1e54461e0a83c0351ab4dbb0deb50cf4";
+    "179.art O0+IM 4b3e9964851970ff53cf373a6066a29f";
+    "179.art O2 0380fbd8d45aa1fd7325d966e6506111";
+    "181.mcf O0+IM fcb64398bfa88d352be0369eb2e0cc7e";
+    "181.mcf O2 c6daeeb2b862c2f2456ee0eb9b9d0449";
+    "183.equake O0+IM ae60f10a76b1a47d9333c668d7b1e063";
+    "183.equake O2 ac90191320db44d059808c24245f6ca3";
+    "186.crafty O0+IM faa0c294a8b86e1d0cea461b2e75532f";
+    "186.crafty O2 6e39da5579f4dd8f9e34ab222bb137b5";
+    "188.ammp O0+IM d2e5aeb5be087ac40deb386aa5408603";
+    "188.ammp O2 9aa2e27f754d54f83eee078105988182";
+    "197.parser O0+IM 7af37e529d9fbccd4977f04db9253b01";
+    "197.parser O2 071c827b70162551342d0cffd79dc803";
+    "253.perlbmk O0+IM 5bd9063991c122042d52117c8d54c00b";
+    "253.perlbmk O2 4c9777aa75b33dd748af9471c6c60204";
+    "254.gap O0+IM 2657ee6c8434e197208f47006a776c39";
+    "254.gap O2 34aaec23c29811161304f566c76da498";
+    "255.vortex O0+IM 1a68c995b5ce632b878872dc4dd65e26";
+    "255.vortex O2 8e5eeee21d19c04e403c8a1cb87ae4da";
+    "256.bzip2 O0+IM b4441874f54d0b47e0e12b3ad9f39436";
+    "256.bzip2 O2 dcf3665496654e8f745b600a9f328ce0";
+    "300.twolf O0+IM b97c60a58ad43aaf34f6279cd203fe2e";
+    "300.twolf O2 d2e4a60ae7567b27758d35bce59b5e85";
+  ]
+
 let golden_tests =
   [
+    tc "15 analogs at O0+IM and O2: SSA IR digests" (fun () ->
+        let rows =
+          List.concat_map
+            (fun (p : Workloads.Profile.t) ->
+              List.map
+                (fun level ->
+                  Printf.sprintf "%s %s %s" p.pname
+                    (Optim.Pipeline.level_to_string level)
+                    (ir_digest (front ~level (Workloads.Spec2000.source ~scale:5 p))))
+                [ Optim.Pipeline.O0_IM; Optim.Pipeline.O2 ])
+            Workloads.Spec2000.all
+        in
+        Alcotest.(check (list string)) "rows" frontend_golden rows);
     tc "15 analogs at O0+IM and O2: R, opt2 gamma and plan stats" (fun () ->
         let rows =
           List.concat_map
@@ -379,6 +431,26 @@ let alloc_tests =
         in
         let mw = minor_mwords (fun () -> ignore (Tinyc.Lower.lower_program ast)) in
         check_bool (Printf.sprintf "%.1f Mwords < 20" mw) true (mw < 20.0));
+    (* The lexer once allocated an option per character peeked, and the
+       parser reversed its token list before copying it into an array:
+       4.66 Mwords here. It now reads the source in place (1.81). *)
+    tc "lexing and parsing 176.gcc allocates under 2.5 Mwords" (fun () ->
+        let src = Workloads.Spec2000.source ~scale:5 Workloads.Spec2000.gcc in
+        let mw = minor_mwords (fun () -> ignore (Tinyc.Parser.parse_program src)) in
+        check_bool (Printf.sprintf "%.2f Mwords < 2.5" mw) true (mw < 2.5));
+    (* mem2reg once built hash tables and alloc-by-block matrices per
+       function and rebuilt every instruction it walked past: 11.35
+       Mwords here. Its variable-indexed tables now outlive each
+       function and an instruction is rebuilt only when an operand
+       changes (2.67). *)
+    tc "mem2reg on 176.gcc allocates under 4 Mwords" (fun () ->
+        let p =
+          Tinyc.Lower.compile (Workloads.Spec2000.source ~scale:5 Workloads.Spec2000.gcc)
+        in
+        ignore (Optim.Inline.run p);
+        Optim.Simplify_cfg.run p;
+        let mw = minor_mwords (fun () -> ignore (Optim.Mem2reg.run p)) in
+        check_bool (Printf.sprintf "%.2f Mwords < 4" mw) true (mw < 4.0));
   ]
 
 let suites =
