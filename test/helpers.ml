@@ -3,6 +3,13 @@
 let compile = Tinyc.Lower.compile
 let front ?level src = Usher.Pipeline.front ?level src
 
+(** [src] lowered, inlined and cleaned up: the program mem2reg sees. *)
+let before_mem2reg src =
+  let p = compile src in
+  ignore (Optim.Inline.run p);
+  Optim.Simplify_cfg.run p;
+  p
+
 let analyze ?knobs ?level src =
   let prog = front ?level src in
   (prog, Usher.Pipeline.analyze ?knobs prog)

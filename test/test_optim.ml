@@ -365,12 +365,6 @@ let same_tokens src =
   lex_result (fun s -> Array.to_list (Tinyc.Lexer.tokenize s)) src
   = lex_result R.Lexer.tokenize src
 
-let before_mem2reg src =
-  let p = compile src in
-  ignore (Optim.Inline.run p);
-  Optim.Simplify_cfg.run p;
-  p
-
 let same_mem2reg src =
   let p = before_mem2reg src and p' = before_mem2reg src in
   let s = Optim.Mem2reg.run p and s' = R.run p' in

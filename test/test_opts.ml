@@ -444,11 +444,7 @@ let alloc_tests =
        function and an instruction is rebuilt only when an operand
        changes (2.67). *)
     tc "mem2reg on 176.gcc allocates under 4 Mwords" (fun () ->
-        let p =
-          Tinyc.Lower.compile (Workloads.Spec2000.source ~scale:5 Workloads.Spec2000.gcc)
-        in
-        ignore (Optim.Inline.run p);
-        Optim.Simplify_cfg.run p;
+        let p = before_mem2reg (Workloads.Spec2000.source ~scale:5 Workloads.Spec2000.gcc) in
         let mw = minor_mwords (fun () -> ignore (Optim.Mem2reg.run p)) in
         check_bool (Printf.sprintf "%.2f Mwords < 4" mw) true (mw < 4.0));
   ]
