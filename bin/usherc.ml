@@ -329,6 +329,7 @@ let run_cmd =
     in
     let a = Usher.Pipeline.analyze ~knobs prog in
     let plan, _ = Usher.Pipeline.plan_for a variant in
+    ignore (Usher.Experiment.compress level plan);
     print_degradation a front_events;
     let native, o =
       match
@@ -541,11 +542,48 @@ let bench_cmd =
     Term.(const run $ name_arg $ scale_arg $ level_arg $ engine_arg
           $ knobs_term $ trace_arg $ metrics_arg)
 
-(* ---- audit ---- *)
+(* ---- audit and fuzz: campaigns of the soundness sentinel ---- *)
+
+let campaign_dir_arg =
+  Arg.(value & opt string ".usher-audit"
+       & info [ "dir" ] ~docv:"DIR"
+           ~doc:"Incident artifact + quarantine directory.")
+
+let no_reduce_arg =
+  Arg.(value & flag
+       & info [ "no-reduce" ] ~doc:"Skip ddmin reduction of soundness incidents.")
+
+let quiet_arg =
+  Arg.(value & flag & info [ "quiet" ] ~doc:"Only print the final summary.")
+
+(** The settings [audit] and [fuzz] share; the two spell [--seed] and
+    [--inject-hole] differently. *)
+let campaign_term ~seed_arg ~hole_arg =
+  let make seed budget_ms dir hole no_reduce quiet level engine =
+    {
+      Audit.Loop.default_config with
+      seed;
+      budget_ms;
+      dir;
+      hole;
+      minimize = not no_reduce;
+      level;
+      engine;
+      log = (if quiet then ignore else fun s -> Printf.printf "%s\n%!" s);
+    }
+  in
+  Term.(const make $ seed_arg $ budget_ms_arg $ campaign_dir_arg $ hole_arg
+        $ no_reduce_arg $ quiet_arg $ level_arg $ engine_arg)
+
+let print_incidents (s : Audit.Loop.summary) =
+  Printf.printf
+    "incidents: %d soundness, %d precision  quarantined: %s  healed: %d\n"
+    s.soundness_incidents s.precision_incidents
+    (match s.quarantined with [] -> "none" | q -> String.concat ", " q)
+    s.healed
 
 let audit_cmd =
-  let run corpus scale mutants seed budget_ms dir hole no_reduce quiet level
-      engine trace metrics =
+  let run corpus scale mutants cfg trace metrics =
     observed trace metrics @@ fun () ->
     let profiles =
       match corpus with
@@ -558,32 +596,12 @@ let audit_cmd =
               Diag.error Diag.Driver "unknown benchmark %s" n)
           names
     in
-    let cfg =
-      {
-        Audit.Loop.default_config with
-        profiles;
-        scale;
-        mutants;
-        seed;
-        budget_ms;
-        dir;
-        hole;
-        minimize = not no_reduce;
-        level;
-        engine;
-        log = (if quiet then ignore else fun s -> Printf.printf "%s\n%!" s);
-      }
-    in
-    let s = Audit.Loop.run cfg in
+    let s = Audit.Loop.run cfg ~profiles ~scale ~mutants in
     Printf.printf
       "audit: %d program(s), %d mutant(s), %d skipped%s\n"
-      s.programs s.mutants_run s.skipped
+      (s.audited - s.mutants_run) s.mutants_run s.skipped
       (if s.out_of_time then " (budget expired)" else "");
-    Printf.printf
-      "incidents: %d soundness, %d precision  quarantined: %s  healed: %d\n"
-      s.soundness_incidents s.precision_incidents
-      (match s.quarantined with [] -> "none" | q -> String.concat ", " q)
-      s.healed;
+    print_incidents s;
     List.iter
       (fun (i : Audit.Incident.t) ->
         Printf.printf "  %s %s (%s)\n"
@@ -608,25 +626,12 @@ let audit_cmd =
   let seed_arg =
     Arg.(value & opt int 1 & info [ "seed" ] ~doc:"Fuzzing seed (determinism).")
   in
-  let dir_arg =
-    Arg.(value & opt string ".usher-audit"
-         & info [ "dir" ] ~docv:"DIR"
-             ~doc:"Incident artifact + quarantine directory.")
-  in
   let hole_arg =
     Arg.(value & opt (some string) None
          & info [ "inject-hole" ] ~docv:"PREFIX"
              ~doc:"Test hook: delete every check guided plans place in \
                    functions whose name starts with $(docv) — a seeded \
                    soundness bug the sentinel must catch.")
-  in
-  let no_reduce_arg =
-    Arg.(value & flag
-         & info [ "no-reduce" ]
-             ~doc:"Skip ddmin reduction of soundness incidents.")
-  in
-  let quiet_arg =
-    Arg.(value & flag & info [ "quiet" ] ~doc:"Only print the final summary.")
   in
   Cmd.v
     (Cmd.info "audit"
@@ -635,58 +640,37 @@ let audit_cmd =
              against interpreter ground truth, capture + reduce incidents, \
              and quarantine implicated functions. Exits 4 if any soundness \
              incident was captured, 0 otherwise.")
-    Term.(const run $ corpus_arg $ scale_arg $ mutants_arg $ seed_arg
-          $ budget_ms_arg $ dir_arg $ hole_arg $ no_reduce_arg $ quiet_arg
-          $ level_arg $ engine_arg $ trace_arg $ metrics_arg)
-
-(* ---- fuzz ---- *)
+    Term.(const run $ corpus_arg $ scale_arg $ mutants_arg
+          $ campaign_term ~seed_arg ~hole_arg $ trace_arg $ metrics_arg)
 
 let fuzz_cmd =
-  let run count seed size budget_ms dir corpus distill promote hole no_reduce
-      quiet level engine trace metrics =
+  let run count size corpus distill promote campaign trace metrics =
     observed trace metrics @@ fun () ->
-    let log = if quiet then ignore else fun s -> Printf.printf "%s\n%!" s in
-    let cfg =
-      {
-        Audit.Fuzz.default_config with
-        count;
-        seed;
-        size;
-        budget_ms;
-        dir;
-        corpus;
-        distill;
-        hole;
-        minimize = not no_reduce;
-        level;
-        engine;
-        log;
-      }
-    in
     match promote with
     | Some src_dir ->
       let dst_dir = Option.value corpus ~default:"examples/corpus" in
-      let p = Audit.Fuzz.promote cfg ~src_dir ~dst_dir in
+      let p = Audit.Fuzz.promote campaign ~src_dir ~dst_dir in
       Printf.printf
         "promote: %d examined, %d promoted, %d redundant, %d rejected -> %s \
          (%d member(s))\n"
         p.p_examined p.p_promoted p.p_redundant p.p_rejected dst_dir p.p_total;
       0
     | None ->
-      let s = Audit.Fuzz.run cfg in
+      let s =
+        Audit.Fuzz.run { campaign; count; size; corpus; distill }
+      in
       Printf.printf
         "fuzz: %d generated, %d audited, %d skipped%s in %.2fs (oracle %.2fs)\n"
-        s.generated s.audited s.skipped
+        s.subjects s.audited s.skipped
         (if s.out_of_time then " (budget expired)" else "")
         s.elapsed_s s.oracle_s;
-      Printf.printf
-        "incidents: %d soundness, %d precision  quarantined: %s  healed: %d\n"
-        s.soundness_incidents s.precision_incidents
-        (match s.quarantined with [] -> "none" | q -> String.concat ", " q)
-        s.healed;
-      if corpus <> None then
-        Printf.printf "corpus: %d distilled this run, %d total\n" s.distilled
-          s.corpus_total;
+      print_incidents s;
+      Option.iter
+        (fun cdir ->
+          Printf.printf "corpus: %d distilled this run, %d total\n"
+            s.distilled
+            (List.length (Audit.Fuzz.corpus_members cdir)))
+        corpus;
       List.iter
         (fun (i : Audit.Incident.t) ->
           Printf.printf "  %s %s (%s) hits %d\n"
@@ -708,11 +692,6 @@ let fuzz_cmd =
   let size_arg =
     Arg.(value & opt int 3
          & info [ "size" ] ~doc:"Generator size (helper functions per program).")
-  in
-  let dir_arg =
-    Arg.(value & opt string ".usher-audit"
-         & info [ "dir" ] ~docv:"DIR"
-             ~doc:"Incident artifact + quarantine directory.")
   in
   let corpus_arg =
     Arg.(value & opt (some string) None
@@ -746,14 +725,6 @@ let fuzz_cmd =
                    helpers are prefixed fz, so --inject-hole fz seeds a \
                    hole the fuzzer must find, reduce and quarantine.")
   in
-  let no_reduce_arg =
-    Arg.(value & flag
-         & info [ "no-reduce" ]
-             ~doc:"Skip ddmin reduction of soundness incidents.")
-  in
-  let quiet_arg =
-    Arg.(value & flag & info [ "quiet" ] ~doc:"Only print the final summary.")
-  in
   Cmd.v
     (Cmd.info "fuzz"
        ~doc:"Generative differential fuzzing: generate seeded, \
@@ -766,9 +737,8 @@ let fuzz_cmd =
              functions; optionally distill novel-coverage programs into a \
              persisted corpus. Exits 4 if any soundness incident was \
              captured, 0 otherwise.")
-    Term.(const run $ count_arg $ seed_arg $ size_arg $ budget_ms_arg
-          $ dir_arg $ corpus_arg $ distill_arg $ promote_arg $ hole_arg
-          $ no_reduce_arg $ quiet_arg $ level_arg $ engine_arg $ trace_arg
+    Term.(const run $ count_arg $ size_arg $ corpus_arg $ distill_arg
+          $ promote_arg $ campaign_term ~seed_arg ~hole_arg $ trace_arg
           $ metrics_arg)
 
 let main =

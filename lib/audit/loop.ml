@@ -1,20 +1,21 @@
-(* The audit loop: the sentinel's outer driver.
+(* The sentinel's campaign loop.
 
-   Feed workload-generated TinyC programs — and AST-level mutants of them
-   — through the differential oracle; for every divergence: capture an
-   incident artifact, ddmin-reduce soundness misses to a small repro,
-   quarantine the implicated functions, and verify that the quarantined
-   re-run covers the missed use again (the self-healing property: a
-   soundness bug costs precision until fixed, never correctness).
+   Every campaign is one loop over subjects: the corpus audit (workload-
+   generated TinyC programs and AST-level mutants of them), generative
+   fuzzing (Fuzz.run) and corpus promotion (Fuzz.promote). For every
+   subject the loop checks the budget, runs the differential oracle once
+   and, when the campaign audits, captures an incident artifact for every
+   divergence, ddmin-reduces soundness misses to a small repro,
+   quarantines the implicated functions, and verifies that the
+   quarantined re-run covers the missed use again (the self-healing
+   property: a soundness bug costs precision until fixed, never
+   correctness). An optional distillation step comes last.
 
    The loop is time-boxed ([budget_ms]) so CI can run it as a smoke test,
-   and fully deterministic in [seed] so any run replays. *)
+   and fully deterministic in its subjects so any run replays. *)
 
 type config = {
-  profiles : Workloads.Profile.t list;  (* corpus generators *)
-  scale : int;                          (* generation scale (100 = nominal) *)
-  mutants : int;                        (* mutants per base program *)
-  seed : int;                           (* fuzzing seed *)
+  seed : int;                           (* campaign seed *)
   budget_ms : int option;               (* wall-clock box for the whole loop *)
   dir : string;                         (* incident + quarantine directory *)
   hole : string option;                 (* test hook: seeded plan-hole prefix *)
@@ -28,9 +29,6 @@ type config = {
 
 let default_config =
   {
-    profiles = Workloads.Spec2000.all;
-    scale = 5;
-    mutants = 3;
     seed = 1;
     budget_ms = None;
     dir = ".usher-audit";
@@ -45,16 +43,29 @@ let default_config =
     log = ignore;
   }
 
+type subject = {
+  name : string;                  (* what log lines call it *)
+  seed : int;                     (* recorded in its incidents *)
+  mutation : string;              (* "" unless it is an AST mutant *)
+  src : (string, string) result;  (* the program, or why there is none *)
+}
+
+type mode = Audit of { feedback : bool } | Judge
+
 type summary = {
-  programs : int;             (* base programs audited *)
-  mutants_run : int;          (* mutants audited *)
-  skipped : int;              (* subjects whose native run trapped *)
+  subjects : int;             (* subjects begun before the budget expired *)
+  audited : int;              (* subjects the oracle accepted *)
+  mutants_run : int;          (* of those, AST mutants *)
+  skipped : int;              (* no program, compile error or native trap *)
   incidents : Incident.t list;        (* newly captured, in order *)
   soundness_incidents : int;  (* misses + behavior divergences *)
   precision_incidents : int;
   quarantined : string list;  (* functions newly quarantined *)
   healed : int;               (* misses covered again under quarantine *)
-  out_of_time : bool;         (* the budget expired before the corpus ended *)
+  distilled : int;            (* subjects the distillation step kept *)
+  out_of_time : bool;         (* the budget expired before the subjects ended *)
+  oracle_s : float;           (* summed oracle wall time, accepted subjects *)
+  elapsed_s : float;
 }
 
 let knobs_summary (k : Usher.Config.knobs) : string =
@@ -107,8 +118,7 @@ let minimize_miss cfg ~knobs ~variant ~func (src : string) : string option =
     end
 
 (* Audit one already-checked subject from its oracle report; returns
-   (incidents, quarantine entries, healed). Split out so the fuzz driver
-   can fingerprint and audit from one oracle run. *)
+   (incidents, quarantine entries, healed). *)
 let audit_report cfg ~knobs ~(seed : int) ~(mutation : string) ~(src : string)
     (report : Oracle.report) : Incident.t list * Quarantine.entry list * int =
     let incidents = ref [] and entries = ref [] and healed = ref 0 in
@@ -215,16 +225,11 @@ let audit_report cfg ~knobs ~(seed : int) ~(mutation : string) ~(src : string)
       report.divergences;
     (List.rev !incidents, List.rev !entries, !healed)
 
-(* Observability: audited-subject / incident totals, plus instant trace
-   events per captured incident (category "audit"). *)
-let m_subjects = Obs.Metrics.counter "audit.subjects"
-let m_skipped = Obs.Metrics.counter "audit.skipped"
-let m_incidents = Obs.Metrics.counter "audit.incidents"
-let m_healed = Obs.Metrics.counter "audit.healed"
-
-let run (cfg : config) : summary =
-  (* Monotonic clock: the audit time-box must not be stretched or blown by
-     a wall-clock step. *)
+let campaign (cfg : config) (mode : mode) ~refused
+    ?(distil = fun _ _ _ -> false) (subjects : (unit -> subject) Seq.t) :
+    summary =
+  (* Monotonic clock: the time-box must not be stretched or blown by a
+     wall-clock step. *)
   let t0 = Obs.Clock.now_s () in
   let deadline =
     Option.map (fun ms -> t0 +. (float_of_int ms /. 1000.0)) cfg.budget_ms
@@ -232,89 +237,140 @@ let run (cfg : config) : summary =
   let out_of_time () =
     match deadline with Some d -> Obs.Clock.now_s () > d | None -> false
   in
-  let programs = ref 0 and mutants_run = ref 0 and skipped = ref 0 in
-  let incidents = ref [] and quarantined = ref [] and healed = ref 0 in
-  let stopped = ref false in
-  (* Quarantine entries accumulated this run apply to later subjects too. *)
-  let knobs = ref (Quarantine.apply_dir cfg.dir cfg.knobs) in
-  let audit ~seed ~mutation src counter =
-    Obs.Metrics.incr m_subjects;
-    match oracle_check cfg ~knobs:!knobs src with
-    | Error e ->
-      incr skipped;
-      Obs.Metrics.incr m_skipped;
-      cfg.log (Printf.sprintf "skipped (%s)" e)
-    | Ok report ->
-      let incs, entries, h =
-        audit_report cfg ~knobs:!knobs ~seed ~mutation ~src report
-      in
-      incr counter;
-      Obs.Metrics.add m_incidents (List.length incs);
-      Obs.Metrics.add m_healed h;
-      List.iter
-        (fun (i : Incident.t) ->
-          Obs.Trace.instant ~cat:"audit"
-            ~args:
-              [
-                ("variant", Obs.Trace.Str i.variant);
-                ("kind", Obs.Trace.Str (Incident.kind_name i.kind));
-              ]
-            ("incident." ^ i.id))
-        incs;
-      incidents := !incidents @ incs;
-      healed := !healed + h;
-      let fresh = Quarantine.add cfg.dir entries in
-      List.iter
-        (fun (e : Quarantine.entry) ->
-          quarantined := !quarantined @ [ e.qfunc ])
-        fresh;
-      knobs := Quarantine.apply fresh !knobs
+  let knobs =
+    ref
+      (match mode with
+      | Audit _ -> Quarantine.apply_dir cfg.dir cfg.knobs
+      | Judge -> cfg.knobs)
   in
-  List.iter
-    (fun (prof : Workloads.Profile.t) ->
-      if !stopped || out_of_time () then stopped := true
-      else begin
-        Obs.Trace.with_span ~cat:"audit" ("audit." ^ prof.pname) @@ fun () ->
-        cfg.log (Printf.sprintf "auditing %s (scale %d)" prof.pname cfg.scale);
-        let base_src = Workloads.Gen.generate ~scale:cfg.scale prof in
-        audit ~seed:prof.seed ~mutation:"" base_src programs;
-        (* Mutants: parse the base once, then mutate deterministically. *)
-        match Tinyc.Parser.parse_program base_src with
-        | exception Diag.Error _ -> ()
-        | ast ->
-          let rng =
-            Workloads.Rng.create (cfg.seed + (1000 * prof.seed))
-          in
-          for m = 1 to cfg.mutants do
-            if (not !stopped) && not (out_of_time ()) then begin
-              match Mutate.random rng ast with
-              | None -> ()
-              | Some (ast', mut, descr) ->
-                let msrc = Tinyc.Pretty.program_to_string ast' in
-                cfg.log
-                  (Printf.sprintf "  mutant %d: %s (%s)" m
-                     (Mutate.to_string mut) descr);
-                audit ~seed:(cfg.seed + m) ~mutation:(Mutate.to_string mut)
-                  msrc mutants_run
-            end
-            else stopped := true
-          done
-      end)
-    cfg.profiles;
+  let begun = ref 0 and audited = ref 0 and mutants_run = ref 0 in
+  let skipped = ref 0 and distilled = ref 0 and oracle_s = ref 0.0 in
+  let incidents = ref [] and quarantined = ref [] and healed = ref 0 in
+  let audit (s : subject) src report feedback =
+    let incs, entries, h =
+      audit_report cfg ~knobs:!knobs ~seed:s.seed ~mutation:s.mutation ~src
+        report
+    in
+    List.iter
+      (fun (i : Incident.t) ->
+        Obs.Trace.instant ~cat:"audit"
+          ~args:
+            [
+              ("variant", Obs.Trace.Str i.variant);
+              ("kind", Obs.Trace.Str (Incident.kind_name i.kind));
+            ]
+          ("incident." ^ i.id))
+      incs;
+    incidents := List.rev_append incs !incidents;
+    healed := !healed + h;
+    let fresh = Quarantine.add cfg.dir entries in
+    List.iter
+      (fun (e : Quarantine.entry) -> quarantined := e.qfunc :: !quarantined)
+      fresh;
+    if feedback then knobs := Quarantine.apply fresh !knobs
+  in
+  let visit (s : subject) =
+    incr begun;
+    let refuse e =
+      incr skipped;
+      cfg.log (refused s e)
+    in
+    let t = Obs.Clock.now_s () in
+    match s.src with
+    | Error e -> refuse e
+    | Ok src -> (
+      match oracle_check cfg ~knobs:!knobs src with
+      | Error e -> refuse e
+      | Ok report ->
+        incr audited;
+        if s.mutation <> "" then incr mutants_run;
+        oracle_s := !oracle_s +. (Obs.Clock.now_s () -. t);
+        (match mode with
+        | Audit { feedback } -> audit s src report feedback
+        | Judge -> ());
+        if distil s src report then incr distilled)
+  in
+  (* The budget is checked before each subject is built, never after the
+     last one. *)
+  let rec go seq =
+    match seq () with
+    | Seq.Nil -> false
+    | Seq.Cons (next, rest) ->
+      out_of_time ()
+      || begin
+        let s = next () in
+        Obs.Trace.with_span ~cat:"audit"
+          ~args:[ ("subject", Obs.Trace.Str s.name) ]
+          "audit.subject"
+          (fun () -> visit s);
+        go rest
+      end
+  in
+  let out_of_time = go subjects in
+  let incidents = List.rev !incidents in
   let n_sound =
     List.length
       (List.filter
          (fun (i : Incident.t) -> i.kind <> Incident.Precision_regression)
-         !incidents)
+         incidents)
   in
   {
-    programs = !programs;
+    subjects = !begun;
+    audited = !audited;
     mutants_run = !mutants_run;
     skipped = !skipped;
-    incidents = !incidents;
+    incidents;
     soundness_incidents = n_sound;
-    precision_incidents = List.length !incidents - n_sound;
-    quarantined = !quarantined;
+    precision_incidents = List.length incidents - n_sound;
+    quarantined = List.rev !quarantined;
     healed = !healed;
-    out_of_time = !stopped;
+    distilled = !distilled;
+    out_of_time;
+    oracle_s = !oracle_s;
+    elapsed_s = Obs.Clock.now_s () -. t0;
   }
+
+(* Observability: audited-subject / incident totals. *)
+let m_subjects = Obs.Metrics.counter "audit.subjects"
+let m_skipped = Obs.Metrics.counter "audit.skipped"
+let m_incidents = Obs.Metrics.counter "audit.incidents"
+let m_healed = Obs.Metrics.counter "audit.healed"
+
+let run (cfg : config) ~(profiles : Workloads.Profile.t list) ~(scale : int)
+    ~(mutants : int) : summary =
+  let subjects (prof : Workloads.Profile.t) =
+    let base = lazy (Workloads.Gen.generate ~scale prof) in
+    let program () =
+      cfg.log (Printf.sprintf "auditing %s (scale %d)" prof.pname scale);
+      { name = prof.pname; seed = prof.seed; mutation = "";
+        src = Ok (Lazy.force base) }
+    in
+    let mutant ast rng m =
+      Mutate.random rng ast
+      |> Option.map (fun (ast', mut, descr) () ->
+             let mutation = Mutate.to_string mut in
+             cfg.log (Printf.sprintf "  mutant %d: %s (%s)" m mutation descr);
+             { name = prof.pname; seed = cfg.seed + m; mutation;
+               src = Ok (Tinyc.Pretty.program_to_string ast') })
+    in
+    (* Mutants: once the base is audited, parse it once, then mutate
+       deterministically. *)
+    let mutants_of () =
+      match Tinyc.Parser.parse_program (Lazy.force base) with
+      | exception Diag.Error _ -> Seq.Nil
+      | ast ->
+        let rng = Workloads.Rng.create (cfg.seed + (1000 * prof.seed)) in
+        Seq.filter_map (mutant ast rng) (Seq.init (max 0 mutants) succ) ()
+    in
+    Seq.cons program mutants_of
+  in
+  let s =
+    campaign cfg (Audit { feedback = true })
+      ~refused:(fun _ e -> Printf.sprintf "skipped (%s)" e)
+      (Seq.concat_map subjects (List.to_seq profiles))
+  in
+  Obs.Metrics.add m_subjects s.subjects;
+  Obs.Metrics.add m_skipped s.skipped;
+  Obs.Metrics.add m_incidents (List.length s.incidents);
+  Obs.Metrics.add m_healed s.healed;
+  s

@@ -142,16 +142,26 @@ and lower_array_base env (e : Ast.expr) : var * Ast.ty =
     | Ast.Tarr (_, ety) -> Some (addr, ety)
     | _ -> None
   in
-  match e with
-  | Ast.Eident _ | Ast.Efield _ | Ast.Earrow _ -> (
-    match (try as_decayed () with Diag.Error _ -> None) with
-    | Some r -> r
-    | None ->
-      let v, ty = lower_value env e in
-      (as_var env v, deref_ty ty))
-  | _ ->
+  let as_pointer () =
     let v, ty = lower_value env e in
     (as_var env v, deref_ty ty)
+  in
+  match e with
+  | Ast.Eident x -> (
+    (* The declared type decides, so a pointer lowers no address first. *)
+    let declared =
+      match lookup_local env x with
+      | Some (_, ty) -> Some ty
+      | None -> Hashtbl.find_opt env.global_tys x
+    in
+    match declared with
+    | Some (Ast.Tarr (_, ety)) -> (fst (lower_lvalue env e), ety)
+    | _ -> as_pointer ())
+  | Ast.Efield _ | Ast.Earrow _ -> (
+    match (try as_decayed () with Diag.Error _ -> None) with
+    | Some r -> r
+    | None -> as_pointer ())
+  | _ -> as_pointer ()
 
 and as_var env (o : operand) : var =
   match o with

@@ -78,6 +78,18 @@ let escaped (prog : Ir.Prog.t) ~(native : Runtime.Interp.outcome)
     native.gt_uses []
   |> List.rev
 
+(* Step (3) of the paper's O1/O2 methodology: rerun the optimizer over
+   the inserted instrumentation (shadow constant folding + shadow
+   dead-code elimination). *)
+let compress (level : Optim.Pipeline.level) (plan : Instr.Item.plan) : int =
+  let span name f = Obs.Trace.with_span ~cat:"instr" ("instr." ^ name) f in
+  if level = Optim.Pipeline.O0_IM then 0
+  else
+    let folded =
+      span "fold_constants" (fun () -> Instr.Compress.fold_constants plan)
+    in
+    folded + span "compress" (fun () -> Instr.Compress.run plan)
+
 let prepare ?(name = "program") ?(level = Optim.Pipeline.O0_IM)
     ?(knobs = Config.default_knobs) (src : string) : prepared =
   let prog, front_events = Pipeline.front_guarded ~level ~knobs src in
@@ -86,22 +98,12 @@ let prepare ?(name = "program") ?(level = Optim.Pipeline.O0_IM)
   in
   let unplanned = front_events @ !(analysis.events) in
   analysis.events := unplanned @ plan_events;
-  (* Step (3) of the paper's O1/O2 methodology: rerun the optimizer over
-     the inserted instrumentation (shadow constant folding + shadow
-     dead-code elimination). *)
-  let span name f = Obs.Trace.with_span ~cat:"instr" ("instr." ^ name) f in
   let lane (v, (plan, traversal)) =
     {
       lvariant = v;
       lplan = plan;
       ltraversal = traversal;
-      lcompressed =
-        (if level <> Optim.Pipeline.O0_IM then
-           let folded =
-             span "fold_constants" (fun () -> Instr.Compress.fold_constants plan)
-           in
-           folded + span "compress" (fun () -> Instr.Compress.run plan)
-         else 0);
+      lcompressed = compress level plan;
     }
   in
   { name; level; src; analysis; unplanned; lanes = List.map lane plans; base }

@@ -66,11 +66,17 @@ val escaped :
   Runtime.Interp.outcome ->
   Ir.Types.label list
 
+(** Step (3) of the paper's O1/O2 methodology, in place: above O0+IM,
+    rerun the optimizer over the inserted instrumentation —
+    {!Instr.Compress.fold_constants}, then {!Instr.Compress.run}, traced
+    as [instr.fold_constants] and [instr.compress] spans. Returns the
+    items removed; an O0+IM plan is left alone. *)
+val compress : Optim.Pipeline.level -> Instr.Item.plan -> int
+
 (** The guarded frontend, then {!Pipeline.prepare} (analysis, all five
     plans, the base compile; on a large program the Usher_TL half runs
-    on a helper domain with the sequential results), the event merge and,
-    at O1/O2, each plan's {!Instr.Compress} (traced as
-    [instr.fold_constants] and [instr.compress] spans). *)
+    on a helper domain with the sequential results), the event merge and
+    each plan's {!compress}. *)
 val prepare :
   ?name:string ->
   ?level:Optim.Pipeline.level ->

@@ -513,29 +513,23 @@ let reduce_prop seed =
 
 (* ---- the audit loop end to end ----------------------------------------- *)
 
-let loop_config dir hole =
-  {
-    Audit.Loop.default_config with
-    profiles = [ Workloads.Spec2000.find "197.parser" ];
-    scale = 3;
-    mutants = 1;
-    dir;
-    hole;
-    log = ignore;
-  }
+let audit_parser dir hole =
+  Audit.Loop.run
+    { Audit.Loop.default_config with dir; hole }
+    ~profiles:[ Workloads.Spec2000.find "197.parser" ]
+    ~scale:3 ~mutants:1
 
 let loop_tests =
   [
     tc "stock corpus sample audits clean" (fun () ->
         let dir = scratch_dir () in
-        let s = Audit.Loop.run (loop_config dir None) in
+        let s = audit_parser dir None in
         check_int "no soundness incidents" 0 s.soundness_incidents;
         check_int "no precision incidents" 0 s.precision_incidents;
         check_int "nothing quarantined" 0 (List.length s.quarantined));
     tc "seeded miss: capture, reduce, quarantine, heal, persist" (fun () ->
         let dir = scratch_dir () in
-        let cfg = loop_config dir (Some "ppmatch") in
-        let s = Audit.Loop.run cfg in
+        let s = audit_parser dir (Some "ppmatch") in
         check_bool "soundness incidents captured" true
           (s.soundness_incidents > 0);
         check_bool "ppmatch quarantined" true
@@ -565,7 +559,7 @@ let loop_tests =
         (* Second run with the same hole: the persisted quarantine forces
            full instrumentation for the buggy function, so the hole no
            longer produces a miss. *)
-        let s2 = Audit.Loop.run cfg in
+        let s2 = audit_parser dir (Some "ppmatch") in
         check_int "quarantine persists across runs" 0 s2.soundness_incidents);
   ]
 

@@ -184,6 +184,14 @@ let lower_tests =
         let p = compile "int main() { int a[3]; a[1] = 2; return a[1]; }" in
         check_bool "index addrs" true
           (count_instrs (function Ir.Types.Index_addr _ -> true | _ -> false) p >= 2));
+    tc "a subscripted pointer global takes its address once" (fun () ->
+        (* One &g for the store and one for the load g[1] reads through;
+           no lvalue attempt leaves a third, unused one. *)
+        let src = "int *g; int main() { int a[4]; a[1] = 3; g = a; return g[1]; }" in
+        check_int "global addrs" 2
+          (count_instrs (function Ir.Types.Global_addr _ -> true | _ -> false)
+             (compile src));
+        check_int "exit" 3 (Runtime.Interp.run_native (front src)).exit_value);
     tc "pointer arithmetic is an address computation" (fun () ->
         let p = compile "int main() { int a[4]; int *p = &a[0]; return *(p + 2); }" in
         check_bool "index addrs" true

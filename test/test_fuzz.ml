@@ -169,6 +169,57 @@ let test_incident_pre_hits_format () =
     check_str "source survives" "abcdefghij" t.Audit.Incident.source
   | Error e -> Alcotest.failf "pre-hits artifact rejected: %s" e
 
+
+(* ---- campaigns end to end ---- *)
+
+(* Every file of [dir] but the lock sidecar, with its contents. *)
+let dir_contents dir =
+  Sys.readdir dir |> Array.to_list
+  |> List.filter (fun f -> f <> "quarantine.lock")
+  |> List.sort compare
+  |> List.map (fun f ->
+         (f, In_channel.with_open_bin (Filename.concat dir f) In_channel.input_all))
+
+(* usherc fuzz --seed 5 --count 40 --inject-hole fz --corpus C --distill *)
+let hole_campaign name =
+  let dir = scratch (name ^ "-dir") and corpus = scratch (name ^ "-corpus") in
+  let s =
+    Audit.Fuzz.run
+      { Audit.Fuzz.default_config with
+        campaign =
+          { Audit.Loop.default_config with seed = 5; hole = Some "fz"; dir };
+        count = 40; corpus = Some corpus; distill = true }
+  in
+  (s, dir, corpus)
+
+let test_campaign_replays () =
+  let s, dir1, corpus1 = hole_campaign "replay-a" in
+  let _, dir2, corpus2 = hole_campaign "replay-b" in
+  check_bool "the seeded hole is caught" true (s.soundness_incidents > 0);
+  check_bool "something is quarantined" true
+    (Sys.file_exists (Filename.concat dir1 "quarantine.list"));
+  check_bool "something is distilled" true (s.distilled > 0);
+  check_bool "identical incidents and quarantine.list" true
+    (dir_contents dir1 = dir_contents dir2);
+  check_bool "identical distilled corpus" true
+    (dir_contents corpus1 = dir_contents corpus2);
+  List.iter rm_rf [ dir1; dir2; corpus2 ];
+  (* Promotion of that corpus into an empty one copies something, and a
+     second promotion copies nothing. *)
+  let curated = scratch "curated" in
+  let promote () =
+    Audit.Fuzz.promote Audit.Loop.default_config ~src_dir:corpus1
+      ~dst_dir:curated
+  in
+  let p1 = promote () in
+  check_bool "first promotion copies members" true (p1.p_promoted >= 1);
+  check_int "every member is judged" p1.p_examined
+    (p1.p_promoted + p1.p_redundant + p1.p_rejected);
+  let p2 = promote () in
+  check_int "second promotion copies nothing" 0 p2.p_promoted;
+  check_int "the curated corpus is unchanged" p1.p_total p2.p_total;
+  List.iter rm_rf [ corpus1; curated ]
+
 let suites =
   [
     ( "fuzz-gen",
@@ -186,4 +237,7 @@ let suites =
         tc "incidents dedup by checksum" test_incident_dedup;
         tc "pre-hits artifacts still load" test_incident_pre_hits_format;
       ] );
+    ( "audit.campaign",
+      [ tc "holed campaign replays; its corpus promotes once"
+          test_campaign_replays ] );
   ]

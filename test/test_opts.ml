@@ -449,6 +449,37 @@ let alloc_tests =
         check_bool (Printf.sprintf "%.2f Mwords < 4" mw) true (mw < 4.0));
   ]
 
+(* [usherc run] plans one variant and compresses it with the function
+   [Experiment.prepare] uses, so at O2 its plan is the bench lane's, and
+   at O0+IM compression leaves the plan alone. *)
+let run_plan_tests =
+  [
+    tc "run's plans are the bench lanes' at O2 and O0+IM" (fun () ->
+        let src = Workloads.Spec2000.source ~scale:5 (Workloads.Spec2000.find "197.parser") in
+        List.iter
+          (fun level ->
+            let p = Usher.Experiment.prepare ~level src in
+            let prog, _ = Usher.Pipeline.front_guarded ~level src in
+            let a = Usher.Pipeline.analyze prog in
+            List.iter
+              (fun (l : Usher.Experiment.lane) ->
+                let plan, _ = Usher.Pipeline.plan_for a l.lvariant in
+                let removed = Usher.Experiment.compress level plan in
+                let what =
+                  Printf.sprintf "%s %s" (Optim.Pipeline.level_to_string level)
+                    (Usher.Config.variant_name l.lvariant)
+                in
+                check_int (what ^ ": items removed") l.lcompressed removed;
+                check_bool (what ^ ": plan stats") true
+                  (Instr.Item.stats_of plan = Instr.Item.stats_of l.lplan))
+              p.lanes;
+            check_bool "O2 compresses something" true
+              (level = Optim.Pipeline.O0_IM
+              || List.exists (fun (l : Usher.Experiment.lane) -> l.lcompressed > 0) p.lanes))
+          [ Optim.Pipeline.O2; Optim.Pipeline.O0_IM ]);
+  ]
+
 let suites =
   [ ("mfc", mfc_tests); ("opt2", opt2_tests); ("opt2.reference", opt2_reference_tests); ("costmodel", costmodel_tests);
-    ("golden", golden_tests); ("alloc-guard", alloc_tests) ]
+    ("golden", golden_tests); ("alloc-guard", alloc_tests);
+    ("experiment.compress", run_plan_tests) ]
