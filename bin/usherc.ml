@@ -274,7 +274,7 @@ let analyze_cmd =
     let src = read_file file in
     let prog, front_events = Usher.Pipeline.front_guarded ~level ~knobs src in
     let a = Usher.Pipeline.analyze ~knobs prog in
-    let plan, guided = Usher.Pipeline.plan_for a variant in
+    let plan, guided = Usher.Experiment.plan_for level a variant in
     let stats = Instr.Item.stats_of plan in
     (* Table 1's %B and S come from the Usher_TL+AT and Usher_OptI plans'
        traversals. Each variant is planned once, so every planning fault is
@@ -328,8 +328,7 @@ let run_cmd =
       Usher.Pipeline.front_guarded ~level ~knobs (read_file file)
     in
     let a = Usher.Pipeline.analyze ~knobs prog in
-    let plan, _ = Usher.Pipeline.plan_for a variant in
-    ignore (Usher.Experiment.compress level plan);
+    let plan, _ = Usher.Experiment.plan_for level a variant in
     print_degradation a front_events;
     let native, o =
       match

@@ -35,24 +35,27 @@ let compute (f : func) : t =
       done;
       !f1
     in
+    (* The processed preds' idoms met, from [d] (-1: none yet). Defined
+       once, so a block's visit allocates no closure or ref. *)
+    let rec meet d = function
+      | [] -> d
+      | p :: rest ->
+        if rpo_index.(p) < 0 || idom.(p) < 0 then meet d rest
+        else meet (if d = -1 then p else intersect p d) rest
+    in
     let changed = ref true in
     while !changed do
       changed := false;
-      Array.iter
-        (fun b ->
-          if b <> 0 then begin
-            let new_idom = ref (-1) in
-            List.iter
-              (fun p ->
-                if rpo_index.(p) >= 0 && idom.(p) >= 0 then
-                  new_idom := if !new_idom = -1 then p else intersect p !new_idom)
-              preds.(b);
-            if !new_idom >= 0 && idom.(b) <> !new_idom then begin
-              idom.(b) <- !new_idom;
-              changed := true
-            end
-          end)
-        rpo
+      for i = 0 to Array.length rpo - 1 do
+        let b = rpo.(i) in
+        if b <> 0 then begin
+          let d = meet (-1) preds.(b) in
+          if d >= 0 && idom.(b) <> d then begin
+            idom.(b) <- d;
+            changed := true
+          end
+        end
+      done
     done
   end;
   (* Entry's idom is conventionally itself during iteration; normalize. *)

@@ -51,8 +51,21 @@ let reachable (f : func) : bool array =
   if n > 0 then dfs 0;
   visited
 
+let rec iter_block g b = function [] -> () | i :: rest -> g b i; iter_block g b rest
+
+(* No closure per block. *)
 let iter_instrs g (f : func) =
-  Array.iter (fun b -> List.iter (fun i -> g b i) b.instrs) f.blocks
+  for k = 0 to Array.length f.blocks - 1 do
+    let b = f.blocks.(k) in
+    iter_block g b b.instrs
+  done
+
+let rec filter_shared keep = function
+  | [] -> []
+  | x :: rest as l ->
+    let kept = keep x in
+    let rest' = filter_shared keep rest in
+    if not kept then rest' else if rest' == rest then l else x :: rest'
 
 (** All variables defined in the function (params included). *)
 let defined_vars (f : func) : var list =

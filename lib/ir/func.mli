@@ -24,6 +24,10 @@ val reachable : func -> bool array
 
 val iter_instrs : (block -> instr -> unit) -> func -> unit
 
+(** [List.filter keep l], calling [keep] in order, sharing the tail after
+    the last element dropped: [l] itself when none is. *)
+val filter_shared : ('a -> bool) -> 'a list -> 'a list
+
 (** All variables defined in the function, parameters included. *)
 val defined_vars : func -> var list
 

@@ -2,15 +2,18 @@
 
 open Types
 
-let def_of (k : instr_kind) : var option =
+let def_var (k : instr_kind) : var =
   match k with
   | Const (x, _) | Copy (x, _) | Unop (x, _, _) | Binop (x, _, _, _)
   | Load (x, _) | Field_addr (x, _, _) | Index_addr (x, _, _)
   | Global_addr (x, _) | Func_addr (x, _) | Input x | Phi (x, _) ->
-    Some x
-  | Alloc a -> Some a.adst
-  | Store (_, _) | Output _ -> None
-  | Call c -> c.cdst
+    x
+  | Alloc a -> a.adst
+  | Store (_, _) | Output _ | Call { cdst = None; _ } -> -1
+  | Call { cdst = Some x; _ } -> x
+
+let def_of (k : instr_kind) : var option =
+  match def_var k with -1 -> None | x -> Some x
 
 let operand_vars (o : operand) : var list =
   match o with Var v -> [ v ] | Cst _ | Undef -> []
@@ -34,21 +37,24 @@ let uses_of (k : instr_kind) : var list =
   | Phi (_, ins) -> List.concat_map (fun (_, o) -> operand_vars o) ins
   | Output o -> operand_vars o
 
-(** [uses_of] without building the list: [g] sees the same variables in the
-    same order. *)
+let use g = function Var v -> g v | Cst _ | Undef -> ()
+let rec use_all g = function [] -> () | o :: r -> use g o; use_all g r
+let rec use_arms g = function [] -> () | (_, o) :: r -> use g o; use_arms g r
+
+(** [uses_of] without building the list (or a closure): [g] sees the same
+    variables in the same order. *)
 let iter_uses g (k : instr_kind) : unit =
-  let o_ = function Var v -> g v | Cst _ | Undef -> () in
   match k with
   | Const (_, _) | Global_addr (_, _) | Func_addr (_, _) | Input _ -> ()
-  | Copy (_, o) | Unop (_, _, o) | Output o -> o_ o
-  | Binop (_, _, o1, o2) -> o_ o1; o_ o2
-  | Alloc a -> (match a.asize with Array_of o -> o_ o | Fields _ -> ())
+  | Copy (_, o) | Unop (_, _, o) | Output o -> use g o
+  | Binop (_, _, o1, o2) -> use g o1; use g o2
+  | Alloc a -> (match a.asize with Array_of o -> use g o | Fields _ -> ())
   | Load (_, y) | Field_addr (_, y, _) -> g y
-  | Store (x, o) | Index_addr (_, x, o) -> g x; o_ o
+  | Store (x, o) | Index_addr (_, x, o) -> g x; use g o
   | Call c ->
     (match c.callee with Indirect v -> g v | Direct _ -> ());
-    List.iter o_ c.cargs
-  | Phi (_, ins) -> List.iter (fun (_, o) -> o_ o) ins
+    use_all g c.cargs
+  | Phi (_, ins) -> use_arms g ins
 
 let term_uses (t : term_kind) : var list =
   match t with
@@ -98,6 +104,25 @@ let map_operands fo (k : instr_kind) : instr_kind =
     Call { c with callee; cargs = List.map fo c.cargs }
   | Phi (x, ins) -> Phi (x, List.map (fun (b, o) -> (b, fo o)) ins)
   | Output o -> Output (fo o)
+
+let moves arg = function Var v -> arg v | Cst _ | Undef -> false
+let rec any_moves arg = function [] -> false | o :: r -> moves arg o || any_moves arg r
+let rec arm_moves arg = function
+  | [] -> false
+  | (_, o) :: r -> moves arg o || arm_moves arg r
+
+let rewrites ~arg ~ptr (k : instr_kind) : bool =
+  match k with
+  | Const _ | Global_addr _ | Func_addr _ | Input _ -> false
+  | Copy (_, o) | Unop (_, _, o) | Output o -> moves arg o
+  | Binop (_, _, o1, o2) -> moves arg o1 || moves arg o2
+  | Alloc a -> (match a.asize with Array_of o -> moves arg o | Fields _ -> false)
+  | Load (_, y) | Field_addr (_, y, _) -> ptr y
+  | Store (x, o) | Index_addr (_, x, o) -> ptr x || moves arg o
+  | Call c ->
+    (match c.callee with Indirect v -> ptr v | Direct _ -> false)
+    || any_moves arg c.cargs
+  | Phi (_, arms) -> arm_moves arg arms
 
 let map_term_operands fo (t : term_kind) : term_kind =
   match t with

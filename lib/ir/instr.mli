@@ -5,6 +5,9 @@ open Types
 (** The top-level variable defined, if any ([Store]/[Output] define none). *)
 val def_of : instr_kind -> var option
 
+(** [def_of] without the option: the defined variable, or [-1]. *)
+val def_var : instr_kind -> var
+
 (** Variables of an operand (zero or one). *)
 val operand_vars : operand -> var list
 
@@ -26,6 +29,11 @@ val term_succs : term_kind -> blockid list
     alone. Pointer operands (which must stay variables) are rewritten only
     when [fo] returns a variable. *)
 val map_operands : (operand -> operand) -> instr_kind -> instr_kind
+
+(** Would [map_operands fo k] differ from [k]? [arg v] says whether [fo]
+    changes [Var v] where it is a plain operand, [ptr v] whether it turns
+    the pointer variable [v] into another variable. Allocates nothing. *)
+val rewrites : arg:(var -> bool) -> ptr:(var -> bool) -> instr_kind -> bool
 
 val map_term_operands : (operand -> operand) -> term_kind -> term_kind
 

@@ -54,10 +54,13 @@ let update_func p f =
 let map_funcs g p =
   p.funcs <-
     List.map
-      (fun (n, fn) ->
+      (fun ((n, fn) as entry) ->
         let fn' = g fn in
-        Hashtbl.replace p.func_tbl n fn';
-        (n, fn'))
+        if fn' == fn then entry
+        else begin
+          Hashtbl.replace p.func_tbl n fn';
+          (n, fn')
+        end)
       p.funcs
 
 let find_func p name = Hashtbl.find_opt p.func_tbl name

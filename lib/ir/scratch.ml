@@ -12,3 +12,11 @@ let get t =
     let v = t.create () in
     Weak.set w 0 (Some v);
     v
+
+let grow a n dummy =
+  if n <= Array.length a then a
+  else begin
+    let b = Array.make (max n (2 * Array.length a)) dummy in
+    Array.blit a 0 b 0 (Array.length a);
+    b
+  end

@@ -12,3 +12,7 @@ val make : (unit -> 'a) -> 'a t
 (** The calling domain's value, made on first use or after a major
     collection freed it. *)
 val get : 'a t -> 'a
+
+(** [grow a n dummy]: [a] when it holds [n] entries, else a copy at least
+    twice as long, padded with [dummy]. *)
+val grow : 'a array -> int -> 'a -> 'a array

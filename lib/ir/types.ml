@@ -139,6 +139,39 @@ let binop_to_string = function
 
 let unop_to_string = function Neg -> "-" | Not -> "~" | Lnot -> "!"
 
+(** Dense codes of the operators, for encodings and hash keys. *)
+let unop_index = function Neg -> 0 | Not -> 1 | Lnot -> 2
+
+let binop_index = function
+  | Add -> 0 | Sub -> 1 | Mul -> 2 | Div -> 3 | Rem -> 4 | And -> 5
+  | Or -> 6 | Xor -> 7 | Shl -> 8 | Shr -> 9 | Lt -> 10 | Le -> 11
+  | Gt -> 12 | Ge -> 13 | Eq -> 14 | Ne -> 15
+
+(** The IR's arithmetic, shared by the interpreter and constant folding:
+    63-bit OCaml ints, division by zero yields 0 and shift counts are
+    clamped, so folding never changes behaviour. *)
+let eval_binop op a b =
+  match op with
+  | Add -> a + b
+  | Sub -> a - b
+  | Mul -> a * b
+  | Div -> if b = 0 then 0 else a / b
+  | Rem -> if b = 0 then 0 else a mod b
+  | And -> a land b
+  | Or -> a lor b
+  | Xor -> a lxor b
+  | Shl -> a lsl (min (b land 63) 62)
+  | Shr -> a asr (min (b land 63) 62)
+  | Lt -> if a < b then 1 else 0
+  | Le -> if a <= b then 1 else 0
+  | Gt -> if a > b then 1 else 0
+  | Ge -> if a >= b then 1 else 0
+  | Eq -> if a = b then 1 else 0
+  | Ne -> if a <> b then 1 else 0
+
+let eval_unop op a =
+  match op with Neg -> -a | Not -> lnot a | Lnot -> if a = 0 then 1 else 0
+
 (** [is_bitwise op] — used by the bit-level-precision refinement of the MFC
     definition (§4.1): closures do not cross non-bitwise operations when
     bit-exactness is requested. We model value-level shadows, so this only

@@ -2,5 +2,4 @@
     later recomputations of available pure expressions become copies.
     Loads are not CSE'd (memory may change between them). *)
 
-val run_func : Ir.Types.func -> bool
 val run : Ir.Prog.t -> bool

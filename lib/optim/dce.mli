@@ -3,5 +3,4 @@
     loads go too — exactly how LLVM's higher levels "hide some uses of
     undefined values" (paper §4.6). True iff anything changed. *)
 
-val run_func : Ir.Types.func -> bool
 val run : Ir.Prog.t -> bool

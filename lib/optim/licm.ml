@@ -9,8 +9,7 @@ module Instr = Ir.Instr
 
 (* Natural loop of back edge (tail -> head): head plus all blocks reaching
    tail without passing through head. *)
-let natural_loop (f : func) (preds : blockid list array) ~head ~tail :
-    (blockid, unit) Hashtbl.t =
+let natural_loop (preds : blockid list array) ~head ~tail : (blockid, unit) Hashtbl.t =
   let body = Hashtbl.create 8 in
   Hashtbl.replace body head ();
   let rec add b =
@@ -19,7 +18,6 @@ let natural_loop (f : func) (preds : blockid list array) ~head ~tail :
       List.iter add preds.(b)
     end
   in
-  ignore f;
   add tail;
   body
 
@@ -34,7 +32,7 @@ let run_func (p : P.t) (f : func) : bool * func =
       List.iter
         (fun s ->
           if Analysis.Dominance.dominates dom s b then begin
-            let body = natural_loop f preds ~head:s ~tail:b in
+            let body = natural_loop preds ~head:s ~tail:b in
             match Hashtbl.find_opt loops s with
             | Some acc -> Hashtbl.iter (fun k () -> Hashtbl.replace acc k ()) body
             | None -> Hashtbl.replace loops s body
@@ -131,26 +129,6 @@ let run_func (p : P.t) (f : func) : bool * func =
                         (fun (pb, o) ->
                           if List.mem pb outside_preds then (ph, o) else (pb, o))
                         arms )
-              | _ -> ())
-            f.blocks.(head).instrs;
-          (* Multiple outside preds all map to the same preheader: merge
-             duplicate arms. *)
-          List.iter
-            (fun i ->
-              match i.kind with
-              | Phi (x, arms) ->
-                let seen = Hashtbl.create 4 in
-                let arms =
-                  List.filter
-                    (fun (pb, _) ->
-                      if Hashtbl.mem seen pb then false
-                      else begin
-                        Hashtbl.replace seen pb ();
-                        true
-                      end)
-                    arms
-                in
-                i.kind <- Phi (x, arms)
               | _ -> ())
             f.blocks.(head).instrs;
           new_blocks :=

@@ -48,14 +48,6 @@ type scratch = {
   mutable substituted : var list;  (* the [subst] entries to reset *)
 }
 
-let grow a n dummy =
-  if n <= Array.length a then a
-  else begin
-    let b = Array.make (max n (2 * Array.length a)) dummy in
-    Array.blit a 0 b 0 (Array.length a);
-    b
-  end
-
 (* The tables outlive the program ([Ir.Scratch]): allocated per program,
    they made [Experiment.run] over 2,000 generated programs 8–11%
    slower. *)
@@ -67,9 +59,9 @@ let kept =
    retired by the stamp, which only grows. *)
 let scratch nvars =
   let sc = Ir.Scratch.get kept in
-  sc.slot <- grow sc.slot nvars not_alloc;
-  sc.escapes <- grow sc.escapes nvars 0;
-  sc.subst <- grow sc.subst nvars no_subst;
+  sc.slot <- Ir.Scratch.grow sc.slot nvars not_alloc;
+  sc.escapes <- Ir.Scratch.grow sc.escapes nvars 0;
+  sc.subst <- Ir.Scratch.grow sc.subst nvars no_subst;
   (* A run that raised may have left entries set. *)
   Array.fill sc.slot 0 (Array.length sc.slot) not_alloc;
   Array.fill sc.subst 0 (Array.length sc.subst) no_subst;
@@ -131,26 +123,12 @@ let promotable_allocs sc (f : func) (cands : alloc list ref) : alloc array =
     allocs
   end
 
-(* Does [k] read a variable whose loads were replaced? If not, rewriting
-   its operands would rebuild it unchanged. [subst] covers the variables
-   of the program as it came in; the phis' variables lie past its end and
-   are never replaced. *)
+(* Was [x] a promoted load's result? If no operand of an instruction
+   was, rewriting its operands would rebuild it unchanged. [subst] covers
+   the variables of the program as it came in; the phis' variables lie
+   past its end and are never replaced. *)
 let var_subst sc x = x < Array.length sc.subst && sc.subst.(x) != no_subst
 let operand_subst sc = function Var x -> var_subst sc x | Cst _ | Undef -> false
-
-let needs_subst sc (k : instr_kind) =
-  match k with
-  | Const _ | Global_addr _ | Func_addr _ | Input _ -> false
-  | Copy (_, a) | Unop (_, _, a) | Output a -> operand_subst sc a
-  | Binop (_, _, a, b) -> operand_subst sc a || operand_subst sc b
-  | Alloc a -> (
-    match a.asize with Array_of a -> operand_subst sc a | Fields _ -> false)
-  | Load (_, y) | Field_addr (_, y, _) -> var_subst sc y
-  | Store (x, a) | Index_addr (_, x, a) -> var_subst sc x || operand_subst sc a
-  | Call c ->
-    (match c.callee with Indirect x -> var_subst sc x | Direct _ -> false)
-    || List.exists (operand_subst sc) c.cargs
-  | Phi (_, arms) -> List.exists (fun (_, a) -> operand_subst sc a) arms
 
 let rec resolve sc (o : operand) : operand =
   match o with
@@ -273,6 +251,8 @@ let rename p sc (f : func) nalloc children (phi_alloc : int array) =
     pushed := k :: !pushed
   in
   let resolve o = resolve sc o in
+  let moved = var_subst sc in
+  let needs_subst k = Instr.rewrites ~arg:moved ~ptr:moved k in
   (* Does the instruction stay? Promoted loads, stores and allocs go. *)
   let keep ins =
     match ins.kind with
@@ -290,17 +270,8 @@ let rename p sc (f : func) nalloc children (phi_alloc : int array) =
       false
     | Alloc a when slot.(a.adst) >= 0 -> false
     | kind ->
-      if needs_subst sc kind then ins.kind <- Instr.map_operands resolve kind;
+      if needs_subst kind then ins.kind <- Instr.map_operands resolve kind;
       true
-  in
-  (* [List.filter keep], in order, sharing the tail after the last
-     instruction dropped. *)
-  let rec rename_all = function
-    | [] -> []
-    | ins :: rest as l ->
-      let kept = keep ins in
-      let rest' = rename_all rest in
-      if not kept then rest' else if rest' == rest then l else ins :: rest'
   in
   (* Set [b]'s arm of the promoted phis that lead a successor's block. *)
   let rec fill b = function
@@ -313,7 +284,7 @@ let rename p sc (f : func) nalloc children (phi_alloc : int array) =
   let rec walk (b : blockid) =
     let blk = f.blocks.(b) in
     let mark = !pushed in
-    blk.instrs <- rename_all blk.instrs;
+    blk.instrs <- Ir.Func.filter_shared keep blk.instrs;
     (match blk.term.tkind with
     | Br (a, _, _) | Ret (Some a) when operand_subst sc a ->
       blk.term.tkind <- Instr.map_term_operands resolve blk.term.tkind
@@ -335,7 +306,7 @@ let rename p sc (f : func) nalloc children (phi_alloc : int array) =
   if sc.substituted != [] then
     Ir.Func.iter_instrs
       (fun _ ins ->
-        if needs_subst sc ins.kind then
+        if needs_subst ins.kind then
           ins.kind <- Instr.map_operands resolve ins.kind)
       f
 

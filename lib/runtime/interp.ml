@@ -600,25 +600,6 @@ let new_obj st ~cells ~init ~name : int =
   st.nobjs <- st.nobjs + 1;
   id
 
-let eval_binop op a b =
-  match op with
-  | Add -> a + b
-  | Sub -> a - b
-  | Mul -> a * b
-  | Div -> if b = 0 then 0 else a / b
-  | Rem -> if b = 0 then 0 else a mod b
-  | And -> a land b
-  | Or -> a lor b
-  | Xor -> a lxor b
-  | Shl -> a lsl (min (b land 63) 62)
-  | Shr -> a asr (min (b land 63) 62)
-  | Lt -> if a < b then 1 else 0
-  | Le -> if a <= b then 1 else 0
-  | Gt -> if a > b then 1 else 0
-  | Ge -> if a >= b then 1 else 0
-  | Eq -> if a = b then 1 else 0
-  | Ne -> if a <> b then 1 else 0
-
 let as_int (v : value) : int =
   match v.v with
   | Vint n -> n
@@ -833,7 +814,7 @@ and exec_block st (f : cfunc) (fr : frame) (bid : int) ~depth : value =
       cnt.alu <- cnt.alu + 1;
       let a = rvalue regs o in
       let n = as_int a in
-      let r = match u with Neg -> -n | Not -> lnot n | Lnot -> if n = 0 then 1 else 0 in
+      let r = eval_unop u n in
       regs.(x) <- { v = Vint r; def = a.def }
     | CBinop (x, bop, o1, o2) ->
       cnt.alu <- cnt.alu + 1;

@@ -136,12 +136,6 @@ let rec lower_lvalue env (e : Ast.expr) : var * Ast.ty =
 (* The pointer a subscript indexes: an array lvalue decays to its base
    address; anything else is evaluated as a pointer value. *)
 and lower_array_base env (e : Ast.expr) : var * Ast.ty =
-  let as_decayed () =
-    let addr, ty = lower_lvalue env e in
-    match ty with
-    | Ast.Tarr (_, ety) -> Some (addr, ety)
-    | _ -> None
-  in
   let as_pointer () =
     let v, ty = lower_value env e in
     (as_var env v, deref_ty ty)
@@ -158,9 +152,12 @@ and lower_array_base env (e : Ast.expr) : var * Ast.ty =
     | Some (Ast.Tarr (_, ety)) -> (fst (lower_lvalue env e), ety)
     | _ -> as_pointer ())
   | Ast.Efield _ | Ast.Earrow _ -> (
-    match (try as_decayed () with Diag.Error _ -> None) with
-    | Some r -> r
-    | None -> as_pointer ())
+    (* The field's type decides: its address is lowered once, and a
+       pointer is loaded from it, as [lower_value] would. *)
+    let addr, ty = lower_lvalue env e in
+    match ty with
+    | Ast.Tarr (_, ety) -> (addr, ety)
+    | _ -> (B.load env.bld addr, deref_ty ty))
   | _ -> as_pointer ()
 
 and as_var env (o : operand) : var =
@@ -509,8 +506,10 @@ let lower_program (ast : Ast.program) : Ir.Prog.t =
     ast;
   List.iter (function Ast.Ifunc f -> lower_func env f | _ -> ()) ast;
   (* Dead blocks created after returns may be unterminated only if lowering
-     had a bug; Builder.finish already asserted otherwise. *)
-  Ir.Verify.check prog;
+     had a bug; Builder.finish already asserted otherwise. The rest of the
+     structure is checked once, with the SSA discipline, after the
+     optimizer ([Ir.Verify.check_ssa]). *)
+  Ir.Verify.check_main prog;
   prog
 
 (** Front-end entry point: parse and lower a TinyC source string. *)

@@ -90,6 +90,11 @@ let compress (level : Optim.Pipeline.level) (plan : Instr.Item.plan) : int =
     in
     folded + span "compress" (fun () -> Instr.Compress.run plan)
 
+let plan_for level a v =
+  let plan, traversal = Pipeline.plan_for a v in
+  ignore (compress level plan);
+  (plan, traversal)
+
 let prepare ?(name = "program") ?(level = Optim.Pipeline.O0_IM)
     ?(knobs = Config.default_knobs) (src : string) : prepared =
   let prog, front_events = Pipeline.front_guarded ~level ~knobs src in

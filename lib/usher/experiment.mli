@@ -73,6 +73,15 @@ val escaped :
     items removed; an O0+IM plan is left alone. *)
 val compress : Optim.Pipeline.level -> Instr.Item.plan -> int
 
+(** {!Pipeline.plan_for}, then {!compress}: one variant's plan as
+    {!prepare} makes its lane, which [usherc analyze] reports and [usherc
+    run] runs. *)
+val plan_for :
+  Optim.Pipeline.level ->
+  Pipeline.analysis ->
+  Config.variant ->
+  Instr.Item.plan * Instr.Guided.result option
+
 (** The guarded frontend, then {!Pipeline.prepare} (analysis, all five
     plans, the base compile; on a large program the Usher_TL half runs
     on a helper domain with the sequential results), the event merge and

@@ -83,7 +83,9 @@ let front ?(level = Optim.Pipeline.O0_IM) (src : string) : Ir.Prog.t =
    there is no sound fallback for source we cannot compile — but an
    optimizer fault degrades to a fresh unoptimized lowering, which is
    valid SSA by construction (the faulting pass may have left the first
-   program half-rewritten). *)
+   program half-rewritten). Lowering checks only that [main] exists, so
+   the fallback's structure is checked here, in place of the optimizer's
+   closing SSA check. *)
 let front_guarded ?(level = Optim.Pipeline.O0_IM)
     ?(knobs = Config.default_knobs) (src : string) :
     Ir.Prog.t * Degrade.event list =
@@ -105,7 +107,9 @@ let front_guarded ?(level = Optim.Pipeline.O0_IM)
       }
     in
     Degrade.observe ev;
-    (parse_and_lower src, [ ev ])
+    let prog = parse_and_lower src in
+    Ir.Verify.check prog;
+    (prog, [ ev ])
 
 (* What the ladder did in one run of the phases. The analysis keeps one
    shared log; each forked branch after memory SSA writes a log of its

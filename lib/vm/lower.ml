@@ -52,13 +52,6 @@ let sop_enc = function
   | I.Sc b -> (0, if b then 1 else 0)
   | I.Ss s -> (1, s)
 
-let unop_enc = function Ir.Types.Neg -> 0 | Ir.Types.Not -> 1 | Ir.Types.Lnot -> 2
-
-let binop_enc : Ir.Types.binop -> int = function
-  | Add -> 0 | Sub -> 1 | Mul -> 2 | Div -> 3 | Rem -> 4 | And -> 5
-  | Or -> 6 | Xor -> 7 | Shl -> 8 | Shr -> 9 | Lt -> 10 | Le -> 11
-  | Gt -> 12 | Ge -> 13 | Eq -> 14 | Ne -> 15
-
 (* The folded shadow phi of a one-lane program, if planned. *)
 let phi_shadow (sh : I.cphi_shadow array) =
   if Array.length sh = 0 then None else Some sh.(0).I.sharms
@@ -202,10 +195,10 @@ let lower_func (ctx : ctx) ~(block0 : int) (f : I.cfunc) : B.func =
       eop B.o_copy; emit b x; emit b ok; emit b ov
     | I.CUnop (x, u, o) ->
       let ok, ov = rop_enc o in
-      eop B.o_unop; emit b x; emit b (unop_enc u); emit b ok; emit b ov
+      eop B.o_unop; emit b x; emit b (Ir.Types.unop_index u); emit b ok; emit b ov
     | I.CBinop (x, bop, o1, o2) ->
       let ok1, ov1 = rop_enc o1 and ok2, ov2 = rop_enc o2 in
-      eop B.o_binop; emit b x; emit b (binop_enc bop);
+      eop B.o_binop; emit b x; emit b (Ir.Types.binop_index bop);
       emit b ok1; emit b ov1; emit b ok2; emit b ov2
     | I.CAlloc { dst; init; size; name } -> (
       match size with

@@ -192,6 +192,19 @@ let lower_tests =
           (count_instrs (function Ir.Types.Global_addr _ -> true | _ -> false)
              (compile src));
         check_int "exit" 3 (Runtime.Interp.run_native (front src)).exit_value);
+    tc "a subscripted pointer field takes its address once" (fun () ->
+        (* One &s->f0 for the store and one for the load s.p[1] reads
+           through (and the same through q->p); no lvalue attempt leaves a
+           third, unused one. *)
+        let src =
+          "struct S { int *p; int n; };\n\
+           int main() { struct S s; struct S *q = &s; int a[4]; a[1] = 3;\n\
+           s.p = a; return s.p[1] + q->p[1]; }"
+        in
+        check_int "field addrs" 3
+          (count_instrs (function Ir.Types.Field_addr (_, _, 0) -> true | _ -> false)
+             (compile src));
+        check_int "exit" 6 (Runtime.Interp.run_native (front src)).exit_value);
     tc "pointer arithmetic is an address computation" (fun () ->
         let p = compile "int main() { int a[4]; int *p = &a[0]; return *(p + 2); }" in
         check_bool "index addrs" true

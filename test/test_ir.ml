@@ -88,6 +88,45 @@ let verify_tests =
         ignore (Ir.Builder.finish b);
         check_bool "raises" true
           (try Ir.Verify.check_ssa p; false with Ir.Verify.Ill_formed _ -> true));
+    (* b0 branches to b1 on both arms, so b1's preds are b0, b0, b2; its
+       phi reads x2, defined later in block order by the loop body b2. *)
+    tc "phi arms are the preds as a multiset; uses may precede defs" (fun () ->
+        let open Ir.Types in
+        let build ~arms ~stray =
+          let p = Ir.Prog.create () in
+          let b = Ir.Builder.create p ~fname:"main" in
+          let b0 = Ir.Builder.new_block b and b1 = Ir.Builder.new_block b in
+          let b2 = Ir.Builder.new_block b and b3 = Ir.Builder.new_block b in
+          let x0 = Ir.Builder.fresh_var b "x0" and x1 = Ir.Builder.fresh_var b "x1" in
+          let x2 = Ir.Builder.fresh_var b "x2" and y = Ir.Builder.fresh_var b "y" in
+          Ir.Builder.switch_to b b0;
+          ignore (Ir.Builder.add b (Input x0));
+          Ir.Builder.terminate b (Br (Var x0, b1, b1));
+          Ir.Builder.switch_to b b1;
+          ignore (Ir.Builder.add b (Phi (x1, arms x0 x2)));
+          Ir.Builder.terminate b (Br (Var x1, b2, b3));
+          Ir.Builder.switch_to b b2;
+          ignore (Ir.Builder.add b (Binop (x2, Add, Var x1, Cst 1)));
+          Ir.Builder.terminate b (Jmp b1);
+          Ir.Builder.switch_to b b3;
+          if stray then ignore (Ir.Builder.add b (Output (Var y)));
+          Ir.Builder.terminate b (Ret (Some (Var x1)));
+          ignore (Ir.Builder.finish b);
+          p
+        in
+        let message p =
+          match Ir.Verify.check_ssa p with
+          | () -> "ok"
+          | exception Diag.Error d -> d.message
+        in
+        let all x0 x2 = [ (0, Var x0); (2, Var x2); (0, Var x0) ] in
+        check_str "well formed" "ok" (message (build ~arms:all ~stray:false));
+        check_str "an arm short" "main: phi in b1 has arms 0,2 but preds 0,0,2"
+          (message (build ~arms:(fun x0 x2 -> [ (0, Var x0); (2, Var x2) ]) ~stray:false));
+        check_str "an arm too many" "main: phi in b1 has arms 0,0,2,3 but preds 0,0,2"
+          (message (build ~arms:(fun x0 x2 -> (3, Var x2) :: all x0 x2) ~stray:false));
+        check_str "a use never defined" "main: l6 uses y which has no definition here"
+          (message (build ~arms:all ~stray:true)));
     tc "branch to nonexistent block is rejected" (fun () ->
         let p = Ir.Prog.create () in
         let b = Ir.Builder.create p ~fname:"main" in

@@ -572,16 +572,22 @@ let regression_tests =
                 | 'E' -> stack := List.tl !stack
                 | _ -> ())
               (Obs.Trace.events ());
-            let passes =
+            (* The spans whose innermost enclosing span is [parent]. *)
+            let children parent =
               List.filter_map
                 (fun (name, parents) ->
-                  if List.mem "frontend.optimize" parents then Some name else None)
+                  match parents with
+                  | p :: _ when p = parent -> Some name
+                  | _ -> None)
                 (List.rev !spans)
             in
             Alcotest.(check (list string)) "passes, in order"
               [ "optim.inline"; "optim.simplify_cfg"; "optim.mem2reg"; "optim.scalar";
                 "optim.licm"; "optim.scalar"; "ir.verify_ssa" ]
-              passes));
+              (children "frontend.optimize");
+            let round = [ "optim.constprop"; "optim.copyprop"; "optim.cse"; "optim.dce" ] in
+            Alcotest.(check (list string)) "scalar passes, in order, in optim.scalar"
+              (round @ round) (children "optim.scalar")));
     tc "phase times are non-negative" (fun () ->
         let e =
           Usher.Experiment.run ~name:"reg" ~check_soundness:false regression_src

@@ -447,7 +447,117 @@ let reference_tests =
           Workloads.Spec2000.all);
   ]
 
+(* The dense scalar passes against [Optim_reference], kept as they were
+   before: whole O1 and O2 pipelines on generated programs, and single
+   passes on programs that reach the cases the dense versions handle in
+   their own way. Both sides build the same program from scratch, so they
+   agree on every variable id and label. *)
+
+module OR = Optim_reference
+
+let same_pipeline level src =
+  let p = front ~level src and p' = compile src in
+  OR.run level p';
+  ir_digest p = ir_digest p'
+
+(* [dense] and [reference] on two copies of [make ()] change the same
+   thing; the dense side's program is returned. *)
+let agree what dense reference make =
+  let p = make () and p' = make () in
+  let c = dense p and c' = reference p' in
+  check_bool (what ^ ": changed") c' c;
+  check_str (what ^ ": IR") (ir_digest p') (ir_digest p);
+  p
+
+let outputs_of p =
+  let acc = ref [] in
+  Ir.Prog.iter_instrs
+    (fun _ _ i -> match i.Ir.Types.kind with Ir.Types.Output o -> acc := o :: !acc | _ -> ())
+    p;
+  List.rev !acc
+
+(* x0 := input; x1 := x0; [b1] x2 := phi(b0: x1); x3 := x2; print x3; ret x3 *)
+let copy_chain () =
+  let open Ir.Types in
+  let p = Ir.Prog.create () in
+  let b = Ir.Builder.create p ~fname:"main" in
+  let b0 = Ir.Builder.new_block b and b1 = Ir.Builder.new_block b in
+  Ir.Builder.switch_to b b0;
+  let x0 = Ir.Builder.fresh_temp b in
+  ignore (Ir.Builder.add b (Input x0));
+  let x1 = Ir.Builder.copy b (Var x0) in
+  Ir.Builder.terminate b (Jmp b1);
+  Ir.Builder.switch_to b b1;
+  let x2 = Ir.Builder.fresh_temp b in
+  ignore (Ir.Builder.add b (Phi (x2, [ (b0, Var x1) ])));
+  let x3 = Ir.Builder.copy b (Var x2) in
+  ignore (Ir.Builder.add b (Output (Var x3)));
+  Ir.Builder.terminate b (Ret (Some (Var x3)));
+  ignore (Ir.Builder.finish b);
+  p
+
+let optim_reference_tests =
+  [
+    QCheck_alcotest.to_alcotest
+      (QCheck.Test.make ~count:100
+         ~name:"O1 and O2 pipelines match the reference (100 generated programs)"
+         QCheck.(
+           make
+             ~print:(fun (size, seed) -> Printf.sprintf "size %d, seed %d" size seed)
+             Gen.(pair (3 -- 8) (0 -- 100000)))
+         (fun (size, seed) ->
+           let src = Audit.Gen.source ~size ~seed () in
+           same_pipeline Optim.Pipeline.O1 src && same_pipeline Optim.Pipeline.O2 src));
+    (* x's loop phi has the arms 5 and the body's 2 + 3, defined later in
+       block order: the phi is constant only once the body is seen. *)
+    tc "a phi whose arms become constant after a later def" (fun () ->
+        let src =
+          "int main() { int x = 5; int i = input();\n\
+           while (i > 0) { x = 2 + 3; i = i - 1; }\n\
+           print(x); return 0; }"
+        in
+        let p = agree "constprop" Optim.Constprop.run OR.Constprop.run (fun () -> front src) in
+        check_bool "print(5)" true (outputs_of p = [ Ir.Types.Cst 5 ]));
+    (* [while (1)] folds to the body, so the exit, still reached by the
+       break, loses the header's arm of its phi. *)
+    tc "branch folding prunes phi arms" (fun () ->
+        let src =
+          "int main() { int x = input();\n\
+           while (1) { if (x > 5) { x = 1; break; } x = x + 1; }\n\
+           print(x); return 0; }"
+        in
+        let p = agree "constprop" Optim.Constprop.run OR.Constprop.run (fun () -> front src) in
+        check_bool "x := phi(break: 1)" true
+          (find_instr (function Ir.Types.Phi (_, [ (_, Cst 1) ]) -> true | _ -> false) p
+          <> None));
+    tc "a copy chain through a one-armed phi" (fun () ->
+        let p = agree "copyprop" Optim.Copyprop.run OR.Copyprop.run copy_chain in
+        let x0 = 0 in
+        check_bool "print(x0)" true (outputs_of p = [ Ir.Types.Var x0 ]);
+        check_bool "ret x0" true
+          ((Ir.Prog.get_func p "main").blocks.(1).term.tkind = Ir.Types.Ret (Some (Ir.Types.Var x0))));
+    (* The load of *p is unused: DCE deletes it, and with it the check
+       on p's cell (paper §4.6). *)
+    tc "a dead load goes" (fun () ->
+        let src = "int main() { int *p = (int*)malloc(4); int u = *p; print(1); return 0; }" in
+        let loads p = count_instrs (function Ir.Types.Load _ -> true | _ -> false) p in
+        check_int "load before" 1 (loads (front src));
+        let p = agree "dce" Optim.Dce.run OR.Dce.run (fun () -> front src) in
+        check_int "load after" 0 (loads p));
+    tc "cse on the 15 analogs at O2" (fun () ->
+        List.iter
+          (fun (pr : Workloads.Profile.t) ->
+            let make () =
+              let p = front (Workloads.Spec2000.source ~scale:5 pr) in
+              ignore (Optim.Constprop.run p);
+              ignore (Optim.Copyprop.run p);
+              p
+            in
+            ignore (agree pr.pname Optim.Cse.run OR.Cse.run make))
+          Workloads.Spec2000.all);
+  ]
+
 let suites =
   [ ("mem2reg", mem2reg_tests); ("inline", inline_tests);
     ("scalar-opts", scalar_tests); ("compress", compress_tests);
-    ("frontend.reference", reference_tests) ]
+    ("frontend.reference", reference_tests); ("optim.reference", optim_reference_tests) ]

@@ -319,6 +319,27 @@ let frontend_golden =
     "300.twolf O2 d2e4a60ae7567b27758d35bce59b5e85";
   ]
 
+(* The same MD5s at O1, recorded before the scalar passes (constant and
+   copy propagation, CSE, DCE) were made dense. *)
+let frontend_golden_o1 =
+  [
+    "164.gzip O1 b11f7b037870818d8f590570cbc771fe";
+    "175.vpr O1 746c99f0b8d0306881bedff88f0a16e3";
+    "176.gcc O1 27e6389a74aa821fcb304baddd7651e2";
+    "177.mesa O1 ada2b0ce9e17c189e91723c0e25ef7cb";
+    "179.art O1 99ad369f4ea17aee5e4d11e8203f6a99";
+    "181.mcf O1 a6c4b2e2a178b117d307740293fc37b2";
+    "183.equake O1 e0f99d7692e014baed5317630867c941";
+    "186.crafty O1 a7c9383eca70ef21b7f85169658743a1";
+    "188.ammp O1 ebc934ee5a87053548dcbb976f979f78";
+    "197.parser O1 a65d11c203e553addba6f0697091ddbf";
+    "253.perlbmk O1 84e4e079d7aafd7105116efef11ab50c";
+    "254.gap O1 e34f8ccda0eb01875e1da3068eaea271";
+    "255.vortex O1 47a2dfb1dfb68cfc858039e440de5078";
+    "256.bzip2 O1 f56682bcb60112af8ea109f6028e71ca";
+    "300.twolf O1 b5032488d8794878299ba8c1946f1471";
+  ]
+
 let golden_tests =
   [
     tc "15 analogs at O0+IM and O2: SSA IR digests" (fun () ->
@@ -344,6 +365,16 @@ let golden_tests =
             Workloads.Spec2000.all
         in
         Alcotest.(check (list string)) "rows" golden rows);
+    tc "15 analogs at O1: SSA IR digests" (fun () ->
+        let rows =
+          List.map
+            (fun (p : Workloads.Profile.t) ->
+              Printf.sprintf "%s O1 %s" p.pname
+                (ir_digest
+                   (front ~level:Optim.Pipeline.O1 (Workloads.Spec2000.source ~scale:5 p))))
+            Workloads.Spec2000.all
+        in
+        Alcotest.(check (list string)) "rows" frontend_golden_o1 rows);
   ]
 
 (* Both passes were once quadratic: Opt II refiltered T's dependents list
@@ -477,6 +508,25 @@ let run_plan_tests =
               (level = Optim.Pipeline.O0_IM
               || List.exists (fun (l : Usher.Experiment.lane) -> l.lcompressed > 0) p.lanes))
           [ Optim.Pipeline.O2; Optim.Pipeline.O0_IM ]);
+    (* [usherc analyze] reports [Experiment.plan_for]'s plan: at O2 the
+       compressed one bench runs (props 1070 for Usher on 197.parser),
+       not the 1204 planned before compression. *)
+    tc "analyze's props and checks are the Usher lane's at O2" (fun () ->
+        let level = Optim.Pipeline.O2 in
+        let src = Workloads.Spec2000.source ~scale:5 (Workloads.Spec2000.find "197.parser") in
+        let lane =
+          List.find
+            (fun (l : Usher.Experiment.lane) -> l.lvariant = Usher.Config.Usher_full)
+            (Usher.Experiment.prepare ~level src).lanes
+        in
+        let prog, _ = Usher.Pipeline.front_guarded ~level src in
+        let plan, _ =
+          Usher.Experiment.plan_for level (Usher.Pipeline.analyze prog) Usher.Config.Usher_full
+        in
+        let s = Instr.Item.stats_of plan and s' = Instr.Item.stats_of lane.lplan in
+        check_int "props" s'.propagations s.propagations;
+        check_int "checks" s'.checks s.checks;
+        check_int "bench's props" 1070 s.propagations);
   ]
 
 let suites =
