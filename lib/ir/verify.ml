@@ -4,7 +4,8 @@
    on violation.
 
    A function is walked once: its terminators (block ids and targets),
-   then its instructions in block order, each once. A use read before any
+   then its blocks in order, each instruction and then the terminator's
+   operand once. A use read before any
    definition of its variable is noted and looked up again when the walk
    ends, so a loop's phi arms need no second walk. The tables are indexed
    by variable or block and outlive the program ([Scratch]); definitions
@@ -167,7 +168,13 @@ let check_func p s ~ssa (f : func) =
     | Ret _ -> ()
   done;
   if ssa then List.iter (define s) f.params;
-  Array.iter (fun b -> check_instrs p s ~ssa f b b.instrs) f.blocks;
+  Array.iter
+    (fun b ->
+      check_instrs p s ~ssa f b b.instrs;
+      match b.term.tkind with
+      | Br (o, _, _) | Ret (Some o) -> use_op p s ~ssa f b.term.tlbl o
+      | Jmp _ | Ret None -> ())
+    f.blocks;
   (* Dominance of uses: a lightweight check via reverse-postorder dataflow
      on "definitely assigned" sets would duplicate the Dominance module
      (which lives above this library), so we only verify that every used

@@ -19,11 +19,13 @@
    outcome. A one-plan compile is the one-lane case of the same loop.
 
    Programs are compiled to a slot-resolved form first, so the hot loop
-   performs no hash lookups. Shadow state defaults to "defined": shadow
-   memory cells are created all-ones and shadow registers start all-ones;
-   only instrumented statements ever write them. Garbage cell contents are
-   a deterministic function of the object id and offset, so runs are
-   reproducible.
+   resolves no names; it hashes only to record ground-truth uses and
+   detections. It allocates no values (see Values and memory) and counts
+   per block, not per operation (see [settle]). Shadow state defaults to
+   "defined": shadow memory cells are created all-ones and shadow
+   registers start all-ones; only instrumented statements ever write
+   them. Garbage cell contents are a deterministic function of the
+   object id and offset, so runs are reproducible.
 
    The compiled form is exposed (see interp.mli) so lib/vm can lower the
    exact same slot-resolved program to bytecode: both engines share one
@@ -51,19 +53,26 @@ let exhausted what limit = raise (Resource_exhausted { what; limit })
 (* Values and memory                                                   *)
 (* ------------------------------------------------------------------ *)
 
-type vkind = Vint of int | Vptr of int * int | Vfun of string
+(* A value is three planes: a byte holding its kind (bits 0-1) and its
+   ground-truth defined bit (bit 2), and two ints. An integer is (n, -), a
+   pointer (object, offset), a function address (function index, -).
+   Registers, memory cells, the phi scratch and return values all live in
+   planes, so the hot loop allocates no values. *)
+let k_ptr = 1 and k_fun = 2 and k_def = 4
+let int_def = '\004' and int_undef = '\000'
 
-type value = { v : vkind; def : bool }
-
-let vint ?(def = true) n = { v = Vint n; def }
+let[@inline] as_int k a b =
+  match k land 3 with 0 -> a | 1 -> (a lsl 20) lor (b land 0xfffff) | _ -> 1
 
 (* Deterministic garbage for uninitialized cells. *)
 let garbage ~objid ~off =
   let h = (objid * 2654435761) lxor (off * 40503) in
-  { v = Vint ((h lxor (h lsr 16)) land 0xffff); def = false }
+  (h lxor (h lsr 16)) land 0xffff
 
 type mobj = {
-  cells : value array;
+  ck : Bytes.t;                                  (* cell planes *)
+  ca : int array;
+  cb : int array;
   shadow : int array;                            (* lane mask per cell *)
   obj_name : string;
 }
@@ -112,13 +121,13 @@ type ckind =
   | CField of int * int * int
   | CIndex of int * int * rop
   | CGlobaladdr of int * int                     (* dst slot, global objid *)
-  | CFuncaddr of int * string
+  | CFuncaddr of int * int                       (* dst slot, function index *)
   | CCall of { dst : int option; callee : ccallee; args : rop array }
   | CPhi of { dst : int; arms : (int * rop) array; sh : cphi_shadow array }
   | COutput of rop
   | CInput of int
 
-and ccallee = CDirect of string | CIndirect of int
+and ccallee = CDirect of int | CIndirect of int  (* function index / slot *)
 
 type cinstr = {
   clbl : label;
@@ -132,11 +141,23 @@ type cterm =
   | CTJmp of int
   | CTRet of rop option
 
+(* Per execution of a block, [bdelta] holds its base counters at [d_alu]
+   .. [d_io], and [sh_delta] per counter class the class, then its shadow
+   counters at [d_sh_reg] .. [d_sh_check]: [sh_width] ints a class. *)
+let d_alu = 0 and d_mem = 1 and d_branch = 2 and d_call = 3 and d_alloc = 4 and d_io = 5
+let d_sh_reg = 1 and d_sh_reads = 2 and d_sh_mem = 3 and d_sh_obj = 4 and d_sh_check = 5
+let sh_width = 6
+
 type cblock = {
   body : cinstr array;
   cterm : cterm;
   term_lbl : label;
   term_pre : caction array;
+  nphis : int;                                   (* leading phis *)
+  nsteps : int;                                  (* the other instrs + terminator *)
+  call_free : bool;
+  bdelta : int array;
+  sh_delta : int array;
 }
 
 type cfunc = {
@@ -144,11 +165,14 @@ type cfunc = {
   nslots : int;
   cparams : int array;
   entry_acts : caction array;
+  entry_delta : int array;                       (* [sh_delta] of [entry_acts] *)
   cblocks : cblock array;
+  execs0 : int;          (* entry's execution counter; block b's is 1 + b past it *)
 }
 
 type cprog = {
-  funcs : (string, cfunc) Hashtbl.t;
+  funcs : cfunc array;                           (* by function index *)
+  fnames : string array; (* by function index; past [funcs], undefined names *)
   global_objid : (string, int) Hashtbl.t;
   globals : global list;
   main : cfunc;
@@ -164,9 +188,10 @@ type cprog = {
 (* ------------------------------------------------------------------ *)
 
 (* Compilation runs in two steps. [compile_base] does the plan-independent
-   work once per program: slot assignment, instruction kinds, terminators
-   and parameters. [attach_lanes] adds the plans' actions to a base, so a
-   native run and every plan run of one program share a single base. *)
+   work once per program: slot assignment, instruction kinds, terminators,
+   parameters, callee indices and each block's facts. [attach_lanes] adds
+   the plans' actions and their shadow deltas to a base, so a native run
+   and every plan run of one program share a single base. *)
 
 (* One function of a base: its compiled form with no actions attached, and
    the variable held in each of its slots. *)
@@ -174,19 +199,37 @@ type bfunc = { bare : cfunc; slot_vars : var array }
 
 type base = {
   prog : P.t;
-  bfuncs : bfunc array;                          (* program order *)
+  bfuncs : bfunc array;                          (* by function index *)
+  bfnames : string array;
+  bmain : int;
   bglobal_objid : (string, int) Hashtbl.t;
 }
+
+let is_phi ci = match ci.ckind with CPhi _ -> true | _ -> false
 
 let compile_base (p : P.t) : base =
   Obs.Trace.with_span ~cat:"runtime" "runtime.compile_base" @@ fun () ->
   let global_objid = Hashtbl.create 16 in
   List.iteri (fun i (g : global) -> Hashtbl.replace global_objid g.gname i) p.globals;
+  (* Function indices: the functions in program order, then the names
+     that calls and function addresses mention but no function defines. *)
+  let findex = Hashtbl.create 16 and fnames = ref [] and nnames = ref 0 in
+  let add name =
+    Hashtbl.replace findex name !nnames;
+    fnames := name :: !fnames;
+    incr nnames;
+    !nnames - 1
+  in
+  let index_of name =
+    match Hashtbl.find_opt findex name with Some i -> i | None -> add name
+  in
+  P.iter_funcs (fun f -> ignore (add f.fname)) p;
+  let ndefined = !nnames in
   (* Frame slot of each variable in the function being compiled, -1 when it
      has none yet; slots are numbered in first-use order. One array serves
      every function: the variables a function touched are reset after it. *)
   let slot = Array.make (P.nvars p) (-1) in
-  let bfuncs = ref [] in
+  let bfuncs = ref [] and nexecs = ref 0 in
   P.iter_funcs
     (fun f ->
       let nslots = ref 0 in
@@ -207,7 +250,17 @@ let compile_base (p : P.t) : base =
         | Var v -> Rs (slot_of v)
         | Undef -> Ru
       in
-      let cinstr (i : instr) =
+      (* [bd] is the block's base delta. *)
+      let cinstr bd (i : instr) =
+        let d =
+          match i.kind with
+          | Load _ | Store _ -> d_mem
+          | Alloc _ -> d_alloc (* alloc_cells is dynamic *)
+          | Call _ -> d_call
+          | Output _ | Input _ -> d_io
+          | _ -> d_alu
+        in
+        bd.(d) <- bd.(d) + 1;
         let ckind =
           match i.kind with
           | Const (x, n) -> CConst (slot_of x, n)
@@ -231,14 +284,14 @@ let compile_base (p : P.t) : base =
           | Index_addr (x, y, o) -> CIndex (slot_of x, slot_of y, rop o)
           | Global_addr (x, gname) ->
             CGlobaladdr (slot_of x, Hashtbl.find global_objid gname)
-          | Func_addr (x, fn) -> CFuncaddr (slot_of x, fn)
+          | Func_addr (x, fn) -> CFuncaddr (slot_of x, index_of fn)
           | Call { cdst; callee; cargs } ->
             CCall
               {
                 dst = Option.map slot_of cdst;
                 callee =
                   (match callee with
-                  | Direct fn -> CDirect fn
+                  | Direct fn -> CDirect (index_of fn)
                   | Indirect v -> CIndirect (slot_of v));
                 args = Array.of_list (List.map rop cargs);
               }
@@ -257,14 +310,21 @@ let compile_base (p : P.t) : base =
       let cblocks =
         Array.map
           (fun (b : block) ->
-            let body = Array.of_list (List.map cinstr b.instrs) in
+            let bdelta = [| 0; 0; 0; 0; 0; 0 |] in
+            let body = Array.of_list (List.map (cinstr bdelta) b.instrs) in
+            let n = Array.length body and nphis = ref 0 in
+            while !nphis < n && is_phi body.(!nphis) do
+              incr nphis
+            done;
+            let call_free = bdelta.(d_call) = 0 in
             let cterm =
               match b.term.tkind with
-              | Br (o, b1, b2) -> CTBr (rop o, b1, b2)
+              | Br (o, b1, b2) -> bdelta.(d_branch) <- 1; CTBr (rop o, b1, b2)
               | Jmp b1 -> CTJmp b1
-              | Ret o -> CTRet (Option.map rop o)
+              | Ret o -> bdelta.(d_call) <- bdelta.(d_call) + 1; CTRet (Option.map rop o)
             in
-            { body; cterm; term_lbl = b.term.tlbl; term_pre = [||] })
+            { body; cterm; term_lbl = b.term.tlbl; term_pre = [||]; nphis = !nphis;
+              nsteps = n - !nphis + 1; call_free; bdelta; sh_delta = [||] })
           f.blocks
       in
       let cparams = Array.of_list (List.map slot_of f.params) in
@@ -275,15 +335,19 @@ let compile_base (p : P.t) : base =
           slot.(v) <- -1)
         !touched;
       let bare =
-        { cfname = f.fname; nslots = !nslots; cparams; entry_acts = [||]; cblocks }
+        { cfname = f.fname; nslots = !nslots; cparams; entry_acts = [||];
+          entry_delta = [||]; cblocks; execs0 = !nexecs }
       in
+      nexecs := !nexecs + 1 + Array.length cblocks;
       bfuncs := { bare; slot_vars } :: !bfuncs)
     p;
-  if not (List.exists (fun bf -> bf.bare.cfname = "main") !bfuncs) then
-    error "program has no main";
+  let bmain = index_of "main" in
+  if bmain >= ndefined then error "program has no main";
   {
     prog = p;
     bfuncs = Array.of_list (List.rev !bfuncs);
+    bfnames = Array.of_list (List.rev !fnames);
+    bmain;
     bglobal_objid = global_objid;
   }
 
@@ -348,24 +412,54 @@ let attach_lanes (b : base) (plans : Item.plan list) : cprog =
          max_lanes);
   Obs.Trace.with_span ~cat:"runtime" "runtime.attach" @@ fun () ->
   let slot = Array.make (P.nvars b.prog) (-1) in
-  let funcs = Hashtbl.create 16 in
   let max_slots = ref 1 in
   (* One counter class per distinct lane mask, numbered in first-use
      order. Every action and phi shadow has one, so a program without
      classes instruments nothing. *)
   let class_lanes = ref (Array.make 8 0) and nclasses = ref 0 in
+  (* The shadow counters charged since the last [deltas]: class c's at
+     [sh_width * c] of [rows], whose first cell is 1 once [touched] lists c. *)
+  let rows = ref (Array.make (8 * sh_width) 0) in
+  let touched = ref (Array.make 8 0) and ntouched = ref 0 in
   let cls_of m =
     let c = ref 0 in
     while !c < !nclasses && !class_lanes.(!c) <> m do
       incr c
     done;
     if !c = !nclasses then begin
-      if !c = Array.length !class_lanes then
+      if !c = Array.length !class_lanes then begin
         class_lanes := Array.append !class_lanes !class_lanes;
+        touched := Array.append !touched !touched;
+        rows := Array.append !rows (Array.make (Array.length !rows) 0)
+      end;
       !class_lanes.(!c) <- m;
       incr nclasses
     end;
     !c
+  in
+  let charge r d n = !rows.(r + d) <- !rows.(r + d) + n in
+  (* The offset of class [cls]'s row, which [touched] then lists. *)
+  let row cls =
+    let r = sh_width * cls in
+    if !rows.(r) = 0 then begin
+      !rows.(r) <- 1;
+      !touched.(!ntouched) <- cls;
+      incr ntouched
+    end;
+    r
+  in
+  let deltas () =
+    let d = Array.make (sh_width * !ntouched) 0 and rows = !rows in
+    for t = 0 to !ntouched - 1 do
+      let r = sh_width * !touched.(t) in
+      for k = 0 to sh_width - 1 do
+        d.((sh_width * t) + k) <- rows.(r + k);
+        rows.(r + k) <- 0
+      done;
+      d.(sh_width * t) <- !touched.(t)
+    done;
+    ntouched := 0;
+    d
   in
   (* A phi's own shadow items are woven apart, into [arms]. *)
   let pre = woven () and post = woven () and arms = woven () in
@@ -376,7 +470,8 @@ let attach_lanes (b : base) (plans : Item.plan list) : cprog =
     done;
     !any
   in
-  Array.iter
+  let funcs =
+    Array.map
     (fun { bare = f; slot_vars } ->
       Array.iteri (fun s v -> slot.(v) <- s) slot_vars;
       (* A variable that only a plan mentions gets a slot past the base's,
@@ -399,26 +494,39 @@ let attach_lanes (b : base) (plans : Item.plan list) : cprog =
         | Undef -> Sc false
         | Var v -> Ss (slot_of v)
       in
-      (* [lbl] is the statement a check reports; entry checks carry -1. *)
-      let cact lbl (a : Item.action) : cact =
+      (* [lbl] is the statement a check reports; entry checks carry -1. One
+         execution's shadow counters go to the row at [r]. *)
+      let cact lbl r (a : Item.action) : cact =
         match a with
         | Item.Set_var (x, rhs) ->
+          charge r d_sh_reg 1;
           let crhs =
             match rhs with
             | Item.Rconst b -> CRconst b
-            | Item.Rvar y -> CRvar (slot_of y)
-            | Item.Rconj ys -> CRconj (Array.of_list (List.map slot_of ys))
-            | Item.Rmem y -> CRmem (slot_of y)
-            | Item.Rglobal i -> CRglobal i
+            | Item.Rvar y -> charge r d_sh_reads 1; CRvar (slot_of y)
+            | Item.Rconj ys ->
+              charge r d_sh_reads (List.length ys);
+              CRconj (Array.of_list (List.map slot_of ys))
+            | Item.Rmem y -> charge r d_sh_mem 1; CRmem (slot_of y)
+            | Item.Rglobal i -> charge r d_sh_reads 1; CRglobal i
             | Item.Rphi arms ->
+              charge r d_sh_reads 1;
               CRphi (Array.of_list (List.map (fun (b, o) -> (b, sop o)) arms))
           in
           CSet_var (slot_of x, crhs)
-        | Item.Set_mem (x, Item.Mop o) -> CSet_mem (slot_of x, sop o)
-        | Item.Set_mem (x, Item.Mconst b) -> CSet_mem_const (slot_of x, b)
-        | Item.Set_mem_object (x, b) -> CSet_mem_object (slot_of x, b)
-        | Item.Set_global (i, o) -> CSet_global (i, sop o)
+        | Item.Set_mem (x, Item.Mop o) -> charge r d_sh_mem 1; CSet_mem (slot_of x, sop o)
+        | Item.Set_mem (x, Item.Mconst b) ->
+          charge r d_sh_mem 1;
+          CSet_mem_const (slot_of x, b)
+        | Item.Set_mem_object (x, b) ->
+          charge r d_sh_obj 1;
+          CSet_mem_object (slot_of x, b)
+        | Item.Set_global (i, o) ->
+          charge r d_sh_reg 1;
+          charge r d_sh_reads (match o with Var _ -> 1 | Cst _ | Undef -> 0);
+          CSet_global (i, sop o)
         | Item.Check o -> (
+          charge r d_sh_check 1;
           match o with
           | Var v -> CCheck (Some (slot_of v), lbl)
           | Undef -> CCheck (None, lbl)
@@ -428,7 +536,8 @@ let attach_lanes (b : base) (plans : Item.plan list) : cprog =
         if w.len = 0 then [||]
         else
           take w { act = CSet_global (0, Sc true); lanes = 0; cls = 0 } (fun a m ->
-              { act = cact lbl a; lanes = m; cls = cls_of m })
+              let cls = cls_of m in
+              { act = cact lbl (row cls) a; lanes = m; cls })
       in
       (* Weave lane [bit]'s items into [pre] and [post], oldest first (a
          plan holds them newest first). The items of the phi defining slot
@@ -473,10 +582,13 @@ let attach_lanes (b : base) (plans : Item.plan list) : cprog =
               let sh =
                 take arms { sharms = [||]; sh_lanes = 0; sh_cls = 0 } (fun a m ->
                     let a = match a with Item.Set_var (_, Item.Rphi a) -> a | _ -> [] in
+                    let cls = cls_of m in
+                    charge (row cls) d_sh_reg 1;
+                    charge (row cls) d_sh_reads 1;
                     {
                       sharms = Array.of_list (List.map (fun (pb, o) -> (pb, sop o)) a);
                       sh_lanes = m;
-                      sh_cls = cls_of m;
+                      sh_cls = cls;
                     })
               in
               if Array.length sh = 0 then ci.ckind else CPhi { phi with sh }
@@ -492,13 +604,16 @@ let attach_lanes (b : base) (plans : Item.plan list) : cprog =
         Array.map
           (fun (cb : cblock) ->
             let body = Array.map cinstr cb.body in
-            if not (instrumented cb.term_lbl) then { cb with body }
-            else begin
-              (* A terminator runs its items before it. *)
-              weave cb.term_lbl;
-              post.len <- 0;
-              { cb with body; term_pre = actions pre cb.term_lbl }
-            end)
+            let term_pre =
+              if not (instrumented cb.term_lbl) then [||]
+              else begin
+                (* A terminator runs its items before it. *)
+                weave cb.term_lbl;
+                post.len <- 0;
+                actions pre cb.term_lbl
+              end
+            in
+            { cb with body; term_pre; sh_delta = deltas () })
           f.cblocks
       in
       for k = 0 to nlanes - 1 do
@@ -509,18 +624,18 @@ let attach_lanes (b : base) (plans : Item.plan list) : cprog =
       Array.iter (fun v -> slot.(v) <- -1) slot_vars;
       List.iter (fun v -> slot.(v) <- -1) !fresh;
       if !nslots > !max_slots then max_slots := !nslots;
-      Hashtbl.replace funcs f.cfname
-        { f with nslots = !nslots; entry_acts; cblocks })
-    b.bfuncs;
+      { f with nslots = !nslots; entry_acts; entry_delta = deltas (); cblocks })
+    b.bfuncs
+  in
   {
     funcs;
+    fnames = b.bfnames;
     global_objid = b.bglobal_objid;
     globals = b.prog.globals;
-    main = Hashtbl.find funcs "main";
+    main = funcs.(b.bmain);
     nglobal_slots =
       Array.fold_left (fun n (p : Item.plan) -> max n (p.ret_slot + 1)) 1 plans;
-    (* An un-instrumented run shares one dummy shadow register file across
-       all frames. *)
+    (* An un-instrumented run never reads or writes shadow registers. *)
     has_shadow = !nclasses > 0;
     max_slots = !max_slots;
     nlanes;
@@ -552,17 +667,9 @@ type limits = { max_steps : int; max_objects : int; max_depth : int }
 
 let default_limits = { max_steps = 50_000_000; max_objects = 4_000_000; max_depth = 10_000 }
 
-(* A call's activation record. The register files are inherently per-frame;
-   everything that used to be allocated alongside them on every call — the
-   interpreter's closures, the phi scratch buffers, the shadow file when
-   the plan is empty — is hoisted into [state] so calls allocate only what
-   frame semantics demand. *)
-type frame = {
-  regs : value array;
-  sregs : int array;              (* lane masks *)
-  mutable prev_bid : int;
-}
-
+(* The frames of the active calls lie end to end in one set of register
+   planes: a callee's frame starts where its caller's ends and returns into
+   a register the caller names; a block's phi scratch lies past its frame. *)
 type state = {
   prog : cprog;
   mutable objs : mobj array;
@@ -570,27 +677,28 @@ type state = {
   sigma_g : int array;
   cnt : Counters.t;               (* base program counters, shared by lanes *)
   ccnt : Counters.t array;        (* shadow counters per counter class *)
+  execs : int array;              (* per function entry and block, see [execs0] *)
   det : (label, unit) Hashtbl.t array;  (* per lane *)
   gt : (label, unit) Hashtbl.t;
   mutable outputs_rev : int list;
   mutable steps : int;
   mutable input_state : int;
   limits : limits;
-  dummy_sregs : int array;        (* shared shadow file: un-instrumented runs *)
-  mutable phi_vals : value array; (* parallel-phi scratch, grown on demand *)
-  mutable phi_shs : int array;
-  mutable phi_has : int array;    (* lanes whose shadow the phi writes *)
+  mutable rk : Bytes.t;           (* register planes *)
+  mutable ra : int array;
+  mutable rb : int array;
+  mutable rsh : int array;        (* lane masks; unused without shadow *)
 }
 
 let new_obj st ~cells ~init ~name : int =
   if st.nobjs >= st.limits.max_objects then
     exhausted "objects" st.limits.max_objects;
-  let id = st.nobjs in
-  let cells_arr =
-    Array.init (max cells 1) (fun off ->
-        if init then vint 0 else garbage ~objid:id ~off)
+  let id = st.nobjs and n = max cells 1 in
+  let ck = Bytes.make n (if init then int_def else int_undef) and cb = Array.make n 0 in
+  let ca =
+    if init then Array.make n 0 else Array.init n (fun off -> garbage ~objid:id ~off)
   in
-  let o = { cells = cells_arr; shadow = Array.make (max cells 1) (-1); obj_name = name } in
+  let o = { ck; ca; cb; shadow = Array.make n (-1); obj_name = name } in
   if st.nobjs >= Array.length st.objs then begin
     let objs = Array.make (max 64 (2 * Array.length st.objs)) o in
     Array.blit st.objs 0 objs 0 st.nobjs;
@@ -599,12 +707,6 @@ let new_obj st ~cells ~init ~name : int =
   st.objs.(st.nobjs) <- o;
   st.nobjs <- st.nobjs + 1;
   id
-
-let as_int (v : value) : int =
-  match v.v with
-  | Vint n -> n
-  | Vptr (o, off) -> (o lsl 20) lor (off land 0xfffff)
-  | Vfun _ -> 1
 
 (* Process-wide dynamic-work totals (Obs.Metrics), published once per run;
    the per-outcome [Counters.t] stays the cost model's input. [interp.runs]
@@ -615,33 +717,71 @@ let m_base_ops = Obs.Metrics.counter "interp.base_ops"
 let m_shadow_ops = Obs.Metrics.counter "interp.shadow_ops"
 let m_detections = Obs.Metrics.counter "interp.detections"
 
-let undef_value = { v = Vint 0xDEAD; def = false }
-let phi_default = { v = Vint 0; def = false }
+(* Registers [i] below [Bytes.length st.rk]: frames and scratch are made
+   room for before use. *)
+let[@inline] kind_at st i = Char.code (Bytes.unsafe_get st.rk i)
+let[@inline] def_at st i = kind_at st i land k_def <> 0
 
-let rvalue (regs : value array) (o : rop) : value =
+let[@inline] set st i kind a b =
+  Bytes.unsafe_set st.rk i (Char.unsafe_chr kind);
+  Array.unsafe_set st.ra i a;
+  Array.unsafe_set st.rb i b
+
+let[@inline] def_bit def = if def then k_def else 0
+
+(* The [as_int] and the definedness of an operand of the frame at [base]. *)
+let[@inline] op_int st base = function
+  | Rc n -> n
+  | Rs s -> as_int (kind_at st (base + s)) st.ra.(base + s) st.rb.(base + s)
+  | Ru -> 0xDEAD
+
+let[@inline] op_def st base = function
+  | Rc _ -> true
+  | Rs s -> def_at st (base + s)
+  | Ru -> false
+
+(* Write an operand of the frame at [base] to index [j] of planes (k, a, b). *)
+let[@inline] put_op st base o (k : Bytes.t) (a : int array) (b : int array) j =
   match o with
-  | Rc n -> vint n
-  | Rs s -> regs.(s)
-  | Ru -> undef_value
+  | Rc n ->
+    Bytes.unsafe_set k j int_def;
+    Array.unsafe_set a j n
+  | Rs s ->
+    Bytes.unsafe_set k j (Bytes.unsafe_get st.rk (base + s));
+    Array.unsafe_set a j (Array.unsafe_get st.ra (base + s));
+    Array.unsafe_set b j (Array.unsafe_get st.rb (base + s))
+  | Ru ->
+    Bytes.unsafe_set k j int_undef;
+    Array.unsafe_set a j 0xDEAD
+
+(* Make room for registers below [top]. *)
+let reserve st top =
+  if top > Bytes.length st.rk then begin
+    let n = max top (2 * Bytes.length st.rk) in
+    let grow a = Array.append a (Array.make (n - Array.length a) 0) in
+    st.rk <- Bytes.extend st.rk 0 (n - Bytes.length st.rk);
+    st.ra <- grow st.ra;
+    st.rb <- grow st.rb;
+    st.rsh <- grow st.rsh
+  end
 
 (* A shadow for every lane at once: all ones is "defined" in every lane. *)
-let lanes_of_bool b = if b then -1 else 0
+let[@inline] lanes_of_bool b = if b then -1 else 0
 
-let svalue (sregs : int array) (s : sop) : int =
-  match s with Sc b -> lanes_of_bool b | Ss s -> sregs.(s)
+let[@inline] svalue st base (s : sop) : int =
+  match s with Sc b -> lanes_of_bool b | Ss s -> Array.unsafe_get st.rsh (base + s)
 
 (* [old] with the bits in mask [m] taken from [v]. *)
-let masked old v m = old lxor ((old lxor v) land m)
+let[@inline] masked old v m = old lxor ((old lxor v) land m)
 
-let deref st ~what (v : value) : int * int =
-  match v.v with
-  | Vptr (o, off) ->
-    if o < 0 || o >= st.nobjs then error "%s: dangling pointer" what;
-    let cells = st.objs.(o).cells in
-    if off < 0 || off >= Array.length cells then
-      error "%s: out-of-bounds access to %s[%d]" what st.objs.(o).obj_name off;
-    (o, off)
-  | Vint _ | Vfun _ -> error "%s: not a pointer" what
+(* The object register [i] points into, at offset [st.rb.(i)]. *)
+let deref st ~what i : mobj =
+  if kind_at st i land 3 <> k_ptr then error "%s: not a pointer" what;
+  let o = st.ra.(i) and off = st.rb.(i) in
+  if o < 0 || o >= st.nobjs then error "%s: dangling pointer" what;
+  if off < 0 || off >= Array.length st.objs.(o).ca then
+    error "%s: out-of-bounds access to %s[%d]" what st.objs.(o).obj_name off;
+  st.objs.(o)
 
 (* First arm whose predecessor block is [pb]; -1 when absent. *)
 let rec arm_index (arms : (int * 'a) array) (pb : int) (i : int) : int =
@@ -649,9 +789,9 @@ let rec arm_index (arms : (int * 'a) array) (pb : int) (i : int) : int =
   else if fst (Array.unsafe_get arms i) = pb then i
   else arm_index arms pb (i + 1)
 
-let rec all_set (sregs : int array) (ys : int array) (i : int) (acc : int) : int =
+let rec all_set st base (ys : int array) (i : int) (acc : int) : int =
   if i >= Array.length ys then acc
-  else all_set sregs ys (i + 1) (acc land sregs.(ys.(i)))
+  else all_set st base ys (i + 1) (acc land st.rsh.(base + ys.(i)))
 
 (* Every lane in [bad] records a detection at [lbl]. *)
 let detect st bad lbl =
@@ -662,292 +802,253 @@ let detect st bad lbl =
     incr k
   done
 
-let exec_action st (fr : frame) (a : caction) =
-  let cnt = Array.unsafe_get st.ccnt a.cls and m = a.lanes in
+(* An action in the frame at [base], entered from block [prev]. *)
+let exec_action st base prev (a : caction) =
+  let m = a.lanes and sregs = st.rsh in
   match a.act with
   | CSet_var (x, rhs) ->
-    cnt.sh_reg <- cnt.sh_reg + 1;
     let v =
       match rhs with
       | CRconst b -> lanes_of_bool b
-      | CRvar y ->
-        cnt.sh_reg_reads <- cnt.sh_reg_reads + 1;
-        fr.sregs.(y)
-      | CRconj ys ->
-        cnt.sh_reg_reads <- cnt.sh_reg_reads + Array.length ys;
-        all_set fr.sregs ys 0 (-1)
-      | CRmem y ->
-        cnt.sh_mem <- cnt.sh_mem + 1;
-        let o, off = deref st ~what:"shadow load" fr.regs.(y) in
-        st.objs.(o).shadow.(off)
-      | CRglobal i ->
-        cnt.sh_reg_reads <- cnt.sh_reg_reads + 1;
-        st.sigma_g.(i)
+      | CRvar y -> sregs.(base + y)
+      | CRconj ys -> all_set st base ys 0 (-1)
+      | CRmem y -> (deref st ~what:"shadow load" (base + y)).shadow.(st.rb.(base + y))
+      | CRglobal i -> st.sigma_g.(i)
       | CRphi arms ->
-        cnt.sh_reg_reads <- cnt.sh_reg_reads + 1;
-        let i = arm_index arms fr.prev_bid 0 in
-        if i >= 0 then svalue fr.sregs (snd arms.(i)) else -1
+        let i = arm_index arms prev 0 in
+        if i >= 0 then svalue st base (snd arms.(i)) else -1
     in
-    fr.sregs.(x) <- masked fr.sregs.(x) v m
+    sregs.(base + x) <- masked sregs.(base + x) v m
   | CSet_mem (x, s) ->
-    cnt.sh_mem <- cnt.sh_mem + 1;
-    let o, off = deref st ~what:"shadow store" fr.regs.(x) in
-    let sh = st.objs.(o).shadow in
-    sh.(off) <- masked sh.(off) (svalue fr.sregs s) m
+    let sh = (deref st ~what:"shadow store" (base + x)).shadow in
+    sh.(st.rb.(base + x)) <- masked sh.(st.rb.(base + x)) (svalue st base s) m
   | CSet_mem_const (x, b) ->
-    cnt.sh_mem <- cnt.sh_mem + 1;
-    let o, off = deref st ~what:"shadow store" fr.regs.(x) in
-    let sh = st.objs.(o).shadow in
-    sh.(off) <- masked sh.(off) (lanes_of_bool b) m
+    let sh = (deref st ~what:"shadow store" (base + x)).shadow in
+    sh.(st.rb.(base + x)) <- masked sh.(st.rb.(base + x)) (lanes_of_bool b) m
   | CSet_mem_object (x, b) ->
-    cnt.sh_obj <- cnt.sh_obj + 1;
-    let o, _ = deref st ~what:"shadow object init" fr.regs.(x) in
-    let sh = st.objs.(o).shadow in
+    let sh = (deref st ~what:"shadow object init" (base + x)).shadow in
+    let cnt = st.ccnt.(a.cls) in
     cnt.sh_obj_cells <- cnt.sh_obj_cells + Array.length sh;
     let v = lanes_of_bool b in
     for i = 0 to Array.length sh - 1 do
       sh.(i) <- masked sh.(i) v m
     done
-  | CSet_global (i, s) ->
-    cnt.sh_reg <- cnt.sh_reg + 1;
-    cnt.sh_reg_reads <- cnt.sh_reg_reads + (match s with Ss _ -> 1 | Sc _ -> 0);
-    st.sigma_g.(i) <- masked st.sigma_g.(i) (svalue fr.sregs s) m
+  | CSet_global (i, s) -> st.sigma_g.(i) <- masked st.sigma_g.(i) (svalue st base s) m
   | CCheck (slot, lbl) ->
-    cnt.sh_check <- cnt.sh_check + 1;
-    let ok = match slot with Some s -> fr.sregs.(s) | None -> 0 in
+    let ok = match slot with Some s -> sregs.(base + s) | None -> 0 in
     let bad = m land lnot ok in
     if bad <> 0 then detect st bad lbl
 
-let exec_actions st fr (acts : caction array) =
+let exec_actions st base prev (acts : caction array) =
   for i = 0 to Array.length acts - 1 do
-    exec_action st fr acts.(i)
+    exec_action st base prev (Array.unsafe_get acts i)
   done
 
-let ensure_phi_scratch st n =
-  if Array.length st.phi_vals < n then begin
-    st.phi_vals <- Array.make n phi_default;
-    st.phi_shs <- Array.make n 0;
-    st.phi_has <- Array.make n 0
-  end
+(* Leading phis evaluate in parallel: every arm is read into the scratch
+   past the frame at [base] before any phi is written. *)
+let exec_phis st (f : cfunc) (b : cblock) base prev =
+  let scr = base + f.nslots in
+  reserve st (scr + b.nphis);
+  for i = 0 to b.nphis - 1 do
+    match b.body.(i).ckind with
+    | CPhi { arms; sh; _ } ->
+      let k = arm_index arms prev 0 in
+      if k >= 0 then put_op st base (snd arms.(k)) st.rk st.ra st.rb (scr + i)
+      else set st (scr + i) 0 0 0;
+      (* Each entry's lanes are disjoint from the others'. *)
+      let v = ref 0 in
+      for j = 0 to Array.length sh - 1 do
+        let k = arm_index sh.(j).sharms prev 0 in
+        let s = if k >= 0 then svalue st base (snd sh.(j).sharms.(k)) else -1 in
+        v := !v lor (s land sh.(j).sh_lanes)
+      done;
+      st.rsh.(scr + i) <- !v
+    | _ -> assert false
+  done;
+  for i = 0 to b.nphis - 1 do
+    let ci = b.body.(i) in
+    match ci.ckind with
+    | CPhi { dst; sh; _ } ->
+      set st (base + dst) (kind_at st (scr + i)) st.ra.(scr + i) st.rb.(scr + i);
+      for j = 0 to Array.length sh - 1 do
+        st.rsh.(base + dst) <- masked st.rsh.(base + dst) st.rsh.(scr + i) sh.(j).sh_lanes
+      done;
+      (* Non-phi shadow items attached to the phi still run. *)
+      exec_actions st base prev ci.pre;
+      exec_actions st base prev ci.post
+    | _ -> assert false
+  done
 
-let rec exec_call st (f : cfunc) (args : value array) ~depth : value =
+(* A cleared frame for [f] at [base]: every register an int 0, defined, in
+   every lane. *)
+let push_frame st (f : cfunc) base ~depth =
   if depth > st.limits.max_depth then
     exhausted "call depth" st.limits.max_depth;
-  let regs = Array.make (max 1 f.nslots) (vint 0) in
-  let sregs =
-    if st.prog.has_shadow then Array.make (max 1 f.nslots) (-1)
-    else st.dummy_sregs
-  in
-  let fr = { regs; sregs; prev_bid = 0 } in
-  let np = Array.length f.cparams and na = Array.length args in
-  for i = 0 to np - 1 do
-    if i < na then regs.(f.cparams.(i)) <- args.(i)
-  done;
-  exec_actions st fr f.entry_acts;
-  exec_block st f fr 0 ~depth
+  reserve st (base + f.nslots + 1);
+  Bytes.fill st.rk base f.nslots int_def;
+  Array.fill st.ra base f.nslots 0;
+  if st.prog.has_shadow then Array.fill st.rsh base f.nslots (-1)
 
-and exec_block st (f : cfunc) (fr : frame) (bid : int) ~depth : value =
-  let cnt = st.cnt in
-  let regs = fr.regs in
+(* Register [x] := register [y] plus [k]: a pointer's offset moves, any
+   other value keeps its bits and becomes undefined. *)
+let offset st x y k def =
+  let t = kind_at st y in
+  if t land 3 <> k_ptr then set st x (t land 3) st.ra.(y) st.rb.(y)
+  else set st x (k_ptr lor (t land def_bit def)) st.ra.(y) (st.rb.(y) + k)
+
+let step st =
+  st.steps <- st.steps + 1;
+  if st.steps > st.limits.max_steps then exhausted "steps" st.limits.max_steps
+
+(* Run [f] in its frame at [base]; it returns its value in register [ret]. *)
+let rec exec_func st (f : cfunc) base ret ~depth =
+  st.execs.(f.execs0) <- st.execs.(f.execs0) + 1;
+  exec_actions st base 0 f.entry_acts;
+  exec_block st f base ret 0 0 ~depth
+
+(* Block [bid] of the frame at [base], entered from block [prev]. It counts
+   one execution; [settle] charges its counters at the end. A call-free
+   block whose steps fit in the budget takes them all on entry: it cannot
+   hit the limit, so no error can come first where it would. *)
+and exec_block st (f : cfunc) base ret prev bid ~depth =
   let b = f.cblocks.(bid) in
-  let n = Array.length b.body in
-  (* Leading phis evaluate in parallel. *)
-  let nphis = ref 0 in
-  while
-    !nphis < n
-    && match b.body.(!nphis).ckind with CPhi _ -> true | _ -> false
-  do
-    incr nphis
-  done;
-  if !nphis > 0 then begin
-    ensure_phi_scratch st !nphis;
-    let vals = st.phi_vals and shs = st.phi_shs and has = st.phi_has in
-    for i = 0 to !nphis - 1 do
-      match b.body.(i).ckind with
-      | CPhi { arms; sh; _ } ->
-        cnt.alu <- cnt.alu + 1;
-        (let k = arm_index arms fr.prev_bid 0 in
-         if k >= 0 then vals.(i) <- rvalue regs (snd arms.(k))
-         else vals.(i) <- phi_default);
-        (* Each entry's lanes are disjoint from the others'. *)
-        let w = ref 0 and v = ref 0 in
-        for j = 0 to Array.length sh - 1 do
-          let { sharms; sh_lanes; sh_cls } = sh.(j) in
-          let c = Array.unsafe_get st.ccnt sh_cls in
-          c.sh_reg <- c.sh_reg + 1;
-          c.sh_reg_reads <- c.sh_reg_reads + 1;
-          let k = arm_index sharms fr.prev_bid 0 in
-          let s = if k >= 0 then svalue fr.sregs (snd sharms.(k)) else -1 in
-          v := !v lor (s land sh_lanes);
-          w := !w lor sh_lanes
-        done;
-        has.(i) <- !w;
-        shs.(i) <- !v
-      | _ -> assert false
-    done;
-    for i = 0 to !nphis - 1 do
-      match b.body.(i).ckind with
-      | CPhi { dst; _ } ->
-        regs.(dst) <- vals.(i);
-        if has.(i) <> 0 then
-          fr.sregs.(dst) <- masked fr.sregs.(dst) shs.(i) has.(i);
-        (* Non-phi shadow items attached to the phi still run. *)
-        exec_actions st fr b.body.(i).pre;
-        exec_actions st fr b.body.(i).post
-      | _ -> assert false
-    done
-  end;
-  for idx = !nphis to n - 1 do
+  st.execs.(f.execs0 + 1 + bid) <- st.execs.(f.execs0 + 1 + bid) + 1;
+  if b.nphis > 0 then exec_phis st f b base prev;
+  let stepwise = not (b.call_free && st.steps + b.nsteps <= st.limits.max_steps) in
+  if not stepwise then st.steps <- st.steps + b.nsteps;
+  for idx = b.nphis to Array.length b.body - 1 do
     let i = b.body.(idx) in
-    st.steps <- st.steps + 1;
-    if st.steps > st.limits.max_steps then
-      exhausted "steps" st.limits.max_steps;
-    exec_actions st fr i.pre;
+    if stepwise then step st;
+    if Array.length i.pre > 0 then exec_actions st base prev i.pre;
     (match i.ckind with
-    | CConst (x, n) ->
-      cnt.alu <- cnt.alu + 1;
-      regs.(x) <- vint n
-    | CCopy (x, o) ->
-      cnt.alu <- cnt.alu + 1;
-      regs.(x) <- rvalue regs o
+    | CConst (x, n) -> set st (base + x) k_def n 0
+    | CCopy (x, o) -> put_op st base o st.rk st.ra st.rb (base + x)
     | CUnop (x, u, o) ->
-      cnt.alu <- cnt.alu + 1;
-      let a = rvalue regs o in
-      let n = as_int a in
-      let r = eval_unop u n in
-      regs.(x) <- { v = Vint r; def = a.def }
+      set st (base + x) (def_bit (op_def st base o)) (eval_unop u (op_int st base o)) 0
     | CBinop (x, bop, o1, o2) ->
-      cnt.alu <- cnt.alu + 1;
-      let a = rvalue regs o1 and c = rvalue regs o2 in
       let r =
-        match (bop, a.v, c.v) with
-        | Eq, Vptr (p, q), Vptr (p', q') -> if p = p' && q = q' then 1 else 0
-        | Ne, Vptr (p, q), Vptr (p', q') -> if p = p' && q = q' then 0 else 1
-        | _ -> eval_binop bop (as_int a) (as_int c)
+        match (bop, o1, o2) with
+        | (Eq | Ne), Rs p, Rs q
+          when kind_at st (base + p) land 3 = k_ptr
+               && kind_at st (base + q) land 3 = k_ptr ->
+          let p = base + p and q = base + q in
+          if (st.ra.(p) = st.ra.(q) && st.rb.(p) = st.rb.(q)) = (bop = Eq) then 1 else 0
+        | _ -> eval_binop bop (op_int st base o1) (op_int st base o2)
       in
-      regs.(x) <- { v = Vint r; def = a.def && c.def }
+      set st (base + x) (def_bit (op_def st base o1 && op_def st base o2)) r 0
     | CAlloc { dst; init; size; name } ->
-      cnt.alloc <- cnt.alloc + 1;
       let cells =
         match size with
         | CFields n -> n
         | CArray o ->
-          let v = rvalue regs o in
-          if not v.def then error "allocation with undefined size";
-          max 0 (min (as_int v) 10_000_000)
+          if not (op_def st base o) then error "allocation with undefined size";
+          max 0 (min (op_int st base o) 10_000_000)
       in
-      cnt.alloc_cells <- cnt.alloc_cells + cells;
-      let id = new_obj st ~cells ~init ~name in
-      regs.(dst) <- { v = Vptr (id, 0); def = true }
+      st.cnt.alloc_cells <- st.cnt.alloc_cells + cells;
+      set st (base + dst) (k_ptr lor k_def) (new_obj st ~cells ~init ~name) 0
     | CLoad (x, y) ->
-      cnt.mem <- cnt.mem + 1;
-      let pv = regs.(y) in
-      if not pv.def then Hashtbl.replace st.gt i.clbl ();
-      let o, off = deref st ~what:"load" pv in
-      regs.(x) <- st.objs.(o).cells.(off)
+      if not (def_at st (base + y)) then Hashtbl.replace st.gt i.clbl ();
+      let ob = deref st ~what:"load" (base + y) and off = st.rb.(base + y) in
+      Bytes.unsafe_set st.rk (base + x) (Bytes.unsafe_get ob.ck off);
+      st.ra.(base + x) <- ob.ca.(off);
+      st.rb.(base + x) <- ob.cb.(off)
     | CStore (x, o) ->
-      cnt.mem <- cnt.mem + 1;
-      let pv = regs.(x) in
-      if not pv.def then Hashtbl.replace st.gt i.clbl ();
-      let ob, off = deref st ~what:"store" pv in
-      st.objs.(ob).cells.(off) <- rvalue regs o
-    | CField (x, y, k) ->
-      cnt.alu <- cnt.alu + 1;
-      let pv = regs.(y) in
-      (match pv.v with
-      | Vptr (o, off) -> regs.(x) <- { v = Vptr (o, off + k); def = pv.def }
-      | Vint _ | Vfun _ -> regs.(x) <- { pv with def = false })
+      if not (def_at st (base + x)) then Hashtbl.replace st.gt i.clbl ();
+      let ob = deref st ~what:"store" (base + x) in
+      put_op st base o ob.ck ob.ca ob.cb st.rb.(base + x)
+    | CField (x, y, k) -> offset st (base + x) (base + y) k true
     | CIndex (x, y, o) ->
-      cnt.alu <- cnt.alu + 1;
-      let pv = regs.(y) in
-      let iv = rvalue regs o in
-      (match pv.v with
-      | Vptr (ob, off) ->
-        regs.(x) <- { v = Vptr (ob, off + as_int iv); def = pv.def && iv.def }
-      | Vint _ | Vfun _ -> regs.(x) <- { pv with def = false })
-    | CGlobaladdr (x, objid) ->
-      cnt.alu <- cnt.alu + 1;
-      regs.(x) <- { v = Vptr (objid, 0); def = true }
-    | CFuncaddr (x, fn) ->
-      cnt.alu <- cnt.alu + 1;
-      regs.(x) <- { v = Vfun fn; def = true }
+      offset st (base + x) (base + y) (op_int st base o) (op_def st base o)
+    | CGlobaladdr (x, objid) -> set st (base + x) (k_ptr lor k_def) objid 0
+    | CFuncaddr (x, fi) -> set st (base + x) (k_fun lor k_def) fi 0
     | CCall { dst; callee; args } ->
-      cnt.call <- cnt.call + 1;
-      let fn =
+      let fi =
         match callee with
-        | CDirect fn -> fn
-        | CIndirect s -> (
-          match regs.(s).v with
-          | Vfun fn -> fn
-          | Vint _ | Vptr _ -> error "indirect call through non-function")
+        | CDirect fi -> fi
+        | CIndirect s when kind_at st (base + s) land 3 = k_fun -> st.ra.(base + s)
+        | CIndirect _ -> error "indirect call through non-function"
       in
-      let callee_f =
-        match Hashtbl.find_opt st.prog.funcs fn with
-        | Some cf -> cf
-        | None -> error "call to unknown function %s" fn
-      in
-      let nargs = Array.length args in
-      let argv =
-        if nargs = 0 then [||]
-        else begin
-          let a = Array.make nargs phi_default in
-          for i = 0 to nargs - 1 do
-            a.(i) <- rvalue regs args.(i)
-          done;
-          a
-        end
-      in
-      let r = exec_call st callee_f argv ~depth:(depth + 1) in
-      (match dst with Some x -> regs.(x) <- r | None -> ())
+      if fi >= Array.length st.prog.funcs then
+        error "call to unknown function %s" st.prog.fnames.(fi);
+      let g = st.prog.funcs.(fi) and gbase = base + f.nslots in
+      push_frame st g gbase ~depth:(depth + 1);
+      for k = 0 to min (Array.length g.cparams) (Array.length args) - 1 do
+        put_op st base args.(k) st.rk st.ra st.rb (gbase + g.cparams.(k))
+      done;
+      let ret = match dst with Some x -> base + x | None -> gbase + g.nslots in
+      exec_func st g gbase ret ~depth:(depth + 1)
     | CPhi _ -> error "phi in block body (not at head)"
-    | COutput o ->
-      cnt.io <- cnt.io + 1;
-      st.outputs_rev <- as_int (rvalue regs o) :: st.outputs_rev
+    | COutput o -> st.outputs_rev <- op_int st base o :: st.outputs_rev
     | CInput x ->
-      cnt.io <- cnt.io + 1;
       st.input_state <- (st.input_state * 1103515245) + 12345;
-      regs.(x) <- vint ((st.input_state lsr 16) land 0x7fff));
-    exec_actions st fr i.post
+      set st (base + x) k_def ((st.input_state lsr 16) land 0x7fff) 0);
+    if Array.length i.post > 0 then exec_actions st base prev i.post
   done;
-  exec_actions st fr b.term_pre;
+  if Array.length b.term_pre > 0 then exec_actions st base prev b.term_pre;
   (* Terminators count as steps too, or an empty infinite loop would
      never hit the step limit. *)
-  st.steps <- st.steps + 1;
-  if st.steps > st.limits.max_steps then
-    exhausted "steps" st.limits.max_steps;
+  if stepwise then step st;
   match b.cterm with
   | CTBr (o, b1, b2) ->
-    cnt.branch <- cnt.branch + 1;
-    let v = rvalue regs o in
-    if not v.def then Hashtbl.replace st.gt b.term_lbl ();
-    fr.prev_bid <- bid;
-    exec_block st f fr (if as_int v <> 0 then b1 else b2) ~depth
-  | CTJmp b1 ->
-    fr.prev_bid <- bid;
-    exec_block st f fr b1 ~depth
-  | CTRet o -> (
-    cnt.call <- cnt.call + 1;
-    match o with Some o -> rvalue regs o | None -> phi_default)
+    if not (op_def st base o) then Hashtbl.replace st.gt b.term_lbl ();
+    exec_block st f base ret bid (if op_int st base o <> 0 then b1 else b2) ~depth
+  | CTJmp b1 -> exec_block st f base ret bid b1 ~depth
+  | CTRet (Some o) -> put_op st base o st.rk st.ra st.rb ret
+  | CTRet None -> set st ret 0 0 0
+
+(* The counters: each block's deltas times its execution count. *)
+let settle st =
+  let shadow e (d : int array) =
+    for j = 0 to (Array.length d / sh_width) - 1 do
+      let o = sh_width * j in
+      let c = st.ccnt.(d.(o)) in
+      c.sh_reg <- c.sh_reg + (e * d.(o + d_sh_reg));
+      c.sh_reg_reads <- c.sh_reg_reads + (e * d.(o + d_sh_reads));
+      c.sh_mem <- c.sh_mem + (e * d.(o + d_sh_mem));
+      c.sh_obj <- c.sh_obj + (e * d.(o + d_sh_obj));
+      c.sh_check <- c.sh_check + (e * d.(o + d_sh_check))
+    done
+  in
+  let c = st.cnt in
+  Array.iter
+    (fun (f : cfunc) ->
+      shadow st.execs.(f.execs0) f.entry_delta;
+      Array.iteri
+        (fun bid (b : cblock) ->
+          let e = st.execs.(f.execs0 + 1 + bid) and d = b.bdelta in
+          c.alu <- c.alu + (e * d.(d_alu));
+          c.mem <- c.mem + (e * d.(d_mem));
+          c.branch <- c.branch + (e * d.(d_branch));
+          c.call <- c.call + (e * d.(d_call));
+          c.alloc <- c.alloc + (e * d.(d_alloc));
+          c.io <- c.io + (e * d.(d_io));
+          shadow e b.sh_delta)
+        f.cblocks)
+    st.prog.funcs
 
 let run_lanes ?(limits = default_limits) (cp : cprog) : lane_outcomes =
+  let none = { ck = Bytes.empty; ca = [||]; cb = [||]; shadow = [||]; obj_name = "!" } in
+  let nregs = 2 * (cp.max_slots + 1) in
+  let nexecs = Array.fold_left (fun n f -> n + 1 + Array.length f.cblocks) 0 cp.funcs in
   let st =
     {
       prog = cp;
-      objs = Array.make 64 { cells = [||]; shadow = [||]; obj_name = "!" };
+      objs = Array.make 64 none;
       nobjs = 0;
       sigma_g = Array.make (max 1 cp.nglobal_slots) (-1);
       cnt = Counters.create ();
       ccnt = Array.map (fun _ -> Counters.create ()) cp.class_lanes;
+      execs = Array.make nexecs 0;
       det = Array.init cp.nlanes (fun _ -> Hashtbl.create 16);
       gt = Hashtbl.create 16;
       outputs_rev = [];
       steps = 0;
       input_state = 0x9e3779b9;
       limits;
-      dummy_sregs = Array.make cp.max_slots (-1);
-      phi_vals = [||];
-      phi_shs = [||];
-      phi_has = [||];
+      rk = Bytes.create nregs;
+      ra = Array.make nregs 0;
+      rb = Array.make nregs 0;
+      rsh = Array.make nregs 0;
     }
   in
   (* Allocate and initialize globals (C default-initialization: defined). *)
@@ -960,23 +1061,25 @@ let run_lanes ?(limits = default_limits) (cp : cprog) : lane_outcomes =
         | Array_of _ -> error "global %s has dynamic size" g.gname
       in
       let id = new_obj st ~cells ~init:true ~name:g.gname in
-      List.iteri
-        (fun i n -> if i < cells then st.objs.(id).cells.(i) <- vint n)
-        g.ginit;
+      List.iteri (fun i n -> if i < cells then st.objs.(id).ca.(i) <- n) g.ginit;
       assert (id = Hashtbl.find cp.global_objid g.gname))
     cp.globals;
-  let r =
-    if Obs.Trace.enabled () then
-      Obs.Trace.with_span ~cat:"interp"
-        ~args:[ ("lanes", Obs.Trace.Int cp.nlanes) ]
-        "interp.run"
-        (fun () -> exec_call st cp.main [||] ~depth:0)
-    else exec_call st cp.main [||] ~depth:0
+  (* main returns into the register past its frame. *)
+  let ret = cp.main.nslots in
+  let main () =
+    push_frame st cp.main 0 ~depth:0;
+    exec_func st cp.main 0 ret ~depth:0
   in
+  if Obs.Trace.enabled () then
+    Obs.Trace.with_span ~cat:"interp"
+      ~args:[ ("lanes", Obs.Trace.Int cp.nlanes) ]
+      "interp.run" main
+  else main ();
+  settle st;
   let native =
     {
       outputs = List.rev st.outputs_rev;
-      exit_value = as_int r;
+      exit_value = as_int (kind_at st ret) st.ra.(ret) st.rb.(ret);
       counters = st.cnt;
       detections = Hashtbl.create 1;
       gt_uses = st.gt;

@@ -15,10 +15,11 @@
     case of the same loop.
 
     Programs are compiled to a slot-resolved form first, so the hot loop
-    performs no hash lookups. Shadow state defaults to "defined"; only
-    instrumented statements write it. Garbage cell contents are a
-    deterministic function of object id and offset, so runs are
-    reproducible. *)
+    resolves no names; it hashes only to record ground-truth uses and
+    detections. It keeps values in unboxed planes and counts per block.
+    Shadow state defaults to "defined"; only instrumented statements
+    write it. Garbage cell contents are a deterministic function of
+    object id and offset, so runs are reproducible. *)
 
 exception Runtime_error of string
 
@@ -80,7 +81,7 @@ type ckind =
   | CField of int * int * int
   | CIndex of int * int * rop
   | CGlobaladdr of int * int            (** dst slot, global objid *)
-  | CFuncaddr of int * string
+  | CFuncaddr of int * int              (** dst slot, function index *)
   | CCall of { dst : int option; callee : ccallee; args : rop array }
   | CPhi of {
       dst : int;
@@ -90,7 +91,7 @@ type ckind =
   | COutput of rop
   | CInput of int
 
-and ccallee = CDirect of string | CIndirect of int
+and ccallee = CDirect of int | CIndirect of int  (** function index / slot *)
 
 type cinstr = {
   clbl : Ir.Types.label;
@@ -101,11 +102,18 @@ type cinstr = {
 
 type cterm = CTBr of rop * int * int | CTJmp of int | CTRet of rop option
 
+(** Per execution, [sh_delta] holds six ints per counter class: the class,
+    sh_reg, sh_reg_reads, sh_mem, sh_obj, sh_check. *)
 type cblock = {
   body : cinstr array;                  (** leading phis evaluate in parallel *)
   cterm : cterm;
   term_lbl : Ir.Types.label;
   term_pre : caction array;
+  nphis : int;                          (** leading phis *)
+  nsteps : int;                         (** steps of one execution *)
+  call_free : bool;
+  bdelta : int array;                   (** alu, mem, branch, call, alloc, io *)
+  sh_delta : int array;
 }
 
 type cfunc = {
@@ -113,11 +121,14 @@ type cfunc = {
   nslots : int;
   cparams : int array;
   entry_acts : caction array;
+  entry_delta : int array;              (** [sh_delta] of [entry_acts] *)
   cblocks : cblock array;
+  execs0 : int;                         (** first execution counter *)
 }
 
 type cprog = {
-  funcs : (string, cfunc) Hashtbl.t;
+  funcs : cfunc array;                  (** by function index *)
+  fnames : string array;                (** past [funcs]: names never defined *)
   global_objid : (string, int) Hashtbl.t;
   globals : Ir.Types.global list;
   main : cfunc;

@@ -127,7 +127,7 @@ let leading_phis (cb : I.cblock) : int =
 
 type ctx = {
   intern : string -> int;            (* name table *)
-  fidx_of : string -> int option;    (* defined functions only *)
+  nfuncs : int;                      (* functions defined *)
 }
 
 let lower_func (ctx : ctx) ~(block0 : int) (f : I.cfunc) : B.func =
@@ -218,14 +218,11 @@ let lower_func (ctx : ctx) ~(block0 : int) (f : I.cfunc) : B.func =
       let ok, ov = rop_enc o in
       eop B.o_index; emit b x; emit b y; emit b ok; emit b ov
     | I.CGlobaladdr (x, objid) -> eop B.o_globaladdr; emit b x; emit b objid
-    | I.CFuncaddr (x, fn) -> eop B.o_funcaddr; emit b x; emit b (ctx.intern fn)
+    | I.CFuncaddr (x, fi) -> eop B.o_funcaddr; emit b x; emit b fi
     | I.CCall { dst; callee; args } ->
       let opc, target =
         match callee with
-        | I.CDirect fn -> (
-          match ctx.fidx_of fn with
-          | Some fi -> (B.o_call, fi)
-          | None -> (B.o_call, -1 - ctx.intern fn))
+        | I.CDirect fi -> (B.o_call, if fi < ctx.nfuncs then fi else -1 - fi)
         | I.CIndirect s -> (B.o_callind, s)
       in
       eop opc;
@@ -367,8 +364,8 @@ let max_label (cp : I.cprog) : int =
   let act (a : I.caction) =
     match a.act with I.CCheck (_, l) -> if l > !m then m := l | _ -> ()
   in
-  Hashtbl.iter
-    (fun _ (cf : I.cfunc) ->
+  Array.iter
+    (fun (cf : I.cfunc) ->
       Array.iter (fun a -> act a) cf.entry_acts;
       Array.iter
         (fun (cb : I.cblock) ->
@@ -402,27 +399,23 @@ let lower (cp : I.cprog) : B.prog =
       names := s :: !names;
       i
   in
-  let fnames =
-    Hashtbl.fold (fun n _ acc -> n :: acc) cp.funcs [] |> List.sort compare
-  in
+  let nfuncs = Array.length cp.funcs in
   let fun_index = Hashtbl.create 16 in
-  List.iteri (fun i n -> Hashtbl.replace fun_index n i) fnames;
-  let fidx_of n = Hashtbl.find_opt fun_index n in
-  let ctx = { intern; fidx_of } in
-  (* Intern every function name up front so name2func covers them all. *)
-  List.iter (fun n -> ignore (intern n)) fnames;
+  Array.iteri (fun i (cf : I.cfunc) -> Hashtbl.replace fun_index cf.cfname i) cp.funcs;
+  let ctx = { intern; nfuncs } in
+  (* Intern every function name up front, in function index order, so a
+     name's index is its function's and name2func covers them all. *)
+  Array.iter (fun n -> ignore (intern n)) cp.fnames;
   let nblocks = ref 0 in
   let deltas = ref [] in
   let funcs =
-    Array.of_list
-      (List.map
-         (fun n ->
-           let cf = Hashtbl.find cp.funcs n in
-           let block0 = !nblocks in
-           nblocks := !nblocks + Array.length cf.cblocks;
-           Array.iter (fun cb -> deltas := block_delta cb :: !deltas) cf.cblocks;
-           lower_func ctx ~block0 cf)
-         fnames)
+    Array.map
+      (fun (cf : I.cfunc) ->
+        let block0 = !nblocks in
+        nblocks := !nblocks + Array.length cf.cblocks;
+        Array.iter (fun cb -> deltas := block_delta cb :: !deltas) cf.cblocks;
+        lower_func ctx ~block0 cf)
+      cp.funcs
   in
   let deltas_flat = Array.make (B.ndelta * !nblocks) 0 in
   List.iteri
@@ -431,11 +424,7 @@ let lower (cp : I.cprog) : B.prog =
       Array.blit d 0 deltas_flat (B.ndelta * i) B.ndelta)
     !deltas;
   let names_arr = Array.of_list (List.rev !names) in
-  let name2func =
-    Array.map
-      (fun n -> match Hashtbl.find_opt fun_index n with Some i -> i | None -> -1)
-      names_arr
-  in
+  let name2func = Array.mapi (fun i _ -> if i < nfuncs then i else -1) names_arr in
   {
     B.funcs;
     fun_index;

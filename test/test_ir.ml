@@ -127,6 +127,17 @@ let verify_tests =
           (message (build ~arms:(fun x0 x2 -> (3, Var x2) :: all x0 x2) ~stray:false));
         check_str "a use never defined" "main: l6 uses y which has no definition here"
           (message (build ~arms:all ~stray:true)));
+    (* A terminator's operand is a use like any other: [compile_base]
+       would give an undefined y a fresh slot that reads as a defined 0. *)
+    tc "returning a variable never defined is rejected in SSA" (fun () ->
+        let p = Ir.Prog.create () in
+        let b = Ir.Builder.create p ~fname:"main" in
+        Ir.Builder.switch_to b (Ir.Builder.new_block b);
+        let y = Ir.Builder.fresh_var b "y" in
+        Ir.Builder.terminate b (Ir.Types.Ret (Some (Ir.Types.Var y)));
+        ignore (Ir.Builder.finish b);
+        check_bool "raises" true
+          (try Ir.Verify.check_ssa p; false with Ir.Verify.Ill_formed _ -> true));
     tc "branch to nonexistent block is rejected" (fun () ->
         let p = Ir.Prog.create () in
         let b = Ir.Builder.create p ~fname:"main" in

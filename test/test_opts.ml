@@ -442,6 +442,18 @@ let alloc_tests =
         let base = Runtime.Interp.compile_base prog in
         let mw = minor_mwords (fun () -> ignore (Runtime.Interp.attach_lanes base plans)) in
         check_bool (Printf.sprintf "%.2f Mwords < 4.5" mw) true (mw < 4.5));
+    (* Every integer result once allocated a boxed value and every call a
+       frame of boxed registers: 17.2 Mwords here. Values now live in
+       unboxed planes and frames in one register stack. *)
+    tc "run_lanes of 164.gzip's five plans allocates under 0.5 Mwords, minor and direct major"
+      (fun () ->
+        let level = Optim.Pipeline.O0_IM in
+        let prog, a = analog ~scale:750 ~level Workloads.Spec2000.gzip in
+        let base = Runtime.Interp.compile_base prog in
+        let cp = Runtime.Interp.attach_lanes base (folded_plans ~level a) in
+        let minor, major = heap_words (fun () -> ignore (Runtime.Interp.run_lanes cp)) in
+        let mw = (minor +. major) /. 1e6 in
+        check_bool (Printf.sprintf "%.2f Mwords < 0.5" mw) true (mw < 0.5));
     (* Every edge insert once hashed its (src, dst, kind) triple into a
        global table: 4.2 Mwords here. Scanning the source's successor
        list allocates nothing. *)

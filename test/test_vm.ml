@@ -171,6 +171,27 @@ let failure_tests =
             \  return 0; }"
         in
         check_str "is the object limit" "exhausted objects at 16" f);
+    (* One call-free block: a load through an int at step 4, the limit at
+       step 6, the block's end at step 9. The error comes first. *)
+    tc "a runtime error just before the steps limit wins" (fun () ->
+        let open Ir.Types in
+        let prog = Ir.Prog.create () in
+        let b = Ir.Builder.create prog ~fname:"main" in
+        Ir.Builder.switch_to b (Ir.Builder.new_block b);
+        let c n = ignore (Ir.Builder.const b n) in
+        c 1;
+        c 2;
+        let x = Ir.Builder.const b 5 in
+        ignore (Ir.Builder.load b x);
+        List.iter c [ 3; 4; 5; 6 ];
+        Ir.Builder.terminate b (Ret (Some (Cst 0)));
+        ignore (Ir.Builder.finish b);
+        let cp = RI.compile prog (Instr.Item.empty_plan prog) in
+        let limits = { RI.default_limits with RI.max_steps = 6 } in
+        let fi = run_to_failure ~limits RI.run cp in
+        check_str "interp" "runtime_error: load: not a pointer" fi;
+        let vm ?limits bp = Vm.Exec.run ?limits bp in
+        check_str "vm" fi (run_to_failure ~limits vm (Vm.Lower.lower cp)));
     tc "out-of-bounds access: identical Runtime_error" (fun () ->
         let f =
           failure_parity "oob"
@@ -464,29 +485,31 @@ let property_tests =
     prop "vm ≡ interp under tight step limits" 15 (fun seed ->
         (* run both engines into (or just past) the limit wall: whichever
            side of it the program lands on, the outcome or the exception
-           must match *)
+           must match. Limits that are not round land inside blocks, where
+           the interpreter takes a whole call-free block's steps at once;
+           a tight object limit puts a trap before some of them. *)
         let prog = front (Audit.Gen.source ~seed ()) in
         let cp = RI.compile prog (Instr.Item.empty_plan prog) in
         let bp = Vm.Lower.lower cp in
-        let limits = { RI.default_limits with RI.max_steps = 200 } in
-        (match
-           ( RI.run ~limits cp,
-             Vm.Exec.run ~limits bp )
-         with
-        | oi, ov ->
-          (match outcome_diff oi ov with
-          | [] -> ()
-          | ds ->
-            Alcotest.failf "gen-%d: engines disagree on %s" seed
-              (String.concat ", " ds))
-        | exception _ ->
-          let fi = run_to_failure ~limits RI.run cp in
-          let fv =
-            run_to_failure ~limits
-              (fun ?limits bp -> Vm.Exec.run ?limits bp)
-              bp
-          in
-          check_str (Printf.sprintf "gen-%d failure" seed) fi fv);
+        List.iter
+          (fun (max_steps, max_objects) ->
+            let limits = { RI.default_limits with RI.max_steps; max_objects } in
+            match (RI.run ~limits cp, Vm.Exec.run ~limits bp) with
+            | oi, ov -> (
+              match outcome_diff oi ov with
+              | [] -> ()
+              | ds ->
+                Alcotest.failf "gen-%d at %d: engines disagree on %s" seed max_steps
+                  (String.concat ", " ds))
+            | exception _ ->
+              let fi = run_to_failure ~limits RI.run cp in
+              let fv =
+                run_to_failure ~limits (fun ?limits bp -> Vm.Exec.run ?limits bp) bp
+              in
+              check_str (Printf.sprintf "gen-%d failure at %d" seed max_steps) fi fv)
+          (List.concat_map
+             (fun n -> [ (n, 1_000_000); (n, 3) ])
+             [ 1; 5; 13; 37; 200; 333; 1001 ]);
         true);
   ]
 
