@@ -62,26 +62,6 @@ let variant_arg =
   Arg.(value & opt variant_conv Usher.Config.Usher_full
        & info [ "v"; "variant" ] ~doc:"Variant: msan, tl, tl+at, opt1 or usher.")
 
-let engine_conv =
-  let parse s =
-    match Vm.Engine.of_string s with
-    | Some e -> Ok e
-    | None -> Error (`Msg ("unknown engine " ^ s))
-  in
-  Arg.conv (parse, fun ppf e -> Fmt.string ppf (Vm.Engine.name e))
-
-let engine_doc =
-  "Execution engine: interp (default) or vm. Both give identical outcomes. \
-   run and bench on interp execute the program once, with every \
-   instrumented variant as a lane of that one execution and the native \
-   outcome taken from it too; vm is the reference: the bytecode VM runs \
-   the native program and then each variant in its own execution. audit \
-   and fuzz run each variant separately on either engine."
-
-let engine_arg =
-  Arg.(value & opt engine_conv Vm.Engine.Interp
-       & info [ "engine" ] ~doc:engine_doc)
-
 let file_arg = Arg.(required & pos 0 (some file) None & info [] ~docv:"FILE")
 
 (* ---- resource budgets and fault injection ---- *)
@@ -322,7 +302,7 @@ let analyze_cmd =
 (* ---- run ---- *)
 
 let run_cmd =
-  let run file level variant engine knobs trace metrics =
+  let run file level variant knobs trace metrics =
     observed trace metrics @@ fun () ->
     let prog, front_events =
       Usher.Pipeline.front_guarded ~level ~knobs (read_file file)
@@ -330,13 +310,11 @@ let run_cmd =
     let a = Usher.Pipeline.analyze ~knobs prog in
     let plan, _ = Usher.Experiment.plan_for level a variant in
     print_degradation a front_events;
-    let native, o =
-      match
-        Vm.Engine.run_plans engine (Runtime.Interp.compile_base prog) [ plan ]
-      with
-      | native, [ o ] -> (native, o)
-      | _ -> assert false
+    let { Runtime.Interp.native; per_lane } =
+      Runtime.Interp.run_lanes
+        (Runtime.Interp.attach_lanes (Runtime.Interp.compile_base prog) [ plan ])
     in
+    let o = per_lane.(0) in
     List.iter (fun v -> Printf.printf "output: %d\n" v) o.outputs;
     Printf.printf "exit: %d\n" o.exit_value;
     List.iter
@@ -367,8 +345,8 @@ let run_cmd =
        ~doc:"Execute a TinyC program under instrumentation. Exits 0 when \
              clean, 3 when a use of an undefined value is detected, 4 when \
              a ground-truth undefined use escapes the instrumentation.")
-    Term.(const run $ file_arg $ level_arg $ variant_arg $ engine_arg
-          $ knobs_term $ trace_arg $ metrics_arg)
+    Term.(const run $ file_arg $ level_arg $ variant_arg $ knobs_term
+          $ trace_arg $ metrics_arg)
 
 (* ---- check ---- *)
 
@@ -497,14 +475,14 @@ let gen_cmd =
 exception Unknown_bench of string
 
 let bench_cmd =
-  let run name scale level engine knobs trace metrics =
+  let run name scale level knobs trace metrics =
     observed trace metrics @@ fun () ->
     let p =
       try Workloads.Spec2000.find name
       with Not_found -> raise (Unknown_bench name)
     in
     let src = Workloads.Spec2000.source ~scale p in
-    match Usher.Experiment.run ~name ~level ~knobs ~engine src with
+    match Usher.Experiment.run ~name ~level ~knobs src with
     | exception Usher.Experiment.Unsound msg ->
       Printf.printf "SOUNDNESS: %s\n" msg;
       4
@@ -538,8 +516,8 @@ let bench_cmd =
     (Cmd.info "bench"
        ~doc:"Run one SPEC2000 analog end to end. Exits 0 when clean, 3 when \
              undefined uses are detected, 4 on a soundness divergence.")
-    Term.(const run $ name_arg $ scale_arg $ level_arg $ engine_arg
-          $ knobs_term $ trace_arg $ metrics_arg)
+    Term.(const run $ name_arg $ scale_arg $ level_arg $ knobs_term
+          $ trace_arg $ metrics_arg)
 
 (* ---- audit and fuzz: campaigns of the soundness sentinel ---- *)
 
@@ -558,7 +536,7 @@ let quiet_arg =
 (** The settings [audit] and [fuzz] share; the two spell [--seed] and
     [--inject-hole] differently. *)
 let campaign_term ~seed_arg ~hole_arg =
-  let make seed budget_ms dir hole no_reduce quiet level engine =
+  let make seed budget_ms dir hole no_reduce quiet level =
     {
       Audit.Loop.default_config with
       seed;
@@ -567,12 +545,11 @@ let campaign_term ~seed_arg ~hole_arg =
       hole;
       minimize = not no_reduce;
       level;
-      engine;
       log = (if quiet then ignore else fun s -> Printf.printf "%s\n%!" s);
     }
   in
   Term.(const make $ seed_arg $ budget_ms_arg $ campaign_dir_arg $ hole_arg
-        $ no_reduce_arg $ quiet_arg $ level_arg $ engine_arg)
+        $ no_reduce_arg $ quiet_arg $ level_arg)
 
 let print_incidents (s : Audit.Loop.summary) =
   Printf.printf

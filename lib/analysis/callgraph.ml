@@ -7,7 +7,6 @@ module P = Ir.Prog
 type t = {
   prog : P.t;
   callees : (fname, fname list) Hashtbl.t;     (* deduplicated *)
-  callers : (fname, fname list) Hashtbl.t;
   site_callees : (label, fname list) Hashtbl.t;
   scc_of : (fname, int) Hashtbl.t;             (* SCC id per function *)
   sccs : fname list array;                     (* reverse topological order *)
@@ -15,26 +14,22 @@ type t = {
 }
 
 let build (p : P.t) (pa : Andersen.t) : t =
-  let callees = Hashtbl.create 16 and callers = Hashtbl.create 16 in
+  let callees = Hashtbl.create 16 in
   let site_callees = Hashtbl.create 64 in
   let add tbl k v =
     let prev = Option.value ~default:[] (Hashtbl.find_opt tbl k) in
     if not (List.mem v prev) then Hashtbl.replace tbl k (v :: prev)
   in
   P.iter_funcs (fun f ->
-      if not (Hashtbl.mem callees f.fname) then Hashtbl.replace callees f.fname [];
-      if not (Hashtbl.mem callers f.fname) then Hashtbl.replace callers f.fname []) p;
+      if not (Hashtbl.mem callees f.fname) then Hashtbl.replace callees f.fname [])
+    p;
   P.iter_instrs
     (fun f _ i ->
       match i.kind with
       | Call _ ->
         let targets = Andersen.call_targets pa i in
         Hashtbl.replace site_callees i.lbl targets;
-        List.iter
-          (fun g ->
-            add callees f.fname g;
-            add callers g f.fname)
-          targets
+        List.iter (add callees f.fname) targets
       | _ -> ())
     p;
   (* Tarjan's strongly connected components. *)
@@ -88,10 +83,9 @@ let build (p : P.t) (pa : Andersen.t) : t =
       | _ :: _ :: _ -> List.iter (fun f -> Hashtbl.replace recursive f ()) comp
       | [] -> ())
     sccs;
-  { prog = p; callees; callers; site_callees; scc_of; sccs; recursive }
+  { prog = p; callees; site_callees; scc_of; sccs; recursive }
 
 let callees_of t f = Option.value ~default:[] (Hashtbl.find_opt t.callees f)
-let callers_of t f = Option.value ~default:[] (Hashtbl.find_opt t.callers f)
 let site_callees t lbl = Option.value ~default:[] (Hashtbl.find_opt t.site_callees lbl)
 
 (** Is [f] part of a call-graph cycle (including self-recursion)? Recursive

@@ -9,7 +9,6 @@ type t
 val build : Ir.Prog.t -> Andersen.t -> t
 
 val callees_of : t -> fname -> fname list
-val callers_of : t -> fname -> fname list
 
 (** Resolved targets of one call site. *)
 val site_callees : t -> label -> fname list

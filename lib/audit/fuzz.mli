@@ -35,7 +35,7 @@ type promotion = {
 
 (** [promote cfg ~src_dir ~dst_dir] re-runs the differential oracle over
     every member of the distilled corpus in [src_dir] (under [cfg]'s
-    level/limits/engine/knobs) and copies a member into the curated
+    level/limits/knobs) and copies a member into the curated
     corpus [dst_dir] — stable content-digest [fuzz-<digest>.c] name, its
     features merged into [dst_dir]'s [corpus.features] — exactly when
     its fingerprint contributes a feature the curated corpus lacks.

@@ -22,7 +22,6 @@ type config = {
   minimize : bool;                      (* ddmin-reduce soundness misses *)
   level : Optim.Pipeline.level;
   limits : Runtime.Interp.limits;
-  engine : Vm.Engine.t;
   knobs : Usher.Config.knobs;
   log : string -> unit;
 }
@@ -38,7 +37,6 @@ let default_config =
     limits =
       { Runtime.Interp.max_steps = 2_000_000; max_objects = 100_000;
         max_depth = 1_000 };
-    engine = Vm.Engine.Interp;
     knobs = Usher.Config.default_knobs;
     log = ignore;
   }
@@ -79,8 +77,7 @@ let knobs_summary (k : Usher.Config.knobs) : string =
    routinely produce wild pointers); anything else propagates. *)
 let oracle_check cfg ~knobs (src : string) : (Oracle.report, string) result =
   match
-    Oracle.check ~level:cfg.level ~knobs ~limits:cfg.limits ?hole:cfg.hole
-      ~engine:cfg.engine src
+    Oracle.check ~level:cfg.level ~knobs ~limits:cfg.limits ?hole:cfg.hole src
   with
   | r -> Ok r
   | exception Diag.Error d -> Error (Diag.to_string d)

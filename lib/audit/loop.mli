@@ -17,7 +17,6 @@ type config = {
   minimize : bool;              (** ddmin-reduce soundness misses *)
   level : Optim.Pipeline.level;
   limits : Runtime.Interp.limits;
-  engine : Vm.Engine.t;         (** engine for the instrumented runs *)
   knobs : Usher.Config.knobs;
   log : string -> unit;
 }

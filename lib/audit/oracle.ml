@@ -25,8 +25,8 @@
      correctness bug, but a regression of the entire point of the system.
 
    The lane execution yields the native ground truth too. A run per plan
-   replaces it on the VM engine (native on the interpreter) and when the
-   lane execution raises, so a trap is pinned on the variant that hit it.
+   replaces it when the lane execution raises, so a trap is pinned on the
+   variant that hit it.
 
    The [hole] hook deliberately deletes every check a *guided* plan placed
    in functions matching a name prefix — a seeded soundness bug used by
@@ -101,39 +101,35 @@ let apply_hole (a : Usher.Pipeline.analysis) (owners : string option array)
       | _ -> ())
     plan.Instr.Item.items
 
-(* Each lane on its own execution: the native run on the interpreter
-   (its traps propagate: not a valid audit subject), then every plan on
-   [engine], a trap becoming that plan's [Error]. *)
-let run_per_plan ?limits engine (p : Usher.Experiment.prepared) =
+(* Each lane on its own execution: the native run first (its traps
+   propagate: not a valid audit subject), then every plan, a trap
+   becoming that plan's [Error]. *)
+let run_per_plan ?limits (p : Usher.Experiment.prepared) =
   let module I = Runtime.Interp in
-  let native =
-    I.run ?limits (I.attach p.base (Instr.Item.empty_plan p.analysis.prog))
-  in
+  let run plan = I.run ?limits (I.attach p.base plan) in
+  let native = run (Instr.Item.empty_plan p.analysis.prog) in
   ( native,
     List.map
       (fun (l : Usher.Experiment.lane) ->
-        try Ok (Vm.Engine.run_plan ?limits engine p.base l.lplan) with
+        try Ok (run l.lplan) with
         | I.Runtime_error msg -> Error msg
         | I.Resource_exhausted { what; limit } ->
           Error (Printf.sprintf "%s limit %d exhausted" what limit))
       p.lanes )
 
-let judge ?limits ?(engine = Vm.Engine.Interp) (p : Usher.Experiment.prepared)
-    : report =
+let judge ?limits (p : Usher.Experiment.prepared) : report =
   let module I = Runtime.Interp in
   let prog = p.analysis.prog in
   let owners = label_owners prog in
   let native, outcomes =
-    match engine with
-    | Vm.Engine.Vm -> run_per_plan ?limits Vm.Engine.Vm p
-    | Vm.Engine.Interp -> (
-      match
-        Vm.Engine.run_plans ?limits Vm.Engine.Interp p.base
-          (List.map (fun (l : Usher.Experiment.lane) -> l.lplan) p.lanes)
-      with
-      | native, outcomes -> (native, List.map Result.ok outcomes)
-      | exception (I.Runtime_error _ | I.Resource_exhausted _) ->
-        run_per_plan ?limits Vm.Engine.Interp p)
+    match
+      I.run_lanes ?limits
+        (I.attach_lanes p.base
+           (List.map (fun (l : Usher.Experiment.lane) -> l.lplan) p.lanes))
+    with
+    | r -> (r.native, List.map Result.ok (Array.to_list r.per_lane))
+    | exception (I.Runtime_error _ | I.Resource_exhausted _) ->
+      run_per_plan ?limits p
   in
   let runs =
     List.map2
@@ -197,7 +193,7 @@ let judge ?limits ?(engine = Vm.Engine.Interp) (p : Usher.Experiment.prepared)
     divergences = List.rev !divergences;
   }
 
-let check ?level ?knobs ?limits ?hole ?engine (src : string) : report =
+let check ?level ?knobs ?limits ?hole (src : string) : report =
   let p = Usher.Experiment.prepare ?level ?knobs src in
   Option.iter
     (fun h ->
@@ -207,4 +203,4 @@ let check ?level ?knobs ?limits ?hole ?engine (src : string) : report =
           if Option.is_some l.ltraversal then apply_hole p.analysis owners h l.lplan)
         p.lanes)
     hole;
-  judge ?limits ?engine p
+  judge ?limits p

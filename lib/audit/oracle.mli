@@ -42,17 +42,15 @@ val soundness_misses : report -> miss list
 (** Any [Miss] or [Behavior] divergence (the kinds that gate CI). *)
 val has_soundness_divergence : report -> bool
 
-(** Judge prepared lanes. On the interpreter (default [engine]) they run
-    as one lane execution, which also yields the native ground truth. A
-    run per plan replaces it on [~engine:Vm] (the native run stays on the
-    interpreter: a cross-engine check) and when the lane execution
-    raises (a trap only one plan hits is that variant's [Behavior]).
+(** Judge prepared lanes. They run as one lane execution, which also
+    yields the native ground truth. A run per plan replaces it when the
+    lane execution raises (a trap only one plan hits is that variant's
+    [Behavior]).
 
     @raise Runtime.Interp.Runtime_error
     @raise Runtime.Interp.Resource_exhausted when the native run traps. *)
 val judge :
   ?limits:Runtime.Interp.limits ->
-  ?engine:Vm.Engine.t ->
   Usher.Experiment.prepared ->
   report
 
@@ -71,6 +69,5 @@ val check :
   ?knobs:Usher.Config.knobs ->
   ?limits:Runtime.Interp.limits ->
   ?hole:string ->
-  ?engine:Vm.Engine.t ->
   string ->
   report

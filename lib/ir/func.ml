@@ -84,14 +84,3 @@ let find_instr (f : func) (lbl : label) : (block * instr) option =
       List.iter (fun i -> if i.lbl = lbl then found := Some (b, i)) b.instrs)
     f.blocks;
   !found
-
-(** Map from label to (block id, position) for instructions, and block id for
-    terminators, across one function. *)
-let label_index (f : func) : (label, [ `Instr of blockid * int | `Term of blockid ]) Hashtbl.t =
-  let tbl = Hashtbl.create 64 in
-  Array.iter
-    (fun b ->
-      List.iteri (fun i ins -> Hashtbl.replace tbl ins.lbl (`Instr (b.bid, i))) b.instrs;
-      Hashtbl.replace tbl b.term.tlbl (`Term b.bid))
-    f.blocks;
-  tbl

@@ -33,7 +33,3 @@ val defined_vars : func -> var list
 
 (** Locate the instruction carrying a label, if any. *)
 val find_instr : func -> label -> (block * instr) option
-
-(** Map every label of the function to its position. *)
-val label_index :
-  func -> (label, [ `Instr of blockid * int | `Term of blockid ]) Hashtbl.t

@@ -83,5 +83,4 @@ let prog ppf (p : Prog.t) =
   List.iter (fun (_, f) -> func p ppf f) p.funcs
 
 let instr_to_string p i = Fmt.str "%a" (instr_kind p) i.kind
-let func_to_string p f = Fmt.str "%a" (func p) f
 let prog_to_string p = Fmt.str "%a" prog p

@@ -10,5 +10,4 @@ val func : Prog.t -> Format.formatter -> func -> unit
 val prog : Format.formatter -> Prog.t -> unit
 
 val instr_to_string : Prog.t -> instr -> string
-val func_to_string : Prog.t -> func -> string
 val prog_to_string : Prog.t -> string

@@ -76,8 +76,6 @@ let fold_funcs f acc p = List.fold_left (fun acc (_, fn) -> f acc fn) acc p.func
 
 let add_global p g = p.globals <- p.globals @ [ g ]
 
-let find_global p name = List.find_opt (fun g -> g.gname = name) p.globals
-
 (** Total number of instruction/terminator labels allocated so far; plans and
     side tables are arrays indexed by label. *)
 let nlabels p = p.next_label

@@ -48,7 +48,6 @@ val iter_funcs : (Types.func -> unit) -> t -> unit
 val fold_funcs : ('a -> Types.func -> 'a) -> 'a -> t -> 'a
 
 val add_global : t -> Types.global -> unit
-val find_global : t -> string -> Types.global option
 
 (** Number of labels allocated so far; plans and side tables are arrays
     indexed by label. *)

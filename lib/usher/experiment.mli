@@ -95,20 +95,12 @@ val prepare :
 
 (** Execute prepared plans and report. Table 1's %B and S are the
     Usher_TL+AT and Usher_OptI plans' traversals, and its time and memory
-    sum what the analysis's thunks measured on their own domains. On the
-    default [engine] ([Interp]) one execution runs the five plans as
-    lanes and yields the native outcome too; [~engine:Vm] is the
-    reference: a native VM run, then each plan in its own VM run. With
-    [check_soundness] (default, O0+IM only) the lanes are checked in
-    {!Config.all_variants} order, raising {!Unsound} at the first
-    {!escaped} use; on the VM path, also at a plan run whose outputs
-    differ from the native run's. *)
-val execute :
-  ?check_soundness:bool ->
-  ?limits:Runtime.Interp.limits ->
-  ?engine:Vm.Engine.t ->
-  prepared ->
-  t
+    sum what the analysis's thunks measured on their own domains. One
+    {!Runtime.Interp.run_lanes} execution runs the five plans as lanes
+    and yields the native outcome too. With [check_soundness] (default,
+    O0+IM only) the lanes are checked in {!Config.all_variants} order,
+    raising {!Unsound} at the first {!escaped} use. *)
+val execute : ?check_soundness:bool -> prepared -> t
 
 (** {!prepare}, then {!execute}, in one [experiment.NAME] span. *)
 val run :
@@ -116,8 +108,6 @@ val run :
   ?level:Optim.Pipeline.level ->
   ?knobs:Config.knobs ->
   ?check_soundness:bool ->
-  ?limits:Runtime.Interp.limits ->
-  ?engine:Vm.Engine.t ->
   string ->
   t
 

@@ -34,13 +34,14 @@ type gamma = {
 
 let is_undef (g : gamma) (id : int) = Bytes.unsafe_get g.undef id <> '\000'
 
-(** Generic seeded reachability over reversed edges with call/return
-    matching — the engine behind definedness resolution and any other
-    forward-flow client of the VFG (taint, leak sources, ...). [undef]
-    reads as "reached". [condense = false] keeps the node-level search as
-    the reference path for the equivalence properties. *)
-let reach ?(context_sensitive = true) ?(condense = true) ?budget
-    (graph : Graph.t) ~(seeds : int list) : gamma =
+(** Reachability from the F root over reversed edges with call/return
+    matching. [condense = false] keeps the node-level search as the
+    reference path for the equivalence properties. *)
+let resolve ?(context_sensitive = true) ?(condense = true) ?budget
+    (graph : Graph.t) : gamma =
+  let seeds =
+    match Graph.find graph Graph.Root_f with Some id -> [ id ] | None -> []
+  in
   let n = Graph.nnodes graph in
   let undef = Bytes.make n '\000' in
   let states = ref 0 in
@@ -288,12 +289,6 @@ let reach ?(context_sensitive = true) ?(condense = true) ?budget
   Obs.Metrics.add m_states_explored !states;
   Obs.Metrics.add m_condensed_sccs !condensed;
   { undef; states_explored = !states; condensed_sccs = !condensed }
-
-let resolve ?context_sensitive ?condense ?budget (graph : Graph.t) : gamma =
-  let seeds =
-    match Graph.find graph Graph.Root_f with Some id -> [ id ] | None -> []
-  in
-  reach ?context_sensitive ?condense ?budget graph ~seeds
 
 (** The everything-⊥ Γ — the sound fallback when resolution itself faults or
     runs out of budget: treating every node as possibly-undefined can only

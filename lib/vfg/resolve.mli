@@ -17,16 +17,10 @@ type gamma = {
 
 val is_undef : gamma -> int -> bool
 
-(** Generic seeded reachability over reversed edges with call/return
-    matching — the engine behind {!resolve} and other forward-flow clients
-    of the VFG (e.g. {!Client_taint}). [undef] reads as "reached from a
-    seed along a realizable path". [condense] (default true) runs over the
-    SCC condensation; [false] keeps the node-level search as the reference
-    path for the equivalence properties. *)
-val reach :
-  ?context_sensitive:bool -> ?condense:bool -> ?budget:Diag.Budget.t ->
-  Graph.t -> seeds:int list -> gamma
-
+(** [undef] reads as "reached from the F root along a realizable path".
+    [condense] (default true) runs over the SCC condensation; [false]
+    keeps the node-level search as the reference path for the
+    equivalence properties. *)
 val resolve :
   ?context_sensitive:bool -> ?condense:bool -> ?budget:Diag.Budget.t ->
   Graph.t -> gamma

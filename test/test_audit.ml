@@ -370,48 +370,43 @@ let oracle_tests =
           misses);
     tc "a trap only one plan hits is that variant's behavior divergence"
       (fun () ->
+        let p = Usher.Experiment.prepare undef_src in
+        trap_in_lane p Usher.Config.Usher_tl;
+        drop_checks p Usher.Config.Usher_full;
+        (* [judge] returns: the native run does not trap, so the
+           subject is not skipped *)
+        let r = Audit.Oracle.judge p in
+        check_bool "native sees the gt use" true
+          (Hashtbl.length r.native.gt_uses > 0);
+        let behaviors, misses =
+          List.partition_map
+            (function
+              | Audit.Oracle.Behavior b -> Left b.bvariant
+              | Audit.Oracle.Miss m -> Right m
+              | Audit.Oracle.Precision _ -> failwith "precision divergence")
+            r.divergences
+        in
+        check_bool "exactly Usher_TL traps" true
+          (behaviors = [ Usher.Config.Usher_tl ]);
+        check_bool "the holed Usher lane still misses" true
+          (misses <> []
+          && List.for_all
+               (fun (m : Audit.Oracle.miss) ->
+                 m.mvariant = Usher.Config.Usher_full && m.baseline_covers)
+               misses);
+        check_bool "every other variant ran" true
+          (List.map fst r.per_variant
+          = List.filter
+              (fun v -> v <> Usher.Config.Usher_tl)
+              Usher.Config.all_variants);
         List.iter
-          (fun engine ->
-            let ename = Vm.Engine.name engine in
-            let p = Usher.Experiment.prepare undef_src in
-            trap_in_lane p Usher.Config.Usher_tl;
-            drop_checks p Usher.Config.Usher_full;
-            (* [judge] returns: the native run does not trap, so the
-               subject is not skipped *)
-            let r = Audit.Oracle.judge ~engine p in
-            check_bool (ename ^ ": native sees the gt use") true
-              (Hashtbl.length r.native.gt_uses > 0);
-            let behaviors, misses =
-              List.partition_map
-                (function
-                  | Audit.Oracle.Behavior b -> Left b.bvariant
-                  | Audit.Oracle.Miss m -> Right m
-                  | Audit.Oracle.Precision _ -> failwith "precision divergence")
-                r.divergences
-            in
-            check_bool (ename ^ ": exactly Usher_TL traps") true
-              (behaviors = [ Usher.Config.Usher_tl ]);
-            check_bool (ename ^ ": the holed Usher lane still misses") true
-              (misses <> []
-              && List.for_all
-                   (fun (m : Audit.Oracle.miss) ->
-                     m.mvariant = Usher.Config.Usher_full && m.baseline_covers)
-                   misses);
-            check_bool (ename ^ ": every other variant ran") true
-              (List.map fst r.per_variant
-              = List.filter
-                  (fun v -> v <> Usher.Config.Usher_tl)
-                  Usher.Config.all_variants);
-            List.iter
-              (fun (v, o) ->
-                if v <> Usher.Config.Usher_full then
-                  check_bool
-                    (Printf.sprintf "%s: %s covers the gt use" ename
-                       (Usher.Config.variant_name v))
-                    true
-                    (Usher.Experiment.escaped r.prog ~native:r.native o = []))
-              r.per_variant)
-          [ Vm.Engine.Interp; Vm.Engine.Vm ]);
+          (fun (v, o) ->
+            if v <> Usher.Config.Usher_full then
+              check_bool
+                (Usher.Config.variant_name v ^ ": covers the gt use")
+                true
+                (Usher.Experiment.escaped r.prog ~native:r.native o = []))
+          r.per_variant);
     tc "the hole spares quarantined functions (the healing mechanism)"
       (fun () ->
         let knobs =

@@ -74,7 +74,19 @@ let ground_truth_tests =
         check_int "one gt use" 1
           (List.length
              (gt_uses
-                "int main() { int u; int v = u * 2 + 1; if (v > 0) { print(1); } return 0; }")));
+                "int main() { int u; int v = u * 2 + 1; if (v > 0) { print(1); } return 0; }"));
+        check_int "unary operators: two gt uses" 2
+          (List.length
+             (gt_uses
+                "int main() { int u; int v = -u; int w = !u;\n\
+                 if (v > 0) { print(1); } if (w) { print(2); } return 0; }"));
+        (* An undefined index makes the element's address undefined: the
+           store and the load through it are the uses. *)
+        check_int "undefined index: two gt uses" 2
+          (List.length
+             (gt_uses
+                "int main() { int a[4]; int *q = (int*)malloc(1); int i = *q & 3;\n\
+                 a[i] = 5; int v = a[i]; print(v); return 0; }")));
     tc "defined programs have no gt uses" (fun () ->
         check_int "none" 0
           (List.length

@@ -423,68 +423,3 @@ let suites =
   [ ("vfg.resolution", resolution_tests); ("vfg.updates", update_tests);
     ("vfg.context", context_tests); ("vfg.graph", graph_tests);
     ("vfg.edge-set", edge_set_tests) ]
-
-(* ---- the taint client: a second consumer of the same graph ---- *)
-
-let taint_tests =
-  [
-    tc "input flows to branches are flagged" (fun () ->
-        let _, a = build
-            "int main() { int x = input(); int y = x * 2 + 1;\n\
-             if (y > 3) { print(1); } return 0; }" in
-        let t = Vfg.Client_taint.run a.vfg in
-        check_int "one source" 1 t.sources;
-        check_bool "branch flagged" true
-          (List.exists (fun (f : Vfg.Client_taint.finding) -> f.fkind = `Branch)
-             t.findings));
-    tc "constant flows are not flagged" (fun () ->
-        let _, a = build
-            "int main() { int x = 5; if (x > 3) { print(1); } return 0; }" in
-        let t = Vfg.Client_taint.run a.vfg in
-        check_int "no sources" 0 t.sources;
-        check_int "no findings" 0 (List.length t.findings));
-    tc "taint crosses calls and memory" (fun () ->
-        let _, a = build
-            "int relay(int v) { return v + 1; }\n\
-             int main() { int x; int *p = &x; *p = relay(input());\n\
-             if (*p > 0) { print(1); } return 0; }" in
-        let t = Vfg.Client_taint.run a.vfg in
-        check_bool "branch flagged through memory" true
-          (List.exists (fun (f : Vfg.Client_taint.finding) -> f.fkind = `Branch)
-             t.findings));
-    tc "context sensitivity applies to taint too" (fun () ->
-        (* id() relays input at one site and a constant at another; only the
-           tainted site's branch is flagged when call/returns are matched *)
-        let src =
-          "int id(int v) { return v; }\n\
-           int main() { int clean = id(7); int dirty = id(input());\n\
-           if (clean > 1) { print(1); }\n\
-           if (dirty > 1) { print(2); }\n\
-           return 0; }"
-        in
-        let _, a = build src in
-        let sensitive = Vfg.Client_taint.run a.vfg in
-        let insensitive = Vfg.Client_taint.run ~context_sensitive:false a.vfg in
-        check_int "one tainted branch" 1 (List.length sensitive.findings);
-        check_int "both polluted when insensitive" 2
-          (List.length insensitive.findings));
-    tc "tainted addressing flags the access, not the loaded value" (fun () ->
-        let _, a = build
-            "int t[4];\n\
-             int main() { int i; for (i = 0; i < 4; i = i + 1) { t[i] = i; }\n\
-             int idx = input() % 4; int v = t[idx & 3];\n\
-             if (v > 1) { print(1); } return 0; }" in
-        let t = Vfg.Client_taint.run a.vfg in
-        check_bool "load flagged" true
-          (List.exists (fun (f : Vfg.Client_taint.finding) -> f.fkind = `Load)
-             t.findings);
-        (* v itself is untainted: data taint does not cross addresses *)
-        check_bool "no tainted branch in main" true
-          (not
-             (List.exists
-                (fun (f : Vfg.Client_taint.finding) ->
-                  f.fkind = `Branch && f.ffunc = "main")
-                t.findings)));
-  ]
-
-let suites = suites @ [ ("vfg.taint-client", taint_tests) ]

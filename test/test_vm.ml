@@ -106,6 +106,10 @@ let unit_tests =
         equiv_all_variants "undef" undef_src);
     tc "all variants agree on heap allocation in a loop" (fun () ->
         equiv_all_variants "heap" heap_src);
+    tc "all variants agree on input()" (fun () ->
+        equiv_all_variants "input"
+          "int main() { int a = input(); int b = input(); print(a); print(b);\n\
+          \  if (a > b) { print(1); } return 0; }");
     tc "all variants agree on pointer comparisons" (fun () ->
         equiv_all_variants "ptr-cmp" ptr_cmp_src;
         let prog = front ptr_cmp_src in
@@ -151,7 +155,19 @@ let failure_tests =
             ~limits:{ RI.default_limits with RI.max_steps = 1000 }
             "steps" "int main() { while (1) { } return 0; }"
         in
-        check_str "is the steps limit" "exhausted steps at 1000" f);
+        check_str "is the steps limit" "exhausted steps at 1000" f;
+        (* A call-free program one step longer than the limit: its last
+           block must not take its steps at once. *)
+        let src =
+          "int main() { int a = input(); int b = a + 2; print(b); return b; }"
+        in
+        let n = (RI.run_native (front src)).steps in
+        let f =
+          failure_parity
+            ~limits:{ RI.default_limits with RI.max_steps = n - 1 }
+            "steps-1" src
+        in
+        check_str "one step short" (Printf.sprintf "exhausted steps at %d" (n - 1)) f);
     tc "depth limit: identical Resource_exhausted" (fun () ->
         let f =
           failure_parity
@@ -159,7 +175,16 @@ let failure_tests =
             "depth" "int f(int n) { return f(n + 1); }\n\
                      int main() { return f(0); }"
         in
-        check_str "is the depth limit" "exhausted call depth at 64" f);
+        check_str "is the depth limit" "exhausted call depth at 64" f;
+        (* f(0) runs at depth 65, one call past the limit. *)
+        let f =
+          failure_parity
+            ~limits:{ RI.default_limits with RI.max_depth = 64 }
+            "depth+1"
+            "int f(int n) { if (n > 0) { return f(n - 1); } return 0; }\n\
+             int main() { return f(64); }"
+        in
+        check_str "one call too deep" "exhausted call depth at 64" f);
     tc "objects limit: identical Resource_exhausted" (fun () ->
         let f =
           failure_parity
@@ -219,62 +244,6 @@ let disasm_tests =
           (Array.length Vm.Bytecode.mnemonics);
         check_int "operand counts" Vm.Bytecode.n_opcodes
           (Array.length Vm.Bytecode.operand_counts));
-    tc "engine names round-trip" (fun () ->
-        List.iter
-          (fun e ->
-            check_bool (Vm.Engine.name e) true
-              (Vm.Engine.of_string (Vm.Engine.name e) = Some e))
-          [ Vm.Engine.Interp; Vm.Engine.Vm ];
-        check_bool "unknown rejected" true
-          (Vm.Engine.of_string "threaded" = None));
-  ]
-
-(* Everything deterministic about an experiment: the Table 1 row with its
-   clock and memory fields zeroed, every variant_result field, the native
-   counters and outputs, and the ground-truth uses. *)
-let experiment_view (e : Usher.Experiment.t) =
-  ( { e.table1 with analysis_time_s = 0.; analysis_mem_mb = 0. },
-    List.map
-      (fun (r : Usher.Experiment.variant_result) ->
-        { r with detections = List.sort compare r.detections })
-      e.results,
-    e.native_counters,
-    e.native_outputs,
-    List.sort compare e.gt_uses )
-
-let m_interp_runs = Obs.Metrics.counter "interp.runs"
-let m_vm_steps = Obs.Metrics.counter "vm.dispatch_steps"
-
-(* The default engine (every plan a lane of one interpreter execution)
-   against the VM reference (a native run plus one run per plan) on one
-   analog. Returns the default run's (interp.runs, vm.dispatch_steps)
-   deltas. *)
-let default_matches_vm name scale =
-  let src =
-    Workloads.Spec2000.source ~scale (Workloads.Spec2000.find name)
-  in
-  let runs0 = Obs.Metrics.counter_value m_interp_runs
-  and steps0 = Obs.Metrics.counter_value m_vm_steps in
-  let lanes = Usher.Experiment.run ~name src in
-  let deltas =
-    ( Obs.Metrics.counter_value m_interp_runs - runs0,
-      Obs.Metrics.counter_value m_vm_steps - steps0 )
-  in
-  let vm = Usher.Experiment.run ~name ~engine:Vm.Engine.Vm src in
-  check_bool (name ^ ": default = --engine vm") true
-    (experiment_view lanes = experiment_view vm);
-  deltas
-
-let experiment_engine_tests =
-  [
-    tc "164.gzip at scale 100: plans run as lanes of one execution" (fun () ->
-        let runs, vm_steps = default_matches_vm "164.gzip" 100 in
-        check_int "interp.runs" 1 runs;
-        check_int "vm.dispatch_steps" 0 vm_steps);
-    tc "176.gcc at scale 5: plan runs are lanes of one execution" (fun () ->
-        let runs, vm_steps = default_matches_vm "176.gcc" 5 in
-        check_int "interp.runs" 1 runs;
-        check_int "vm.dispatch_steps" 0 vm_steps);
   ]
 
 (* ---- lanes ----------------------------------------------------------- *)
@@ -284,23 +253,43 @@ let diff_or_fail what (a : RI.outcome) (b : RI.outcome) =
   | [] -> ()
   | ds -> Alcotest.failf "%s: differs on %s" what (String.concat ", " ds)
 
-(* Every plan as a lane of one execution, against each plan run alone on
-   both engines, and the derived native outcome against a native run. *)
-let lanes_agree what prog plans =
-  let base = RI.compile_base prog in
+let vm_run base plan = Vm.Exec.run (Vm.Lower.lower (RI.attach base plan))
+
+(* Every plan as a lane of one execution against the VM reference: the
+   derived native outcome against a native VM run, each lane against its
+   plan's own VM run. Returns the lane execution. *)
+let lanes_match_vm what base plans =
   let r = RI.run_lanes (RI.attach_lanes base plans) in
   check_int (what ^ ": one outcome per lane") (List.length plans)
     (Array.length r.per_lane);
+  diff_or_fail (what ^ "/native vs vm") r.native
+    (vm_run base (Instr.Item.empty_plan (RI.program base)));
+  List.iteri
+    (fun k plan ->
+      diff_or_fail (Printf.sprintf "%s/lane %d vs vm" what k) r.per_lane.(k)
+        (vm_run base plan))
+    plans;
+  r
+
+(* The same, and each lane and the native outcome against one-lane
+   interpreter runs too. *)
+let lanes_agree what prog plans =
+  let base = RI.compile_base prog in
+  let r = lanes_match_vm what base plans in
   diff_or_fail (what ^ "/native") r.native
     (RI.run (RI.attach base (Instr.Item.empty_plan prog)));
   List.iteri
     (fun k plan ->
-      let lane = r.per_lane.(k) in
-      diff_or_fail (Printf.sprintf "%s/lane %d vs one-lane interp" what k) lane
-        (RI.run (RI.attach base plan));
-      diff_or_fail (Printf.sprintf "%s/lane %d vs vm" what k) lane
-        (Vm.Engine.run_plan Vm.Engine.Vm base plan))
+      diff_or_fail (Printf.sprintf "%s/lane %d vs one-lane interp" what k)
+        r.per_lane.(k)
+        (RI.run (RI.attach base plan)))
     plans
+
+(* An experiment's prepared lanes against the VM reference. *)
+let prepared_matches_vm what (p : Usher.Experiment.prepared) =
+  ignore
+    (lanes_match_vm what p.base
+       (List.map (fun (l : Usher.Experiment.lane) -> l.lplan) p.lanes))
 
 let isolation_src =
   "int main() { int *p = (int*)malloc(1); *p = 5; int y = *p;\n\
@@ -326,8 +315,65 @@ let isolation_plan prog ~p ~y ~outs w =
   at o4 [ It.Set_var (y, It.Rconst (not w)); It.Set_var (y, It.Rconst w); check ];
   plan
 
+let phi_src =
+  "int main() { int c = input(); int x = 0;\n\
+  \  if (c > 5) { x = c; } else { x = 2; }\n\
+  \  print(x); return 0; }"
+
+(* Five lanes that check x after the phi defining it. Lane 0 gives the
+   phi c's shadow, which it sets to F; lane 1 gives it constant arms (T);
+   lane 2 never writes x's shadow, so x keeps the defined shadow of a
+   fresh frame; lane 3 copies it from a global relay slot nothing wrote,
+   which starts defined too; lane 4 gives the phi undefined arms (F).
+   Lanes 0, 1 and 4 are three shadow groups of one phi. *)
+let phi_plans prog =
+  let module It = Instr.Item in
+  let instr pred =
+    match find_instr pred prog with
+    | Some (_, i) -> i
+    | None -> Alcotest.fail "instruction not found"
+  in
+  let input = instr (function Ir.Types.Input _ -> true | _ -> false) in
+  let phi = instr (function Ir.Types.Phi _ -> true | _ -> false) in
+  let out = instr (function Ir.Types.Output _ -> true | _ -> false) in
+  let c = match input.kind with Ir.Types.Input c -> c | _ -> assert false in
+  let x, preds =
+    match phi.kind with
+    | Ir.Types.Phi (x, arms) -> (x, List.map fst arms)
+    | _ -> assert false
+  in
+  let plan acts =
+    let plan = It.empty_plan prog in
+    List.iter (fun (lbl, pos, act) -> It.add plan lbl pos act) acts;
+    It.add plan out.lbl It.Before (It.Check (Ir.Types.Var x));
+    plan
+  in
+  let arms o = It.Set_var (x, It.Rphi (List.map (fun b -> (b, o)) preds)) in
+  ( out.lbl,
+    [
+      plan
+        [ (input.lbl, It.After, It.Set_var (c, It.Rconst false));
+          (phi.lbl, It.After, arms (Ir.Types.Var c)) ];
+      plan [ (phi.lbl, It.After, arms (Ir.Types.Cst 0)) ];
+      plan [];
+      plan [ (out.lbl, It.Before, It.Set_var (x, It.Rglobal 0)) ];
+      plan [ (phi.lbl, It.After, arms Ir.Types.Undef) ];
+    ] )
+
 let lane_tests =
   [
+    tc "lanes with different phi shadows stay isolated" (fun () ->
+        let prog = front phi_src in
+        let out, plans = phi_plans prog in
+        lanes_agree "phi" prog plans;
+        let r = RI.run_lanes (RI.attach_lanes (RI.compile_base prog) plans) in
+        List.iteri
+          (fun k fires ->
+            check_ints
+              (Printf.sprintf "lane %d detections" k)
+              (if fires then [ out ] else [])
+              (labels r.per_lane.(k).detections))
+          [ true; false; false; false; true ]);
     tc "lanes writing opposite shadows stay isolated" (fun () ->
         let prog = front isolation_src in
         let dst pred =
@@ -435,6 +481,82 @@ let base_tests =
         done);
   ]
 
+(* ---- experiments against the VM reference ------------------------- *)
+
+let m_interp_runs = Obs.Metrics.counter "interp.runs"
+
+(* [Experiment.execute] runs the prepared plans as lanes of one
+   interpreter execution; everything it reports from that execution must
+   be what the VM reference (a native run plus one run per plan) gives.
+   Returns the execution's interp.runs delta. *)
+let experiment_matches_vm name (p : Usher.Experiment.prepared) =
+  let runs0 = Obs.Metrics.counter_value m_interp_runs in
+  let e = Usher.Experiment.execute p in
+  let runs = Obs.Metrics.counter_value m_interp_runs - runs0 in
+  let native = vm_run p.base (Instr.Item.empty_plan p.analysis.prog) in
+  check_bool (name ^ ": native counters") true
+    (e.native_counters = native.counters);
+  check_ints (name ^ ": native outputs") native.outputs e.native_outputs;
+  check_ints (name ^ ": ground truth") (labels native.gt_uses)
+    (List.sort compare e.gt_uses);
+  List.iter2
+    (fun (l : Usher.Experiment.lane) (r : Usher.Experiment.variant_result) ->
+      let what = name ^ "/" ^ Usher.Config.variant_name r.variant in
+      let o = vm_run p.base l.lplan in
+      check_ints (what ^ ": detections") (labels o.detections)
+        (List.sort compare r.detections);
+      check_int (what ^ ": shadow ops")
+        (Runtime.Counters.shadow_ops o.counters) r.dynamic_shadow_ops;
+      check_bool (what ^ ": slowdown") true
+        (r.slowdown_pct
+        = Runtime.Costmodel.slowdown_pct ~native:native.counters
+            ~instrumented:o.counters ()))
+    p.lanes e.results;
+  prepared_matches_vm name p;
+  runs
+
+let analog ?level ~scale name =
+  ( Printf.sprintf "%s@%d" name scale,
+    Usher.Experiment.prepare ~name ?level
+      (Workloads.Spec2000.source ~scale (Workloads.Spec2000.find name)) )
+
+let experiment_tests =
+  [
+    tc "164.gzip at scale 100: plans run as lanes of one execution" (fun () ->
+        let what, p = analog ~scale:100 "164.gzip" in
+        check_int "interp.runs" 1 (experiment_matches_vm what p));
+    tc "176.gcc at scale 5: plan runs are lanes of one execution" (fun () ->
+        let what, p = analog ~scale:5 "176.gcc" in
+        check_int "interp.runs" 1 (experiment_matches_vm what p));
+    tc "the 300 programs of fuzz --seed 11" (fun () ->
+        for i = 0 to 299 do
+          let seed = Audit.Gen.campaign_seed ~seed:11 i in
+          prepared_matches_vm
+            (Printf.sprintf "program %d" i)
+            (Usher.Experiment.prepare (Audit.Gen.source ~size:3 ~seed ()))
+        done);
+    tc "the examples and the curated corpus" (fun () ->
+        List.iter
+          (fun (f, src) -> prepared_matches_vm f (Usher.Experiment.prepare src))
+          (example_sources ()));
+    tc "164.gzip at scales 200 and 750" (fun () ->
+        List.iter
+          (fun scale ->
+            let what, p = analog ~scale "164.gzip" in
+            prepared_matches_vm what p)
+          [ 200; 750 ]);
+    tc "197.parser and 186.crafty at O2: compressed plans" (fun () ->
+        List.iter
+          (fun name ->
+            let what, p = analog ~level:Optim.Pipeline.O2 ~scale:30 name in
+            check_bool (what ^ ": compression removed items") true
+              (List.exists
+                 (fun (l : Usher.Experiment.lane) -> l.lcompressed > 0)
+                 p.lanes);
+            prepared_matches_vm what p)
+          [ "197.parser"; "186.crafty" ]);
+  ]
+
 (* ---- properties ------------------------------------------------------ *)
 
 let arbitrary_seed = QCheck.make ~print:string_of_int QCheck.Gen.(0 -- 100000)
@@ -519,7 +641,7 @@ let suites =
     ("vm.failures", failure_tests);
     ("vm.bytecode", disasm_tests);
     ("vm.lanes", lane_tests);
-    ("vm.experiment", experiment_engine_tests);
+    ("vm.experiment", experiment_tests);
     ("vm.base", base_tests);
     ("vm.properties", property_tests);
   ]
