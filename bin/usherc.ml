@@ -221,19 +221,12 @@ let print_dump prog (a : Usher.Pipeline.analysis) (plan : Instr.Item.plan) =
         let mark = if Vfg.Resolve.is_undef a.gamma id then "BOT" else "TOP" in
         Printf.printf "%4d %s %s\n" id mark
           (Vfg.Graph.node_to_string prog a.pa.objects n);
-        List.iter
-          (fun (d, k) ->
-            let kind =
-              match k with
-              | Vfg.Graph.Eintra -> ""
-              | Vfg.Graph.Ecall l -> Printf.sprintf " [call l%d]" l
-              | Vfg.Graph.Eret l -> Printf.sprintf " [ret l%d]" l
-            in
+        Vfg.Graph.iter_succs a.vfg.graph id (fun d k ->
             Printf.printf "       -> %s%s\n"
               (Vfg.Graph.node_to_string prog a.pa.objects
                  (Vfg.Graph.node_of a.vfg.graph d))
-              kind)
-          (Vfg.Graph.succs a.vfg.graph id))
+              (if Vfg.Graph.is_intra k then ""
+               else Printf.sprintf " [%s]" (Vfg.Graph.kind_to_string k))))
       a.vfg.graph
   | `Cfg_dot -> print_string (Ir.Dot.prog_to_string prog)
   | `Vfg_dot -> print_string (Vfg.Dot.to_string ~gamma:a.gamma a.vfg)

@@ -55,16 +55,12 @@ let of_report (r : Oracle.report) : string list =
   let g = r.analysis.vfg.graph in
   addf "vfg:nodes:%d" (bucket (Vfg.Graph.nnodes g));
   let intra = ref false and call = ref false and ret = ref false in
-  Vfg.Graph.iter_nodes
-    (fun n _ ->
-      List.iter
-        (fun (_, k) ->
-          match (k : Vfg.Graph.edge_kind) with
-          | Vfg.Graph.Eintra -> intra := true
-          | Vfg.Graph.Ecall _ -> call := true
-          | Vfg.Graph.Eret _ -> ret := true)
-        (Vfg.Graph.succs g n))
-    g;
+  for n = 0 to Vfg.Graph.nnodes g - 1 do
+    Vfg.Graph.iter_succs g n (fun _ k ->
+        if Vfg.Graph.is_intra k then intra := true
+        else if Vfg.Graph.is_call k then call := true
+        else ret := true)
+  done;
   if !intra then add "vfg:edge:intra";
   if !call then add "vfg:edge:call";
   if !ret then add "vfg:edge:ret";

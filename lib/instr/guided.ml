@@ -44,7 +44,6 @@ type context = {
   instr_of : instr option array;                (* by label *)
   callsites_of : (fname, (label * operand list) list) Hashtbl.t;
   param_index : int array;       (* by var: its position among the params *)
-  top_id : int array;            (* by var: the id of its [Top] node, or -1 *)
   def_tbls : (fname, (var, instr_kind) Hashtbl.t) Hashtbl.t;  (* lazily *)
   closures : closure option array;              (* by var, lazily *)
   queue : int array;       (* a traversal's worklist, by node, FIFO *)
@@ -73,16 +72,11 @@ let context (bld : Vfg.Build.t) : context =
   let nvars = P.nvars p in
   let param_index = Array.make nvars (-1) in
   P.iter_funcs (fun f -> List.iteri (fun i prm -> param_index.(prm) <- i) f.params) p;
-  let top_id = Array.make nvars (-1) in
-  Vfg.Graph.iter_nodes
-    (fun id -> function Vfg.Graph.Top x -> top_id.(x) <- id | _ -> ())
-    bld.graph;
   {
     bld;
     instr_of;
     callsites_of;
     param_index;
-    top_id;
     def_tbls = Hashtbl.create 16;
     closures = Array.make nvars None;
     queue = Array.make (Vfg.Graph.nnodes bld.graph) 0;
@@ -113,7 +107,10 @@ let closure ctx fn x =
       {
         simplifiable = Vfg.Mfc.simplifiable mfc;
         undef_source = Vfg.Mfc.has_undef_source mfc;
-        sources = List.map (fun s -> (s, ctx.top_id.(s))) (Vfg.Mfc.var_sources mfc);
+        sources =
+          List.map
+            (fun s -> (s, Vfg.Graph.top_id ctx.bld.graph s))
+            (Vfg.Mfc.var_sources mfc);
       }
     in
     ctx.closures.(x) <- Some c;
@@ -131,7 +128,7 @@ let plan ?(options = { opt1 = true }) ?distrusted (ctx : context)
   let rs = plan.ret_slot in
   let simplified = ref 0 in
   let instr_at lbl = Option.get ctx.instr_of.(lbl) in
-  let top_of x = ctx.top_id.(x) in
+  let top_of x = Vfg.Graph.top_id g x in
   (* Dedup helpers for shared emission points. *)
   let ret_relay_done : (label, unit) Hashtbl.t = Hashtbl.create 16 in
   let arg_relay_done : (label * int, unit) Hashtbl.t = Hashtbl.create 64 in
@@ -171,16 +168,9 @@ let plan ?(options = { opt1 = true }) ?distrusted (ctx : context)
     let id = top_of y in
     if id >= 0 then need id
   in
-  let need_succs id =
-    List.iter (fun (d, _) -> need d) (Vfg.Graph.succs g id)
-  in
+  let need_succs id = Vfg.Graph.iter_succs g id (fun d _ -> need d) in
   let need_mem_succs id =
-    List.iter
-      (fun (d, _) ->
-        match Vfg.Graph.node_of g d with
-        | Vfg.Graph.Mem _ -> need d
-        | Vfg.Graph.Root_t | Vfg.Graph.Root_f | Vfg.Graph.Top _ -> ())
-      (Vfg.Graph.succs g id)
+    Vfg.Graph.iter_succs g id (fun d _ -> if Vfg.Graph.is_mem g d then need d)
   in
   let undef id = Vfg.Resolve.is_undef gamma id in
   (* Opt I at the ⊥ definition of [x]: when its must-flow closure has
@@ -204,9 +194,8 @@ let plan ?(options = { opt1 = true }) ?distrusted (ctx : context)
        end
   in
   let process id =
-    match Vfg.Graph.node_of g id with
-    | Vfg.Graph.Root_t | Vfg.Graph.Root_f -> ()
-    | Vfg.Graph.Top x -> (
+    let x = Vfg.Graph.top_var g id in
+    if x >= 0 then begin
       match Vfg.Graph.def_of g id with
       | Vfg.Graph.Dparam fn ->
         let idx = ctx.param_index.(x) in
@@ -242,8 +231,9 @@ let plan ?(options = { opt1 = true }) ?distrusted (ctx : context)
             | _ -> need_succs id))
       | Vfg.Graph.Dchi _ | Vfg.Graph.Dmemphi _ | Vfg.Graph.Dentry _
       | Vfg.Graph.Droot ->
-        ())
-    | Vfg.Graph.Mem (_, _, _) -> (
+        ()
+    end
+    else if Vfg.Graph.is_mem g id then begin
       match Vfg.Graph.def_of g id with
       | Vfg.Graph.Dchi (_, lbl) -> (
         let i = instr_at lbl in
@@ -286,7 +276,8 @@ let plan ?(options = { opt1 = true }) ?distrusted (ctx : context)
       | Vfg.Graph.Dmemphi _ | Vfg.Graph.Dentry _ ->
         (* [Phi] / [VPara]: no runtime item; shadow memory is global. *)
         need_succs id
-      | Vfg.Graph.Dinstr _ | Vfg.Graph.Dparam _ | Vfg.Graph.Droot -> ())
+      | Vfg.Graph.Dinstr _ | Vfg.Graph.Dparam _ | Vfg.Graph.Droot -> ()
+    end
   in
   (* Seeds: the uses at critical operations. *)
   List.iter

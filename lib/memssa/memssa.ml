@@ -278,7 +278,8 @@ let build ?budget ?hook ?on_fault (p : P.t) (pa : Analysis.Andersen.t)
       (* One span per function when tracing; exactly [compute ()] otherwise. *)
       let fs =
         if Obs.Trace.enabled () then
-          Obs.Trace.with_span ~cat:"memssa" ("memssa." ^ f.fname) compute
+          Obs.Trace.with_span ~cat:"memssa" ~args:[ ("fn", Obs.Trace.Str f.fname) ]
+            "memssa.func" compute
         else compute ()
       in
       Hashtbl.replace funcs f.fname fs)

@@ -128,15 +128,12 @@ let corrupt_pts (pa : Analysis.Andersen.t) : string option =
 let corrupt_vfg (g : Vfg.Graph.t) : string option =
   let found = ref None in
   (try
-     Vfg.Graph.iter_nodes
-       (fun id _ ->
-         match Vfg.Graph.succs g id with
-         | (dst, k) :: _ ->
-           Vfg.Graph.remove_edge g ~src:id ~dst k;
-           found := Some (Printf.sprintf "edge %d -> %d" id dst);
-           raise Exit
-         | [] -> ())
-       g
+     for src = 0 to Vfg.Graph.nnodes g - 1 do
+       Vfg.Graph.iter_succs g src (fun dst k ->
+           Vfg.Graph.remove_edge g ~src ~dst k;
+           found := Some (Printf.sprintf "edge %d -> %d" src dst);
+           raise Exit)
+     done
    with Exit -> ());
   if !found <> None then Obs.Metrics.incr m_corruptions;
   !found

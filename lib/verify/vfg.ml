@@ -37,15 +37,9 @@ module G = Deps.Vfg.Graph
 module B = Deps.Vfg.Build
 module R = Deps.Vfg.Resolve
 
-let kc_of = function
-  | G.Eintra -> 0
-  | G.Ecall l -> (2 * l) + 1
-  | G.Eret l -> (2 * l) + 2
-
-let kc_name = function
-  | 0 -> "intra"
-  | kc when kc land 1 = 1 -> Printf.sprintf "call@l%d" ((kc - 1) / 2)
-  | kc -> Printf.sprintf "ret@l%d" ((kc - 2) / 2)
+let kc_name k =
+  if G.is_intra k then "intra"
+  else Printf.sprintf "%s@l%d" (if G.is_call k then "call" else "ret") (G.label k)
 
 (* Independent reimplementation of the semi-strong derivation test: does
    [x] derive exclusively from the allocation destination [z] through
@@ -102,7 +96,7 @@ let check_structure ?budget ?(skip = fun (_ : fname) -> false) ?(name = "vfg")
     if G.def_of g froot <> G.Droot then
       Report.violation r "F root has a non-root definition site";
     (* -------- Representation invariants. -------- *)
-    let have : (int * int * int, unit) Hashtbl.t =
+    let have : (int * int * G.kind, unit) Hashtbl.t =
       Hashtbl.create (max 64 (G.nedges g))
     in
     let nsucc = ref 0 and npred = ref 0 in
@@ -115,24 +109,19 @@ let check_structure ?budget ?(skip = fun (_ : fname) -> false) ?(name = "vfg")
         | _ ->
           Report.violation r "node %s does not round-trip through interning"
             (nstr n));
-        List.iter
-          (fun (d, k) ->
+        G.iter_succs g id (fun d k ->
             incr nsucc;
-            Hashtbl.replace have (id, d, kc_of k) ())
-          (G.succs g id);
-        npred := !npred + List.length (G.preds g id))
+            Hashtbl.replace have (id, d, k) ());
+        G.iter_preds g id (fun _ _ -> incr npred))
       g;
-    G.iter_nodes
-      (fun id _ ->
-        List.iter
-          (fun (s, k) ->
-            Report.fact r;
-            if not (Hashtbl.mem have (s, id, kc_of k)) then
-              Report.violation r
-                "pred edge %s -[%s]-> %s has no matching succ entry"
-                (nstr (G.node_of g s)) (kc_name (kc_of k)) (nstr (G.node_of g id)))
-          (G.preds g id))
-      g;
+    for id = 0 to G.nnodes g - 1 do
+      G.iter_preds g id (fun s k ->
+          Report.fact r;
+          if not (Hashtbl.mem have (s, id, k)) then
+            Report.violation r
+              "pred edge %s -[%s]-> %s has no matching succ entry"
+              (nstr (G.node_of g s)) (kc_name k) (nstr (G.node_of g id)))
+    done;
     Report.fact r;
     if !nsucc <> G.nedges g || !npred <> G.nedges g then
       Report.violation r
@@ -143,7 +132,7 @@ let check_structure ?budget ?(skip = fun (_ : fname) -> false) ?(name = "vfg")
       Report.violation r "duplicate succ entries: %d listed, %d distinct"
         !nsucc (Hashtbl.length have);
     (* -------- Full rule replay (find-only). -------- *)
-    let expected : (int * int * int, unit) Hashtbl.t =
+    let expected : (int * int * G.kind, unit) Hashtbl.t =
       Hashtbl.create (max 64 (G.nedges g))
     in
     let missing_reported = Hashtbl.create 16 in
@@ -160,12 +149,11 @@ let check_structure ?budget ?(skip = fun (_ : fname) -> false) ?(name = "vfg")
     in
     let expect_edge ~func ?(what = fun () -> "") src dst k =
       Report.fact r;
-      let kc = kc_of k in
-      Hashtbl.replace expected (src, dst, kc) ();
-      if not (Hashtbl.mem have (src, dst, kc)) then
+      Hashtbl.replace expected (src, dst, k) ();
+      if not (Hashtbl.mem have (src, dst, k)) then
         Report.violation ~func r "missing edge %s -[%s]-> %s%s"
           (nstr (G.node_of g src))
-          (kc_name kc)
+          (kc_name k)
           (nstr (G.node_of g dst))
           (match what () with "" -> "" | w -> " (" ^ w ^ ")")
     in
@@ -239,7 +227,7 @@ let check_structure ?budget ?(skip = fun (_ : fname) -> false) ?(name = "vfg")
               | Some id ->
                 expect_def id (G.Dentry fn);
                 if fn = "main" || not (Hashtbl.mem is_entry l) then
-                  expect_edge ~func id troot G.Eintra
+                  expect_edge ~func id troot G.intra
                     ~what:(fun () -> "entry state is defined")
               | None -> ())
             fs.Memssa.tracked;
@@ -259,7 +247,7 @@ let check_structure ?budget ?(skip = fun (_ : fname) -> false) ?(name = "vfg")
                           mem_node (fun () -> "memory phi argument") l argver
                         with
                         | Some a ->
-                          expect_edge ~func id a G.Eintra
+                          expect_edge ~func id a G.intra
                             ~what:(fun () -> "memory phi argument")
                         | None -> ())
                       phi.Memssa.margs
@@ -280,7 +268,7 @@ let check_structure ?budget ?(skip = fun (_ : fname) -> false) ?(name = "vfg")
             in
             let dep id o =
               match op_node ~func what fn o with
-              | Some d -> expect_edge ~func ~what id d G.Eintra
+              | Some d -> expect_edge ~func ~what id d G.intra
               | None -> ()
             in
             let dep_opt id o =
@@ -314,9 +302,9 @@ let check_structure ?budget ?(skip = fun (_ : fname) -> false) ?(name = "vfg")
                       expect_def id (G.Dchi (fn, i.lbl));
                       expect_edge ~func ~what id
                         (if a.initialized then troot else froot)
-                        G.Eintra;
+                        G.intra;
                       match mem_node what l ov with
-                      | Some old -> expect_edge ~func ~what id old G.Eintra
+                      | Some old -> expect_edge ~func ~what id old G.intra
                       | None -> ())
                     | None -> ())
                   (Memssa.chi_at fs i.lbl)
@@ -328,12 +316,12 @@ let check_structure ?budget ?(skip = fun (_ : fname) -> false) ?(name = "vfg")
                   (fun (l, ver) ->
                     match (id, mem_node what l ver) with
                     | Some id, Some m ->
-                      expect_edge ~func ~what id m G.Eintra
+                      expect_edge ~func ~what id m G.intra
                     | _ -> ())
                   (Memssa.mu_at fs i.lbl)
               else
                 Option.iter
-                  (fun id -> expect_edge ~func ~what id froot G.Eintra)
+                  (fun id -> expect_edge ~func ~what id froot G.intra)
                   id
             | Store (x, o) ->
               expect_critical ~func i.lbl (Var x);
@@ -393,7 +381,7 @@ let check_structure ?budget ?(skip = fun (_ : fname) -> false) ?(name = "vfg")
                     | Some id -> (
                       expect_def id (G.Dchi (fn, i.lbl));
                       (match op_node ~func what fn o with
-                      | Some d -> expect_edge ~func ~what id d G.Eintra
+                      | Some d -> expect_edge ~func ~what id d G.intra
                       | None -> ());
                       match kind with
                       | B.Strong -> ()
@@ -410,12 +398,12 @@ let check_structure ?budget ?(skip = fun (_ : fname) -> false) ?(name = "vfg")
                         in
                         match mem_node what l old_ver with
                         | Some old ->
-                          expect_edge ~func id old G.Eintra
+                          expect_edge ~func id old G.intra
                             ~what:(fun () -> "semi-strong bypass")
                         | None -> ())
                       | B.Weak -> (
                         match mem_node what l ov with
-                        | Some old -> expect_edge ~func ~what id old G.Eintra
+                        | Some old -> expect_edge ~func ~what id old G.intra
                         | None -> ()))
                     | None -> ())
                   chis
@@ -441,7 +429,7 @@ let check_structure ?budget ?(skip = fun (_ : fname) -> false) ?(name = "vfg")
                              op_node ~func what fn arg)
                           with
                           | Some s, Some d ->
-                            expect_edge ~func ~what s d (G.Ecall i.lbl)
+                            expect_edge ~func ~what s d (G.call i.lbl)
                           | _ -> ())
                         callee.params cargs
                     with Invalid_argument _ -> ())
@@ -457,10 +445,10 @@ let check_structure ?budget ?(skip = fun (_ : fname) -> false) ?(name = "vfg")
                         match (id, ro) with
                         | Some id, Some ro -> (
                           match op_node ~func what gname ro with
-                          | Some d -> expect_edge ~func ~what id d (G.Eret i.lbl)
+                          | Some d -> expect_edge ~func ~what id d (G.ret i.lbl)
                           | None -> ())
                         | Some id, None ->
-                          expect_edge ~func ~what id froot (G.Eret i.lbl)
+                          expect_edge ~func ~what id froot (G.ret i.lbl)
                         | None, _ -> ())
                       (Option.value ~default:[]
                          (Hashtbl.find_opt bld.B.ret_operands gname)))
@@ -491,7 +479,7 @@ let check_structure ?budget ?(skip = fun (_ : fname) -> false) ?(name = "vfg")
                                mem_node what l v)
                             with
                             | Some s, Some d ->
-                              expect_edge ~func ~what s d (G.Ecall i.lbl)
+                              expect_edge ~func ~what s d (G.call i.lbl)
                             | _ -> ())
                           | None -> ())
                         gfs.Memssa.entry_locs)
@@ -520,7 +508,7 @@ let check_structure ?budget ?(skip = fun (_ : fname) -> false) ?(name = "vfg")
                                     with
                                     | Some d ->
                                       expect_edge ~func ~what id d
-                                        (G.Eret i.lbl)
+                                        (G.ret i.lbl)
                                     | None -> ())
                                   | None -> all_mod := false)
                                 (Option.value ~default:[]
@@ -529,7 +517,7 @@ let check_structure ?budget ?(skip = fun (_ : fname) -> false) ?(name = "vfg")
                         targets;
                       if not !all_mod then begin
                         match mem_node what l ov with
-                        | Some old -> expect_edge ~func ~what id old G.Eintra
+                        | Some old -> expect_edge ~func ~what id old G.intra
                         | None -> ()
                       end
                     | None -> ())
@@ -572,7 +560,7 @@ let check_structure ?budget ?(skip = fun (_ : fname) -> false) ?(name = "vfg")
         if not (Hashtbl.mem expected key) then begin
           let sn = G.node_of g s and dn = G.node_of g d in
           let excused =
-            (allow_f_pins && d = froot && kc = 0)
+            (allow_f_pins && d = froot && G.is_intra kc)
             || skip (owner sn) || skip (owner dn)
           in
           if not excused then begin
@@ -621,7 +609,7 @@ let check_gamma ?budget ?(context_sensitive = true) ?(name = "gamma")
        call-string matching; [parent] records the forward edge used at each
        node's first visit, giving a concrete path witness to F. *)
     let reached = Bytes.make n '\000' in
-    let parent : (int * G.edge_kind) option array = Array.make n None in
+    let parent : (int * G.kind) option array = Array.make n None in
     (match G.find g G.Root_f with
     | None -> () (* no F root: nothing is reachable *)
     | Some froot ->
@@ -656,19 +644,14 @@ let check_gamma ?budget ?(context_sensitive = true) ?(name = "gamma")
       while not (Queue.is_empty work) do
         let v, ctx = Queue.pop work in
         tick ();
-        List.iter
-          (fun (u, kind) ->
+        G.iter_preds g v (fun u kind ->
             let from = Some (v, kind) in
-            if context_sensitive then
-              match kind with
-              | G.Eintra -> push u ctx ~from
-              | G.Ecall l -> push u (Cat l) ~from
-              | G.Eret l -> (
-                match ctx with
-                | Cany -> push u Cany ~from
-                | Cat l' -> if l = l' then push u Cany ~from)
-            else push u Cany ~from)
-          (G.preds g v)
+            if not context_sensitive || G.is_intra kind then push u ctx ~from
+            else if G.is_call kind then push u (Cat (G.label kind)) ~from
+            else
+              match ctx with
+              | Cany -> push u Cany ~from
+              | Cat l' -> if G.label kind = l' then push u Cany ~from)
       done);
     (* Path witness: follow parents to F, re-validating each edge. *)
     let witness id =
@@ -678,13 +661,10 @@ let check_gamma ?budget ?(context_sensitive = true) ?(name = "gamma")
         match parent.(v) with
         | None -> ()
         | Some (w, kind) ->
-          if
-            not
-              (List.exists (fun (d, k) -> d = w && k = kind) (G.succs g v))
-          then Buffer.add_string buf " -[MISSING EDGE]-> "
-          else
-            Buffer.add_string buf
-              (Printf.sprintf " -[%s]-> " (kc_name (kc_of kind)));
+          let found = ref false in
+          G.iter_succs g v (fun d k -> if d = w && k = kind then found := true);
+          if not !found then Buffer.add_string buf " -[MISSING EDGE]-> "
+          else Buffer.add_string buf (Printf.sprintf " -[%s]-> " (kc_name kind));
           if steps >= 12 then Buffer.add_string buf "..."
           else walk w (steps + 1)
       in

@@ -10,12 +10,20 @@
    - weak       — everything else: the old version flows on.
 
    With [track_memory = false] the builder produces the Usher_TL graph:
-   loads conservatively depend on the F root and memory nodes do not exist. *)
+   loads conservatively depend on the F root and memory nodes do not exist.
+
+   One pass per function, with every lookup an array read: functions are
+   numbered in [Ir.Prog.iter_funcs] order (the graph's function indices),
+   and their params, memory SSA and return statements sit in arrays by that
+   number; a call's targets are turned into numbers once per site. The
+   semi-strong check's tables (var -> defining instruction, its label,
+   block and position) are built for the whole program on the first store
+   that needs them. *)
 
 open Ir.Types
 module P = Ir.Prog
+module G = Graph
 module Objects = Analysis.Objects
-module Bitset = Analysis.Bitset
 
 type update_kind = Strong | Semi_strong | Weak
 
@@ -45,42 +53,384 @@ type t = {
       (* per function: every return statement and its operand *)
 }
 
-let t_id g = Graph.intern g Graph.Root_t
-let f_id g = Graph.intern g Graph.Root_f
+(* Program-wide tables for the semi-strong check, by var. *)
+type semi_tables = {
+  def_kind : instr_kind array;  (* its defining instruction *)
+  def_lbl : int array;          (* that instruction's label, or -1 *)
+  def_where : int array;        (* [block lsl 31 lor position] of it *)
+  visit : int array;            (* stamp of the last derivation walk *)
+  mutable stamp : int;
+  doms : Analysis.Dominance.t option array;  (* per function, on demand *)
+}
 
-let operand_node (g : Graph.t) (fname : fname) (o : operand) : int =
-  ignore fname;
-  match o with
-  | Cst _ -> t_id g
-  | Undef -> f_id g
-  | Var v -> Graph.intern g (Graph.Top v)
+(* The builder's state for one program. *)
+type ctx = {
+  g : G.t;
+  prog : P.t;
+  cg : Analysis.Callgraph.t;
+  objects : Objects.t;
+  config : config;
+  troot : int;
+  froot : int;
+  funcs : func array;
+  fssa : Memssa.func_ssa array;
+  rets : (label * operand option) list array;
+  mutable tgt : int array;      (* the current call's targets' indices *)
+  mutable ntgt : int;
+  mutable entry : int array;    (* loc -> index of the function whose
+                                   entry_locs hold it *)
+  mutable semi : semi_tables option;
+  mutable criticals : critical list;
+  store_kind : (label, update_kind) Hashtbl.t;
+  mutable semi_cuts : int;
+}
 
-(* Does the pointer [x]'s value derive exclusively from the allocation
-   destination [z], through copies, phis and address computations on the
-   same object? (The paper's "ẑ dominates x̂ in the VFG".) *)
-let derives_only_from_alloc (defs : (var, instr_kind) Hashtbl.t) (x : var)
-    (z : var) : bool =
-  let visited = Hashtbl.create 8 in
+let no_instr = Output Undef
+
+let semi_tables (c : ctx) =
+  match c.semi with
+  | Some s -> s
+  | None ->
+    let nvars = P.nvars c.prog in
+    let s =
+      {
+        def_kind = Array.make nvars no_instr;
+        def_lbl = Array.make nvars (-1);
+        def_where = Array.make nvars 0;
+        visit = Array.make nvars 0;
+        stamp = 0;
+        doms = Array.make (Array.length c.funcs) None;
+      }
+    in
+    Array.iter
+      (fun f ->
+        Array.iter
+          (fun b ->
+            List.iteri
+              (fun k i ->
+                match Ir.Instr.def_of i.kind with
+                | Some d ->
+                  s.def_kind.(d) <- i.kind;
+                  s.def_lbl.(d) <- i.lbl;
+                  s.def_where.(d) <- (b.bid lsl 31) lor k
+                | None -> ())
+              b.instrs)
+          f.blocks)
+      c.funcs;
+    c.semi <- Some s;
+    s
+
+(* The destination of the allocation at label [site], if the walk from
+   [x] reaches it: does the pointer [x]'s value derive exclusively from that
+   destination, through copies, phis and address computations on the same
+   object? (The paper's "ẑ dominates x̂ in the VFG".) The walk stays in
+   [x]'s function, so an allocation elsewhere is never reached. A variable
+   already visited by this walk fails, so a cycle of phis that never
+   reaches the allocation denies the cyclic arm, which is conservative. *)
+let derives_only_from_alloc (s : semi_tables) (x : var) site : var =
+  s.stamp <- s.stamp + 1;
+  let stamp = s.stamp and z = ref (-1) in
   let rec go v =
-    v = z
-    || (not (Hashtbl.mem visited v))
+    (match s.def_kind.(v) with
+    | Alloc _ when s.def_lbl.(v) = site ->
+      z := v;
+      true
+    | _ -> false)
+    || s.visit.(v) <> stamp
        && begin
-         Hashtbl.replace visited v ();
-         match Hashtbl.find_opt defs v with
-         | Some (Copy (_, Var y)) -> go y
-         | Some (Phi (_, arms)) ->
-           arms <> []
-           && List.for_all
-                (fun (_, o) -> match o with Var y -> go y | Cst _ | Undef -> false)
-                arms
-         | Some (Field_addr (_, y, _)) | Some (Index_addr (_, y, _)) -> go y
+         s.visit.(v) <- stamp;
+         match s.def_kind.(v) with
+         | Copy (_, Var y) -> go y
+         | Phi (_, arms) -> arms <> [] && List.for_all arm arms
+         | Field_addr (_, y, _) | Index_addr (_, y, _) -> go y
          | _ -> false
        end
-  in
-  (* [visited] marks in-progress nodes too: a cycle of phis that never
-     reaches [z] fails via the List.for_all on some other arm or denies the
-     cyclic arm, which is conservative (cycle => false for that arm). *)
-  go x
+  and arm (_, o) = match o with Var y -> go y | Cst _ | Undef -> false in
+  if go x then !z else -1
+
+(* Does the definition of [z] dominate the instruction at [where] (packed
+   as in [def_where])? Both are in function [fi]. *)
+let dominates (c : ctx) (s : semi_tables) fi z wb =
+  let wa = s.def_where.(z) in
+  let ba = wa lsr 31 and bb = wb lsr 31 in
+  if ba = bb then wa <= wb
+  else
+    let dom =
+      match s.doms.(fi) with
+      | Some d -> d
+      | None ->
+        let d = Analysis.Dominance.compute c.funcs.(fi) in
+        s.doms.(fi) <- Some d;
+        d
+    in
+    Analysis.Dominance.strictly_dominates dom ba bb
+
+let concrete (c : ctx) (o : Objects.obj) =
+  (not o.oarray)
+  && (match o.okind with
+     | Objects.Obj_global -> true
+     | Objects.Obj_stack -> not (Analysis.Callgraph.is_recursive c.cg o.oowner)
+     | Objects.Obj_heap | Objects.Obj_func _ -> false)
+
+(* The update kind of a store through [x] at [where] in function [fi]
+   whose chi list is [chis]. Semi-strong: scalar location, allocation site
+   in this function dominating the store, pointer derived from that
+   allocation. *)
+let store_update (c : ctx) fi where x chis =
+  match chis with
+  | [ (l, _, _) ] ->
+    let o = Objects.loc_obj c.objects l in
+    if concrete c o then Strong
+    else if (not c.config.semi_strong) || o.oarray || o.osite < 0 then Weak
+    else begin
+      let s = semi_tables c in
+      let z = derives_only_from_alloc s x o.osite in
+      if z >= 0 && dominates c s fi z where then Semi_strong else Weak
+    end
+  | _ -> Weak
+
+let operand_node (c : ctx) = function
+  | Cst _ -> c.troot
+  | Undef -> c.froot
+  | Var v -> G.top c.g v
+
+let def_top (c : ctx) fi lbl x =
+  let id = G.top c.g x in
+  G.set_def c.g id G.Kinstr ~func:fi ~at:lbl;
+  id
+
+let dep (c : ctx) id o = G.add_edge c.g ~src:id ~dst:(operand_node c o) G.intra
+
+let rec phi_arms (c : ctx) id = function
+  | [] -> ()
+  | (_, o) :: rest ->
+    dep c id o;
+    phi_arms c id rest
+
+let chi_def (c : ctx) fi lbl l nv =
+  let id = G.mem c.g fi l nv in
+  G.set_def c.g id G.Kchi ~func:fi ~at:lbl;
+  id
+
+let rec chi_old l = function
+  | [] -> -1
+  | (l', _, ov) :: rest -> if l' = l then ov else chi_old l rest
+
+let rec alloc_chis (c : ctx) fi lbl init = function
+  | [] -> ()
+  | (l, nv, ov) :: rest ->
+    let id = chi_def c fi lbl l nv in
+    G.add_edge c.g ~src:id ~dst:(if init then c.troot else c.froot) G.intra;
+    G.add_edge c.g ~src:id ~dst:(G.mem c.g fi l ov) G.intra;
+    alloc_chis c fi lbl init rest
+
+let rec load_mus (c : ctx) fi id = function
+  | [] -> ()
+  | (l, ver) :: rest ->
+    G.add_edge c.g ~src:id ~dst:(G.mem c.g fi l ver) G.intra;
+    load_mus c fi id rest
+
+let rec store_chis (c : ctx) fi lbl o kind = function
+  | [] -> ()
+  | (l, nv, ov) :: rest ->
+    let id = chi_def c fi lbl l nv in
+    G.add_edge c.g ~src:id ~dst:(operand_node c o) G.intra;
+    (match kind with
+    | Strong -> ()
+    | Semi_strong ->
+      c.semi_cuts <- c.semi_cuts + 1;
+      (* Bypass to rho_j, the version *before* the allocation's chi
+         (Fig. 6: b4 -> b2, skipping b3's F edge): the current instance's
+         uninitialized state is killed, while older instances' flows
+         survive through the pre-alloc version. *)
+      let osite = (Objects.loc_obj c.objects l).osite in
+      let av = chi_old l (Memssa.chi_at c.fssa.(fi) osite) in
+      G.add_edge c.g ~src:id ~dst:(G.mem c.g fi l (if av >= 0 then av else ov)) G.intra
+    | Weak -> G.add_edge c.g ~src:id ~dst:(G.mem c.g fi l ov) G.intra);
+    store_chis c fi lbl o kind rest
+
+(* [c.tgt.(0 .. ntgt-1)]: the indices of a call's targets, -1 for a
+   name the program does not define. *)
+let rec set_targets (c : ctx) k = function
+  | [] -> c.ntgt <- k
+  | name :: rest ->
+    if k = Array.length c.tgt then c.tgt <- Array.append c.tgt c.tgt;
+    c.tgt.(k) <- G.find_func c.g name;
+    set_targets c (k + 1) rest
+
+(* Top-level parameter passing: formal -> actual, over the common prefix
+   of the formals and the actuals. *)
+let rec pass_args (c : ctx) k prms args =
+  match (prms, args) with
+  | prm :: prms, arg :: args ->
+    let dst = operand_node c arg in
+    G.add_edge c.g ~src:(G.top c.g prm) ~dst k;
+    pass_args c k prms args
+  | _ -> ()
+
+let rec ret_edges (c : ctx) id k = function
+  | [] -> ()
+  | (_, Some ro) :: rest ->
+    G.add_edge c.g ~src:id ~dst:(operand_node c ro) k;
+    ret_edges c id k rest
+  | (_, None) :: rest ->
+    (* calling a void function for its value: undef *)
+    G.add_edge c.g ~src:id ~dst:c.froot k;
+    ret_edges c id k rest
+
+let callee_ssa (c : ctx) gi = if gi < 0 then raise Not_found else c.fssa.(gi)
+
+(* The current version of [l] at a call: its mu, or its chi's old one. *)
+let cur_ver l mus chis =
+  match List.assoc_opt l mus with Some v -> v | None -> chi_old l chis
+
+(* Virtual input parameters: callee entry -> caller current. *)
+let rec entry_edges (c : ctx) fi gi k mus chis = function
+  | [] -> ()
+  | l :: rest ->
+    let v = cur_ver l mus chis in
+    if v >= 0 then begin
+      let dst = G.mem c.g fi l v in
+      G.add_edge c.g ~src:(G.mem c.g gi l 1) ~dst k
+    end;
+    entry_edges c fi gi k mus chis rest
+
+(* Virtual output parameter [l] of callee [gi] at the call's chi [id]:
+   an edge to each return's version of [l]; false if some return, or the
+   callee, may leave [l] untouched. *)
+let rec exit_edges (c : ctx) gi gfs id l k all = function
+  | [] -> all
+  | (rl, _) :: rest -> (
+    match List.assoc_opt l (Memssa.ret_vers_at gfs rl) with
+    | Some ev ->
+      G.add_edge c.g ~src:id ~dst:(G.mem c.g gi l ev) k;
+      exit_edges c gi gfs id l k all rest
+    | None -> exit_edges c gi gfs id l k false rest)
+
+(* Virtual output parameters: caller new -> callee exits. If some callee
+   may leave the location untouched, the old version flows through. *)
+let rec call_chis (c : ctx) fi lbl k = function
+  | [] -> ()
+  | (l, nv, ov) :: rest ->
+    let id = chi_def c fi lbl l nv in
+    let all_mod = ref (c.ntgt > 0) in
+    for t = 0 to c.ntgt - 1 do
+      let gi = c.tgt.(t) in
+      let gfs = callee_ssa c gi in
+      if List.mem l gfs.Memssa.out_locs then begin
+        if not (exit_edges c gi gfs id l k true c.rets.(gi)) then all_mod := false
+      end
+      else all_mod := false
+    done;
+    if not !all_mod then G.add_edge c.g ~src:id ~dst:(G.mem c.g fi l ov) G.intra;
+    call_chis c fi lbl k rest
+
+let critical (c : ctx) fn lbl o =
+  c.criticals <- { clbl = lbl; cop = o; cfunc = fn } :: c.criticals
+
+(* The instruction [i] at [where], [block lsl 31 lor position]. *)
+let instr (c : ctx) fi (f : func) (fs : Memssa.func_ssa) where (i : instr) =
+  let g = c.g and lbl = i.lbl in
+  match i.kind with
+  | Const (x, _) | Global_addr (x, _) | Func_addr (x, _) | Input x ->
+    G.add_edge g ~src:(def_top c fi lbl x) ~dst:c.troot G.intra
+  | Copy (x, o) | Unop (x, _, o) -> dep c (def_top c fi lbl x) o
+  | Binop (x, _, o1, o2) ->
+    let id = def_top c fi lbl x in
+    dep c id o1;
+    dep c id o2
+  | Phi (x, arms) -> phi_arms c (def_top c fi lbl x) arms
+  | Field_addr (x, y, _) -> dep c (def_top c fi lbl x) (Var y)
+  | Index_addr (x, y, o) ->
+    let id = def_top c fi lbl x in
+    dep c id (Var y);
+    dep c id o
+  | Alloc a ->
+    (* x̂ -> T; per location: rho_new -> (T|F) and rho_new -> rho_old. *)
+    G.add_edge g ~src:(def_top c fi lbl a.adst) ~dst:c.troot G.intra;
+    if c.config.track_memory then
+      alloc_chis c fi lbl a.initialized (Memssa.chi_at fs lbl)
+  | Load (x, y) ->
+    critical c f.fname lbl (Var y);
+    let id = def_top c fi lbl x in
+    if c.config.track_memory then load_mus c fi id (Memssa.mu_at fs lbl)
+    else G.add_edge g ~src:id ~dst:c.froot G.intra
+  | Store (x, o) ->
+    critical c f.fname lbl (Var x);
+    if c.config.track_memory then begin
+      let chis = Memssa.chi_at fs lbl in
+      let kind = store_update c fi where x chis in
+      Hashtbl.replace c.store_kind lbl kind;
+      store_chis c fi lbl o kind chis
+    end
+    else Hashtbl.replace c.store_kind lbl Weak
+  | Call { cdst; cargs; _ } ->
+    set_targets c 0 (Analysis.Callgraph.site_callees c.cg lbl);
+    for t = 0 to c.ntgt - 1 do
+      let gi = c.tgt.(t) in
+      if gi >= 0 then pass_args c (G.call lbl) c.funcs.(gi).params cargs
+    done;
+    (* Return value: x -> callee return operands. *)
+    (match cdst with
+    | Some x ->
+      let id = def_top c fi lbl x in
+      for t = 0 to c.ntgt - 1 do
+        let gi = c.tgt.(t) in
+        if gi >= 0 then ret_edges c id (G.ret lbl) c.rets.(gi)
+      done
+    | None -> ());
+    if c.config.track_memory then begin
+      let mus = Memssa.mu_at fs lbl and chis = Memssa.chi_at fs lbl in
+      for t = 0 to c.ntgt - 1 do
+        let gi = c.tgt.(t) in
+        entry_edges c fi gi (G.call lbl) mus chis (callee_ssa c gi).Memssa.entry_locs
+      done;
+      call_chis c fi lbl (G.ret lbl) chis
+    end
+  | Output _ -> ()
+
+let process_func (c : ctx) fi (f : func) =
+  let g = c.g and fs = c.fssa.(fi) in
+  (* Formal parameters: nodes fed by call edges (added at call sites). *)
+  List.iter (fun prm -> G.set_def g (G.top g prm) G.Kparam ~func:fi ~at:0) f.params;
+  if c.config.track_memory then begin
+    (* Entry versions of memory locations. *)
+    List.iter (fun l -> c.entry.(l) <- fi) fs.Memssa.entry_locs;
+    List.iter
+      (fun l ->
+        let id = G.mem g fi l 1 in
+        G.set_def g id G.Kentry ~func:fi ~at:0;
+        (* At program start globals are default-initialized and instances
+           of anything else cannot exist yet, so version 1 of main is
+           vacuously defined; so is the pseudo-entry of a function's own
+           stack objects, no instance of which exists before the alloc. *)
+        if f.fname = "main" || c.entry.(l) <> fi then
+          G.add_edge g ~src:id ~dst:c.troot G.intra)
+      fs.Memssa.tracked;
+    (* Memory phis. *)
+    Array.iter
+      (fun b ->
+        List.iter
+          (fun (phi : Memssa.memphi) ->
+            let id = G.mem g fi phi.mloc phi.mver in
+            G.set_def g id G.Kmemphi ~func:fi ~at:b.bid;
+            List.iter
+              (fun (_, argver) ->
+                G.add_edge g ~src:id ~dst:(G.mem g fi phi.mloc argver) G.intra)
+              phi.margs)
+          (Memssa.phis_at fs b.bid))
+      f.blocks
+  end;
+  Array.iter
+    (fun b -> List.iteri (fun k i -> instr c fi f fs ((b.bid lsl 31) lor k) i) b.instrs)
+    f.blocks;
+  (* Branch conditions are critical operations. *)
+  Array.iter
+    (fun b ->
+      match b.term.tkind with
+      | Br (o, _, _) -> critical c f.fname b.term.tlbl o
+      | Jmp _ | Ret _ -> ())
+    f.blocks
 
 (** [hook] runs before each function (fault injection from the driver);
     [budget] adds a deadline tick per function;
@@ -91,318 +441,77 @@ let derives_only_from_alloc (defs : (var, instr_kind) Hashtbl.t) (x : var)
 let build ?(config = default_config) ?budget ?hook ?on_fault (p : P.t)
     (pa : Analysis.Andersen.t) (cg : Analysis.Callgraph.t)
     (mr : Analysis.Modref.t) (mssa : Memssa.t) : t =
-  let g = Graph.create () in
-  let troot = t_id g and froot = f_id g in
-  let objects = pa.objects in
-  let criticals = ref [] in
-  let store_kind = Hashtbl.create 64 in
-  let semi_cuts = ref 0 in
-  let ret_operands : (fname, (label * operand option) list) Hashtbl.t =
-    Hashtbl.create 16
+  let funcs = Array.of_list (List.rev (P.fold_funcs (fun acc f -> f :: acc) [] p)) in
+  let fssa = Array.map (fun f -> Memssa.func_ssa mssa f.fname) funcs in
+  let mem_nodes =
+    if not config.track_memory then 0
+    else
+      Array.fold_left
+        (fun acc (fs : Memssa.func_ssa) ->
+          Hashtbl.fold (fun _ n acc -> acc + n) fs.nversions acc)
+        0 fssa
   in
-  P.iter_funcs
-    (fun f ->
-      let rets = ref [] in
-      Array.iter
-        (fun b ->
-          match b.term.tkind with
-          | Ret o -> rets := (b.term.tlbl, o) :: !rets
-          | Br _ | Jmp _ -> ())
-        f.blocks;
-      Hashtbl.replace ret_operands f.fname !rets)
-    p;
-  let mem fname l ver = Graph.intern g (Graph.Mem (fname, l, ver)) in
-  (* Per-function processing. *)
-  let process_func =
-    (fun f ->
-      let fn = f.fname in
-      let fs = Memssa.func_ssa mssa fn in
-      let dom = lazy (Analysis.Dominance.compute f) in
-      let pos = lazy (Analysis.Dominance.label_positions f) in
-      (* Top-level def table, for semi-strong derivation checks. *)
-      let defs : (var, instr_kind) Hashtbl.t = Hashtbl.create 64 in
-      Ir.Func.iter_instrs
-        (fun _ i ->
-          match Ir.Instr.def_of i.kind with
-          | Some d -> Hashtbl.replace defs d i.kind
-          | None -> ())
-        f;
-      (* Formal parameters: nodes fed by call edges (added at call sites). *)
-      List.iter
-        (fun prm ->
-          let id = Graph.intern g (Graph.Top prm) in
-          Graph.set_def g id (Graph.Dparam fn))
-        f.params;
-      (* Entry versions of memory locations. *)
-      if config.track_memory then begin
-        let is_entry = Hashtbl.create 16 in
-        List.iter (fun l -> Hashtbl.replace is_entry l ()) fs.entry_locs;
-        List.iter
-          (fun l ->
-            let id = mem fn l 1 in
-            Graph.set_def g id (Graph.Dentry fn);
-            if fn = "main" then
-              (* Program start: globals are default-initialized; instances of
-                 anything else cannot exist yet, so version 1 is vacuously
-                 defined. *)
-              Graph.add_edge g ~src:id ~dst:troot Eintra
-            else if not (Hashtbl.mem is_entry l) then
-              (* Pseudo-entry of the function's own stack objects: no
-                 instance exists before the alloc executes. *)
-              Graph.add_edge g ~src:id ~dst:troot Eintra)
-          fs.Memssa.tracked;
-        (* Memory phis. *)
-        Array.iter
-          (fun b ->
-            List.iter
-              (fun (phi : Memssa.memphi) ->
-                let id = mem fn phi.mloc phi.mver in
-                Graph.set_def g id (Graph.Dmemphi (fn, b.bid));
-                List.iter
-                  (fun (_, argver) ->
-                    Graph.add_edge g ~src:id ~dst:(mem fn phi.mloc argver) Eintra)
-                  phi.margs)
-              (Memssa.phis_at fs b.bid))
-          f.blocks
-      end;
-      (* Instructions. *)
-      Ir.Func.iter_instrs
-        (fun _ i ->
-          let def_top x =
-            let id = Graph.intern g (Graph.Top x) in
-            Graph.set_def g id (Graph.Dinstr (fn, i.lbl));
-            id
-          in
-          let dep id o = Graph.add_edge g ~src:id ~dst:(operand_node g fn o) Eintra in
-          match i.kind with
-          | Const (x, _) -> dep (def_top x) (Cst 0)
-          | Copy (x, o) -> dep (def_top x) o
-          | Unop (x, _, o) -> dep (def_top x) o
-          | Binop (x, _, o1, o2) ->
-            let id = def_top x in
-            dep id o1;
-            dep id o2
-          | Phi (x, arms) ->
-            let id = def_top x in
-            List.iter (fun (_, o) -> dep id o) arms
-          | Global_addr (x, _) | Func_addr (x, _) | Input x ->
-            dep (def_top x) (Cst 0)
-          | Field_addr (x, y, _) -> dep (def_top x) (Var y)
-          | Index_addr (x, y, o) ->
-            let id = def_top x in
-            dep id (Var y);
-            dep id o
-          | Alloc a ->
-            (* x̂ -> T; per location: rho_new -> (T|F) and rho_new -> rho_old. *)
-            dep (def_top a.adst) (Cst 0);
-            if config.track_memory then
-              List.iter
-                (fun (l, nv, ov) ->
-                  let id = mem fn l nv in
-                  Graph.set_def g id (Graph.Dchi (fn, i.lbl));
-                  Graph.add_edge g ~src:id
-                    ~dst:(if a.initialized then troot else froot)
-                    Eintra;
-                  Graph.add_edge g ~src:id ~dst:(mem fn l ov) Eintra)
-                (Memssa.chi_at fs i.lbl)
-          | Load (x, y) ->
-            criticals := { clbl = i.lbl; cop = Var y; cfunc = fn } :: !criticals;
-            let id = def_top x in
-            if config.track_memory then
-              List.iter
-                (fun (l, ver) -> Graph.add_edge g ~src:id ~dst:(mem fn l ver) Eintra)
-                (Memssa.mu_at fs i.lbl)
-            else Graph.add_edge g ~src:id ~dst:froot Eintra
-          | Store (x, o) ->
-            criticals := { clbl = i.lbl; cop = Var x; cfunc = fn } :: !criticals;
-            if config.track_memory then begin
-              let chis = Memssa.chi_at fs i.lbl in
-              (* Update-kind classification. *)
-              let kind =
-                match chis with
-                | [ (l, _, _) ] -> (
-                  let o = Objects.loc_obj objects l in
-                  let concrete =
-                    (not o.oarray)
-                    && (match o.okind with
-                       | Objects.Obj_global -> true
-                       | Objects.Obj_stack ->
-                         not (Analysis.Callgraph.is_recursive cg o.oowner)
-                       | Objects.Obj_heap | Objects.Obj_func _ -> false)
-                  in
-                  if concrete then Strong
-                  else if not config.semi_strong then Weak
-                  else
-                    (* Semi-strong: scalar location, allocation site in this
-                       function dominating the store, pointer derived from
-                       that allocation. *)
-                    match
-                      (if o.oarray || o.osite < 0 then None
-                       else
-                         match Ir.Func.find_instr f o.osite with
-                         | Some (_, ai) -> (
-                           match ai.kind with
-                           | Alloc a
-                             when Analysis.Dominance.label_dominates
-                                    (Lazy.force dom) (Lazy.force pos) o.osite
-                                    i.lbl
-                                  && derives_only_from_alloc defs x a.adst ->
-                             Some a.adst
-                           | _ -> None)
-                         | None -> None)
-                    with
-                    | Some _ -> Semi_strong
-                    | None -> Weak)
-                | _ -> Weak
-              in
-              Hashtbl.replace store_kind i.lbl kind;
-              List.iter
-                (fun (l, nv, ov) ->
-                  let id = mem fn l nv in
-                  Graph.set_def g id (Graph.Dchi (fn, i.lbl));
-                  Graph.add_edge g ~src:id ~dst:(operand_node g fn o) Eintra;
-                  match kind with
-                  | Strong -> ()
-                  | Semi_strong ->
-                    incr semi_cuts;
-                    (* Bypass to rho_j, the version *before* the allocation's
-                       chi (Fig. 6: b4 -> b2, skipping b3's F edge): the
-                       current instance's uninitialized state is killed, while
-                       older instances' flows survive through the pre-alloc
-                       version. *)
-                    let oo = Objects.loc_obj objects l in
-                    let alloc_ver =
-                      List.find_map
-                        (fun (l', _, ov') -> if l' = l then Some ov' else None)
-                        (Memssa.chi_at fs oo.osite)
-                    in
-                    (match alloc_ver with
-                    | Some av -> Graph.add_edge g ~src:id ~dst:(mem fn l av) Eintra
-                    | None -> Graph.add_edge g ~src:id ~dst:(mem fn l ov) Eintra)
-                  | Weak -> Graph.add_edge g ~src:id ~dst:(mem fn l ov) Eintra)
-                chis
-            end
-            else Hashtbl.replace store_kind i.lbl Weak
-          | Call { cdst; cargs; _ } ->
-            let targets = Analysis.Callgraph.site_callees cg i.lbl in
-            (* Top-level parameter passing: formal -> actual. *)
-            List.iter
-              (fun gname ->
-                match P.find_func p gname with
-                | Some callee ->
-                  (try
-                     List.iter2
-                       (fun prm arg ->
-                         Graph.add_edge g
-                           ~src:(Graph.intern g (Graph.Top prm))
-                           ~dst:(operand_node g fn arg) (Ecall i.lbl))
-                       callee.params cargs
-                   with Invalid_argument _ -> ())
-                | None -> ())
-              targets;
-            (* Return value: x -> callee return operands. *)
-            (match cdst with
-            | Some x ->
-              let id = def_top x in
-              List.iter
-                (fun gname ->
-                  List.iter
-                    (fun (_, ro) ->
-                      match ro with
-                      | Some ro ->
-                        Graph.add_edge g ~src:id
-                          ~dst:(operand_node g gname ro) (Eret i.lbl)
-                      | None ->
-                        (* calling a void function for its value: undef *)
-                        Graph.add_edge g ~src:id ~dst:froot (Eret i.lbl))
-                    (Option.value ~default:[]
-                       (Hashtbl.find_opt ret_operands gname)))
-                targets
-            | None -> ());
-            if config.track_memory then begin
-              (* Virtual input parameters: callee entry -> caller current. *)
-              let cur_ver l =
-                match List.assoc_opt l (Memssa.mu_at fs i.lbl) with
-                | Some v -> Some v
-                | None ->
-                  List.find_map
-                    (fun (l', _, ov) -> if l' = l then Some ov else None)
-                    (Memssa.chi_at fs i.lbl)
-              in
-              List.iter
-                (fun gname ->
-                  let gfs = Memssa.func_ssa mssa gname in
-                  List.iter
-                    (fun l ->
-                      match cur_ver l with
-                      | Some v ->
-                        Graph.add_edge g ~src:(mem gname l 1) ~dst:(mem fn l v)
-                          (Ecall i.lbl)
-                      | None -> ())
-                    gfs.Memssa.entry_locs)
-                targets;
-              (* Virtual output parameters: caller new -> callee exits. *)
-              List.iter
-                (fun (l, nv, ov) ->
-                  let id = mem fn l nv in
-                  Graph.set_def g id (Graph.Dchi (fn, i.lbl));
-                  let all_mod = ref (targets <> []) in
-                  List.iter
-                    (fun gname ->
-                      let gfs = Memssa.func_ssa mssa gname in
-                      if List.mem l gfs.Memssa.out_locs then
-                        List.iter
-                          (fun (rl, _) ->
-                            match List.assoc_opt l (Memssa.ret_vers_at gfs rl) with
-                            | Some ev ->
-                              Graph.add_edge g ~src:id ~dst:(mem gname l ev)
-                                (Eret i.lbl)
-                            | None -> all_mod := false)
-                          (Option.value ~default:[]
-                             (Hashtbl.find_opt ret_operands gname))
-                      else all_mod := false)
-                    targets;
-                  (* If some callee may leave the location untouched, the old
-                     version flows through. *)
-                  if not !all_mod then
-                    Graph.add_edge g ~src:id ~dst:(mem fn l ov) Eintra)
-                (Memssa.chi_at fs i.lbl)
-            end
-          | Output _ -> ())
-        f;
-      (* Branch conditions are critical operations. *)
-      Array.iter
-        (fun b ->
-          match b.term.tkind with
-          | Br (o, _, _) ->
-            criticals := { clbl = b.term.tlbl; cop = o; cfunc = fn } :: !criticals
-          | Jmp _ | Ret _ -> ())
-        f.blocks)
+  (* About 5/8 of the variables get a [Top] node (41,438 of 70,136 on
+     176.gcc, 96 of 176 on a small generated program). *)
+  let nvars = P.nvars p in
+  let g =
+    G.create ~nodes:((5 * nvars / 8) + mem_nodes + 2) ~vars:nvars ~labels:(P.nlabels p) ()
   in
-  P.iter_funcs
-    (fun f ->
-      let pre () =
-        (match hook with Some h -> h f.fname | None -> ());
-        match budget with
-        | Some b -> Diag.Budget.tick b Diag.Vfg_build
-        | None -> ()
+  Array.iter (fun f -> ignore (G.func_index g f.fname)) funcs;
+  let troot = G.intern g G.Root_t in
+  let froot = G.intern g G.Root_f in
+  let rets =
+    Array.map
+      (fun f ->
+        Array.fold_left
+          (fun acc b ->
+            match b.term.tkind with
+            | Ret o -> (b.term.tlbl, o) :: acc
+            | Br _ | Jmp _ -> acc)
+          [] f.blocks)
+      funcs
+  in
+  let c =
+    {
+      g;
+      prog = p;
+      cg;
+      objects = pa.objects;
+      config;
+      troot;
+      froot;
+      funcs;
+      fssa;
+      rets;
+      tgt = Array.make 4 0;
+      ntgt = 0;
+      entry = Array.make (if config.track_memory then Objects.nlocs pa.objects else 0) (-1);
+      semi = None;
+      criticals = [];
+      store_kind = Hashtbl.create 64;
+      semi_cuts = 0;
+    }
+  in
+  Array.iteri
+    (fun fi f ->
+      let run () =
+        Option.iter (fun h -> h f.fname) hook;
+        Option.iter (fun b -> Diag.Budget.tick b Diag.Vfg_build) budget;
+        process_func c fi f
       in
       let compute () =
         match on_fault with
-        | None ->
-          pre ();
-          process_func f
-        | Some report -> (
-          try
-            pre ();
-            process_func f
-          with e -> report f.fname e)
+        | None -> run ()
+        | Some report -> ( try run () with e -> report f.fname e)
       in
       (* One span per function when tracing; exactly [compute ()] otherwise. *)
       if Obs.Trace.enabled () then
-        Obs.Trace.with_span ~cat:"vfg" ("vfg." ^ f.fname) compute
+        Obs.Trace.with_span ~cat:"vfg" ~args:[ ("fn", Obs.Trace.Str f.fname) ] "vfg.func"
+          compute
       else compute ())
-    p;
+    funcs;
+  let ret_operands = Hashtbl.create (Array.length funcs) in
+  Array.iteri (fun fi f -> Hashtbl.replace ret_operands f.fname rets.(fi)) funcs;
   {
     graph = g;
     prog = p;
@@ -411,9 +520,9 @@ let build ?(config = default_config) ?budget ?hook ?on_fault (p : P.t)
     mr;
     mssa;
     config;
-    criticals = List.rev !criticals;
-    store_kind;
-    semi_strong_cuts = !semi_cuts;
+    criticals = List.rev c.criticals;
+    store_kind = c.store_kind;
+    semi_strong_cuts = c.semi_cuts;
     ret_operands;
   }
 
@@ -438,21 +547,16 @@ let build ?(config = default_config) ?budget ?hook ?on_fault (p : P.t)
 let force_distrusted (t : t) (distrusted : (fname, 'a) Hashtbl.t) : unit =
   if Hashtbl.length distrusted > 0 then begin
     let g = t.graph in
-    let froot = f_id g in
-    let force id = Graph.add_edge g ~src:id ~dst:froot Eintra in
-    let force_node n = match Graph.find g n with Some id -> force id | None -> () in
+    let froot = G.intern g G.Root_f in
+    let force id = G.add_edge g ~src:id ~dst:froot G.intra in
+    let force_node n = match G.find g n with Some id -> force id | None -> () in
     let in_d fn = Hashtbl.mem distrusted fn in
-    Graph.iter_nodes
-      (fun id _ ->
-        match Graph.def_of g id with
-        | Graph.Dinstr (fn, _)
-        | Graph.Dparam fn
-        | Graph.Dchi (fn, _)
-        | Graph.Dmemphi (fn, _)
-        | Graph.Dentry fn ->
-          if in_d fn then force id
-        | Graph.Droot -> ())
-      g;
+    for id = 0 to G.nnodes g - 1 do
+      match G.def_of g id with
+      | G.Dinstr (fn, _) | G.Dparam fn | G.Dchi (fn, _) | G.Dmemphi (fn, _) | G.Dentry fn ->
+        if in_d fn then force id
+      | G.Droot -> ()
+    done;
     P.iter_instrs
       (fun f _ i ->
         match i.kind with
@@ -464,23 +568,23 @@ let force_distrusted (t : t) (distrusted : (fname, 'a) Hashtbl.t) : unit =
               (fun gname ->
                 (match P.find_func t.prog gname with
                 | Some callee ->
-                  List.iter (fun prm -> force_node (Graph.Top prm)) callee.params
+                  List.iter (fun prm -> force_node (G.Top prm)) callee.params
                 | None -> ());
                 if t.config.track_memory then
                   let gfs = Memssa.func_ssa t.mssa gname in
                   List.iter
-                    (fun l -> force_node (Graph.Mem (gname, l, 1)))
+                    (fun l -> force_node (G.Mem (gname, l, 1)))
                     gfs.Memssa.entry_locs)
               targets
           else if List.exists in_d targets then begin
             (* Trusted caller receiving from a distrusted callee. *)
             (match cdst with
-            | Some x -> force_node (Graph.Top x)
+            | Some x -> force_node (G.Top x)
             | None -> ());
             if t.config.track_memory then
               let fs = Memssa.func_ssa t.mssa f.fname in
               List.iter
-                (fun (l, nv, _) -> force_node (Graph.Mem (f.fname, l, nv)))
+                (fun (l, nv, _) -> force_node (G.Mem (f.fname, l, nv)))
                 (Memssa.chi_at fs i.lbl)
           end
         | _ -> ())

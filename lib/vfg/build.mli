@@ -42,12 +42,6 @@ type t = {
   ret_operands : (fname, (label * operand option) list) Hashtbl.t;
 }
 
-(** Does the pointer [x] derive exclusively from the allocation destination
-    [z] through copies, phis and address computations? (The semi-strong
-    derivation test; exposed for tests.) *)
-val derives_only_from_alloc :
-  (var, instr_kind) Hashtbl.t -> var -> var -> bool
-
 (** Build the VFG. [budget] adds a per-function deadline tick and the node
     cap; [hook] runs before each function (fault injection from the
     driver); [on_fault] — when given — catches any exception raised while

@@ -29,19 +29,14 @@ let render ?gamma (bld : Build.t) ppf =
       Fmt.pf ppf "  n%d [shape=%s%s, label=\"%s\"];@." id shape color
         (escape (Graph.node_to_string p objects n)))
     g;
-  Graph.iter_nodes
-    (fun id _ ->
-      List.iter
-        (fun (dst, kind) ->
-          let attr =
-            match kind with
-            | Graph.Eintra -> ""
-            | Graph.Ecall l -> Printf.sprintf " [style=dashed, label=\"call l%d\"]" l
-            | Graph.Eret l -> Printf.sprintf " [style=dashed, label=\"ret l%d\"]" l
-          in
-          Fmt.pf ppf "  n%d -> n%d%s;@." id dst attr)
-        (Graph.succs g id))
-    g;
+  for id = 0 to Graph.nnodes g - 1 do
+    Graph.iter_succs g id (fun dst kind ->
+        let attr =
+          if Graph.is_intra kind then ""
+          else Printf.sprintf " [style=dashed, label=\"%s\"]" (Graph.kind_to_string kind)
+        in
+        Fmt.pf ppf "  n%d -> n%d%s;@." id dst attr)
+  done;
   Fmt.pf ppf "}@."
 
 let to_string ?gamma (bld : Build.t) : string =

@@ -14,8 +14,9 @@
 
    The pass does work in proportion to the graph, in three trace spans
    inside [phase.opt2]:
-   - [opt2.closure] builds dense per-program tables (var -> [Top] node,
-     var -> defining instruction, label -> function, block and index) and
+   - [opt2.closure] builds dense per-program tables (var -> defining
+     instruction, label -> function, block and index; the graph maps a
+     var to its [Top] node) and
      then every critical's closure as a run of node ids. A closure reads
      only IR defs and memory SSA, never edges, so all of them can be taken
      before any rewiring. Membership is a stamped int array: no per-critical
@@ -38,7 +39,6 @@ type result = {
 type index = {
   funcs : func array;
   func_ids : (fname, int) Hashtbl.t;
-  top : int array;             (* var -> node id of [Top v], or -1 *)
   def_func : int array;        (* var -> function defining it, or -1 *)
   def_kind : instr_kind array; (* var -> its defining instruction *)
   lbl_func : int array;        (* label -> function holding it, or -1 *)
@@ -47,17 +47,11 @@ type index = {
                                   a terminator *)
 }
 
-let index (p : Ir.Prog.t) (g : Graph.t) : index =
+let index (p : Ir.Prog.t) : index =
   let funcs = Array.of_list (List.rev (Ir.Prog.fold_funcs (fun acc f -> f :: acc) [] p)) in
   let func_ids = Hashtbl.create (Array.length funcs) in
   Array.iteri (fun fi f -> Hashtbl.replace func_ids f.fname fi) funcs;
   let nvars = Ir.Prog.nvars p and nlabels = Ir.Prog.nlabels p in
-  let top = Array.make nvars (-1) in
-  Graph.iter_nodes
-    (fun id -> function
-      | Graph.Top v -> top.(v) <- id
-      | Graph.Root_t | Graph.Root_f | Graph.Mem _ -> ())
-    g;
   let def_func = Array.make nvars (-1) in
   let def_kind = Array.make nvars (Output Undef) in
   let lbl_func = Array.make nlabels (-1) in
@@ -83,7 +77,7 @@ let index (p : Ir.Prog.t) (g : Graph.t) : index =
           lbl_pos.(b.term.tlbl) <- max_int)
         f.blocks)
     funcs;
-  { funcs; func_ids; top; def_func; def_kind; lbl_func; lbl_block; lbl_pos }
+  { funcs; func_ids; def_func; def_kind; lbl_func; lbl_block; lbl_pos }
 
 (* Every critical's closure node ids, as CSR over the criticals in order:
    members of x's must-flow closure (the walk of [Mfc.compute]) plus the
@@ -103,7 +97,7 @@ let closures ?budget (bld : Build.t) (ix : index) (g : Graph.t) : closures =
   let off = Array.make (ncrit + 1) 0 in
   let nodes = ref (Array.make 64 0) in
   let nn = ref 0 in
-  let var_mark = Array.make (Array.length ix.top) (-1) in
+  let var_mark = Array.make (Array.length ix.def_func) (-1) in
   let node_mark = Array.make (Graph.nnodes g) (-1) in
   (* Loads annotated with a single concrete location extend the closure into
      memory. The location node of a load is memoized per variable: -2 not
@@ -118,7 +112,7 @@ let closures ?budget (bld : Build.t) (ix : index) (g : Graph.t) : closures =
          not (Analysis.Callgraph.is_recursive bld.cg o.oowner)
        | Analysis.Objects.Obj_heap | Analysis.Objects.Obj_func _ -> false)
   in
-  let mem_memo = Array.make (Array.length ix.top) (-2) in
+  let mem_memo = Array.make (Array.length ix.def_func) (-2) in
   let mem_node fname v id =
     if mem_memo.(v) = -2 then
       mem_memo.(v) <-
@@ -156,7 +150,7 @@ let closures ?budget (bld : Build.t) (ix : index) (g : Graph.t) : closures =
       let rec go v =
         if var_mark.(v) <> i then begin
           var_mark.(v) <- i;
-          let id = ix.top.(v) in
+          let id = Graph.top_id g v in
           if id >= 0 then add i id;
           if ix.def_func.(v) = fi then
             match ix.def_kind.(v) with
@@ -266,8 +260,7 @@ let rewire (ix : index) (cl : closures) (g : Graph.t) : int =
          qualifies does not depend on the edges, so each r is decided once
          per critical. *)
       for k = lo to hi - 1 do
-        List.iter
-          (fun (r, _) ->
+        Graph.iter_preds g cl.nodes.(k) (fun r _ ->
             if in_closure.(r) <> i && decided.(r) <> i then begin
               decided.(r) <- i;
               if qualifies r then begin
@@ -275,15 +268,13 @@ let rewire (ix : index) (cl : closures) (g : Graph.t) : int =
                    only those edges: T's dependents list grows with every
                    rewiring and is never walked. *)
                 let moved = ref false in
-                List.iter
-                  (fun (d, kind) ->
+                Graph.iter_succs g r (fun d kind ->
                     if in_closure.(d) = i then begin
                       Graph.remove_edge g ~src:r ~dst:d kind;
                       moved := true
-                    end)
-                  (Graph.succs g r);
+                    end);
                 if !moved then begin
-                  Graph.add_edge g ~src:r ~dst:troot Eintra;
+                  Graph.add_edge g ~src:r ~dst:troot Graph.intra;
                   if Bytes.get redirected r = '\000' then begin
                     Bytes.set redirected r '\001';
                     incr count
@@ -291,7 +282,6 @@ let rewire (ix : index) (cl : closures) (g : Graph.t) : int =
                 end
               end
             end)
-          (Graph.preds g cl.nodes.(k))
       done
     end
   done;
@@ -301,7 +291,7 @@ let rewired ?budget (bld : Build.t) : Graph.t * int =
   let g = Graph.copy_edges bld.graph in
   let ix, cl =
     Obs.Trace.with_span ~cat:"vfg" "opt2.closure" @@ fun () ->
-    let ix = index bld.prog g in
+    let ix = index bld.prog in
     (ix, closures ?budget bld ix g)
   in
   let redirected = Obs.Trace.with_span ~cat:"vfg" "opt2.rewire" (fun () -> rewire ix cl g) in

@@ -227,13 +227,11 @@ let resolve ?(context_sensitive = true) ?(condense = true) ?budget
          incr states;
          sample ();
          tick ();
-         List.iter
-           (fun (u, _) ->
+         Graph.iter_preds graph v (fun u _ ->
              if Bytes.get undef u = '\000' then begin
                Bytes.set undef u '\001';
                Queue.push u work
              end)
-           (Graph.preds graph v)
        done
      end
      else begin
@@ -268,21 +266,18 @@ let resolve ?(context_sensitive = true) ?(condense = true) ?budget
             (or did) explore strictly more. *)
          let stale = match ctx with Cat _ -> any_seen.(v) | Cany -> false in
          if not stale then
-           List.iter
-             (fun (u, kind) ->
+           Graph.iter_preds graph v (fun u kind ->
                (* Reversed edge: forward u -> v; we propagate F-reachability
                   from v up to u. *)
-               match kind with
-               | Graph.Eintra -> push u ctx
-               | Graph.Ecall l ->
+               if Graph.is_intra kind then push u ctx
+               else if Graph.is_call kind then
                  (* Entering the callee (u is the callee formal). *)
-                 push u (Cat l)
-               | Graph.Eret l -> (
+                 push u (Cat (Graph.label kind))
+               else
                  (* Leaving the callee towards call site l. *)
                  match ctx with
                  | Cany -> push u Cany
-                 | Cat l' -> if l = l' then push u Cany))
-             (Graph.preds graph v)
+                 | Cat l' -> if Graph.label kind = l' then push u Cany)
        done
      end);
   Obs.Metrics.incr m_runs;

@@ -174,3 +174,87 @@ let ir_digest (p : Ir.Prog.t) =
   Digest.to_hex
     (Digest.string
        (Marshal.to_string (funcs, p.globals, vars, p.next_label) [ Marshal.No_sharing ]))
+
+(** A node's successors and predecessors as lists, in iteration order. *)
+let vfg_succs g v =
+  let l = ref [] in
+  Vfg.Graph.iter_succs g v (fun d k -> l := (d, k) :: !l);
+  List.rev !l
+
+let vfg_preds g v =
+  let l = ref [] in
+  Vfg.Graph.iter_preds g v (fun s k -> l := (s, k) :: !l);
+  List.rev !l
+
+(** A kind's code, as the condensation packs it: 0 intra, 2l+1 call at l,
+    2l+2 return to l. *)
+let kind_code k =
+  if Vfg.Graph.is_intra k then 0
+  else (2 * Vfg.Graph.label k) + if Vfg.Graph.is_call k then 1 else 2
+
+(** MD5 of one built value-flow graph and its side results: the nodes in
+    id order with their def sites, each node's successors and
+    predecessors in iteration order with their edge kinds, the criticals,
+    the store kinds by label, the semi-strong cut count and every
+    function's return operands. Written as text, so the digest does not
+    depend on how [Vfg.Graph] stores any of it. *)
+let vfg_digest (b : Vfg.Build.t) =
+  let module G = Vfg.Graph in
+  let open Ir.Types in
+  let buf = Buffer.create 4096 in
+  let add fmt = Printf.bprintf buf fmt in
+  let operand = function
+    | Cst n -> add "c%d" n
+    | Undef -> add "u"
+    | Var v -> add "v%d" v
+  in
+  let kind k =
+    if G.is_intra k then add "i"
+    else add "%s%d" (if G.is_call k then "c" else "r") (G.label k)
+  in
+  let g = b.graph in
+  for id = 0 to G.nnodes g - 1 do
+    (match G.node_of g id with
+    | G.Root_t -> add "T"
+    | G.Root_f -> add "F"
+    | G.Top v -> add "t%d" v
+    | G.Mem (f, l, ver) -> add "m%s:%d:%d" f l ver);
+    (match G.def_of g id with
+    | G.Droot -> add " R"
+    | G.Dinstr (f, l) -> add " I%s:%d" f l
+    | G.Dparam f -> add " P%s" f
+    | G.Dchi (f, l) -> add " C%s:%d" f l
+    | G.Dmemphi (f, bid) -> add " M%s:%d" f bid
+    | G.Dentry f -> add " E%s" f);
+    add " s";
+    G.iter_succs g id (fun d k -> add " %d" d; kind k);
+    add " p";
+    G.iter_preds g id (fun s k -> add " %d" s; kind k);
+    add "\n"
+  done;
+  List.iter
+    (fun (c : Vfg.Build.critical) ->
+      add "crit %d " c.clbl;
+      operand c.cop;
+      add " %s\n" c.cfunc)
+    b.criticals;
+  Hashtbl.fold (fun l k acc -> (l, k) :: acc) b.store_kind []
+  |> List.sort compare
+  |> List.iter (fun (l, k) ->
+         add "store %d %s\n" l
+           (match k with
+           | Vfg.Build.Strong -> "strong"
+           | Semi_strong -> "semi"
+           | Weak -> "weak"));
+  add "cuts %d\n" b.semi_strong_cuts;
+  Hashtbl.fold (fun f rets acc -> (f, rets) :: acc) b.ret_operands []
+  |> List.sort (fun (f, _) (f', _) -> compare f f')
+  |> List.iter (fun (f, rets) ->
+         add "ret %s" f;
+         List.iter
+           (fun (l, o) ->
+             add " %d:" l;
+             match o with Some o -> operand o | None -> add "-")
+           rets;
+         add "\n");
+  Digest.to_hex (Digest.string (Buffer.contents buf))

@@ -136,16 +136,18 @@ let rewired (bld : Vfg.Build.t) : G.t * int =
                     when Analysis.Dominance.label_dominates dom pos c.clbl l
                          && cannot_re_reach l ->
                     let into =
-                      List.filter (fun (d, _) -> Hashtbl.mem in_closure d) (G.succs g r)
+                      List.filter
+                        (fun (d, _) -> Hashtbl.mem in_closure d)
+                        (Helpers.vfg_succs g r)
                     in
                     if into <> [] then begin
                       List.iter (fun (d, k) -> G.remove_edge g ~src:r ~dst:d k) into;
-                      G.add_edge g ~src:r ~dst:troot G.Eintra;
+                      G.add_edge g ~src:r ~dst:troot G.intra;
                       Hashtbl.replace redirected r ()
                     end
                   | _ -> ()
                 end)
-              (G.preds g t))
+              (Helpers.vfg_preds g t))
           in_closure
       | Cst _ | Undef -> ())
     bld.criticals;
@@ -173,25 +175,25 @@ let condensation (t : G.t) : G.condensation =
       incr idx;
       stack := root :: !stack;
       Bytes.set on_stack root '\001';
-      let frames = ref [ (root, ref (G.succs t root)) ] in
+      let frames = ref [ (root, ref (Helpers.vfg_succs t root)) ] in
       while !frames <> [] do
         match !frames with
         | [] -> ()
         | (v, rest) :: tl -> (
           match !rest with
-          | (w, G.Eintra) :: more when index.(w) = -1 ->
+          | (w, k) :: more when G.is_intra k && index.(w) = -1 ->
             rest := more;
             index.(w) <- !idx;
             lowlink.(w) <- !idx;
             incr idx;
             stack := w :: !stack;
             Bytes.set on_stack w '\001';
-            frames := (w, ref (G.succs t w)) :: !frames
-          | (w, G.Eintra) :: more ->
+            frames := (w, ref (Helpers.vfg_succs t w)) :: !frames
+          | (w, k) :: more when G.is_intra k ->
             rest := more;
             if Bytes.get on_stack w = '\001' && index.(w) < lowlink.(v) then
               lowlink.(v) <- index.(w)
-          | (_, (G.Ecall _ | G.Eret _)) :: more -> rest := more
+          | _ :: more -> rest := more
           | [] ->
             frames := tl;
             (match tl with
@@ -235,10 +237,8 @@ let condensation (t : G.t) : G.condensation =
   for v = 0 to n - 1 do
     List.iter
       (fun (_, k) ->
-        match k with
-        | G.Eintra -> ()
-        | G.Ecall l | G.Eret l -> if l > !max_label then max_label := l)
-      (G.preds t v)
+        if (not (G.is_intra k)) && G.label k > !max_label then max_label := G.label k)
+      (Helpers.vfg_preds t v)
   done;
   let kspan = (2 * (!max_label + 1)) + 1 in
   let keys = Array.make (G.nedges t) 0 in
@@ -248,14 +248,12 @@ let condensation (t : G.t) : G.condensation =
     List.iter
       (fun (u, k) ->
         let cu = comp.(u) in
-        let kc =
-          match k with G.Eintra -> 0 | G.Ecall l -> (2 * l) + 1 | G.Eret l -> (2 * l) + 2
-        in
+        let kc = Helpers.kind_code k in
         if not (cu = cv && kc = 0) then begin
           keys.(!nkeys) <- (((cv * ncomps) + cu) * kspan) + kc;
           incr nkeys
         end)
-      (G.preds t v)
+      (Helpers.vfg_preds t v)
   done;
   let keys = Array.sub keys 0 !nkeys in
   Array.sort Int.compare keys;
@@ -301,7 +299,7 @@ let condensation (t : G.t) : G.condensation =
 let edge_multiset (g : G.t) =
   let succ = ref [] and pred = ref [] in
   for v = 0 to G.nnodes g - 1 do
-    List.iter (fun (d, k) -> succ := (v, d, k) :: !succ) (G.succs g v);
-    List.iter (fun (s, k) -> pred := (s, v, k) :: !pred) (G.preds g v)
+    G.iter_succs g v (fun d k -> succ := (v, d, k) :: !succ);
+    G.iter_preds g v (fun s k -> pred := (s, v, k) :: !pred)
   done;
   (List.sort compare !succ, List.sort compare !pred)

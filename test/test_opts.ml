@@ -340,8 +340,64 @@ let frontend_golden_o1 =
     "300.twolf O1 b5032488d8794878299ba8c1946f1471";
   ]
 
+(* One MD5 per analog and level over both value-flow graphs at scale 5
+   ([Helpers.vfg_digest] of [vfg], then of [vfg-tl]). Recorded before the
+   graph's nodes and edges were stored as ints and the builder's
+   per-function tables became per-program arrays; any change to what the
+   builder produces, or to the order it produces it in, shows up here. *)
+let vfg_golden_row level (p : Workloads.Profile.t) =
+  let prog = front ~level (Workloads.Spec2000.source ~scale:5 p) in
+  let a = Usher.Pipeline.analyze prog in
+  Printf.sprintf "%s %s %s" p.pname
+    (Optim.Pipeline.level_to_string level)
+    (Digest.to_hex (Digest.string (vfg_digest a.vfg ^ vfg_digest a.vfg_tl)))
+
+let vfg_golden =
+  [
+    "164.gzip O0+IM a7aea155cc4113e7c07f8c747210abfc";
+    "164.gzip O2 7cbbba4625ac40d0657d323aa66bd97c";
+    "175.vpr O0+IM 09dbc1570a12390babc7f9ecb5ebdedd";
+    "175.vpr O2 ae5911cbd2dac18f97db40d13e0e2521";
+    "176.gcc O0+IM bb64a68e75c94468a758134532aceda1";
+    "176.gcc O2 89029f69c8aeecade16b086c05e25178";
+    "177.mesa O0+IM 0228c79e63446dd8d2e574b3ddd9acbc";
+    "177.mesa O2 20add106705b28bef2a682884e9385f0";
+    "179.art O0+IM 697bc2b2d4ff46eda29f342fdb4d397c";
+    "179.art O2 aab38fa0a1b05e1e92d6b9f736e000a1";
+    "181.mcf O0+IM e98bdd42047e586b5b221e265f433acf";
+    "181.mcf O2 f635abc58539d5d1206fa797a71e5f71";
+    "183.equake O0+IM 5192aa7fef621ace96e0a442248e6c9b";
+    "183.equake O2 125d026d08115d444af1306f66f117ae";
+    "186.crafty O0+IM 0c9043f2b699dcdb1a2795750a9b1107";
+    "186.crafty O2 f81cee9ae52bbb1d13c3cc581fcfaf2d";
+    "188.ammp O0+IM 225a56f2e004a651ede6316aa34c2dc8";
+    "188.ammp O2 1f3a411cffda83d8df3ee966f086ebde";
+    "197.parser O0+IM e9d6c823c074178a68754aa5a911d737";
+    "197.parser O2 b66f54ad0c16f679359647849a0ab40a";
+    "253.perlbmk O0+IM 86d4b38792ed7012f8eeaffb5f9318a0";
+    "253.perlbmk O2 db61ca81679ac6e579717b069db33681";
+    "254.gap O0+IM 03204a34b71c3682c3c391763fb05f18";
+    "254.gap O2 9506e324359099a73b416453b35491d1";
+    "255.vortex O0+IM 08ac2c76653ad3d2be39e5cc731c6ad5";
+    "255.vortex O2 c467a5a02a7ac1e9c57fd4cc4994704e";
+    "256.bzip2 O0+IM d363fca8172921c416ab71a2152f1624";
+    "256.bzip2 O2 72f99d710873f21d5f2b0a57d8c74d39";
+    "300.twolf O0+IM efd1dbb0a79d4d34a57be78f69d3f5a9";
+    "300.twolf O2 62406708ea2a1bc3485492ce9494b29f";
+  ]
+
 let golden_tests =
   [
+    tc "15 analogs at O0+IM and O2: vfg and vfg-tl graph digests" (fun () ->
+        let rows =
+          List.concat_map
+            (fun p ->
+              List.map
+                (fun level -> vfg_golden_row level p)
+                [ Optim.Pipeline.O0_IM; Optim.Pipeline.O2 ])
+            Workloads.Spec2000.all
+        in
+        Alcotest.(check (list string)) "rows" vfg_golden rows);
     tc "15 analogs at O0+IM and O2: SSA IR digests" (fun () ->
         let rows =
           List.concat_map
@@ -376,6 +432,14 @@ let golden_tests =
         in
         Alcotest.(check (list string)) "rows" frontend_golden_o1 rows);
   ]
+
+(* The full and the top-level-only VFG of an analysis, built again. *)
+let build_both_vfgs prog (a : Usher.Pipeline.analysis) =
+  List.iter
+    (fun track_memory ->
+      let config = { Vfg.Build.track_memory; semi_strong = true } in
+      ignore (Vfg.Build.build ~config prog a.pa a.cg a.mr a.mssa))
+    [ true; false ]
 
 (* Both passes were once quadratic: Opt II refiltered T's dependents list
    on every rewiring, and Compress rescanned the plan once per link of the
@@ -465,6 +529,24 @@ let alloc_tests =
               ignore (Vfg.Build.build ~config prog a.pa a.cg a.mr a.mssa))
         in
         check_bool (Printf.sprintf "%.1f Mwords < 4" mw) true (mw < 4.0));
+    (* Both builds once interned every node through a polymorphic hash
+       table, kept each edge as a boxed (node, kind) pair on two lists, and
+       hashed function names and scanned whole functions per call or store:
+       6.48 Mwords here, 70 words per node. Nodes and edges are now a few
+       ints in arrays sized up front (0.93). *)
+    tc "building both VFGs of 176.gcc at scale 30 allocates under 3.2 Mwords" (fun () ->
+        let prog, a = analog ~scale:30 ~level:Optim.Pipeline.O0_IM Workloads.Spec2000.gcc in
+        let mw = minor_mwords (fun () -> build_both_vfgs prog a) in
+        check_bool (Printf.sprintf "%.2f Mwords < 3.2" mw) true (mw < 3.2));
+    (* The same two builds of a 100-node generated program once allocated
+       19,274 words (6,141 now). *)
+    tc "building both VFGs of a small generated program allocates under 9,600 words"
+      (fun () ->
+        let src = Audit.Gen.source ~size:3 ~seed:(Audit.Gen.campaign_seed ~seed:1 0) () in
+        let prog = front ~level:Optim.Pipeline.O0_IM src in
+        let a = Usher.Pipeline.analyze prog in
+        let w = 1e6 *. minor_mwords (fun () -> build_both_vfgs prog a) in
+        check_bool (Printf.sprintf "%.0f words < 9600" w) true (w < 9600.0));
     (* Appending to a block once copied the whole block, and lowering puts
        every local's Alloc in the entry block: 137 Mwords here. *)
     tc "lowering 176.gcc allocates under 20 Mwords" (fun () ->

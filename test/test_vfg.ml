@@ -239,11 +239,11 @@ let graph_tests =
         let v = Array.init 11 (fun i -> Vfg.Graph.intern g (Vfg.Graph.Top i)) in
         let l = 1 lsl 55 in
         for i = 0 to 9 do
-          let k = if i = 5 then Vfg.Graph.Ecall l else Vfg.Graph.Eintra in
+          let k = if i = 5 then Vfg.Graph.call l else Vfg.Graph.intra in
           Vfg.Graph.add_edge g ~src:v.(i) ~dst:v.(i + 1) k
         done;
-        Vfg.Graph.add_edge g ~src:v.(10) ~dst:f Vfg.Graph.Eintra;
-        Vfg.Graph.add_edge g ~src:v.(2) ~dst:v.(3) (Vfg.Graph.Eret l);
+        Vfg.Graph.add_edge g ~src:v.(10) ~dst:f Vfg.Graph.intra;
+        Vfg.Graph.add_edge g ~src:v.(2) ~dst:v.(3) (Vfg.Graph.ret l);
         check_int "13 nodes" 13 (Vfg.Graph.nnodes g);
         let condensed = Vfg.Resolve.resolve g in
         let reference = Vfg.Resolve.resolve ~condense:false g in
@@ -263,19 +263,19 @@ let graph_tests =
 module G = Vfg.Graph
 
 type op =
-  | Add of int * int * G.edge_kind
-  | Remove of int * int * G.edge_kind
+  | Add of int * int * G.kind
+  | Remove of int * int * G.kind
   | Copy
   | Copy_edges
-  | Fan of int * G.edge_kind
-  | Unfan of int * G.edge_kind
+  | Fan of int * G.kind
+  | Unfan of int * G.kind
 
 let fan_width = 2000
 
 type model = {
-  set : (int * int * G.edge_kind, unit) Hashtbl.t;
-  msuccs : (int * G.edge_kind) list array;
-  mpreds : (int * G.edge_kind) list array;
+  set : (int * int * G.kind, unit) Hashtbl.t;
+  msuccs : (int * G.kind) list array;
+  mpreds : (int * G.kind) list array;
 }
 
 let model_create () =
@@ -313,16 +313,16 @@ let fresh_graph () =
 let agrees g m =
   G.nedges g = Hashtbl.length m.set
   && List.for_all
-       (fun v -> G.succs g v = m.msuccs.(v) && G.preds g v = m.mpreds.(v))
+       (fun v -> vfg_succs g v = m.msuccs.(v) && vfg_preds g v = m.mpreds.(v))
        (List.init fan_width Fun.id)
 
 let gen_kind =
   QCheck.Gen.(
     oneof
       [
-        return G.Eintra;
-        map (fun l -> G.Ecall l) (0 -- 2);
-        map (fun l -> G.Eret l) (0 -- 2);
+        return G.intra;
+        map G.call (0 -- 2);
+        map G.ret (0 -- 2);
       ])
 
 let gen_width = QCheck.Gen.oneofl [ 4; 12; fan_width ]
@@ -397,7 +397,7 @@ let edge_set_agrees ops =
   let probe =
     List.map
       (fun k -> Fan (fan_width, k))
-      [ G.Eintra; Ecall 0; Ecall 1; Ecall 2; Eret 0; Eret 1; Eret 2 ]
+      G.[ intra; call 0; call 1; call 2; ret 0; ret 1; ret 2 ]
   in
   List.for_all (fun op -> step op && G.nedges !g = Hashtbl.length !m.set) ops
   && agrees !g !m
