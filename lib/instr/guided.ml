@@ -18,9 +18,12 @@
    conjunction of its ⊥ sources directly, so the interior nodes only get
    instrumented if something else needs them.
 
-   What a traversal reads besides Γ is a [context] of the graph, built
-   once and shared by every variant planned over that graph; [build] is
-   the one-variant case. *)
+   What a traversal reads besides Γ is the build's program index
+   ([Vfg.Index]: the instruction kind at a label, a parameter's position)
+   and a [context] of the graph, built once and shared by every variant
+   planned over that graph: the call sites of each callee, Opt I's
+   closure walker and the traversal's scratch arrays. [build] is the
+   one-variant case. *)
 
 open Ir.Types
 module P = Ir.Prog
@@ -33,19 +36,10 @@ type result = {
   opt1_simplified : int; (* closures simplified (Table 1's "S" column) *)
 }
 
-(* The closure facts Opt I reads for one variable: whether simplifying it
-   pays, whether an undef operand feeds it, and its variable sources with
-   their VFG node ids (-1 when a source has no node). They depend on the
-   program alone, so every variant planned over one context shares them. *)
-type closure = { simplifiable : bool; undef_source : bool; sources : (var * int) list }
-
 type context = {
   bld : Vfg.Build.t;
-  instr_of : instr option array;                (* by label *)
   callsites_of : (fname, (label * operand list) list) Hashtbl.t;
-  param_index : int array;       (* by var: its position among the params *)
-  def_tbls : (fname, (var, instr_kind) Hashtbl.t) Hashtbl.t;  (* lazily *)
-  closures : closure option array;              (* by var, lazily *)
+  mfc : Vfg.Mfc.t Lazy.t;                       (* Opt I's closure walker *)
   queue : int array;       (* a traversal's worklist, by node, FIFO *)
   needed : int array;      (* by node: the last traversal that needed it *)
   mutable traversals : int;
@@ -53,68 +47,26 @@ type context = {
 
 let context (bld : Vfg.Build.t) : context =
   let p = bld.prog in
-  let instr_of = Array.make (P.nlabels p) None in
   let callsites_of = Hashtbl.create 16 in
+  let add site target =
+    let prev = try Hashtbl.find callsites_of target with Not_found -> [] in
+    Hashtbl.replace callsites_of target (site :: prev)
+  in
   P.iter_instrs
     (fun _ _ i ->
-      instr_of.(i.lbl) <- Some i;
       match i.kind with
       | Call { cargs; _ } ->
-        List.iter
-          (fun target ->
-            let prev =
-              Option.value ~default:[] (Hashtbl.find_opt callsites_of target)
-            in
-            Hashtbl.replace callsites_of target ((i.lbl, cargs) :: prev))
-          (Analysis.Callgraph.site_callees bld.cg i.lbl)
+        List.iter (add (i.lbl, cargs)) (Analysis.Callgraph.site_callees bld.cg i.lbl)
       | _ -> ())
     p;
-  let nvars = P.nvars p in
-  let param_index = Array.make nvars (-1) in
-  P.iter_funcs (fun f -> List.iteri (fun i prm -> param_index.(prm) <- i) f.params) p;
   {
     bld;
-    instr_of;
     callsites_of;
-    param_index;
-    def_tbls = Hashtbl.create 16;
-    closures = Array.make nvars None;
+    mfc = lazy (Vfg.Mfc.create bld.index);
     queue = Array.make (Vfg.Graph.nnodes bld.graph) 0;
     needed = Array.make (Vfg.Graph.nnodes bld.graph) (-1);
     traversals = 0;
   }
-
-let defs_of ctx fn =
-  match Hashtbl.find_opt ctx.def_tbls fn with
-  | Some d -> d
-  | None ->
-    let tbl = Hashtbl.create 64 in
-    Ir.Func.iter_instrs
-      (fun _ i ->
-        match Ir.Instr.def_of i.kind with
-        | Some d -> Hashtbl.replace tbl d i.kind
-        | None -> ())
-      (P.get_func ctx.bld.prog fn);
-    Hashtbl.replace ctx.def_tbls fn tbl;
-    tbl
-
-let closure ctx fn x =
-  match ctx.closures.(x) with
-  | Some c -> c
-  | None ->
-    let mfc = Vfg.Mfc.compute (defs_of ctx fn) x in
-    let c =
-      {
-        simplifiable = Vfg.Mfc.simplifiable mfc;
-        undef_source = Vfg.Mfc.has_undef_source mfc;
-        sources =
-          List.map
-            (fun s -> (s, Vfg.Graph.top_id ctx.bld.graph s))
-            (Vfg.Mfc.var_sources mfc);
-      }
-    in
-    ctx.closures.(x) <- Some c;
-    c
 
 let plan ?(options = { opt1 = true }) ?distrusted (ctx : context)
     (gamma : Vfg.Resolve.gamma) : result =
@@ -127,7 +79,7 @@ let plan ?(options = { opt1 = true }) ?distrusted (ctx : context)
   let plan = Item.empty_plan p in
   let rs = plan.ret_slot in
   let simplified = ref 0 in
-  let instr_at lbl = Option.get ctx.instr_of.(lbl) in
+  let kind_at lbl = Vfg.Index.kind bld.index lbl in
   let top_of x = Vfg.Graph.top_id g x in
   (* Dedup helpers for shared emission points. *)
   let ret_relay_done : (label, unit) Hashtbl.t = Hashtbl.create 16 in
@@ -177,19 +129,23 @@ let plan ?(options = { opt1 = true }) ?distrusted (ctx : context)
      interior structure, [x] reads the conjunction of the closure's ⊥
      sources directly (or F outright when an undef operand feeds it), and
      nothing upstream needs tracking for [x]'s sake. *)
-  let simplify fn lbl x =
-    let c = closure ctx fn x in
-    c.simplifiable
+  let simplify lbl x =
+    let m = Lazy.force ctx.mfc in
+    Vfg.Mfc.walk m ~func:(Vfg.Index.label_func bld.index lbl) x;
+    Vfg.Mfc.simplifiable m
     && begin
          incr simplified;
-         let bot = List.filter (fun (_, sid) -> sid >= 0 && undef sid) c.sources in
+         let bot =
+           List.filter (fun s -> top_of s >= 0 && undef (top_of s)) (Vfg.Mfc.var_sources m)
+         in
+         let undef_source = Vfg.Mfc.has_undef_source m in
          let rhs =
-           if c.undef_source then Item.Rconst false
+           if undef_source then Item.Rconst false
            else if bot = [] then Item.Rconst true
-           else Item.Rconj (List.map fst bot)
+           else Item.Rconj bot
          in
          Item.add plan lbl After (Item.Set_var (x, rhs));
-         if not c.undef_source then List.iter (fun (_, sid) -> need sid) bot;
+         if not undef_source then List.iter need_var bot;
          true
        end
   in
@@ -198,7 +154,7 @@ let plan ?(options = { opt1 = true }) ?distrusted (ctx : context)
     if x >= 0 then begin
       match Vfg.Graph.def_of g id with
       | Vfg.Graph.Dparam fn ->
-        let idx = ctx.param_index.(x) in
+        let idx = Vfg.Index.param_pos bld.index x in
         if not (undef id) then
           (* [⊤-Para] *)
           Item.add_entry plan fn (Item.Set_var (x, Item.Rconst true))
@@ -208,14 +164,14 @@ let plan ?(options = { opt1 = true }) ?distrusted (ctx : context)
           emit_arg_relays fn idx;
           need_succs id
         end
-      | Vfg.Graph.Dinstr (fn, lbl) -> (
+      | Vfg.Graph.Dinstr (_, lbl) -> (
         if not (undef id) then
           (* [⊤-Assign]: every top-level definition admits a strong update. *)
           Item.add plan lbl After (Item.Set_var (x, Item.Rconst true))
         else
-          let kind = (instr_at lbl).kind in
+          let kind = kind_at lbl in
           match kind with
-          | (Copy _ | Unop _ | Binop _) when options.opt1 && simplify fn lbl x -> ()
+          | (Copy _ | Unop _ | Binop _) when options.opt1 && simplify lbl x -> ()
           | _ -> (
             (* The ⊥ rules of full instrumentation. *)
             Option.iter (Item.add plan lbl After) (Full.def_action rs kind);
@@ -236,8 +192,7 @@ let plan ?(options = { opt1 = true }) ?distrusted (ctx : context)
     else if Vfg.Graph.is_mem g id then begin
       match Vfg.Graph.def_of g id with
       | Vfg.Graph.Dchi (_, lbl) -> (
-        let i = instr_at lbl in
-        match i.kind with
+        match kind_at lbl with
         | Alloc a ->
           if not (undef id) then
             (* [⊤-Alloc] (only alloc_T chis can be ⊤) *)

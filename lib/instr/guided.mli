@@ -20,11 +20,10 @@ type result = {
   opt1_simplified : int; (** closures simplified — Table 1's "S" column *)
 }
 
-(** What planning reads besides Γ, built once per VFG and shared by every
-    variant planned over it: the statement at each label, the call sites
-    of each callee, each variable's parameter position and [Top] node, and
-    a memo of Opt I's must-flow closures (they depend on the program, not
-    on Γ). Planning fills the memo and reuses the context's worklist, so
+(** What planning reads besides Γ and the build's program index, built
+    once per VFG and shared by every variant planned over it: the call
+    sites of each callee, a walker for Opt I's must-flow closures and the
+    traversal's worklist. Planning reuses the walker and the worklist, so
     one context serves one domain, one plan at a time. *)
 type context
 

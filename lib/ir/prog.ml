@@ -80,11 +80,15 @@ let add_global p g = p.globals <- p.globals @ [ g ]
     side tables are arrays indexed by label. *)
 let nlabels p = p.next_label
 
+(* A closure per function, none per block or instruction. *)
 let iter_instrs f p =
-  iter_funcs
-    (fun fn ->
-      Array.iter (fun b -> List.iter (fun i -> f fn b i) b.instrs) fn.blocks)
-    p
+  let rec instrs fn b = function
+    | [] -> ()
+    | i :: rest ->
+      f fn b i;
+      instrs fn b rest
+  in
+  iter_funcs (fun fn -> Array.iter (fun b -> instrs fn b b.instrs) fn.blocks) p
 
 let iter_terms f p =
   iter_funcs (fun fn -> Array.iter (fun b -> f fn b b.term) fn.blocks) p

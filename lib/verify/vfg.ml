@@ -41,6 +41,44 @@ let kc_name k =
   if G.is_intra k then "intra"
   else Printf.sprintf "%s@l%d" (if G.is_call k then "call" else "ret") (G.label k)
 
+(* The graph's distinct edges, for lookups that allocate nothing: open
+   addressing over one int key per edge, [src * nnodes + dst], with the
+   edge's (immediate) kind beside it; -1 keys an empty slot. [matched]
+   marks, by slot, the edges some construction rule expects. *)
+type edges = {
+  nnodes : int;
+  keys : int array;
+  kinds : G.kind array;
+  matched : Bytes.t;
+  mutable distinct : int;
+}
+
+(* Room for [n] edges, at most half full. *)
+let edges_create nnodes n =
+  let cap = ref 16 in
+  while !cap < 2 * n do
+    cap := 2 * !cap
+  done;
+  { nnodes; keys = Array.make !cap (-1); kinds = Array.make !cap G.intra;
+    matched = Bytes.make !cap '\000'; distinct = 0 }
+
+(* The slot holding an edge, or the empty slot where it would go. *)
+let edge_slot e src dst k =
+  let key = (src * e.nnodes) + dst and mask = Array.length e.keys - 1 in
+  let i = ref (Hashtbl.hash key land mask) in
+  while e.keys.(!i) >= 0 && not (e.keys.(!i) = key && e.kinds.(!i) = k) do
+    i := (!i + 1) land mask
+  done;
+  !i
+
+let edge_add e src dst k =
+  let i = edge_slot e src dst k in
+  if e.keys.(i) < 0 then begin
+    e.keys.(i) <- (src * e.nnodes) + dst;
+    e.kinds.(i) <- k;
+    e.distinct <- e.distinct + 1
+  end
+
 (* Independent reimplementation of the semi-strong derivation test: does
    [x] derive exclusively from the allocation destination [z] through
    copies, phis and address computations? Conservative [false] on cycles. *)
@@ -96,10 +134,21 @@ let check_structure ?budget ?(skip = fun (_ : fname) -> false) ?(name = "vfg")
     if G.def_of g froot <> G.Droot then
       Report.violation r "F root has a non-root definition site";
     (* -------- Representation invariants. -------- *)
-    let have : (int * int * G.kind, unit) Hashtbl.t =
-      Hashtbl.create (max 64 (G.nedges g))
-    in
     let nsucc = ref 0 and npred = ref 0 in
+    let count_succ _ _ = incr nsucc and count_pred _ _ = incr npred in
+    for id = 0 to G.nnodes g - 1 do
+      G.iter_succs g id count_succ
+    done;
+    let have = edges_create (G.nnodes g) !nsucc in
+    (* [at] is the node whose lists are being walked. *)
+    let at = ref 0 in
+    let add_succ d k = edge_add have !at d k in
+    let check_pred s k =
+      Report.fact r;
+      if have.keys.(edge_slot have s !at k) < 0 then
+        Report.violation r "pred edge %s -[%s]-> %s has no matching succ entry"
+          (nstr (G.node_of g s)) (kc_name k) (nstr (G.node_of g !at))
+    in
     G.iter_nodes
       (fun id n ->
         tick ();
@@ -109,18 +158,13 @@ let check_structure ?budget ?(skip = fun (_ : fname) -> false) ?(name = "vfg")
         | _ ->
           Report.violation r "node %s does not round-trip through interning"
             (nstr n));
-        G.iter_succs g id (fun d k ->
-            incr nsucc;
-            Hashtbl.replace have (id, d, k) ());
-        G.iter_preds g id (fun _ _ -> incr npred))
+        at := id;
+        G.iter_succs g id add_succ;
+        G.iter_preds g id count_pred)
       g;
     for id = 0 to G.nnodes g - 1 do
-      G.iter_preds g id (fun s k ->
-          Report.fact r;
-          if not (Hashtbl.mem have (s, id, k)) then
-            Report.violation r
-              "pred edge %s -[%s]-> %s has no matching succ entry"
-              (nstr (G.node_of g s)) (kc_name k) (nstr (G.node_of g id)))
+      at := id;
+      G.iter_preds g id check_pred
     done;
     Report.fact r;
     if !nsucc <> G.nedges g || !npred <> G.nedges g then
@@ -128,17 +172,14 @@ let check_structure ?budget ?(skip = fun (_ : fname) -> false) ?(name = "vfg")
         "edge count mismatch: %d succ entries, %d pred entries, nedges=%d"
         !nsucc !npred (G.nedges g);
     Report.fact r;
-    if Hashtbl.length have <> !nsucc then
+    if have.distinct <> !nsucc then
       Report.violation r "duplicate succ entries: %d listed, %d distinct"
-        !nsucc (Hashtbl.length have);
+        !nsucc have.distinct;
     (* -------- Full rule replay (find-only). -------- *)
-    let expected : (int * int * G.kind, unit) Hashtbl.t =
-      Hashtbl.create (max 64 (G.nedges g))
-    in
     let missing_reported = Hashtbl.create 16 in
     let node ~func what n =
       match G.find g n with
-      | Some id -> Some id
+      | Some _ as found -> found
       | None ->
         if not (Hashtbl.mem missing_reported n) then begin
           Hashtbl.replace missing_reported n ();
@@ -149,16 +190,18 @@ let check_structure ?budget ?(skip = fun (_ : fname) -> false) ?(name = "vfg")
     in
     let expect_edge ~func ?(what = fun () -> "") src dst k =
       Report.fact r;
-      Hashtbl.replace expected (src, dst, k) ();
-      if not (Hashtbl.mem have (src, dst, k)) then
+      let i = edge_slot have src dst k in
+      if have.keys.(i) >= 0 then Bytes.set have.matched i '\001'
+      else
         Report.violation ~func r "missing edge %s -[%s]-> %s%s"
           (nstr (G.node_of g src))
           (kc_name k)
           (nstr (G.node_of g dst))
           (match what () with "" -> "" | w -> " (" ^ w ^ ")")
     in
-    let exp_def : (int, G.def_site) Hashtbl.t = Hashtbl.create 256 in
-    let expect_def id d = Hashtbl.replace exp_def id d in
+    (* By node: the definition site a rule expects; [Droot] for none. *)
+    let exp_def = Array.make (G.nnodes g) G.Droot in
+    let expect_def id d = exp_def.(id) <- d in
     let op_node ~func what gname o =
       ignore gname;
       match o with
@@ -187,13 +230,17 @@ let check_structure ?budget ?(skip = fun (_ : fname) -> false) ?(name = "vfg")
       | fs ->
         let dom = lazy (Dominance.compute f) in
         let pos = lazy (Dominance.label_positions f) in
-        let defs : (var, instr_kind) Hashtbl.t = Hashtbl.create 64 in
-        Ir.Func.iter_instrs
-          (fun _ i ->
-            match Ir.Instr.def_of i.kind with
-            | Some d -> Hashtbl.replace defs d i.kind
-            | None -> ())
-          f;
+        let defs =
+          lazy
+            (let defs : (var, instr_kind) Hashtbl.t = Hashtbl.create 64 in
+             Ir.Func.iter_instrs
+               (fun _ i ->
+                 match Ir.Instr.def_of i.kind with
+                 | Some d -> Hashtbl.replace defs d i.kind
+                 | None -> ())
+               f;
+             defs)
+        in
         (* Recorded return-operand table matches the function's returns. *)
         let rets = ref [] in
         Array.iter
@@ -255,25 +302,24 @@ let check_structure ?budget ?(skip = fun (_ : fname) -> false) ?(name = "vfg")
                 (Memssa.phis_at fs b.bid))
             f.blocks
         end;
+        (* The label of the instruction being replayed. *)
+        let cur = ref 0 in
+        let what () = Printf.sprintf "l%d" !cur in
+        let def_top x =
+          let found = node ~func what (G.Top x) in
+          (match found with Some id -> expect_def id (G.Dinstr (fn, !cur)) | None -> ());
+          found
+        in
+        let dep id o =
+          match op_node ~func what fn o with
+          | Some d -> expect_edge ~func ~what id d G.intra
+          | None -> ()
+        in
+        let dep_opt id o = match id with Some id -> dep id o | None -> () in
         Ir.Func.iter_instrs
           (fun _ i ->
             tick ();
-            let what () = Printf.sprintf "l%d" i.lbl in
-            let def_top x =
-              match node ~func what (G.Top x) with
-              | Some id ->
-                expect_def id (G.Dinstr (fn, i.lbl));
-                Some id
-              | None -> None
-            in
-            let dep id o =
-              match op_node ~func what fn o with
-              | Some d -> expect_edge ~func ~what id d G.intra
-              | None -> ()
-            in
-            let dep_opt id o =
-              match id with Some id -> dep id o | None -> ()
-            in
+            cur := i.lbl;
             match i.kind with
             | Const (x, _) -> dep_opt (def_top x) (Cst 0)
             | Copy (x, o) -> dep_opt (def_top x) o
@@ -354,7 +400,7 @@ let check_structure ?budget ?(skip = fun (_ : fname) -> false) ?(name = "vfg")
                         | Alloc a ->
                           Dominance.label_dominates (Lazy.force dom)
                             (Lazy.force pos) ob.Objects.osite i.lbl
-                          && derives_from defs x a.adst
+                          && derives_from (Lazy.force defs) x a.adst
                         | _ -> false)
                       | None -> false
                     then B.Semi_strong
@@ -534,12 +580,14 @@ let check_structure ?budget ?(skip = fun (_ : fname) -> false) ?(name = "vfg")
     in
     P.iter_funcs (fun f -> if not (skip f.fname) then process_func f) p;
     (* -------- Definition-site sweep. -------- *)
-    Hashtbl.iter
+    Array.iteri
       (fun id d ->
-        Report.fact r;
-        if G.def_of g id <> d then
-          Report.violation r "node %s has the wrong definition site"
-            (nstr (G.node_of g id)))
+        if d <> G.Droot then begin
+          Report.fact r;
+          if G.def_of g id <> d then
+            Report.violation r "node %s has the wrong definition site"
+              (nstr (G.node_of g id))
+        end)
       exp_def;
     G.iter_nodes
       (fun id n ->
@@ -555,9 +603,11 @@ let check_structure ?budget ?(skip = fun (_ : fname) -> false) ?(name = "vfg")
     (* -------- Unmatched edges (sound direction: warn only). -------- *)
     let extra = ref 0 in
     let example = ref None in
-    Hashtbl.iter
-      (fun ((s, d, kc) as key) () ->
-        if not (Hashtbl.mem expected key) then begin
+    Array.iteri
+      (fun i key ->
+        if key >= 0 && Bytes.get have.matched i = '\000' then begin
+          let s = key / have.nnodes and d = key mod have.nnodes in
+          let kc = have.kinds.(i) in
           let sn = G.node_of g s and dn = G.node_of g d in
           let excused =
             (allow_f_pins && d = froot && G.is_intra kc)
@@ -572,7 +622,7 @@ let check_structure ?budget ?(skip = fun (_ : fname) -> false) ?(name = "vfg")
                      (nstr dn))
           end
         end)
-      have;
+      have.keys;
     if !extra > 0 then
       Report.warning r
         "%d edge(s) matched no construction rule (e.g. %s) — sound \

@@ -12,13 +12,13 @@
    With [track_memory = false] the builder produces the Usher_TL graph:
    loads conservatively depend on the F root and memory nodes do not exist.
 
-   One pass per function, with every lookup an array read: functions are
-   numbered in [Ir.Prog.iter_funcs] order (the graph's function indices),
-   and their params, memory SSA and return statements sit in arrays by that
-   number; a call's targets are turned into numbers once per site. The
-   semi-strong check's tables (var -> defining instruction, its label,
-   block and position) are built for the whole program on the first store
-   that needs them. *)
+   One pass per function, with every lookup an array read. The program
+   index ([Index]) is built first and kept in [t]: it numbers the
+   functions in [Ir.Prog.iter_funcs] order (the graph's function indices)
+   and answers the semi-strong check's questions (a var's defining
+   instruction, dominance between two statements). Memory SSA and return
+   statements sit in arrays by function number; a call's targets are
+   turned into numbers once per site. *)
 
 open Ir.Types
 module P = Ir.Prog
@@ -51,141 +51,86 @@ type t = {
   semi_strong_cuts : int;
   ret_operands : (fname, (label * operand option) list) Hashtbl.t;
       (* per function: every return statement and its operand *)
-}
-
-(* Program-wide tables for the semi-strong check, by var. *)
-type semi_tables = {
-  def_kind : instr_kind array;  (* its defining instruction *)
-  def_lbl : int array;          (* that instruction's label, or -1 *)
-  def_where : int array;        (* [block lsl 31 lor position] of it *)
-  visit : int array;            (* stamp of the last derivation walk *)
-  mutable stamp : int;
-  doms : Analysis.Dominance.t option array;  (* per function, on demand *)
+  index : Index.t;
 }
 
 (* The builder's state for one program. *)
 type ctx = {
   g : G.t;
-  prog : P.t;
   cg : Analysis.Callgraph.t;
   objects : Objects.t;
   config : config;
   troot : int;
   froot : int;
-  funcs : func array;
+  ix : Index.t;
   fssa : Memssa.func_ssa array;
   rets : (label * operand option) list array;
   mutable tgt : int array;      (* the current call's targets' indices *)
   mutable ntgt : int;
   mutable entry : int array;    (* loc -> index of the function whose
                                    entry_locs hold it *)
-  mutable semi : semi_tables option;
+  mutable visit : int array;    (* var -> stamp of the last derivation
+                                   walk; allocated by the first one *)
+  mutable stamp : int;
   mutable criticals : critical list;
   store_kind : (label, update_kind) Hashtbl.t;
   mutable semi_cuts : int;
 }
 
-let no_instr = Output Undef
-
-let semi_tables (c : ctx) =
-  match c.semi with
-  | Some s -> s
-  | None ->
-    let nvars = P.nvars c.prog in
-    let s =
-      {
-        def_kind = Array.make nvars no_instr;
-        def_lbl = Array.make nvars (-1);
-        def_where = Array.make nvars 0;
-        visit = Array.make nvars 0;
-        stamp = 0;
-        doms = Array.make (Array.length c.funcs) None;
-      }
-    in
-    Array.iter
-      (fun f ->
-        Array.iter
-          (fun b ->
-            List.iteri
-              (fun k i ->
-                match Ir.Instr.def_of i.kind with
-                | Some d ->
-                  s.def_kind.(d) <- i.kind;
-                  s.def_lbl.(d) <- i.lbl;
-                  s.def_where.(d) <- (b.bid lsl 31) lor k
-                | None -> ())
-              b.instrs)
-          f.blocks)
-      c.funcs;
-    c.semi <- Some s;
-    s
-
 (* The destination of the allocation at label [site], if the walk from
-   [x] reaches it: does the pointer [x]'s value derive exclusively from that
-   destination, through copies, phis and address computations on the same
-   object? (The paper's "ẑ dominates x̂ in the VFG".) The walk stays in
-   [x]'s function, so an allocation elsewhere is never reached. A variable
-   already visited by this walk fails, so a cycle of phis that never
-   reaches the allocation denies the cyclic arm, which is conservative. *)
-let derives_only_from_alloc (s : semi_tables) (x : var) site : var =
-  s.stamp <- s.stamp + 1;
-  let stamp = s.stamp and z = ref (-1) in
-  let rec go v =
-    (match s.def_kind.(v) with
-    | Alloc _ when s.def_lbl.(v) = site ->
-      z := v;
-      true
-    | _ -> false)
-    || s.visit.(v) <> stamp
-       && begin
-         s.visit.(v) <- stamp;
-         match s.def_kind.(v) with
-         | Copy (_, Var y) -> go y
-         | Phi (_, arms) -> arms <> [] && List.for_all arm arms
-         | Field_addr (_, y, _) | Index_addr (_, y, _) -> go y
-         | _ -> false
-       end
-  and arm (_, o) = match o with Var y -> go y | Cst _ | Undef -> false in
-  if go x then !z else -1
-
-(* Does the definition of [z] dominate the instruction at [where] (packed
-   as in [def_where])? Both are in function [fi]. *)
-let dominates (c : ctx) (s : semi_tables) fi z wb =
-  let wa = s.def_where.(z) in
-  let ba = wa lsr 31 and bb = wb lsr 31 in
-  if ba = bb then wa <= wb
+   [x] reaches it, or -1: does the pointer [x]'s value derive exclusively
+   from that destination, through copies, phis and address computations on
+   the same object? (The paper's "ẑ dominates x̂ in the VFG".) The walk
+   stays in [x]'s function, so an allocation elsewhere is never reached. A
+   variable already visited by this walk fails, so a cycle of phis that
+   never reaches the allocation denies the cyclic arm, which is
+   conservative. *)
+let rec derives (c : ctx) site v =
+  let l = Index.def_label c.ix v in
+  if l < 0 then -1
   else
-    let dom =
-      match s.doms.(fi) with
-      | Some d -> d
-      | None ->
-        let d = Analysis.Dominance.compute c.funcs.(fi) in
-        s.doms.(fi) <- Some d;
-        d
-    in
-    Analysis.Dominance.strictly_dominates dom ba bb
+    match Index.kind c.ix l with
+    | Alloc _ when l = site -> v
+    | k ->
+      if c.visit.(v) = c.stamp then -1
+      else begin
+        c.visit.(v) <- c.stamp;
+        match k with
+        | Copy (_, Var y) | Field_addr (_, y, _) | Index_addr (_, y, _) -> derives c site y
+        | Phi (_, (_ :: _ as arms)) -> derives_arms c site (-1) arms
+        | _ -> -1
+      end
 
-let concrete (c : ctx) (o : Objects.obj) =
+(* Every arm derives from the allocation: its destination, or -1. *)
+and derives_arms (c : ctx) site z = function
+  | [] -> z
+  | (_, Var y) :: rest ->
+    let z = derives c site y in
+    if z < 0 then -1 else derives_arms c site z rest
+  | (_, (Cst _ | Undef)) :: _ -> -1
+
+let concrete cg (o : Objects.obj) =
   (not o.oarray)
   && (match o.okind with
      | Objects.Obj_global -> true
-     | Objects.Obj_stack -> not (Analysis.Callgraph.is_recursive c.cg o.oowner)
+     | Objects.Obj_stack -> not (Analysis.Callgraph.is_recursive cg o.oowner)
      | Objects.Obj_heap | Objects.Obj_func _ -> false)
 
-(* The update kind of a store through [x] at [where] in function [fi]
-   whose chi list is [chis]. Semi-strong: scalar location, allocation site
-   in this function dominating the store, pointer derived from that
-   allocation. *)
-let store_update (c : ctx) fi where x chis =
+(* The update kind of the store at [lbl] through [x] whose chi list is
+   [chis]. Semi-strong: scalar location, allocation site in this function
+   dominating the store, pointer derived from that allocation. *)
+let store_update (c : ctx) lbl x chis =
   match chis with
   | [ (l, _, _) ] ->
     let o = Objects.loc_obj c.objects l in
-    if concrete c o then Strong
+    if concrete c.cg o then Strong
     else if (not c.config.semi_strong) || o.oarray || o.osite < 0 then Weak
     else begin
-      let s = semi_tables c in
-      let z = derives_only_from_alloc s x o.osite in
-      if z >= 0 && dominates c s fi z where then Semi_strong else Weak
+      if Array.length c.visit = 0 then c.visit <- Array.make (Index.nvars c.ix) 0;
+      c.stamp <- c.stamp + 1;
+      let z = derives c o.osite x in
+      if z >= 0 && Index.dominates c.ix (Index.def_label c.ix z) lbl then Semi_strong
+      else Weak
     end
   | _ -> Weak
 
@@ -255,7 +200,7 @@ let rec set_targets (c : ctx) k = function
   | [] -> c.ntgt <- k
   | name :: rest ->
     if k = Array.length c.tgt then c.tgt <- Array.append c.tgt c.tgt;
-    c.tgt.(k) <- G.find_func c.g name;
+    c.tgt.(k) <- Index.func_number c.ix name;
     set_targets c (k + 1) rest
 
 (* Top-level parameter passing: formal -> actual, over the common prefix
@@ -328,8 +273,7 @@ let rec call_chis (c : ctx) fi lbl k = function
 let critical (c : ctx) fn lbl o =
   c.criticals <- { clbl = lbl; cop = o; cfunc = fn } :: c.criticals
 
-(* The instruction [i] at [where], [block lsl 31 lor position]. *)
-let instr (c : ctx) fi (f : func) (fs : Memssa.func_ssa) where (i : instr) =
+let instr (c : ctx) fi (f : func) (fs : Memssa.func_ssa) (i : instr) =
   let g = c.g and lbl = i.lbl in
   match i.kind with
   | Const (x, _) | Global_addr (x, _) | Func_addr (x, _) | Input x ->
@@ -359,7 +303,7 @@ let instr (c : ctx) fi (f : func) (fs : Memssa.func_ssa) where (i : instr) =
     critical c f.fname lbl (Var x);
     if c.config.track_memory then begin
       let chis = Memssa.chi_at fs lbl in
-      let kind = store_update c fi where x chis in
+      let kind = store_update c lbl x chis in
       Hashtbl.replace c.store_kind lbl kind;
       store_chis c fi lbl o kind chis
     end
@@ -368,7 +312,7 @@ let instr (c : ctx) fi (f : func) (fs : Memssa.func_ssa) where (i : instr) =
     set_targets c 0 (Analysis.Callgraph.site_callees c.cg lbl);
     for t = 0 to c.ntgt - 1 do
       let gi = c.tgt.(t) in
-      if gi >= 0 then pass_args c (G.call lbl) c.funcs.(gi).params cargs
+      if gi >= 0 then pass_args c (G.call lbl) (Index.func c.ix gi).params cargs
     done;
     (* Return value: x -> callee return operands. *)
     (match cdst with
@@ -421,9 +365,7 @@ let process_func (c : ctx) fi (f : func) =
           (Memssa.phis_at fs b.bid))
       f.blocks
   end;
-  Array.iter
-    (fun b -> List.iteri (fun k i -> instr c fi f fs ((b.bid lsl 31) lor k) i) b.instrs)
-    f.blocks;
+  Array.iter (fun b -> List.iter (instr c fi f fs) b.instrs) f.blocks;
   (* Branch conditions are critical operations. *)
   Array.iter
     (fun b ->
@@ -441,8 +383,9 @@ let process_func (c : ctx) fi (f : func) =
 let build ?(config = default_config) ?budget ?hook ?on_fault (p : P.t)
     (pa : Analysis.Andersen.t) (cg : Analysis.Callgraph.t)
     (mr : Analysis.Modref.t) (mssa : Memssa.t) : t =
-  let funcs = Array.of_list (List.rev (P.fold_funcs (fun acc f -> f :: acc) [] p)) in
-  let fssa = Array.map (fun f -> Memssa.func_ssa mssa f.fname) funcs in
+  let ix = Index.build p in
+  let nfuncs = Index.nfuncs ix in
+  let fssa = Array.init nfuncs (fun fi -> Memssa.func_ssa mssa (Index.func ix fi).fname) in
   let mem_nodes =
     if not config.track_memory then 0
     else
@@ -457,61 +400,61 @@ let build ?(config = default_config) ?budget ?hook ?on_fault (p : P.t)
   let g =
     G.create ~nodes:((5 * nvars / 8) + mem_nodes + 2) ~vars:nvars ~labels:(P.nlabels p) ()
   in
-  Array.iter (fun f -> ignore (G.func_index g f.fname)) funcs;
+  for fi = 0 to nfuncs - 1 do
+    ignore (G.func_index g (Index.func ix fi).fname)
+  done;
   let troot = G.intern g G.Root_t in
   let froot = G.intern g G.Root_f in
   let rets =
-    Array.map
-      (fun f ->
+    Array.init nfuncs (fun fi ->
         Array.fold_left
           (fun acc b ->
             match b.term.tkind with
             | Ret o -> (b.term.tlbl, o) :: acc
             | Br _ | Jmp _ -> acc)
-          [] f.blocks)
-      funcs
+          [] (Index.func ix fi).blocks)
   in
   let c =
     {
       g;
-      prog = p;
       cg;
       objects = pa.objects;
       config;
       troot;
       froot;
-      funcs;
+      ix;
       fssa;
       rets;
       tgt = Array.make 4 0;
       ntgt = 0;
       entry = Array.make (if config.track_memory then Objects.nlocs pa.objects else 0) (-1);
-      semi = None;
+      visit = [||];
+      stamp = 0;
       criticals = [];
       store_kind = Hashtbl.create 64;
       semi_cuts = 0;
     }
   in
-  Array.iteri
-    (fun fi f ->
-      let run () =
-        Option.iter (fun h -> h f.fname) hook;
-        Option.iter (fun b -> Diag.Budget.tick b Diag.Vfg_build) budget;
-        process_func c fi f
-      in
-      let compute () =
-        match on_fault with
-        | None -> run ()
-        | Some report -> ( try run () with e -> report f.fname e)
-      in
-      (* One span per function when tracing; exactly [compute ()] otherwise. *)
-      if Obs.Trace.enabled () then
-        Obs.Trace.with_span ~cat:"vfg" ~args:[ ("fn", Obs.Trace.Str f.fname) ] "vfg.func"
-          compute
-      else compute ())
-    funcs;
-  let ret_operands = Hashtbl.create (Array.length funcs) in
-  Array.iteri (fun fi f -> Hashtbl.replace ret_operands f.fname rets.(fi)) funcs;
+  for fi = 0 to nfuncs - 1 do
+    let f = Index.func ix fi in
+    let run () =
+      Option.iter (fun h -> h f.fname) hook;
+      Option.iter (fun b -> Diag.Budget.tick b Diag.Vfg_build) budget;
+      process_func c fi f
+    in
+    let compute () =
+      match on_fault with
+      | None -> run ()
+      | Some report -> ( try run () with e -> report f.fname e)
+    in
+    (* One span per function when tracing; exactly [compute ()] otherwise. *)
+    if Obs.Trace.enabled () then
+      Obs.Trace.with_span ~cat:"vfg" ~args:[ ("fn", Obs.Trace.Str f.fname) ] "vfg.func"
+        compute
+    else compute ()
+  done;
+  let ret_operands = Hashtbl.create nfuncs in
+  Array.iteri (fun fi r -> Hashtbl.replace ret_operands (Index.func ix fi).fname r) rets;
   {
     graph = g;
     prog = p;
@@ -524,6 +467,7 @@ let build ?(config = default_config) ?budget ?hook ?on_fault (p : P.t)
     store_kind = c.store_kind;
     semi_strong_cuts = c.semi_cuts;
     ret_operands;
+    index = ix;
   }
 
 (** Soundness forcing for per-function degradation. When a function's

@@ -40,6 +40,9 @@ type t = {
   store_kind : (label, update_kind) Hashtbl.t;
   semi_strong_cuts : int;
   ret_operands : (fname, (label * operand option) list) Hashtbl.t;
+  index : Index.t;
+      (** the program index the build read; Opt II and planning read it
+          too (one per build, see {!Index}) *)
 }
 
 (** Build the VFG. [budget] adds a per-function deadline tick and the node
@@ -59,6 +62,10 @@ val build :
   Analysis.Modref.t ->
   Memssa.t ->
   t
+
+(** Can a store to this object strongly update it: a scalar global, or a
+    scalar stack slot of a function the call graph finds non-recursive? *)
+val concrete : Analysis.Callgraph.t -> Analysis.Objects.obj -> bool
 
 (** Soundness forcing for per-function degradation: pin every node defined
     in a distrusted function — plus the full call interface between

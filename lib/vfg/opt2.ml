@@ -14,17 +14,15 @@
 
    The pass does work in proportion to the graph, in three trace spans
    inside [phase.opt2]:
-   - [opt2.closure] builds dense per-program tables (var -> defining
-     instruction, label -> function, block and index; the graph maps a
-     var to its [Top] node) and
-     then every critical's closure as a run of node ids. A closure reads
-     only IR defs and memory SSA, never edges, so all of them can be taken
-     before any rewiring. Membership is a stamped int array: no per-critical
-     table is allocated.
+   - [opt2.closure] takes every critical's closure as a run of node ids,
+     with [Mfc.walk] over the build's program index ([Index]). A closure
+     reads only IR defs and memory SSA, never edges, so all of them can be
+     taken before any rewiring. Membership is a stamped int array: no
+     per-critical table is allocated.
    - [opt2.rewire] walks each closure's members on an edge-only copy of the
-     graph ([Graph.copy_edges]), in critical order. Dominance and the
-     per-block CFG reachability rows are computed only for the functions
-     and blocks a candidate r needs.
+     graph ([Graph.copy_edges]), in critical order. Dominance (the
+     index's memo) and the per-block CFG reachability rows are computed
+     only for the functions and blocks a candidate r needs.
    - [opt2.resolve] re-resolves Γ on the rewired copy. *)
 
 open Ir.Types
@@ -34,98 +32,37 @@ type result = {
   redirected : int;        (* |union of R_x| — the paper's R column *)
 }
 
-(* Per-program tables: every lookup of the closure walk and the scan is an
-   array read. Functions are numbered in [Ir.Prog.iter_funcs] order. *)
-type index = {
-  funcs : func array;
-  func_ids : (fname, int) Hashtbl.t;
-  def_func : int array;        (* var -> function defining it, or -1 *)
-  def_kind : instr_kind array; (* var -> its defining instruction *)
-  lbl_func : int array;        (* label -> function holding it, or -1 *)
-  lbl_block : int array;       (* label -> block *)
-  lbl_pos : int array;         (* label -> index in its block; max_int for
-                                  a terminator *)
-}
-
-let index (p : Ir.Prog.t) : index =
-  let funcs = Array.of_list (List.rev (Ir.Prog.fold_funcs (fun acc f -> f :: acc) [] p)) in
-  let func_ids = Hashtbl.create (Array.length funcs) in
-  Array.iteri (fun fi f -> Hashtbl.replace func_ids f.fname fi) funcs;
-  let nvars = Ir.Prog.nvars p and nlabels = Ir.Prog.nlabels p in
-  let def_func = Array.make nvars (-1) in
-  let def_kind = Array.make nvars (Output Undef) in
-  let lbl_func = Array.make nlabels (-1) in
-  let lbl_block = Array.make nlabels 0 in
-  let lbl_pos = Array.make nlabels 0 in
-  Array.iteri
-    (fun fi (f : func) ->
-      Array.iter
-        (fun (b : block) ->
-          List.iteri
-            (fun k (i : instr) ->
-              (match Ir.Instr.def_of i.kind with
-              | Some d ->
-                def_func.(d) <- fi;
-                def_kind.(d) <- i.kind
-              | None -> ());
-              lbl_func.(i.lbl) <- fi;
-              lbl_block.(i.lbl) <- b.bid;
-              lbl_pos.(i.lbl) <- k)
-            b.instrs;
-          lbl_func.(b.term.tlbl) <- fi;
-          lbl_block.(b.term.tlbl) <- b.bid;
-          lbl_pos.(b.term.tlbl) <- max_int)
-        f.blocks)
-    funcs;
-  { funcs; func_ids; def_func; def_kind; lbl_func; lbl_block; lbl_pos }
-
 (* Every critical's closure node ids, as CSR over the criticals in order:
-   members of x's must-flow closure (the walk of [Mfc.compute]) plus the
-   concrete mu location of each member load (Algorithm 1, line 4). A
-   critical whose operand is not a variable has an empty closure. *)
+   the [Top] node of each member of x's must-flow closure ([Mfc.walk], in
+   its preorder), each member load's followed by the node of its concrete
+   mu location (Algorithm 1, line 4). A critical whose operand is not a
+   variable has an empty closure. *)
 type closures = {
   crit : Build.critical array;
-  cfunc : int array;           (* critical -> function index *)
+  cfunc : int array;           (* critical -> function number *)
   off : int array;             (* length ncrit + 1 *)
   nodes : int array;
 }
 
-let closures ?budget (bld : Build.t) (ix : index) (g : Graph.t) : closures =
+let closures ?budget (bld : Build.t) (g : Graph.t) : closures =
+  let ix = bld.index in
   let crit = Array.of_list bld.criticals in
   let ncrit = Array.length crit in
-  let cfunc = Array.map (fun (c : Build.critical) -> Hashtbl.find ix.func_ids c.cfunc) crit in
+  let cfunc = Array.map (fun (c : Build.critical) -> Index.label_func ix c.clbl) crit in
   let off = Array.make (ncrit + 1) 0 in
   let nodes = ref (Array.make 64 0) in
   let nn = ref 0 in
-  let var_mark = Array.make (Array.length ix.def_func) (-1) in
   let node_mark = Array.make (Graph.nnodes g) (-1) in
   (* Loads annotated with a single concrete location extend the closure into
      memory. The location node of a load is memoized per variable: -2 not
      yet looked up, -1 none. *)
-  let objects = bld.pa.objects in
-  let concrete_loc l =
-    let o = Analysis.Objects.loc_obj objects l in
-    (not o.oarray)
-    && (match o.okind with
-       | Analysis.Objects.Obj_global -> true
-       | Analysis.Objects.Obj_stack ->
-         not (Analysis.Callgraph.is_recursive bld.cg o.oowner)
-       | Analysis.Objects.Obj_heap | Analysis.Objects.Obj_func _ -> false)
-  in
-  let mem_memo = Array.make (Array.length ix.def_func) (-2) in
-  let mem_node fname v id =
-    if mem_memo.(v) = -2 then
-      mem_memo.(v) <-
-        (match Graph.def_of g id with
-        | Graph.Dinstr (_, l) -> (
-          match Memssa.mu_at (Memssa.func_ssa bld.mssa fname) l with
-          | [ (loc, ver) ] when concrete_loc loc -> (
-            match Graph.find g (Graph.Mem (fname, loc, ver)) with
-            | Some m -> m
-            | None -> -1)
-          | _ -> -1)
-        | _ -> -1);
-    mem_memo.(v)
+  let mem_memo = Array.make (Index.nvars ix) (-2) in
+  let mem_node fname l =
+    match Memssa.mu_at (Memssa.func_ssa bld.mssa fname) l with
+    | [ (loc, ver) ] when Build.concrete bld.cg (Analysis.Objects.loc_obj bld.pa.objects loc)
+      -> (
+      match Graph.find g (Graph.Mem (fname, loc, ver)) with Some m -> m | None -> -1)
+    | _ -> -1
   in
   let add i id =
     if node_mark.(id) <> i then begin
@@ -140,39 +77,27 @@ let closures ?budget (bld : Build.t) (ix : index) (g : Graph.t) : closures =
     end
   in
   let track_memory = bld.config.track_memory in
+  let mfc = Mfc.create ix in
   for i = 0 to ncrit - 1 do
     (match budget with
     | Some b -> Diag.Budget.tick b Diag.Opt2
     | None -> ());
     (match crit.(i).cop with
     | Var x ->
-      let fi = cfunc.(i) in
-      let rec go v =
-        if var_mark.(v) <> i then begin
-          var_mark.(v) <- i;
-          let id = Graph.top_id g v in
-          if id >= 0 then add i id;
-          if ix.def_func.(v) = fi then
-            match ix.def_kind.(v) with
-            | Copy (_, o) | Unop (_, _, o) -> operand o
-            | Binop (_, _, o1, o2) ->
-              operand o1;
-              operand o2
-            | Field_addr (_, y, _) -> go y
-            | Index_addr (_, y, o) ->
-              go y;
-              operand o
-            | Load _ ->
-              if track_memory && id >= 0 then begin
-                let m = mem_node crit.(i).cfunc v id in
-                if m >= 0 then add i m
-              end
-            | Const _ | Alloc _ | Global_addr _ | Func_addr _ | Input _ | Call _
-            | Phi _ | Store _ | Output _ ->
-              ()
+      Mfc.walk mfc ~func:cfunc.(i) x;
+      for k = 0 to Mfc.nmembers mfc - 1 do
+        let v = Mfc.member mfc k in
+        let id = Graph.top_id g v in
+        if id >= 0 then begin
+          add i id;
+          match Mfc.def mfc v with
+          | Load _ when track_memory ->
+            if mem_memo.(v) = -2 then
+              mem_memo.(v) <- mem_node crit.(i).cfunc (Index.def_label ix v);
+            if mem_memo.(v) >= 0 then add i mem_memo.(v)
+          | _ -> ()
         end
-      and operand = function Var y -> go y | Cst _ | Undef -> () in
-      go x
+      done
     | Cst _ | Undef -> ());
     off.(i + 1) <- !nn
   done;
@@ -210,34 +135,23 @@ let block_reaches (rows : Bytes.t array array) (f : func) fi b1 b2 =
   Bytes.get rows.(fi).(b1) b2 = '\001'
 
 (* Rewires [g] in place, critical by critical; returns |R|. *)
-let rewire (ix : index) (cl : closures) (g : Graph.t) : int =
+let rewire (ix : Index.t) (cl : closures) (g : Graph.t) : int =
   let troot = Graph.intern g Graph.Root_t in
   let n = Graph.nnodes g in
   let in_closure = Array.make n (-1) in
   let decided = Array.make n (-1) in
   let redirected = Bytes.make n '\000' in
   let count = ref 0 in
-  let nfuncs = Array.length ix.funcs in
-  let doms = Array.make nfuncs None in
-  let dom fi =
-    match doms.(fi) with
-    | Some d -> d
-    | None ->
-      let d = Analysis.Dominance.compute ix.funcs.(fi) in
-      doms.(fi) <- Some d;
-      d
-  in
-  let rows = Array.make nfuncs [||] in
+  let rows = Array.make (Index.nfuncs ix) [||] in
   for i = 0 to Array.length cl.crit - 1 do
     let lo = cl.off.(i) and hi = cl.off.(i + 1) in
     if hi > lo then begin
-      let c = cl.crit.(i) in
+      let s = cl.crit.(i).clbl in
       let fi = cl.cfunc.(i) in
       for k = lo to hi - 1 do
         in_closure.(cl.nodes.(k)) <- i
       done;
-      let s_here = ix.lbl_func.(c.clbl) = fi in
-      let bs = ix.lbl_block.(c.clbl) and is = ix.lbl_pos.(c.clbl) in
+      let bs = Index.label_block ix s in
       (* Rewire r only when s dominates def(r) (same function) AND no CFG
          path leads from def(r)'s block back to s's block: then r's value
          can never be consumed at s, and (must-flow) never anywhere else
@@ -246,14 +160,10 @@ let rewire (ix : index) (cl : closures) (g : Graph.t) : int =
          execution; keep everything. *)
       let qualifies r =
         match Graph.def_of g r with
-        | Graph.Dinstr (fn, l) | Graph.Dchi (fn, l) ->
-          String.equal fn c.cfunc && s_here
-          && ix.lbl_func.(l) = fi
-          &&
-          let bl = ix.lbl_block.(l) in
-          (if bl = bs then is <= ix.lbl_pos.(l)
-           else Analysis.Dominance.strictly_dominates (dom fi) bs bl)
-          && not (block_reaches rows ix.funcs.(fi) fi bl bs)
+        | Graph.Dinstr (_, l) | Graph.Dchi (_, l) ->
+          Index.label_func ix l = fi
+          && Index.dominates ix s l
+          && not (block_reaches rows (Index.func ix fi) fi (Index.label_block ix l) bs)
         | Graph.Dparam _ | Graph.Dmemphi _ | Graph.Dentry _ | Graph.Droot -> false
       in
       (* R_x: nodes outside the closure with an edge into it. Whether r
@@ -289,12 +199,12 @@ let rewire (ix : index) (cl : closures) (g : Graph.t) : int =
 
 let rewired ?budget (bld : Build.t) : Graph.t * int =
   let g = Graph.copy_edges bld.graph in
-  let ix, cl =
-    Obs.Trace.with_span ~cat:"vfg" "opt2.closure" @@ fun () ->
-    let ix = index bld.prog in
-    (ix, closures ?budget bld ix g)
+  let cl =
+    Obs.Trace.with_span ~cat:"vfg" "opt2.closure" (fun () -> closures ?budget bld g)
   in
-  let redirected = Obs.Trace.with_span ~cat:"vfg" "opt2.rewire" (fun () -> rewire ix cl g) in
+  let redirected =
+    Obs.Trace.with_span ~cat:"vfg" "opt2.rewire" (fun () -> rewire bld.index cl g)
+  in
   (g, redirected)
 
 let run ?(context_sensitive = true) ?budget (bld : Build.t) : result =

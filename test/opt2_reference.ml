@@ -1,7 +1,7 @@
 (* Test-only references for Opt II and the condensation, kept as they were
-   before both were made dense: Opt II with per-critical hash tables,
-   [Mfc.compute] and per-function dominance and reachability tables, on a
-   deep copy of the graph; the condensation with one global sort over
+   before both were made dense: Opt II with per-critical hash tables, its
+   own hash-table must-flow closure and per-function dominance and
+   reachability tables, on a deep copy of the graph; the condensation with one global sort over
    [((cv * ncomps) + cu) * kspan + kind] keys. The equivalence tests compare
    the library's versions against these. The sort key overflows 63 bits once
    a call-site label passes about 2^55, so [condensation] is only a
@@ -9,6 +9,36 @@
 
 open Ir.Types
 module G = Vfg.Graph
+
+(* The members of [x]'s must-flow closure (Definition 2) over [defs], the
+   defining instruction of each variable of one function: the walk of the
+   library's [Mfc] as it was before it read the program index, so that this
+   reference shares no closure code with the Opt II it checks. *)
+let closure_members (defs : (var, instr_kind) Hashtbl.t) (x : var) : var list =
+  let members = ref [] in
+  let seen = Hashtbl.create 16 in
+  let rec go v =
+    if not (Hashtbl.mem seen v) then begin
+      Hashtbl.replace seen v ();
+      members := v :: !members;
+      match Hashtbl.find_opt defs v with
+      | Some (Copy (_, o)) | Some (Unop (_, _, o)) -> operand o
+      | Some (Binop (_, _, o1, o2)) ->
+        operand o1;
+        operand o2
+      | Some (Field_addr (_, y, _)) -> go y
+      | Some (Index_addr (_, y, o)) ->
+        go y;
+        operand o
+      | Some
+          ( Const _ | Alloc _ | Global_addr _ | Func_addr _ | Input _ | Load _ | Call _
+          | Phi _ | Store _ | Output _ )
+      | None ->
+        ()
+    end
+  and operand = function Var y -> go y | Cst _ | Undef -> () in
+  go x;
+  !members
 
 (* The rewired deep copy and |R|. *)
 let rewired (bld : Vfg.Build.t) : G.t * int =
@@ -88,7 +118,7 @@ let rewired (bld : Vfg.Build.t) : G.t * int =
       match c.cop with
       | Var x ->
         let defs = defs_of c.cfunc in
-        let closure = Vfg.Mfc.compute defs x in
+        let members = closure_members defs x in
         let in_closure = Hashtbl.create 32 in
         let add_id id = Hashtbl.replace in_closure id () in
         List.iter
@@ -113,7 +143,7 @@ let rewired (bld : Vfg.Build.t) : G.t * int =
                 | _ -> ())
               | None -> ())
             | _ -> ())
-          closure.members;
+          members;
         let dom, pos = dom_of c.cfunc in
         Hashtbl.iter
           (fun t () ->

@@ -3,18 +3,17 @@
 
 open Helpers
 
-(* Build a def table for main of a compiled program. *)
-let defs_of_main src =
+(* A compiled program and a closure walker in its main, over the
+   program's index. *)
+let mfc_of_main src =
   let prog = front src in
-  let f = Ir.Prog.get_func prog "main" in
-  let tbl = Hashtbl.create 32 in
-  Ir.Func.iter_instrs
-    (fun _ i ->
-      match Ir.Instr.def_of i.Ir.Types.kind with
-      | Some d -> Hashtbl.replace tbl d i.Ir.Types.kind
-      | None -> ())
-    f;
-  (prog, tbl)
+  let ix = Vfg.Index.build prog in
+  (prog, (Vfg.Mfc.create ix, Vfg.Index.func_number ix "main"))
+
+(* The walker after taking [v]'s closure in main. *)
+let closure (m, main) v =
+  Vfg.Mfc.walk m ~func:main v;
+  m
 
 (* The variable feeding the last branch condition of main (test programs put
    the interesting branch last; earlier ones belong to setup loops). *)
@@ -34,7 +33,7 @@ let mfc_tests =
     tc "Fig. 8: chains fold into one closure" (fun () ->
         (* z = (a+b) + (c+d) where a..d come out of memory: the closure's
            interior is the arithmetic; the sources are the four loads *)
-        let prog, defs = defs_of_main
+        let prog, mfc = mfc_of_main
             "int main() { int buf[4]; int i;\n\
              for (i = 0; i < 4; i = i + 1) { buf[i] = i; }\n\
              int a = buf[0]; int b = buf[1]; int c = buf[2]; int d = buf[3];\n\
@@ -42,46 +41,45 @@ let mfc_tests =
              if (z > 5) { print(1); } return 0; }"
         in
         let v = first_branch_var prog in
-        let m = Vfg.Mfc.compute defs v in
-        check_bool "interior >= 4" true (m.interior >= 4);
+        let m = closure mfc v in
+        check_bool "interior >= 4" true (Vfg.Mfc.interior m >= 4);
         check_int "four sources" 4 (List.length (Vfg.Mfc.var_sources m));
         check_bool "simplifiable" true (Vfg.Mfc.simplifiable m));
     tc "input() results are always-defined sources" (fun () ->
-        let prog, defs = defs_of_main
+        let prog, mfc = mfc_of_main
             "int main() { int a = input(); int z = a + 1;\n\
              if (z > 5) { print(1); } return 0; }"
         in
         let v = first_branch_var prog in
-        let m = Vfg.Mfc.compute defs v in
+        let m = closure mfc v in
         check_int "no var sources" 0 (List.length (Vfg.Mfc.var_sources m));
-        check_bool "T source" true (List.mem Vfg.Mfc.Sroot_t m.Vfg.Mfc.sources));
+        check_bool "T source" true (Vfg.Mfc.has_defined_source m));
     tc "constants become T sources" (fun () ->
-        let prog, defs = defs_of_main
+        let prog, mfc = mfc_of_main
             "int main() { int z = 1 + 2; if (z > 0) { print(1); } return 0; }"
         in
         let v = first_branch_var prog in
-        let m = Vfg.Mfc.compute defs v in
+        let m = closure mfc v in
         check_int "no var sources" 0 (List.length (Vfg.Mfc.var_sources m));
-        check_bool "has T source" true
-          (List.mem Vfg.Mfc.Sroot_t m.Vfg.Mfc.sources));
+        check_bool "has T source" true (Vfg.Mfc.has_defined_source m));
     tc "undef operands become F sources" (fun () ->
-        let prog, defs = defs_of_main
+        let prog, mfc = mfc_of_main
             "int main() { int u; int z = u + 1; if (z > 0) { print(1); } return 0; }"
         in
         let v = first_branch_var prog in
-        let m = Vfg.Mfc.compute defs v in
+        let m = closure mfc v in
         check_bool "F source" true (Vfg.Mfc.has_undef_source m));
     tc "loads and calls are sources, not interior" (fun () ->
-        let prog, defs = defs_of_main
+        let prog, mfc = mfc_of_main
             "int main() { int a[2]; a[0] = input(); int z = a[0] * 2;\n\
              if (z > 0) { print(1); } return 0; }"
         in
         let v = first_branch_var prog in
-        let m = Vfg.Mfc.compute defs v in
+        let m = closure mfc v in
         (* the load result is a variable source *)
         check_bool "one var source" true (List.length (Vfg.Mfc.var_sources m) = 1));
     tc "closures traverse address computations" (fun () ->
-        let prog, defs = defs_of_main
+        let prog, mfc = mfc_of_main
             "int main() { int a[4]; a[0] = 1; int i = input();\n\
              int v = a[i & 3];\n\
              if (v > 0) { print(1); } return 0; }"
@@ -97,8 +95,8 @@ let mfc_tests =
           prog;
         match !ptr with
         | Some p ->
-          let m = Vfg.Mfc.compute defs p in
-          check_bool "interior through gep" true (m.interior >= 2)
+          let m = closure mfc p in
+          check_bool "interior through gep" true (Vfg.Mfc.interior m >= 2)
         | None -> Alcotest.fail "no load");
   ]
 
@@ -139,9 +137,82 @@ let opt2_tests =
         check_bool "dominating check fires" true (det <> []));
   ]
 
+(* How [bld]'s program index disagrees with a direct walk of the IR, in at
+   most one line per function, label or variable: every label's function,
+   block, position (max_int for a terminator) and kind, -1 for a label no
+   block holds, every var's defining label and parameter position, and
+   each function's number, which must also be the graph's. *)
+let index_disagreements (bld : Vfg.Build.t) =
+  let open Ir.Types in
+  let ix = bld.index and p = bld.prog in
+  let errs = ref [] in
+  let fail fmt = Printf.ksprintf (fun e -> errs := e :: !errs) fmt in
+  let held = Array.make (Ir.Prog.nlabels p) false in
+  let def = Array.make (Ir.Prog.nvars p) (-1) and param = Array.make (Ir.Prog.nvars p) (-1) in
+  let place fi (b : block) k l =
+    held.(l) <- true;
+    if
+      Vfg.Index.label_func ix l <> fi
+      || Vfg.Index.label_block ix l <> b.bid
+      || Vfg.Index.label_pos ix l <> k
+    then fail "l%d: not at function %d, block %d, position %d" l fi b.bid k
+  in
+  let nfuncs = ref 0 in
+  Ir.Prog.iter_funcs
+    (fun f ->
+      let fi = !nfuncs in
+      incr nfuncs;
+      if
+        Vfg.Index.func ix fi != f
+        || Vfg.Index.func_number ix f.fname <> fi
+        || Vfg.Graph.find_func bld.graph f.fname <> fi
+      then fail "%s: not function %d" f.fname fi;
+      List.iteri (fun k v -> param.(v) <- k) f.params;
+      Array.iter
+        (fun (b : block) ->
+          List.iteri
+            (fun k (i : instr) ->
+              place fi b k i.lbl;
+              if Vfg.Index.kind ix i.lbl <> i.kind then fail "l%d: wrong kind" i.lbl;
+              match Ir.Instr.def_of i.kind with Some d -> def.(d) <- i.lbl | None -> ())
+            b.instrs;
+          place fi b max_int b.term.tlbl)
+        f.blocks)
+    p;
+  if Vfg.Index.nfuncs ix <> !nfuncs then fail "%d functions, not %d" (Vfg.Index.nfuncs ix) !nfuncs;
+  Array.iteri
+    (fun l h -> if (not h) && Vfg.Index.label_func ix l <> -1 then fail "l%d: held by no block" l)
+    held;
+  for v = 0 to Ir.Prog.nvars p - 1 do
+    if Vfg.Index.def_label ix v <> def.(v) || Vfg.Index.param_pos ix v <> param.(v) then
+      fail "v%d: defined at l%d, parameter %d" v def.(v) param.(v)
+  done;
+  List.rev !errs
+
+let index_tests =
+  [
+    tc "15 analogs at O0+IM and O2: both builds' index agrees with the IR" (fun () ->
+        List.iter
+          (fun (p : Workloads.Profile.t) ->
+            List.iter
+              (fun level ->
+                let _, a = analog ~level p in
+                List.iter
+                  (fun (what, bld) ->
+                    match index_disagreements bld with
+                    | [] -> ()
+                    | e :: _ ->
+                      Alcotest.failf "%s %s %s: %s" p.pname
+                        (Optim.Pipeline.level_to_string level) what e)
+                  [ ("vfg", a.vfg); ("vfg-tl", a.vfg_tl) ])
+              [ Optim.Pipeline.O0_IM; Optim.Pipeline.O2 ])
+          Workloads.Spec2000.all);
+  ]
+
 (* The dense Opt II against [Opt2_reference] (per-critical hash tables,
-   [Mfc.compute], a deep copy) on generated programs at O0+IM and O2: the
-   same R, the same Γ and the same rewired edges. *)
+   its own closure walk, a deep copy) on generated programs at O0+IM and
+   O2: the same R, the same Γ and the same rewired edges. Both builds'
+   program index must agree with the IR there too. *)
 let opt2_reference_prop seed =
   let src = Audit.Gen.source ~seed () in
   List.for_all
@@ -152,7 +223,9 @@ let opt2_reference_prop seed =
       let o = Vfg.Opt2.run a.vfg and o' = Opt2_reference.run a.vfg in
       r = r' && o.redirected = o'.redirected
       && Bytes.equal o.gamma.undef o'.gamma.undef
-      && Opt2_reference.edge_multiset g = Opt2_reference.edge_multiset g')
+      && Opt2_reference.edge_multiset g = Opt2_reference.edge_multiset g'
+      && index_disagreements a.vfg = []
+      && index_disagreements a.vfg_tl = [])
     [ Optim.Pipeline.O0_IM; Optim.Pipeline.O2 ]
 
 let opt2_reference_tests =
@@ -547,6 +620,27 @@ let alloc_tests =
         let a = Usher.Pipeline.analyze prog in
         let w = 1e6 *. minor_mwords (fun () -> build_both_vfgs prog a) in
         check_bool (Printf.sprintf "%.0f words < 9600" w) true (w < 9600.0));
+    (* Planning's context once kept the instruction at every label in a
+       [Some] box and a var-indexed table of parameter positions, and
+       [Ir.Prog.iter_instrs] allocated a closure per block: 185,571 words
+       here. The build's program index answers both, and the context
+       builds only the call sites of each callee (18,213). *)
+    tc "Guided.context over 176.gcc's full graph allocates under 92,000 words" (fun () ->
+        let _, a = analog ~level:Optim.Pipeline.O0_IM Workloads.Spec2000.gcc in
+        let w = 1e6 *. minor_mwords (fun () -> ignore (Instr.Guided.context a.vfg)) in
+        check_bool (Printf.sprintf "%.0f words < 92000" w) true (w < 92000.0));
+    (* The structure certificate once kept the graph's edges and the
+       expected ones as (src, dst, kind) triples in two hash tables and
+       allocated a closure per instruction and per probe: 17,066 words
+       here, almost three times both VFG builds. The edges now sit in one
+       open-addressing table of ints (6,419). *)
+    tc "check_structure of a small generated program allocates under 8,500 words"
+      (fun () ->
+        let src = Audit.Gen.source ~size:3 ~seed:(Audit.Gen.campaign_seed ~seed:1 0) () in
+        let prog = front ~level:Optim.Pipeline.O0_IM src in
+        let a = Usher.Pipeline.analyze prog in
+        let w = 1e6 *. minor_mwords (fun () -> ignore (Verify.Vfg.check_structure a.vfg)) in
+        check_bool (Printf.sprintf "%.0f words < 8500" w) true (w < 8500.0));
     (* Appending to a block once copied the whole block, and lowering puts
        every local's Alloc in the entry block: 137 Mwords here. *)
     tc "lowering 176.gcc allocates under 20 Mwords" (fun () ->
@@ -624,6 +718,6 @@ let run_plan_tests =
   ]
 
 let suites =
-  [ ("mfc", mfc_tests); ("opt2", opt2_tests); ("opt2.reference", opt2_reference_tests); ("costmodel", costmodel_tests);
+  [ ("mfc", mfc_tests); ("vfg.index", index_tests); ("opt2", opt2_tests); ("opt2.reference", opt2_reference_tests); ("costmodel", costmodel_tests);
     ("golden", golden_tests); ("alloc-guard", alloc_tests);
     ("experiment.compress", run_plan_tests) ]

@@ -436,7 +436,10 @@ let example_sources () =
     |> List.sort compare
     |> List.map (fun f -> (f, read_file (Filename.concat dir f)))
   in
-  files "../examples" ".tc" @ files "../examples/corpus" ".c"
+  (* The test's deps copy examples/ beside the directory of the test
+     executable, so the sources are found from any working directory. *)
+  let examples = Filename.concat (Filename.dirname Sys.executable_name) "../examples" in
+  files examples ".tc" @ files (Filename.concat examples "corpus") ".c"
 
 (* One base reused for the native plan and all five plans, attached in
    forward and then reverse order, runs every plan exactly as a fresh
