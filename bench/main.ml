@@ -340,7 +340,7 @@ let experiment_json (lvl, (p : Workloads.Profile.t), (e : Exp.t)) =
              e.results) );
     ]
 
-(* The Obs.Metrics registry snapshot: process-wide counters/gauges and
+(* The Obs.Metrics registry snapshot: process-wide counters and
    log2-bucket histograms accumulated by every phase that ran. *)
 let metrics_json () =
   J.Obj
@@ -349,7 +349,6 @@ let metrics_json () =
          ( name,
            match v with
            | Obs.Metrics.Counter n -> jint n
-           | Obs.Metrics.Gauge f -> jfloat f
            | Obs.Metrics.Histogram { count; sum; buckets } ->
              J.Obj
                [

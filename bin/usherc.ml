@@ -132,8 +132,8 @@ let trace_arg =
 let metrics_arg =
   Arg.(value & flag
        & info [ "metrics" ]
-           ~doc:"Print the process-wide metrics registry (work counters, \
-                 gauges, log2-bucket histograms) after the command.")
+           ~doc:"Print the process-wide metrics registry (work counters \
+                 and log2-bucket histograms) after the command.")
 
 let print_metrics () =
   Printf.printf "metrics:\n";
@@ -141,7 +141,6 @@ let print_metrics () =
     (fun (name, v) ->
       match v with
       | Obs.Metrics.Counter n -> Printf.printf "  %-34s %d\n" name n
-      | Obs.Metrics.Gauge g -> Printf.printf "  %-34s %g\n" name g
       | Obs.Metrics.Histogram { count; sum; buckets } ->
         Printf.printf "  %-34s count %d sum %d buckets %s\n" name count sum
           (String.concat " "

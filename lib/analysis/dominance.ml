@@ -126,6 +126,8 @@ let dominates t a b =
   && t.dfs_post.(b) <= t.dfs_post.(a)
 
 let strictly_dominates t a b = a <> b && dominates t a b
+let dfs_pre t b = t.dfs_pre.(b)
+let dfs_post t b = t.dfs_post.(b)
 
 (** Instruction-level dominance: label positions within the function. *)
 type label_positions = (label, int * int) Hashtbl.t

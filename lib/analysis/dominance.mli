@@ -29,6 +29,13 @@ val dominates : t -> blockid -> blockid -> bool
 
 val strictly_dominates : t -> blockid -> blockid -> bool
 
+(** A block's entry and exit times in a depth-first walk of the
+    dominator tree; -1 for an unreachable block. A block dominates
+    another when its [\[dfs_pre, dfs_post\]] holds the other's. *)
+val dfs_pre : t -> blockid -> int
+
+val dfs_post : t -> blockid -> int
+
 (** Label positions within one function, for statement-level dominance:
     label -> (block id, index within block); terminators use [max_int].
     Concrete so clients can test membership cheaply. *)

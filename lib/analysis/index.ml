@@ -1,10 +1,11 @@
-(* The IR facts the value-flow layer reads, in arrays by var and by label.
-   A var's defining label, or its parameter position [k] as [-k - 2], is
-   one int. A label's function, block and position are packed into one
-   int, [func lsl 42 lor block lsl 21 lor pos], so that within one block
-   the packed order is the statement order; a terminator's position is the
-   field's largest value. Dominance is kept as the dominator tree's DFS
-   intervals, one int per block. *)
+(* The IR facts the analyses after pointer analysis read, in arrays by
+   var and by label. A var's defining label, or its parameter position [k]
+   as [-k - 2], is one int. A label's function, block and position are
+   packed into one int, [func lsl 42 lor block lsl 21 lor pos], so that
+   within one block the packed order is the statement order; a
+   terminator's position is the field's largest value. Dominance is kept
+   as the dominator tree's DFS intervals ([Dominance.dfs_pre] and
+   [dfs_post]), one int per block. *)
 
 open Ir.Types
 
@@ -16,25 +17,26 @@ type t = {
   where : int array;          (* label -> packed place, or -1 *)
   kinds : instr_kind array;   (* label -> instruction kind *)
   doms : int array array;     (* function -> block -> [pre lsl 31 lor
-                                 post], -1 unreachable; [||] until asked *)
+                                 post], -1 unreachable *)
 }
 
 let field = 21
 let mask = (1 lsl field) - 1
 let term = mask
 
-let build (p : Ir.Prog.t) : t =
+let build (p : Ir.Prog.t) visit : t =
   let funcs = Array.of_list (List.rev (Ir.Prog.fold_funcs (fun acc f -> f :: acc) [] p)) in
   let nfuncs = Array.length funcs in
-  if nfuncs >= 1 lsl (62 - (2 * field)) then invalid_arg "Vfg.Index.build: too many functions";
+  if nfuncs >= 1 lsl (62 - (2 * field)) then invalid_arg "Analysis.Index.build: too many functions";
   let numbers = Hashtbl.create nfuncs in
   let nvars = Ir.Prog.nvars p and nlabels = Ir.Prog.nlabels p in
   let def = Array.make nvars (-1) in
   let where = Array.make nlabels (-1) and kinds = Array.make nlabels (Output Undef) in
+  let doms = Array.make nfuncs [||] in
   let rec instrs base k = function
     | [] -> ()
     | (i : instr) :: rest ->
-      if k >= term then invalid_arg "Vfg.Index.build: block too long";
+      if k >= term then invalid_arg "Analysis.Index.build: block too long";
       where.(i.lbl) <- base lor k;
       kinds.(i.lbl) <- i.kind;
       let d = Ir.Instr.def_var i.kind in
@@ -47,13 +49,19 @@ let build (p : Ir.Prog.t) : t =
       List.iteri (fun k prm -> def.(prm) <- -k - 2) f.params;
       Array.iter
         (fun (b : block) ->
-          if b.bid > mask then invalid_arg "Vfg.Index.build: too many blocks";
+          if b.bid > mask then invalid_arg "Analysis.Index.build: too many blocks";
           let base = (fi lsl (2 * field)) lor (b.bid lsl field) in
           instrs base 0 b.instrs;
           where.(b.term.tlbl) <- base lor term)
-        f.blocks)
+        f.blocks;
+      let d = Dominance.compute f in
+      doms.(fi) <-
+        Array.init (Array.length f.blocks) (fun b ->
+            let pre = Dominance.dfs_pre d b in
+            if pre < 0 then -1 else (pre lsl 31) lor Dominance.dfs_post d b);
+      visit f d)
     funcs;
-  { funcs; numbers; def; where; kinds; doms = Array.make nfuncs [||] }
+  { funcs; numbers; def; where; kinds; doms }
 
 let nfuncs t = Array.length t.funcs
 let nvars t = Array.length t.def
@@ -74,29 +82,14 @@ let label_pos t l =
 
 let kind t l = t.kinds.(l)
 
-(* The DFS intervals of [f]'s dominator tree: a block dominates another
-   when its interval holds the other's. *)
-let intervals (f : func) =
-  let d = Analysis.Dominance.compute f in
-  let iv = Array.make (Array.length f.blocks) (-1) and clock = ref 0 in
-  let rec dfs b =
-    let pre = !clock in
-    incr clock;
-    List.iter dfs (Analysis.Dominance.children d b);
-    iv.(b) <- (pre lsl 31) lor !clock;
-    incr clock
-  in
-  if Array.length iv > 0 then dfs 0;
-  iv
-
+(* A block dominates another when its interval holds the other's. *)
 let dominates t la lb =
   let wa = t.where.(la) and wb = t.where.(lb) in
   let ba = (wa lsr field) land mask and bb = (wb lsr field) land mask in
   if ba = bb then wa <= wb
   else
-    let fi = wb lsr (2 * field) in
-    if Array.length t.doms.(fi) = 0 then t.doms.(fi) <- intervals t.funcs.(fi);
-    let ia = t.doms.(fi).(ba) and ib = t.doms.(fi).(bb) in
+    let iv = t.doms.(wb lsr (2 * field)) in
+    let ia = iv.(ba) and ib = iv.(bb) in
     ia >= 0 && ib >= 0
     && ia lsr 31 <= ib lsr 31
     && ib land 0x7FFFFFFF <= ia land 0x7FFFFFFF

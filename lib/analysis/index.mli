@@ -1,22 +1,24 @@
-(** The IR facts the value-flow layer reads, indexed once per program.
-    {!Build.build} makes one and keeps it in {!Build.t}; the semi-strong
-    rule, the must-flow closures ({!Mfc}), Opt II and guided planning read
-    it, so none keeps a def or label table of its own. Functions are
+(** The IR facts the analyses after pointer analysis read, indexed once
+    per program: [Memssa.build] builds it, with each function's dominator
+    tree, and keeps it. Memory SSA (its records by function number), both
+    value-flow graph builds (the semi-strong rule), the must-flow closures
+    ([Vfg.Mfc]), Opt II and guided planning all read this one index, so
+    none keeps a def, label or dominance table of its own. Functions are
     numbered in [Ir.Prog.iter_funcs] order, as in the graph.
 
-    One index per domain: apart from its dominance memo an index is
-    immutable, and only the domain that built it may call {!dominates},
-    which fills the memo. The full graph is built, and Opt II runs, on the
-    caller's domain; the top-level-only graph is built on the helper
-    domain of [Usher.Fork]; each build owns its index. *)
+    The index is immutable once built, and any domain may read it. *)
 
 open Ir.Types
 
 type t
 
-(** @raise Invalid_argument from [2^20] functions, [2^21] blocks in a
+(** [build p visit] indexes [p]. Each function's dominator tree is
+    computed once: the index keeps its DFS intervals, and [visit f dom]
+    gets the function and the tree, in number order, before the next
+    function's tree is computed.
+    @raise Invalid_argument from [2^20] functions, [2^21] blocks in a
     function or [2^21 - 1] instructions in a block. *)
-val build : Ir.Prog.t -> t
+val build : Ir.Prog.t -> (func -> Dominance.t -> unit) -> t
 
 val nfuncs : t -> int
 val nvars : t -> int

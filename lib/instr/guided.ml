@@ -18,12 +18,12 @@
    conjunction of its ⊥ sources directly, so the interior nodes only get
    instrumented if something else needs them.
 
-   What a traversal reads besides Γ is the build's program index
-   ([Vfg.Index]: the instruction kind at a label, a parameter's position)
-   and a [context] of the graph, built once and shared by every variant
-   planned over that graph: the call sites of each callee, Opt I's
-   closure walker and the traversal's scratch arrays. [build] is the
-   one-variant case. *)
+   What a traversal reads besides Γ is the program index that Memory SSA
+   built and both graph builds share ([Analysis.Index]: the instruction
+   kind at a label, a parameter's position) and a [context] of the graph,
+   built once and shared by every variant planned over that graph: the
+   call sites of each callee, Opt I's closure walker and the traversal's
+   scratch arrays. [build] is the one-variant case. *)
 
 open Ir.Types
 module P = Ir.Prog
@@ -62,7 +62,7 @@ let context (bld : Vfg.Build.t) : context =
   {
     bld;
     callsites_of;
-    mfc = lazy (Vfg.Mfc.create bld.index);
+    mfc = lazy (Vfg.Mfc.create (Memssa.index bld.mssa));
     queue = Array.make (Vfg.Graph.nnodes bld.graph) 0;
     needed = Array.make (Vfg.Graph.nnodes bld.graph) (-1);
     traversals = 0;
@@ -79,7 +79,8 @@ let plan ?(options = { opt1 = true }) ?distrusted (ctx : context)
   let plan = Item.empty_plan p in
   let rs = plan.ret_slot in
   let simplified = ref 0 in
-  let kind_at lbl = Vfg.Index.kind bld.index lbl in
+  let ix = Memssa.index bld.mssa in
+  let kind_at lbl = Analysis.Index.kind ix lbl in
   let top_of x = Vfg.Graph.top_id g x in
   (* Dedup helpers for shared emission points. *)
   let ret_relay_done : (label, unit) Hashtbl.t = Hashtbl.create 16 in
@@ -131,7 +132,7 @@ let plan ?(options = { opt1 = true }) ?distrusted (ctx : context)
      nothing upstream needs tracking for [x]'s sake. *)
   let simplify lbl x =
     let m = Lazy.force ctx.mfc in
-    Vfg.Mfc.walk m ~func:(Vfg.Index.label_func bld.index lbl) x;
+    Vfg.Mfc.walk m ~func:(Analysis.Index.label_func ix lbl) x;
     Vfg.Mfc.simplifiable m
     && begin
          incr simplified;
@@ -154,7 +155,7 @@ let plan ?(options = { opt1 = true }) ?distrusted (ctx : context)
     if x >= 0 then begin
       match Vfg.Graph.def_of g id with
       | Vfg.Graph.Dparam fn ->
-        let idx = Vfg.Index.param_pos bld.index x in
+        let idx = Analysis.Index.param_pos ix x in
         if not (undef id) then
           (* [⊤-Para] *)
           Item.add_entry plan fn (Item.Set_var (x, Item.Rconst true))

@@ -17,7 +17,14 @@
     Versions are per (function, location), assigned by the standard SSA
     renaming walk with phi placement at iterated dominance frontiers. The
     runtime never sees memory versions (shadow memory is keyed by address);
-    they exist purely to give the VFG its def-use edges. *)
+    they exist purely to give the VFG its def-use edges.
+
+    The side tables are arrays, immutable once built: mu and chi by label
+    for the whole program, memory phis by block within each function, and
+    the per-function records by function number. {!build} also builds the
+    program index ({!Analysis.Index}), computing each function's dominator
+    tree once for the index and for phi placement; both value-flow graphs,
+    Opt II and guided planning read that one index through {!index}. *)
 
 open Ir.Types
 
@@ -34,26 +41,19 @@ type func_ssa = {
   tracked : loc list;        (** every location this function touches *)
   entry_locs : loc list;     (** virtual input parameters *)
   out_locs : loc list;       (** virtual output parameters *)
-  mu : (label, (loc * int) list) Hashtbl.t;
-  chi : (label, (loc * int * int) list) Hashtbl.t;  (** (rho, new, old) *)
-  phis : (blockid, memphi list) Hashtbl.t;
-  ret_vers : (label, (loc * int) list) Hashtbl.t;
-  nversions : (loc, int) Hashtbl.t;
+  phis : memphi list array;  (** by block *)
+  versions : int array;      (** the highest version of each location of
+                                 [tracked], in order *)
 }
 
-type t = {
-  prog : Ir.Prog.t;
-  pa : Analysis.Andersen.t;
-  cg : Analysis.Callgraph.t;
-  mr : Analysis.Modref.t;
-  funcs : (fname, func_ssa) Hashtbl.t;
-}
+type t
 
 (** Build Memory SSA for every function. [budget] adds a cooperative
     deadline tick per function; [hook] runs before each function (fault
     injection from the driver); [on_fault] — when given — catches any
     exception raised while processing one function, reports it, and
-    substitutes an inert, empty per-function SSA, which is only sound if the
+    substitutes an inert per-function SSA: no tracked location, and no
+    annotation at any of the function's labels. That is only sound if the
     caller then distrusts that function. *)
 val build :
   ?budget:Diag.Budget.t ->
@@ -62,17 +62,24 @@ val build :
   Ir.Prog.t -> Analysis.Andersen.t -> Analysis.Callgraph.t ->
   Analysis.Modref.t -> t
 
-(** The inert per-function SSA used by [on_fault] degradation. *)
-val empty_func_ssa : fname -> func_ssa
+(** The program index, built with the Memory SSA. *)
+val index : t -> Analysis.Index.t
 
+(** A function's Memory SSA, by its number in {!index}. *)
+val func : t -> int -> func_ssa
+
+(** A function's Memory SSA, by name.
+    @raise Not_found for a name the program does not define. *)
 val func_ssa : t -> fname -> func_ssa
 
 (** Annotations of one statement (empty when absent). *)
-val mu_at : func_ssa -> label -> (loc * int) list
+val mu_at : t -> label -> (loc * int) list
 
-val chi_at : func_ssa -> label -> (loc * int * int) list
+val chi_at : t -> label -> (loc * int * int) list
 val phis_at : func_ssa -> blockid -> memphi list
-val ret_vers_at : func_ssa -> label -> (loc * int) list
+
+(** The version of each output location at a [ret]. *)
+val ret_vers_at : t -> label -> (loc * int) list
 
 (** Fig. 5-style dump, for tests and the CLI. *)
 val pp_func : t -> Format.formatter -> func -> unit

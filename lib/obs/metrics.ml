@@ -1,5 +1,4 @@
-(* Process-wide metrics registry: counters, gauges, and log2-bucket
-   histograms.
+(* Process-wide metrics registry: counters and log2-bucket histograms.
 
    The registry subsumes the ad-hoc per-run counters scattered through the
    analyses: phases publish their final work counts here (one handful of
@@ -13,7 +12,6 @@
    updated lock-free. *)
 
 type counter = { cname : string; ccell : int Atomic.t }
-type gauge = { gname : string; gcell : float Atomic.t }
 
 let nbuckets = 64
 
@@ -25,7 +23,7 @@ type histogram = {
   hsum : int Atomic.t;
 }
 
-type metric = C of counter | G of gauge | H of histogram
+type metric = C of counter | H of histogram
 
 let mu = Mutex.create ()
 let tbl : (string, metric) Hashtbl.t = Hashtbl.create 64
@@ -49,11 +47,6 @@ let counter (name : string) : counter =
   | C c -> c
   | _ -> kind_error name
 
-let gauge (name : string) : gauge =
-  match register name (fun () -> G { gname = name; gcell = Atomic.make 0.0 }) with
-  | G g -> g
-  | _ -> kind_error name
-
 let histogram (name : string) : histogram =
   match
     register name (fun () ->
@@ -72,19 +65,6 @@ let add (c : counter) (n : int) = ignore (Atomic.fetch_and_add c.ccell n)
 
 let incr (c : counter) = add c 1
 let counter_value (c : counter) = Atomic.get c.ccell
-
-let set (g : gauge) (v : float) = Atomic.set g.gcell v
-
-(* Lock-free monotonic max (CAS loop; contention is negligible — gauges
-   are updated at phase boundaries, not in loops). *)
-let set_max (g : gauge) (v : float) =
-  let rec go () =
-    let cur = Atomic.get g.gcell in
-    if v > cur && not (Atomic.compare_and_set g.gcell cur v) then go ()
-  in
-  go ()
-
-let gauge_value (g : gauge) = Atomic.get g.gcell
 
 (** Bucket index of a sample: 0 for v <= 0, otherwise the bit-length of
     [v] (1 for 1, 2 for 2..3, 3 for 4..7, ...), capped at [nbuckets-1]. *)
@@ -110,7 +90,6 @@ let observe (h : histogram) (v : int) =
 
 type snapshot_value =
   | Counter of int
-  | Gauge of float
   | Histogram of {
       count : int;
       sum : int;
@@ -126,7 +105,6 @@ let snapshot () : (string * snapshot_value) list =
          let v =
            match m with
            | C c -> Counter (Atomic.get c.ccell)
-           | G g -> Gauge (Atomic.get g.gcell)
            | H h ->
              let buckets = ref [] in
              for i = nbuckets - 1 downto 0 do
@@ -152,7 +130,6 @@ let reset () =
         (fun _ m ->
           match m with
           | C c -> Atomic.set c.ccell 0
-          | G g -> Atomic.set g.gcell 0.0
           | H h ->
             Array.iter (fun b -> Atomic.set b 0) h.buckets;
             Atomic.set h.hcount 0;

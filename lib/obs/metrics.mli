@@ -1,10 +1,9 @@
-(** Process-wide metrics registry: counters, gauges, log2-bucket
+(** Process-wide metrics registry: counters and log2-bucket
     histograms. All update operations are lock-free atomics, safe to call
     from any domain; totals merge across domains by construction. Create
     handles once (module initialization), update cheaply thereafter. *)
 
 type counter
-type gauge
 type histogram
 
 val counter : string -> counter
@@ -15,11 +14,6 @@ val incr : counter -> unit
 val add : counter -> int -> unit
 
 val counter_value : counter -> int
-
-val gauge : string -> gauge
-val set : gauge -> float -> unit
-val set_max : gauge -> float -> unit
-val gauge_value : gauge -> float
 
 val histogram : string -> histogram
 
@@ -36,7 +30,6 @@ val bucket_lower : int -> int
 
 type snapshot_value =
   | Counter of int
-  | Gauge of float
   | Histogram of { count : int; sum : int; buckets : (int * int) list }
 
 val snapshot : unit -> (string * snapshot_value) list

@@ -225,15 +225,19 @@ let check ?budget ?(skip = fun (_ : fname) -> false) (p : P.t) (pa : A.t)
               (fun idx i ->
                 List.iter
                   (fun (l, nv, _) -> def ~at:(b.bid, idx) (l, nv))
-                  (Memssa.chi_at fs i.lbl))
+                  (Memssa.chi_at mssa i.lbl))
               b.instrs
           end)
         f.blocks;
       (* Versions are dense: 1..nversions(l), each defined exactly once. *)
+      let nversions : (Memssa.loc, int) Hashtbl.t = Hashtbl.create 64 in
+      List.iteri
+        (fun k l -> Hashtbl.replace nversions l fs.Memssa.versions.(k))
+        fs.Memssa.tracked;
       List.iter
         (fun l ->
           tick ();
-          match Hashtbl.find_opt fs.Memssa.nversions l with
+          match Hashtbl.find_opt nversions l with
           | None ->
             Report.violation ~func r "%s: tracked %s has no version count" func
               (lname l)
@@ -247,7 +251,7 @@ let check ?budget ?(skip = fun (_ : fname) -> false) (p : P.t) (pa : A.t)
         fs.Memssa.tracked;
       Hashtbl.iter
         (fun (l, v) _ ->
-          let n = Option.value ~default:0 (Hashtbl.find_opt fs.Memssa.nversions l) in
+          let n = Option.value ~default:0 (Hashtbl.find_opt nversions l) in
           if v > n then
             Report.violation ~func r "%s: %s_%d exceeds version count %d" func
               (lname l) v n)
@@ -298,25 +302,25 @@ let check ?budget ?(skip = fun (_ : fname) -> false) (p : P.t) (pa : A.t)
                 same_locs ~func
                   (fun () -> Printf.sprintf "%s: l%d mu set" func i.lbl)
                   (expected_mu i)
-                  (List.map fst (Memssa.mu_at fs i.lbl));
+                  (List.map fst (Memssa.mu_at mssa i.lbl));
                 same_locs ~func
                   (fun () -> Printf.sprintf "%s: l%d chi set" func i.lbl)
                   (expected_chi i)
-                  (List.map (fun (l, _, _) -> l) (Memssa.chi_at fs i.lbl));
+                  (List.map (fun (l, _, _) -> l) (Memssa.chi_at mssa i.lbl));
                 List.iter
                   (fun (l, v) ->
                     use ~at:(b.bid, idx) (l, v) (fun () ->
                         Printf.sprintf "l%d mu" i.lbl))
-                  (Memssa.mu_at fs i.lbl);
+                  (Memssa.mu_at mssa i.lbl);
                 List.iter
                   (fun (l, _, ov) ->
                     use ~at:(b.bid, idx) (l, ov) (fun () ->
                         Printf.sprintf "l%d chi old operand" i.lbl))
-                  (Memssa.chi_at fs i.lbl))
+                  (Memssa.chi_at mssa i.lbl))
               b.instrs;
             match b.term.tkind with
             | Ret _ ->
-              let rv = Memssa.ret_vers_at fs b.term.tlbl in
+              let rv = Memssa.ret_vers_at mssa b.term.tlbl in
               same_locs ~func
                 (fun () -> Printf.sprintf "%s: l%d ret out set" func b.term.tlbl)
                 fs.Memssa.out_locs (List.map fst rv);
@@ -333,7 +337,7 @@ let check ?budget ?(skip = fun (_ : fname) -> false) (p : P.t) (pa : A.t)
               (fun i ->
                 Report.fact r;
                 if
-                  Memssa.mu_at fs i.lbl <> [] || Memssa.chi_at fs i.lbl <> []
+                  Memssa.mu_at mssa i.lbl <> [] || Memssa.chi_at mssa i.lbl <> []
                 then
                   Report.violation ~func r
                     "%s: l%d in unreachable b%d carries annotations" func i.lbl
@@ -351,9 +355,9 @@ let check ?budget ?(skip = fun (_ : fname) -> false) (p : P.t) (pa : A.t)
               (fun i ->
                 match i.kind with
                 | Call _ ->
-                  let mu_locs = List.map fst (Memssa.mu_at fs i.lbl) in
+                  let mu_locs = List.map fst (Memssa.mu_at mssa i.lbl) in
                   let chi_locs =
-                    List.map (fun (l, _, _) -> l) (Memssa.chi_at fs i.lbl)
+                    List.map (fun (l, _, _) -> l) (Memssa.chi_at mssa i.lbl)
                   in
                   List.iter
                     (fun g ->

@@ -353,7 +353,7 @@ let check_structure ?budget ?(skip = fun (_ : fname) -> false) ?(name = "vfg")
                       | Some old -> expect_edge ~func ~what id old G.intra
                       | None -> ())
                     | None -> ())
-                  (Memssa.chi_at fs i.lbl)
+                  (Memssa.chi_at mssa i.lbl)
             | Load (x, y) ->
               expect_critical ~func i.lbl (Var y);
               let id = def_top x in
@@ -364,7 +364,7 @@ let check_structure ?budget ?(skip = fun (_ : fname) -> false) ?(name = "vfg")
                     | Some id, Some m ->
                       expect_edge ~func ~what id m G.intra
                     | _ -> ())
-                  (Memssa.mu_at fs i.lbl)
+                  (Memssa.mu_at mssa i.lbl)
               else
                 Option.iter
                   (fun id -> expect_edge ~func ~what id froot G.intra)
@@ -373,7 +373,7 @@ let check_structure ?budget ?(skip = fun (_ : fname) -> false) ?(name = "vfg")
               expect_critical ~func i.lbl (Var x);
               let recorded_kind = Hashtbl.find_opt bld.B.store_kind i.lbl in
               if config.B.track_memory then begin
-                let chis = Memssa.chi_at fs i.lbl in
+                let chis = Memssa.chi_at mssa i.lbl in
                 (* Independent reclassification of the update kind. *)
                 let kind =
                   match chis with
@@ -437,7 +437,10 @@ let check_structure ?budget ?(skip = fun (_ : fname) -> false) ?(name = "vfg")
                           List.find_map
                             (fun (l', _, ov') ->
                               if l' = l then Some ov' else None)
-                            (Memssa.chi_at fs oo.Objects.osite)
+                            (* the allocation's chi, when it is in [f] *)
+                            (if Hashtbl.mem (Lazy.force pos) oo.Objects.osite
+                             then Memssa.chi_at mssa oo.Objects.osite
+                             else [])
                         in
                         let old_ver =
                           match alloc_ver with Some av -> av | None -> ov
@@ -502,12 +505,12 @@ let check_structure ?budget ?(skip = fun (_ : fname) -> false) ?(name = "vfg")
               | None -> ());
               if config.B.track_memory then begin
                 let cur_ver l =
-                  match List.assoc_opt l (Memssa.mu_at fs i.lbl) with
+                  match List.assoc_opt l (Memssa.mu_at mssa i.lbl) with
                   | Some v -> Some v
                   | None ->
                     List.find_map
                       (fun (l', _, ov) -> if l' = l then Some ov else None)
-                      (Memssa.chi_at fs i.lbl)
+                      (Memssa.chi_at mssa i.lbl)
                 in
                 List.iter
                   (fun gname ->
@@ -546,7 +549,7 @@ let check_structure ?budget ?(skip = fun (_ : fname) -> false) ?(name = "vfg")
                                 (fun (rl, _) ->
                                   match
                                     List.assoc_opt l
-                                      (Memssa.ret_vers_at gfs rl)
+                                      (Memssa.ret_vers_at mssa rl)
                                   with
                                   | Some ev -> (
                                     match
@@ -567,7 +570,7 @@ let check_structure ?budget ?(skip = fun (_ : fname) -> false) ?(name = "vfg")
                         | None -> ()
                       end
                     | None -> ())
-                  (Memssa.chi_at fs i.lbl)
+                  (Memssa.chi_at mssa i.lbl)
               end
             | Output _ -> ())
           f;

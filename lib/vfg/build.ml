@@ -13,17 +13,18 @@
    loads conservatively depend on the F root and memory nodes do not exist.
 
    One pass per function, with every lookup an array read. The program
-   index ([Index]) is built first and kept in [t]: it numbers the
-   functions in [Ir.Prog.iter_funcs] order (the graph's function indices)
-   and answers the semi-strong check's questions (a var's defining
-   instruction, dominance between two statements). Memory SSA and return
-   statements sit in arrays by function number; a call's targets are
-   turned into numbers once per site. *)
+   index ([Analysis.Index]) is Memory SSA's: it numbers the functions in
+   [Ir.Prog.iter_funcs] order (the graph's function indices, and Memory
+   SSA's) and answers the semi-strong check's questions (a var's defining
+   instruction, dominance between two statements). Return statements sit
+   in an array by function number; a call's targets are turned into
+   numbers once per site. *)
 
 open Ir.Types
 module P = Ir.Prog
 module G = Graph
 module Objects = Analysis.Objects
+module Index = Analysis.Index
 
 type update_kind = Strong | Semi_strong | Weak
 
@@ -51,7 +52,6 @@ type t = {
   semi_strong_cuts : int;
   ret_operands : (fname, (label * operand option) list) Hashtbl.t;
       (* per function: every return statement and its operand *)
-  index : Index.t;
 }
 
 (* The builder's state for one program. *)
@@ -63,7 +63,7 @@ type ctx = {
   troot : int;
   froot : int;
   ix : Index.t;
-  fssa : Memssa.func_ssa array;
+  mssa : Memssa.t;
   rets : (label * operand option) list array;
   mutable tgt : int array;      (* the current call's targets' indices *)
   mutable ntgt : int;
@@ -189,7 +189,7 @@ let rec store_chis (c : ctx) fi lbl o kind = function
          uninitialized state is killed, while older instances' flows
          survive through the pre-alloc version. *)
       let osite = (Objects.loc_obj c.objects l).osite in
-      let av = chi_old l (Memssa.chi_at c.fssa.(fi) osite) in
+      let av = chi_old l (Memssa.chi_at c.mssa osite) in
       G.add_edge c.g ~src:id ~dst:(G.mem c.g fi l (if av >= 0 then av else ov)) G.intra
     | Weak -> G.add_edge c.g ~src:id ~dst:(G.mem c.g fi l ov) G.intra);
     store_chis c fi lbl o kind rest
@@ -223,8 +223,6 @@ let rec ret_edges (c : ctx) id k = function
     G.add_edge c.g ~src:id ~dst:c.froot k;
     ret_edges c id k rest
 
-let callee_ssa (c : ctx) gi = if gi < 0 then raise Not_found else c.fssa.(gi)
-
 (* The current version of [l] at a call: its mu, or its chi's old one. *)
 let cur_ver l mus chis =
   match List.assoc_opt l mus with Some v -> v | None -> chi_old l chis
@@ -243,14 +241,14 @@ let rec entry_edges (c : ctx) fi gi k mus chis = function
 (* Virtual output parameter [l] of callee [gi] at the call's chi [id]:
    an edge to each return's version of [l]; false if some return, or the
    callee, may leave [l] untouched. *)
-let rec exit_edges (c : ctx) gi gfs id l k all = function
+let rec exit_edges (c : ctx) gi id l k all = function
   | [] -> all
   | (rl, _) :: rest -> (
-    match List.assoc_opt l (Memssa.ret_vers_at gfs rl) with
+    match List.assoc_opt l (Memssa.ret_vers_at c.mssa rl) with
     | Some ev ->
       G.add_edge c.g ~src:id ~dst:(G.mem c.g gi l ev) k;
-      exit_edges c gi gfs id l k all rest
-    | None -> exit_edges c gi gfs id l k false rest)
+      exit_edges c gi id l k all rest
+    | None -> exit_edges c gi id l k false rest)
 
 (* Virtual output parameters: caller new -> callee exits. If some callee
    may leave the location untouched, the old version flows through. *)
@@ -261,9 +259,8 @@ let rec call_chis (c : ctx) fi lbl k = function
     let all_mod = ref (c.ntgt > 0) in
     for t = 0 to c.ntgt - 1 do
       let gi = c.tgt.(t) in
-      let gfs = callee_ssa c gi in
-      if List.mem l gfs.Memssa.out_locs then begin
-        if not (exit_edges c gi gfs id l k true c.rets.(gi)) then all_mod := false
+      if List.mem l (Memssa.func c.mssa gi).out_locs then begin
+        if not (exit_edges c gi id l k true c.rets.(gi)) then all_mod := false
       end
       else all_mod := false
     done;
@@ -273,7 +270,7 @@ let rec call_chis (c : ctx) fi lbl k = function
 let critical (c : ctx) fn lbl o =
   c.criticals <- { clbl = lbl; cop = o; cfunc = fn } :: c.criticals
 
-let instr (c : ctx) fi (f : func) (fs : Memssa.func_ssa) (i : instr) =
+let instr (c : ctx) fi (f : func) (i : instr) =
   let g = c.g and lbl = i.lbl in
   match i.kind with
   | Const (x, _) | Global_addr (x, _) | Func_addr (x, _) | Input x ->
@@ -293,16 +290,16 @@ let instr (c : ctx) fi (f : func) (fs : Memssa.func_ssa) (i : instr) =
     (* x̂ -> T; per location: rho_new -> (T|F) and rho_new -> rho_old. *)
     G.add_edge g ~src:(def_top c fi lbl a.adst) ~dst:c.troot G.intra;
     if c.config.track_memory then
-      alloc_chis c fi lbl a.initialized (Memssa.chi_at fs lbl)
+      alloc_chis c fi lbl a.initialized (Memssa.chi_at c.mssa lbl)
   | Load (x, y) ->
     critical c f.fname lbl (Var y);
     let id = def_top c fi lbl x in
-    if c.config.track_memory then load_mus c fi id (Memssa.mu_at fs lbl)
+    if c.config.track_memory then load_mus c fi id (Memssa.mu_at c.mssa lbl)
     else G.add_edge g ~src:id ~dst:c.froot G.intra
   | Store (x, o) ->
     critical c f.fname lbl (Var x);
     if c.config.track_memory then begin
-      let chis = Memssa.chi_at fs lbl in
+      let chis = Memssa.chi_at c.mssa lbl in
       let kind = store_update c lbl x chis in
       Hashtbl.replace c.store_kind lbl kind;
       store_chis c fi lbl o kind chis
@@ -324,17 +321,17 @@ let instr (c : ctx) fi (f : func) (fs : Memssa.func_ssa) (i : instr) =
       done
     | None -> ());
     if c.config.track_memory then begin
-      let mus = Memssa.mu_at fs lbl and chis = Memssa.chi_at fs lbl in
+      let mus = Memssa.mu_at c.mssa lbl and chis = Memssa.chi_at c.mssa lbl in
       for t = 0 to c.ntgt - 1 do
         let gi = c.tgt.(t) in
-        entry_edges c fi gi (G.call lbl) mus chis (callee_ssa c gi).Memssa.entry_locs
+        entry_edges c fi gi (G.call lbl) mus chis (Memssa.func c.mssa gi).entry_locs
       done;
       call_chis c fi lbl (G.ret lbl) chis
     end
   | Output _ -> ()
 
 let process_func (c : ctx) fi (f : func) =
-  let g = c.g and fs = c.fssa.(fi) in
+  let g = c.g and fs = Memssa.func c.mssa fi in
   (* Formal parameters: nodes fed by call edges (added at call sites). *)
   List.iter (fun prm -> G.set_def g (G.top g prm) G.Kparam ~func:fi ~at:0) f.params;
   if c.config.track_memory then begin
@@ -365,7 +362,7 @@ let process_func (c : ctx) fi (f : func) =
           (Memssa.phis_at fs b.bid))
       f.blocks
   end;
-  Array.iter (fun b -> List.iter (instr c fi f fs) b.instrs) f.blocks;
+  Array.iter (fun b -> List.iter (instr c fi f) b.instrs) f.blocks;
   (* Branch conditions are critical operations. *)
   Array.iter
     (fun b ->
@@ -383,22 +380,18 @@ let process_func (c : ctx) fi (f : func) =
 let build ?(config = default_config) ?budget ?hook ?on_fault (p : P.t)
     (pa : Analysis.Andersen.t) (cg : Analysis.Callgraph.t)
     (mr : Analysis.Modref.t) (mssa : Memssa.t) : t =
-  let ix = Index.build p in
+  let ix = Memssa.index mssa in
   let nfuncs = Index.nfuncs ix in
-  let fssa = Array.init nfuncs (fun fi -> Memssa.func_ssa mssa (Index.func ix fi).fname) in
-  let mem_nodes =
-    if not config.track_memory then 0
-    else
-      Array.fold_left
-        (fun acc (fs : Memssa.func_ssa) ->
-          Hashtbl.fold (fun _ n acc -> acc + n) fs.nversions acc)
-        0 fssa
-  in
+  let mem_nodes = ref 0 in
+  if config.track_memory then
+    for fi = 0 to nfuncs - 1 do
+      mem_nodes := Array.fold_left ( + ) !mem_nodes (Memssa.func mssa fi).versions
+    done;
   (* About 5/8 of the variables get a [Top] node (41,438 of 70,136 on
      176.gcc, 96 of 176 on a small generated program). *)
   let nvars = P.nvars p in
   let g =
-    G.create ~nodes:((5 * nvars / 8) + mem_nodes + 2) ~vars:nvars ~labels:(P.nlabels p) ()
+    G.create ~nodes:((5 * nvars / 8) + !mem_nodes + 2) ~vars:nvars ~labels:(P.nlabels p) ()
   in
   for fi = 0 to nfuncs - 1 do
     ignore (G.func_index g (Index.func ix fi).fname)
@@ -423,7 +416,7 @@ let build ?(config = default_config) ?budget ?hook ?on_fault (p : P.t)
       troot;
       froot;
       ix;
-      fssa;
+      mssa;
       rets;
       tgt = Array.make 4 0;
       ntgt = 0;
@@ -467,7 +460,6 @@ let build ?(config = default_config) ?budget ?hook ?on_fault (p : P.t)
     store_kind = c.store_kind;
     semi_strong_cuts = c.semi_cuts;
     ret_operands;
-    index = ix;
   }
 
 (** Soundness forcing for per-function degradation. When a function's
@@ -495,6 +487,7 @@ let force_distrusted (t : t) (distrusted : (fname, 'a) Hashtbl.t) : unit =
     let force id = G.add_edge g ~src:id ~dst:froot G.intra in
     let force_node n = match G.find g n with Some id -> force id | None -> () in
     let in_d fn = Hashtbl.mem distrusted fn in
+    let ix = Memssa.index t.mssa in
     for id = 0 to G.nnodes g - 1 do
       match G.def_of g id with
       | G.Dinstr (fn, _) | G.Dparam fn | G.Dchi (fn, _) | G.Dmemphi (fn, _) | G.Dentry fn ->
@@ -510,15 +503,12 @@ let force_distrusted (t : t) (distrusted : (fname, 'a) Hashtbl.t) : unit =
             (* Interfaces the distrusted caller feeds. *)
             List.iter
               (fun gname ->
-                (match P.find_func t.prog gname with
-                | Some callee ->
-                  List.iter (fun prm -> force_node (G.Top prm)) callee.params
-                | None -> ());
+                let gi = Index.func_number ix gname in
+                List.iter (fun prm -> force_node (G.Top prm)) (Index.func ix gi).params;
                 if t.config.track_memory then
-                  let gfs = Memssa.func_ssa t.mssa gname in
                   List.iter
                     (fun l -> force_node (G.Mem (gname, l, 1)))
-                    gfs.Memssa.entry_locs)
+                    (Memssa.func t.mssa gi).entry_locs)
               targets
           else if List.exists in_d targets then begin
             (* Trusted caller receiving from a distrusted callee. *)
@@ -526,10 +516,9 @@ let force_distrusted (t : t) (distrusted : (fname, 'a) Hashtbl.t) : unit =
             | Some x -> force_node (G.Top x)
             | None -> ());
             if t.config.track_memory then
-              let fs = Memssa.func_ssa t.mssa f.fname in
               List.iter
                 (fun (l, nv, _) -> force_node (G.Mem (f.fname, l, nv)))
-                (Memssa.chi_at fs i.lbl)
+                (Memssa.chi_at t.mssa i.lbl)
           end
         | _ -> ())
       t.prog

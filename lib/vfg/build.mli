@@ -11,7 +11,10 @@
 
     With [track_memory = false] the builder produces the Usher_TL graph:
     loads conservatively depend on the F root and memory nodes do not
-    exist. *)
+    exist.
+
+    Both builds read the program index of their Memory SSA
+    ([Memssa.index]), as Opt II and guided planning do: one per program. *)
 
 open Ir.Types
 
@@ -40,9 +43,6 @@ type t = {
   store_kind : (label, update_kind) Hashtbl.t;
   semi_strong_cuts : int;
   ret_operands : (fname, (label * operand option) list) Hashtbl.t;
-  index : Index.t;
-      (** the program index the build read; Opt II and planning read it
-          too (one per build, see {!Index}) *)
 }
 
 (** Build the VFG. [budget] adds a per-function deadline tick and the node

@@ -4,13 +4,15 @@
    the T root (for constants and allocation results). The closure's key
    property: sigma(x) is exactly the conjunction of the sources' shadows.
 
-   One walk over the program index serves Opt I (value-flow
+   One walk over the program index ([Analysis.Index], Memory SSA's)
+   serves Opt I (value-flow
    simplification) and Opt II (redundant check elimination). A var is a
    member of the current walk when its mark holds the walk's stamp, so no
    per-closure table is allocated (a source's mark is the stamp negated);
    the members go to a buffer that grows by doubling. *)
 
 open Ir.Types
+module Index = Analysis.Index
 
 type t = {
   ix : Index.t;

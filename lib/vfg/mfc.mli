@@ -9,12 +9,12 @@
 
 open Ir.Types
 
-(** A walker over one {!Index.t}: a stamped mark per var and a buffer of
+(** A walker over one {!Analysis.Index.t}: a stamped mark per var and a buffer of
     the last walk's members, reused from walk to walk. A walk allocates
     nothing once the buffer has grown. One walker serves one domain. *)
 type t
 
-val create : Index.t -> t
+val create : Analysis.Index.t -> t
 
 (** [walk t ~func x] takes the closure of [x] in the function numbered
     [func]; a variable not defined in that function is a source. It

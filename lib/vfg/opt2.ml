@@ -15,17 +15,19 @@
    The pass does work in proportion to the graph, in three trace spans
    inside [phase.opt2]:
    - [opt2.closure] takes every critical's closure as a run of node ids,
-     with [Mfc.walk] over the build's program index ([Index]). A closure
+     with [Mfc.walk] over the program index ([Analysis.Index], which
+     Memory SSA built and both graph builds read). A closure
      reads only IR defs and memory SSA, never edges, so all of them can be
      taken before any rewiring. Membership is a stamped int array: no
      per-critical table is allocated.
    - [opt2.rewire] walks each closure's members on an edge-only copy of the
-     graph ([Graph.copy_edges]), in critical order. Dominance (the
-     index's memo) and the per-block CFG reachability rows are computed
-     only for the functions and blocks a candidate r needs.
+     graph ([Graph.copy_edges]), in critical order. Dominance is the
+     index's; the per-block CFG reachability rows are computed only for
+     the functions and blocks a candidate r needs.
    - [opt2.resolve] re-resolves Γ on the rewired copy. *)
 
 open Ir.Types
+module Index = Analysis.Index
 
 type result = {
   gamma : Resolve.gamma;   (* resolved on the modified graph *)
@@ -45,7 +47,7 @@ type closures = {
 }
 
 let closures ?budget (bld : Build.t) (g : Graph.t) : closures =
-  let ix = bld.index in
+  let ix = Memssa.index bld.mssa in
   let crit = Array.of_list bld.criticals in
   let ncrit = Array.length crit in
   let cfunc = Array.map (fun (c : Build.critical) -> Index.label_func ix c.clbl) crit in
@@ -58,7 +60,7 @@ let closures ?budget (bld : Build.t) (g : Graph.t) : closures =
      yet looked up, -1 none. *)
   let mem_memo = Array.make (Index.nvars ix) (-2) in
   let mem_node fname l =
-    match Memssa.mu_at (Memssa.func_ssa bld.mssa fname) l with
+    match Memssa.mu_at bld.mssa l with
     | [ (loc, ver) ] when Build.concrete bld.cg (Analysis.Objects.loc_obj bld.pa.objects loc)
       -> (
       match Graph.find g (Graph.Mem (fname, loc, ver)) with Some m -> m | None -> -1)
@@ -203,7 +205,7 @@ let rewired ?budget (bld : Build.t) : Graph.t * int =
     Obs.Trace.with_span ~cat:"vfg" "opt2.closure" (fun () -> closures ?budget bld g)
   in
   let redirected =
-    Obs.Trace.with_span ~cat:"vfg" "opt2.rewire" (fun () -> rewire bld.index cl g)
+    Obs.Trace.with_span ~cat:"vfg" "opt2.rewire" (fun () -> rewire (Memssa.index bld.mssa) cl g)
   in
   (g, redirected)
 

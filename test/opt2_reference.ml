@@ -126,7 +126,6 @@ let rewired (bld : Vfg.Build.t) : G.t * int =
             (match G.find g (G.Top v) with Some id -> add_id id | None -> ());
             match Hashtbl.find_opt defs v with
             | Some (Load (_, _)) when bld.config.track_memory -> (
-              let fs = Memssa.func_ssa bld.mssa c.cfunc in
               let lbl =
                 match G.find g (G.Top v) with
                 | Some id -> (
@@ -135,7 +134,7 @@ let rewired (bld : Vfg.Build.t) : G.t * int =
               in
               match lbl with
               | Some l -> (
-                match Memssa.mu_at fs l with
+                match Memssa.mu_at bld.mssa l with
                 | [ (loc, ver) ] when concrete_loc loc -> (
                   match G.find g (G.Mem (c.cfunc, loc, ver)) with
                   | Some id -> add_id id

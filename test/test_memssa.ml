@@ -21,24 +21,22 @@ let tests =
     tc "loads carry mu, stores carry chi" (fun () ->
         let prog, _, mssa = build
             "int main() { int x; int *p = &x; *p = 1; return *p; }" in
-        let fs = Memssa.func_ssa mssa "main" in
         let store = find_instr (function Ir.Types.Store _ -> true | _ -> false) prog in
         let load = find_instr (function Ir.Types.Load _ -> true | _ -> false) prog in
         (match store with
-        | Some (_, i) -> check_int "chi" 1 (List.length (Memssa.chi_at fs i.lbl))
+        | Some (_, i) -> check_int "chi" 1 (List.length (Memssa.chi_at mssa i.lbl))
         | None -> Alcotest.fail "no store");
         match load with
-        | Some (_, i) -> check_int "mu" 1 (List.length (Memssa.mu_at fs i.lbl))
+        | Some (_, i) -> check_int "mu" 1 (List.length (Memssa.mu_at mssa i.lbl))
         | None -> Alcotest.fail "no load");
     tc "chi versions increase along straight-line code" (fun () ->
         let prog, _, mssa = build
             "int main() { int x; int *p = &x; *p = 1; *p = 2; return *p; }" in
-        let fs = Memssa.func_ssa mssa "main" in
         let chis = ref [] in
         Ir.Prog.iter_instrs
           (fun _ _ i ->
             match i.Ir.Types.kind with
-            | Ir.Types.Store _ -> chis := Memssa.chi_at fs i.lbl @ !chis
+            | Ir.Types.Store _ -> chis := Memssa.chi_at mssa i.lbl @ !chis
             | _ -> ())
           prog;
         (match List.sort compare (List.map (fun (_, nv, _) -> nv) !chis) with
@@ -47,7 +45,7 @@ let tests =
         (* the load must use the latest version *)
         match find_instr (function Ir.Types.Load _ -> true | _ -> false) prog with
         | Some (_, i) -> (
-          match Memssa.mu_at fs i.lbl with
+          match Memssa.mu_at mssa i.lbl with
           | [ (_, v) ] ->
             let max_chi = List.fold_left (fun a (_, nv, _) -> max a nv) 0 !chis in
             check_int "load sees last store" max_chi v
@@ -60,7 +58,7 @@ let tests =
         in
         let fs = Memssa.func_ssa mssa "foo" in
         let nphis =
-          Hashtbl.fold (fun _ l acc -> acc + List.length l) fs.Memssa.phis 0
+          Array.fold_left (fun acc l -> acc + List.length l) 0 fs.Memssa.phis
         in
         check_bool "memphi placed" true (nphis >= 1);
         check_bool "b visible in foo" true
@@ -78,7 +76,7 @@ let tests =
         check_bool "g is a virtual input" true (List.mem "g" names);
         check_bool "t is not" false (List.mem "t" names));
     tc "virtual outputs cover global modifications" (fun () ->
-        let _, pa, mssa = build
+        let prog, pa, mssa = build
             "int g;\n\
              void bump() { g = g + 1; }\n\
              int main() { bump(); return g; }"
@@ -87,22 +85,27 @@ let tests =
         let names = List.map (Analysis.Objects.loc_name pa.objects) fs.Memssa.out_locs in
         check_bool "g out" true (List.mem "g" names);
         (* every ret records a version for g *)
-        Hashtbl.iter
-          (fun _ vers -> check_bool "g at ret" true (List.exists (fun (l, _) ->
-               Analysis.Objects.loc_name pa.objects l = "g") vers))
-          fs.Memssa.ret_vers);
+        Ir.Prog.iter_terms
+          (fun f _ t ->
+            match t.Ir.Types.tkind with
+            | Ir.Types.Ret _ when f.Ir.Types.fname = "bump" ->
+              check_bool "g at ret" true
+                (List.exists
+                   (fun (l, _) -> Analysis.Objects.loc_name pa.objects l = "g")
+                   (Memssa.ret_vers_at mssa t.tlbl))
+            | _ -> ())
+          prog);
     tc "call sites carry callee effects as mu/chi" (fun () ->
         let prog, pa, mssa = build
             "int g;\n\
              void bump() { g = g + 1; }\n\
              int main() { bump(); return g; }"
         in
-        let fs = Memssa.func_ssa mssa "main" in
         match find_instr (function Ir.Types.Call _ -> true | _ -> false) prog with
         | Some (_, i) ->
           let chi_names =
             List.map (fun (l, _, _) -> Analysis.Objects.loc_name pa.objects l)
-              (Memssa.chi_at fs i.lbl)
+              (Memssa.chi_at mssa i.lbl)
           in
           check_bool "g chi at call" true (List.mem "g" chi_names)
         | None -> Alcotest.fail "no call");
@@ -112,9 +115,8 @@ let tests =
              int main() { struct S *p = (struct S*)malloc(sizeof(struct S));\n\
              p->a = 1; return p->a; }"
         in
-        let fs = Memssa.func_ssa mssa "main" in
         match find_instr (function Ir.Types.Alloc a -> a.Ir.Types.region = Heap | _ -> false) prog with
-        | Some (_, i) -> check_int "chi per field" 2 (List.length (Memssa.chi_at fs i.lbl))
+        | Some (_, i) -> check_int "chi per field" 2 (List.length (Memssa.chi_at mssa i.lbl))
         | None -> Alcotest.fail "no alloc");
     tc "loop bodies get memory phis at the header" (fun () ->
         let _, _, mssa = build
@@ -124,10 +126,9 @@ let tests =
         in
         let fs = Memssa.func_ssa mssa "main" in
         let has_loop_phi =
-          Hashtbl.fold
-            (fun _ phis acc ->
-              acc || List.exists (fun (p : Memssa.memphi) -> List.length p.margs = 2) phis)
-            fs.Memssa.phis false
+          Array.exists
+            (List.exists (fun (p : Memssa.memphi) -> List.length p.margs = 2))
+            fs.Memssa.phis
         in
         check_bool "two-arm memphi" true has_loop_phi);
   ]

@@ -161,16 +161,18 @@ let memssa_extra_tests =
         let cg = Analysis.Callgraph.build prog pa in
         let mr = Analysis.Modref.compute prog pa cg in
         let mssa = Memssa.build prog pa cg mr in
-        let fs = Memssa.func_ssa mssa "f" in
-        let rets = Hashtbl.length fs.Memssa.ret_vers in
-        check_int "two returns annotated" 2 rets;
+        let rets = ref [] in
+        Ir.Prog.iter_terms
+          (fun f _ t ->
+            match t.Ir.Types.tkind with
+            | Ir.Types.Ret _ when f.Ir.Types.fname = "f" ->
+              let l = Memssa.ret_vers_at mssa t.tlbl in
+              if l <> [] then rets := l :: !rets
+            | _ -> ())
+          prog;
+        check_int "two returns annotated" 2 (List.length !rets);
         (* the two returns see different versions of g *)
-        let vers =
-          Hashtbl.fold
-            (fun _ l acc ->
-              (List.map snd l) @ acc)
-            fs.Memssa.ret_vers []
-        in
+        let vers = List.concat_map (List.map snd) !rets in
         check_bool "distinct versions" true
           (List.sort_uniq compare vers |> List.length >= 2));
   ]

@@ -119,16 +119,9 @@ let metrics_tests =
         ignore (Obs.Metrics.counter "test.m.kind");
         check_bool "raises" true
           (try
-             ignore (Obs.Metrics.gauge "test.m.kind");
+             ignore (Obs.Metrics.histogram "test.m.kind");
              false
            with Invalid_argument _ -> true));
-    tc "gauge set and set_max" (fun () ->
-        let g = Obs.Metrics.gauge "test.m.gauge" in
-        Obs.Metrics.set g 4.0;
-        Obs.Metrics.set_max g 2.0;
-        check_float "max keeps high water" 4.0 (Obs.Metrics.gauge_value g);
-        Obs.Metrics.set_max g 9.0;
-        check_float "max raises" 9.0 (Obs.Metrics.gauge_value g));
     tc "bucket_of log2 boundaries" (fun () ->
         check_int "v=0" 0 (Obs.Metrics.bucket_of 0);
         check_int "v<0" 0 (Obs.Metrics.bucket_of (-7));

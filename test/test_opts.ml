@@ -7,8 +7,8 @@ open Helpers
    program's index. *)
 let mfc_of_main src =
   let prog = front src in
-  let ix = Vfg.Index.build prog in
-  (prog, (Vfg.Mfc.create ix, Vfg.Index.func_number ix "main"))
+  let ix = Analysis.Index.build prog (fun _ _ -> ()) in
+  (prog, (Vfg.Mfc.create ix, Analysis.Index.func_number ix "main"))
 
 (* The walker after taking [v]'s closure in main. *)
 let closure (m, main) v =
@@ -137,14 +137,15 @@ let opt2_tests =
         check_bool "dominating check fires" true (det <> []));
   ]
 
-(* How [bld]'s program index disagrees with a direct walk of the IR, in at
-   most one line per function, label or variable: every label's function,
-   block, position (max_int for a terminator) and kind, -1 for a label no
-   block holds, every var's defining label and parameter position, and
-   each function's number, which must also be the graph's. *)
+(* How the program index [bld] read disagrees with a direct walk of the
+   IR, in at most one line per function, label or variable: every label's
+   function, block, position (max_int for a terminator) and kind, -1 for a
+   label no block holds, every var's defining label and parameter
+   position, and each function's number, which must also be the graph's
+   and index Memory SSA's record of the function. *)
 let index_disagreements (bld : Vfg.Build.t) =
   let open Ir.Types in
-  let ix = bld.index and p = bld.prog in
+  let ix = Memssa.index bld.mssa and p = bld.prog in
   let errs = ref [] in
   let fail fmt = Printf.ksprintf (fun e -> errs := e :: !errs) fmt in
   let held = Array.make (Ir.Prog.nlabels p) false in
@@ -152,9 +153,9 @@ let index_disagreements (bld : Vfg.Build.t) =
   let place fi (b : block) k l =
     held.(l) <- true;
     if
-      Vfg.Index.label_func ix l <> fi
-      || Vfg.Index.label_block ix l <> b.bid
-      || Vfg.Index.label_pos ix l <> k
+      Analysis.Index.label_func ix l <> fi
+      || Analysis.Index.label_block ix l <> b.bid
+      || Analysis.Index.label_pos ix l <> k
     then fail "l%d: not at function %d, block %d, position %d" l fi b.bid k
   in
   let nfuncs = ref 0 in
@@ -163,9 +164,10 @@ let index_disagreements (bld : Vfg.Build.t) =
       let fi = !nfuncs in
       incr nfuncs;
       if
-        Vfg.Index.func ix fi != f
-        || Vfg.Index.func_number ix f.fname <> fi
+        Analysis.Index.func ix fi != f
+        || Analysis.Index.func_number ix f.fname <> fi
         || Vfg.Graph.find_func bld.graph f.fname <> fi
+        || (Memssa.func bld.mssa fi).fname <> f.fname
       then fail "%s: not function %d" f.fname fi;
       List.iteri (fun k v -> param.(v) <- k) f.params;
       Array.iter
@@ -173,30 +175,66 @@ let index_disagreements (bld : Vfg.Build.t) =
           List.iteri
             (fun k (i : instr) ->
               place fi b k i.lbl;
-              if Vfg.Index.kind ix i.lbl <> i.kind then fail "l%d: wrong kind" i.lbl;
+              if Analysis.Index.kind ix i.lbl <> i.kind then fail "l%d: wrong kind" i.lbl;
               match Ir.Instr.def_of i.kind with Some d -> def.(d) <- i.lbl | None -> ())
             b.instrs;
           place fi b max_int b.term.tlbl)
         f.blocks)
     p;
-  if Vfg.Index.nfuncs ix <> !nfuncs then fail "%d functions, not %d" (Vfg.Index.nfuncs ix) !nfuncs;
+  if Analysis.Index.nfuncs ix <> !nfuncs then fail "%d functions, not %d" (Analysis.Index.nfuncs ix) !nfuncs;
   Array.iteri
-    (fun l h -> if (not h) && Vfg.Index.label_func ix l <> -1 then fail "l%d: held by no block" l)
+    (fun l h -> if (not h) && Analysis.Index.label_func ix l <> -1 then fail "l%d: held by no block" l)
     held;
   for v = 0 to Ir.Prog.nvars p - 1 do
-    if Vfg.Index.def_label ix v <> def.(v) || Vfg.Index.param_pos ix v <> param.(v) then
+    if Analysis.Index.def_label ix v <> def.(v) || Analysis.Index.param_pos ix v <> param.(v) then
       fail "v%d: defined at l%d, parameter %d" v def.(v) param.(v)
   done;
   List.rev !errs
 
+(* Where the index's statement dominance and
+   [Analysis.Dominance.label_dominates] over [label_positions] disagree,
+   checked on every ordered pair of labels within each function: the
+   first such pair of each function. *)
+let dominance_disagreements (p : Ir.Prog.t) ix =
+  let open Ir.Types in
+  Ir.Prog.fold_funcs
+    (fun errs f ->
+      let dom = Analysis.Dominance.compute f in
+      let pos = Analysis.Dominance.label_positions f in
+      let labels =
+        Array.of_list
+          (Array.fold_right
+             (fun b acc -> List.map (fun (i : instr) -> i.lbl) b.instrs @ (b.term.tlbl :: acc))
+             f.blocks [])
+      in
+      let bad = ref "" in
+      Array.iter
+        (fun la ->
+          Array.iter
+            (fun lb ->
+              if
+                !bad = ""
+                && Analysis.Index.dominates ix la lb
+                   <> Analysis.Dominance.label_dominates dom pos la lb
+              then bad := Printf.sprintf "%s: l%d, l%d" f.fname la lb)
+            labels)
+        labels;
+      if !bad = "" then errs else !bad :: errs)
+    [] p
+
 let index_tests =
   [
-    tc "15 analogs at O0+IM and O2: both builds' index agrees with the IR" (fun () ->
+    tc "15 analogs at O0+IM and O2: both builds' index is Memory SSA's and agrees with the IR" (fun () ->
         List.iter
           (fun (p : Workloads.Profile.t) ->
             List.iter
               (fun level ->
                 let _, a = analog ~level p in
+                if Memssa.index a.vfg.mssa != Memssa.index a.mssa
+                   || Memssa.index a.vfg_tl.mssa != Memssa.index a.mssa
+                then
+                  Alcotest.failf "%s %s: a build reads another index than Memory SSA's"
+                    p.pname (Optim.Pipeline.level_to_string level);
                 List.iter
                   (fun (what, bld) ->
                     match index_disagreements bld with
@@ -207,12 +245,22 @@ let index_tests =
                   [ ("vfg", a.vfg); ("vfg-tl", a.vfg_tl) ])
               [ Optim.Pipeline.O0_IM; Optim.Pipeline.O2 ])
           Workloads.Spec2000.all);
+    tc "164.gzip at O0+IM and O2: the index's dominance is label_dominates on every label pair"
+      (fun () ->
+        List.iter
+          (fun level ->
+            let prog, a = analog ~level Workloads.Spec2000.gzip in
+            match dominance_disagreements prog (Memssa.index a.mssa) with
+            | [] -> ()
+            | e :: _ -> Alcotest.failf "%s: %s" (Optim.Pipeline.level_to_string level) e)
+          [ Optim.Pipeline.O0_IM; Optim.Pipeline.O2 ]);
   ]
 
 (* The dense Opt II against [Opt2_reference] (per-critical hash tables,
    its own closure walk, a deep copy) on generated programs at O0+IM and
-   O2: the same R, the same Γ and the same rewired edges. Both builds'
-   program index must agree with the IR there too. *)
+   O2: the same R, the same Γ and the same rewired edges. The program
+   index both builds read must agree with the IR there too, and its
+   dominance with [Analysis.Dominance.label_dominates]. *)
 let opt2_reference_prop seed =
   let src = Audit.Gen.source ~seed () in
   List.for_all
@@ -225,7 +273,8 @@ let opt2_reference_prop seed =
       && Bytes.equal o.gamma.undef o'.gamma.undef
       && Opt2_reference.edge_multiset g = Opt2_reference.edge_multiset g'
       && index_disagreements a.vfg = []
-      && index_disagreements a.vfg_tl = [])
+      && index_disagreements a.vfg_tl = []
+      && dominance_disagreements a.prog (Memssa.index a.mssa) = [])
     [ Optim.Pipeline.O0_IM; Optim.Pipeline.O2 ]
 
 let opt2_reference_tests =
@@ -459,6 +508,131 @@ let vfg_golden =
     "300.twolf O2 62406708ea2a1bc3485492ce9494b29f";
   ]
 
+(* A dump [s] with the number of every temporary's name dropped (a
+   ["t"] no identifier character precedes, followed by digits) and each
+   run of blanks and newlines made one space. Temporaries are named from
+   a process-global counter (see [Helpers.ir_digest]), and the width of
+   their names moves the dump's line breaks. *)
+let mask_temps s =
+  let n = String.length s in
+  let b = Buffer.create n in
+  let ident c =
+    c = '_' || c = '$' || (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || (c >= '0' && c <= '9')
+  in
+  let digit i = i < n && s.[i] >= '0' && s.[i] <= '9' in
+  let blank i = i < n && (s.[i] = ' ' || s.[i] = '\n') in
+  let i = ref 0 in
+  while !i < n do
+    let c = s.[!i] in
+    incr i;
+    if blank (!i - 1) then begin
+      Buffer.add_char b ' ';
+      while blank !i do incr i done
+    end
+    else begin
+      Buffer.add_char b c;
+      if c = 't' && (!i = 1 || not (ident s.[!i - 2])) then
+        while digit !i do incr i done
+    end
+  done;
+  Buffer.contents b
+
+(* One MD5 per analog and level of [Memssa.to_string] at scale 5, over
+   Memory SSA built directly on the pointer analysis, with temporaries'
+   numbers masked. Recorded before Memory SSA's per-function hash tables
+   became arrays by label and by block; any change to an annotation, a
+   version or a memory phi, or to their order, shows up here. *)
+let memssa_golden_row level (p : Workloads.Profile.t) =
+  let prog = front ~level (Workloads.Spec2000.source ~scale:5 p) in
+  let pa = Analysis.Andersen.run prog in
+  let cg = Analysis.Callgraph.build prog pa in
+  let mr = Analysis.Modref.compute prog pa cg in
+  Printf.sprintf "%s %s %s" p.pname
+    (Optim.Pipeline.level_to_string level)
+    (Digest.to_hex
+       (Digest.string (mask_temps (Memssa.to_string (Memssa.build prog pa cg mr)))))
+
+let memssa_golden =
+  [
+    "164.gzip O0+IM 2171be2233c953c6fada7a2280438a32";
+    "164.gzip O2 36630561ad1eadec26de9eed7ba5a55b";
+    "175.vpr O0+IM 070a149865d70bfb508f36dfcb9dba17";
+    "175.vpr O2 a473720ff5c8a6cfab0cd741fc08039f";
+    "176.gcc O0+IM 300483f4dea21a231e1a95faae369c60";
+    "176.gcc O2 110e7aa9732a4ca0d82bc0698e1c45fe";
+    "177.mesa O0+IM fb735724a29b18d2edcc979ec7e20845";
+    "177.mesa O2 af530d61959f5dd29373759b79baff02";
+    "179.art O0+IM e93865a37dfdfb46b54503d7aeb4af53";
+    "179.art O2 4531b3554b8b530f105b750325b08aeb";
+    "181.mcf O0+IM 3ecd74d6dd937ecc99ccae7fac6f913c";
+    "181.mcf O2 8c19df16fb8d5f869f430ddde311ec15";
+    "183.equake O0+IM 1fafc9421665d1813320d5bb56927f30";
+    "183.equake O2 a923bb6038fcb07c6ccb8d34e9ea21f2";
+    "186.crafty O0+IM 47822ada7ccea2ab4ebde06826a1c5b9";
+    "186.crafty O2 279a94cb2ea8ced26b9c2c16b98689a2";
+    "188.ammp O0+IM de94f43416525664ff7274428ab9610f";
+    "188.ammp O2 69f001a7e519e9574909128b5745c55a";
+    "197.parser O0+IM e3ea17c9d1d4ab0a7b4505a487b11df7";
+    "197.parser O2 40de2cb4bb1b5fe0857f4c1785af9a5f";
+    "253.perlbmk O0+IM bba63465e016a2ad41c9dfdb88d18b9b";
+    "253.perlbmk O2 8197b958185af7f1d1ee9aa83a81b57b";
+    "254.gap O0+IM 9d22c4e4d01f924906b931386dbc78ce";
+    "254.gap O2 065ba07f42251cd3d5d366fcf840a7cb";
+    "255.vortex O0+IM 8f11ad269e573214ce4039de5ea5bbb8";
+    "255.vortex O2 06ae47926b0b8f979429ee6eb287cbe1";
+    "256.bzip2 O0+IM 9b04ee82fdf8343ac70640ca8948a9dd";
+    "256.bzip2 O2 5737d68285b4151d53cf7bfe4f2c46fe";
+    "300.twolf O0+IM 2740966c7147fa3d5288f415c4b738e9";
+    "300.twolf O2 901054c1c81258f7ec098945912bea28";
+  ]
+
+(* The Memory SSA fault path: [memssa:FN=crash] on the function with the
+   most labels (the first such, in program order), at O0+IM and scale 5.
+   One MD5 of the ladder's events, the distrusted set, Γ, Γ_TL, Opt II's
+   Γ and all five plans (as in [golden_row]). Recorded before Memory SSA
+   was stored in arrays; the faulted function's labels must read no
+   annotation, so nothing the fault left half-built may leak. *)
+let memssa_fault_row (p : Workloads.Profile.t) =
+  let prog = front (Workloads.Spec2000.source ~scale:5 p) in
+  let fn, _ =
+    Ir.Prog.fold_funcs
+      (fun (best, n) (f : Ir.Types.func) ->
+        let m =
+          Array.fold_left
+            (fun m (b : Ir.Types.block) -> m + 1 + List.length b.instrs)
+            0 f.blocks
+        in
+        if m > n then (f.fname, m) else (best, n))
+      ("", -1) prog
+  in
+  let knobs =
+    {
+      Usher.Config.default_knobs with
+      inject = [ { Usher.Config.fphase = Diag.Memssa; ffunc = Some fn; fkind = Usher.Config.Crash } ];
+    }
+  in
+  let { Usher.Pipeline.analysis = a; plans; plan_events; _ } = Usher.Pipeline.prepare ~knobs prog in
+  let lane (_, ((plan : Instr.Item.plan), traversal)) =
+    ( plan.items, entry_bindings plan, plan.ret_slot,
+      Option.map
+        (fun (r : Instr.Guided.result) -> (r.needed_nodes, r.opt1_simplified))
+        traversal )
+  in
+  let identity =
+    ( List.map Usher.Degrade.to_string (!(a.events) @ plan_events),
+      Usher.Pipeline.distrusted_functions a,
+      (a.gamma.undef, a.gamma_tl.undef, a.opt2.gamma.undef),
+      List.map lane plans )
+  in
+  Printf.sprintf "%s memssa:%s=crash %s" p.pname fn
+    (Digest.to_hex (Digest.string (Marshal.to_string identity [ Marshal.No_sharing ])))
+
+let memssa_fault_golden =
+  [
+    "164.gzip memssa:main=crash 0d7d2947e7e4d602a2fae1b8f220ce76";
+    "197.parser memssa:main=crash c43912f530cf60c75b54d3202b833be1";
+  ]
+
 let golden_tests =
   [
     tc "15 analogs at O0+IM and O2: vfg and vfg-tl graph digests" (fun () ->
@@ -504,6 +678,23 @@ let golden_tests =
             Workloads.Spec2000.all
         in
         Alcotest.(check (list string)) "rows" frontend_golden_o1 rows);
+    tc "15 analogs at O0+IM and O2: Memory SSA digests" (fun () ->
+        let rows =
+          List.concat_map
+            (fun p ->
+              List.map
+                (fun level -> memssa_golden_row level p)
+                [ Optim.Pipeline.O0_IM; Optim.Pipeline.O2 ])
+            Workloads.Spec2000.all
+        in
+        Alcotest.(check (list string)) "rows" memssa_golden rows);
+    tc "164.gzip and 197.parser under memssa:FN=crash: events, Γs and plans" (fun () ->
+        let rows =
+          List.map
+            (fun name -> memssa_fault_row (Workloads.Spec2000.find name))
+            [ "164.gzip"; "197.parser" ]
+        in
+        Alcotest.(check (list string)) "rows" memssa_fault_golden rows);
   ]
 
 (* The full and the top-level-only VFG of an analysis, built again. *)
@@ -611,6 +802,25 @@ let alloc_tests =
         let prog, a = analog ~scale:30 ~level:Optim.Pipeline.O0_IM Workloads.Spec2000.gcc in
         let mw = minor_mwords (fun () -> build_both_vfgs prog a) in
         check_bool (Printf.sprintf "%.2f Mwords < 3.2" mw) true (mw < 3.2));
+    (* Memory SSA once kept its annotations in hash tables per function,
+       and a table per tracked location to place phis, and each graph
+       build indexed the program again: 6.248 Mwords here (3.174 minor).
+       One index built with Memory SSA, and arrays by label and by block:
+       5.667 (2.487 minor). *)
+    tc "Memory SSA and both VFGs of 176.gcc at scale 30 allocate under 6 Mwords, minor and direct major"
+      (fun () ->
+        let prog, a = analog ~scale:30 ~level:Optim.Pipeline.O0_IM Workloads.Spec2000.gcc in
+        let minor, major =
+          heap_words (fun () ->
+              let mssa = Memssa.build prog a.pa a.cg a.mr in
+              List.iter
+                (fun track_memory ->
+                  let config = { Vfg.Build.track_memory; semi_strong = true } in
+                  ignore (Vfg.Build.build ~config prog a.pa a.cg a.mr mssa))
+                [ true; false ])
+        in
+        let mw = (minor +. major) /. 1e6 in
+        check_bool (Printf.sprintf "%.3f Mwords < 6" mw) true (mw < 6.0));
     (* The same two builds of a 100-node generated program once allocated
        19,274 words (6,141 now). *)
     tc "building both VFGs of a small generated program allocates under 9,600 words"
