@@ -42,7 +42,7 @@ module J = Serve.Json
 (* The single source of truth for the BENCH_usher.json schema tag; the CI
    validator compares the file's "schema" field with exactly this string.
    Bump it whenever a field is added, removed, or changes meaning. *)
-let schema_version = "usher-bench/10"
+let schema_version = "usher-bench/11"
 
 let scale = ref 30
 
@@ -340,27 +340,10 @@ let experiment_json (lvl, (p : Workloads.Profile.t), (e : Exp.t)) =
              e.results) );
     ]
 
-(* The Obs.Metrics registry snapshot: process-wide counters and
-   log2-bucket histograms accumulated by every phase that ran. *)
+(* The Obs.Metrics registry snapshot: process-wide work counters
+   accumulated by every phase that ran. *)
 let metrics_json () =
-  J.Obj
-    (List.map
-       (fun (name, v) ->
-         ( name,
-           match v with
-           | Obs.Metrics.Counter n -> jint n
-           | Obs.Metrics.Histogram { count; sum; buckets } ->
-             J.Obj
-               [
-                 ("count", jint count);
-                 ("sum", jint sum);
-                 ( "buckets",
-                   J.Arr
-                     (List.map
-                        (fun (lo, n) -> J.Arr [ jint lo; jint n ])
-                        buckets) );
-               ] ))
-       (Obs.Metrics.snapshot ()))
+  J.Obj (List.map (fun (name, n) -> (name, jint n)) (Obs.Metrics.snapshot ()))
 
 let write_bench_json ~wall ~cpu () =
   let j =

@@ -2,8 +2,9 @@
 
      usherc analyze FILE   static analysis: stats, optional artifact dumps
      usherc run FILE       execute under a chosen instrumentation variant
-     usherc check FILE     certificate check: independently re-verify the
-                           points-to, memory-SSA and VFG/Γ results
+     usherc check FILE     certificate check: run the analysis with its
+                           independent checkers on (points-to, memory SSA,
+                           VFG/Γ) and report their verdict
      usherc gen NAME       print a SPEC2000-analog TinyC source
      usherc bench NAME     one benchmark end to end (all variants)
      usherc audit          differential soundness audit over the corpus
@@ -13,6 +14,7 @@
 
    Exit codes (run, bench, audit, fuzz, check):
      0  clean
+     1  a diagnostic error (for check: a certificate checker aborted)
      3  a use of an undefined value was detected
      4  soundness divergence: a ground-truth undefined use escaped the
         instrumentation (or, for audit and fuzz, any captured soundness
@@ -132,21 +134,13 @@ let trace_arg =
 let metrics_arg =
   Arg.(value & flag
        & info [ "metrics" ]
-           ~doc:"Print the process-wide metrics registry (work counters \
-                 and log2-bucket histograms) after the command.")
+           ~doc:"Print the process-wide metrics registry (work counters) \
+                 after the command.")
 
 let print_metrics () =
   Printf.printf "metrics:\n";
   List.iter
-    (fun (name, v) ->
-      match v with
-      | Obs.Metrics.Counter n -> Printf.printf "  %-34s %d\n" name n
-      | Obs.Metrics.Histogram { count; sum; buckets } ->
-        Printf.printf "  %-34s count %d sum %d buckets %s\n" name count sum
-          (String.concat " "
-             (List.map
-                (fun (lo, n) -> Printf.sprintf "%d:%d" lo n)
-                buckets)))
+    (fun (name, n) -> Printf.printf "  %-34s %d\n" name n)
     (Obs.Metrics.snapshot ())
 
 (** Run a command body under the requested observability: arm the tracer
@@ -184,16 +178,13 @@ let dump_arg =
 
 (* ---- reports shared by analyze, run, check and bench ---- *)
 
-(* Per-checker certificate summaries (--verify). *)
-let print_verify_reports (reports : Verify.Report.t list) =
-  List.iter
-    (fun r -> Printf.printf "verify: %s\n" (Verify.Report.summary_line r))
-    reports
-
-(* Report what the resilience ladder did, if anything. *)
+(* Report the certificate checkers' summaries (--verify) and what the
+   resilience ladder did, if anything. *)
 let print_degradation (a : Usher.Pipeline.analysis)
     (front_events : Usher.Degrade.event list) =
-  print_verify_reports a.verify_reports;
+  List.iter
+    (fun r -> Printf.printf "verify: %s\n" (Verify.Report.summary_line r))
+    a.verify_reports;
   List.iter
     (fun e -> Printf.printf "%s\n" (Usher.Degrade.to_string e))
     (front_events @ !(a.events));
@@ -345,11 +336,50 @@ let run_cmd =
 let check_cmd =
   let run file level knobs incident_dir trace metrics =
     observed trace metrics @@ fun () ->
+    let knobs = { knobs with Usher.Config.verify = true } in
     let src = read_file file in
     let prog, front_events = Usher.Pipeline.front_guarded ~level ~knobs src in
     let a = Usher.Pipeline.analyze ~knobs prog in
     print_degradation a front_events;
-    if a.degraded_all then begin
+    let rejected =
+      List.filter (fun r -> not (Verify.Report.ok r)) a.verify_reports
+    in
+    let violations = List.concat_map Verify.Report.errors rejected in
+    let aborted = Usher.Pipeline.aborted_checkers a in
+    (* A rejection decides first: the ladder may have degraded to rung 4
+       because of it, and that must not read as "nothing to certify". *)
+    if violations <> [] then begin
+      List.iter
+        (fun (v : Verify.Report.violation) ->
+          Printf.printf "violation%s: %s\n"
+            (match v.vfunc with Some fn -> " in " ^ fn | None -> "")
+            (Diag.to_string v.vdiag))
+        violations;
+      let inc =
+        Audit.Incident.make ~kind:Audit.Incident.Static_violation
+          ~variant:
+            (String.concat "+"
+               (List.map (fun (r : Verify.Report.t) -> r.checker) rejected))
+          ~seed:0 ~mutation:""
+          ~functions:
+            (List.sort_uniq compare
+               (List.filter_map
+                  (fun (v : Verify.Report.violation) -> v.vfunc)
+                  violations))
+          ~labels:[] ~knobs:(Audit.Loop.knobs_summary knobs) ~source:src ()
+      in
+      Printf.printf
+        "check: %d certificate violation(s); incident recorded at %s\n"
+        (List.length violations)
+        (Audit.Incident.save ~dir:incident_dir inc);
+      5
+    end
+    else if aborted <> [] then begin
+      Printf.printf "check: checker(s) aborted, results unverified: %s\n"
+        (String.concat ", " aborted);
+      1
+    end
+    else if a.degraded_all then begin
       (* Rung 4 left no static results in use — there is nothing to
          certify, and full instrumentation is sound by construction. *)
       Printf.printf
@@ -358,73 +388,8 @@ let check_cmd =
       0
     end
     else begin
-      let skip fn = Hashtbl.mem a.distrusted fn in
-      let forced = Hashtbl.length a.distrusted > 0 in
-      (* A Γ that fell back to all-⊥ certifies nothing; checking it against
-         F-reachability would flag its (sound) over-approximation. *)
-      let resolve_degraded =
-        List.exists
-          (fun (e : Usher.Degrade.event) -> e.phase = Diag.Resolve)
-          !(a.events)
-      in
-      let gi suffix bld gamma =
-        {
-          Verify.Run.gi_suffix = suffix;
-          gi_build = bld;
-          gi_gamma = (if resolve_degraded then None else Some gamma);
-          gi_allow_f_pins = forced;
-        }
-      in
-      let budget = Usher.Budget.of_knobs knobs in
-      let reports =
-        Verify.Run.check_all ?budget ~skip
-          ~context_sensitive:knobs.Usher.Config.context_sensitive prog a.pa
-          a.cg a.mr a.mssa
-          [ gi "" a.vfg a.gamma; gi "-tl" a.vfg_tl a.gamma_tl ]
-      in
-      print_verify_reports reports;
-      let print_violation (v : Verify.Report.violation) =
-        Printf.printf "violation%s: %s\n"
-          (match v.Verify.Report.vfunc with
-          | Some fn -> " in " ^ fn
-          | None -> "")
-          (Diag.to_string v.Verify.Report.vdiag)
-      in
-      List.iter
-        (fun r -> List.iter print_violation (Verify.Report.errors r))
-        reports;
-      if Verify.Run.all_ok reports then begin
-        Printf.printf "check: all certificates verified\n";
-        0
-      end
-      else begin
-        let functions =
-          List.concat_map
-            (fun r ->
-              List.filter_map
-                (fun (v : Verify.Report.violation) -> v.Verify.Report.vfunc)
-                (Verify.Report.errors r))
-            reports
-          |> List.sort_uniq compare
-        in
-        let rejected =
-          List.filter (fun r -> not (Verify.Report.ok r)) reports
-        in
-        let inc =
-          Audit.Incident.make ~kind:Audit.Incident.Static_violation
-            ~variant:
-              (String.concat "+"
-                 (List.map (fun (r : Verify.Report.t) -> r.checker) rejected))
-            ~seed:0 ~mutation:"" ~functions ~labels:[]
-            ~knobs:(Audit.Loop.knobs_summary knobs) ~source:src ()
-        in
-        let path = Audit.Incident.save ~dir:incident_dir inc in
-        Printf.printf
-          "check: %d certificate violation(s); incident recorded at %s\n"
-          (Verify.Run.total_violations reports)
-          path;
-        5
-      end
+      Printf.printf "check: all certificates verified\n";
+      0
     end
   in
   let incident_dir_arg =
@@ -435,13 +400,14 @@ let check_cmd =
   in
   Cmd.v
     (Cmd.info "check"
-       ~doc:"Independently re-verify the static analysis of a TinyC \
-             program: replay the Andersen constraints against the \
-             points-to solution, check memory-SSA well-formedness, replay \
-             the VFG construction rules, and validate Γ as a fixpoint of \
-             F-reachability. Exits 0 when every certificate verifies, 5 \
-             when any checker finds a violation (an incident artifact is \
-             then recorded).")
+       ~doc:"Certify the static analysis of a TinyC program: run the \
+             analysis with the certificate checkers on (as $(b,--verify) \
+             does, so that flag is redundant here), which replay the \
+             Andersen constraints against the points-to solution, check \
+             memory-SSA well-formedness, replay the VFG construction rules \
+             and validate Γ as a fixpoint of F-reachability. Exits 5 when \
+             any checker finds a violation (an incident artifact is then \
+             recorded), else 1 when a checker aborted, else 0.")
     Term.(const run $ file_arg $ level_arg $ knobs_term $ incident_dir_arg
           $ trace_arg $ metrics_arg)
 

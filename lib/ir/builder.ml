@@ -35,11 +35,6 @@ let mk_param b name =
   b.params <- b.params @ [ v ];
   v
 
-(* Atomic so builders may run in parallel domains (the bench harness
-   compiles independent programs concurrently); the counter only has to
-   produce distinct names. *)
-let temp_count = Atomic.make 0
-
 (* ["t"] and the decimal digits of [n], as [Printf.sprintf "t%d" n]
    writes them, without the format interpreter. *)
 let temp_name n =
@@ -60,7 +55,11 @@ let temp_name n =
     Bytes.unsafe_to_string s
   end
 
-let fresh_temp b = fresh_var b (temp_name (Atomic.fetch_and_add temp_count 1 + 1))
+(* Temporaries are numbered per program, so a program's names do not
+   depend on what the process compiled before it. *)
+let fresh_temp b =
+  b.prog.next_temp <- b.prog.next_temp + 1;
+  fresh_var b (temp_name b.prog.next_temp)
 
 (** Create a new, empty block and return its id. It is not current yet. *)
 let new_block b : blockid =

@@ -12,6 +12,7 @@ let create () =
     globals = [];
     vars = Vec.create ~dummy:dummy_varinfo;
     next_label = 0;
+    next_temp = 0;
     func_tbl = Hashtbl.create 17;
   }
 

@@ -129,6 +129,7 @@ type t = {
   mutable globals : global list;
   vars : varinfo Vec.t;
   mutable next_label : int;
+  mutable next_temp : int;  (** temporaries named so far, t1 .. tN *)
   func_tbl : (fname, func) Hashtbl.t;
 }
 

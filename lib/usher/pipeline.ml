@@ -59,10 +59,6 @@ type analysis = {
          [knobs.verify]) *)
 }
 
-(* Per-phase wall time distribution (microseconds, log2 buckets), across
-   every analysis in the process — the bench harness snapshots it. *)
-let m_phase_us = Obs.Metrics.histogram "pipeline.phase_us"
-
 (* The frontend's passes, each a child span of [phase.frontend]. *)
 let frontend_span name f = Obs.Trace.with_span ~cat:"pipeline" ("frontend." ^ name) f
 
@@ -121,8 +117,8 @@ type log = {
   mutable phases : (string * int) list;  (* wall ns per phase, newest first *)
   mutable reports : Verify.Report.t list;  (* newest first *)
   shared : bool;
-      (* the analysis's own log: events are observed, and phase samples
-         recorded, as they happen; a branch's wait for its adoption *)
+      (* the analysis's own log, whose events are observed as they
+         happen; a branch that logs an event is thrown away *)
 }
 
 let new_log ~shared =
@@ -194,13 +190,11 @@ let analyze_with ~(knobs : Config.knobs)
      wall-clock step must never flow negative phase times into
      BENCH_usher.json or budget checks. Wrapping outside the fault guard
      charges fallback work to the phase that degraded; each phase is also
-     a trace span and a sample in the pipeline.phase_us histogram. *)
+     a trace span. *)
   let timed lg name f =
     let w0 = Obs.Clock.now_ns () in
     let r = Obs.Trace.with_span ~cat:"pipeline" ("phase." ^ name) f in
-    let dt_ns = Obs.Clock.elapsed_ns w0 in
-    if lg.shared then Obs.Metrics.observe m_phase_us (dt_ns / 1000);
-    lg.phases <- (name, dt_ns) :: lg.phases;
+    lg.phases <- (name, Obs.Clock.elapsed_ns w0) :: lg.phases;
     r
   in
   let push lg ev =
@@ -592,7 +586,6 @@ let analyze_with ~(knobs : Config.knobs)
       charge tl_cost;
       if clean lm && clean lt then begin
         let phases = in_sequence fst (List.rev lm.phases) (List.rev lt.phases) in
-        List.iter (fun (_, ns) -> Obs.Metrics.observe m_phase_us (ns / 1000)) phases;
         log.phases <- List.rev_append phases log.phases;
         log.reports <-
           List.rev_append
@@ -636,6 +629,16 @@ let analyze ?(knobs = Config.default_knobs) (prog : Ir.Prog.t) : analysis =
 let distrusted_functions (a : analysis) : string list =
   Hashtbl.fold (fun fn _ acc -> fn :: acc) a.distrusted []
   |> List.sort compare
+
+(* Only [run_checker] logs a [Fault] event of phase [Verify]: a checker's
+   abort, whose action starts with the checker's name. *)
+let aborted_checkers (a : analysis) : string list =
+  List.filter_map
+    (fun (e : Degrade.event) ->
+      if e.phase = Diag.Verify && e.kind = Degrade.Fault then
+        Some (List.hd (String.split_on_char ' ' e.action))
+      else None)
+    !(a.events)
 
 let plan_span v f =
   Obs.Trace.with_span ~cat:"pipeline" ("plan." ^ Config.variant_name v) f

@@ -82,6 +82,10 @@ val analyze : ?knobs:Config.knobs -> Ir.Prog.t -> analysis
 (** Distrusted functions, sorted. *)
 val distrusted_functions : analysis -> string list
 
+(** The certificate checkers that aborted (crashed or blew the budget),
+    leaving their phase's result unverified, in pipeline order. *)
+val aborted_checkers : analysis -> string list
+
 (** Instrumentation plan of one variant, plus the guided-traversal result
     when applicable (None for MSan and for degraded-to-full plans).
     A planning fault degrades the plan to full instrumentation and is

@@ -105,7 +105,7 @@ let derives_from (defs : (var, instr_kind) Hashtbl.t) (x : var) (z : var) :
   go x
 
 let check_structure ?budget ?(skip = fun (_ : fname) -> false) ?(name = "vfg")
-    ?(allow_f_pins = false) (bld : B.t) : Report.t =
+    (bld : B.t) : Report.t =
   let t0 = Obs.Clock.now_s () in
   let r = Report.create name in
   let g = bld.B.graph in
@@ -612,11 +612,7 @@ let check_structure ?budget ?(skip = fun (_ : fname) -> false) ?(name = "vfg")
           let s = key / have.nnodes and d = key mod have.nnodes in
           let kc = have.kinds.(i) in
           let sn = G.node_of g s and dn = G.node_of g d in
-          let excused =
-            (allow_f_pins && d = froot && G.is_intra kc)
-            || skip (owner sn) || skip (owner dn)
-          in
-          if not excused then begin
+          if not (skip (owner sn) || skip (owner dn)) then begin
             incr extra;
             if !example = None then
               example :=

@@ -86,29 +86,7 @@ let plan_view (p : Instr.Item.plan) =
     List.sort compare (Hashtbl.fold (fun f acts acc -> (f, acts) :: acc) p.entry_items []),
     p.ret_slot )
 
-(* Temporaries are numbered process-wide ([Ir.Builder.fresh_temp]), so a
-   program compiled twice names them differently; events that quote one
-   are compared with its number masked. *)
-let untemped s =
-  let b = Buffer.create (String.length s) in
-  let digit i = i < String.length s && s.[i] >= '0' && s.[i] <= '9' in
-  let rec go i =
-    if i < String.length s then
-      if s.[i] = 't' && digit (i + 1) && (i = 0 || s.[i - 1] = ' ' || s.[i - 1] = '>')
-      then begin
-        Buffer.add_string b "t#";
-        let rec skip j = if digit j then skip (j + 1) else j in
-        go (skip (i + 1))
-      end
-      else begin
-        Buffer.add_char b s.[i];
-        go (i + 1)
-      end
-  in
-  go 0;
-  Buffer.contents b
-
-let events evs = List.map (fun e -> untemped (Usher.Degrade.to_string e)) evs
+let events evs = List.map Usher.Degrade.to_string evs
 
 let analysis_view (a : Usher.Pipeline.analysis) =
   ( events !(a.events),
@@ -139,7 +117,6 @@ let view knobs =
         analysis_time_s = 0.;
         analysis_mem_mb = 0.;
         verify_checkers = List.map (fun (c, _, n) -> (c, 0., n)) e.table1.verify_checkers;
-        degradation_events = List.map untemped e.table1.degradation_events;
       },
       List.map
         (fun (r : Usher.Experiment.variant_result) ->

@@ -131,6 +131,20 @@ let tests =
             fs.Memssa.phis
         in
         check_bool "two-arm memphi" true has_loop_phi);
+    tc "one source compiled twice dumps identically" (fun () ->
+        (* temporaries are numbered per program, so nothing the process
+           compiled before changes a program's names or line breaks *)
+        let src =
+          Workloads.Spec2000.source ~scale:2 (Workloads.Spec2000.find "164.gzip")
+        in
+        let dump () =
+          let prog, _, mssa = build src in
+          (Ir.Printer.prog_to_string prog, Memssa.to_string mssa)
+        in
+        let ir1, m1 = dump () in
+        let ir2, m2 = dump () in
+        check_str "IR" ir1 ir2;
+        check_str "memory SSA" m1 m2);
   ]
 
 let suites = [ ("memssa", tests) ]

@@ -46,22 +46,19 @@ let array_src =
    void fill(int *a, int n) { int i; for (i = 0; i < n; i = i + 1) { a[i] = i; } }\n\
    int main() { fill(g, 16); print(g[7]); return 0; }"
 
-(* Run the full checker battery over a finished (undegraded) analysis. *)
-let reports_of (a : Usher.Pipeline.analysis) =
-  let gi suffix build gamma =
-    {
-      Verify.Run.gi_suffix = suffix;
-      gi_build = build;
-      gi_gamma = Some gamma;
-      gi_allow_f_pins = false;
-    }
-  in
-  Verify.Run.check_all a.prog a.pa a.cg a.mr a.mssa
-    [ gi "" a.vfg a.gamma; gi "-tl" a.vfg_tl a.gamma_tl ]
+let check_strs = Alcotest.(check (list string))
 
-let check_clean what (a : Usher.Pipeline.analysis) =
-  let reports = reports_of a in
-  check_int (what ^ ": six reports") 6 (List.length reports);
+(* The checkers the pipeline runs under [--verify], in its order. *)
+let checkers = [ "pta"; "ssa"; "vfg"; "vfg-tl"; "gamma"; "gamma-tl" ]
+
+(* Analyze [src] under [vknobs]: every checker reports, none rejects, and
+   each replays some facts. *)
+let check_clean what src =
+  let _, a = analyze ~knobs:vknobs src in
+  check_strs (what ^ ": checkers")
+    checkers
+    (List.map (fun (r : Verify.Report.t) -> r.checker) a.verify_reports);
+  check_bool (what ^ ": no events") true (!(a.events) = []);
   List.iter
     (fun (r : Verify.Report.t) ->
       check_int
@@ -70,7 +67,7 @@ let check_clean what (a : Usher.Pipeline.analysis) =
         (Verify.Report.nviolations r);
       check_bool (Printf.sprintf "%s: %s replayed facts" what r.checker) true
         (r.checked > 0))
-    reports
+    a.verify_reports
 
 (* Every variant still detects the undefined use and preserves outputs —
    a rejected certificate must degrade, never un-instrument. *)
@@ -106,21 +103,32 @@ let clean_tests =
   [
     tc "hand programs verify green" (fun () ->
         List.iter
-          (fun (name, src) ->
-            let _, a = analyze src in
-            check_clean name a)
+          (fun (name, src) -> check_clean name src)
           [ ("undef", undef_src); ("heap", heap_src); ("array", array_src) ]);
     tc "stock workloads verify green (scale 2)" (fun () ->
         List.iter
           (fun (p : Workloads.Profile.t) ->
-            let src = Workloads.Spec2000.source ~scale:2 p in
-            let _, a = analyze src in
-            check_clean p.pname a)
+            check_clean p.pname (Workloads.Spec2000.source ~scale:2 p))
           Workloads.Spec2000.all);
+    tc "verify=crash: every checker aborts, none reports" (fun () ->
+        let k =
+          {
+            vknobs with
+            Usher.Config.inject =
+              [ { Usher.Config.fphase = Diag.Verify; ffunc = None;
+                  fkind = Usher.Config.Crash } ];
+          }
+        in
+        let _, a = analyze ~knobs:k heap_src in
+        check_bool "no reports" true (a.verify_reports = []);
+        check_int "one event per checker" 6 (List.length !(a.events));
+        check_strs "aborted checkers" checkers
+          (Usher.Pipeline.aborted_checkers a);
+        check_bool "not degraded" false a.degraded_all);
     tc "--verify pipeline: reports present, nothing degraded" (fun () ->
         let _, a = analyze ~knobs:vknobs undef_src in
         check_int "six reports" 6 (List.length a.verify_reports);
-        check_bool "all ok" true (Verify.Run.all_ok a.verify_reports);
+        check_bool "all ok" true (List.for_all Verify.Report.ok a.verify_reports);
         check_bool "no events" true (!(a.events) = []);
         check_bool "not degraded" false a.degraded_all;
         List.iter
@@ -189,6 +197,27 @@ let checker_tests =
 
 (* ---- pipeline integration: violations feed the ladder ---------------- *)
 
+(* Analyze [src] under [--verify] with corruption [c] injected at
+   [phase]: the checkers that ran are [reported], and none aborted. *)
+let rejected_under ?(reported = checkers) phase c src =
+  let _, a =
+    analyze ~knobs:{ vknobs with Usher.Config.inject = [ corrupt phase c ] } src
+  in
+  check_strs "checkers" reported
+    (List.map (fun (r : Verify.Report.t) -> r.checker) a.verify_reports);
+  check_strs "none aborted" [] (Usher.Pipeline.aborted_checkers a);
+  a
+
+let rejected_checkers (a : Usher.Pipeline.analysis) =
+  List.filter_map
+    (fun (r : Verify.Report.t) ->
+      if Verify.Report.ok r then None
+      else begin
+        check_bool (r.checker ^ " has errors") true (Verify.Report.errors r <> []);
+        Some r.checker
+      end)
+    a.verify_reports
+
 let pipeline_tests =
   [
     tc "pts-bitflip: pta rejection degrades everything, stays sound" (fun () ->
@@ -241,9 +270,36 @@ let pipeline_tests =
           if Vfg.Resolve.is_undef a.Usher.Pipeline.gamma id then incr bot
         done;
         check_int "all bottom" n !bot);
+    (* What [usherc check] reads: each corruption is rejected by exactly
+       the matching inline checkers, with located violations, and no
+       checker aborts. *)
+    tc "pts-bitflip: pta alone rejects, even at rung 4" (fun () ->
+        (* a rejected points-to solution stops the sequence: nothing
+           downstream of it is checked *)
+        let a =
+          rejected_under ~reported:[ "pta" ] Diag.Andersen
+            Usher.Config.Pts_bitflip ptr_undef_src
+        in
+        check_strs "rejected" [ "pta" ] (rejected_checkers a);
+        (* the rejection must outrank "no static certificates in use" *)
+        check_bool "degraded_all" true a.Usher.Pipeline.degraded_all);
+    tc "drop-vfg-edge: vfg alone rejects, in a distrusted function" (fun () ->
+        let a = rejected_under Diag.Vfg_build Usher.Config.Drop_vfg_edge heap_src in
+        check_strs "rejected" [ "vfg" ] (rejected_checkers a);
+        List.iter
+          (fun (v : Verify.Report.violation) ->
+            match v.vfunc with
+            | Some fn ->
+              check_bool (fn ^ " distrusted") true
+                (List.mem fn (Usher.Pipeline.distrusted_functions a))
+            | None -> Alcotest.fail "vfg violation names no function")
+          (List.concat_map Verify.Report.errors a.verify_reports));
+    tc "gamma-flip: gamma and gamma-tl reject" (fun () ->
+        let a = rejected_under Diag.Resolve Usher.Config.Gamma_flip heap_src in
+        check_strs "rejected" [ "gamma"; "gamma-tl" ] (rejected_checkers a));
     tc "corruption without --verify goes unnoticed by the pipeline" (fun () ->
         (* the damage is real but nothing checks it: analyze must not
-           degrade; a post-hoc reports_of then catches it *)
+           degrade; the Pta checker run directly then catches it *)
         let k =
           {
             knobs with
@@ -255,7 +311,7 @@ let pipeline_tests =
         check_bool "no events" true (!(a.events) = []);
         check_bool "no reports" true (a.verify_reports = []);
         let pta = Verify.Pta.check a.prog a.pa in
-        check_bool "post-hoc check catches it" false (Verify.Report.ok pta));
+        check_bool "the Pta checker catches it" false (Verify.Report.ok pta));
   ]
 
 (* ---- property: any cleared pts bit is detected ----------------------- *)
