@@ -10,14 +10,11 @@
      dune exec bench/main.exe -- ablation  -- DESIGN.md §5 ablations
      dune exec bench/main.exe -- scale=60 fig10   -- override the input scale
    dune exec bench/main.exe -- --jobs 4 table1  -- run experiments on 4 domains
-                                                   (also: jobs=4, or BENCH_JOBS)
    dune exec bench/main.exe -- --trace t.json table1 -- also record a Chrome
                                                    trace_event timeline
-                                                   (also: trace=t.json)
    dune exec bench/main.exe -- --verify table1   -- run the lib/verify
                                                    certificate checkers over
-                                                   every analysis (also:
-                                                   verify=true)
+                                                   every analysis
 
    Every invocation also writes BENCH_usher.json (schema [schema_version]
    below — single source of truth, mirrored by the CI validator):
@@ -26,8 +23,9 @@
    statistics and (under --verify) per-checker certificate times and
    violation counts, for whatever artifacts ran; see EXPERIMENTS.md.
    [--baseline FILE] fails the run if solve_iterations or
-   states_explored regressed >20%% against the checked-in counters;
-   [--update-baseline FILE] rewrites them. [--trace FILE] additionally
+   states_explored regressed >20%% against the counters in FILE;
+   [--update-baseline FILE] writes the counters of the experiments that
+   ran into FILE, and refuses when none ran. [--trace FILE] additionally
    records every pipeline phase / function span, degradation instant and
    GC sample into FILE (chrome://tracing / ui.perfetto.dev format);
    tracing never changes tables, figures, or counters.
@@ -46,14 +44,7 @@ let schema_version = "usher-bench/11"
 
 let scale = ref 30
 
-let jobs =
-  ref
-    (match Sys.getenv_opt "BENCH_JOBS" with
-    | Some s -> ( try max 1 (int_of_string (String.trim s)) with _ -> 1)
-    | None -> 1)
-
-let baseline_file = ref None
-let update_baseline = ref None
+let jobs = ref 1
 let trace_file : string option ref = ref None
 let verify = ref false
 
@@ -382,6 +373,10 @@ let counter_rows () =
     (collected_experiments ())
 
 let write_baseline file =
+  if counter_rows () = [] then begin
+    prerr_endline "bench: no experiment ran; not writing an empty baseline";
+    exit 1
+  end;
   let oc = open_out file in
   output_string oc
     "# usher bench work counters: name level solve_iterations states_explored\n";
@@ -444,18 +439,17 @@ let artifact name f =
   Obs.Trace.with_span ~cat:"bench" ("bench." ^ name) f
 
 let () =
-  let baseline_check = ref false in
+  let baseline = ref None in
   let rec parse = function
     | [] -> []
     | "--jobs" :: n :: rest ->
       jobs := max 1 (int_of_string n);
       parse rest
     | "--baseline" :: f :: rest ->
-      baseline_file := Some f;
-      baseline_check := true;
+      baseline := Some (check_baseline, f);
       parse rest
-    | "--update-baseline" :: rest ->
-      update_baseline := Some ();
+    | "--update-baseline" :: f :: rest ->
+      baseline := Some (write_baseline, f);
       parse rest
     | "--trace" :: f :: rest ->
       trace_file := Some f;
@@ -467,17 +461,6 @@ let () =
       match String.index_opt a '=' with
       | Some i when String.sub a 0 i = "scale" ->
         scale := int_of_string (String.sub a (i + 1) (String.length a - i - 1));
-        parse rest
-      | Some i when String.sub a 0 i = "jobs" ->
-        jobs :=
-          max 1 (int_of_string (String.sub a (i + 1) (String.length a - i - 1)));
-        parse rest
-      | Some i when String.sub a 0 i = "trace" ->
-        trace_file := Some (String.sub a (i + 1) (String.length a - i - 1));
-        parse rest
-      | Some i when String.sub a 0 i = "verify" ->
-        verify :=
-          bool_of_string (String.sub a (i + 1) (String.length a - i - 1));
         parse rest
       | _ -> a :: parse rest)
   in
@@ -522,6 +505,4 @@ let () =
                    chrome://tracing or ui.perfetto.dev)\n"
       f
       (List.length (Obs.Trace.events ())));
-  let bfile = Option.value !baseline_file ~default:"bench/baseline_counters.txt" in
-  if !update_baseline <> None then write_baseline bfile
-  else if !baseline_check then check_baseline bfile
+  Option.iter (fun (f, file) -> f file) !baseline

@@ -10,8 +10,7 @@
 open Ir.Types
 
 type t = {
-  funcs : func array;
-  numbers : (fname, int) Hashtbl.t;
+  prog : Ir.Prog.t;           (* numbers the functions *)
   def : int array;            (* var -> defining label, parameter
                                  position, or -1 *)
   where : int array;          (* label -> packed place, or -1 *)
@@ -25,10 +24,8 @@ let mask = (1 lsl field) - 1
 let term = mask
 
 let build (p : Ir.Prog.t) visit : t =
-  let funcs = Array.of_list (List.rev (Ir.Prog.fold_funcs (fun acc f -> f :: acc) [] p)) in
-  let nfuncs = Array.length funcs in
+  let nfuncs = Ir.Prog.nfuncs p in
   if nfuncs >= 1 lsl (62 - (2 * field)) then invalid_arg "Analysis.Index.build: too many functions";
-  let numbers = Hashtbl.create nfuncs in
   let nvars = Ir.Prog.nvars p and nlabels = Ir.Prog.nlabels p in
   let def = Array.make nvars (-1) in
   let where = Array.make nlabels (-1) and kinds = Array.make nlabels (Output Undef) in
@@ -43,30 +40,29 @@ let build (p : Ir.Prog.t) visit : t =
       if d >= 0 then def.(d) <- i.lbl;
       instrs base (k + 1) rest
   in
-  Array.iteri
-    (fun fi (f : func) ->
-      Hashtbl.replace numbers f.fname fi;
-      List.iteri (fun k prm -> def.(prm) <- -k - 2) f.params;
-      Array.iter
-        (fun (b : block) ->
-          if b.bid > mask then invalid_arg "Analysis.Index.build: too many blocks";
-          let base = (fi lsl (2 * field)) lor (b.bid lsl field) in
-          instrs base 0 b.instrs;
-          where.(b.term.tlbl) <- base lor term)
-        f.blocks;
-      let d = Dominance.compute f in
-      doms.(fi) <-
-        Array.init (Array.length f.blocks) (fun b ->
-            let pre = Dominance.dfs_pre d b in
-            if pre < 0 then -1 else (pre lsl 31) lor Dominance.dfs_post d b);
-      visit f d)
-    funcs;
-  { funcs; numbers; def; where; kinds; doms }
+  for fi = 0 to nfuncs - 1 do
+    let f = Ir.Prog.func_at p fi in
+    List.iteri (fun k prm -> def.(prm) <- -k - 2) f.params;
+    Array.iter
+      (fun (b : block) ->
+        if b.bid > mask then invalid_arg "Analysis.Index.build: too many blocks";
+        let base = (fi lsl (2 * field)) lor (b.bid lsl field) in
+        instrs base 0 b.instrs;
+        where.(b.term.tlbl) <- base lor term)
+      f.blocks;
+    let d = Dominance.compute f in
+    doms.(fi) <-
+      Array.init (Array.length f.blocks) (fun b ->
+          let pre = Dominance.dfs_pre d b in
+          if pre < 0 then -1 else (pre lsl 31) lor Dominance.dfs_post d b);
+    visit f d
+  done;
+  { prog = p; def; where; kinds; doms }
 
-let nfuncs t = Array.length t.funcs
+let nfuncs t = Ir.Prog.nfuncs t.prog
 let nvars t = Array.length t.def
-let func t fi = t.funcs.(fi)
-let func_number t fn = match Hashtbl.find t.numbers fn with fi -> fi | exception Not_found -> -1
+let func t fi = Ir.Prog.func_at t.prog fi
+let func_number t fn = Ir.Prog.func_number t.prog fn
 let def_label t v = max t.def.(v) (-1)
 let param_pos t v = if t.def.(v) < -1 then -t.def.(v) - 2 else -1
 

@@ -3,10 +3,12 @@
     tree, and keeps it. Memory SSA (its records by function number), both
     value-flow graph builds (the semi-strong rule), the must-flow closures
     ([Vfg.Mfc]), Opt II and guided planning all read this one index, so
-    none keeps a def, label or dominance table of its own. Functions are
-    numbered in [Ir.Prog.iter_funcs] order, as in the graph.
+    none keeps a def, label or dominance table of its own. Its function
+    numbers are the program's own ({!Ir.Prog.func_number}, declaration
+    order), as in the graph.
 
-    The index is immutable once built, and any domain may read it. *)
+    The index is immutable once built, and any domain may read it, as
+    long as no pass changes the program's functions. *)
 
 open Ir.Types
 

@@ -80,7 +80,7 @@ let prog ppf (p : Prog.t) =
     (fun (g : global) ->
       Fmt.pf ppf "global %s%a@." g.gname (asize p) g.gsize)
     p.globals;
-  List.iter (fun (_, f) -> func p ppf f) p.funcs
+  Prog.iter_funcs (func p ppf) p
 
 let instr_to_string p i = Fmt.str "%a" (instr_kind p) i.kind
 let prog_to_string p = Fmt.str "%a" prog p

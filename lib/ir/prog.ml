@@ -5,10 +5,11 @@ open Types
 type t = Types.t
 
 let dummy_varinfo = { vname = "!dummy"; vowner = ""; vbase = -1; vver = 0 }
+let dummy_func = { fname = "!dummy"; params = []; blocks = [||] }
 
 let create () =
   {
-    funcs = [];
+    funcs = Vec.create ~dummy:dummy_func;
     globals = [];
     vars = Vec.create ~dummy:dummy_varinfo;
     next_label = 0;
@@ -26,13 +27,6 @@ let fresh_var p ~name ~owner =
   Vec.set p.vars id { vname = name; vowner = owner; vbase = id; vver = 0 };
   id
 
-(** [fresh_version p v ~ver] creates a new SSA version of [v]'s base. *)
-let fresh_version p v ~ver =
-  let vi = Vec.get p.vars v in
-  let id = Vec.push p.vars dummy_varinfo in
-  Vec.set p.vars id { vi with vbase = vi.vbase; vver = ver };
-  id
-
 let varinfo p v = Vec.get p.vars v
 
 let var_name p v =
@@ -41,39 +35,37 @@ let var_name p v =
 
 let nvars p = Vec.length p.vars
 
-let add_func p f =
-  p.funcs <- p.funcs @ [ (f.fname, f) ];
-  Hashtbl.replace p.func_tbl f.fname f
+let add_func p f = Hashtbl.replace p.func_tbl f.fname (Vec.push p.funcs f)
+
+let nfuncs p = Vec.length p.funcs
+let func_at p fi = Vec.get p.funcs fi
+
+let func_number p name =
+  match Hashtbl.find_opt p.func_tbl name with Some fi -> fi | None -> -1
 
 (** Replace a function in place after a transforming pass. *)
 let update_func p f =
-  p.funcs <- List.map (fun (n, g) -> if n = f.fname then (n, f) else (n, g)) p.funcs;
-  Hashtbl.replace p.func_tbl f.fname f
+  match Hashtbl.find_opt p.func_tbl f.fname with
+  | Some fi -> Vec.set p.funcs fi f
+  | None -> Diag.error Diag.Ir "Prog.update_func: unknown function %s" f.fname
 
-(** Replace every function [fn] by [g fn], in declaration order and in one
-    pass over the list. [g] must keep the function's name. *)
-let map_funcs g p =
-  p.funcs <-
-    List.map
-      (fun ((n, fn) as entry) ->
-        let fn' = g fn in
-        if fn' == fn then entry
-        else begin
-          Hashtbl.replace p.func_tbl n fn';
-          (n, fn')
-        end)
-      p.funcs
+(** Replace every function [fn] by [g fn], in declaration order. [g] must
+    keep the function's name. *)
+let map_funcs g p = Vec.iteri (fun fi fn -> Vec.set p.funcs fi (g fn)) p.funcs
 
-let find_func p name = Hashtbl.find_opt p.func_tbl name
+let find_func p name =
+  match Hashtbl.find_opt p.func_tbl name with
+  | Some fi -> Some (Vec.get p.funcs fi)
+  | None -> None
 
 let get_func p name =
   match find_func p name with
   | Some f -> f
   | None -> Diag.error Diag.Ir "Prog.get_func: unknown function %s" name
 
-let iter_funcs f p = List.iter (fun (_, fn) -> f fn) p.funcs
+let iter_funcs f p = Vec.iteri (fun _ fn -> f fn) p.funcs
 
-let fold_funcs f acc p = List.fold_left (fun acc (_, fn) -> f acc fn) acc p.funcs
+let fold_funcs f acc p = Vec.fold_left f acc p.funcs
 
 let add_global p g = p.globals <- p.globals @ [ g ]
 

@@ -125,12 +125,12 @@ type global = {
 }
 
 type t = {
-  mutable funcs : (fname * func) list;   (** in declaration order *)
+  funcs : func Vec.t;       (** by function number: declaration order *)
   mutable globals : global list;
   vars : varinfo Vec.t;
   mutable next_label : int;
   mutable next_temp : int;  (** temporaries named so far, t1 .. tN *)
-  func_tbl : (fname, func) Hashtbl.t;
+  func_tbl : (fname, int) Hashtbl.t;  (** name -> its last definition's number *)
 }
 
 let binop_to_string = function

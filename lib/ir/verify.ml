@@ -21,7 +21,7 @@ exception Ill_formed = Diag.Error
 let fail fmt = Diag.error Diag.Ir fmt
 
 let check_main (p : Prog.t) =
-  if not (Hashtbl.mem p.func_tbl "main") then fail "no main function"
+  if Prog.find_func p "main" = None then fail "no main function"
 
 type scratch = {
   mutable defined : int array;  (* var -> [stamp] when defined in the function *)
@@ -127,9 +127,9 @@ let check_instr p s ~ssa (f : func) b ins =
   | Call { callee = Direct g; cargs; _ } -> (
     use_args p s ~ssa f lbl cargs;
     (* Calls must target known functions with matching arity. *)
-    match Hashtbl.find p.func_tbl g with
-    | exception Not_found -> fail "%s: call to unknown function %s" f.fname g
-    | callee ->
+    match Prog.find_func p g with
+    | None -> fail "%s: call to unknown function %s" f.fname g
+    | Some callee ->
       if List.compare_lengths cargs callee.params <> 0 then
         fail "%s: call to %s with %d args (expected %d)" f.fname g
           (List.length cargs) (List.length callee.params))

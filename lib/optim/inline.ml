@@ -275,7 +275,9 @@ let run (p : P.t) : stats =
               one_round_on (P.get_func p c.fname)
             | None -> ()
           in
-          one_round ())
+          (* A definition that a later one of its name shadows is never
+             called; [update_func] would write over the later one. *)
+          if P.get_func p caller.fname == caller then one_round ())
         p
   done;
   { inlined_calls = !total; rounds = !rounds }

@@ -101,12 +101,11 @@ type cact =
   | CSet_global of int * sop
   | CCheck of int option * label                 (* slot (None = undef op) *)
 
-(* A shadow statement and the mask of the lanes that execute it. [cls]
-   names the counter set it charges: one per distinct lane mask. *)
-type caction = { act : cact; lanes : int; cls : int }
+(* A shadow statement and the mask of the lanes that execute it. *)
+type caction = { act : cact; lanes : int }
 
 (* A phi's folded shadow item, for the lanes whose plans share its arms. *)
-type cphi_shadow = { sharms : (int * sop) array; sh_lanes : int; sh_cls : int }
+type cphi_shadow = { sharms : (int * sop) array; sh_lanes : int }
 
 type csize = CFields of int | CArray of rop
 
@@ -142,11 +141,11 @@ type cterm =
   | CTRet of rop option
 
 (* Per execution of a block, [bdelta] holds its base counters at [d_alu]
-   .. [d_io], and [sh_delta] per counter class the class, then its shadow
-   counters at [d_sh_reg] .. [d_sh_check]: [sh_width] ints a class. *)
+   .. [d_io], and [sh_delta] lane k's shadow counters at [sh_width * k]
+   plus [d_sh_reg] .. [d_sh_check]; it is empty when no lane charges any. *)
 let d_alu = 0 and d_mem = 1 and d_branch = 2 and d_call = 3 and d_alloc = 4 and d_io = 5
-let d_sh_reg = 1 and d_sh_reads = 2 and d_sh_mem = 3 and d_sh_obj = 4 and d_sh_check = 5
-let sh_width = 6
+let d_sh_reg = 0 and d_sh_reads = 1 and d_sh_mem = 2 and d_sh_obj = 3 and d_sh_check = 4
+let sh_width = 5
 
 type cblock = {
   body : cinstr array;
@@ -180,7 +179,6 @@ type cprog = {
   has_shadow : bool;     (* any instrumentation at all in any plan *)
   max_slots : int;       (* max nslots over all functions, >= 1 *)
   nlanes : int;          (* plans attached, one lane each *)
-  class_lanes : int array; (* counter class -> its lane mask *)
 }
 
 (* ------------------------------------------------------------------ *)
@@ -211,20 +209,24 @@ let compile_base (p : P.t) : base =
   Obs.Trace.with_span ~cat:"runtime" "runtime.compile_base" @@ fun () ->
   let global_objid = Hashtbl.create 16 in
   List.iteri (fun i (g : global) -> Hashtbl.replace global_objid g.gname i) p.globals;
-  (* Function indices: the functions in program order, then the names
-     that calls and function addresses mention but no function defines. *)
-  let findex = Hashtbl.create 16 and fnames = ref [] and nnames = ref 0 in
-  let add name =
-    Hashtbl.replace findex name !nnames;
-    fnames := name :: !fnames;
-    incr nnames;
-    !nnames - 1
-  in
+  (* Function indices: the program's function numbers, then the names
+     that calls and function addresses mention but no function defines,
+     in first-mention order. *)
+  let ndefined = P.nfuncs p and undefined = ref [] and nundefined = ref 0 in
   let index_of name =
-    match Hashtbl.find_opt findex name with Some i -> i | None -> add name
+    match P.func_number p name with
+    | -1 ->
+      (* [undefined] lists the names newest first: the k-th is [ndefined + k]. *)
+      let rec find k = function
+        | [] ->
+          undefined := name :: !undefined;
+          incr nundefined;
+          ndefined + !nundefined - 1
+        | n :: rest -> if n = name then ndefined + k else find (k - 1) rest
+      in
+      find (!nundefined - 1) !undefined
+    | fi -> fi
   in
-  P.iter_funcs (fun f -> ignore (add f.fname)) p;
-  let ndefined = !nnames in
   (* Frame slot of each variable in the function being compiled, -1 when it
      has none yet; slots are numbered in first-use order. One array serves
      every function: the variables a function touched are reset after it. *)
@@ -341,12 +343,15 @@ let compile_base (p : P.t) : base =
       nexecs := !nexecs + 1 + Array.length cblocks;
       bfuncs := { bare; slot_vars } :: !bfuncs)
     p;
-  let bmain = index_of "main" in
-  if bmain >= ndefined then error "program has no main";
+  let bmain = P.func_number p "main" in
+  if bmain < 0 then error "program has no main";
+  let undefined = Array.of_list (List.rev !undefined) in
   {
     prog = p;
     bfuncs = Array.of_list (List.rev !bfuncs);
-    bfnames = Array.of_list (List.rev !fnames);
+    bfnames =
+      Array.init (ndefined + Array.length undefined) (fun fi ->
+          if fi < ndefined then (P.func_at p fi).fname else undefined.(fi - ndefined));
     bmain;
     bglobal_objid = global_objid;
   }
@@ -413,53 +418,29 @@ let attach_lanes (b : base) (plans : Item.plan list) : cprog =
   Obs.Trace.with_span ~cat:"runtime" "runtime.attach" @@ fun () ->
   let slot = Array.make (P.nvars b.prog) (-1) in
   let max_slots = ref 1 in
-  (* One counter class per distinct lane mask, numbered in first-use
-     order. Every action and phi shadow has one, so a program without
-     classes instruments nothing. *)
-  let class_lanes = ref (Array.make 8 0) and nclasses = ref 0 in
-  (* The shadow counters charged since the last [deltas]: class c's at
-     [sh_width * c] of [rows], whose first cell is 1 once [touched] lists c. *)
-  let rows = ref (Array.make (8 * sh_width) 0) in
-  let touched = ref (Array.make 8 0) and ntouched = ref 0 in
-  let cls_of m =
-    let c = ref 0 in
-    while !c < !nclasses && !class_lanes.(!c) <> m do
-      incr c
-    done;
-    if !c = !nclasses then begin
-      if !c = Array.length !class_lanes then begin
-        class_lanes := Array.append !class_lanes !class_lanes;
-        touched := Array.append !touched !touched;
-        rows := Array.append !rows (Array.make (Array.length !rows) 0)
-      end;
-      !class_lanes.(!c) <- m;
-      incr nclasses
-    end;
-    !c
-  in
-  let charge r d n = !rows.(r + d) <- !rows.(r + d) + n in
-  (* The offset of class [cls]'s row, which [touched] then lists. *)
-  let row cls =
-    let r = sh_width * cls in
-    if !rows.(r) = 0 then begin
-      !rows.(r) <- 1;
-      !touched.(!ntouched) <- cls;
-      incr ntouched
-    end;
-    r
+  (* The shadow counters charged since the last [deltas], lane k's at
+     [sh_width * k] of [row]; [charged] once anything is. A program that
+     charges nothing instruments nothing. *)
+  let row = Array.make (sh_width * nlanes) 0 in
+  let charged = ref false and has_shadow = ref false in
+  let charge m d n =
+    charged := true;
+    let m = ref m and r = ref d in
+    while !m <> 0 do
+      if !m land 1 <> 0 then row.(!r) <- row.(!r) + n;
+      m := !m lsr 1;
+      r := !r + sh_width
+    done
   in
   let deltas () =
-    let d = Array.make (sh_width * !ntouched) 0 and rows = !rows in
-    for t = 0 to !ntouched - 1 do
-      let r = sh_width * !touched.(t) in
-      for k = 0 to sh_width - 1 do
-        d.((sh_width * t) + k) <- rows.(r + k);
-        rows.(r + k) <- 0
-      done;
-      d.(sh_width * t) <- !touched.(t)
-    done;
-    ntouched := 0;
-    d
+    if not !charged then [||]
+    else begin
+      let d = Array.copy row in
+      Array.fill row 0 (Array.length row) 0;
+      charged := false;
+      has_shadow := true;
+      d
+    end
   in
   (* A phi's own shadow items are woven apart, into [arms]. *)
   let pre = woven () and post = woven () and arms = woven () in
@@ -495,38 +476,38 @@ let attach_lanes (b : base) (plans : Item.plan list) : cprog =
         | Var v -> Ss (slot_of v)
       in
       (* [lbl] is the statement a check reports; entry checks carry -1. One
-         execution's shadow counters go to the row at [r]. *)
-      let cact lbl r (a : Item.action) : cact =
+         execution's shadow counters go to the rows of the lanes in [m]. *)
+      let cact lbl m (a : Item.action) : cact =
         match a with
         | Item.Set_var (x, rhs) ->
-          charge r d_sh_reg 1;
+          charge m d_sh_reg 1;
           let crhs =
             match rhs with
             | Item.Rconst b -> CRconst b
-            | Item.Rvar y -> charge r d_sh_reads 1; CRvar (slot_of y)
+            | Item.Rvar y -> charge m d_sh_reads 1; CRvar (slot_of y)
             | Item.Rconj ys ->
-              charge r d_sh_reads (List.length ys);
+              charge m d_sh_reads (List.length ys);
               CRconj (Array.of_list (List.map slot_of ys))
-            | Item.Rmem y -> charge r d_sh_mem 1; CRmem (slot_of y)
-            | Item.Rglobal i -> charge r d_sh_reads 1; CRglobal i
+            | Item.Rmem y -> charge m d_sh_mem 1; CRmem (slot_of y)
+            | Item.Rglobal i -> charge m d_sh_reads 1; CRglobal i
             | Item.Rphi arms ->
-              charge r d_sh_reads 1;
+              charge m d_sh_reads 1;
               CRphi (Array.of_list (List.map (fun (b, o) -> (b, sop o)) arms))
           in
           CSet_var (slot_of x, crhs)
-        | Item.Set_mem (x, Item.Mop o) -> charge r d_sh_mem 1; CSet_mem (slot_of x, sop o)
+        | Item.Set_mem (x, Item.Mop o) -> charge m d_sh_mem 1; CSet_mem (slot_of x, sop o)
         | Item.Set_mem (x, Item.Mconst b) ->
-          charge r d_sh_mem 1;
+          charge m d_sh_mem 1;
           CSet_mem_const (slot_of x, b)
         | Item.Set_mem_object (x, b) ->
-          charge r d_sh_obj 1;
+          charge m d_sh_obj 1;
           CSet_mem_object (slot_of x, b)
         | Item.Set_global (i, o) ->
-          charge r d_sh_reg 1;
-          charge r d_sh_reads (match o with Var _ -> 1 | Cst _ | Undef -> 0);
+          charge m d_sh_reg 1;
+          charge m d_sh_reads (match o with Var _ -> 1 | Cst _ | Undef -> 0);
           CSet_global (i, sop o)
         | Item.Check o -> (
-          charge r d_sh_check 1;
+          charge m d_sh_check 1;
           match o with
           | Var v -> CCheck (Some (slot_of v), lbl)
           | Undef -> CCheck (None, lbl)
@@ -535,9 +516,8 @@ let attach_lanes (b : base) (plans : Item.plan list) : cprog =
       let actions w lbl =
         if w.len = 0 then [||]
         else
-          take w { act = CSet_global (0, Sc true); lanes = 0; cls = 0 } (fun a m ->
-              let cls = cls_of m in
-              { act = cact lbl (row cls) a; lanes = m; cls })
+          take w { act = CSet_global (0, Sc true); lanes = 0 } (fun a m ->
+              { act = cact lbl m a; lanes = m })
       in
       (* Weave lane [bit]'s items into [pre] and [post], oldest first (a
          plan holds them newest first). The items of the phi defining slot
@@ -580,16 +560,11 @@ let attach_lanes (b : base) (plans : Item.plan list) : cprog =
                  into the phi for atomic parallel evaluation. *)
               weave ci.clbl ~phi:phi.dst;
               let sh =
-                take arms { sharms = [||]; sh_lanes = 0; sh_cls = 0 } (fun a m ->
+                take arms { sharms = [||]; sh_lanes = 0 } (fun a m ->
                     let a = match a with Item.Set_var (_, Item.Rphi a) -> a | _ -> [] in
-                    let cls = cls_of m in
-                    charge (row cls) d_sh_reg 1;
-                    charge (row cls) d_sh_reads 1;
-                    {
-                      sharms = Array.of_list (List.map (fun (pb, o) -> (pb, sop o)) a);
-                      sh_lanes = m;
-                      sh_cls = cls;
-                    })
+                    charge m d_sh_reg 1;
+                    charge m d_sh_reads 1;
+                    { sharms = Array.of_list (List.map (fun (pb, o) -> (pb, sop o)) a); sh_lanes = m })
               in
               if Array.length sh = 0 then ci.ckind else CPhi { phi with sh }
             | k ->
@@ -636,10 +611,9 @@ let attach_lanes (b : base) (plans : Item.plan list) : cprog =
     nglobal_slots =
       Array.fold_left (fun n (p : Item.plan) -> max n (p.ret_slot + 1)) 1 plans;
     (* An un-instrumented run never reads or writes shadow registers. *)
-    has_shadow = !nclasses > 0;
+    has_shadow = !has_shadow;
     max_slots = !max_slots;
     nlanes;
-    class_lanes = Array.sub !class_lanes 0 !nclasses;
   }
 
 let attach (b : base) (plan : Item.plan) : cprog = attach_lanes b [ plan ]
@@ -676,7 +650,7 @@ type state = {
   mutable nobjs : int;
   sigma_g : int array;
   cnt : Counters.t;               (* base program counters, shared by lanes *)
-  ccnt : Counters.t array;        (* shadow counters per counter class *)
+  lcnt : Counters.t array;        (* shadow counters per lane *)
   execs : int array;              (* per function entry and block, see [execs0] *)
   det : (label, unit) Hashtbl.t array;  (* per lane *)
   gt : (label, unit) Hashtbl.t;
@@ -827,8 +801,15 @@ let exec_action st base prev (a : caction) =
     sh.(st.rb.(base + x)) <- masked sh.(st.rb.(base + x)) (lanes_of_bool b) m
   | CSet_mem_object (x, b) ->
     let sh = (deref st ~what:"shadow object init" (base + x)).shadow in
-    let cnt = st.ccnt.(a.cls) in
-    cnt.sh_obj_cells <- cnt.sh_obj_cells + Array.length sh;
+    let lanes = ref m and k = ref 0 in
+    while !lanes <> 0 do
+      if !lanes land 1 <> 0 then begin
+        let c = st.lcnt.(!k) in
+        c.sh_obj_cells <- c.sh_obj_cells + Array.length sh
+      end;
+      lanes := !lanes lsr 1;
+      incr k
+    done;
     let v = lanes_of_bool b in
     for i = 0 to Array.length sh - 1 do
       sh.(i) <- masked sh.(i) v m
@@ -999,9 +980,8 @@ and exec_block st (f : cfunc) base ret prev bid ~depth =
 (* The counters: each block's deltas times its execution count. *)
 let settle st =
   let shadow e (d : int array) =
-    for j = 0 to (Array.length d / sh_width) - 1 do
-      let o = sh_width * j in
-      let c = st.ccnt.(d.(o)) in
+    for k = 0 to (Array.length d / sh_width) - 1 do
+      let o = sh_width * k and c = st.lcnt.(k) in
       c.sh_reg <- c.sh_reg + (e * d.(o + d_sh_reg));
       c.sh_reg_reads <- c.sh_reg_reads + (e * d.(o + d_sh_reads));
       c.sh_mem <- c.sh_mem + (e * d.(o + d_sh_mem));
@@ -1037,7 +1017,7 @@ let run_lanes ?(limits = default_limits) (cp : cprog) : lane_outcomes =
       nobjs = 0;
       sigma_g = Array.make (max 1 cp.nglobal_slots) (-1);
       cnt = Counters.create ();
-      ccnt = Array.map (fun _ -> Counters.create ()) cp.class_lanes;
+      lcnt = Array.init cp.nlanes (fun _ -> Counters.create ());
       execs = Array.make nexecs 0;
       det = Array.init cp.nlanes (fun _ -> Hashtbl.create 16);
       gt = Hashtbl.create 16;
@@ -1086,14 +1066,10 @@ let run_lanes ?(limits = default_limits) (cp : cprog) : lane_outcomes =
       steps = st.steps;
     }
   in
-  (* Lane k's counters: the shared base counts plus the shadow counts of
-     every class that includes lane k. *)
+  (* Lane k's counters: the shared base counts plus lane k's own. *)
   let lane k =
     let c = Counters.copy st.cnt in
-    Array.iteri
-      (fun cls m ->
-        if m land (1 lsl k) <> 0 then Counters.add_shadow c st.ccnt.(cls))
-      cp.class_lanes;
+    Counters.add_shadow c st.lcnt.(k);
     { native with counters = c; detections = st.det.(k); gt_uses = Hashtbl.copy st.gt }
   in
   let per_lane = Array.init cp.nlanes lane in

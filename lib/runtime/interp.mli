@@ -60,13 +60,12 @@ type cact =
   | CSet_global of int * sop
   | CCheck of int option * Ir.Types.label  (** slot (None = undef operand) *)
 
-(** A shadow statement, run by the lanes in the mask [lanes]. [cls] is its
-    counter class: one per distinct lane mask, see [class_lanes]. *)
-type caction = { act : cact; lanes : int; cls : int }
+(** A shadow statement, run by the lanes in the mask [lanes]. *)
+type caction = { act : cact; lanes : int }
 
 (** A phi's folded shadow item, for the lanes whose plans share its arms;
     the entries of one phi have disjoint masks. *)
-type cphi_shadow = { sharms : (int * sop) array; sh_lanes : int; sh_cls : int }
+type cphi_shadow = { sharms : (int * sop) array; sh_lanes : int }
 
 type csize = CFields of int | CArray of rop
 
@@ -102,8 +101,9 @@ type cinstr = {
 
 type cterm = CTBr of rop * int * int | CTJmp of int | CTRet of rop option
 
-(** Per execution, [sh_delta] holds six ints per counter class: the class,
-    sh_reg, sh_reg_reads, sh_mem, sh_obj, sh_check. *)
+(** Per execution, [sh_delta] holds five ints per lane, lane by lane:
+    sh_reg, sh_reg_reads, sh_mem, sh_obj, sh_check. It is empty when no
+    lane charges any. *)
 type cblock = {
   body : cinstr array;                  (** leading phis evaluate in parallel *)
   cterm : cterm;
@@ -136,7 +136,6 @@ type cprog = {
   has_shadow : bool;                    (** a plan instruments anything at all *)
   max_slots : int;                      (** max [nslots] over functions, >= 1 *)
   nlanes : int;                         (** plans attached, one lane each *)
-  class_lanes : int array;              (** counter class -> lane mask *)
 }
 
 (** {1 Compilation}

@@ -604,6 +604,14 @@ let check_structure ?budget ?(skip = fun (_ : fname) -> false) ?(name = "vfg")
         end)
       g;
     (* -------- Unmatched edges (sound direction: warn only). -------- *)
+    (* A call or return edge belongs to its call site's function too,
+       whose rules a skip leaves unreplayed. *)
+    let site_owner =
+      lazy
+        (let own = Array.make (P.nlabels p) "" in
+         P.iter_instrs (fun f _ i -> own.(i.lbl) <- f.fname) p;
+         own)
+    in
     let extra = ref 0 in
     let example = ref None in
     Array.iteri
@@ -612,7 +620,11 @@ let check_structure ?budget ?(skip = fun (_ : fname) -> false) ?(name = "vfg")
           let s = key / have.nnodes and d = key mod have.nnodes in
           let kc = have.kinds.(i) in
           let sn = G.node_of g s and dn = G.node_of g d in
-          if not (skip (owner sn) || skip (owner dn)) then begin
+          if
+            not
+              (skip (owner sn) || skip (owner dn)
+              || ((not (G.is_intra kc)) && skip (Lazy.force site_owner).(G.label kc)))
+          then begin
             incr extra;
             if !example = None then
               example :=

@@ -149,14 +149,13 @@ let minor_mwords f =
 let ir_digest (p : Ir.Prog.t) =
   let open Ir.Types in
   let funcs =
-    List.map
-      (fun (_, f) ->
+    List.init (Ir.Prog.nfuncs p) (fun fi ->
+        let f = Ir.Prog.func_at p fi in
         ( f.fname,
           f.params,
           Array.map
             (fun b -> (b.bid, List.map (fun i -> (i.lbl, i.kind)) b.instrs, b.term))
             f.blocks ))
-      p.funcs
   in
   let mask s =
     let n = String.length s in

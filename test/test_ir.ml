@@ -204,9 +204,9 @@ let builder_tests =
             { f with Ir.Types.blocks = Array.copy f.Ir.Types.blocks })
           p;
         Alcotest.(check (list string)) "order" [ "f"; "g"; "main" ] (List.rev !seen);
-        List.iter
-          (fun (n, f) -> check_bool n true (Ir.Prog.get_func p n == f))
-          p.Ir.Types.funcs);
+        Ir.Prog.iter_funcs
+          (fun f -> check_bool f.fname true (Ir.Prog.get_func p f.fname == f))
+          p);
     tc "interleaved appends keep each block's order" (fun () ->
         let b = Bld.create (Ir.Prog.create ()) ~fname:"f" in
         let ba = Bld.new_block b and bb = Bld.new_block b in
@@ -235,6 +235,60 @@ let builder_tests =
         ignore (Bld.new_block b);
         check_bool "Diag.Error Ir" true
           (raises_ir_error (fun () -> Bld.switch_to b 1)));
+    tc "the program numbers its functions; a redefinition wins" (fun () ->
+        let p =
+          compile
+            "int f() { return 1; } int g() { return 2; } int f() { return 3; } \
+             int main() { return f() + g(); }"
+        in
+        let names () = List.init (Ir.Prog.nfuncs p) (fun fi -> (Ir.Prog.func_at p fi).fname) in
+        let numbered () =
+          Ir.Prog.iter_funcs
+            (fun f ->
+              let fi = Ir.Prog.func_number p f.fname in
+              check_bool f.fname true (fi >= 0 && Ir.Prog.func_at p fi == Ir.Prog.get_func p f.fname))
+            p;
+          Alcotest.(check (list string)) "declaration order" [ "f"; "g"; "f"; "main" ] (names ())
+        in
+        numbered ();
+        check_int "f: its last definition" 2 (Ir.Prog.func_number p "f");
+        check_int "undefined" (-1) (Ir.Prog.func_number p "h");
+        let g = Ir.Prog.func_at p 1 in
+        let g' = { g with blocks = Array.copy g.blocks } in
+        Ir.Prog.update_func p g';
+        check_bool "update_func keeps g's number" true (Ir.Prog.func_at p 1 == g');
+        let before = List.init 4 (Ir.Prog.func_at p) in
+        Ir.Prog.map_funcs (fun f -> { f with blocks = Array.copy f.blocks }) p;
+        numbered ();
+        List.iteri
+          (fun fi f -> check_bool "map_funcs replaced it" true (Ir.Prog.func_at p fi != f))
+          before;
+        let ix = Analysis.Index.build p (fun _ _ -> ()) in
+        check_int "index: functions" 4 (Analysis.Index.nfuncs ix);
+        check_int "index: f" 2 (Analysis.Index.func_number ix "f");
+        List.iteri
+          (fun fi _ -> check_bool "index: same function" true (Analysis.Index.func ix fi == Ir.Prog.func_at p fi))
+          before;
+        check_int "the last f runs" 5 (Runtime.Interp.run_native p).exit_value;
+        (* Inlining into the shadowed g must not write over the last g. *)
+        let p =
+          front
+            "int inc(int n) { return n + 1; } int apply(int* f, int x) { return f(x); } \
+             int g() { return apply((int*)(inc), 1); } int g() { return 7; } \
+             int main() { return g(); }"
+        in
+        check_int "the last g runs after inlining" 7 (Runtime.Interp.run_native p).exit_value;
+        (* Names no function defines are numbered past the program's. *)
+        let p = Ir.Prog.create () in
+        let b = Bld.create p ~fname:"main" in
+        Bld.switch_to b (Bld.new_block b);
+        ignore (Bld.func_addr b "k");
+        Bld.call b ~dst:None ~callee:(Ir.Types.Direct "h") ~args:[];
+        Bld.terminate b (Ir.Types.Ret None);
+        ignore (Bld.finish b);
+        match Runtime.Interp.run_native p with
+        | exception Runtime.Interp.Runtime_error e -> check_str "error" "call to unknown function h" e
+        | _ -> Alcotest.fail "a call to an undefined name ran");
   ]
 
 (* A digest of the lowered IR's structure: per function its name, params,

@@ -312,6 +312,18 @@ let pipeline_tests =
         check_bool "no reports" true (a.verify_reports = []);
         let pta = Verify.Pta.check a.prog a.pa in
         check_bool "the Pta checker catches it" false (Verify.Report.ok pta));
+    (* The dropped edge is main's call edge from the constant 16 to
+       fill's parameter. With main distrusted, the TL graph's copy of
+       that edge runs from the T root to a trusted parameter: its call
+       site, not its endpoints, puts it in main. *)
+    tc "drop-vfg-edge: no warning for a distrusted call site's edges" (fun () ->
+        let a = rejected_under Diag.Vfg_build Usher.Config.Drop_vfg_edge array_src in
+        check_strs "rejected" [ "vfg" ] (rejected_checkers a);
+        check_strs "distrusted" [ "main" ] (Usher.Pipeline.distrusted_functions a);
+        List.iter
+          (fun (r : Verify.Report.t) ->
+            check_int (r.checker ^ " warnings") 0 (List.length (Verify.Report.warnings r)))
+          a.verify_reports);
   ]
 
 (* ---- property: any cleared pts bit is detected ----------------------- *)
